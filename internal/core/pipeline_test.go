@@ -32,27 +32,51 @@ func TestEnclaveResponseMatchingUnderPipelinedMixedOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	pipelinedMixedOps(t, cl, 25, 0)
+}
 
+// TestEnclaveResponseMatchingOverTCPPipelined is the same flood on the
+// path that batches: loopback TCP, framed, secure channel, sixteen ops
+// always in flight. The session writer runs several responses through
+// the entry enclave and releases them with one write, as one batch of
+// secure-channel records; the enclave's FIFO matching and the channel's
+// nonce order must both survive that.
+func TestEnclaveResponseMatchingOverTCPPipelined(t *testing.T) {
+	c := newTestCluster(t, SecureKeeper)
+	cl := dialTCPSession(t, c, 0, SecureKeeper)
+	pipelinedMixedOps(t, cl, 100, 16)
+
+	// The batch factor is read from the system, through the same mntr
+	// rendering `skclient mntr` prints.
+	stats := make(map[string]int64)
+	for _, kv := range c.Obs(0).Mntr() {
+		stats[kv.Key] = kv.Value
+	}
+	writes, ok := stats["server_frames_per_release_write_count"]
+	if !ok || writes == 0 {
+		t.Fatalf("mntr has no server_frames_per_release_write samples (present=%v)", ok)
+	}
+	t.Logf("session writers: %d writes, avg %d frames each (p99 <= %d)", writes,
+		stats["server_frames_per_release_write_avg"], stats["server_frames_per_release_write_p99"])
+}
+
+// pipelinedMixedOps floods one session with rounds of one async write
+// and three async reads of the same znode. window bounds the ops in
+// flight (0: issue everything before waiting for anything).
+func pipelinedMixedOps(t *testing.T, cl *client.Client, rounds, window int) {
+	t.Helper()
 	if _, err := cl.Create(ctxbg, "/pipe", []byte("v0"), 0); err != nil {
 		t.Fatal(err)
 	}
 
-	const rounds = 25
 	const readsPerRound = 3
 	type round struct {
-		val   []byte
 		set   *client.Future
 		reads [readsPerRound]*client.Future
 	}
-	var rs [rounds]round
-	for i := range rs {
-		rs[i].val = []byte(fmt.Sprintf("value-%03d", i))
-		rs[i].set = cl.SetAsync("/pipe", rs[i].val, -1)
-		for j := range rs[i].reads {
-			rs[i].reads[j] = cl.GetAsync("/pipe", false)
-		}
-	}
-	for i := range rs {
+	rs := make([]round, rounds)
+	check := func(i int) {
+		t.Helper()
 		if res := rs[i].set.Wait(); res.Err != nil {
 			t.Fatalf("round %d set: %v", i, res.Err)
 		}
@@ -73,6 +97,20 @@ func TestEnclaveResponseMatchingUnderPipelinedMixedOps(t *testing.T) {
 				t.Fatalf("round %d read %d observed stale own-write %q", i, j, got)
 			}
 		}
+	}
+	checked := 0
+	for i := range rs {
+		if window > 0 && (i-checked+1)*(1+readsPerRound) > window {
+			check(checked)
+			checked++
+		}
+		rs[i].set = cl.SetAsync("/pipe", []byte(fmt.Sprintf("value-%03d", i)), -1)
+		for j := range rs[i].reads {
+			rs[i].reads[j] = cl.GetAsync("/pipe", false)
+		}
+	}
+	for ; checked < rounds; checked++ {
+		check(checked)
 	}
 }
 

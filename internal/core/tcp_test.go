@@ -18,47 +18,7 @@ func TestServeExternalOverTCP(t *testing.T) {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
 			cluster := newTestCluster(t, v)
-
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ln.Close()
-
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				defer conn.Close()
-				_ = cluster.ServeExternal(0, transport.NewFramedConn(conn))
-			}()
-
-			tcp, err := net.Dial("tcp", ln.Addr().String())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tcp.Close()
-
-			var conn transport.Conn = transport.NewFramedConn(tcp)
-			if v != Vanilla {
-				id, err := transport.NewIdentity()
-				if err != nil {
-					t.Fatal(err)
-				}
-				conn, err = transport.Handshake(conn, id, true,
-					transport.VerifyExact(cluster.ReplicaPublicKey(0)))
-				if err != nil {
-					t.Fatalf("handshake: %v", err)
-				}
-			}
-			cl, err := client.NewSession(conn, client.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			cl := dialTCPSession(t, cluster, 0, v)
 			if _, err := cl.Create(ctxbg, "/tcp", []byte("over-the-wire"), 0); err != nil {
 				t.Fatalf("create: %v", err)
 			}
@@ -66,10 +26,61 @@ func TestServeExternalOverTCP(t *testing.T) {
 			if err != nil || !bytes.Equal(data, []byte("over-the-wire")) {
 				t.Fatalf("get = %q, %v", data, err)
 			}
-			_ = cl.Close()
-			wg.Wait()
 		})
 	}
+}
+
+// dialTCPSession opens a client session to replica i the way skclient
+// reaches skserver: one loopback TCP connection, served by
+// ServeExternal over a FramedConn, with the variant's secure channel
+// pinned to the replica's key. The session and the serving goroutine
+// are torn down with the test.
+func dialTCPSession(t *testing.T, cluster *Cluster, i int, v Variant) *client.Client {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		_ = cluster.ServeExternal(i, transport.NewFramedConn(conn))
+	}()
+
+	tcp, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conn transport.Conn = transport.NewFramedConn(tcp)
+	if v != Vanilla {
+		id, err := transport.NewIdentity()
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err = transport.Handshake(conn, id, true,
+			transport.VerifyExact(cluster.ReplicaPublicKey(i)))
+		if err != nil {
+			t.Fatalf("handshake: %v", err)
+		}
+	}
+	cl, err := client.NewSession(conn, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = cl.Close()
+		_ = tcp.Close()
+		wg.Wait()
+	})
+	return cl
 }
 
 // TestServeExternalRejectsWrongPin: a client pinning the wrong replica

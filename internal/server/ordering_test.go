@@ -9,6 +9,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -164,6 +165,120 @@ func TestResponseXidOrder(t *testing.T) {
 			t.Fatalf("xid %d failed: %v", hdr.Xid, hdr.Err)
 		}
 	}
+}
+
+// TestResponseXidOrderOverTCPPipelined is TestResponseXidOrder on the
+// path that batches: a loopback TCP connection with sixteen requests
+// always in flight, so the session writer finds several responses (and
+// watch events) due in one pass and releases them with one write, and
+// the reader takes several requests out of one read. Release order must
+// still be exactly submission order, every watch armed by a read must
+// fire exactly once, and nothing may be lost between frames that shared
+// a write.
+func TestResponseXidOrderOverTCPPipelined(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	tc.wg.Add(1)
+	go func() {
+		defer tc.wg.Done()
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		_ = tc.replicas[0].ServeConn(transport.NewFramedConn(conn), nil)
+	}()
+	tcp, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	_ = tcp.SetDeadline(time.Now().Add(30 * time.Second)) // a lost frame fails the test instead of hanging it
+	a := transport.NewFramedConn(tcp)
+
+	if err := a.SendFrame(wire.Marshal(&wire.ConnectRequest{TimeoutMillis: 10000})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.RecvFrame(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A watch is armed on /xw by a read and fired by a write sent more
+	// than a window later, so the read has been answered (the watch is
+	// set) before the write even leaves: every armed watch fires once.
+	const n, window, fireAfter = 240, 16, 19
+	armed := 0
+	send := func(xid int32) {
+		t.Helper()
+		hdr := wire.RequestHeader{Xid: xid, Op: wire.OpGetData}
+		var body wire.Record = &wire.GetDataRequest{Path: "/xo"}
+		switch {
+		case xid == 1:
+			hdr.Op, body = wire.OpCreate, &wire.CreateRequest{Path: "/xo", Data: []byte("v")}
+		case xid == 2:
+			hdr.Op, body = wire.OpCreate, &wire.CreateRequest{Path: "/xw", Data: []byte("v")}
+		case xid%32 == 5 && xid+fireAfter <= n:
+			body = &wire.GetDataRequest{Path: "/xw", Watch: true}
+			armed++
+		case xid%32 == 5+fireAfter:
+			hdr.Op, body = wire.OpSetData, &wire.SetDataRequest{Path: "/xw", Data: []byte("fire"), Version: -1}
+		case xid%8 == 0:
+			// A write every 8th request keeps reads parking and resuming
+			// in groups.
+			hdr.Op, body = wire.OpSetData, &wire.SetDataRequest{Path: "/xo", Data: []byte("w"), Version: -1}
+		}
+		if err := a.SendFrame(wire.MarshalPair(&hdr, body)); err != nil {
+			t.Fatalf("send xid %d: %v", xid, err)
+		}
+	}
+
+	next := int32(1)
+	for ; next <= window; next++ {
+		send(next)
+	}
+	events := 0
+	for want := int32(1); want <= n || events < armed; {
+		frame, err := a.RecvFrame()
+		if err != nil {
+			t.Fatalf("recv (want xid %d, %d of %d watch events seen): %v", want, events, armed, err)
+		}
+		var hdr wire.ReplyHeader
+		d := wire.NewDecoder(frame)
+		if err := hdr.Deserialize(d); err != nil {
+			t.Fatal(err)
+		}
+		if hdr.Xid == wire.WatcherEventXid {
+			var ev wire.WatcherEvent
+			if err := ev.Deserialize(d); err != nil || ev.Path != "/xw" {
+				t.Fatalf("watch event %d: %+v, %v", events, ev, err)
+			}
+			events++
+			continue
+		}
+		if hdr.Xid != want {
+			t.Fatalf("response released out of order: got xid %d, want %d", hdr.Xid, want)
+		}
+		if hdr.Err != wire.ErrOK {
+			t.Fatalf("xid %d failed: %v", hdr.Xid, hdr.Err)
+		}
+		want++
+		if next <= n {
+			send(next)
+			next++
+		}
+	}
+	if events != armed {
+		t.Fatalf("%d watch events for %d armed watches", events, armed)
+	}
+	h := tc.replicas[0].framesPerRelease.Snapshot()
+	if h.Sum < int64(n+armed) {
+		t.Fatalf("server_frames_per_release_write counted %d frames, session released at least %d", h.Sum, n+armed)
+	}
+	t.Logf("released %d frames in %d writes", h.Sum, h.Count)
 }
 
 // TestParkedReadsFailOnLeaderLoss pins the failover contract of parked

@@ -162,6 +162,9 @@ type Replica struct {
 	degradedGauge   *obs.Gauge
 	watchDispatch   *obs.Counter
 	watchFanout     *obs.Histogram
+	// framesPerRelease is the batch factor of the session writers:
+	// frames per SendFrames call, 1 for a session with one op in flight.
+	framesPerRelease *obs.Histogram
 }
 
 type pendingKey struct {
@@ -278,6 +281,8 @@ func (r *Replica) registerMetrics(reg *obs.Registry) {
 		"Tree apply latency per committed transaction.")
 	r.commitToRelease = reg.Histogram("server_commit_to_release_seconds", "",
 		"Commit completion to in-order response release (session FIFO wait).")
+	r.framesPerRelease = reg.CountHistogram("server_frames_per_release_write", "",
+		"Responses and watch events a session writer found due and sent with one write.")
 	r.degradedGauge = reg.Gauge("server_degraded", `mode="readonly"`,
 		"1 once the replica latched read-only after a persistence failure.")
 	r.watchDispatch = reg.Counter("server_watch_dispatch_total", "",

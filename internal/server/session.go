@@ -377,53 +377,32 @@ func (s *session) awaitDrain() {
 // executes nothing — execution happens on the reader goroutine or the
 // resume pool — so release order (which the entry enclave's
 // response-matching FIFO depends on) is decoupled from execution order.
+//
+// Flush rule: each drain pass gathers every response and then every
+// watch event that is ALREADY due and sends them with one write, in the
+// order single sends would have used. It never waits for more, so a
+// session with one request in flight still gets one frame per write. A
+// failed write loses every frame of its batch and ends the session.
 func (s *session) writer() {
 	defer close(s.writerD)
+	var batch [][]byte // reused across passes; the frames themselves are not
 	for {
-		// Drain due responses.
 		for {
-			s.mu.Lock()
-			if len(s.queue) == 0 {
-				s.mu.Unlock()
+			var closing bool
+			var err error
+			batch, closing, err = s.gatherDue(batch[:0])
+			if err == nil && len(batch) == 0 {
 				break
 			}
-			head := s.queue[0]
-			s.mu.Unlock()
-
-			resp, done := head.result()
-			if !done {
-				break // head still executing or awaiting commit; wait for kick
+			if err == nil {
+				err = s.conn.SendFrames(batch)
+				s.rep.framesPerRelease.Observe(int64(len(batch)))
 			}
-			s.mu.Lock()
-			s.queue[0] = nil
-			s.queue = s.queue[1:]
-			if len(s.queue) == 0 {
-				s.queue = nil
-			}
-			s.mu.Unlock()
-			if head.commitNs > 0 {
-				s.rep.commitToRelease.Observe(obs.Now() - head.commitNs)
-			}
-			if !s.send(resp) {
-				return
-			}
-			if head.op == wire.OpCloseSession {
+			clear(batch)
+			if err != nil || closing {
 				s.shutdown()
 				return
 			}
-		}
-		// Drain watch events.
-		for {
-			select {
-			case ev := <-s.events:
-				hdr := wire.ReplyHeader{Xid: wire.WatcherEventXid, Err: wire.ErrOK}
-				if !s.send(wire.MarshalPair(&hdr, &ev)) {
-					return
-				}
-				continue
-			default:
-			}
-			break
 		}
 		select {
 		case <-s.kickCh:
@@ -433,19 +412,63 @@ func (s *session) writer() {
 	}
 }
 
-// send applies the response interceptor and writes the frame. Returns
-// false when the session is finished.
-func (s *session) send(resp []byte) bool {
-	out, err := s.icept.OnResponse(resp)
-	if err != nil {
-		// The entry enclave refused to release the response (e.g.
-		// decryption failed in an unrecoverable way): kill the session
-		// rather than leak anything.
-		s.shutdown()
-		return false
+// gatherDue appends to batch the frames of one drain pass, each already
+// through the response interceptor: the responses due at the head of
+// the FIFO queue, then the queued watch events, up to
+// transport.BatchBytes. closing reports that the pass ends with the
+// CloseSession reply, after which nothing more may be sent. An error
+// means the entry enclave refused to release a message (e.g.
+// decryption failed in an unrecoverable way): the session must die
+// rather than leak anything, and the batch is not to be sent.
+func (s *session) gatherDue(batch [][]byte) (_ [][]byte, closing bool, err error) {
+	size := 0
+	for size < transport.BatchBytes {
+		s.mu.Lock()
+		if len(s.queue) == 0 {
+			s.mu.Unlock()
+			break
+		}
+		head := s.queue[0]
+		s.mu.Unlock()
+
+		resp, done := head.result()
+		if !done {
+			break // head still executing or awaiting commit; wait for kick
+		}
+		s.mu.Lock()
+		s.queue[0] = nil
+		s.queue = s.queue[1:]
+		if len(s.queue) == 0 {
+			s.queue = nil
+		}
+		s.mu.Unlock()
+		if head.commitNs > 0 {
+			s.rep.commitToRelease.Observe(obs.Now() - head.commitNs)
+		}
+		out, err := s.icept.OnResponse(resp)
+		if err != nil {
+			return batch, false, err
+		}
+		batch = append(batch, out)
+		size += len(out)
+		if head.op == wire.OpCloseSession {
+			return batch, true, nil
+		}
 	}
-	if err := s.conn.SendFrame(out); err != nil {
-		return false
+	for size < transport.BatchBytes {
+		select {
+		case ev := <-s.events:
+			hdr := wire.ReplyHeader{Xid: wire.WatcherEventXid, Err: wire.ErrOK}
+			out, err := s.icept.OnResponse(wire.MarshalPair(&hdr, &ev))
+			if err != nil {
+				return batch, false, err
+			}
+			batch = append(batch, out)
+			size += len(out)
+			continue
+		default:
+		}
+		break
 	}
-	return true
+	return batch, false, nil
 }

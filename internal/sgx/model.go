@@ -22,7 +22,9 @@
 package sgx
 
 import (
+	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -206,9 +208,12 @@ func (e *EPC) evictLocked() {
 // Meter accumulates virtual time spent on simulated SGX effects, and
 // can optionally convert it into real latency (busy-waiting) so that
 // end-to-end benchmarks feel the crossing costs.
+//
+// Every enclave of a runtime charges the same meter several times per
+// ecall, so the total is a float64 kept as bits in an atomic word and
+// added by compare-and-swap: concurrent sessions never queue on a lock.
 type Meter struct {
-	mu        sync.Mutex
-	virtualNs float64
+	virtualNs atomic.Uint64 // math.Float64bits of the running total
 	apply     bool
 }
 
@@ -220,9 +225,12 @@ func NewMeter(applyLatency bool) *Meter {
 
 // Charge adds ns of virtual time and optionally sleeps it off.
 func (m *Meter) Charge(ns float64) {
-	m.mu.Lock()
-	m.virtualNs += ns
-	m.mu.Unlock()
+	for {
+		old := m.virtualNs.Load()
+		if m.virtualNs.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+ns)) {
+			break
+		}
+	}
 	if m.apply && ns > 0 {
 		spinWait(time.Duration(ns))
 	}
@@ -230,16 +238,12 @@ func (m *Meter) Charge(ns float64) {
 
 // VirtualNs returns the accumulated virtual time.
 func (m *Meter) VirtualNs() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.virtualNs
+	return math.Float64frombits(m.virtualNs.Load())
 }
 
 // Reset zeroes the accumulated time.
 func (m *Meter) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.virtualNs = 0
+	m.virtualNs.Store(0)
 }
 
 // spinWait busy-waits for short durations (sleeping is far too coarse

@@ -3,6 +3,7 @@ package sgx
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 )
 
@@ -238,6 +239,27 @@ func TestMeter(t *testing.T) {
 	m.Reset()
 	if m.VirtualNs() != 0 {
 		t.Fatal("reset failed")
+	}
+}
+
+// TestMeterConcurrentCharges: every entry enclave of a replica charges
+// one meter, so no charge may be lost when sessions charge at once.
+func TestMeterConcurrentCharges(t *testing.T) {
+	const workers, charges = 8, 5000
+	m := NewMeter(false)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < charges; i++ {
+				m.Charge(0.5) // exact in binary, so the total is exact
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := m.VirtualNs(), float64(workers*charges)*0.5; got != want {
+		t.Fatalf("virtual = %f, want %f", got, want)
 	}
 }
 

@@ -32,6 +32,12 @@ type Conn interface {
 	// SendFrame writes one message. Implementations do not retain
 	// payload after returning, so callers may reuse its storage.
 	SendFrame(payload []byte) error
+	// SendFrames writes the messages in order, as if by SendFrame on
+	// each, moving them to the peer in as few writes as the connection
+	// allows. The receiver cannot tell a batch from single sends.
+	// Writers that own a queue pass what is already queued and never
+	// wait for more. Neither the slice nor the frames are retained.
+	SendFrames(frames [][]byte) error
 	// RecvFrame reads the next message. The returned slice is owned by
 	// the caller; implementations never reuse its storage.
 	RecvFrame() ([]byte, error)
@@ -44,7 +50,8 @@ type Conn interface {
 // current one is exhausted. Carved regions are never reused, so the
 // caller-owns contract of RecvFrame holds — the garbage collector
 // frees a chunk once no frame carved from it is referenced. Frames too
-// large to amortize get their own allocation.
+// large to amortize get their own allocation. (FramedConn applies the
+// same rules to its receive chunk, which it also reads into.)
 type frameArena struct {
 	buf []byte
 	off int
@@ -55,6 +62,22 @@ const (
 	// arenaMaxCarve bounds carved frames so one big frame cannot waste
 	// most of a chunk.
 	arenaMaxCarve = arenaChunkSize / 4
+
+	frameHeaderLen = 4
+	// minReadSpace is the least free tail of a receive chunk worth a
+	// read: below it the reader moves to a fresh chunk rather than ask
+	// the kernel for a sliver.
+	minReadSpace = arenaChunkSize / 16
+	// BatchBytes caps what a writer that owns a queue (a session's
+	// releaser, a mesh link's writer) gathers for one SendFrames call;
+	// what is queued beyond it goes with the next call, at once. A
+	// frame that alone exceeds it goes out by itself.
+	BatchBytes = 64 << 10
+	// maxScratchRetain bounds the send scratch a connection keeps
+	// between writes. A larger frame or batch (a snapshot chunk) gets
+	// its scratch for that one write, so it cannot pin its size on the
+	// link for the connection's lifetime.
+	maxScratchRetain = 256 << 10
 )
 
 // carve returns a caller-owned slice of n bytes with capacity capped at
@@ -74,13 +97,22 @@ func (a *frameArena) carve(n int) []byte {
 
 // FramedConn wraps a stream connection with 4-byte big-endian length
 // prefixes. Safe for one concurrent reader and one concurrent writer.
+//
+// Both directions move a burst per system call. Reads land in a
+// receive chunk that frames are then carved from in place, so one read
+// returns every complete frame the kernel holds; SendFrames
+// length-prefixes a batch into one write. Nothing ever waits for
+// company: a lone frame is read and written alone.
 type FramedConn struct {
-	conn      net.Conn
-	writeMu   sync.Mutex
-	readMu    sync.Mutex
-	readBuf   [4]byte
-	writeBuf  []byte
-	readArena frameArena
+	conn     net.Conn
+	writeMu  sync.Mutex
+	readMu   sync.Mutex
+	writeBuf []byte
+
+	// rbuf[rpos:rend] holds bytes read from conn and not yet handed
+	// out; everything before rpos belongs to frames already returned.
+	rbuf       []byte
+	rpos, rend int
 }
 
 var _ Conn = (*FramedConn)(nil)
@@ -92,33 +124,101 @@ func NewFramedConn(conn net.Conn) *FramedConn {
 
 // SendFrame implements Conn.
 func (c *FramedConn) SendFrame(payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return ErrFrameTooLarge
+	return c.SendFrames([][]byte{payload})
+}
+
+// SendFrames implements Conn: every frame with its length prefix, in
+// one write. An oversized frame rejects the whole batch before a byte
+// of it is written, so the stream stays in sync.
+func (c *FramedConn) SendFrames(frames [][]byte) error {
+	total := 0
+	for _, f := range frames {
+		if len(f) > MaxFrameSize {
+			return ErrFrameTooLarge
+		}
+		total += frameHeaderLen + len(f)
 	}
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	c.writeBuf = c.writeBuf[:0]
-	c.writeBuf = binary.BigEndian.AppendUint32(c.writeBuf, uint32(len(payload)))
-	c.writeBuf = append(c.writeBuf, payload...)
-	if _, err := c.conn.Write(c.writeBuf); err != nil {
+	buf := c.writeBuf[:0]
+	if cap(buf) < total {
+		buf = make([]byte, 0, total)
+	}
+	for _, f := range frames {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(f)))
+		buf = append(buf, f...)
+	}
+	_, err := c.conn.Write(buf)
+	c.writeBuf = retainScratch(buf)
+	if err != nil {
 		return fmt.Errorf("transport: write frame: %w", err)
 	}
 	return nil
 }
 
-// RecvFrame implements Conn.
+// retainScratch returns buf emptied for reuse, or nil when it grew past
+// maxScratchRetain.
+func retainScratch(buf []byte) []byte {
+	if cap(buf) > maxScratchRetain {
+		return nil
+	}
+	return buf[:0]
+}
+
+// RecvFrame implements Conn. A frame is consumed from the receive
+// chunk only once it is complete, so a deadline that expires part-way
+// through a small frame loses no buffered bytes.
 func (c *FramedConn) RecvFrame() ([]byte, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
-	if _, err := io.ReadFull(c.conn, c.readBuf[:]); err != nil {
+	if err := c.fill(frameHeaderLen); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(c.readBuf[:])
+	n := binary.BigEndian.Uint32(c.rbuf[c.rpos:])
 	if n > MaxFrameSize {
 		return nil, ErrFrameTooLarge
 	}
-	payload := c.readArena.carve(int(n))
-	if _, err := io.ReadFull(c.conn, payload); err != nil {
+	if n > arenaMaxCarve {
+		return c.recvLarge(int(n))
+	}
+	if err := c.fill(frameHeaderLen + int(n)); err != nil {
+		return nil, fmt.Errorf("transport: read frame body: %w", err)
+	}
+	start := c.rpos + frameHeaderLen
+	c.rpos = start + int(n)
+	return c.rbuf[start:c.rpos:c.rpos], nil
+}
+
+// fill reads until need contiguous unconsumed bytes are buffered; need
+// is at most frameHeaderLen+arenaMaxCarve. Each read asks for the whole
+// free tail of the chunk, which is what makes one read return a burst.
+func (c *FramedConn) fill(need int) error {
+	for c.rend-c.rpos < need {
+		if len(c.rbuf)-c.rpos < need || len(c.rbuf)-c.rend < minReadSpace {
+			chunk := make([]byte, arenaChunkSize)
+			c.rend = copy(chunk, c.rbuf[c.rpos:c.rend])
+			c.rbuf, c.rpos = chunk, 0
+		}
+		n, err := c.conn.Read(c.rbuf[c.rend:])
+		c.rend += n
+		if err != nil && c.rend-c.rpos < need {
+			if err == io.EOF && c.rend > c.rpos {
+				return io.ErrUnexpectedEOF
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// recvLarge reads a frame too big to carve: whatever part of the body
+// is already buffered is copied over and the rest is read from the
+// connection straight into the frame's own allocation.
+func (c *FramedConn) recvLarge(n int) ([]byte, error) {
+	payload := make([]byte, n)
+	have := copy(payload, c.rbuf[c.rpos+frameHeaderLen:c.rend])
+	c.rpos += frameHeaderLen + have
+	if _, err := io.ReadFull(c.conn, payload[have:]); err != nil {
 		return nil, fmt.Errorf("transport: read frame body: %w", err)
 	}
 	return payload, nil
@@ -130,7 +230,8 @@ func (c *FramedConn) Close() error { return c.conn.Close() }
 // SetDeadline bounds both reads and writes on the underlying stream.
 // Handshaking layers (the zab peer mesh) use it so a stalled or
 // malicious dialer cannot pin an accept goroutine forever; pass the
-// zero time to clear.
+// zero time to clear. A frame already complete in the receive chunk is
+// returned without touching the stream, deadline or not.
 func (c *FramedConn) SetDeadline(t time.Time) error { return c.conn.SetDeadline(t) }
 
 // ChanConn is an in-process message connection over channels, used by
@@ -185,6 +286,17 @@ func (c *ChanConn) SendFrame(payload []byte) error {
 	case <-c.peerDone:
 		return ErrClosed
 	}
+}
+
+// SendFrames implements Conn: the pipe has no writes to save, so a
+// batch is a loop of single sends.
+func (c *ChanConn) SendFrames(frames [][]byte) error {
+	for _, f := range frames {
+		if err := c.SendFrame(f); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RecvFrame implements Conn.

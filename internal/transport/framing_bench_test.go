@@ -43,6 +43,63 @@ func BenchmarkFramedConnRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkFramedConnPipelined measures how many system calls a frame
+// costs on a real loopback socket with a window of frames in flight:
+// the client sends the window as one batch and reads the echoes, the
+// far side echoes each window back as one batch. The Read and Write
+// calls that reach the client's socket are reported per frame. With one
+// frame in flight a frame is exactly one write and at most one read
+// (header and body come out of the same read); with sixteen, a burst
+// shares them.
+func BenchmarkFramedConnPipelined(b *testing.B) {
+	for _, inflight := range []int{1, 16} {
+		b.Run(fmt.Sprintf("inflight=%d", inflight), func(b *testing.B) {
+			near, far := loopbackPair(b)
+			echo := NewFramedConn(far)
+			go func() {
+				window := make([][]byte, 0, inflight)
+				for {
+					frame, err := echo.RecvFrame()
+					if err != nil {
+						return
+					}
+					if window = append(window, frame); len(window) < inflight {
+						continue
+					}
+					if err := echo.SendFrames(window); err != nil {
+						return
+					}
+					window = window[:0]
+				}
+			}()
+			counted := &countingConn{Conn: near}
+			conn := NewFramedConn(counted)
+			payload := make([]byte, 1024)
+			window := make([][]byte, inflight)
+			for i := range window {
+				window[i] = payload
+			}
+			rounds := (b.N + inflight - 1) / inflight
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < rounds; i++ {
+				if err := conn.SendFrames(window); err != nil {
+					b.Fatal(err)
+				}
+				for range window {
+					if _, err := conn.RecvFrame(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.StopTimer()
+			frames := float64(rounds * inflight)
+			b.ReportMetric(float64(counted.writes.Load())/frames, "writes/frame")
+			b.ReportMetric(float64(counted.reads.Load())/frames, "reads/frame")
+		})
+	}
+}
+
 // BenchmarkChanConnRoundTrip measures the in-process pipe the benchmark
 // harness uses, including the arena-carved delivery copy.
 func BenchmarkChanConnRoundTrip(b *testing.B) {

@@ -77,7 +77,8 @@ type SecureConn struct {
 	recvMu    sync.Mutex
 	sendSeq   uint64
 	recvSeq   uint64
-	sendBuf   []byte // reused seal scratch; inner.SendFrame does not retain it
+	sendBuf   []byte   // reused seal scratch; the inner connection does not retain it
+	sealed    [][]byte // reused per-record views into sendBuf for one batch
 	sendNonce [12]byte
 	recvNonce [12]byte
 	peer      ed25519.PublicKey
@@ -202,17 +203,50 @@ func Handshake(inner Conn, id *Identity, isInitiator bool, verify PeerVerifier) 
 // Peer returns the authenticated long-term key of the remote side.
 func (c *SecureConn) Peer() ed25519.PublicKey { return c.peer }
 
-// SendFrame implements Conn: seals payload with the next nonce. The
-// seal scratch buffer is reused across sends — the inner connection
-// copies the frame out before returning.
+// SendFrame implements Conn.
 func (c *SecureConn) SendFrame(payload []byte) error {
+	return c.SendFrames([][]byte{payload})
+}
+
+// SendFrames implements Conn: one record per frame, sealed in nonce
+// order into one contiguous scratch and handed down as one batch. The
+// records are exactly those single sends would produce, so the peer
+// opens them one RecvFrame at a time. The scratch buffers are reused
+// across sends — the inner connection copies the records out before
+// returning.
+func (c *SecureConn) SendFrames(frames [][]byte) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	binary.BigEndian.PutUint64(c.sendNonce[4:], c.sendSeq)
-	c.sendSeq++
-	sealed := c.sendAEAD.Seal(c.sendBuf[:0], c.sendNonce[:], payload, nil)
-	c.sendBuf = sealed[:0]
-	return c.inner.SendFrame(sealed)
+	total := 0
+	for _, f := range frames {
+		total += len(f) + c.sendAEAD.Overhead()
+	}
+	buf := c.sendBuf[:0]
+	if cap(buf) < total {
+		// Sized up front: growing mid-batch would move the records
+		// already sealed.
+		buf = make([]byte, 0, total)
+	}
+	sealed := c.sealed[:0]
+	for _, f := range frames {
+		binary.BigEndian.PutUint64(c.sendNonce[4:], c.sendSeq)
+		c.sendSeq++
+		start := len(buf)
+		buf = c.sendAEAD.Seal(buf, c.sendNonce[:], f, nil)
+		sealed = append(sealed, buf[start:len(buf):len(buf)])
+	}
+	var err error
+	if len(sealed) == 1 {
+		// A lone record goes down as a single send, so a wrapper that
+		// observes SendFrame on the inner connection sees it.
+		err = c.inner.SendFrame(sealed[0])
+	} else {
+		err = c.inner.SendFrames(sealed)
+	}
+	clear(sealed) // or a dropped oversized scratch would stay pinned
+	c.sealed = sealed[:0]
+	c.sendBuf = retainScratch(buf)
+	return err
 }
 
 // RecvFrame implements Conn: opens the next record. Replayed, reordered

@@ -213,6 +213,9 @@ type Mesh struct {
 	outboxShed  *obs.Counter
 	unreachable *obs.Counter
 	inboxShed   *obs.Counter
+	// framesPerWrite is the batch factor of the link writers: frames
+	// moved per SendFrames call, 1 when traffic is sparse.
+	framesPerWrite *obs.Histogram
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -290,6 +293,7 @@ func NewMesh(cfg Config) (*Mesh, error) {
 		m.outboxShed = c.Obs.Counter("zabnet_outbox_shed_total", "", "messages dropped on a full peer outbox (zero in a healthy run)")
 		m.unreachable = c.Obs.Counter("zabnet_unreachable_total", "", "sends to peers with no live link")
 		m.inboxShed = c.Obs.Counter("zabnet_inbox_shed_total", "", "received messages dropped on a full inbox")
+		m.framesPerWrite = c.Obs.CountHistogram("zabnet_frames_per_write", "", "frames a link writer found queued and sent with one write")
 	}
 	for id := range m.peers {
 		if id != c.ID {
@@ -750,14 +754,37 @@ func (m *Mesh) removeLink(l *link) {
 
 // --- frame pump ---
 
+// writeLoop sends whatever is ALREADY in the link's outbox (up to
+// transport.BatchBytes; a snapshot chunk goes alone) with one write: it
+// blocks for the first frame only and never waits for more, so a lone
+// frame leaves as soon as it is queued. The outbox is FIFO,
+// so a fragmented message's frames stay contiguous. A failed write
+// loses the whole batch — the loss model of a dropped link — and closes
+// the link.
 func (m *Mesh) writeLoop(l *link) {
 	defer m.wg.Done()
+	var batch [][]byte
 	for {
 		select {
 		case <-l.done:
 			return
 		case buf := <-l.outbox:
-			if err := l.fc.SendFrame(buf); err != nil {
+			batch = append(batch[:0], buf)
+			size := len(buf)
+		gather:
+			for size < transport.BatchBytes {
+				select {
+				case buf = <-l.outbox:
+					batch = append(batch, buf)
+					size += len(buf)
+				default:
+					break gather
+				}
+			}
+			err := l.fc.SendFrames(batch)
+			m.framesPerWrite.Observe(int64(len(batch)))
+			clear(batch) // outboxed frames can be megabytes; do not pin them until the next write
+			if err != nil {
 				l.close()
 				return
 			}

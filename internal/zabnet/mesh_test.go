@@ -437,18 +437,55 @@ func TestZabTCPResyncAfterGap(t *testing.T) {
 	}
 }
 
-// TestMeshOutboxOverflowSheds fills a link's outbox (no reader on the
-// other side drains it synchronously) and checks Send degrades to an
-// error rather than blocking.
+// TestMeshOutboxOverflowSheds fills a link's outbox and checks Send
+// degrades to an error rather than blocking. The peer is a raw socket
+// that completes the hello and then never reads, so the socket buffers
+// fill, the link writer blocks in its write, and the outbox behind it
+// overflows however fast or slow this box runs (a real mesh peer keeps
+// reading, which made the overflow a race the sender lost under -race).
 func TestMeshOutboxOverflowSheds(t *testing.T) {
-	meshes := newTestMeshes(t, 2, func(c *Config) { c.OutboxFrames = 4 })
-	waitConnected(t, meshes)
-	// The writer drains frames into the TCP buffer, so overflow needs a
-	// burst larger than outbox + socket buffering can absorb at once.
+	deaf, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer deaf.Close()
+	release := make(chan struct{})
+	defer close(release)
+	go func() {
+		conn, err := deaf.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		fc := transport.NewFramedConn(conn)
+		if _, _, err := recvHello(fc); err != nil {
+			return
+		}
+		if err := sendHello(fc, 1, false); err != nil {
+			return
+		}
+		<-release
+	}()
+	own, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMesh(Config{
+		ID:           2,
+		Peers:        map[zab.PeerID]string{1: deaf.Addr().String(), 2: own.Addr().String()},
+		Listener:     own,
+		OutboxFrames: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	waitFor(t, 5*time.Second, "link to the deaf peer", func() bool { return m.Connected(1) })
+
 	var sawShed bool
 	payload := bytes.Repeat([]byte{0xee}, 512<<10)
-	for i := 0; i < 64; i++ {
-		if err := meshes[1].Send(1, zab.Message{Kind: zab.KindApp, App: payload}); err != nil {
+	for i := 0; i < 64; i++ { // 32 MiB: more than loopback socket buffers hold
+		if err := m.Send(1, zab.Message{Kind: zab.KindApp, App: payload}); err != nil {
 			sawShed = true
 			break
 		}

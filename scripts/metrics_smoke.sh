@@ -8,8 +8,11 @@
 #      present, core families registered) and a JSON dump on
 #      /metrics.json;
 #   2. the commit pipeline actually recorded the burst: the leader's
-#      per-stage histograms have non-zero counts and its committed-zxid
-#      gauge covers the acknowledged writes;
+#      per-stage histograms have non-zero counts, its committed-zxid
+#      gauge covers the acknowledged writes, and the batch factors of
+#      the mesh link writers and the session writers
+#      (zabnet_frames_per_write, server_frames_per_release_write) are
+#      exposed with count > 0;
 #   3. the replication gauges agree: after a sync barrier, every
 #      voter's and the observer's zab_committed_zxid converges on the
 #      leader's (diffing the leader's committed zxid against each
@@ -95,6 +98,16 @@ FSYNCS=$(metric_value "${MADDR[$LEADER]}" storage_fsync_seconds_count)
   || { echo "FAIL: leader recorded no group-commit fsyncs despite the durable burst" >&2; exit 1; }
 echo "== leader: submit_to_commit count=$SUBMITS, fsync count=$FSYNCS"
 
+echo "== batch factors of the two coalescing writers are exposed and saw the burst"
+for fam in zabnet_frames_per_write server_frames_per_release_write; do
+  writes=$(metric_value "${MADDR[$LEADER]}" "${fam}_count") \
+    || { echo "FAIL: leader /metrics has no $fam histogram" >&2; exit 1; }
+  frames=$(metric_value "${MADDR[$LEADER]}" "${fam}_sum")
+  [ "$writes" -gt 0 ] && [ "$frames" -ge "$writes" ] \
+    || { echo "FAIL: leader $fam recorded $frames frames in $writes writes after the burst" >&2; exit 1; }
+  echo "== leader: $fam = $frames frames in $writes writes"
+done
+
 echo "== committed-zxid gauges converge on the leader's"
 for i in 1 2 3 4; do retry skc -addr "${CADDR[$i]}" sync /; done
 # Re-capture the leader's gauge inside the predicate: a sync barrier is
@@ -114,7 +127,8 @@ echo "== all 4 committed-zxid gauges agree at $(metric_value "${MADDR[$LEADER]}"
 echo "== mntr renders from a voter and from the observer"
 for i in "$LEADER" 4; do
   out=$(skc -addr "${CADDR[$i]}" mntr)
-  for key in sk_role sk_zxid sk_uptime_seconds sk_commit_lag zab_committed_zxid server_uptime_seconds; do
+  for key in sk_role sk_zxid sk_uptime_seconds sk_commit_lag zab_committed_zxid server_uptime_seconds \
+    zabnet_frames_per_write_count server_frames_per_release_write_count; do
     grep -q "^$key" <<<"$out" \
       || { echo "FAIL: node $i mntr is missing $key" >&2; exit 1; }
   done
