@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -71,7 +72,7 @@ func run() error {
 	dataDir := flag.String("data-dir", "", "durable state directory (process-per-replica mode); empty = in-memory only")
 	snapshotEvery := flag.Int("snapshot-every", 0, "commits between durable snapshots (0 = storage default)")
 	logSegmentBytes := flag.Int64("log-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = storage default)")
-	metricsAddr := flag.String("metrics-addr", "", "admin HTTP address serving /metrics (Prometheus text) and /metrics.json; in-process mode gives replica i port+i; empty disables")
+	metricsAddr := flag.String("metrics-addr", "", "admin HTTP address serving /metrics (Prometheus text), /metrics.json and /debug/pprof/; in-process mode gives replica i port+i; empty disables")
 	flag.Parse()
 
 	v, err := parseVariant(*variant)
@@ -99,8 +100,9 @@ func run() error {
 
 // serveMetrics starts the opt-in admin HTTP listener: GET /metrics
 // serves Prometheus text exposition, GET /metrics.json a debug dump of
-// the same snapshot. Returns the listener so the caller can close it
-// and report the bound address.
+// the same snapshot, and /debug/pprof/ the runtime profiles of this
+// process (`go tool pprof http://<addr>/debug/pprof/profile`). Returns
+// the listener so the caller can close it and report the bound address.
 func serveMetrics(addr string, reg *obs.Registry) (net.Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -115,6 +117,11 @@ func serveMetrics(addr string, reg *obs.Registry) (net.Listener, error) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = reg.WriteJSON(w)
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	srv := &http.Server{Handler: mux}
 	go func() { _ = srv.Serve(ln) }()
 	return ln, nil

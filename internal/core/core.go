@@ -169,40 +169,45 @@ func buildHost(variant Variant, ks *enclave.KeyServer, cost *sgx.CostModel, appl
 }
 
 // registerEcallMetrics hooks the SGX runtime's ecall observer into the
-// host registry: one crossing counter and one latency histogram per
-// ecall kind (entry request/response, counter sequence). The observer
-// fires on every enclave crossing, so the lookup is a prebuilt map hit
-// — no registry scan on the hot path.
+// host registry: one crossing counter, one latency histogram and one
+// messages-per-crossing histogram per ecall kind (entry
+// request/response, counter sequence). The observer fires on every
+// enclave crossing, so the lookup is a prebuilt map hit — no registry
+// scan on the hot path.
 func registerEcallMetrics(reg *obs.Registry, rt *sgx.Runtime) {
 	if reg == nil {
 		return
 	}
-	type pair struct {
+	type instruments struct {
 		count *obs.Counter
 		lat   *obs.Histogram
+		msgs  *obs.Histogram
 	}
-	instrument := func(op string) pair {
+	instrument := func(op string) instruments {
 		labels := fmt.Sprintf("op=%q", op)
-		return pair{
+		return instruments{
 			count: reg.Counter("enclave_ecalls_total", labels,
 				"Enclave crossings by ecall kind."),
 			lat: reg.Histogram("enclave_ecall_seconds", labels,
 				"Full ecall crossing latency, simulated SGX transition costs included."),
+			msgs: reg.CountHistogram("enclave_msgs_per_ecall", labels,
+				"Messages one crossing carried: what the session reader or releaser held when it entered the enclave."),
 		}
 	}
-	byName := map[string]pair{
+	byName := map[string]instruments{
 		enclave.EcallRequest:  instrument(enclave.EcallRequest),
 		enclave.EcallResponse: instrument(enclave.EcallResponse),
 		enclave.EcallSequence: instrument(enclave.EcallSequence),
 	}
 	other := instrument("other")
-	rt.SetEcallObserver(func(name string, durNs int64) {
+	rt.SetEcallObserver(func(name string, msgs int, durNs int64) {
 		p, ok := byName[name]
 		if !ok {
 			p = other
 		}
 		p.count.Inc()
 		p.lat.Observe(durNs)
+		p.msgs.Observe(int64(msgs))
 	})
 }
 
@@ -592,21 +597,26 @@ func (c *Cluster) ReplicaPublicKey(i int) []byte {
 }
 
 // entryInterceptor adapts the entry enclave to the server's
-// interception points.
+// interception points: one ecall per burst. The session reader is the
+// only caller of OnRequests and the releaser of OnResponses, so each
+// direction reuses its own result slice.
 type entryInterceptor struct {
-	entry *enclave.Entry
+	entry       *enclave.Entry
+	reqs, resps [][]byte
 }
 
 var _ server.Interceptor = (*entryInterceptor)(nil)
 
-// OnRequest implements server.Interceptor.
-func (ei *entryInterceptor) OnRequest(msg []byte) ([]byte, error) {
-	return ei.entry.ProcessRequest(msg)
+// OnRequests implements server.Interceptor.
+func (ei *entryInterceptor) OnRequests(msgs [][]byte) (_ [][]byte, err error) {
+	ei.reqs, err = ei.entry.ProcessRequests(msgs, ei.reqs[:0])
+	return ei.reqs, err
 }
 
-// OnResponse implements server.Interceptor.
-func (ei *entryInterceptor) OnResponse(msg []byte) ([]byte, error) {
-	return ei.entry.ProcessResponse(msg)
+// OnResponses implements server.Interceptor.
+func (ei *entryInterceptor) OnResponses(msgs [][]byte) (_ [][]byte, err error) {
+	ei.resps, err = ei.entry.ProcessResponses(msgs, ei.resps[:0])
+	return ei.resps, err
 }
 
 // StorageCodec returns a codec holding the cluster's storage key the

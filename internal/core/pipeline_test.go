@@ -5,10 +5,10 @@ package core
 // with a strict FIFO queue (§4.2): it records (xid, op, plaintext path)
 // per request and pops one entry per response, trusting release order.
 // The split pipeline executes reads concurrently with pending writes,
-// but OnRequest still runs serially on the session reader goroutine (in
-// submission order) and OnResponse serially on the writer goroutine (in
-// release order == submission order), so the enclave's assumption must
-// keep holding. These tests pin that: an ordering violation surfaces as
+// but OnRequests still runs serially on the session reader goroutine
+// (in submission order) and OnResponses serially on the writer goroutine
+// (in release order == submission order), so the enclave's assumption
+// must keep holding. These tests pin that: an ordering violation surfaces as
 // an enclave "FIFO violation" error, which kills the session.
 
 import (
@@ -37,27 +37,62 @@ func TestEnclaveResponseMatchingUnderPipelinedMixedOps(t *testing.T) {
 
 // TestEnclaveResponseMatchingOverTCPPipelined is the same flood on the
 // path that batches: loopback TCP, framed, secure channel, sixteen ops
-// always in flight. The session writer runs several responses through
-// the entry enclave and releases them with one write, as one batch of
+// always in flight. The session reader runs every request one read
+// delivered through the entry enclave in one ecall, the writer every
+// response due in one pass, released with one write as one batch of
 // secure-channel records; the enclave's FIFO matching and the channel's
-// nonce order must both survive that.
+// nonce order must both survive that, at less than one crossing per op.
+// With one op in flight the same code pays exactly two.
 func TestEnclaveResponseMatchingOverTCPPipelined(t *testing.T) {
 	c := newTestCluster(t, SecureKeeper)
 	cl := dialTCPSession(t, c, 0, SecureKeeper)
-	pipelinedMixedOps(t, cl, 100, 16)
-
-	// The batch factor is read from the system, through the same mntr
+	// Counters are read from the system, through the same mntr
 	// rendering `skclient mntr` prints.
-	stats := make(map[string]int64)
-	for _, kv := range c.Obs(0).Mntr() {
-		stats[kv.Key] = kv.Value
+	mntr := func() map[string]int64 {
+		stats := make(map[string]int64)
+		for _, kv := range c.Obs(0).Mntr() {
+			stats[kv.Key] = kv.Value
+		}
+		return stats
 	}
+	ecalls := func(stats map[string]int64) int64 {
+		return stats["enclave_ecalls_total_ec_request"] + stats["enclave_ecalls_total_ec_response"]
+	}
+
+	const rounds = 100
+	pipelinedMixedOps(t, cl, rounds, 16)
+	ops := int64(1 + 4*rounds) // the create, then a write and three reads per round
+	stats := mntr()
 	writes, ok := stats["server_frames_per_release_write_count"]
 	if !ok || writes == 0 {
 		t.Fatalf("mntr has no server_frames_per_release_write samples (present=%v)", ok)
 	}
 	t.Logf("session writers: %d writes, avg %d frames each (p99 <= %d)", writes,
 		stats["server_frames_per_release_write_avg"], stats["server_frames_per_release_write_p99"])
+	for _, key := range []string{"enclave_msgs_per_ecall_ec_request_count", "enclave_msgs_per_ecall_ec_response_count", "server_frames_per_request_read_count"} {
+		if stats[key] == 0 {
+			t.Fatalf("mntr has no %s samples", key)
+		}
+	}
+	pipelined := ecalls(stats)
+	t.Logf("window 16: %d ops, %d ecalls (%d request, %d response)", ops, pipelined,
+		stats["enclave_ecalls_total_ec_request"], stats["enclave_ecalls_total_ec_response"])
+	if pipelined >= ops {
+		t.Fatalf("window 16: %d entry-enclave crossings for %d ops — bursts crossed one message at a time", pipelined, ops)
+	}
+
+	const serial = 40
+	for i := 0; i < serial; i++ {
+		if _, err := cl.Set(ctxbg, "/pipe", []byte("value-999"), -1); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := cl.Get(ctxbg, "/pipe"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ecalls(mntr()) - pipelined; got != 2*2*serial {
+		t.Fatalf("window 1: %d entry-enclave crossings for %d ops, want one in and one out each", got, 2*serial)
+	}
 }
 
 // pipelinedMixedOps floods one session with rounds of one async write

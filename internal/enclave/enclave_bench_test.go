@@ -97,3 +97,52 @@ func BenchmarkEntrySetRequest(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEntryBatchRoundTrip is BenchmarkEntryGetRoundTrip at 1 KiB
+// with the messages crossing batch at a time: one op is one GET through
+// ec_request and its reply through ec_response. ecalls/msg is the exact
+// number of crossings per message and direction — 1 at batch=1, 1/16 at
+// batch=16 (run with a -benchtime multiple of 16x) — and batch=1 must
+// allocate no more than the single-message API.
+func BenchmarkEntryBatchRoundTrip(b *testing.B) {
+	for _, batch := range []int{1, 16} {
+		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+			entry, codec := benchEntry(b)
+			const path = "/bench/target"
+			stored, err := codec.EncryptPayload(path, make([]byte, 1024), false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			in := make([][]byte, 0, batch)
+			out := make([][]byte, 0, batch)
+			ecalls0 := entry.Enclave().EcallCount()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; done += len(in) {
+				n := min(batch, b.N-done)
+				in = in[:0]
+				for i := 0; i < n; i++ {
+					in = append(in, wire.MarshalPair(
+						&wire.RequestHeader{Xid: int32(done + i + 1), Op: wire.OpGetData},
+						&wire.GetDataRequest{Path: path},
+					))
+				}
+				if out, err = entry.ProcessRequests(in, out[:0]); err != nil {
+					b.Fatal(err)
+				}
+				in = in[:0]
+				for i := 0; i < n; i++ {
+					in = append(in, wire.MarshalPair(
+						&wire.ReplyHeader{Xid: int32(done + i + 1), Err: wire.ErrOK},
+						&wire.GetDataResponse{Data: stored, Stat: wire.Stat{DataLength: int32(len(stored))}},
+					))
+				}
+				if out, err = entry.ProcessResponses(in, out[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(entry.Enclave().EcallCount()-ecalls0)/float64(2*b.N), "ecalls/msg")
+		})
+	}
+}

@@ -14,6 +14,7 @@
 package enclave
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -40,7 +41,8 @@ const (
 	counterHeapBytes = 24 << 10
 )
 
-// Ecall names, mirroring Listing 1.
+// Ecall names, mirroring Listing 1. The entry enclave's two take a
+// packed buffer of messages (see call), the counter enclave's one.
 const (
 	EcallRequest  = "ec_request"
 	EcallResponse = "ec_response"
@@ -51,6 +53,7 @@ const (
 var (
 	ErrNoPending         = errors.New("enclave: response without pending request")
 	ErrKeyNotProvisioned = errors.New("enclave: storage key not provisioned")
+	ErrMalformedBatch    = errors.New("enclave: malformed packed ecall buffer")
 )
 
 // pendingOp records one in-flight request in the entry enclave's FIFO
@@ -60,11 +63,12 @@ var (
 //
 // The server's commit-processor split executes reads concurrently with
 // pending writes, but it deliberately preserves this enclave's two
-// serialization points: OnRequest (ecRequest) is always called from the
-// session reader goroutine in submission order, and OnResponse
-// (ecResponse) from the session writer goroutine in release order,
-// which equals submission order. Execution order is decoupled; queue
-// order is not. TestEnclaveResponseMatchingUnderPipelinedMixedOps and
+// serialization points: OnRequests (ecRequest per message) is always
+// called from the session reader goroutine in submission order, and
+// OnResponses (ecResponse per message) from the session writer
+// goroutine in release order, which equals submission order. Execution
+// order is decoupled; queue order is not.
+// TestEnclaveResponseMatchingUnderPipelinedMixedOps and
 // TestResponseXidOrder pin this contract.
 type pendingOp struct {
 	xid        int32
@@ -85,7 +89,8 @@ type Entry struct {
 	runtime *sgx.Runtime
 
 	// Trusted state (lives inside the ELRANGE conceptually): the
-	// storage codec and the FIFO request-type queue.
+	// storage codec and the FIFO request-type queue. An ecall holds mu
+	// for its whole batch.
 	mu    sync.Mutex
 	codec *skcrypto.Codec
 	queue []pendingOp
@@ -102,8 +107,12 @@ func NewEntry(rt *sgx.Runtime) (*Entry, error) {
 		HeapBytes:    entryHeapBytes,
 		Threads:      1,
 		Ecalls: map[string]sgx.EcallFunc{
-			EcallRequest:  en.ecRequest,
-			EcallResponse: en.ecResponse,
+			EcallRequest: func(buf []byte, msgLen int) (int, error) {
+				return en.ecBatch(buf, msgLen, en.ecRequest)
+			},
+			EcallResponse: func(buf []byte, msgLen int) (int, error) {
+				return en.ecBatch(buf, msgLen, en.ecResponse)
+			},
 		},
 	}
 	e, err := rt.Create(spec)
@@ -148,55 +157,165 @@ func GrowthHeadroom(msgLen int) int {
 	return msgLen/2 + 512
 }
 
-// ProcessRequest runs a client request (transport-plaintext bytes)
-// through the entry enclave, returning the storage-encrypted message to
-// inject into the replica pipeline.
+// ProcessRequests runs a burst of client requests (transport-plaintext
+// bytes) through the entry enclave in one crossing and appends to out
+// the storage-encrypted messages to inject into the replica pipeline.
+// The outcome is what len(msgs) single calls would have produced: if
+// the enclave rejects msgs[i], the rewritten msgs[:i] are appended,
+// their requests are on the FIFO queue, and the error is returned.
+func (en *Entry) ProcessRequests(msgs, out [][]byte) ([][]byte, error) {
+	return en.call(EcallRequest, msgs, out)
+}
+
+// ProcessResponses runs a burst of replica responses and watch events
+// through the entry enclave in one crossing and appends to out the
+// client-plaintext messages (still to be transport-encrypted by the
+// secure channel). Errors are as for ProcessRequests.
+func (en *Entry) ProcessResponses(msgs, out [][]byte) ([][]byte, error) {
+	return en.call(EcallResponse, msgs, out)
+}
+
+// ProcessRequest is the one-element case of ProcessRequests.
 func (en *Entry) ProcessRequest(msg []byte) ([]byte, error) {
-	return en.call(EcallRequest, msg)
+	return en.callOne(EcallRequest, msg)
 }
 
-// ProcessResponse runs a replica response through the entry enclave,
-// returning the client-plaintext message (still to be transport-
-// encrypted by the secure channel).
+// ProcessResponse is the one-element case of ProcessResponses.
 func (en *Entry) ProcessResponse(msg []byte) ([]byte, error) {
-	return en.call(EcallResponse, msg)
+	return en.callOne(EcallResponse, msg)
 }
 
-// call runs one ecall with the §5.1 pre-sized buffer contract. The
-// oversized headroom buffer is pooled; the result — which the server
-// pipeline retains in its FIFO queue — is copied out exactly sized.
-func (en *Entry) call(name string, msg []byte) ([]byte, error) {
-	pb := sgx.GetBuf(len(msg) + GrowthHeadroom(len(msg)))
-	copy(pb.B, msg)
-	n, err := en.enclave.Ecall(name, pb.B, len(msg))
+// callOne is call on a batch of one, with both slices on the stack.
+func (en *Entry) callOne(name string, msg []byte) ([]byte, error) {
+	var in, out [1][]byte
+	in[0] = msg
+	res, err := en.call(name, in[:], out[:0])
 	if err != nil {
-		pb.Release()
 		return nil, err
 	}
-	out := make([]byte, n)
-	copy(out, pb.B[:n])
-	pb.Release()
-	return out, nil
+	return res[0], nil
+}
+
+// The packed ecall buffer, in both directions (integers big-endian):
+//
+//	u32 n | n × ( u32 cap | u32 len | cap bytes, the first len valid )
+//
+// Listing 1 passes one message in a buffer "slightly larger" than it so
+// the enclave can grow it in place (§5.1); a slot is that buffer, cap =
+// len + GrowthHeadroom(len), and the batch is n of them behind one
+// [in,out] pointer. The trusted side rewrites each slot in place and
+// its len; if slot i fails it sets n = i, so the caller gets back the
+// slots that were finished.
+const (
+	batchHeaderLen = 4
+	slotHeaderLen  = 8
+)
+
+// slotCap is the size of the slot the untrusted caller gives a message.
+func slotCap(msgLen int) int { return msgLen + GrowthHeadroom(msgLen) }
+
+// call runs one ecall over msgs with the §5.1 pre-sized buffer
+// contract, per slot. The oversized packed buffer is pooled; each
+// result — which the server pipeline retains in its FIFO queue — is
+// copied out exactly sized.
+func (en *Entry) call(name string, msgs, out [][]byte) ([][]byte, error) {
+	if len(msgs) == 0 {
+		return out, nil
+	}
+	total := batchHeaderLen
+	for _, m := range msgs {
+		total += slotHeaderLen + slotCap(len(m))
+	}
+	pb := sgx.GetBuf(total)
+	defer pb.Release()
+	buf := pb.B
+	binary.BigEndian.PutUint32(buf, uint32(len(msgs)))
+	off := batchHeaderLen
+	for _, m := range msgs {
+		binary.BigEndian.PutUint32(buf[off:], uint32(slotCap(len(m))))
+		binary.BigEndian.PutUint32(buf[off+4:], uint32(len(m)))
+		copy(buf[off+slotHeaderLen:], m)
+		off += slotHeaderLen + slotCap(len(m))
+	}
+	n, err := en.enclave.EcallBatch(name, buf, total, len(msgs))
+	// Nothing was copied out unless the trusted side ran (n > 0); then
+	// its count says how many slots it finished.
+	done := 0
+	if n > 0 {
+		done = int(binary.BigEndian.Uint32(buf))
+	}
+	off = batchHeaderLen
+	for _, m := range msgs[:done] {
+		msg := make([]byte, binary.BigEndian.Uint32(buf[off+4:]))
+		copy(msg, buf[off+slotHeaderLen:])
+		out = append(out, msg)
+		off += slotHeaderLen + slotCap(len(m))
+	}
+	return out, err
 }
 
 // --- trusted code (runs inside the enclave) ---
 
+// ecBatch is the trusted entry point of both ecalls: it runs transform
+// on each slot of the packed buffer in turn, holding mu for the whole
+// batch, and reports in the buffer's count how many slots it finished.
+func (en *Entry) ecBatch(buf []byte, msgLen int, transform sgx.EcallFunc) (int, error) {
+	en.mu.Lock()
+	defer en.mu.Unlock()
+	if en.codec == nil {
+		return 0, ErrKeyNotProvisioned
+	}
+	if msgLen < batchHeaderLen {
+		return 0, ErrMalformedBatch
+	}
+	done, err := eachSlot(buf[:msgLen:msgLen], transform)
+	binary.BigEndian.PutUint32(buf, done)
+	return msgLen, err
+}
+
+// eachSlot walks a packed buffer, rewriting every slot and its length
+// with transform, and returns how many slots were finished. Every count
+// and length in the buffer is the untrusted caller's and is checked
+// against the buffer's end before it is used; a slot that is malformed,
+// or that transform rejects, ends the walk there.
+func eachSlot(packed []byte, transform sgx.EcallFunc) (uint32, error) {
+	n := binary.BigEndian.Uint32(packed)
+	off := batchHeaderLen
+	for i := uint32(0); i < n; i++ {
+		if len(packed)-off < slotHeaderLen {
+			return i, ErrMalformedBatch
+		}
+		size := binary.BigEndian.Uint32(packed[off:])
+		used := binary.BigEndian.Uint32(packed[off+4:])
+		off += slotHeaderLen
+		if uint64(size) > uint64(len(packed)-off) || used > size {
+			return i, ErrMalformedBatch
+		}
+		end := off + int(size)
+		newLen, err := transform(packed[off:end:end], int(used))
+		if err != nil {
+			return i, err
+		}
+		binary.BigEndian.PutUint32(packed[off-4:], uint32(newLen))
+		off = end
+	}
+	if off != len(packed) {
+		return n, ErrMalformedBatch
+	}
+	return n, nil
+}
+
 // ecRequest is the trusted request-path transformation: deserialize the
 // plaintext request, encrypt the sensitive fields (path and payload)
 // towards the ZooKeeper data store, remember (xid, op) in the FIFO
-// queue, and serialize the rewritten message.
+// queue, and serialize the rewritten message. Called with mu held.
 //
 // The decode is zero-copy (byte fields alias buf) and the decoded
 // request record is reused as the rewritten body: every field is either
 // forwarded or overwritten with its encrypted form, and the final
 // serialization drains all aliases before buf is overwritten.
 func (en *Entry) ecRequest(buf []byte, msgLen int) (int, error) {
-	en.mu.Lock()
 	codec := en.codec
-	en.mu.Unlock()
-	if codec == nil {
-		return 0, ErrKeyNotProvisioned
-	}
 
 	var hdr wire.RequestHeader
 	var d wire.Decoder
@@ -349,9 +468,7 @@ func (en *Entry) ecRequest(buf []byte, msgLen int) (int, error) {
 		// ecResponse's FIFO and must be queued here; pings use the
 		// reserved xid and skip it.
 		if hdr.Op != wire.OpPing {
-			en.mu.Lock()
 			en.queue = append(en.queue, pend)
-			en.mu.Unlock()
 		}
 		return msgLen, nil
 
@@ -359,9 +476,7 @@ func (en *Entry) ecRequest(buf []byte, msgLen int) (int, error) {
 		return 0, fmt.Errorf("enclave: unsupported op %s: %w", hdr.Op, wire.ErrUnimplemented.Error())
 	}
 
-	en.mu.Lock()
 	en.queue = append(en.queue, pend)
-	en.mu.Unlock()
 
 	n, ok := wire.MarshalPairInto(buf, &hdr, body)
 	if !ok {
@@ -372,14 +487,10 @@ func (en *Entry) ecRequest(buf []byte, msgLen int) (int, error) {
 
 // ecResponse is the trusted response-path transformation: deserialize
 // the replica's reply, decrypt sensitive fields, verify payload↔path
-// binding, and serialize the plaintext message for the client.
+// binding, and serialize the plaintext message for the client. Called
+// with mu held.
 func (en *Entry) ecResponse(buf []byte, msgLen int) (int, error) {
-	en.mu.Lock()
 	codec := en.codec
-	en.mu.Unlock()
-	if codec == nil {
-		return 0, ErrKeyNotProvisioned
-	}
 
 	var hdr wire.ReplyHeader
 	var d wire.Decoder
@@ -411,14 +522,18 @@ func (en *Entry) ecResponse(buf []byte, msgLen int) (int, error) {
 		return msgLen, nil
 	}
 
-	en.mu.Lock()
 	if len(en.queue) == 0 {
-		en.mu.Unlock()
 		return 0, ErrNoPending
 	}
+	// The popped slot is zeroed and an emptied queue lets its array go,
+	// so the plaintext path of an answered request is not kept reachable
+	// in trusted memory.
 	pend := en.queue[0]
+	en.queue[0] = pendingOp{}
 	en.queue = en.queue[1:]
-	en.mu.Unlock()
+	if len(en.queue) == 0 {
+		en.queue = nil
+	}
 
 	if pend.xid != hdr.Xid {
 		return 0, fmt.Errorf("enclave: FIFO violation: response xid %d, expected %d: %w",

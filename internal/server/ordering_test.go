@@ -167,21 +167,52 @@ func TestResponseXidOrder(t *testing.T) {
 	}
 }
 
+// countingInterceptor passes messages through and counts its calls: one
+// call is what costs the entry enclave one crossing.
+type countingInterceptor struct {
+	reqCalls, reqMsgs, respCalls, respMsgs atomic.Int64
+}
+
+func (ci *countingInterceptor) OnRequests(msgs [][]byte) ([][]byte, error) {
+	ci.reqCalls.Add(1)
+	ci.reqMsgs.Add(int64(len(msgs)))
+	return msgs, nil
+}
+
+func (ci *countingInterceptor) OnResponses(msgs [][]byte) ([][]byte, error) {
+	ci.respCalls.Add(1)
+	ci.respMsgs.Add(int64(len(msgs)))
+	return msgs, nil
+}
+
 // TestResponseXidOrderOverTCPPipelined is TestResponseXidOrder on the
-// path that batches: a loopback TCP connection with sixteen requests
-// always in flight, so the session writer finds several responses (and
-// watch events) due in one pass and releases them with one write, and
-// the reader takes several requests out of one read. Release order must
-// still be exactly submission order, every watch armed by a read must
-// fire exactly once, and nothing may be lost between frames that shared
-// a write.
+// path that batches: a loopback TCP connection whose client keeps a
+// window of requests in flight and refills it in bursts, so the session
+// reader takes several requests out of one read and through the
+// interceptor in one call, and the writer finds several responses (and
+// watch events) due in one pass and releases them with one call and one
+// write. Release order must still be exactly submission order, every
+// watch armed by a read must fire exactly once, and nothing may be lost
+// between frames that shared a call or a write. At window 16 the
+// interceptor must be called less than once per op; at window 1 the
+// same code degenerates to one-element bursts: exactly one call per
+// request and one per release pass.
 func TestResponseXidOrderOverTCPPipelined(t *testing.T) {
+	for _, window := range []int{16, 1} {
+		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
+			responseXidOrderOverTCP(t, window)
+		})
+	}
+}
+
+func responseXidOrderOverTCP(t *testing.T, window int) {
 	tc := newTestCluster(t, 3)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	icept := &countingInterceptor{}
 	tc.wg.Add(1)
 	go func() {
 		defer tc.wg.Done()
@@ -190,7 +221,7 @@ func TestResponseXidOrderOverTCPPipelined(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		_ = tc.replicas[0].ServeConn(transport.NewFramedConn(conn), nil)
+		_ = tc.replicas[0].ServeConn(transport.NewFramedConn(conn), icept)
 	}()
 	tcp, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
@@ -210,10 +241,9 @@ func TestResponseXidOrderOverTCPPipelined(t *testing.T) {
 	// A watch is armed on /xw by a read and fired by a write sent more
 	// than a window later, so the read has been answered (the watch is
 	// set) before the write even leaves: every armed watch fires once.
-	const n, window, fireAfter = 240, 16, 19
+	const n, fireAfter = 240, 19
 	armed := 0
-	send := func(xid int32) {
-		t.Helper()
+	request := func(xid int32) []byte {
 		hdr := wire.RequestHeader{Xid: xid, Op: wire.OpGetData}
 		var body wire.Record = &wire.GetDataRequest{Path: "/xo"}
 		switch {
@@ -231,45 +261,56 @@ func TestResponseXidOrderOverTCPPipelined(t *testing.T) {
 			// in groups.
 			hdr.Op, body = wire.OpSetData, &wire.SetDataRequest{Path: "/xo", Data: []byte("w"), Version: -1}
 		}
-		if err := a.SendFrame(wire.MarshalPair(&hdr, body)); err != nil {
-			t.Fatalf("send xid %d: %v", xid, err)
-		}
+		return wire.MarshalPair(&hdr, body)
 	}
 
+	// refill sends the next k requests as one burst.
 	next := int32(1)
-	for ; next <= window; next++ {
-		send(next)
+	var burst [][]byte
+	refill := func(k int) {
+		t.Helper()
+		burst = burst[:0]
+		for ; k > 0 && next <= n; k-- {
+			burst = append(burst, request(next))
+			next++
+		}
+		if err := a.SendFrames(burst); err != nil {
+			t.Fatalf("send up to xid %d: %v", next-1, err)
+		}
 	}
+	refill(window)
 	events := 0
+	var frames [][]byte
 	for want := int32(1); want <= n || events < armed; {
-		frame, err := a.RecvFrame()
+		frames, err = a.RecvFrames(frames[:0])
 		if err != nil {
 			t.Fatalf("recv (want xid %d, %d of %d watch events seen): %v", want, events, armed, err)
 		}
-		var hdr wire.ReplyHeader
-		d := wire.NewDecoder(frame)
-		if err := hdr.Deserialize(d); err != nil {
-			t.Fatal(err)
-		}
-		if hdr.Xid == wire.WatcherEventXid {
-			var ev wire.WatcherEvent
-			if err := ev.Deserialize(d); err != nil || ev.Path != "/xw" {
-				t.Fatalf("watch event %d: %+v, %v", events, ev, err)
+		answered := 0
+		for _, frame := range frames {
+			var hdr wire.ReplyHeader
+			d := wire.NewDecoder(frame)
+			if err := hdr.Deserialize(d); err != nil {
+				t.Fatal(err)
 			}
-			events++
-			continue
+			if hdr.Xid == wire.WatcherEventXid {
+				var ev wire.WatcherEvent
+				if err := ev.Deserialize(d); err != nil || ev.Path != "/xw" {
+					t.Fatalf("watch event %d: %+v, %v", events, ev, err)
+				}
+				events++
+				continue
+			}
+			if hdr.Xid != want {
+				t.Fatalf("response released out of order: got xid %d, want %d", hdr.Xid, want)
+			}
+			if hdr.Err != wire.ErrOK {
+				t.Fatalf("xid %d failed: %v", hdr.Xid, hdr.Err)
+			}
+			want++
+			answered++
 		}
-		if hdr.Xid != want {
-			t.Fatalf("response released out of order: got xid %d, want %d", hdr.Xid, want)
-		}
-		if hdr.Err != wire.ErrOK {
-			t.Fatalf("xid %d failed: %v", hdr.Xid, hdr.Err)
-		}
-		want++
-		if next <= n {
-			send(next)
-			next++
-		}
+		refill(answered)
 	}
 	if events != armed {
 		t.Fatalf("%d watch events for %d armed watches", events, armed)
@@ -278,7 +319,27 @@ func TestResponseXidOrderOverTCPPipelined(t *testing.T) {
 	if h.Sum < int64(n+armed) {
 		t.Fatalf("server_frames_per_release_write counted %d frames, session released at least %d", h.Sum, n+armed)
 	}
-	t.Logf("released %d frames in %d writes", h.Sum, h.Count)
+	if h := tc.replicas[0].framesPerRead.Snapshot(); h.Sum != n {
+		t.Fatalf("server_frames_per_request_read counted %d frames, session sent %d", h.Sum, n)
+	}
+	reqCalls, respCalls := icept.reqCalls.Load(), icept.respCalls.Load()
+	if got := icept.reqMsgs.Load(); got != n {
+		t.Fatalf("interceptor saw %d requests, session sent %d", got, n)
+	}
+	if got := icept.respMsgs.Load(); got != int64(n+armed) {
+		t.Fatalf("interceptor saw %d responses and events, session released %d", got, n+armed)
+	}
+	t.Logf("%d ops: %d request calls, %d release calls, %d frames in %d writes", n, reqCalls, respCalls, h.Sum, h.Count)
+	if window == 1 {
+		// One in flight: every burst has one element. A watch event may
+		// share a pass with a response or get its own.
+		if reqCalls != n || respCalls < n || respCalls > int64(n+armed) {
+			t.Fatalf("window 1: %d request calls and %d release calls for %d ops and %d events, want one per op",
+				reqCalls, respCalls, n, armed)
+		}
+	} else if reqCalls+respCalls >= n {
+		t.Fatalf("window %d: %d interceptor calls for %d ops — bursts were taken apart", window, reqCalls+respCalls, n)
+	}
 }
 
 // TestParkedReadsFailOnLeaderLoss pins the failover contract of parked

@@ -30,15 +30,21 @@ import (
 	"securekeeper/internal/ztree"
 )
 
-// Interceptor transforms messages at the connection boundary. The
-// SecureKeeper entry enclave implements it; baselines use Nop.
+// Interceptor transforms messages at the connection boundary, a burst
+// at a time: the session reader passes every request one wake-up
+// received, the releaser every response and watch event one pass found
+// due. The SecureKeeper entry enclave implements it, paying one enclave
+// crossing per call; baselines use Nop. The returned slice is the
+// caller's until its next call of the same method.
 type Interceptor interface {
-	// OnRequest rewrites an inbound client message before it enters
-	// the processing pipeline.
-	OnRequest(msg []byte) ([]byte, error)
-	// OnResponse rewrites an outbound message before transport
-	// encryption.
-	OnResponse(msg []byte) ([]byte, error)
+	// OnRequests rewrites inbound client messages, in order, before
+	// they enter the processing pipeline. If msgs[i] is rejected it
+	// returns the rewritten msgs[:i] with the error, exactly what single
+	// calls would have let through.
+	OnRequests(msgs [][]byte) ([][]byte, error)
+	// OnResponses rewrites outbound messages, in order, before
+	// transport encryption. On an error none of them may be sent.
+	OnResponses(msgs [][]byte) ([][]byte, error)
 }
 
 // NopInterceptor passes messages through unchanged (Vanilla and TLS
@@ -47,11 +53,11 @@ type NopInterceptor struct{}
 
 var _ Interceptor = NopInterceptor{}
 
-// OnRequest implements Interceptor.
-func (NopInterceptor) OnRequest(msg []byte) ([]byte, error) { return msg, nil }
+// OnRequests implements Interceptor.
+func (NopInterceptor) OnRequests(msgs [][]byte) ([][]byte, error) { return msgs, nil }
 
-// OnResponse implements Interceptor.
-func (NopInterceptor) OnResponse(msg []byte) ([]byte, error) { return msg, nil }
+// OnResponses implements Interceptor.
+func (NopInterceptor) OnResponses(msgs [][]byte) ([][]byte, error) { return msgs, nil }
 
 // SequenceAppender merges a sequence number into a (possibly encrypted)
 // path during sequential-node creation. The default appends the
@@ -162,9 +168,11 @@ type Replica struct {
 	degradedGauge   *obs.Gauge
 	watchDispatch   *obs.Counter
 	watchFanout     *obs.Histogram
-	// framesPerRelease is the batch factor of the session writers:
-	// frames per SendFrames call, 1 for a session with one op in flight.
+	// framesPerRelease and framesPerRead are the batch factors of the
+	// session writers and readers: frames per SendFrames / RecvFrames
+	// call, 1 for a session with one op in flight.
 	framesPerRelease *obs.Histogram
+	framesPerRead    *obs.Histogram
 }
 
 type pendingKey struct {
@@ -283,6 +291,8 @@ func (r *Replica) registerMetrics(reg *obs.Registry) {
 		"Commit completion to in-order response release (session FIFO wait).")
 	r.framesPerRelease = reg.CountHistogram("server_frames_per_release_write", "",
 		"Responses and watch events a session writer found due and sent with one write.")
+	r.framesPerRead = reg.CountHistogram("server_frames_per_request_read", "",
+		"Requests a session reader found already received when it woke up.")
 	r.degradedGauge = reg.Gauge("server_degraded", `mode="readonly"`,
 		"1 once the replica latched read-only after a persistence failure.")
 	r.watchDispatch = reg.Counter("server_watch_dispatch_total", "",

@@ -381,31 +381,180 @@ func TestPlainSequenceAppender(t *testing.T) {
 	}
 }
 
-func TestInterceptorErrorKillsSession(t *testing.T) {
-	tc := newTestCluster(t, 1)
-	a, b := transport.NewChanPipe()
-	rejecting := rejectingInterceptor{}
-	done := make(chan error, 1)
-	go func() { done <- tc.replicas[0].ServeConn(b, rejecting) }()
-	cl, err := client.NewSession(a, client.Options{})
-	if err != nil {
-		t.Fatal(err)
+// burstConn is a scripted transport.Conn: the connect handshake one
+// frame at a time, then every RecvFrames call returns the next scripted
+// burst whole, so a test decides exactly which requests share an
+// interceptor call. Sent frames are recorded.
+type burstConn struct {
+	connect chan []byte
+	bursts  chan [][]byte
+	closed  chan struct{}
+	once    sync.Once
+
+	mu   sync.Mutex
+	sent [][]byte
+}
+
+func newBurstConn(bursts ...[][]byte) *burstConn {
+	c := &burstConn{
+		connect: make(chan []byte, 1),
+		bursts:  make(chan [][]byte, len(bursts)),
+		closed:  make(chan struct{}),
 	}
-	defer cl.Close()
-	if _, _, err := cl.Get(ctxbg, "/x"); err == nil {
-		t.Fatal("request through rejecting interceptor must fail")
+	c.connect <- wire.Marshal(&wire.ConnectRequest{TimeoutMillis: 10000})
+	for _, b := range bursts {
+		c.bursts <- b
 	}
+	return c
+}
+
+func (c *burstConn) RecvFrame() ([]byte, error) { return <-c.connect, nil }
+
+func (c *burstConn) RecvFrames(dst [][]byte) ([][]byte, error) {
 	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("session did not terminate")
+	case b := <-c.bursts:
+		return append(dst, b...), nil
+	case <-c.closed:
+		return dst, transport.ErrClosed
 	}
 }
 
-type rejectingInterceptor struct{}
+func (c *burstConn) SendFrame(f []byte) error { return c.SendFrames([][]byte{f}) }
 
-func (rejectingInterceptor) OnRequest(msg []byte) ([]byte, error) {
-	return nil, fmt.Errorf("rejected")
+func (c *burstConn) SendFrames(frames [][]byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, f := range frames {
+		c.sent = append(c.sent, append([]byte(nil), f...))
+	}
+	return nil
 }
 
-func (rejectingInterceptor) OnResponse(msg []byte) ([]byte, error) { return msg, nil }
+func (c *burstConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return nil
+}
+
+// sentXids returns the xids of the replies sent after the connect
+// response.
+func (c *burstConn) sentXids(t *testing.T) []int32 {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var xids []int32
+	for _, f := range c.sent[1:] {
+		var hdr wire.ReplyHeader
+		if err := hdr.Deserialize(wire.NewDecoder(f)); err != nil {
+			t.Fatal(err)
+		}
+		xids = append(xids, hdr.Xid)
+	}
+	return xids
+}
+
+// faultyInterceptor fails where a test tells it to: the request whose
+// xid is rejectXid (the requests ahead of it in the burst pass), and
+// any release pass that holds the reply to failReplyXid.
+type faultyInterceptor struct {
+	rejectXid    int32
+	failReplyXid int32
+}
+
+func (fi faultyInterceptor) OnRequests(msgs [][]byte) ([][]byte, error) {
+	for i, m := range msgs {
+		var hdr wire.RequestHeader
+		if err := hdr.Deserialize(wire.NewDecoder(m)); err != nil {
+			return msgs[:i], err
+		}
+		if hdr.Xid == fi.rejectXid {
+			return msgs[:i], fmt.Errorf("rejected xid %d", hdr.Xid)
+		}
+	}
+	return msgs, nil
+}
+
+func (fi faultyInterceptor) OnResponses(msgs [][]byte) ([][]byte, error) {
+	for _, m := range msgs {
+		var hdr wire.ReplyHeader
+		if err := hdr.Deserialize(wire.NewDecoder(m)); err != nil {
+			return nil, err
+		}
+		if hdr.Xid == fi.failReplyXid {
+			return nil, fmt.Errorf("refused to release xid %d", hdr.Xid)
+		}
+	}
+	return msgs, nil
+}
+
+// TestInterceptorBatchFailure pins what a failing interceptor call
+// means for the burst it was given: exactly what single calls did. A
+// request rejected at index i lets the i requests ahead of it into the
+// pipeline before the session is dropped; a refused release pass sends
+// none of its frames and shuts the session down.
+func TestInterceptorBatchFailure(t *testing.T) {
+	create := func(xid int32, path string) []byte {
+		return wire.MarshalPair(&wire.RequestHeader{Xid: xid, Op: wire.OpCreate},
+			&wire.CreateRequest{Path: path, Data: []byte("v")})
+	}
+	burst := func() [][]byte {
+		return [][]byte{create(1, "/b1"), create(2, "/b2"), create(3, "/b3"), create(4, "/b4")}
+	}
+	cases := []struct {
+		name        string
+		icept       faultyInterceptor
+		wantErr     bool  // ServeConn reports the failure
+		wantCreated int   // /b1../bN reach the tree; after a rejection the rest never do
+		maxSentXid  int32 // no reply above this xid may leave the session
+	}{
+		{name: "request rejected at index 0", icept: faultyInterceptor{rejectXid: 1}, wantErr: true, wantCreated: 0, maxSentXid: 0},
+		{name: "request rejected at index 2", icept: faultyInterceptor{rejectXid: 3}, wantErr: true, wantCreated: 2, maxSentXid: 2},
+		{name: "release pass refused", icept: faultyInterceptor{failReplyXid: 2}, wantCreated: 2, maxSentXid: 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cluster := newTestCluster(t, 1)
+			r := cluster.replicas[0]
+			conn := newBurstConn(burst())
+			done := make(chan error, 1)
+			go func() { done <- r.ServeConn(conn, tc.icept) }()
+			select {
+			case err := <-done:
+				if (err != nil) != tc.wantErr {
+					t.Fatalf("ServeConn = %v, want error: %v", err, tc.wantErr)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("session did not terminate")
+			}
+			select {
+			case <-conn.closed:
+			default:
+				t.Fatal("session ended without closing its connection")
+			}
+
+			// Requests that were submitted commit whether or not their
+			// session lives to see it.
+			deadline := time.Now().Add(5 * time.Second)
+			for i := 1; i <= tc.wantCreated; i++ {
+				for {
+					if _, err := r.Tree().Exists(fmt.Sprintf("/b%d", i)); err == nil {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("/b%d was ahead of the failure but never reached the tree", i)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			for i := tc.wantCreated + 1; tc.wantErr && i <= 4; i++ {
+				if _, err := r.Tree().Exists(fmt.Sprintf("/b%d", i)); err == nil {
+					t.Fatalf("/b%d was at or behind the rejected request but reached the tree", i)
+				}
+			}
+			for _, xid := range conn.sentXids(t) {
+				if xid > tc.maxSentXid {
+					t.Fatalf("reply to xid %d was sent (replies sent: %v)", xid, conn.sentXids(t))
+				}
+			}
+		})
+	}
+}

@@ -191,72 +191,92 @@ func (s *session) run() error {
 	return err
 }
 
+// reader takes requests off the connection a burst at a time — whatever
+// one wake-up found already received, never waiting for more — passes
+// the burst through the interceptor in one call, then classifies and
+// submits each request in order.
 func (s *session) reader() error {
+	var frames [][]byte // reused across bursts; the frames themselves are not
 	for {
-		frame, err := s.conn.RecvFrame()
-		if err != nil {
+		var err error
+		if frames, err = s.conn.RecvFrames(frames[:0]); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, transport.ErrClosed) {
 				return nil
 			}
 			return fmt.Errorf("server: session %d recv: %w", s.id, err)
 		}
-		msg, err := s.icept.OnRequest(frame)
-		if err != nil {
-			// The interceptor (entry enclave) rejected the message:
-			// protocol violation or integrity failure; drop the client.
-			return fmt.Errorf("server: session %d intercept: %w", s.id, err)
-		}
-		var hdr wire.RequestHeader
-		d := wire.NewDecoder(msg)
-		if err := hdr.Deserialize(d); err != nil {
-			return fmt.Errorf("server: session %d header: %w", s.id, err)
-		}
-		body := msg[d.Offset():]
-
-		entry := &inflightReq{xid: hdr.Xid, op: hdr.Op, body: body}
-		// SYNC is agreed like a write: its commit is the flush point.
-		isWrite := hdr.Op.IsWrite() || hdr.Op == wire.OpSync
-		if isWrite {
-			entry.submitNs = obs.Now()
-		}
-
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return nil
-		}
-		s.queue = append(s.queue, entry)
-		var runNow bool
-		if isWrite {
-			s.writeSeq++
-			entry.seq = s.writeSeq
-		} else {
-			entry.seq = s.writeSeq
-			// Execute immediately unless an earlier write of this
-			// session is still uncommitted, or parked reads are still
-			// draining (the drain worker may be mid-execution of an
-			// earlier read even when parked is empty; overtaking it
-			// would reorder same-session read execution).
-			runNow = s.committedSeq == s.writeSeq && len(s.parked) == 0 && !s.draining
-			if !runNow {
-				entry.park()
-				s.parked = append(s.parked, entry)
+		s.rep.framesPerRead.Observe(int64(len(frames)))
+		// A rejection (protocol violation or integrity failure in the
+		// entry enclave) drops the client, after the requests ahead of
+		// the rejected one went in as they would have one by one.
+		msgs, rejected := s.icept.OnRequests(frames)
+		for _, msg := range msgs {
+			if stop, err := s.submit(msg); stop || err != nil {
+				return err
 			}
 		}
-		s.mu.Unlock()
-
-		switch {
-		case isWrite:
-			s.rep.handleWrite(s, entry)
-		case runNow:
-			entry.complete(s.rep.handleRead(s, entry))
-			s.kick()
+		if rejected != nil {
+			return fmt.Errorf("server: session %d intercept: %w", s.id, rejected)
 		}
-		if hdr.Op == wire.OpCloseSession {
-			// Stop reading; the writer drains the close response.
-			return nil
+		// An idle session must not pin its last burst.
+		clear(msgs)
+		clear(frames)
+	}
+}
+
+// submit enters one intercepted request into the pipeline: a write is
+// handed to agreement, a read executes here or parks. stop reports that
+// the session takes no further requests (it closed, or this was its
+// CloseSession).
+func (s *session) submit(msg []byte) (stop bool, err error) {
+	var hdr wire.RequestHeader
+	d := wire.NewDecoder(msg)
+	if err := hdr.Deserialize(d); err != nil {
+		return false, fmt.Errorf("server: session %d header: %w", s.id, err)
+	}
+	body := msg[d.Offset():]
+
+	entry := &inflightReq{xid: hdr.Xid, op: hdr.Op, body: body}
+	// SYNC is agreed like a write: its commit is the flush point.
+	isWrite := hdr.Op.IsWrite() || hdr.Op == wire.OpSync
+	if isWrite {
+		entry.submitNs = obs.Now()
+	}
+
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return true, nil
+	}
+	s.queue = append(s.queue, entry)
+	var runNow bool
+	if isWrite {
+		s.writeSeq++
+		entry.seq = s.writeSeq
+	} else {
+		entry.seq = s.writeSeq
+		// Execute immediately unless an earlier write of this
+		// session is still uncommitted, or parked reads are still
+		// draining (the drain worker may be mid-execution of an
+		// earlier read even when parked is empty; overtaking it
+		// would reorder same-session read execution).
+		runNow = s.committedSeq == s.writeSeq && len(s.parked) == 0 && !s.draining
+		if !runNow {
+			entry.park()
+			s.parked = append(s.parked, entry)
 		}
 	}
+	s.mu.Unlock()
+
+	switch {
+	case isWrite:
+		s.rep.handleWrite(s, entry)
+	case runNow:
+		entry.complete(s.rep.handleRead(s, entry))
+		s.kick()
+	}
+	// After CloseSession stop reading; the writer drains its response.
+	return hdr.Op == wire.OpCloseSession, nil
 }
 
 // writeDone records the fate of one of this session's writes: committed
@@ -379,26 +399,33 @@ func (s *session) awaitDrain() {
 // response-matching FIFO depends on) is decoupled from execution order.
 //
 // Flush rule: each drain pass gathers every response and then every
-// watch event that is ALREADY due and sends them with one write, in the
-// order single sends would have used. It never waits for more, so a
-// session with one request in flight still gets one frame per write. A
-// failed write loses every frame of its batch and ends the session.
+// watch event that is ALREADY due, passes them through the interceptor
+// in one call and sends them with one write, in the order single sends
+// would have used. It never waits for more, so a session with one
+// request in flight still gets one frame per crossing and per write. A
+// failed write loses every frame of its batch and ends the session; so
+// does a pass the interceptor refuses (the entry enclave would not
+// release a message, e.g. the response FIFO was violated): the session
+// must die rather than leak anything, and nothing of the pass is sent.
 func (s *session) writer() {
 	defer close(s.writerD)
-	var batch [][]byte // reused across passes; the frames themselves are not
+	var due [][]byte // reused across passes; the frames themselves are not
 	for {
 		for {
 			var closing bool
-			var err error
-			batch, closing, err = s.gatherDue(batch[:0])
-			if err == nil && len(batch) == 0 {
+			due, closing = s.gatherDue(due[:0])
+			if len(due) == 0 {
 				break
 			}
+			out, err := s.icept.OnResponses(due)
 			if err == nil {
-				err = s.conn.SendFrames(batch)
-				s.rep.framesPerRelease.Observe(int64(len(batch)))
+				// Counted before the write: a client that has read the
+				// frames must find them counted.
+				s.rep.framesPerRelease.Observe(int64(len(out)))
+				err = s.conn.SendFrames(out)
 			}
-			clear(batch)
+			clear(out)
+			clear(due)
 			if err != nil || closing {
 				s.shutdown()
 				return
@@ -412,15 +439,12 @@ func (s *session) writer() {
 	}
 }
 
-// gatherDue appends to batch the frames of one drain pass, each already
-// through the response interceptor: the responses due at the head of
-// the FIFO queue, then the queued watch events, up to
-// transport.BatchBytes. closing reports that the pass ends with the
-// CloseSession reply, after which nothing more may be sent. An error
-// means the entry enclave refused to release a message (e.g.
-// decryption failed in an unrecoverable way): the session must die
-// rather than leak anything, and the batch is not to be sent.
-func (s *session) gatherDue(batch [][]byte) (_ [][]byte, closing bool, err error) {
+// gatherDue appends to due the raw messages of one drain pass: the
+// responses complete at the head of the FIFO queue, then the queued
+// watch events, up to transport.BatchBytes. closing reports that the
+// pass ends with the CloseSession reply, after which nothing more may
+// be sent.
+func (s *session) gatherDue(due [][]byte) (_ [][]byte, closing bool) {
 	size := 0
 	for size < transport.BatchBytes {
 		s.mu.Lock()
@@ -445,30 +469,22 @@ func (s *session) gatherDue(batch [][]byte) (_ [][]byte, closing bool, err error
 		if head.commitNs > 0 {
 			s.rep.commitToRelease.Observe(obs.Now() - head.commitNs)
 		}
-		out, err := s.icept.OnResponse(resp)
-		if err != nil {
-			return batch, false, err
-		}
-		batch = append(batch, out)
-		size += len(out)
+		due = append(due, resp)
+		size += len(resp)
 		if head.op == wire.OpCloseSession {
-			return batch, true, nil
+			return due, true
 		}
 	}
 	for size < transport.BatchBytes {
 		select {
 		case ev := <-s.events:
 			hdr := wire.ReplyHeader{Xid: wire.WatcherEventXid, Err: wire.ErrOK}
-			out, err := s.icept.OnResponse(wire.MarshalPair(&hdr, &ev))
-			if err != nil {
-				return batch, false, err
-			}
-			batch = append(batch, out)
-			size += len(out)
-			continue
+			msg := wire.MarshalPair(&hdr, &ev)
+			due = append(due, msg)
+			size += len(msg)
 		default:
+			return due, false
 		}
-		break
 	}
-	return batch, false, nil
+	return due, false
 }

@@ -65,11 +65,12 @@ type Runtime struct {
 }
 
 // EcallObserver is a per-runtime hook invoked after every enclave
-// entry with the trusted function's name and the wall-time duration of
-// the whole crossing in nanoseconds. Entry enclaves are created per
-// client connection, so metrics hang off the shared runtime rather
-// than individual enclaves.
-type EcallObserver func(name string, durNs int64)
+// entry with the trusted function's name, the number of messages the
+// caller packed into the crossing, and the wall-time duration of the
+// whole crossing in nanoseconds. Entry enclaves are created per client
+// connection, so metrics hang off the shared runtime rather than
+// individual enclaves.
+type EcallObserver func(name string, msgs int, durNs int64)
 
 // SetEcallObserver installs (or, with nil, removes) the runtime's
 // ecall hook. The observer runs on the calling goroutine inside the
@@ -197,12 +198,20 @@ func (e *Enclave) EcallCount() int64 { return e.ecallCount.Load() }
 // pre-sizes the buffer for the expected expansion, per §5.1). Returns
 // the new message length.
 func (e *Enclave) Ecall(name string, buf []byte, msgLen int) (int, error) {
+	return e.EcallBatch(name, buf, msgLen, 1)
+}
+
+// EcallBatch is Ecall for a buffer into which the caller packed msgs
+// messages: still one copy-in, one entry and one exit. The layout of
+// the packing is between the caller and the trusted function; the count
+// is passed for the observer only.
+func (e *Enclave) EcallBatch(name string, buf []byte, msgLen, msgs int) (int, error) {
 	if ob := e.runtime.onEcall.Load(); ob != nil {
 		start := time.Now()
 		n, err := e.ecall(name, buf, msgLen)
 		// Duration covers the full crossing — copy-in, trusted function
 		// and copy-out — including any applied virtual SGX latency.
-		(*ob)(name, time.Since(start).Nanoseconds())
+		(*ob)(name, msgs, time.Since(start).Nanoseconds())
 		return n, err
 	}
 	return e.ecall(name, buf, msgLen)
@@ -237,21 +246,20 @@ func (e *Enclave) ecall(name string, buf []byte, msgLen int) (int, error) {
 	inside := pb.B[:len(buf)]
 	copy(inside, buf[:msgLen])
 	newLen, err := fn(inside, msgLen)
-	if err != nil {
-		pb.Release()
-		e.runtime.meter.Charge(cost.CrossingNs)
-		return 0, err
-	}
 	if newLen > len(buf) {
-		pb.Release()
-		e.runtime.meter.Charge(cost.CrossingNs)
-		return 0, fmt.Errorf("%w: need %d, have %d", ErrBufferOverflow, newLen, len(buf))
+		if err == nil {
+			err = fmt.Errorf("%w: need %d, have %d", ErrBufferOverflow, newLen, len(buf))
+		}
+		newLen = 0
 	}
+	// Exit: copy-out plus crossing. As with an EDL [out] buffer beside
+	// a status return, the length the trusted function reports is copied
+	// out even when it also reports an error: a batch hands back the
+	// messages it finished before the one that failed.
 	copy(buf, inside[:newLen])
 	pb.Release()
-	// Exit: copy-out plus crossing.
 	e.runtime.meter.Charge(cost.CrossingNs)
-	return newLen, nil
+	return newLen, err
 }
 
 // Ocall accounts an enclave exit and re-entry (e.g. the trusted code

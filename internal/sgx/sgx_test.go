@@ -121,6 +121,54 @@ func TestEcallBufferOverflow(t *testing.T) {
 	}
 }
 
+// TestEcallPartialResultWithError: a trusted function that reports a
+// result length beside its error gets that much copied out, like an EDL
+// [out] buffer beside a status return — a batch ecall hands back what
+// it finished — while a bare error (length 0) still copies out nothing.
+// Either way the crossing is paid in full and the observer is told how
+// many messages the caller packed.
+func TestEcallPartialResultWithError(t *testing.T) {
+	rt := testRuntime()
+	failed := errors.New("third message rejected")
+	e, _ := rt.Create(Spec{
+		CodeIdentity: "t", CodeBytes: 4096,
+		Ecalls: map[string]EcallFunc{
+			"partial": func(buf []byte, msgLen int) (int, error) {
+				copy(buf, "DONE")
+				return 4, failed
+			},
+			"bare": func(buf []byte, msgLen int) (int, error) {
+				copy(buf, "LEAK")
+				return 0, failed
+			},
+		},
+	})
+	var seenName string
+	var seenMsgs int
+	rt.SetEcallObserver(func(name string, msgs int, _ int64) { seenName, seenMsgs = name, msgs })
+
+	buf := []byte("abcdefgh")
+	before := rt.Meter().VirtualNs()
+	n, err := e.EcallBatch("partial", buf, 8, 3)
+	if n != 4 || !errors.Is(err, failed) || string(buf) != "DONEefgh" {
+		t.Fatalf("partial: n=%d err=%v buf=%q, want 4 bytes copied out beside the error", n, err, buf)
+	}
+	if seenName != "partial" || seenMsgs != 3 {
+		t.Fatalf("observer saw %q with %d messages, want partial with 3", seenName, seenMsgs)
+	}
+	if got := rt.Meter().VirtualNs() - before; got < 2*rt.Cost().CrossingNs {
+		t.Fatalf("failed ecall charged %.0f ns, less than entry plus exit", got)
+	}
+
+	buf = []byte("abcdefgh")
+	if n, err := e.Ecall("bare", buf, 8); n != 0 || !errors.Is(err, failed) || string(buf) != "abcdefgh" {
+		t.Fatalf("bare error: n=%d err=%v buf=%q, want nothing copied out", n, err, buf)
+	}
+	if seenName != "bare" || seenMsgs != 1 {
+		t.Fatalf("observer saw %q with %d messages, want bare with 1", seenName, seenMsgs)
+	}
+}
+
 func TestEcallErrors(t *testing.T) {
 	rt := testRuntime()
 	e, _ := rt.Create(Spec{CodeIdentity: "t", CodeBytes: 4096, Ecalls: map[string]EcallFunc{}})

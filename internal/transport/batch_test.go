@@ -168,16 +168,25 @@ func TestFramedConnFramesStraddleChunks(t *testing.T) {
 }
 
 // TestFramedConnReadBoundaries cuts the stream at every offset of a
-// short sequence, so a read ends after each header byte and body byte.
+// short sequence, so a read ends after each header byte and body byte,
+// and takes it out a frame at a time and a burst at a time. Whatever the
+// first read completed comes back in one RecvFrames call, the rest with
+// the second read: never more calls than reads.
 func TestFramedConnReadBoundaries(t *testing.T) {
 	want := [][]byte{[]byte("first"), {}, []byte("x"), {}, {}, patterned(3, 40)}
 	stream := onWire(want...)
-	for cut := 1; cut < len(stream); cut++ {
-		a, b := net.Pipe()
-		feed(t, a, stream[:cut], stream[cut:])
-		recvAll(t, NewFramedConn(b), want)
-		a.Close()
-		b.Close()
+	for cut := 1; cut <= len(stream); cut++ {
+		for _, bursts := range []bool{false, true} {
+			a, b := net.Pipe()
+			feed(t, a, stream[:cut], stream[cut:])
+			if !bursts {
+				recvAll(t, NewFramedConn(b), want)
+			} else if got := recvBursts(t, NewFramedConn(b), want); len(got) > 2 || (cut == len(stream) && len(got) != 1) {
+				t.Fatalf("cut at %d of %d: the reads were taken apart into bursts of %v", cut, len(stream), got)
+			}
+			a.Close()
+			b.Close()
+		}
 	}
 }
 
@@ -282,40 +291,47 @@ func TestFramedConnDeadlineWithBufferedBytes(t *testing.T) {
 // TestHandshakeKeepsBufferedBytes: the peer's handshake reply and its
 // first records arrive in one read. The handshake consumes one frame
 // from the FramedConn; the records behind it in the receive chunk must
-// reach the SecureConn layered on the same FramedConn.
+// reach the SecureConn layered on the same FramedConn — one at a time,
+// or as its first batch, opened in nonce order by one RecvFrames call.
 func TestHandshakeKeepsBufferedBytes(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	serverID, _ := NewIdentity()
-	clientID, _ := NewIdentity()
-	msgs := [][]byte{[]byte("r1"), patterned(4, 2000), {}, []byte("r4")}
+	for _, bursts := range []bool{false, true} {
+		a, b := net.Pipe()
+		serverID, _ := NewIdentity()
+		clientID, _ := NewIdentity()
+		msgs := [][]byte{[]byte("r1"), patterned(4, 2000), {}, []byte("r4")}
 
-	corked := &corkedConn{Conn: b}
-	srvErr := make(chan error, 1)
-	go func() {
-		srv, err := Handshake(NewFramedConn(corked), serverID, false, VerifyAny())
-		if err == nil {
-			err = srv.SendFrames(msgs)
-		}
-		if err == nil {
-			err = corked.uncork()
-		}
-		srvErr <- err
-	}()
+		corked := &corkedConn{Conn: b}
+		srvErr := make(chan error, 1)
+		go func() {
+			srv, err := Handshake(NewFramedConn(corked), serverID, false, VerifyAny())
+			if err == nil {
+				err = srv.SendFrames(msgs)
+			}
+			if err == nil {
+				err = corked.uncork()
+			}
+			srvErr <- err
+		}()
 
-	fc := NewFramedConn(a)
-	cli, err := Handshake(fc, clientID, true, VerifyExact(serverID.Public))
-	if err != nil {
-		t.Fatal(err)
+		fc := NewFramedConn(a)
+		cli, err := Handshake(fc, clientID, true, VerifyExact(serverID.Public))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-srvErr; err != nil {
+			t.Fatal(err)
+		}
+		if fc.rend == fc.rpos {
+			t.Fatal("test lost its point: nothing was buffered behind the handshake frame")
+		}
+		if !bursts {
+			recvAll(t, cli, msgs)
+		} else if got := recvBursts(t, cli, msgs); len(got) != 1 {
+			t.Fatalf("records buffered behind the handshake came back as bursts of %v", got)
+		}
+		a.Close()
+		b.Close()
 	}
-	if err := <-srvErr; err != nil {
-		t.Fatal(err)
-	}
-	if fc.rend == fc.rpos {
-		t.Fatal("test lost its point: nothing was buffered behind the handshake frame")
-	}
-	recvAll(t, cli, msgs)
 }
 
 // tamperConn flips one bit of the armed-th frame it receives.

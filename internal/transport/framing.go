@@ -41,6 +41,15 @@ type Conn interface {
 	// RecvFrame reads the next message. The returned slice is owned by
 	// the caller; implementations never reuse its storage.
 	RecvFrame() ([]byte, error)
+	// RecvFrames is the receive-side twin of SendFrames: it blocks for
+	// the next message, as RecvFrame does, then appends to dst that
+	// message and every further one that has ALREADY arrived in full, up
+	// to BatchBytes, and never waits or reads again for company — a lone
+	// message comes back alone. The sender cannot tell a batch from
+	// single receives. An error is returned only when no message was
+	// appended; one met after the first ends the batch and is reported by
+	// the next call. Frames are caller-owned as with RecvFrame.
+	RecvFrames(dst [][]byte) ([][]byte, error)
 	// Close tears the connection down.
 	Close() error
 }
@@ -69,9 +78,10 @@ const (
 	// the kernel for a sliver.
 	minReadSpace = arenaChunkSize / 16
 	// BatchBytes caps what a writer that owns a queue (a session's
-	// releaser, a mesh link's writer) gathers for one SendFrames call;
-	// what is queued beyond it goes with the next call, at once. A
-	// frame that alone exceeds it goes out by itself.
+	// releaser, a mesh link's writer) gathers for one SendFrames call,
+	// and what RecvFrames hands up from one wake-up; what is queued
+	// beyond it goes with the next call, at once. A frame that alone
+	// exceeds it travels by itself.
 	BatchBytes = 64 << 10
 	// maxScratchRetain bounds the send scratch a connection keeps
 	// between writes. A larger frame or batch (a snapshot chunk) gets
@@ -165,12 +175,44 @@ func retainScratch(buf []byte) []byte {
 	return buf[:0]
 }
 
-// RecvFrame implements Conn. A frame is consumed from the receive
-// chunk only once it is complete, so a deadline that expires part-way
-// through a small frame loses no buffered bytes.
+// RecvFrame implements Conn: the one-element case of RecvFrames.
 func (c *FramedConn) RecvFrame() ([]byte, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
+	return c.recvNext()
+}
+
+// RecvFrames implements Conn: after the frame it blocked for, every
+// frame the same reads already completed in the receive chunk is carved
+// out too, with no further system call. A frame too big to carve, or an
+// oversized length, ends the batch and is dealt with by the next call.
+func (c *FramedConn) RecvFrames(dst [][]byte) ([][]byte, error) {
+	c.readMu.Lock()
+	defer c.readMu.Unlock()
+	frame, err := c.recvNext()
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, frame)
+	for size := len(frame); size < BatchBytes; size += len(frame) {
+		have := c.rend - c.rpos
+		if have < frameHeaderLen {
+			break
+		}
+		n := binary.BigEndian.Uint32(c.rbuf[c.rpos:])
+		if n > arenaMaxCarve || have < frameHeaderLen+int(n) {
+			break
+		}
+		frame = c.carve(int(n))
+		dst = append(dst, frame)
+	}
+	return dst, nil
+}
+
+// recvNext blocks for the next frame. A frame is consumed from the
+// receive chunk only once it is complete, so a deadline that expires
+// part-way through a small frame loses no buffered bytes.
+func (c *FramedConn) recvNext() ([]byte, error) {
 	if err := c.fill(frameHeaderLen); err != nil {
 		return nil, err
 	}
@@ -184,9 +226,15 @@ func (c *FramedConn) RecvFrame() ([]byte, error) {
 	if err := c.fill(frameHeaderLen + int(n)); err != nil {
 		return nil, fmt.Errorf("transport: read frame body: %w", err)
 	}
+	return c.carve(int(n)), nil
+}
+
+// carve consumes the n-byte frame whose header sits at rpos; the caller
+// has checked that it is buffered in full.
+func (c *FramedConn) carve(n int) []byte {
 	start := c.rpos + frameHeaderLen
-	c.rpos = start + int(n)
-	return c.rbuf[start:c.rpos:c.rpos], nil
+	c.rpos = start + n
+	return c.rbuf[start:c.rpos:c.rpos]
 }
 
 // fill reads until need contiguous unconsumed bytes are buffered; need
@@ -315,6 +363,25 @@ func (c *ChanConn) RecvFrame() ([]byte, error) {
 			return nil, io.EOF
 		}
 	}
+}
+
+// RecvFrames implements Conn: the frame it blocked for, then whatever
+// the pipe already holds, without blocking.
+func (c *ChanConn) RecvFrames(dst [][]byte) ([][]byte, error) {
+	frame, err := c.RecvFrame()
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, frame)
+	for size := len(frame); size < BatchBytes; size += len(frame) {
+		select {
+		case frame = <-c.recv:
+		default:
+			return dst, nil
+		}
+		dst = append(dst, frame)
+	}
+	return dst, nil
 }
 
 // Close implements Conn.

@@ -68,7 +68,8 @@ func VerifyAny() PeerVerifier {
 // SecureConn protects an underlying Conn with authenticated encryption.
 // The per-direction mutexes serialize the nonce counters and scratch
 // buffers, so one concurrent sender and one concurrent receiver are
-// safe (matching FramedConn's contract).
+// safe (matching FramedConn's contract). Like FramedConn's, the receive
+// mutex is held while waiting for the peer.
 type SecureConn struct {
 	inner     Conn
 	sendAEAD  cipher.AEAD
@@ -81,7 +82,11 @@ type SecureConn struct {
 	sealed    [][]byte // reused per-record views into sendBuf for one batch
 	sendNonce [12]byte
 	recvNonce [12]byte
-	peer      ed25519.PublicKey
+	// recvErr is set by the first record that fails authentication and
+	// ends the receive direction for good (TLS's fatal bad_record_mac):
+	// what follows a forged record is not to be trusted either.
+	recvErr error
+	peer    ed25519.PublicKey
 }
 
 var _ Conn = (*SecureConn)(nil)
@@ -249,23 +254,63 @@ func (c *SecureConn) SendFrames(frames [][]byte) error {
 	return err
 }
 
-// RecvFrame implements Conn: opens the next record. Replayed, reordered
-// or tampered records fail authentication because the nonce is the
-// strictly increasing sequence number.
+// RecvFrame implements Conn: the one-element case of RecvFrames. It
+// takes its record with the inner connection's RecvFrame, so a wrapper
+// that observes only that method sees a one-at-a-time receiver's
+// traffic.
 func (c *SecureConn) RecvFrame() ([]byte, error) {
+	c.recvMu.Lock()
+	defer c.recvMu.Unlock()
+	if c.recvErr != nil {
+		return nil, c.recvErr
+	}
 	sealed, err := c.inner.RecvFrame()
 	if err != nil {
 		return nil, err
 	}
+	return c.open(sealed)
+}
+
+// RecvFrames implements Conn: the records of one inner batch, opened in
+// nonce order. A record that fails authentication ends the batch: the
+// frames before it are delivered now and the failure by the next call.
+func (c *SecureConn) RecvFrames(dst [][]byte) ([][]byte, error) {
 	c.recvMu.Lock()
+	defer c.recvMu.Unlock()
+	if c.recvErr != nil {
+		return dst, c.recvErr
+	}
+	base := len(dst)
+	dst, err := c.inner.RecvFrames(dst)
+	if err != nil {
+		return dst, err
+	}
+	for i := base; i < len(dst); i++ {
+		plain, err := c.open(dst[i])
+		if err != nil {
+			clear(dst[i:])
+			if i == base {
+				return dst[:base], err
+			}
+			return dst[:i], nil
+		}
+		dst[i] = plain
+	}
+	return dst, nil
+}
+
+// open authenticates and decrypts the next record; the caller holds
+// recvMu. Replayed, reordered or tampered records fail because the
+// nonce is the strictly increasing sequence number.
+func (c *SecureConn) open(sealed []byte) ([]byte, error) {
 	binary.BigEndian.PutUint64(c.recvNonce[4:], c.recvSeq)
 	c.recvSeq++
 	// In-place open: the inner frame is caller-owned, so its storage is
 	// reused for the plaintext handed up.
 	plain, err := c.recvAEAD.Open(sealed[:0], c.recvNonce[:], sealed, nil)
-	c.recvMu.Unlock()
 	if err != nil {
-		return nil, ErrRecordTampered
+		c.recvErr = ErrRecordTampered
+		return nil, c.recvErr
 	}
 	return plain, nil
 }

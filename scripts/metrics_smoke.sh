@@ -10,9 +10,10 @@
 #   2. the commit pipeline actually recorded the burst: the leader's
 #      per-stage histograms have non-zero counts, its committed-zxid
 #      gauge covers the acknowledged writes, and the batch factors of
-#      the mesh link writers and the session writers
-#      (zabnet_frames_per_write, server_frames_per_release_write) are
-#      exposed with count > 0;
+#      the mesh link writers, the session writers and the session
+#      readers (zabnet_frames_per_write, server_frames_per_release_write,
+#      server_frames_per_request_read) are exposed with count > 0 and
+#      sum >= count;
 #   3. the replication gauges agree: after a sync barrier, every
 #      voter's and the observer's zab_committed_zxid converges on the
 #      leader's (diffing the leader's committed zxid against each
@@ -22,8 +23,13 @@
 #   5. clean-run invariants hold: zero zabnet outbox sheds, zero
 #      corrupt storage records.
 #
+#   6. the admin listener serves the runtime profiles under
+#      /debug/pprof/.
+#
 # SMOKE_VARIANT=securekeeper additionally asserts the enclave ecall
-# counters are exposed (the vanilla variant has no enclave boundary).
+# counters and the messages-per-crossing histogram
+# (enclave_msgs_per_ecall, sum >= count) are exposed (the vanilla
+# variant has no enclave boundary).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -98,14 +104,16 @@ FSYNCS=$(metric_value "${MADDR[$LEADER]}" storage_fsync_seconds_count)
   || { echo "FAIL: leader recorded no group-commit fsyncs despite the durable burst" >&2; exit 1; }
 echo "== leader: submit_to_commit count=$SUBMITS, fsync count=$FSYNCS"
 
-echo "== batch factors of the two coalescing writers are exposed and saw the burst"
-for fam in zabnet_frames_per_write server_frames_per_release_write; do
+echo "== batch factors of the burst-taking readers and writers are exposed and saw the burst"
+FAMILIES="zabnet_frames_per_write server_frames_per_release_write server_frames_per_request_read"
+if [ "$VARIANT" = securekeeper ]; then FAMILIES="$FAMILIES enclave_msgs_per_ecall"; fi
+for fam in $FAMILIES; do
   writes=$(metric_value "${MADDR[$LEADER]}" "${fam}_count") \
     || { echo "FAIL: leader /metrics has no $fam histogram" >&2; exit 1; }
   frames=$(metric_value "${MADDR[$LEADER]}" "${fam}_sum")
   [ "$writes" -gt 0 ] && [ "$frames" -ge "$writes" ] \
-    || { echo "FAIL: leader $fam recorded $frames frames in $writes writes after the burst" >&2; exit 1; }
-  echo "== leader: $fam = $frames frames in $writes writes"
+    || { echo "FAIL: leader $fam recorded $frames frames in $writes calls after the burst" >&2; exit 1; }
+  echo "== leader: $fam = $frames frames in $writes calls"
 done
 
 echo "== committed-zxid gauges converge on the leader's"
@@ -128,10 +136,15 @@ echo "== mntr renders from a voter and from the observer"
 for i in "$LEADER" 4; do
   out=$(skc -addr "${CADDR[$i]}" mntr)
   for key in sk_role sk_zxid sk_uptime_seconds sk_commit_lag zab_committed_zxid server_uptime_seconds \
-    zabnet_frames_per_write_count server_frames_per_release_write_count; do
+    zabnet_frames_per_write_count server_frames_per_release_write_count \
+    server_frames_per_request_read_count; do
     grep -q "^$key" <<<"$out" \
       || { echo "FAIL: node $i mntr is missing $key" >&2; exit 1; }
   done
+  if [ "$VARIANT" = securekeeper ]; then
+    grep -q '^enclave_msgs_per_ecall_ec_request_count' <<<"$out" \
+      || { echo "FAIL: node $i mntr is missing enclave_msgs_per_ecall_ec_request_count" >&2; exit 1; }
+  fi
 done
 grep -q '^sk_role	OBSERVING' <<<"$(skc -addr "${CADDR[4]}" mntr)" \
   || { echo "FAIL: observer mntr does not report OBSERVING" >&2; exit 1; }
@@ -143,5 +156,10 @@ for i in 1 2 3 4; do
   [ "$shed" = 0 ] || { echo "FAIL: node $i shed $shed outbox messages" >&2; exit 1; }
   [ "$corrupt" = 0 ] || { echo "FAIL: node $i counted $corrupt corrupt records" >&2; exit 1; }
 done
+
+echo "== the admin listener serves runtime profiles"
+curl -sf --max-time 5 -o "$LOGS/pprof_index.html" "http://${MADDR[$LEADER]}/debug/pprof/"
+curl -sf --max-time 5 -o "$LOGS/heap.pprof" "http://${MADDR[$LEADER]}/debug/pprof/heap"
+[ -s "$LOGS/heap.pprof" ] || { echo "FAIL: leader /debug/pprof/heap is empty" >&2; exit 1; }
 
 echo "PASS: metrics smoke green (4 processes scraped, gauges converged, mntr rendered)"
