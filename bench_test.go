@@ -333,14 +333,14 @@ func BenchmarkFig8SetContended(b *testing.B) {
 	}
 }
 
-// BenchmarkMixedReadWrite is the commit-processor-split workload: 8
-// concurrent sessions each pipeline a 90/10 GET/SET mix against their
-// own znode. Before the split, every read waited to reach the head of
-// its session's FIFO queue, so each write's commit round trip stalled
-// the nine reads pipelined behind it; with the split, reads execute on
-// the session reader (or the resume pool after the write commits) and
-// only the response *release* stays FIFO. Reads/sec is the headline
-// metric; it should scale with GOMAXPROCS instead of flatlining.
+// BenchmarkMixedReadWrite is the waiting-read workload: 8 concurrent
+// sessions each pipeline a 90/10 GET/SET mix against their own znode. A
+// read with nothing unanswered ahead of it executes on the session
+// reader at once; a read behind one of the session's own writes waits
+// in the session's FIFO queue and its writer executes it when it
+// reaches the head. Reads of different sessions run in parallel.
+// Reads/sec is the headline metric; it should scale with GOMAXPROCS
+// instead of flatlining.
 func BenchmarkMixedReadWrite(b *testing.B) {
 	const (
 		sessions = 8

@@ -10,23 +10,20 @@ import (
 	"strings"
 )
 
-// Result holds the two gated metrics for one benchmark.
+// Result holds the gated metric for one benchmark: allocations per op,
+// which a smoke-length run on a shared runner reproduces. ns/op does
+// not (2× spread between repeats is normal there), so it is not read;
+// timing claims come from the repository benchmark (benchmark/).
 type Result struct {
-	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
 // Baseline is the committed reference file.
 type Baseline struct {
-	// TolerancePct is the allowed regression in percent before the
-	// gate fails. It applies to allocs/op (a deterministic metric) and,
-	// unless NsTolerancePct overrides it, to ns/op as well.
-	TolerancePct float64 `json:"tolerance_pct"`
-	// NsTolerancePct optionally widens the ns/op gate: wall-clock
-	// timings at smoke benchtimes are noisy (2× spread between repeats
-	// is normal), and a gate that flaps on noise gets ignored.
-	NsTolerancePct float64           `json:"ns_tolerance_pct,omitempty"`
-	Benchmarks     map[string]Result `json:"benchmarks"`
+	// TolerancePct is the allowed allocs/op regression in percent
+	// before the gate fails.
+	TolerancePct float64           `json:"tolerance_pct"`
+	Benchmarks   map[string]Result `json:"benchmarks"`
 }
 
 // LoadBaseline reads and validates a baseline file.
@@ -51,10 +48,10 @@ func LoadBaseline(path string) (*Baseline, error) {
 // procSuffix matches the trailing -<GOMAXPROCS> of a benchmark name.
 var procSuffix = regexp.MustCompile(`-\d+$`)
 
-// ParseBenchOutput extracts ns/op and allocs/op per benchmark from
-// `go test -bench -benchmem` output. Names are normalized without the
-// GOMAXPROCS suffix; duplicate lines (e.g. -count>1) keep the best
-// (minimum) ns/op, matching benchstat's robustness to warm-up noise.
+// ParseBenchOutput extracts allocs/op per benchmark from `go test
+// -bench -benchmem` output. Names are normalized without the GOMAXPROCS
+// suffix; duplicate lines (e.g. -count>1) keep the lowest, so a repeat
+// that still paid for warm-up does not set the figure.
 func ParseBenchOutput(out string) map[string]Result {
 	results := make(map[string]Result)
 	sc := bufio.NewScanner(strings.NewReader(out))
@@ -70,52 +67,32 @@ func ParseBenchOutput(out string) map[string]Result {
 			continue
 		}
 		name := procSuffix.ReplaceAllString(fields[0], "")
-		var res Result
-		haveNs, haveAllocs := false, false
 		for i := 2; i+1 < len(fields); i += 2 {
-			val, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
+			if fields[i+1] != "allocs/op" {
 				continue
 			}
-			switch fields[i+1] {
-			case "ns/op":
-				res.NsPerOp = val
-				haveNs = true
-			case "allocs/op":
-				res.AllocsPerOp = val
-				haveAllocs = true
+			allocs, err := strconv.ParseFloat(fields[i], 64)
+			if err != nil {
+				break
+			}
+			if prev, ok := results[name]; !ok || allocs < prev.AllocsPerOp {
+				results[name] = Result{AllocsPerOp: allocs}
 			}
 		}
-		if !haveNs || !haveAllocs {
-			continue
-		}
-		if prev, ok := results[name]; ok && prev.NsPerOp <= res.NsPerOp {
-			continue
-		}
-		results[name] = res
 	}
 	return results
 }
 
 // Gate returns a human-readable failure per baseline benchmark that is
-// missing from measured or regressed beyond tolerance. tolerancePct
-// gates allocs/op; ns/op uses the baseline's NsTolerancePct when set
-// (falling back to tolerancePct).
+// missing from measured or whose allocs/op regressed beyond
+// tolerancePct.
 func Gate(base *Baseline, measured map[string]Result, tolerancePct float64) []string {
-	nsTol := tolerancePct
-	if base.NsTolerancePct > 0 {
-		nsTol = base.NsTolerancePct
-	}
 	var failures []string
 	for name, want := range base.Benchmarks {
 		got, ok := measured[name]
 		if !ok {
 			failures = append(failures, fmt.Sprintf("%s: missing from measured output (renamed or skipped?)", name))
 			continue
-		}
-		if d := pctDelta(want.NsPerOp, got.NsPerOp); d > nsTol {
-			failures = append(failures, fmt.Sprintf("%s: ns/op regressed %.1f%% (%.0f -> %.0f, tolerance %.0f%%)",
-				name, d, want.NsPerOp, got.NsPerOp, nsTol))
 		}
 		if d := pctDelta(want.AllocsPerOp, got.AllocsPerOp); d > tolerancePct {
 			failures = append(failures, fmt.Sprintf("%s: allocs/op regressed %.1f%% (%.0f -> %.0f, tolerance %.0f%%)",

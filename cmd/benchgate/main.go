@@ -1,8 +1,8 @@
 // Command benchgate compares `go test -bench -benchmem` output against
-// a committed baseline and fails (exit 1) when a tracked benchmark
-// regresses beyond the tolerance in ns/op or allocs/op. CI runs it
-// after the bench smoke step so a perf regression blocks the merge the
-// same way a failing test does.
+// a committed baseline and fails (exit 1) when a tracked benchmark's
+// allocs/op regresses beyond the tolerance. CI runs it after the bench
+// smoke step so an allocation regression blocks the merge the same way
+// a failing test does.
 //
 // Usage:
 //
@@ -46,12 +46,9 @@ func main() {
 	if *update {
 		base := Baseline{TolerancePct: 20, Benchmarks: measured}
 		if prev, err := LoadBaseline(*baselinePath); err == nil {
-			// Preserve the previous baseline's tolerance settings:
-			// -update refreshes the numbers, not the gate policy.
-			if prev.TolerancePct > 0 {
-				base.TolerancePct = prev.TolerancePct
-			}
-			base.NsTolerancePct = prev.NsTolerancePct
+			// Preserve the previous baseline's tolerance: -update
+			// refreshes the numbers, not the gate policy.
+			base.TolerancePct = prev.TolerancePct
 		}
 		buf, err := json.MarshalIndent(&base, "", "  ")
 		if err != nil {
@@ -84,9 +81,8 @@ func main() {
 			continue
 		}
 		b := base.Benchmarks[name]
-		fmt.Printf("benchgate: %-60s ns/op %9.0f -> %9.0f (%+.1f%%)  allocs/op %5.0f -> %5.0f (%+.1f%%)\n",
-			name, b.NsPerOp, m.NsPerOp, pctDelta(b.NsPerOp, m.NsPerOp),
-			b.AllocsPerOp, m.AllocsPerOp, pctDelta(b.AllocsPerOp, m.AllocsPerOp))
+		fmt.Printf("benchgate: %-60s allocs/op %5.0f -> %5.0f (%+.1f%%)\n",
+			name, b.AllocsPerOp, m.AllocsPerOp, pctDelta(b.AllocsPerOp, m.AllocsPerOp))
 	}
 	if len(failures) > 0 {
 		for _, f := range failures {

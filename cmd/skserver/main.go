@@ -21,8 +21,7 @@
 //
 // Replica 4 above joins as a non-voting observer: it replays the
 // leader's commit stream and serves reads, but never votes or counts
-// toward quorum. The older -peers flag (comma-separated id=host:port,
-// voters only) is still accepted as a shim.
+// toward quorum.
 //
 // For -variant securekeeper in multi-process mode every replica must
 // share one storage key: pass the same -storage-key (32 hex chars) to
@@ -44,7 +43,6 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -65,9 +63,8 @@ func run() error {
 	variant := flag.String("variant", "securekeeper", "vanilla, tls or securekeeper")
 	replicas := flag.Int("replicas", 3, "ensemble size (in-process mode)")
 	listen := flag.String("listen", "127.0.0.1:2181", "client address; in-process mode gives replica i port+i")
-	id := flag.Int64("id", 0, "replica id: enables process-per-replica mode (requires -topology or -peers)")
+	id := flag.Int64("id", 0, "replica id: enables process-per-replica mode (requires -topology)")
 	topologyFlag := flag.String("topology", "", "ensemble spec, id@host:port[:observer] semicolon-separated (process-per-replica mode)")
-	peersFlag := flag.String("peers", "", "legacy ensemble spec, id=host:port comma-separated, voters only (prefer -topology)")
 	storageKey := flag.String("storage-key", "", "shared storage key, hex (securekeeper multi-process ensembles)")
 	dataDir := flag.String("data-dir", "", "durable state directory (process-per-replica mode); empty = in-memory only")
 	snapshotEvery := flag.Int("snapshot-every", 0, "commits between durable snapshots (0 = storage default)")
@@ -79,21 +76,18 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *topologyFlag != "" && *peersFlag != "" {
-		return fmt.Errorf("-topology and -peers are mutually exclusive")
-	}
-	if (*id != 0) != (*topologyFlag != "" || *peersFlag != "") {
-		return fmt.Errorf("-id and -topology (or legacy -peers) must be used together")
+	if (*id != 0) != (*topologyFlag != "") {
+		return fmt.Errorf("-id and -topology must be used together")
 	}
 	if *id != 0 {
-		topo, err := parseTopologyFlags(*topologyFlag, *peersFlag)
+		topo, err := core.ParseTopology(*topologyFlag)
 		if err != nil {
-			return err
+			return fmt.Errorf("parse -topology: %w", err)
 		}
 		return runNode(v, *id, topo, *listen, *storageKey, *dataDir, *snapshotEvery, *logSegmentBytes, *metricsAddr)
 	}
 	if *dataDir != "" {
-		return fmt.Errorf("-data-dir requires process-per-replica mode (-id/-peers)")
+		return fmt.Errorf("-data-dir requires process-per-replica mode (-id/-topology)")
 	}
 	return runCluster(v, *replicas, *listen, *metricsAddr)
 }
@@ -218,54 +212,6 @@ func watchRole(node *core.Node) {
 		lastRole, lastLeader = role, leader
 		fmt.Printf("skserver: id=%d role=%s leader=%d\n", node.ID(), role, leader)
 	}
-}
-
-// parseTopologyFlags resolves the ensemble spec from whichever flag the
-// user passed: -topology (canonical, observer-aware) or the legacy
-// all-voter -peers shim.
-func parseTopologyFlags(topologyFlag, peersFlag string) (core.Topology, error) {
-	if topologyFlag != "" {
-		topo, err := core.ParseTopology(topologyFlag)
-		if err != nil {
-			return core.Topology{}, fmt.Errorf("parse -topology: %w", err)
-		}
-		return topo, nil
-	}
-	peers, err := parsePeers(peersFlag)
-	if err != nil {
-		return core.Topology{}, err
-	}
-	return core.VoterTopology(peers), nil
-}
-
-// parsePeers parses "1=host:port,2=host:port,..." (legacy -peers).
-func parsePeers(s string) (map[zab.PeerID]string, error) {
-	peers := make(map[zab.PeerID]string)
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		idStr, addr, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("parse -peers: %q is not id=host:port", part)
-		}
-		id, err := strconv.ParseInt(idStr, 10, 64)
-		if err != nil || id <= 0 {
-			return nil, fmt.Errorf("parse -peers: bad id %q", idStr)
-		}
-		if _, _, err := net.SplitHostPort(addr); err != nil {
-			return nil, fmt.Errorf("parse -peers: bad address %q: %w", addr, err)
-		}
-		if _, dup := peers[zab.PeerID(id)]; dup {
-			return nil, fmt.Errorf("parse -peers: duplicate id %d", id)
-		}
-		peers[zab.PeerID(id)] = addr
-	}
-	if len(peers) == 0 {
-		return nil, fmt.Errorf("parse -peers: no peers")
-	}
-	return peers, nil
 }
 
 // runCluster is the legacy in-process mode: the whole ensemble in this

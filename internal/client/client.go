@@ -171,16 +171,6 @@ type Client struct {
 	recvDone chan struct{}
 }
 
-// Connect establishes a session over an already-connected transport.
-//
-// Deprecated: Connect is the v1 entry point, kept as a shim. Use
-// NewSession (same semantics, clearer name) for a pre-established
-// connection, or Dial to connect to an ensemble by address list with
-// failover and read-preference routing.
-func Connect(conn transport.Conn, opts Options) (*Client, error) {
-	return NewSession(conn, opts)
-}
-
 // NewSession establishes a session over an already-connected transport.
 // Callers who hold addresses rather than a connection should use Dial.
 func NewSession(conn transport.Conn, opts Options) (*Client, error) {

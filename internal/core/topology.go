@@ -67,8 +67,7 @@ func ParseTopology(spec string) (Topology, error) {
 	return t, t.Validate()
 }
 
-// VoterTopology builds an all-voter topology from an id→address map
-// (the shape the legacy -peers flag parsed).
+// VoterTopology builds an all-voter topology from an id→address map.
 func VoterTopology(peers map[zab.PeerID]string) Topology {
 	t := Topology{
 		Voters:    make(map[zab.PeerID]string, len(peers)),

@@ -1,7 +1,7 @@
 package server
 
-// Session-ordering invariants of the commit-processor split: reads
-// execute off the session FIFO (reader goroutine / resume pool) but
+// Session-ordering invariants: a read executes on the session's reader
+// goroutine or, when it had to wait, on its writer goroutine, but
 // release order stays strictly FIFO per session, and a read never
 // observes state older than the session's own preceding writes — even
 // while other sessions mutate the same znodes concurrently.
@@ -9,6 +9,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -409,12 +410,55 @@ func isConnLoss(err error) bool {
 	return errors.As(err, &pe) && pe.Code == wire.ErrConnectionLoss
 }
 
-// TestWatermarkOutOfOrderAbort is the white-box check for contiguous
-// watermark advancement: writes can complete out of order (a later
-// forwarded write is rejected while an earlier one is still with the
-// leader), and the abort of the later write must neither unblock reads
-// barriered on the still-pending earlier write nor fail them — only
-// reads whose barrier includes the aborted write fail.
+// readBodyOf returns the body of a GetData request for path, as the
+// session reader would hand it to handleRead.
+func readBodyOf(t *testing.T, path string) []byte {
+	t.Helper()
+	msg := wire.MarshalPair(&wire.RequestHeader{Op: wire.OpGetData}, &wire.GetDataRequest{Path: path})
+	d := wire.NewDecoder(msg)
+	var hdr wire.RequestHeader
+	if err := hdr.Deserialize(d); err != nil {
+		t.Fatal(err)
+	}
+	return msg[d.Offset():]
+}
+
+// releasedReply is one response gatherDue released, decoded.
+type releasedReply struct {
+	xid     int32
+	err     wire.ErrCode
+	version int32 // GetData replies only
+}
+
+func decodeReleased(t *testing.T, due [][]byte, isRead func(xid int32) bool) []releasedReply {
+	t.Helper()
+	out := make([]releasedReply, 0, len(due))
+	for _, msg := range due {
+		var hdr wire.ReplyHeader
+		d := wire.NewDecoder(msg)
+		if err := hdr.Deserialize(d); err != nil {
+			t.Fatal(err)
+		}
+		rel := releasedReply{xid: hdr.Xid, err: hdr.Err}
+		if hdr.Err == wire.ErrOK && isRead(hdr.Xid) {
+			var resp wire.GetDataResponse
+			if err := resp.Deserialize(d); err != nil {
+				t.Fatal(err)
+			}
+			rel.version = resp.Stat.Version
+		}
+		out = append(out, rel)
+	}
+	return out
+}
+
+// TestWatermarkOutOfOrderAbort is the white-box check of the one-queue
+// rule when writes complete out of order (a later forwarded write is
+// rejected while an earlier one is still with the leader): the abort of
+// the later write must neither release nor fail the read waiting behind
+// the still-pending earlier write — only the read behind the aborted
+// write fails — and the earlier write's commit releases everything in
+// request order.
 func TestWatermarkOutOfOrderAbort(t *testing.T) {
 	tc := newTestCluster(t, 1)
 	r := tc.replicas[0]
@@ -424,70 +468,181 @@ func TestWatermarkOutOfOrderAbort(t *testing.T) {
 	conn, _ := transport.NewChanPipe()
 	s := newSession(r, 4242, conn, NopInterceptor{})
 
-	readBody := func() []byte {
-		msg := wire.MarshalPair(&wire.RequestHeader{Xid: 0, Op: wire.OpGetData},
-			&wire.GetDataRequest{Path: "/wm"})
-		d := wire.NewDecoder(msg)
-		var hdr wire.RequestHeader
-		if err := hdr.Deserialize(d); err != nil {
-			t.Fatal(err)
+	w1 := &inflightReq{xid: 1, op: wire.OpSetData}
+	w2 := &inflightReq{xid: 2, op: wire.OpSetData}
+	r1 := &inflightReq{xid: 3, op: wire.OpGetData, body: readBodyOf(t, "/wm")}
+	r2 := &inflightReq{xid: 4, op: wire.OpGetData, body: readBodyOf(t, "/wm")}
+	for _, e := range []*inflightReq{w1, r1, w2, r2} {
+		if runNow, ok := s.admit(e); runNow || !ok {
+			t.Fatalf("xid %d: admit = (runNow %v, ok %v), want queued", e.xid, runNow, ok)
 		}
-		return msg[d.Offset():]
 	}
-	w1 := &inflightReq{xid: 1, op: wire.OpSetData, seq: 1}
-	w2 := &inflightReq{xid: 2, op: wire.OpSetData, seq: 2}
-	r1 := &inflightReq{xid: 3, op: wire.OpGetData, seq: 1, body: readBody()}
-	r2 := &inflightReq{xid: 4, op: wire.OpGetData, seq: 2, body: readBody()}
-	r1.park()
-	r2.park()
-	s.mu.Lock()
-	s.writeSeq = 2
-	s.queue = []*inflightReq{w1, r1, w2, r2}
-	s.parked = []*inflightReq{r1, r2}
-	s.mu.Unlock()
 
 	// W2 aborts out of order while W1 is still pending.
 	s.writeDone(w2, errorReply(w2.xid, 0, wire.ErrConnectionLoss), true)
-
+	if due, _ := s.gatherDue(nil); len(due) != 0 {
+		t.Fatalf("released %d responses past still-pending write 1", len(due))
+	}
 	s.mu.Lock()
-	watermark := s.committedSeq
+	r1resp, r2resp, waiting := r1.resp, r2.resp, s.waiting
 	s.mu.Unlock()
-	if watermark != 0 {
-		t.Fatalf("committedSeq advanced to %d past still-pending write 1", watermark)
+	if r1resp != nil {
+		t.Fatal("read behind pending write 1 answered on write 2's abort")
 	}
-	if _, done := r1.result(); done {
-		t.Fatal("read barriered on pending write 1 completed on write 2's abort")
+	if r2resp == nil {
+		t.Fatal("read behind aborted write 2 not failed")
 	}
-	resp, done := r2.result()
-	if !done {
-		t.Fatal("read barriered on aborted write 2 not failed")
+	if waiting != 2 {
+		t.Fatalf("waiting = %d with write 1 and its read unanswered, want 2", waiting)
 	}
-	var hdr wire.ReplyHeader
-	if err := hdr.Deserialize(wire.NewDecoder(resp)); err != nil {
+
+	// W1 commits: one pass executes r1 and releases all four in order.
+	s.writeDone(w1, errorReply(w1.xid, 0, wire.ErrOK), false)
+	due, closing := s.gatherDue(nil)
+	if closing {
+		t.Fatal("pass reported CloseSession")
+	}
+	got := decodeReleased(t, due, func(xid int32) bool { return xid >= 3 })
+	want := []releasedReply{
+		{xid: 1, err: wire.ErrOK},
+		{xid: 3, err: wire.ErrOK},
+		{xid: 2, err: wire.ErrConnectionLoss},
+		{xid: 4, err: wire.ErrConnectionLoss},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("released %d responses, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("release %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.waiting != 0 || len(s.queue) != 0 {
+		t.Fatalf("waiting = %d, queue = %d after everything was released", s.waiting, len(s.queue))
+	}
+}
+
+// TestSessionQueueSeededSchedules drives an unstarted session through
+// random schedules — reads and writes submitted, commits and aborts
+// arriving in any order, drain passes at random points — and checks the
+// one-queue rule from outside: responses leave in submission order; a
+// read executes only after every write ahead of it was resolved;
+// exactly the reads that were waiting behind a write when it aborted
+// fail; nothing is left waiting. The znode's version is bumped before
+// every step, so a read's reply says at which step it executed.
+func TestSessionQueueSeededSchedules(t *testing.T) {
+	tc := newTestCluster(t, 1)
+	r := tc.replicas[0]
+	if _, err := r.tree.Create("/wm", nil, 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if hdr.Err != wire.ErrConnectionLoss {
-		t.Fatalf("aborted-barrier read failed with %v, want CONNECTIONLOSS", hdr.Err)
+	type req struct {
+		entry     *inflightReq
+		write     bool
+		submitted int32 // step of submission
+		resolved  int32 // writes: step of writeDone, 0 while pending
+		aborted   bool
 	}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		conn, _ := transport.NewChanPipe()
+		s := newSession(r, 5000+seed, conn, NopInterceptor{})
+		var reqs []*req
+		var pending []*req // unresolved writes
+		var released []releasedReply
+		var step int32
 
-	// W1 commits: the watermark jumps the recorded gap and the parked
-	// read executes via the resume pool.
-	s.writeDone(w1, errorReply(w1.xid, 0, wire.ErrOK), false)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, done := r1.result(); done {
-			break
+		resolve := func() {
+			i := rng.Intn(len(pending))
+			w := pending[i]
+			pending = append(pending[:i], pending[i+1:]...)
+			w.resolved = step
+			code := wire.ErrOK
+			if w.aborted = rng.Intn(3) == 0; w.aborted {
+				code = wire.ErrConnectionLoss
+			}
+			s.writeDone(w.entry, errorReply(w.entry.xid, 0, code), w.aborted)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("read barriered on committed write 1 never executed")
+		drain := func() int {
+			due, _ := s.gatherDue(nil)
+			released = append(released, decodeReleased(t, due, func(xid int32) bool { return !reqs[xid-1].write })...)
+			return len(due)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	s.mu.Lock()
-	watermark = s.committedSeq
-	s.mu.Unlock()
-	if watermark != 2 {
-		t.Fatalf("committedSeq = %d after both writes completed, want 2", watermark)
+		nextStep := func() {
+			stat, err := r.tree.SetData("/wm", nil, -1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			step = stat.Version
+		}
+		for i := 0; i < 300; i++ {
+			nextStep()
+			switch action := rng.Intn(10); {
+			case action < 6: // submit, as session.submit does
+				q := &req{write: rng.Intn(2) == 0, submitted: step}
+				q.entry = &inflightReq{xid: int32(len(reqs) + 1), op: wire.OpGetData, body: readBodyOf(t, "/wm")}
+				if q.write {
+					q.entry.op = wire.OpSetData
+					pending = append(pending, q)
+				}
+				reqs = append(reqs, q)
+				if runNow, ok := s.admit(q.entry); !ok {
+					t.Fatalf("seed %d: open session refused xid %d", seed, q.entry.xid)
+				} else if runNow {
+					s.push(q.entry, r.handleRead(s, q.entry))
+				}
+			case action < 8 && len(pending) > 0:
+				resolve()
+			default:
+				drain()
+			}
+		}
+		for len(pending) > 0 {
+			nextStep()
+			resolve()
+		}
+		nextStep()
+		for drain() > 0 {
+		}
+
+		if len(released) != len(reqs) {
+			t.Fatalf("seed %d: released %d of %d requests", seed, len(released), len(reqs))
+		}
+		for i, rel := range released {
+			q := reqs[i]
+			if rel.xid != q.entry.xid {
+				t.Fatalf("seed %d: release %d has xid %d, want %d (submission order)", seed, i, rel.xid, q.entry.xid)
+			}
+			if q.write {
+				continue
+			}
+			// The reads a write's abort fails are those submitted after
+			// the write and before the abort: none of them can have
+			// executed, the write ahead of them was unresolved.
+			wantFail := false
+			for _, w := range reqs[:i] {
+				if !w.write {
+					continue
+				}
+				if w.aborted && q.submitted < w.resolved {
+					wantFail = true
+				}
+				if rel.err == wire.ErrOK && rel.version <= w.resolved {
+					t.Fatalf("seed %d: read xid %d executed at step %d, write xid %d ahead of it was resolved at step %d",
+						seed, rel.xid, rel.version, w.entry.xid, w.resolved)
+				}
+			}
+			if wantFail != (rel.err == wire.ErrConnectionLoss) || (!wantFail && rel.err != wire.ErrOK) {
+				t.Fatalf("seed %d: read xid %d answered %v, want failed = %v", seed, rel.xid, rel.err, wantFail)
+			}
+		}
+		s.mu.Lock()
+		if s.waiting != 0 || len(s.queue) != 0 {
+			t.Fatalf("seed %d: waiting = %d, queue = %d at the end", seed, s.waiting, len(s.queue))
+		}
+		s.mu.Unlock()
 	}
 }
 

@@ -140,9 +140,6 @@ type Replica struct {
 	stop      chan struct{}
 	wg        sync.WaitGroup
 	forwarded chan forwardedReq
-	// resume re-executes parked reads when the write they trail
-	// commits (the commit-processor split's wakeup path).
-	resume *resumePool
 
 	// Counters for the evaluation harness.
 	readOps  atomic.Int64
@@ -235,7 +232,6 @@ func NewReplica(cfg Config) *Replica {
 		// each client session's writes ordered; a single worker drains
 		// the queue (buffered: the zab loop must never block).
 		forwarded: make(chan forwardedReq, 4096),
-		resume:    newResumePool(resumeWorkers()),
 	}
 	var recoveredZxid int64
 	if cfg.DataDir != "" {
@@ -316,7 +312,6 @@ func (r *Replica) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("server_forward_queue_depth", "", "Forwarded writes queued for leader prep.", func() int64 {
 		return int64(len(r.forwarded))
 	})
-	reg.GaugeFunc("server_resume_queue_depth", "", "Sessions queued for parked-read resume.", r.resume.depth)
 	reg.GaugeFunc("server_uptime_seconds", "", "Process uptime.", obs.Uptime)
 	r.tree.Watches().SetDispatchObserver(func(fired int) {
 		r.watchDispatch.Inc()
@@ -431,7 +426,6 @@ func (r *Replica) Close() {
 		s.shutdown()
 	}
 	r.peer.Stop()
-	r.resume.close()
 	r.wg.Wait()
 	if r.persister != nil {
 		_ = r.persister.Close()
@@ -495,27 +489,14 @@ func (r *Replica) dropSession(s *session) {
 		return
 	}
 	delete(r.sessions, s.id)
-	// Fail this session's pending writes (and, through writeDone, any
-	// reads parked behind them).
-	var failed []*inflightReq
-	for key, pw := range r.pending {
-		if key.session == s.id {
-			failed = append(failed, pw.entry)
-			delete(r.pending, key)
-			r.putPendingWrite(pw)
-		}
-	}
 	closed := r.closed
 	r.mu.Unlock()
-	for _, entry := range failed {
-		s.writeDone(entry, errorReply(entry.xid, 0, wire.ErrConnectionLoss), true)
-	}
+	r.abortPending(func(key pendingKey) bool { return key.session == s.id }, wire.ErrConnectionLoss)
 
+	// run has joined the reader and the writer, the only goroutines that
+	// execute this session's reads, so no read can re-register a watch
+	// after the deregistration below.
 	s.shutdown()
-	// shutdown marks the session closed, which stops writeDone from
-	// scheduling new drains; wait out any in-flight one so no worker
-	// can re-register a watch after the deregistration below.
-	s.awaitDrain()
 	r.tree.Watches().RemoveWatcher(s)
 	if !closed {
 		// Clean up the session's ephemeral nodes through the agreed
@@ -537,7 +518,7 @@ func (r *Replica) handleWrite(s *session, entry *inflightReq) {
 	r.writeOps.Add(1)
 	if r.degraded.Load() || r.removed.Load() {
 		// Refuse up front: the reply still flows through writeDone so
-		// the session FIFO (and reads parked behind it) stay ordered.
+		// the session FIFO (and the reads waiting behind it) stay ordered.
 		s.writeDone(entry, errorReply(entry.xid, 0, wire.ErrConnectionLoss), true)
 		return
 	}
@@ -762,9 +743,9 @@ func (r *Replica) restoreFromSync(snap *ztree.Snapshot) {
 
 // deliver applies a committed transaction (zab loop goroutine) and
 // completes the originating client request if it belongs to us. The
-// completion advances the session's write watermark, which is what
-// wakes reads parked behind the write (commit notification -> resume
-// pool), independent of when the write's own response is released.
+// completion answers the write in its session's FIFO and wakes the
+// session's writer, which releases it in order and then executes the
+// reads that waited behind it.
 //
 // On a durable replica the completion is deferred past the WAL fsync:
 // the transaction is enqueued to the persister's commit-log goroutine
@@ -828,21 +809,7 @@ func (r *Replica) enterDegraded(cause error) {
 	r.degradedGauge.Set(1)
 	r.logf("server: replica %d: PERSISTENCE FAILURE, entering degraded read-only mode (writes refused): %v",
 		r.cfg.ID, cause)
-	type failed struct {
-		entry *inflightReq
-		sess  *session
-	}
-	r.mu.Lock()
-	pending := make([]failed, 0, len(r.pending))
-	for key, pw := range r.pending {
-		pending = append(pending, failed{entry: pw.entry, sess: pw.sess})
-		delete(r.pending, key)
-		r.putPendingWrite(pw)
-	}
-	r.mu.Unlock()
-	for _, f := range pending {
-		f.sess.writeDone(f.entry, errorReply(f.entry.xid, 0, wire.ErrConnectionLoss), true)
-	}
+	r.abortPending(allPending, wire.ErrConnectionLoss)
 }
 
 // Degraded reports whether the replica refused further writes after a
@@ -857,30 +824,32 @@ func (r *Replica) logf(format string, args ...any) {
 	log.Printf(format, args...)
 }
 
-// failPending aborts one pending write: its fate is unknown, so the
-// client gets an error reply and reads parked behind it fail too.
-func (r *Replica) failPending(origin zab.Origin, code wire.ErrCode) {
+// abortPending takes the pending writes match selects out of r.pending
+// and answers each with code as aborted: its fate is unknown (the
+// ensemble may or may not commit it), so the client gets an error reply
+// and the reads waiting behind it in its session fail too.
+func (r *Replica) abortPending(match func(pendingKey) bool, code wire.ErrCode) {
 	r.mu.Lock()
-	key := pendingKey{session: origin.Session, xid: origin.Xid}
-	pw, ok := r.pending[key]
-	var entry *inflightReq
-	var sess *session
-	if ok {
-		delete(r.pending, key)
-		entry, sess = pw.entry, pw.sess
-		r.putPendingWrite(pw)
+	var aborted []pendingWrite
+	for key, pw := range r.pending {
+		if match(key) {
+			aborted = append(aborted, *pw)
+			delete(r.pending, key)
+			r.putPendingWrite(pw)
+		}
 	}
 	r.mu.Unlock()
-	if ok {
-		sess.writeDone(entry, errorReply(entry.xid, 0, code), true)
+	for _, pw := range aborted {
+		pw.sess.writeDone(pw.entry, errorReply(pw.entry.xid, 0, code), true)
 	}
 }
 
-// scheduleResume hands a session with newly-eligible parked reads to
-// the resume pool. Non-blocking (called from the zab loop via
-// writeDone).
-func (r *Replica) scheduleResume(s *session) {
-	r.resume.submit(s)
+func allPending(pendingKey) bool { return true }
+
+// failPending aborts the one pending write origin names.
+func (r *Replica) failPending(origin zab.Origin, code wire.ErrCode) {
+	key := pendingKey{session: origin.Session, xid: origin.Xid}
+	r.abortPending(func(k pendingKey) bool { return k == key }, code)
 }
 
 // nextSeq allocates the next sequence number for a parent: the maximum
@@ -923,23 +892,9 @@ func (r *Replica) onRoleChange(role zab.Role, leader zab.PeerID) {
 		r.seqMu.Lock()
 		r.seqHint = make(map[string]int32)
 		r.seqMu.Unlock()
-		type failed struct {
-			entry *inflightReq
-			sess  *session
-		}
-		r.mu.Lock()
-		pending := make([]failed, 0, len(r.pending))
-		for key, pw := range r.pending {
-			pending = append(pending, failed{entry: pw.entry, sess: pw.sess})
-			delete(r.pending, key)
-			r.putPendingWrite(pw)
-		}
-		r.mu.Unlock()
-		for _, f := range pending {
-			// Aborted, not committed: reads parked behind the write get
-			// CONNECTIONLOSS instead of hanging across the failover.
-			f.sess.writeDone(f.entry, errorReply(f.entry.xid, 0, wire.ErrConnectionLoss), true)
-		}
+		// Aborted, not committed: reads waiting behind the writes get
+		// CONNECTIONLOSS instead of hanging across the failover.
+		r.abortPending(allPending, wire.ErrConnectionLoss)
 	}
 }
 
@@ -1041,11 +996,11 @@ func buildMultiResponse(txn *ztree.Txn, res *ztree.TxnResult) *wire.MultiRespons
 // --- read pipeline ---
 
 // handleRead serves a read against the local tree. Called from the
-// session reader goroutine (the common path: no same-session write in
-// flight) or from a resume-pool worker (a read that parked behind an
-// uncommitted write of its session, re-executed after that write's
-// commit). Several reads of *different* sessions run here in parallel;
-// same-session execution stays ordered (see session.drainParked). The
+// session's reader goroutine (the common path: nothing unanswered ahead
+// of the read) or from its writer goroutine (a read that waited behind
+// an earlier request of its session, executed when it reached the head
+// of the FIFO). Several reads of *different* sessions run here in
+// parallel; same-session execution stays ordered (see session). The
 // tree's GetDataRef contract holds under this concurrency: payload
 // slices are immutable once stored, and the serialization below is the
 // copy at the session boundary.

@@ -29,10 +29,12 @@ const (
 	KindSyncSnap
 	KindSyncDiff
 	KindNewLeaderAck
-	// Broadcast. KindPropose carries a single transaction (legacy
-	// single-record path, kept for wire compatibility); the leader
-	// batches submissions into KindProposeBatch frames.
-	KindPropose
+	// Wire value 6 was KindPropose, the single-record proposal that
+	// batches subsume. It stays reserved so every later kind keeps its
+	// number; decoding it is an unknown-kind error.
+	_
+	// Broadcast. The leader batches submissions into KindProposeBatch
+	// frames; a lone submission is a one-record batch.
 	KindProposeBatch
 	KindAck
 	KindCommit
@@ -73,8 +75,6 @@ func (k Kind) String() string {
 		return "SYNCDIFF"
 	case KindNewLeaderAck:
 		return "NEWLEADERACK"
-	case KindPropose:
-		return "PROPOSE"
 	case KindProposeBatch:
 		return "PROPOSEBATCH"
 	case KindAck:
@@ -124,14 +124,11 @@ type Message struct {
 	VoteZxid  int64
 	VoteReply bool
 
-	// Propose fields. Txn carries a legacy single-record proposal;
 	// Batch carries a multi-record PROPOSE frame in ascending zxid
 	// order. For KindProposeBatch the Zxid field piggybacks the
 	// leader's commit bound so followers can apply without waiting for
 	// a separate COMMIT frame.
-	Txn    *ztree.Txn
-	Origin Origin
-	Batch  []ProposalRecord
+	Batch []ProposalRecord
 
 	// Sync fields. Config piggybacks the leader's encoded membership
 	// (see Membership.Encode) on every sync answer, so a joiner that

@@ -135,79 +135,17 @@ func betterVote(a, b vote) bool { // is a better than b
 	return a.for_ > b.for_
 }
 
-type pendingProposal struct {
+// outstandingProposal is one proposal the leader has accepted and not
+// yet committed. The leader keeps them in one slice in ascending zxid
+// order and, per follower, one cumulative ACK frontier (Peer.acked): a
+// proposal is acknowledged by exactly the followers whose frontier
+// reached its zxid, so the two together are the whole quorum state.
+type outstandingProposal struct {
 	rec ProposalRecord
-	// acks records which peers acknowledged, inline rather than in a
-	// per-proposal map: ensembles are small and proposals are hot-path.
-	// Ensembles larger than the inline array spill into overflow, so
-	// commits stay correct at any size; only 17+-peer ensembles pay
-	// the map allocation.
-	acks     [maxInlineAcks]PeerID
-	nacks    int
-	overflow map[PeerID]struct{}
-	// next links recycled entries on the leader's freelist (loop-owned,
-	// meaningful only while the entry is recycled) — the same scheme as
-	// the replica's pendingWrite freelist.
-	next *pendingProposal
 	// proposedNs is the obs.Now() stamp taken when the leader accepted
 	// the submission; the propose→quorum-ack histogram reads it when
 	// the proposal commits.
 	proposedNs int64
-}
-
-// maxInlineAcks bounds the inline ack set, sized for the 3-7 replica
-// ensembles ZooKeeper deployments use.
-const maxInlineAcks = 16
-
-// ack records an acknowledgement, deduplicating by peer.
-func (pp *pendingProposal) ack(from PeerID) {
-	for i := 0; i < pp.nacks; i++ {
-		if pp.acks[i] == from {
-			return
-		}
-	}
-	if _, ok := pp.overflow[from]; ok {
-		return
-	}
-	if pp.nacks < len(pp.acks) {
-		pp.acks[pp.nacks] = from
-		pp.nacks++
-		return
-	}
-	if pp.overflow == nil {
-		pp.overflow = make(map[PeerID]struct{})
-	}
-	pp.overflow[from] = struct{}{}
-}
-
-// ackCount returns the number of distinct acknowledging peers.
-func (pp *pendingProposal) ackCount() int {
-	return pp.nacks + len(pp.overflow)
-}
-
-// getPendingProposal pops a recycled entry or allocates one. Loop-owned
-// state: only the peer's run goroutine touches the freelist.
-func (p *Peer) getPendingProposal() *pendingProposal {
-	pp := p.ppFree
-	if pp != nil {
-		p.ppFree = pp.next
-		pp.next = nil
-	} else {
-		pp = &pendingProposal{}
-	}
-	return pp
-}
-
-// putPendingProposal recycles a committed proposal's tracking entry.
-// The record is cleared so the freelist does not pin transaction
-// payloads; the inline ack array needs no reset (nacks bounds it).
-func (p *Peer) putPendingProposal(pp *pendingProposal) {
-	pp.rec = ProposalRecord{}
-	pp.nacks = 0
-	pp.overflow = nil
-	pp.proposedNs = 0
-	pp.next = p.ppFree
-	p.ppFree = pp
 }
 
 type submitReq struct {
@@ -235,10 +173,9 @@ type Peer struct {
 	counter     int64
 	lastZxid    int64 // highest zxid seen (proposed or applied); NOT what votes advertise
 	lastCommit  int64 // highest zxid delivered; the frontier votes and FOLLOWERINFO claim
-	outstanding []int64
-	batch       []ProposalRecord // leader: submissions awaiting one PROPOSE frame
-	proposals   map[int64]*pendingProposal
-	ppFree      *pendingProposal         // freelist of recycled pendingProposals
+	outstanding []outstandingProposal
+	acked       map[PeerID]int64         // leader: each follower's cumulative ACK frontier
+	batch       []ProposalRecord         // leader: submissions awaiting one PROPOSE frame
 	inflight    map[int64]ProposalRecord // follower: proposals awaiting commit
 	commitLog   []ProposalRecord
 	logBase     int64 // zxid preceding commitLog[0]
@@ -345,7 +282,7 @@ func NewPeer(cfg Config) *Peer {
 		done:      make(chan struct{}),
 		submit:    make(chan submitReq),
 		votes:     make(map[PeerID]vote),
-		proposals: make(map[int64]*pendingProposal),
+		acked:     make(map[PeerID]int64),
 		inflight:  make(map[int64]ProposalRecord),
 		synced:    make(map[PeerID]struct{}),
 		obsSynced: make(map[PeerID]struct{}),
@@ -825,8 +762,8 @@ func (p *Peer) becomeLeader() {
 	p.epoch = maxEpoch + 1
 	p.counter = 0
 	p.lastZxid = MakeZxid(p.epoch, 0)
-	p.proposals = make(map[int64]*pendingProposal)
 	p.outstanding = nil
+	p.acked = make(map[PeerID]int64) // a frontier vouches for one term's proposals
 	p.outDepth.Store(0)
 	p.batch = nil
 	p.synced = map[PeerID]struct{}{p.cfg.ID: {}}
@@ -1032,24 +969,13 @@ func (p *Peer) handleNewLeaderAck(msg Message) {
 // but permanently wedged ensemble, which the SIGKILL crash harness
 // exposed after whole-ensemble restarts.
 func (p *Peer) replayOutstanding(to PeerID) {
-	if len(p.outstanding) == 0 {
-		return
-	}
 	bound := p.lastCommitted()
 	frames := int64(0)
 	for start := 0; start < len(p.outstanding); start += maxBatchRecords {
-		end := start + maxBatchRecords
-		if end > len(p.outstanding) {
-			end = len(p.outstanding)
-		}
+		end := min(start+maxBatchRecords, len(p.outstanding))
 		batch := make([]ProposalRecord, 0, end-start)
-		for _, zxid := range p.outstanding[start:end] {
-			if prop, ok := p.proposals[zxid]; ok {
-				batch = append(batch, prop.rec)
-			}
-		}
-		if len(batch) == 0 {
-			continue
+		for _, prop := range p.outstanding[start:end] {
+			batch = append(batch, prop.rec)
 		}
 		_ = p.cfg.Transport.Send(to, Message{Kind: KindProposeBatch, Epoch: p.epoch, Zxid: bound, Batch: batch})
 		frames++
@@ -1081,12 +1007,7 @@ func (p *Peer) handleSubmit(req submitReq) {
 	req.txn.Zxid = zxid
 	p.lastZxid = zxid
 	rec := ProposalRecord{Txn: req.txn, Origin: req.origin}
-	pp := p.getPendingProposal()
-	pp.rec = rec
-	pp.proposedNs = obs.Now()
-	pp.ack(p.cfg.ID)
-	p.proposals[zxid] = pp
-	p.outstanding = append(p.outstanding, zxid)
+	p.outstanding = append(p.outstanding, outstandingProposal{rec: rec, proposedNs: obs.Now()})
 	p.outDepth.Store(int32(len(p.outstanding)))
 	p.batch = append(p.batch, rec)
 	p.statsMu.Lock()
@@ -1157,32 +1078,6 @@ func (p *Peer) flushProposals() {
 		p.statsMu.Lock()
 		p.stats.ProposeFrames += frames
 		p.statsMu.Unlock()
-	}
-}
-
-// handlePropose accepts a legacy single-record proposal. The in-repo
-// leader always sends batches; this path remains for wire compatibility
-// with single-record peers. Like the batch path it acks the contiguous
-// frontier, never the raw zxid: the leader interprets ACKs
-// cumulatively, so acking past a gap would vouch for proposals this
-// follower does not hold.
-func (p *Peer) handlePropose(msg Message) {
-	if p.Role() != RoleFollowing || msg.From != p.followTarget || msg.Txn == nil {
-		return
-	}
-	p.lastHeard[msg.From] = time.Now()
-	zxid := msg.Txn.Zxid
-	if zxid <= p.lastCommitted() {
-		return // duplicate of an already-committed proposal
-	}
-	p.inflight[zxid] = ProposalRecord{Txn: *msg.Txn, Origin: msg.Origin}
-	if zxid > p.lastZxid {
-		p.lastZxid = zxid
-	}
-	frontier := p.ackFrontier()
-	_ = p.cfg.Transport.Send(msg.From, Message{Kind: KindAck, Zxid: frontier})
-	if frontier < zxid {
-		p.resync() // an earlier proposal was shed; recover now
 	}
 }
 
@@ -1294,9 +1189,11 @@ func (p *Peer) resync() {
 	_ = p.cfg.Transport.Send(p.followTarget, Message{Kind: kind, Zxid: p.lastCommitted()})
 }
 
-// handleAck records a cumulative acknowledgement: an ACK for zxid Z
-// asserts the follower holds every outstanding proposal up to Z, so
-// batches are acknowledged as units.
+// handleAck advances a follower's cumulative frontier: an ACK for zxid
+// Z asserts the follower holds every proposal up to Z, so batches are
+// acknowledged as units. The frontier is clamped to the highest zxid
+// this leader proposed — an ACK can vouch only for proposals that
+// exist, never in advance for ones a later submission creates.
 func (p *Peer) handleAck(msg Message) {
 	if p.Role() != RoleLeading || !p.isVoter(msg.From) {
 		// The voter check is defense in depth: observers never send ACKs,
@@ -1304,19 +1201,25 @@ func (p *Peer) handleAck(msg Message) {
 		return
 	}
 	p.lastHeard[msg.From] = time.Now()
-	acked := false
-	for _, zxid := range p.outstanding { // ascending zxid order
-		if zxid > msg.Zxid {
-			break
-		}
-		if prop, ok := p.proposals[zxid]; ok {
-			prop.ack(msg.From)
-			acked = true
-		}
-	}
-	if acked {
+	if z := min(msg.Zxid, p.lastZxid); z > p.acked[msg.From] {
+		p.acked[msg.From] = z
 		p.advanceCommits()
 	}
+}
+
+// quorumAcked reports whether the leader plus the CURRENT voters whose
+// frontier reached zxid form a quorum. Evaluated per proposal: a
+// reconfig delivered in the middle of a commit run changes both the
+// voter set and the quorum size for the proposal after it, and a
+// frontier left by a voter the reconfig removed no longer counts.
+func (p *Peer) quorumAcked(zxid int64) bool {
+	n := 1 // the leader holds everything it proposed
+	for id, z := range p.acked {
+		if z >= zxid && id != p.cfg.ID && p.isVoter(id) {
+			n++
+		}
+	}
+	return n >= p.quorum()
 }
 
 // advanceCommits commits outstanding proposals strictly in zxid order as
@@ -1324,7 +1227,9 @@ func (p *Peer) handleAck(msg Message) {
 // with a single cumulative COMMIT frame for the whole run (the next
 // PROPOSE frame piggybacks the same bound).
 func (p *Peer) advanceCommits() {
-	committed := false
+	if len(p.outstanding) == 0 || !p.quorumAcked(p.outstanding[0].rec.Txn.Zxid) {
+		return
+	}
 	p.obsRun = p.obsRun[:0]
 	// Snapshot the observer targets BEFORE delivering: a reconfig txn in
 	// this very run may promote or remove an observer (applyReconfig
@@ -1346,27 +1251,23 @@ func (p *Peer) advanceCommits() {
 			p.commitTargets = append(p.commitTargets, id)
 		}
 	}
-	for len(p.outstanding) > 0 {
-		zxid := p.outstanding[0]
-		prop, ok := p.proposals[zxid]
-		if !ok || prop.ackCount() < p.quorum() {
-			break
-		}
-		p.outstanding = p.outstanding[1:]
-		delete(p.proposals, zxid)
-		rec := prop.rec
-		if prop.proposedNs > 0 {
-			p.proposeToAck.Observe(obs.Now() - prop.proposedNs)
-		}
-		p.deliver(Committed{Txn: rec.Txn, Origin: rec.Origin})
-		p.putPendingProposal(prop)
+	n := 0
+	for n < len(p.outstanding) && p.quorumAcked(p.outstanding[n].rec.Txn.Zxid) {
+		prop := p.outstanding[n]
+		n++
+		p.proposeToAck.Observe(obs.Now() - prop.proposedNs)
+		p.deliver(Committed{Txn: prop.rec.Txn, Origin: prop.rec.Origin})
 		if len(p.obsTargets) > 0 {
-			p.obsRun = append(p.obsRun, rec)
+			p.obsRun = append(p.obsRun, prop.rec)
 		}
-		committed = true
 	}
-	if !committed {
-		return
+	// Compact in place: the slice keeps its backing array and stops
+	// referencing the committed records. (A delivered reconfig that
+	// parks this peer drops the slice; then there is nothing to compact.)
+	if n <= len(p.outstanding) {
+		rest := copy(p.outstanding, p.outstanding[n:])
+		clear(p.outstanding[rest:])
+		p.outstanding = p.outstanding[:rest]
 	}
 	p.outDepth.Store(int32(len(p.outstanding)))
 	bound := p.lastCommitted()
@@ -1646,8 +1547,6 @@ func (p *Peer) handle(msg Message) {
 		p.handleSync(msg)
 	case KindNewLeaderAck:
 		p.handleNewLeaderAck(msg)
-	case KindPropose:
-		p.handlePropose(msg)
 	case KindProposeBatch:
 		p.handleProposeBatch(msg)
 	case KindAck:
@@ -1832,6 +1731,7 @@ func (p *Peer) applyReconfig(zxid int64, data []byte) {
 		delete(p.synced, ch.ID)
 		delete(p.lastHeard, ch.ID)
 		delete(p.votes, ch.ID)
+		delete(p.acked, ch.ID)
 		if _, ok := p.obsSynced[ch.ID]; ok {
 			delete(p.obsSynced, ch.ID)
 			p.publishObsSynced()
@@ -1940,7 +1840,6 @@ func (p *Peer) becomeRemoved(why string) {
 	p.batch = nil
 	p.outstanding = nil
 	p.outDepth.Store(0)
-	p.proposals = make(map[int64]*pendingProposal)
 	p.inflight = make(map[int64]ProposalRecord)
 	p.leaderSynced = false
 	p.followTarget = -1

@@ -223,6 +223,35 @@ func TestJoinerNotCountedBeforeSync(t *testing.T) {
 	}
 }
 
+// TestRemovedVoterAckDoesNotCount: a reconfig delivered in the middle
+// of a commit run changes who counts for the proposal after it. With
+// voters {1,2,3,4}, remove(4) at z1 and a create at z2 that only voter 4
+// acknowledged, committing z1 shrinks the quorum to two of {1,2,3} — and
+// z2 is then held by the leader alone among them. Counting the removed
+// voter's ACK would commit a write that {2,3} could elect without.
+func TestRemovedVoterAckDoesNotCount(t *testing.T) {
+	var delivered []ztree.TxnType
+	remove := ReconfigChange{Action: ReconfigRemove, ID: 4}
+	p := leaderFixture(t, []PeerID{1, 2, 3, 4},
+		func(c Committed) { delivered = append(delivered, c.Txn.Type) },
+		ztree.Txn{Type: ztree.TxnReconfig, Data: remove.Encode()}, createTxn(0))
+	z1, z2 := MakeZxid(p.epoch, 1), MakeZxid(p.epoch, 2)
+
+	p.handleAck(Message{Kind: KindAck, From: 4, Zxid: z2})
+	p.handleAck(Message{Kind: KindAck, From: 2, Zxid: z1})
+	if len(delivered) != 1 || delivered[0] != ztree.TxnReconfig {
+		t.Fatalf("delivered %v, want only the reconfig: the create is acknowledged by the removed voter alone", delivered)
+	}
+	if p.isVoter(4) || p.quorum() != 2 {
+		t.Fatalf("after remove(4): voter(4) = %v, quorum = %d, want false and 2", p.isVoter(4), p.quorum())
+	}
+
+	p.handleAck(Message{Kind: KindAck, From: 3, Zxid: z2})
+	if len(delivered) != 2 || delivered[1] != ztree.TxnCreate {
+		t.Fatalf("delivered %v after a current voter acknowledged the create, want it committed", delivered)
+	}
+}
+
 // TestRemoveShrinksEnsembleAndParksReplica: a removed follower stops
 // participating (role REMOVED, no campaigning) and the survivors commit
 // under the shrunken quorum.

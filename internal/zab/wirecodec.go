@@ -40,12 +40,6 @@ func (m *Message) Serialize(e *wire.Encoder) {
 		e.WriteBool(m.VoteReply)
 	case KindFollowerInfo, KindNewLeaderAck, KindAck, KindCommit, KindPing, KindPong, KindObserverInfo, KindRemoved:
 		// Header only: the zxid field carries the payload.
-	case KindPropose:
-		e.WriteBool(m.Txn != nil)
-		if m.Txn != nil {
-			m.Txn.Serialize(e)
-		}
-		serializeOrigin(e, m.Origin)
 	case KindProposeBatch, KindObserverCommit:
 		e.WriteInt32(int32(len(m.Batch)))
 		for i := range m.Batch {
@@ -96,21 +90,6 @@ func (m *Message) Deserialize(d *wire.Decoder) error {
 		}
 	case KindFollowerInfo, KindNewLeaderAck, KindAck, KindCommit, KindPing, KindPong, KindObserverInfo, KindRemoved:
 		// Header only.
-	case KindPropose:
-		present, err := d.ReadBool()
-		if err != nil {
-			return err
-		}
-		if present {
-			txn := new(ztree.Txn)
-			if err := txn.Deserialize(d); err != nil {
-				return err
-			}
-			m.Txn = txn
-		}
-		if m.Origin, err = deserializeOrigin(d); err != nil {
-			return err
-		}
 	case KindProposeBatch, KindObserverCommit:
 		if m.Batch, err = deserializeRecords(d, maxBatchRecords, "batch"); err != nil {
 			return err
@@ -145,28 +124,6 @@ func (m *Message) Deserialize(d *wire.Decoder) error {
 		return fmt.Errorf("zab: unknown message kind %d", kind)
 	}
 	return nil
-}
-
-func serializeOrigin(e *wire.Encoder, o Origin) {
-	e.WriteInt64(int64(o.Peer))
-	e.WriteInt64(o.Session)
-	e.WriteInt32(o.Xid)
-}
-
-func deserializeOrigin(d *wire.Decoder) (Origin, error) {
-	var o Origin
-	peer, err := d.ReadInt64()
-	if err != nil {
-		return o, err
-	}
-	o.Peer = PeerID(peer)
-	if o.Session, err = d.ReadInt64(); err != nil {
-		return o, err
-	}
-	if o.Xid, err = d.ReadInt32(); err != nil {
-		return o, err
-	}
-	return o, nil
 }
 
 // deserializeRecords reads a bounded, strictly-ascending proposal

@@ -3,6 +3,7 @@ package zab
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"securekeeper/internal/wire"
@@ -39,7 +40,6 @@ func sampleMessages() []Message {
 			{Txn: txn2, Origin: origin},
 		}},
 		{Kind: KindNewLeaderAck, Zxid: MakeZxid(3, 8)},
-		{Kind: KindPropose, Epoch: 3, Txn: &txn, Origin: origin},
 		{Kind: KindProposeBatch, Epoch: 3, Zxid: MakeZxid(3, 6), Batch: []ProposalRecord{
 			{Txn: txn, Origin: origin},
 			{Txn: txn2, Origin: origin},
@@ -151,6 +151,36 @@ func TestMessageWireAdversarial(t *testing.T) {
 				t.Fatalf("adversarial frame decoded without error: %x", buf)
 			}
 		})
+	}
+}
+
+// TestRetiredProposeKindRejected: wire value 6 was the single-record
+// PROPOSE that batches subsume. It stays reserved — every later kind
+// keeps the number peers of earlier builds know it by — and a frame
+// that still carries it is refused like any unknown kind.
+func TestRetiredProposeKindRejected(t *testing.T) {
+	for kind, want := range map[Kind]int32{
+		KindVote: 1, KindFollowerInfo: 2, KindSyncSnap: 3, KindSyncDiff: 4, KindNewLeaderAck: 5,
+		KindProposeBatch: 7, KindAck: 8, KindCommit: 9, KindPing: 10, KindPong: 11, KindApp: 12,
+		KindObserverInfo: 13, KindObserverCommit: 14, KindRemoved: 15,
+	} {
+		if int32(kind) != want {
+			t.Errorf("%s has wire value %d, want %d", kind, int32(kind), want)
+		}
+	}
+	// The frame a single-record proposer sent: header, txn present, txn,
+	// origin.
+	e := wire.NewEncoder(64)
+	e.WriteInt32(6)
+	e.WriteInt64(3)
+	e.WriteInt64(0)
+	e.WriteBool(true)
+	rec := ProposalRecord{Txn: ztree.Txn{Zxid: MakeZxid(3, 7), Type: ztree.TxnSync, Path: "/"}, Origin: Origin{Peer: 2}}
+	rec.Serialize(e)
+	var got Message
+	err := wire.Unmarshal(e.Bytes(), &got)
+	if err == nil || !strings.Contains(err.Error(), "unknown message kind 6") {
+		t.Fatalf("retired kind 6 decoded with err = %v, want unknown message kind", err)
 	}
 }
 

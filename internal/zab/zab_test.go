@@ -446,25 +446,49 @@ func TestWireErrCodeUnused(t *testing.T) {
 	}
 }
 
-// TestPendingProposalAckOverflow: ack sets beyond the inline array
-// spill into the overflow map so huge ensembles still reach quorum;
-// duplicates never double-count in either region.
-func TestPendingProposalAckOverflow(t *testing.T) {
-	var pp pendingProposal
-	const peers = maxInlineAcks + 5
-	for round := 0; round < 2; round++ { // second round = all duplicates
-		for i := 0; i < peers; i++ {
-			pp.ack(PeerID(i + 1))
+// leaderFixture returns an unstarted, activated leader (peer 1, every
+// other voter synced) over a capture transport, with n proposals
+// submitted and flushed, so ACK handling can be driven synchronously.
+func leaderFixture(t *testing.T, voters []PeerID, deliver func(Committed), txns ...ztree.Txn) *Peer {
+	t.Helper()
+	p := NewPeer(Config{ID: 1, Peers: voters, Transport: newCaptureTransport(), Deliver: deliver})
+	p.votes = map[PeerID]vote{}
+	p.becomeLeader()
+	for _, id := range voters {
+		p.synced[id] = struct{}{}
+	}
+	for i, txn := range txns {
+		req := submitReq{txn: txn, errCh: make(chan error, 1)}
+		p.handleSubmit(req)
+		if err := <-req.errCh; err != nil {
+			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	if got := pp.ackCount(); got != peers {
-		t.Fatalf("ackCount = %d after %d distinct acks (with duplicates), want %d", got, peers, peers)
+	p.flushProposals()
+	return p
+}
+
+// TestQuorumAtAnyEnsembleSize: the quorum count has no size the code
+// was written for. With 21 voters a proposal needs the leader and ten
+// followers; ten ACKs that include a duplicate are not ten followers.
+func TestQuorumAtAnyEnsembleSize(t *testing.T) {
+	voters := make([]PeerID, 21)
+	for i := range voters {
+		voters[i] = PeerID(i + 1)
 	}
-	if pp.nacks != maxInlineAcks {
-		t.Fatalf("inline region holds %d, want %d", pp.nacks, maxInlineAcks)
+	delivered := 0
+	p := leaderFixture(t, voters, func(Committed) { delivered++ }, createTxn(1))
+	z := MakeZxid(p.epoch, 1)
+	// Ten ACKs, one of them a duplicate: the leader and nine followers.
+	for _, from := range []PeerID{2, 3, 4, 5, 6, 2, 7, 8, 9, 10} {
+		p.handleAck(Message{Kind: KindAck, From: from, Zxid: z})
 	}
-	if len(pp.overflow) != peers-maxInlineAcks {
-		t.Fatalf("overflow holds %d, want %d", len(pp.overflow), peers-maxInlineAcks)
+	if delivered != 0 {
+		t.Fatal("committed on the leader and 9 distinct followers; quorum of 21 is 11")
+	}
+	p.handleAck(Message{Kind: KindAck, From: 11, Zxid: z})
+	if delivered != 1 {
+		t.Fatalf("delivered = %d after the leader and 10 followers acknowledged, want 1", delivered)
 	}
 }
 
