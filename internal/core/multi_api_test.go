@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,6 +28,15 @@ func digests(c *Cluster) []uint64 {
 // of the in-process cluster; every sub-op observes the same zxid and
 // every replica converges.
 func TestMultiAtomicCommit(t *testing.T) {
+	// Path element and values are long and distinctive: the leak check
+	// below searches ciphertext and Base64 for them, where a two- or
+	// three-byte marker turns up by chance once in a few thousand runs.
+	const (
+		node    = "/cfg-multi-atomic-commit"
+		initial = "initial-value-of-the-config"
+		updated = "updated-value-of-the-config"
+		audit   = "audit-record-of-the-rotation"
+	)
 	for _, v := range []Variant{Vanilla, SecureKeeper} {
 		v := v
 		t.Run(v.String(), func(t *testing.T) {
@@ -38,19 +48,19 @@ func TestMultiAtomicCommit(t *testing.T) {
 			}
 			defer cl.Close()
 
-			if _, err := cl.Create(ctxbg, "/cfg", []byte("v0"), 0); err != nil {
+			if _, err := cl.Create(ctxbg, node, []byte(initial), 0); err != nil {
 				t.Fatal(err)
 			}
-			_, stat, err := cl.Get(ctxbg, "/cfg")
+			_, stat, err := cl.Get(ctxbg, node)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			before := c.Replica(leader).Peer().StatsSnapshot()
 			results, err := cl.Txn().
-				Check("/cfg", stat.Version).
-				Set("/cfg", []byte("v1"), -1).
-				Create("/cfg/audit-", []byte("rotated"), wire.FlagSequential).
+				Check(node, stat.Version).
+				Set(node, []byte(updated), -1).
+				Create(node+"/audit-", []byte(audit), wire.FlagSequential).
 				Commit(ctxbg)
 			if err != nil {
 				t.Fatalf("multi: %v (%+v)", err, results)
@@ -67,16 +77,16 @@ func TestMultiAtomicCommit(t *testing.T) {
 			if setZxid == 0 || setZxid != createZxid {
 				t.Fatalf("sub-op zxids differ: set=%#x create=%#x", setZxid, createZxid)
 			}
-			if results[2].Path == "/cfg/audit-" || results[2].Path == "" {
+			if results[2].Path == node+"/audit-" || results[2].Path == "" {
 				t.Fatalf("sequential create path = %q", results[2].Path)
 			}
 
 			// The effects are visible and replicas converge.
-			data, _, err := cl.Get(ctxbg, "/cfg")
-			if err != nil || !bytes.Equal(data, []byte("v1")) {
+			data, _, err := cl.Get(ctxbg, node)
+			if err != nil || !bytes.Equal(data, []byte(updated)) {
 				t.Fatalf("post-multi read = %q, %v", data, err)
 			}
-			if err := cl.Sync(ctxbg, "/cfg"); err != nil {
+			if err := cl.Sync(ctxbg, node); err != nil {
 				t.Fatal(err)
 			}
 			waitForConvergedDigests(t, c)
@@ -86,9 +96,10 @@ func TestMultiAtomicCommit(t *testing.T) {
 				for i := 0; i < c.Size(); i++ {
 					snap := c.Replica(i).Tree().Snapshot()
 					for _, n := range snap.Nodes {
-						if bytes.Contains(n.Data, []byte("v1")) || bytes.Contains(n.Data, []byte("rotated")) ||
-							bytes.Contains([]byte(n.Path), []byte("cfg")) {
-							t.Fatalf("plaintext from multi visible in replica %d store (%q)", i, n.Path)
+						for _, marker := range []string{initial, updated, audit, node[1:]} {
+							if bytes.Contains(n.Data, []byte(marker)) || strings.Contains(n.Path, marker) {
+								t.Fatalf("plaintext %q from multi visible in replica %d store (%q)", marker, i, n.Path)
+							}
 						}
 					}
 				}

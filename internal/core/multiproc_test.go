@@ -442,8 +442,9 @@ func waitForCond(t *testing.T, timeout time.Duration, what string, cond func() b
 }
 
 // newTCPNodeEnsemble builds n Nodes in-process whose replicas talk
-// zab over real TCP meshes on ephemeral ports.
-func newTCPNodeEnsemble(t *testing.T, n int, v Variant) []*Node {
+// zab over real TCP meshes on ephemeral ports. tweak, if given, edits
+// each node's configuration before it starts.
+func newTCPNodeEnsemble(t *testing.T, n int, v Variant, tweak ...func(*NodeConfig)) []*Node {
 	t.Helper()
 	listeners := make([]net.Listener, n)
 	peers := make(map[zab.PeerID]string, n)
@@ -461,7 +462,7 @@ func newTCPNodeEnsemble(t *testing.T, n int, v Variant) []*Node {
 	}
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
-		node, err := NewNode(NodeConfig{
+		cfg := NodeConfig{
 			Variant:         v,
 			ID:              zab.PeerID(i + 1),
 			Topology:        VoterTopology(peers),
@@ -469,7 +470,11 @@ func newTCPNodeEnsemble(t *testing.T, n int, v Variant) []*Node {
 			StorageKey:      key,
 			TickInterval:    5 * time.Millisecond,
 			ElectionTimeout: 250 * time.Millisecond,
-		})
+		}
+		for _, f := range tweak {
+			f(&cfg)
+		}
+		node, err := NewNode(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -515,8 +520,13 @@ func TestTCPMeshServesAllVariants(t *testing.T) {
 			if _, err := cl.Set(ctxbg, "/v", []byte("y"), -1); err != nil {
 				t.Fatal(err)
 			}
-			// Every replica converges on the update.
+			// Every replica converges on the update. (A quorum of two
+			// has served the writes; the third may still be joining,
+			// and a SYNC through it fails until it follows.)
 			for i, n := range nodes {
+				if err := n.WaitForRole(15 * time.Second); err != nil {
+					t.Fatal(err)
+				}
 				ncl, err := n.Connect(client.Options{})
 				if err != nil {
 					t.Fatal(err)

@@ -37,6 +37,15 @@ func TestServeExternalOverTCP(t *testing.T) {
 // are torn down with the test.
 func dialTCPSession(t *testing.T, cluster *Cluster, i int, v Variant) *client.Client {
 	t.Helper()
+	return dialTCPServed(t, v, cluster.ReplicaPublicKey(i), func(conn transport.Conn) error {
+		return cluster.ServeExternal(i, conn)
+	})
+}
+
+// dialTCPServed is dialTCPSession against any replica: serve is handed
+// the server's end of the connection, pub is the key the client pins.
+func dialTCPServed(t *testing.T, v Variant, pub []byte, serve func(transport.Conn) error) *client.Client {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +61,7 @@ func dialTCPSession(t *testing.T, cluster *Cluster, i int, v Variant) *client.Cl
 			return
 		}
 		defer conn.Close()
-		_ = cluster.ServeExternal(i, transport.NewFramedConn(conn))
+		_ = serve(transport.NewFramedConn(conn))
 	}()
 
 	tcp, err := net.Dial("tcp", ln.Addr().String())
@@ -65,8 +74,7 @@ func dialTCPSession(t *testing.T, cluster *Cluster, i int, v Variant) *client.Cl
 		if err != nil {
 			t.Fatal(err)
 		}
-		conn, err = transport.Handshake(conn, id, true,
-			transport.VerifyExact(cluster.ReplicaPublicKey(i)))
+		conn, err = transport.Handshake(conn, id, true, transport.VerifyExact(pub))
 		if err != nil {
 			t.Fatalf("handshake: %v", err)
 		}

@@ -54,7 +54,9 @@ func getReply(t *testing.T, codec *skcrypto.Codec, xid int32, path, value string
 
 // TestEntryDrainedQueueHoldsNoPaths: an answered request's plaintext
 // path and sub-op list must not stay reachable in the trusted FIFO
-// queue's backing array, and an emptied queue lets the array go.
+// queue's backing array. An emptied queue starts over at the front of
+// its array, so a session's steady window allocates nothing, and lets an
+// array go that one long burst grew.
 func TestEntryDrainedQueueHoldsNoPaths(t *testing.T) {
 	_, entry, _, _ := testSetup(t)
 	reqs := [][]byte{
@@ -91,11 +93,27 @@ func TestEntryDrainedQueueHoldsNoPaths(t *testing.T) {
 	answer(3)
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
-	if entry.queue != nil {
-		t.Fatalf("drained queue keeps its array (len %d, cap %d)", len(entry.queue), cap(entry.queue))
+	if len(entry.queue) != 0 || entry.head != 0 {
+		t.Fatalf("drained queue does not start over: len %d, head %d", len(entry.queue), entry.head)
 	}
 	if backing[2].plainPath != "" {
 		t.Fatalf("last answered request still holds %q", backing[2].plainPath)
+	}
+	entry.mu.Unlock()
+
+	burst := make([][]byte, maxIdleQueue+1)
+	for i := range burst {
+		burst[i] = request(t, int32(10+i), wire.OpDelete, &wire.DeleteRequest{Path: "/secret/burst", Version: -1})
+	}
+	if _, err := entry.ProcessRequests(burst, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := range burst {
+		answer(int32(10 + i))
+	}
+	entry.mu.Lock()
+	if entry.queue != nil {
+		t.Fatalf("drained queue keeps the array a burst grew (cap %d)", cap(entry.queue))
 	}
 }
 
@@ -525,7 +543,7 @@ func FuzzEntryBatchUnpack(f *testing.F) {
 
 		// The real ecalls, through the enclave boundary.
 		entry.mu.Lock()
-		entry.queue = nil
+		entry.queue, entry.head = nil, 0
 		entry.mu.Unlock()
 		for _, name := range []string{EcallRequest, EcallResponse} {
 			buf := make([]byte, len(packed)+64)

@@ -93,7 +93,14 @@ type Entry struct {
 	// for its whole batch.
 	mu    sync.Mutex
 	codec *skcrypto.Codec
+	// The codec's string rewrites in the shape wire.AppendToMapping
+	// takes, bound once with the key rather than per message.
+	encryptPath, decryptPath, decryptChild func(dst []byte, s string) ([]byte, error)
+	// queue[head:] are the requests awaiting their response; the slots
+	// before head are zeroed. A drained queue starts over at the front of
+	// its array.
 	queue []pendingOp
+	head  int
 }
 
 // NewEntry instantiates an entry enclave on the runtime. The storage
@@ -139,6 +146,12 @@ func (en *Entry) installKey(key []byte) error {
 	en.mu.Lock()
 	defer en.mu.Unlock()
 	en.codec = codec
+	en.encryptPath, en.decryptPath = codec.AppendEncryptedPath, codec.AppendDecryptedPath
+	// Children are single path elements, not paths.
+	en.decryptChild = func(dst []byte, child string) ([]byte, error) {
+		plain, err := codec.DecryptChunk(child)
+		return append(dst, plain...), err
+	}
 	return nil
 }
 
@@ -211,13 +224,18 @@ const (
 	slotHeaderLen  = 8
 )
 
+// maxIdleQueue is the largest FIFO queue array a drained entry enclave
+// keeps for its next requests: a window's worth stays, what one long
+// burst grew is let go.
+const maxIdleQueue = 256
+
 // slotCap is the size of the slot the untrusted caller gives a message.
 func slotCap(msgLen int) int { return msgLen + GrowthHeadroom(msgLen) }
 
 // call runs one ecall over msgs with the §5.1 pre-sized buffer
-// contract, per slot. The oversized packed buffer is pooled; each
-// result — which the server pipeline retains in its FIFO queue — is
-// copied out exactly sized.
+// contract, per slot. The oversized packed buffer is pooled; the
+// results — which the server pipeline retains in its FIFO queue — are
+// copied out exactly sized, all of them carved from one allocation.
 func (en *Entry) call(name string, msgs, out [][]byte) ([][]byte, error) {
 	if len(msgs) == 0 {
 		return out, nil
@@ -244,11 +262,19 @@ func (en *Entry) call(name string, msgs, out [][]byte) ([][]byte, error) {
 	if n > 0 {
 		done = int(binary.BigEndian.Uint32(buf))
 	}
+	size := 0
 	off = batchHeaderLen
 	for _, m := range msgs[:done] {
-		msg := make([]byte, binary.BigEndian.Uint32(buf[off+4:]))
-		copy(msg, buf[off+slotHeaderLen:])
-		out = append(out, msg)
+		size += int(binary.BigEndian.Uint32(buf[off+4:]))
+		off += slotHeaderLen + slotCap(len(m))
+	}
+	results := make([]byte, size)
+	off = batchHeaderLen
+	for _, m := range msgs[:done] {
+		n := int(binary.BigEndian.Uint32(buf[off+4:]))
+		copy(results[:n], buf[off+slotHeaderLen:])
+		out = append(out, results[:n:n])
+		results = results[n:]
 		off += slotHeaderLen + slotCap(len(m))
 	}
 	return out, err
@@ -310,10 +336,13 @@ func eachSlot(packed []byte, transform sgx.EcallFunc) (uint32, error) {
 // towards the ZooKeeper data store, remember (xid, op) in the FIFO
 // queue, and serialize the rewritten message. Called with mu held.
 //
-// The decode is zero-copy (byte fields alias buf) and the decoded
-// request record is reused as the rewritten body: every field is either
-// forwarded or overwritten with its encrypted form, and the final
-// serialization drains all aliases before buf is overwritten.
+// The message is rewritten inside its slot, without an allocator
+// (§5.1): header and request record are decoded onto this stack — the
+// path as a copy, the payload of a CREATE or SET as an alias of the
+// slot — and the same record is then serialized over the original from
+// the slot's start, its path encrypted on the way in (AppendToMapping).
+// The payload is first moved out of the growing front's way, see
+// sealInHeadroom.
 func (en *Entry) ecRequest(buf []byte, msgLen int) (int, error) {
 	codec := en.codec
 
@@ -326,113 +355,87 @@ func (en *Entry) ecRequest(buf []byte, msgLen int) (int, error) {
 	}
 
 	pend := pendingOp{xid: hdr.Xid, op: hdr.Op}
-	var body wire.Record
+	e := wire.AppendToMapping(buf[:0], en.encryptPath)
 
 	switch hdr.Op {
 	case wire.OpCreate:
-		req := &wire.CreateRequest{}
+		var req wire.CreateRequest
 		if err := req.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: create body: %w", err)
 		}
-		sequential := req.Flags&wire.FlagSequential != 0
-		encPath, err := codec.EncryptPath(req.Path)
-		if err != nil {
+		pend.plainPath, pend.sequential = req.Path, req.Flags&wire.FlagSequential != 0
+		var err error
+		if req.Data, err = sealInHeadroom(codec, buf, req.Path, req.Data, pend.sequential); err != nil {
 			return 0, err
 		}
-		encData, err := codec.EncryptPayload(req.Path, req.Data, sequential)
-		if err != nil {
-			return 0, err
-		}
-		pend.plainPath, pend.sequential = req.Path, sequential
-		req.Path, req.Data = encPath, encData
-		body = req
+		hdr.Serialize(&e)
+		req.Serialize(&e)
 
 	case wire.OpSetData:
-		req := &wire.SetDataRequest{}
+		var req wire.SetDataRequest
 		if err := req.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: set body: %w", err)
 		}
-		encPath, err := codec.EncryptPath(req.Path)
-		if err != nil {
-			return 0, err
-		}
+		pend.plainPath = req.Path
 		// A SET rebinds the payload to the full plaintext path the
 		// client addressed (including any sequence suffix).
-		encData, err := codec.EncryptPayload(req.Path, req.Data, false)
-		if err != nil {
+		var err error
+		if req.Data, err = sealInHeadroom(codec, buf, req.Path, req.Data, false); err != nil {
 			return 0, err
 		}
-		pend.plainPath = req.Path
-		req.Path, req.Data = encPath, encData
-		body = req
+		hdr.Serialize(&e)
+		req.Serialize(&e)
 
 	case wire.OpGetData:
-		req := &wire.GetDataRequest{}
+		var req wire.GetDataRequest
 		if err := req.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: get body: %w", err)
 		}
-		encPath, err := codec.EncryptPath(req.Path)
-		if err != nil {
-			return 0, err
-		}
 		pend.plainPath = req.Path
-		req.Path = encPath
-		body = req
+		hdr.Serialize(&e)
+		req.Serialize(&e)
 
 	case wire.OpDelete:
-		req := &wire.DeleteRequest{}
+		var req wire.DeleteRequest
 		if err := req.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: delete body: %w", err)
 		}
-		encPath, err := codec.EncryptPath(req.Path)
-		if err != nil {
-			return 0, err
-		}
 		pend.plainPath = req.Path
-		req.Path = encPath
-		body = req
+		hdr.Serialize(&e)
+		req.Serialize(&e)
 
 	case wire.OpExists:
-		req := &wire.ExistsRequest{}
+		var req wire.ExistsRequest
 		if err := req.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: exists body: %w", err)
 		}
-		encPath, err := codec.EncryptPath(req.Path)
-		if err != nil {
-			return 0, err
-		}
 		pend.plainPath = req.Path
-		req.Path = encPath
-		body = req
+		hdr.Serialize(&e)
+		req.Serialize(&e)
 
 	case wire.OpGetChildren:
-		req := &wire.GetChildrenRequest{}
+		var req wire.GetChildrenRequest
 		if err := req.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: ls body: %w", err)
 		}
-		encPath, err := codec.EncryptPath(req.Path)
-		if err != nil {
-			return 0, err
-		}
 		pend.plainPath = req.Path
-		req.Path = encPath
-		body = req
+		hdr.Serialize(&e)
+		req.Serialize(&e)
 
 	case wire.OpSync:
-		req := &wire.SyncRequest{}
+		var req wire.SyncRequest
 		if err := req.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: sync body: %w", err)
 		}
-		encPath, err := codec.EncryptPath(req.Path)
-		if err != nil {
-			return 0, err
-		}
 		pend.plainPath = req.Path
-		req.Path = encPath
-		body = req
+		hdr.Serialize(&e)
+		req.Serialize(&e)
 
 	case wire.OpMulti:
-		req := &wire.MultiRequest{}
+		// A multi is decoded into copies: several payloads cannot all be
+		// staged in the one headroom.
+		d.SetZeroCopy(false)
+		var req wire.MultiRequest
 		if err := req.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: multi body: %w", err)
 		}
@@ -444,22 +447,18 @@ func (en *Entry) ecRequest(buf []byte, msgLen int) (int, error) {
 		pend.subs = make([]wire.OpCode, len(req.Ops))
 		for i := range req.Ops {
 			sop := &req.Ops[i]
-			sequential := sop.Op == wire.OpCreate && sop.Flags&wire.FlagSequential != 0
-			encPath, err := codec.EncryptPath(sop.Path)
-			if err != nil {
-				return 0, err
-			}
 			pend.subs[i] = sop.Op
 			if sop.Op == wire.OpCreate || sop.Op == wire.OpSetData {
+				sequential := sop.Op == wire.OpCreate && sop.Flags&wire.FlagSequential != 0
 				encData, err := codec.EncryptPayload(sop.Path, sop.Data, sequential)
 				if err != nil {
 					return 0, err
 				}
 				sop.Data = encData
 			}
-			sop.Path = encPath
 		}
-		body = req
+		hdr.Serialize(&e)
+		req.Serialize(&e)
 
 	case wire.OpPing, wire.OpCloseSession, wire.OpServerStats, wire.OpReconfig:
 		// No sensitive fields (membership ids and mesh addresses are
@@ -476,19 +475,40 @@ func (en *Entry) ecRequest(buf []byte, msgLen int) (int, error) {
 		return 0, fmt.Errorf("enclave: unsupported op %s: %w", hdr.Op, wire.ErrUnimplemented.Error())
 	}
 
-	en.queue = append(en.queue, pend)
-
-	n, ok := wire.MarshalPairInto(buf, &hdr, body)
-	if !ok {
-		return 0, sgx.ErrBufferOverflow
+	if err := e.Err(); err != nil {
+		return 0, err
 	}
+	n, err := fitted(&e, buf)
+	if err != nil {
+		return 0, err
+	}
+	en.queue = append(en.queue, pend)
 	return n, nil
+}
+
+// sealInHeadroom encrypts a request's payload, bound to plainPath, and
+// returns the ciphertext. payload aliases the slot (zero-copy decode)
+// and lies where the rewritten message's longer path will come to lie,
+// so it is moved first: to the end of the slot, into the headroom the
+// caller gave the message for exactly this growth, and sealed there —
+// no allocator, as Listing 1 intends. Serializing the record then moves
+// the ciphertext down behind the path. If the rewritten message fits
+// the slot, its front ends before the staged ciphertext starts; if it
+// does not fit, the encoder has left the slot and the ecall fails with
+// ErrBufferOverflow, whatever the slot then holds.
+func sealInHeadroom(codec *skcrypto.Codec, slot []byte, plainPath string, payload []byte, sequential bool) ([]byte, error) {
+	ctLen := skcrypto.EncryptedPayloadLen(len(payload))
+	if ctLen > len(slot) {
+		return nil, sgx.ErrBufferOverflow
+	}
+	return codec.EncryptPayloadInto(slot[len(slot)-ctLen:], plainPath, payload, sequential)
 }
 
 // ecResponse is the trusted response-path transformation: deserialize
 // the replica's reply, decrypt sensitive fields, verify payload↔path
 // binding, and serialize the plaintext message for the client. Called
-// with mu held.
+// with mu held. Like ecRequest it rewrites the message inside its slot;
+// a response only ever shrinks.
 func (en *Entry) ecResponse(buf []byte, msgLen int) (int, error) {
 	codec := en.codec
 
@@ -499,6 +519,7 @@ func (en *Entry) ecResponse(buf []byte, msgLen int) (int, error) {
 	if err := hdr.Deserialize(&d); err != nil {
 		return 0, fmt.Errorf("enclave: reply header: %w", err)
 	}
+	e := wire.AppendToMapping(buf[:0], en.decryptPath)
 
 	// Watch notifications bypass the FIFO queue: they carry the
 	// reserved xid and an encrypted path that must be decrypted.
@@ -507,32 +528,30 @@ func (en *Entry) ecResponse(buf []byte, msgLen int) (int, error) {
 		if err := ev.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: watch event: %w", err)
 		}
-		plain, err := codec.DecryptPath(ev.Path)
-		if err != nil {
+		hdr.Serialize(&e)
+		ev.Serialize(&e)
+		if err := e.Err(); err != nil {
 			return 0, err
 		}
-		ev.Path = plain
-		n, ok := wire.MarshalPairInto(buf, &hdr, &ev)
-		if !ok {
-			return 0, sgx.ErrBufferOverflow
-		}
-		return n, nil
+		return fitted(&e, buf)
 	}
 	if hdr.Xid == wire.PingXid {
 		return msgLen, nil
 	}
 
-	if len(en.queue) == 0 {
+	if en.head == len(en.queue) {
 		return 0, ErrNoPending
 	}
-	// The popped slot is zeroed and an emptied queue lets its array go,
-	// so the plaintext path of an answered request is not kept reachable
-	// in trusted memory.
-	pend := en.queue[0]
-	en.queue[0] = pendingOp{}
-	en.queue = en.queue[1:]
-	if len(en.queue) == 0 {
-		en.queue = nil
+	// The popped slot is zeroed, so the plaintext path of an answered
+	// request is not kept reachable in trusted memory.
+	pend := en.queue[en.head]
+	en.queue[en.head] = pendingOp{}
+	en.head++
+	if en.head == len(en.queue) {
+		en.queue, en.head = en.queue[:0], 0
+		if cap(en.queue) > maxIdleQueue {
+			en.queue = nil
+		}
 	}
 
 	if pend.xid != hdr.Xid {
@@ -543,85 +562,75 @@ func (en *Entry) ecResponse(buf []byte, msgLen int) (int, error) {
 		return msgLen, nil // error replies carry no body
 	}
 
-	var body wire.Record
 	switch pend.op {
 	case wire.OpGetData:
-		resp := &wire.GetDataResponse{}
+		var resp wire.GetDataResponse
 		if err := resp.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: get response: %w", err)
 		}
 		// resp.Data zero-copy aliases buf, which is this ecall's private
 		// scratch: decrypt it in place, no intermediate ciphertext copy.
+		// Serializing moves the plaintext down behind the header.
 		plain, err := codec.DecryptPayloadInPlace(pend.plainPath, resp.Data)
 		if err != nil {
 			// Binding or HMAC failure: report integrity violation to
 			// the client instead of tampered data (§7.1).
-			return en.integrityReply(buf, hdr)
+			return integrityReply(buf, hdr)
 		}
 		resp.Data = plain
 		// Surface the plaintext length, not the ciphertext length the
 		// untrusted store tracks (§5.2).
 		resp.Stat.DataLength = int32(len(plain))
-		body = resp
+		hdr.Serialize(&e)
+		resp.Serialize(&e)
 
 	case wire.OpCreate:
-		resp := &wire.CreateResponse{}
+		var resp wire.CreateResponse
 		if err := resp.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: create response: %w", err)
 		}
-		plain, err := codec.DecryptPath(resp.Path)
-		if err != nil {
-			return en.integrityReply(buf, hdr)
-		}
-		resp.Path = plain
-		body = resp
+		hdr.Serialize(&e)
+		resp.Serialize(&e)
 
 	case wire.OpGetChildren:
-		resp := &wire.GetChildrenResponse{}
+		var resp wire.GetChildrenResponse
 		if err := resp.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: ls response: %w", err)
 		}
-		for i, child := range resp.Children {
-			plain, err := codec.DecryptChunk(child)
-			if err != nil {
-				return en.integrityReply(buf, hdr)
-			}
-			resp.Children[i] = plain
-		}
-		body = resp
+		e = wire.AppendToMapping(buf[:0], en.decryptChild)
+		hdr.Serialize(&e)
+		resp.Serialize(&e)
 
 	case wire.OpSetData:
-		resp := &wire.SetDataResponse{}
+		var resp wire.SetDataResponse
 		if err := resp.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: set response: %w", err)
 		}
 		resp.Stat.DataLength -= int32(skcrypto.PayloadOverhead)
-		body = resp
+		hdr.Serialize(&e)
+		resp.Serialize(&e)
 
 	case wire.OpExists:
-		resp := &wire.ExistsResponse{}
+		var resp wire.ExistsResponse
 		if err := resp.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: exists response: %w", err)
 		}
 		if resp.Stat.DataLength >= int32(skcrypto.PayloadOverhead) {
 			resp.Stat.DataLength -= int32(skcrypto.PayloadOverhead)
 		}
-		body = resp
+		hdr.Serialize(&e)
+		resp.Serialize(&e)
 
 	case wire.OpSync:
-		resp := &wire.SyncResponse{}
+		var resp wire.SyncResponse
 		if err := resp.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: sync response: %w", err)
 		}
-		plain, err := codec.DecryptPath(resp.Path)
-		if err != nil {
-			return en.integrityReply(buf, hdr)
-		}
-		resp.Path = plain
-		body = resp
+		hdr.Serialize(&e)
+		resp.Serialize(&e)
 
 	case wire.OpMulti:
-		resp := &wire.MultiResponse{}
+		var resp wire.MultiResponse
 		if err := resp.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: multi response: %w", err)
 		}
@@ -631,13 +640,13 @@ func (en *Entry) ecResponse(buf []byte, msgLen int) (int, error) {
 		// must not steer a created path or a ciphertext length past the
 		// decryption/adjustment below.
 		if len(resp.Results) != len(pend.subs) {
-			return en.integrityReply(buf, hdr)
+			return integrityReply(buf, hdr)
 		}
 		for i := range resp.Results {
 			mr := &resp.Results[i]
 			subOp := pend.subs[i]
 			if mr.Op != subOp {
-				return en.integrityReply(buf, hdr)
+				return integrityReply(buf, hdr)
 			}
 			if mr.Err != wire.ErrOK {
 				continue
@@ -646,7 +655,7 @@ func (en *Entry) ecResponse(buf []byte, msgLen int) (int, error) {
 			case wire.OpCreate:
 				plain, err := codec.DecryptPath(mr.Path)
 				if err != nil {
-					return en.integrityReply(buf, hdr)
+					return integrityReply(buf, hdr)
 				}
 				mr.Path = plain
 				if mr.Stat.DataLength >= int32(skcrypto.PayloadOverhead) {
@@ -659,7 +668,10 @@ func (en *Entry) ecResponse(buf []byte, msgLen int) (int, error) {
 				}
 			}
 		}
-		body = resp
+		// Only created paths are ciphertext, and they are plaintext now.
+		e = wire.AppendTo(buf[:0])
+		hdr.Serialize(&e)
+		resp.Serialize(&e)
 
 	default:
 		// DELETE and CLOSE responses carry no body; STAT's body has no
@@ -667,23 +679,30 @@ func (en *Entry) ecResponse(buf []byte, msgLen int) (int, error) {
 		return msgLen, nil
 	}
 
-	n, ok := wire.MarshalPairInto(buf, &hdr, body)
-	if !ok {
+	if e.Err() != nil {
+		// A path or child name that does not decrypt.
+		return integrityReply(buf, hdr)
+	}
+	return fitted(&e, buf)
+}
+
+// fitted ends a rewrite: the length of the message e serialized into
+// slot, or ErrBufferOverflow if it outgrew the slot (and so left it).
+func fitted(e *wire.Encoder, slot []byte) (int, error) {
+	if e.Len() > len(slot) {
 		return 0, sgx.ErrBufferOverflow
 	}
-	return n, nil
+	return e.Len(), nil
 }
 
 // integrityReply rewrites the response into an integrity-violation
 // error so the client learns the store was tampered with, without ever
 // seeing the tampered data.
-func (en *Entry) integrityReply(buf []byte, hdr wire.ReplyHeader) (int, error) {
+func integrityReply(buf []byte, hdr wire.ReplyHeader) (int, error) {
 	hdr.Err = wire.ErrIntegrity
-	n, ok := wire.MarshalPairInto(buf, &hdr, nil)
-	if !ok {
-		return 0, sgx.ErrBufferOverflow
-	}
-	return n, nil
+	e := wire.AppendTo(buf[:0])
+	hdr.Serialize(&e)
+	return e.Len(), nil
 }
 
 // PendingDepth reports the FIFO queue length (observability; §6.5 notes
@@ -691,5 +710,5 @@ func (en *Entry) integrityReply(buf []byte, hdr wire.ReplyHeader) (int, error) {
 func (en *Entry) PendingDepth() int {
 	en.mu.Lock()
 	defer en.mu.Unlock()
-	return len(en.queue)
+	return len(en.queue) - en.head
 }

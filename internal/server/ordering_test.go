@@ -700,6 +700,13 @@ func TestConcurrentSessionsReadThroughput(t *testing.T) {
 		wg.Add(1)
 		go func(cl *client.Client, id int) {
 			defer wg.Done()
+			// A follower applies a commit after the leader has
+			// acknowledged it: SYNC is how a session gets to read what
+			// another session wrote through another replica.
+			if err := cl.Sync(ctxbg, "/tp"); err != nil {
+				t.Errorf("session %d sync: %v", id, err)
+				return
+			}
 			for n := 0; n < opsPer; n++ {
 				if id == 0 && n%10 == 0 {
 					if _, err := cl.Set(ctxbg, "/tp", []byte("w"), -1); err != nil {

@@ -67,7 +67,7 @@ type SequenceAppender func(path string, seq int32) (string, error)
 
 // PlainSequenceAppender is the vanilla behaviour.
 func PlainSequenceAppender(path string, seq int32) (string, error) {
-	return path + fmt.Sprintf("%010d", seq), nil
+	return wire.AppendSequence(path, seq), nil
 }
 
 // Config parameterizes a replica.
@@ -583,11 +583,20 @@ func (r *Replica) onForwarded(from zab.PeerID, payload []byte) {
 
 // prep validates a write and resolves it into a deterministic
 // transaction (the PrepRequestProcessor). Runs on the leader.
+//
+// This decode is where a write's bytes change owner: body still lies in
+// the session's receive chunk (or the entry enclave's burst of rewritten
+// messages), and the transaction gets its own exactly-sized Path and
+// Data, immutable from here on — commit log, WAL encoder and tree all
+// share them. Each request record is decoded by a concrete call, so it
+// and the decoder stay on this stack.
 func (r *Replica) prep(op wire.OpCode, body []byte, sessionID int64) (ztree.Txn, wire.ErrCode) {
+	var d wire.Decoder
+	d.Reset(body)
 	switch op {
 	case wire.OpCreate:
 		var req wire.CreateRequest
-		if err := wire.Unmarshal(body, &req); err != nil {
+		if req.Deserialize(&d) != nil || d.Remaining() != 0 {
 			return ztree.Txn{}, wire.ErrMarshallingError
 		}
 		if err := ztree.ValidatePath(req.Path); err != nil {
@@ -612,7 +621,7 @@ func (r *Replica) prep(op wire.OpCode, body []byte, sessionID int64) (ztree.Txn,
 
 	case wire.OpSetData:
 		var req wire.SetDataRequest
-		if err := wire.Unmarshal(body, &req); err != nil {
+		if req.Deserialize(&d) != nil || d.Remaining() != 0 {
 			return ztree.Txn{}, wire.ErrMarshallingError
 		}
 		return ztree.Txn{
@@ -625,7 +634,7 @@ func (r *Replica) prep(op wire.OpCode, body []byte, sessionID int64) (ztree.Txn,
 
 	case wire.OpDelete:
 		var req wire.DeleteRequest
-		if err := wire.Unmarshal(body, &req); err != nil {
+		if req.Deserialize(&d) != nil || d.Remaining() != 0 {
 			return ztree.Txn{}, wire.ErrMarshallingError
 		}
 		return ztree.Txn{
@@ -637,14 +646,14 @@ func (r *Replica) prep(op wire.OpCode, body []byte, sessionID int64) (ztree.Txn,
 
 	case wire.OpSync:
 		var req wire.SyncRequest
-		if err := wire.Unmarshal(body, &req); err != nil {
+		if req.Deserialize(&d) != nil || d.Remaining() != 0 {
 			return ztree.Txn{}, wire.ErrMarshallingError
 		}
 		return ztree.Txn{Type: ztree.TxnSync, Path: req.Path, Session: sessionID}, wire.ErrOK
 
 	case wire.OpMulti:
 		var req wire.MultiRequest
-		if err := wire.Unmarshal(body, &req); err != nil {
+		if req.Deserialize(&d) != nil || d.Remaining() != 0 {
 			return ztree.Txn{}, wire.ErrMarshallingError
 		}
 		return r.prepMulti(&req, sessionID)
@@ -654,7 +663,7 @@ func (r *Replica) prep(op wire.OpCode, body []byte, sessionID int64) (ztree.Txn,
 
 	case wire.OpReconfig:
 		var req wire.ReconfigRequest
-		if err := wire.Unmarshal(body, &req); err != nil {
+		if req.Deserialize(&d) != nil || d.Remaining() != 0 {
 			return ztree.Txn{}, wire.ErrMarshallingError
 		}
 		action, err := zab.ParseReconfigAction(req.Action)
@@ -771,7 +780,7 @@ func (r *Replica) deliver(c zab.Committed) {
 	}
 	if r.persister == nil {
 		if sess != nil {
-			sess.writeDone(entry, r.buildWriteResponse(&c.Txn, entry.op, c.Origin.Xid, res), false)
+			sess.writeDone(entry, r.buildWriteResponse(&c.Txn, entry.op, c.Origin.Xid, &res), false)
 		}
 		return
 	}
@@ -779,7 +788,7 @@ func (r *Replica) deliver(c zab.Committed) {
 	// this goroutine); the fsync callback only releases it.
 	var resp []byte
 	if sess != nil {
-		resp = r.buildWriteResponse(&c.Txn, entry.op, c.Origin.Xid, res)
+		resp = r.buildWriteResponse(&c.Txn, entry.op, c.Origin.Xid, &res)
 	}
 	r.persister.Record(&c.Txn, func(err error) {
 		if err != nil {
@@ -903,34 +912,43 @@ func (r *Replica) onRoleChange(role zab.Role, leader zab.PeerID) {
 // per-op results must echo each sub-op's code even when the whole
 // transaction aborted.
 func (r *Replica) buildWriteResponse(txn *ztree.Txn, op wire.OpCode, xid int32, res *ztree.TxnResult) []byte {
-	hdr := wire.ReplyHeader{Xid: xid, Zxid: res.Zxid, Err: res.Err}
-	if op == wire.OpMulti {
+	e := beginReply(xid, res.Zxid, res.Err)
+	switch {
+	case op == wire.OpMulti:
 		// Multi replies carry their per-op result body even on abort:
 		// the header's error is the failing sub-op's code and the body
 		// tells the client which sub-op failed.
-		return wire.MarshalPair(&hdr, buildMultiResponse(txn, res))
-	}
-	if res.Err != wire.ErrOK {
-		return wire.MarshalPair(&hdr, nil)
-	}
-	switch op {
-	case wire.OpCreate:
-		return wire.MarshalPair(&hdr, &wire.CreateResponse{Path: res.Path})
-	case wire.OpSetData:
-		resp := &wire.SetDataResponse{}
-		if res.Stat != nil {
-			resp.Stat = *res.Stat
-		}
-		return wire.MarshalPair(&hdr, resp)
-	case wire.OpSync:
-		return wire.MarshalPair(&hdr, &wire.SyncResponse{Path: res.Path})
-	case wire.OpReconfig:
+		buildMultiResponse(txn, res).Serialize(e)
+	case res.Err != wire.ErrOK:
+		// Error replies carry no body.
+	case op == wire.OpCreate:
+		resp := wire.CreateResponse{Path: res.Path}
+		resp.Serialize(e)
+	case op == wire.OpSetData:
+		resp := wire.SetDataResponse{Stat: res.Stat}
+		resp.Serialize(e)
+	case op == wire.OpSync:
+		resp := wire.SyncResponse{Path: res.Path}
+		resp.Serialize(e)
+	case op == wire.OpReconfig:
 		// The zab layer applied the membership change before handing the
 		// commit down, so this reads the post-change ensemble.
-		return wire.MarshalPair(&hdr, &wire.ReconfigResponse{Zxid: res.Zxid, Ensemble: r.ensembleString()})
-	default: // DELETE, CLOSE
-		return wire.MarshalPair(&hdr, nil)
+		resp := wire.ReconfigResponse{Zxid: res.Zxid, Ensemble: r.ensembleString()}
+		resp.Serialize(e)
 	}
+	// DELETE and CLOSE replies are the header alone.
+	return wire.Detach(e)
+}
+
+// beginReply starts a reply message: a pooled encoder holding the
+// header. The caller serializes the body, if the reply has one, with a
+// concrete call — header and body records then stay on the stack — and
+// ends with wire.Detach.
+func beginReply(xid int32, zxid int64, code wire.ErrCode) *wire.Encoder {
+	hdr := wire.ReplyHeader{Xid: xid, Zxid: zxid, Err: code}
+	e := wire.GetEncoder()
+	hdr.Serialize(e)
+	return e
 }
 
 // ensembleString renders the live membership for admin responses, e.g.
@@ -984,9 +1002,7 @@ func buildMultiResponse(txn *ztree.Txn, res *ztree.TxnResult) *wire.MultiRespons
 			if mr.Op == wire.OpCreate {
 				mr.Path = sr.Path
 			}
-			if sr.Stat != nil {
-				mr.Stat = *sr.Stat
-			}
+			mr.Stat = sr.Stat
 		}
 		out.Results[i] = mr
 	}
@@ -1007,10 +1023,12 @@ func buildMultiResponse(txn *ztree.Txn, res *ztree.TxnResult) *wire.MultiRespons
 func (r *Replica) handleRead(s *session, entry *inflightReq) []byte {
 	r.readOps.Add(1)
 	zxid := r.peer.LastCommitted()
+	var d wire.Decoder
+	d.Reset(entry.body)
 	switch entry.op {
 	case wire.OpGetData:
 		var req wire.GetDataRequest
-		if err := wire.Unmarshal(entry.body, &req); err != nil {
+		if req.Deserialize(&d) != nil || d.Remaining() != 0 {
 			return errorReply(entry.xid, zxid, wire.ErrMarshallingError)
 		}
 		// Reference read: the payload is serialized into the reply right
@@ -1025,12 +1043,14 @@ func (r *Replica) handleRead(s *session, entry *inflightReq) []byte {
 		if req.Watch {
 			r.tree.Watches().Add(req.Path, wire.WatchData, s)
 		}
-		hdr := wire.ReplyHeader{Xid: entry.xid, Zxid: zxid, Err: wire.ErrOK}
-		return wire.MarshalPair(&hdr, &wire.GetDataResponse{Data: data, Stat: *stat})
+		e := beginReply(entry.xid, zxid, wire.ErrOK)
+		resp := wire.GetDataResponse{Data: data, Stat: stat}
+		resp.Serialize(e)
+		return wire.Detach(e)
 
 	case wire.OpExists:
 		var req wire.ExistsRequest
-		if err := wire.Unmarshal(entry.body, &req); err != nil {
+		if req.Deserialize(&d) != nil || d.Remaining() != 0 {
 			return errorReply(entry.xid, zxid, wire.ErrMarshallingError)
 		}
 		stat, err := r.tree.Exists(req.Path)
@@ -1044,12 +1064,14 @@ func (r *Replica) handleRead(s *session, entry *inflightReq) []byte {
 		if err != nil {
 			return errorReply(entry.xid, zxid, errCodeOf(err))
 		}
-		hdr := wire.ReplyHeader{Xid: entry.xid, Zxid: zxid, Err: wire.ErrOK}
-		return wire.MarshalPair(&hdr, &wire.ExistsResponse{Stat: *stat})
+		e := beginReply(entry.xid, zxid, wire.ErrOK)
+		resp := wire.ExistsResponse{Stat: *stat}
+		resp.Serialize(e)
+		return wire.Detach(e)
 
 	case wire.OpGetChildren:
 		var req wire.GetChildrenRequest
-		if err := wire.Unmarshal(entry.body, &req); err != nil {
+		if req.Deserialize(&d) != nil || d.Remaining() != 0 {
 			return errorReply(entry.xid, zxid, wire.ErrMarshallingError)
 		}
 		children, err := r.tree.GetChildren(req.Path)
@@ -1059,12 +1081,13 @@ func (r *Replica) handleRead(s *session, entry *inflightReq) []byte {
 		if req.Watch {
 			r.tree.Watches().Add(req.Path, wire.WatchChild, s)
 		}
-		hdr := wire.ReplyHeader{Xid: entry.xid, Zxid: zxid, Err: wire.ErrOK}
-		return wire.MarshalPair(&hdr, &wire.GetChildrenResponse{Children: children})
+		e := beginReply(entry.xid, zxid, wire.ErrOK)
+		resp := wire.GetChildrenResponse{Children: children}
+		resp.Serialize(e)
+		return wire.Detach(e)
 
 	case wire.OpPing:
-		hdr := wire.ReplyHeader{Xid: wire.PingXid, Zxid: zxid, Err: wire.ErrOK}
-		return wire.MarshalPair(&hdr, nil)
+		return errorReply(wire.PingXid, zxid, wire.ErrOK)
 
 	case wire.OpServerStats:
 		r.mu.Lock()
@@ -1086,8 +1109,8 @@ func (r *Replica) handleRead(s *session, entry *inflightReq) []byte {
 				kvs[i] = wire.KV{Key: kv.Key, Value: kv.Value}
 			}
 		}
-		hdr := wire.ReplyHeader{Xid: entry.xid, Zxid: zxid, Err: wire.ErrOK}
-		return wire.MarshalPair(&hdr, &wire.ServerStatsResponse{
+		e := beginReply(entry.xid, zxid, wire.ErrOK)
+		resp := wire.ServerStatsResponse{
 			Role:          r.peer.Role().String(),
 			Leader:        int64(r.peer.Leader()),
 			Zxid:          zxid,
@@ -1098,16 +1121,18 @@ func (r *Replica) handleRead(s *session, entry *inflightReq) []byte {
 			CommitLag:     lag,
 			Ensemble:      r.ensembleString(),
 			Metrics:       kvs,
-		})
+		}
+		resp.Serialize(e)
+		return wire.Detach(e)
 
 	default:
 		return errorReply(entry.xid, zxid, wire.ErrUnimplemented)
 	}
 }
 
+// errorReply renders a reply that is its header alone.
 func errorReply(xid int32, zxid int64, code wire.ErrCode) []byte {
-	hdr := wire.ReplyHeader{Xid: xid, Zxid: zxid, Err: code}
-	return wire.MarshalPair(&hdr, nil)
+	return wire.Detach(beginReply(xid, zxid, code))
 }
 
 func errCodeOf(err error) wire.ErrCode {
@@ -1132,20 +1157,14 @@ func encodeForward(op wire.OpCode, body []byte, origin zab.Origin) []byte {
 	writeOrigin(e, origin)
 	e.WriteInt32(int32(op))
 	e.WriteBuffer(body)
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	wire.PutEncoder(e)
-	return out
+	return wire.Detach(e)
 }
 
 func encodeReject(origin zab.Origin) []byte {
 	e := wire.GetEncoder()
 	_ = e.WriteByte(fwdReject)
 	writeOrigin(e, origin)
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	wire.PutEncoder(e)
-	return out
+	return wire.Detach(e)
 }
 
 func writeOrigin(e *wire.Encoder, origin zab.Origin) {
@@ -1154,8 +1173,13 @@ func writeOrigin(e *wire.Encoder, origin zab.Origin) {
 	e.WriteInt32(origin.Xid)
 }
 
+// decodeForward parses a tunneled message. The request body it returns
+// aliases buf: the mesh decoded the APP payload into memory the message
+// owns, and prep copies out of it what the transaction keeps.
 func decodeForward(buf []byte) (byte, wire.OpCode, []byte, zab.Origin, error) {
-	d := wire.NewDecoder(buf)
+	var d wire.Decoder
+	d.Reset(buf)
+	d.SetZeroCopy(true)
 	var origin zab.Origin
 	kind, err := d.ReadByte()
 	if err != nil {

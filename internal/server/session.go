@@ -163,8 +163,9 @@ func (s *session) reader() error {
 // (it closed, or this was its CloseSession).
 func (s *session) submit(msg []byte) (stop bool, err error) {
 	var hdr wire.RequestHeader
-	d := wire.NewDecoder(msg)
-	if err := hdr.Deserialize(d); err != nil {
+	var d wire.Decoder
+	d.Reset(msg)
+	if err := hdr.Deserialize(&d); err != nil {
 		return false, fmt.Errorf("server: session %d header: %w", s.id, err)
 	}
 	entry := &inflightReq{xid: hdr.Xid, op: hdr.Op, body: msg[d.Offset():]}
@@ -347,8 +348,9 @@ func (s *session) gatherDue(due [][]byte) (_ [][]byte, closing bool) {
 	for size < transport.BatchBytes && !closing {
 		select {
 		case ev := <-s.events:
-			hdr := wire.ReplyHeader{Xid: wire.WatcherEventXid, Err: wire.ErrOK}
-			msg := wire.MarshalPair(&hdr, &ev)
+			e := beginReply(wire.WatcherEventXid, 0, wire.ErrOK)
+			ev.Serialize(e)
+			msg := wire.Detach(e)
 			due = append(due, msg)
 			size += len(msg)
 		default:

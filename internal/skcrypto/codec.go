@@ -30,6 +30,8 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+
+	"securekeeper/internal/wire"
 )
 
 // KeySize is the AES-GCM-128 key length used for storage encryption.
@@ -46,8 +48,8 @@ const (
 	// IV + binding hash + flag byte + GCM tag.
 	PayloadOverhead = ivSize + hashSize + seqFlagSize + tagSize
 	// SeqDigits is the width of the sequence suffix ZooKeeper appends
-	// to sequential node names (%010d).
-	SeqDigits = 10
+	// to sequential node names.
+	SeqDigits = wire.SeqDigits
 )
 
 // Codec errors.
@@ -204,24 +206,33 @@ func (c *Codec) encryptChunkCached(prefix, chunk string) string {
 	return enc
 }
 
-// maxInlineChunks bounds the stack-allocated chunk list; deeper paths
-// fall back to a heap slice.
-const maxInlineChunks = 16
+// pathScratch sizes the stack buffer EncryptPath and DecryptPath
+// assemble their result in; longer paths grow onto the heap.
+const pathScratch = 256
 
 // EncryptPath encrypts every element of an absolute plaintext path,
 // preserving the hierarchy. EncryptPath("/") returns "/". Cached chunks
 // make re-encryption of known paths allocation-free except for the
 // result string itself.
 func (c *Codec) EncryptPath(plain string) (string, error) {
+	var scratch [pathScratch]byte
+	enc, err := c.AppendEncryptedPath(scratch[:0], plain)
+	if err != nil {
+		return "", err
+	}
+	return string(enc), nil
+}
+
+// AppendEncryptedPath appends EncryptPath(plain) to dst, for a caller
+// that already owns the memory the ciphertext path goes to (the entry
+// enclave rewriting a message inside its ecall slot).
+func (c *Codec) AppendEncryptedPath(dst []byte, plain string) ([]byte, error) {
 	if plain == "" || plain[0] != '/' {
-		return "", fmt.Errorf("%w: %q is not absolute", ErrMalformedPath, plain)
+		return dst, fmt.Errorf("%w: %q is not absolute", ErrMalformedPath, plain)
 	}
 	if plain == "/" {
-		return "/", nil
+		return append(dst, '/'), nil
 	}
-	var inline [maxInlineChunks]string
-	chunks := inline[:0]
-	total := 0
 	for start := 1; start <= len(plain); {
 		end := strings.IndexByte(plain[start:], '/')
 		if end < 0 {
@@ -230,35 +241,36 @@ func (c *Codec) EncryptPath(plain string) (string, error) {
 			end += start
 		}
 		if end == start {
-			return "", fmt.Errorf("%w: empty element in %q", ErrMalformedPath, plain)
+			return dst, fmt.Errorf("%w: empty element in %q", ErrMalformedPath, plain)
 		}
 		// The prefix is a sub-slice of the input — no per-chunk string
 		// concatenation; the cache clones keys it keeps.
-		enc := c.encryptChunkCached(plain[:end], plain[start:end])
-		chunks = append(chunks, enc)
-		total += 1 + len(enc)
+		dst = append(dst, '/')
+		dst = append(dst, c.encryptChunkCached(plain[:end], plain[start:end])...)
 		start = end + 1
 	}
-	var sb strings.Builder
-	sb.Grow(total)
-	for _, enc := range chunks {
-		sb.WriteByte('/')
-		sb.WriteString(enc)
-	}
-	return sb.String(), nil
+	return dst, nil
 }
 
 // DecryptPath reverses EncryptPath.
 func (c *Codec) DecryptPath(enc string) (string, error) {
+	var scratch [pathScratch]byte
+	plain, err := c.AppendDecryptedPath(scratch[:0], enc)
+	if err != nil {
+		return "", err
+	}
+	return string(plain), nil
+}
+
+// AppendDecryptedPath appends DecryptPath(enc) to dst. The plaintext is
+// never longer than enc.
+func (c *Codec) AppendDecryptedPath(dst []byte, enc string) ([]byte, error) {
 	if enc == "" || enc[0] != '/' {
-		return "", fmt.Errorf("%w: %q is not absolute", ErrMalformedPath, enc)
+		return dst, fmt.Errorf("%w: %q is not absolute", ErrMalformedPath, enc)
 	}
 	if enc == "/" {
-		return "/", nil
+		return append(dst, '/'), nil
 	}
-	var inline [maxInlineChunks]string
-	chunks := inline[:0]
-	total := 0
 	for start := 1; start <= len(enc); {
 		end := strings.IndexByte(enc[start:], '/')
 		if end < 0 {
@@ -268,19 +280,13 @@ func (c *Codec) DecryptPath(enc string) (string, error) {
 		}
 		plain, err := c.DecryptChunk(enc[start:end])
 		if err != nil {
-			return "", err
+			return dst, err
 		}
-		chunks = append(chunks, plain)
-		total += 1 + len(plain)
+		dst = append(dst, '/')
+		dst = append(dst, plain...)
 		start = end + 1
 	}
-	var sb strings.Builder
-	sb.Grow(total)
-	for _, plain := range chunks {
-		sb.WriteByte('/')
-		sb.WriteString(plain)
-	}
-	return sb.String(), nil
+	return dst, nil
 }
 
 // AppendSequenceToPath implements the counter enclave's data processing
@@ -293,13 +299,7 @@ func (c *Codec) AppendSequenceToPath(encPath string, seq int32) (string, error) 
 	if err != nil {
 		return "", err
 	}
-	return c.EncryptPath(AppendSequence(plain, seq))
-}
-
-// AppendSequence appends the zero-padded sequence number to a plaintext
-// path, matching ZooKeeper's "%010d" convention.
-func AppendSequence(plain string, seq int32) string {
-	return fmt.Sprintf("%s%010d", plain, seq)
+	return c.EncryptPath(wire.AppendSequence(plain, seq))
 }
 
 // StripSequence removes a trailing sequence suffix from a plaintext
@@ -333,29 +333,38 @@ func pathBindingHash(dst *[hashSize]byte, plainPath string) {
 // nodes the binding hash covers the path *without* the sequence number
 // (the entry enclave encrypts before the counter enclave appends it,
 // §4.4), and the marker byte records that choice for verification.
-// The ciphertext is produced in a single exactly-sized allocation: the
-// plaintext is assembled after the IV and sealed in place.
+// The ciphertext is a single exactly-sized allocation.
 func (c *Codec) EncryptPayload(plainPath string, payload []byte, sequential bool) ([]byte, error) {
-	innerLen := len(payload) + hashSize + seqFlagSize
-	out := make([]byte, ivSize+innerLen, EncryptedPayloadLen(len(payload)))
-	iv := out[:ivSize]
+	return c.EncryptPayloadInto(make([]byte, EncryptedPayloadLen(len(payload))), plainPath, payload, sequential)
+}
+
+// EncryptPayloadInto is EncryptPayload for a caller that owns the
+// memory the ciphertext goes to: dst, EncryptedPayloadLen(len(payload))
+// bytes. dst may overlap payload — the payload is first moved to where
+// it is sealed in place, which destroys it. The mirror image of
+// DecryptPayloadInPlace.
+func (c *Codec) EncryptPayloadInto(dst []byte, plainPath string, payload []byte, sequential bool) ([]byte, error) {
+	if len(dst) != EncryptedPayloadLen(len(payload)) {
+		return nil, ErrShortPayload
+	}
+	inner := dst[ivSize : len(dst)-tagSize]
+	copy(inner, payload)
+	iv := dst[:ivSize]
 	if _, err := rand.Read(iv); err != nil {
 		return nil, fmt.Errorf("skcrypto: payload iv: %w", err)
 	}
-	inner := out[ivSize:]
-	copy(inner, payload)
 	var bind [hashSize]byte
 	pathBindingHash(&bind, plainPath)
 	copy(inner[len(payload):], bind[:])
 	if sequential {
-		inner[innerLen-1] = 1
+		inner[len(inner)-1] = 1
 	} else {
-		inner[innerLen-1] = 0
+		inner[len(inner)-1] = 0
 	}
 	// In-place seal: dst inner[:0] reuses the plaintext's storage, and
-	// out's capacity already covers the GCM tag.
-	ct := c.aead.Seal(inner[:0], iv, inner, payloadAAD)
-	return out[:ivSize+len(ct)], nil
+	// dst's last tagSize bytes take the GCM tag.
+	c.aead.Seal(inner[:0], iv, inner, payloadAAD)
+	return dst, nil
 }
 
 // DecryptPayload decrypts a stored payload and verifies its binding to

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"securekeeper/internal/wire"
 )
 
 func testCodec(t *testing.T) *Codec {
@@ -231,7 +233,7 @@ func TestSequentialPayloadBinding(t *testing.T) {
 }
 
 func TestSequenceHelpers(t *testing.T) {
-	p := AppendSequence("/locks/c-", 7)
+	p := wire.AppendSequence("/locks/c-", 7)
 	if p != "/locks/c-0000000007" {
 		t.Fatalf("AppendSequence = %q", p)
 	}
@@ -341,7 +343,7 @@ func TestQuickPayloadRoundTrip(t *testing.T) {
 		}
 		check := path
 		if seq {
-			check = AppendSequence(path, 1)
+			check = wire.AppendSequence(path, 1)
 		}
 		got, err := c.DecryptPayload(check, ct)
 		if err != nil {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"securekeeper/internal/wire"
 )
 
 // fuzzCodec builds a codec from fuzz-provided key material, padding or
@@ -100,7 +102,7 @@ func FuzzPayloadRoundTrip(f *testing.F) {
 		}
 		readPath := path
 		if sequential {
-			readPath = AppendSequence(path, 42)
+			readPath = wire.AppendSequence(path, 42)
 		}
 		got, err := c.DecryptPayload(readPath, ct)
 		if err != nil {
@@ -113,7 +115,7 @@ func FuzzPayloadRoundTrip(f *testing.F) {
 		// must be rejected, never decrypted.
 		other := path + "/sibling"
 		if sequential {
-			other = AppendSequence(path+"x", 42)
+			other = wire.AppendSequence(path+"x", 42)
 		}
 		if _, err := c.DecryptPayload(other, ct); !errors.Is(err, ErrBinding) {
 			t.Fatalf("payload for %q accepted at %q: %v", path, other, err)

@@ -62,6 +62,10 @@ const (
 	// DefaultSegmentBytes is the rotation threshold when the caller
 	// does not set one.
 	DefaultSegmentBytes = 8 << 20
+
+	// maxBufRetain bounds the record buffer a log keeps between syncs;
+	// one outsized group commit does not pin its size for good.
+	maxBufRetain = 1 << 20
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -151,8 +155,8 @@ type Log struct {
 	dir          string
 	segmentBytes int64
 	file         *os.File // active segment; nil until the next Append opens one
-	size         int64
-	buf          []byte
+	size         int64    // bytes written to the active segment
+	buf          []byte   // records appended since the last write, encoded
 
 	rotations int64
 	segments  int64 // segments created by this instance
@@ -225,14 +229,18 @@ func OpenLogSegmented(dir string, segmentBytes int64) (*Log, error) {
 	return l, nil
 }
 
-// Append writes one committed transaction to the active segment,
-// rotating first if the segment is full. The record is NOT durable
-// until the next Sync returns.
+// Append adds one committed transaction to the active segment, sealing
+// it first and opening the next if it is full. The record is encoded
+// into the log's buffer and reaches the file, with everything appended
+// since, in the one write the next Sync makes: a group commit costs one
+// write, not one per record. The record is NOT durable until that Sync
+// returns.
 func (l *Log) Append(txn *ztree.Txn) error {
-	payload := wire.Marshal(txn)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.file != nil && l.size >= l.segmentBytes {
+	// What is buffered counts towards the segment's size, so segments
+	// end at the same records as if each had been written at once.
+	if l.file != nil && l.size+int64(len(l.buf)) >= l.segmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			return err
 		}
@@ -242,24 +250,46 @@ func (l *Log) Append(txn *ztree.Txn) error {
 			return err
 		}
 	}
-	l.buf = l.buf[:0]
-	l.buf = binary.BigEndian.AppendUint32(l.buf, uint32(len(payload)))
-	l.buf = binary.BigEndian.AppendUint32(l.buf, crc32.Checksum(payload, crcTable))
-	l.buf = append(l.buf, payload...)
-	if _, err := l.file.Write(l.buf); err != nil {
-		return fmt.Errorf("storage: append: %w", err)
-	}
-	l.size += int64(len(l.buf))
+	// The payload is serialized straight behind its header, which is
+	// filled in once length and checksum are known.
+	at := len(l.buf)
+	e := wire.AppendTo(append(l.buf, make([]byte, recordHeader)...))
+	txn.Serialize(&e)
+	l.buf = e.Bytes()
+	payload := l.buf[at+recordHeader:]
+	binary.BigEndian.PutUint32(l.buf[at:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(l.buf[at+4:], crc32.Checksum(payload, crcTable))
 	return nil
 }
 
-// Sync flushes the active segment to stable storage. Records in
-// already-sealed segments were fsynced at rotation time.
+// flushLocked writes the buffered records to the active segment.
+func (l *Log) flushLocked() error {
+	if len(l.buf) == 0 {
+		return nil
+	}
+	n, err := l.file.Write(l.buf)
+	l.size += int64(n)
+	if cap(l.buf) > maxBufRetain {
+		l.buf = nil
+	}
+	l.buf = l.buf[:0]
+	if err != nil {
+		return fmt.Errorf("storage: append: %w", err)
+	}
+	return nil
+}
+
+// Sync writes what Append buffered and flushes the active segment to
+// stable storage. Records in already-sealed segments were fsynced at
+// rotation time.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.file == nil {
 		return nil
+	}
+	if err := l.flushLocked(); err != nil {
+		return err
 	}
 	return l.file.Sync()
 }
@@ -276,6 +306,9 @@ func (l *Log) Rotate() error {
 func (l *Log) rotateLocked() error {
 	if l.file == nil {
 		return nil
+	}
+	if err := l.flushLocked(); err != nil {
+		return err
 	}
 	// Seal: fsync before closing, establishing the invariant replay
 	// relies on — damage in a non-final segment is never a torn write.
@@ -317,7 +350,10 @@ func (l *Log) Close() error {
 	if l.file == nil {
 		return nil
 	}
-	err := l.file.Sync()
+	err := l.flushLocked()
+	if serr := l.file.Sync(); err == nil {
+		err = serr
+	}
 	if cerr := l.file.Close(); err == nil {
 		err = cerr
 	}

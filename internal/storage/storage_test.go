@@ -1,13 +1,17 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
+	"securekeeper/internal/wire"
 	"securekeeper/internal/ztree"
 )
 
@@ -786,5 +790,145 @@ func TestDirSize(t *testing.T) {
 	size, err := DirSize(dir)
 	if err != nil || size < 1000 {
 		t.Fatalf("size = %d, %v", size, err)
+	}
+}
+
+// TestGroupCommitIsOneWrite: the records appended between two syncs
+// reach the segment in a single write — and byte for byte as the
+// records one write each used to produce, so a log written either way
+// replays the same.
+func TestGroupCommitIsOneWrite(t *testing.T) {
+	dir := t.TempDir()
+	log, err := OpenLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txns := sampleTxns(7)
+	sizeAfter := func() int64 {
+		t.Helper()
+		info, err := os.Stat(segmentPaths(t, dir)[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Size()
+	}
+	var want []byte
+	for i := range txns {
+		if err := log.Append(&txns[i]); err != nil {
+			t.Fatal(err)
+		}
+		payload := wire.Marshal(&txns[i])
+		want = binary.BigEndian.AppendUint32(want, uint32(len(payload)))
+		want = binary.BigEndian.AppendUint32(want, crc32.Checksum(payload, crcTable))
+		want = append(want, payload...)
+		if i == 2 {
+			if got := sizeAfter(); got != 0 {
+				t.Fatalf("%d bytes reached the segment before the sync", got)
+			}
+			if err := log.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if got := sizeAfter(); got != int64(len(want)) {
+				t.Fatalf("segment holds %d bytes after the first sync, want %d", got, len(want))
+			}
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(segmentPaths(t, dir)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("segment differs from the record-at-a-time encoding:\n got %x\nwant %x", got, want)
+	}
+}
+
+// TestTornGroupCommitRecoversValidPrefix cuts a segment whose last three
+// records went down in one write at every byte offset: a crash can tear
+// that write anywhere. Replay must yield exactly the records that are
+// whole, and a reopened log must continue right behind them.
+func TestTornGroupCommitRecoversValidPrefix(t *testing.T) {
+	src := t.TempDir()
+	log, err := OpenLog(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txns := sampleTxns(5)
+	var ends []int // byte offset behind each record
+	for i := range txns {
+		if err := log.Append(&txns[i]); err != nil {
+			t.Fatal(err)
+		}
+		prev := 0
+		if i > 0 {
+			prev = ends[i-1]
+		}
+		ends = append(ends, prev+recordHeader+len(wire.Marshal(&txns[i])))
+		if i == 1 { // two records durable, then a batch of three
+			if err := log.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segment := segmentPaths(t, src)[0]
+	whole, err := os.ReadFile(segment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(whole) != ends[len(ends)-1] {
+		t.Fatalf("segment is %d bytes, records end at %v", len(whole), ends)
+	}
+
+	for cut := ends[1]; cut <= len(whole); cut++ {
+		valid := 0
+		for valid < len(ends) && ends[valid] <= cut {
+			valid++
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(segment)), whole[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var zxids []int64
+		if err := ReplayLog(dir, func(txn *ztree.Txn) error {
+			zxids = append(zxids, txn.Zxid)
+			return nil
+		}); err != nil {
+			t.Fatalf("cut at %d: replay: %v", cut, err)
+		}
+		if len(zxids) != valid {
+			t.Fatalf("cut at %d: replayed %v, want the first %d records", cut, zxids, valid)
+		}
+
+		reopened, err := OpenLog(dir)
+		if err != nil {
+			t.Fatalf("cut at %d: reopen: %v", cut, err)
+		}
+		next := ztree.Txn{Zxid: 100, Type: ztree.TxnCreate, Path: "/after", Data: []byte("x")}
+		if err := reopened.Append(&next); err != nil {
+			t.Fatal(err)
+		}
+		if err := reopened.Close(); err != nil {
+			t.Fatal(err)
+		}
+		zxids = zxids[:0]
+		if err := ReplayLog(dir, func(txn *ztree.Txn) error {
+			zxids = append(zxids, txn.Zxid)
+			return nil
+		}); err != nil {
+			t.Fatalf("cut at %d: replay after reopen: %v", cut, err)
+		}
+		if len(zxids) != valid+1 || zxids[valid] != 100 {
+			t.Fatalf("cut at %d: after reopen and append replayed %v, want %d records then 100", cut, zxids, valid)
+		}
+		for i := 0; i < valid; i++ {
+			if zxids[i] != txns[i].Zxid {
+				t.Fatalf("cut at %d: record %d has zxid %d, want %d", cut, i, zxids[i], txns[i].Zxid)
+			}
+		}
 	}
 }

@@ -29,12 +29,37 @@ var (
 // big-endian, length-prefixed encoding (the jute convention).
 type Encoder struct {
 	buf []byte
+	// mapString and err serve AppendToMapping.
+	mapString func(dst []byte, s string) ([]byte, error)
+	err       error
 }
 
 // NewEncoder returns an encoder with the given initial capacity.
 func NewEncoder(capacity int) *Encoder {
 	return &Encoder{buf: make([]byte, 0, capacity)}
 }
+
+// AppendTo returns an encoder that appends to dst, for a caller that
+// serializes into memory it already owns (the entry enclave rewriting a
+// message inside its ecall slot). Bound dst's capacity to the room there
+// is and compare Len against it afterwards: past the capacity the
+// encoder moves to a fresh array like any append, and dst's is left
+// incomplete.
+func AppendTo(dst []byte) Encoder { return Encoder{buf: dst} }
+
+// AppendToMapping is AppendTo with every string field passed through m,
+// which appends what to write in the field's place to dst and returns
+// the extended slice. It lets a caller that rewrites the strings of a
+// record (the entry enclave encrypting and decrypting path names)
+// serialize the record's own layout without first building each
+// replacement string. The first error m returns is kept for Err, and
+// that field is written empty.
+func AppendToMapping(dst []byte, m func(dst []byte, s string) ([]byte, error)) Encoder {
+	return Encoder{buf: dst, mapString: m}
+}
+
+// Err returns the first error of an AppendToMapping mapping.
+func (e *Encoder) Err() error { return e.err }
 
 // Bytes returns the serialized contents. The returned slice aliases the
 // encoder's internal buffer; callers that retain it must not reuse the
@@ -119,8 +144,29 @@ func (e *Encoder) WriteRaw(v []byte) {
 
 // WriteString appends a length-prefixed UTF-8 string.
 func (e *Encoder) WriteString(v string) {
+	if e.mapString != nil {
+		e.writeMapped(v)
+		return
+	}
 	e.WriteInt32(int32(len(v)))
 	e.buf = append(e.buf, v...)
+}
+
+// writeMapped appends v's replacement under AppendToMapping: the length
+// prefix is reserved, the mapping appends behind it, and the prefix is
+// then set to what it added.
+func (e *Encoder) writeMapped(v string) {
+	at := len(e.buf)
+	e.WriteInt32(0)
+	buf, err := e.mapString(e.buf, v)
+	if err != nil {
+		if e.err == nil {
+			e.err = err
+		}
+		buf = e.buf // drop whatever the mapping had appended
+	}
+	e.buf = buf
+	binary.BigEndian.PutUint32(e.buf[at:], uint32(len(e.buf)-at-4))
 }
 
 // WriteStringVector appends a length-prefixed vector of strings.
@@ -312,14 +358,24 @@ type Record interface {
 	Deserialize(d *Decoder) error
 }
 
-// Marshal serializes a record to a fresh, exactly-sized byte slice.
-func Marshal(r Record) []byte {
-	e := GetEncoder()
-	r.Serialize(e)
+// Detach ends the use of a pooled encoder: it returns the serialized
+// contents as a fresh, exactly-sized slice the caller owns and puts the
+// encoder back. Hot paths pair it with GetEncoder and concrete
+// Serialize calls, which keep header and body records on the caller's
+// stack where Marshal and MarshalPair (interface arguments) move them
+// to the heap.
+func Detach(e *Encoder) []byte {
 	out := make([]byte, len(e.buf))
 	copy(out, e.buf)
 	PutEncoder(e)
 	return out
+}
+
+// Marshal serializes a record to a fresh, exactly-sized byte slice.
+func Marshal(r Record) []byte {
+	e := GetEncoder()
+	r.Serialize(e)
+	return Detach(e)
 }
 
 // Unmarshal deserializes a record from buf and verifies the record
@@ -345,32 +401,7 @@ func MarshalPair(header, body Record) []byte {
 	if body != nil {
 		body.Serialize(e)
 	}
-	out := make([]byte, len(e.buf))
-	copy(out, e.buf)
-	PutEncoder(e)
-	return out
-}
-
-// MarshalPairInto serializes a header/body pair into dst without
-// allocating, reporting the serialized length and whether it fit. The
-// records are serialized into a pooled scratch encoder first and copied
-// into dst afterwards, so body fields may safely alias dst (the entry
-// enclave rewrites its ecall buffer in place this way).
-func MarshalPairInto(dst []byte, header, body Record) (int, bool) {
-	e := GetEncoder()
-	if header != nil {
-		header.Serialize(e)
-	}
-	if body != nil {
-		body.Serialize(e)
-	}
-	n := len(e.buf)
-	ok := n <= len(dst)
-	if ok {
-		copy(dst, e.buf)
-	}
-	PutEncoder(e)
-	return n, ok
+	return Detach(e)
 }
 
 // ValidInt32 reports whether v fits an int32, guarding conversions in

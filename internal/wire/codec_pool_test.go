@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"testing"
 )
 
@@ -18,47 +20,54 @@ func TestEncoderPoolRoundTrip(t *testing.T) {
 	PutEncoder(e2)
 }
 
-// TestMarshalPairIntoMatchesMarshalPair: the in-place variant must
-// produce byte-identical output and report overflow instead of writing.
-func TestMarshalPairIntoMatchesMarshalPair(t *testing.T) {
-	hdr := &RequestHeader{Xid: 7, Op: OpGetData}
-	body := &GetDataRequest{Path: "/a/b", Watch: true}
-	want := MarshalPair(hdr, body)
+// TestAppendToMatchesMarshalPair: an encoder over caller memory must
+// produce byte-identical output in place, and leave the caller's array
+// for a fresh one — which Len shows — instead of writing past it.
+func TestAppendToMatchesMarshalPair(t *testing.T) {
+	hdr := RequestHeader{Xid: 7, Op: OpGetData}
+	body := GetDataRequest{Path: "/a/b", Watch: true}
+	want := MarshalPair(&hdr, &body)
 
 	buf := make([]byte, 256)
-	n, ok := MarshalPairInto(buf, hdr, body)
-	if !ok {
-		t.Fatal("MarshalPairInto reported overflow on a roomy buffer")
-	}
-	if !bytes.Equal(buf[:n], want) {
-		t.Fatalf("MarshalPairInto = %x, want %x", buf[:n], want)
+	e := AppendTo(buf[:0])
+	hdr.Serialize(&e)
+	body.Serialize(&e)
+	if e.Len() > len(buf) || !bytes.Equal(buf[:e.Len()], want) {
+		t.Fatalf("AppendTo wrote %x, want %x", buf[:e.Len()], want)
 	}
 
-	tiny := make([]byte, len(want)-1)
-	if n2, ok := MarshalPairInto(tiny, hdr, body); ok {
-		t.Fatalf("MarshalPairInto fit %d bytes into %d", n2, len(tiny))
+	tiny := make([]byte, len(want)-1, len(want)+8)
+	guard := tiny[:cap(tiny)][len(tiny):]
+	e = AppendTo(tiny[:0:len(tiny)])
+	hdr.Serialize(&e)
+	body.Serialize(&e)
+	if e.Len() <= len(tiny) {
+		t.Fatalf("AppendTo fit %d bytes into %d", e.Len(), len(tiny))
+	}
+	if !bytes.Equal(guard, make([]byte, len(guard))) {
+		t.Fatalf("AppendTo wrote past the capacity it was given: %x", guard)
 	}
 }
 
-// TestMarshalPairIntoBodyAliasingDst: body byte fields may alias dst
-// (the entry enclave rewrites its ecall buffer in place); serialization
-// must read them before overwriting.
-func TestMarshalPairIntoBodyAliasingDst(t *testing.T) {
+// TestAppendToMovesAliasedBufferDown: a byte field may alias the memory
+// being written as long as it lies behind where it is going (the entry
+// enclave serializes a GET reply's payload, decrypted in place further
+// back in the slot, over the reply it arrived in).
+func TestAppendToMovesAliasedBufferDown(t *testing.T) {
 	buf := make([]byte, 256)
-	payload := buf[10:20]
+	payload := buf[24:34] // the serialized field starts at 20 and overlaps it
 	for i := range payload {
 		payload[i] = byte('a' + i)
 	}
 	wantData := append([]byte(nil), payload...)
-	hdr := &ReplyHeader{Xid: 1, Err: ErrOK}
-	body := &GetDataResponse{Data: payload}
-	n, ok := MarshalPairInto(buf, hdr, body)
-	if !ok {
-		t.Fatal("overflow")
-	}
+	hdr := ReplyHeader{Xid: 1, Err: ErrOK}
+	body := GetDataResponse{Data: payload}
+	e := AppendTo(buf[:0])
+	hdr.Serialize(&e)
+	body.Serialize(&e)
 	var gotHdr ReplyHeader
 	var got GetDataResponse
-	d := NewDecoder(buf[:n])
+	d := NewDecoder(buf[:e.Len()])
 	if err := gotHdr.Deserialize(d); err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +76,44 @@ func TestMarshalPairIntoBodyAliasingDst(t *testing.T) {
 	}
 	if !bytes.Equal(got.Data, wantData) {
 		t.Fatalf("aliased body corrupted: %q, want %q", got.Data, wantData)
+	}
+}
+
+// TestAppendToMapping: every string field goes through the mapping, the
+// record's own layout stays, and the first error is kept with its field
+// written empty.
+func TestAppendToMapping(t *testing.T) {
+	upper := func(dst []byte, s string) ([]byte, error) {
+		if s == "bad" {
+			return append(dst, "partial"...), ErrBadArguments.Error()
+		}
+		return append(dst, bytes.ToUpper([]byte(s))...), nil
+	}
+	e := AppendToMapping(nil, upper)
+	(&GetChildrenResponse{Children: []string{"a", "bc"}}).Serialize(&e)
+	if want := Marshal(&GetChildrenResponse{Children: []string{"A", "BC"}}); !bytes.Equal(e.Bytes(), want) || e.Err() != nil {
+		t.Fatalf("mapped vector = %x (err %v), want %x", e.Bytes(), e.Err(), want)
+	}
+
+	e = AppendToMapping(nil, upper)
+	(&CreateRequest{Path: "bad", Data: []byte("d"), Flags: FlagSequential}).Serialize(&e)
+	if want := Marshal(&CreateRequest{Data: []byte("d"), Flags: FlagSequential}); !bytes.Equal(e.Bytes(), want) {
+		t.Fatalf("failed mapping wrote %x, want the field empty: %x", e.Bytes(), want)
+	}
+	if e.Err() == nil {
+		t.Fatal("mapping error lost")
+	}
+}
+
+// TestAppendSequence: the suffix is what ZooKeeper's "%010d" prints.
+func TestAppendSequence(t *testing.T) {
+	for _, seq := range []int32{0, 7, 42, 999999999, 1234567890, math.MaxInt32, -1, -42, math.MinInt32} {
+		if got, want := AppendSequence("/q/n-", seq), fmt.Sprintf("/q/n-%010d", seq); got != want {
+			t.Errorf("AppendSequence(%d) = %q, want %q", seq, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = AppendSequence("/q/n-", 42) }); n > 1 {
+		t.Errorf("AppendSequence allocates %v objects, want the result alone", n)
 	}
 }
 

@@ -6,7 +6,10 @@
 // operates on the same message shapes as the original system.
 package wire
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // OpCode identifies a client operation. Values follow the ZooKeeper
 // protocol numbering where one exists.
@@ -88,6 +91,22 @@ const (
 	FlagEphemeral  CreateFlags = 1
 	FlagSequential CreateFlags = 2
 )
+
+// SeqDigits is the width of the suffix ZooKeeper appends to the name of
+// a sequential node: the sequence number, zero-padded ("%010d").
+const SeqDigits = 10
+
+// AppendSequence appends the sequential-node suffix for seq to path.
+func AppendSequence(path string, seq int32) string {
+	var buf [SeqDigits + 1]byte
+	digits := strconv.AppendInt(buf[:0], int64(seq), 10)
+	sign := ""
+	if seq < 0 {
+		sign, digits = "-", digits[1:]
+	}
+	pad := max(0, SeqDigits-len(sign)-len(digits))
+	return path + sign + "0000000000"[:pad] + string(digits)
+}
 
 // ErrCode is a protocol-level error code carried in reply headers.
 type ErrCode int32

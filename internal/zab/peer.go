@@ -114,8 +114,8 @@ func (c *Config) withDefaults() Config {
 		out.ElectionTimeout = 120 * time.Millisecond
 	}
 	if out.MaxLogEntries <= 0 {
-		// Bounded both for the O(log) diff-sync copies and for memory:
-		// entries retain their transaction payloads. Followers that
+		// Bounded for memory: the log is a ring of this many entries,
+		// and entries retain their transaction payloads. Followers that
 		// fall further behind recover via snapshot instead.
 		out.MaxLogEntries = 20000
 	}
@@ -177,8 +177,7 @@ type Peer struct {
 	acked       map[PeerID]int64         // leader: each follower's cumulative ACK frontier
 	batch       []ProposalRecord         // leader: submissions awaiting one PROPOSE frame
 	inflight    map[int64]ProposalRecord // follower: proposals awaiting commit
-	commitLog   []ProposalRecord
-	logBase     int64 // zxid preceding commitLog[0]
+	log         commitLog                // committed history for diff syncs
 	synced      map[PeerID]struct{}
 	// obsSynced tracks observers that completed the snapshot/diff sync
 	// handshake and now receive the committed stream. Deliberately
@@ -284,6 +283,7 @@ func NewPeer(cfg Config) *Peer {
 		votes:     make(map[PeerID]vote),
 		acked:     make(map[PeerID]int64),
 		inflight:  make(map[int64]ProposalRecord),
+		log:       commitLog{recs: make([]ProposalRecord, c.MaxLogEntries)},
 		synced:    make(map[PeerID]struct{}),
 		obsSynced: make(map[PeerID]struct{}),
 		voters:    make(map[PeerID]struct{}, len(c.Peers)),
@@ -866,22 +866,10 @@ func (p *Peer) lastCommitted() int64 { return atomic.LoadInt64(&p.lastCommit) }
 // diffSince returns the committed proposals after zxid if the log still
 // holds them.
 func (p *Peer) diffSince(zxid int64) ([]ProposalRecord, bool) {
-	if zxid < p.logBase {
+	if EpochOf(zxid) != p.epoch && zxid != 0 && p.log.n == 0 {
 		return nil, false
 	}
-	if EpochOf(zxid) != p.epoch && zxid != 0 && len(p.commitLog) == 0 {
-		return nil, false
-	}
-	idx := sort.Search(len(p.commitLog), func(i int) bool {
-		return p.commitLog[i].Txn.Zxid > zxid
-	})
-	// Verify the follower's zxid is actually in our history.
-	if idx > 0 && p.commitLog[idx-1].Txn.Zxid != zxid && zxid != p.logBase {
-		return nil, false
-	}
-	out := make([]ProposalRecord, len(p.commitLog)-idx)
-	copy(out, p.commitLog[idx:])
-	return out, true
+	return p.log.since(zxid)
 }
 
 func (p *Peer) handleSync(msg Message) {
@@ -898,8 +886,7 @@ func (p *Peer) handleSync(msg Message) {
 	keep := p.ackFrontier()
 	switch msg.Kind {
 	case KindSyncSnap:
-		p.commitLog = nil
-		p.logBase = msg.Zxid
+		p.log.reset(msg.Zxid)
 		p.lastZxid = msg.Zxid
 		atomic.StoreInt64(&p.lastCommit, msg.Zxid)
 		// Restore after the position update so the application layer
@@ -1401,15 +1388,7 @@ func (p *Peer) deliver(c Committed) {
 	if c.Txn.Zxid > p.lastZxid {
 		p.lastZxid = c.Txn.Zxid
 	}
-	p.commitLog = append(p.commitLog, ProposalRecord{Txn: c.Txn, Origin: c.Origin})
-	if len(p.commitLog) > p.cfg.MaxLogEntries {
-		// Drop half the cap at once: truncating exactly to the cap
-		// would copy the whole log on every commit past it, turning
-		// the hot path O(n).
-		drop := len(p.commitLog) - p.cfg.MaxLogEntries/2
-		p.logBase = p.commitLog[drop-1].Txn.Zxid
-		p.commitLog = append([]ProposalRecord(nil), p.commitLog[drop:]...)
-	}
+	p.log.append(ProposalRecord{Txn: c.Txn, Origin: c.Origin})
 	p.statsMu.Lock()
 	p.stats.Commits++
 	p.statsMu.Unlock()

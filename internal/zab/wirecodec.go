@@ -126,9 +126,18 @@ func (m *Message) Deserialize(d *wire.Decoder) error {
 	return nil
 }
 
+// minRecordWireLen is the encoding of a proposal record with an empty
+// path, no payload and no sub-transactions: the fixed fields of the
+// transaction (44 bytes), its sub count (4) and the origin (20).
+const minRecordWireLen = 68
+
 // deserializeRecords reads a bounded, strictly-ascending proposal
 // record vector (the invariant followers rely on when replaying a
-// frame in zxid order).
+// frame in zxid order). This is where a replicated write's bytes change
+// owner on a follower: each record is decoded in place into the one
+// slice made for the frame, and its Path and Data are copied out of the
+// link's receive chunk once, exactly sized — the arrays inflight buffer,
+// commit log, WAL encoder and tree then share.
 func deserializeRecords(d *wire.Decoder, limit int, what string) ([]ProposalRecord, error) {
 	n, err := d.ReadInt32()
 	if err != nil {
@@ -140,12 +149,14 @@ func deserializeRecords(d *wire.Decoder, limit int, what string) ([]ProposalReco
 	if n == 0 {
 		return nil, nil
 	}
-	// Cap the pre-allocation: the claimed count is attacker-controlled
-	// until the records actually parse.
-	out := make([]ProposalRecord, 0, min(int(n), 4096))
+	// The claimed count is attacker-controlled until the records
+	// actually parse, so the allocation is bounded by what the bytes at
+	// hand could hold; for a well-formed frame that is the count.
+	out := make([]ProposalRecord, 0, min(int(n), d.Remaining()/minRecordWireLen))
 	var prev int64
 	for i := int32(0); i < n; i++ {
-		var rec ProposalRecord
+		out = append(out, ProposalRecord{})
+		rec := &out[i]
 		if err := rec.Deserialize(d); err != nil {
 			return nil, fmt.Errorf("zab: %s record %d: %w", what, i, err)
 		}
@@ -153,7 +164,6 @@ func deserializeRecords(d *wire.Decoder, limit int, what string) ([]ProposalReco
 			return nil, fmt.Errorf("zab: %s zxid order violated: %#x after %#x", what, rec.Txn.Zxid, prev)
 		}
 		prev = rec.Txn.Zxid
-		out = append(out, rec)
 	}
 	return out, nil
 }

@@ -435,7 +435,8 @@ func (m *Mesh) Send(to zab.PeerID, msg zab.Message) error {
 		return zab.ErrPeerUnreachable
 	}
 	msg.From = m.cfg.ID
-	return m.countEnqueue(l.enqueue(encodeFrames(&msg, m.cfg.ChunkBytes)))
+	var one [1][]byte
+	return m.countEnqueue(l.enqueue(encodeFrames(one[:0], &msg, m.cfg.ChunkBytes)))
 }
 
 // countEnqueue attributes an enqueue failure to the right counter and
@@ -467,6 +468,7 @@ func (m *Mesh) SendMany(to []zab.PeerID, msg zab.Message) error {
 	default:
 	}
 	msg.From = m.cfg.ID
+	var one [1][]byte
 	var frames [][]byte // encoded lazily: the peer list may hold no live link
 	for _, id := range to {
 		if id == m.cfg.ID {
@@ -478,7 +480,7 @@ func (m *Mesh) SendMany(to []zab.PeerID, msg zab.Message) error {
 			continue
 		}
 		if frames == nil {
-			frames = encodeFrames(&msg, m.cfg.ChunkBytes)
+			frames = encodeFrames(one[:0], &msg, m.cfg.ChunkBytes)
 		}
 		_ = m.countEnqueue(l.enqueue(frames))
 	}
@@ -1036,9 +1038,10 @@ func recvHelloSec(fc transport.Conn, signer *sgx.QuoteSigner) (zab.PeerID, bool,
 
 // encodeFrames serializes a message into one frameMsg frame, or a
 // fragment sequence when the encoding exceeds the chunk size (snapshot
-// transfers). Each returned slice is an independently owned frame
-// payload ready for the outbox.
-func encodeFrames(msg *zab.Message, chunkBytes int) [][]byte {
+// transfers), and appends the frames to dst: callers pass a one-element
+// array on their stack, which the common single frame fits. Each frame
+// is an independently owned payload ready for the outbox.
+func encodeFrames(dst [][]byte, msg *zab.Message, chunkBytes int) [][]byte {
 	e := wire.GetEncoder()
 	msg.Serialize(e)
 	body := e.Bytes()
@@ -1047,9 +1050,8 @@ func encodeFrames(msg *zab.Message, chunkBytes int) [][]byte {
 		frame = append(frame, frameMsg)
 		frame = append(frame, body...)
 		wire.PutEncoder(e)
-		return [][]byte{frame}
+		return append(dst, frame)
 	}
-	var frames [][]byte
 	for off := 0; off < len(body); off += chunkBytes {
 		end := off + chunkBytes
 		if end > len(body) {
@@ -1067,11 +1069,8 @@ func encodeFrames(msg *zab.Message, chunkBytes int) [][]byte {
 			_ = fe.WriteByte(frameFragCont)
 		}
 		fe.WriteRaw(chunk)
-		frame := make([]byte, len(fe.Bytes()))
-		copy(frame, fe.Bytes())
-		wire.PutEncoder(fe)
-		frames = append(frames, frame)
+		dst = append(dst, wire.Detach(fe))
 	}
 	wire.PutEncoder(e)
-	return frames
+	return dst
 }

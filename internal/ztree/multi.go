@@ -24,18 +24,26 @@ func (t *Tree) Check(path string, version int32) (*wire.Stat, error) {
 	if err := ValidatePath(path); err != nil {
 		return nil, err
 	}
+	stat, code := t.check(path, version)
+	if code != wire.ErrOK {
+		return nil, code.Error()
+	}
+	return &stat, nil
+}
+
+// check is Check on a validated path.
+func (t *Tree) check(path string, version int32) (wire.Stat, wire.ErrCode) {
 	s := t.shardFor(path)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n, ok := s.nodes[path]
 	if !ok {
-		return nil, wire.ErrNoNode.Error()
+		return wire.Stat{}, wire.ErrNoNode
 	}
 	if version >= 0 && version != n.stat.Version {
-		return nil, wire.ErrBadVersion.Error()
+		return wire.Stat{}, wire.ErrBadVersion
 	}
-	stat := n.stat
-	return &stat, nil
+	return n.stat, wire.ErrOK
 }
 
 // ovNode is one path's simulated state in the validation overlay.
@@ -216,8 +224,8 @@ func (t *Tree) lockForSubs(subs []Txn) func() {
 // Only the shards the sub-ops touch are locked, so a 1-path Check+Set
 // CAS contends like a plain Set rather than collapsing the sharded
 // tree into a global lock.
-func (t *Tree) applyMulti(txn *Txn) *TxnResult {
-	res := &TxnResult{Zxid: txn.Zxid, Subs: make([]TxnResult, len(txn.Subs))}
+func (t *Tree) applyMulti(txn *Txn) TxnResult {
+	res := TxnResult{Zxid: txn.Zxid, Subs: make([]TxnResult, len(txn.Subs))}
 
 	unlock := t.lockForSubs(txn.Subs)
 
@@ -248,9 +256,7 @@ func (t *Tree) applyMulti(txn *Txn) *TxnResult {
 		sr := TxnResult{Zxid: txn.Zxid, Path: sub.Path}
 		switch sub.Type {
 		case TxnCheck:
-			n := t.shardFor(sub.Path).nodes[sub.Path]
-			stat := n.stat
-			sr.Stat = &stat
+			sr.Stat = t.shardFor(sub.Path).nodes[sub.Path].stat
 		case TxnCreate:
 			parentPath, _ := SplitPath(sub.Path)
 			parent := t.shardFor(parentPath).nodes[parentPath]

@@ -8,7 +8,7 @@ import (
 	"securekeeper/internal/wire"
 )
 
-func applyOK(t *testing.T, tree *Tree, txn Txn) *TxnResult {
+func applyOK(t *testing.T, tree *Tree, txn Txn) TxnResult {
 	t.Helper()
 	res := tree.Apply(&txn)
 	if res.Err != wire.ErrOK {

@@ -21,6 +21,7 @@ package ztree
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"strings"
 	"sync"
@@ -29,7 +30,11 @@ import (
 	"securekeeper/internal/wire"
 )
 
-// node is a single znode.
+// node is a single znode. data is immutable once stored: a write
+// installs a new slice, never changes the old one in place, so readers
+// (GetDataRef, Snapshot) and the other holders of a committed
+// transaction's payload can share it without a lock. children is made
+// at the first child; most znodes are leaves.
 type node struct {
 	data     []byte
 	stat     wire.Stat
@@ -56,6 +61,10 @@ const DefaultShards = 32
 type Tree struct {
 	shards []shard
 	mask   uint64 // len(shards)-1; len is a power of two
+	// seed keys the shard hash. It is per tree: shard placement is
+	// private to a replica (Digest, which replicas compare, hashes with
+	// FNV instead).
+	seed maphash.Seed
 
 	// ephemeral indexes session id -> owned paths. It has its own lock;
 	// the ordering discipline is that ephMu may be acquired while shard
@@ -96,6 +105,7 @@ func WithShards(n int) Option {
 // New returns a tree containing only the root znode "/".
 func New(opts ...Option) *Tree {
 	t := &Tree{
+		seed:      maphash.MakeSeed(),
 		ephemeral: make(map[int64]map[string]struct{}),
 		watches:   NewWatchManager(),
 	}
@@ -106,13 +116,13 @@ func New(opts ...Option) *Tree {
 	for i := range t.shards {
 		t.shards[i].nodes = make(map[string]*node, 8)
 	}
-	t.shardFor("/").nodes["/"] = &node{children: make(map[string]struct{})}
+	t.shardFor("/").nodes["/"] = &node{}
 	return t
 }
 
 // shardIndex maps a path to its shard slot.
 func (t *Tree) shardIndex(path string) uint64 {
-	return fnv64a(path) & t.mask
+	return maphash.String(t.seed, path) & t.mask
 }
 
 func (t *Tree) shardFor(path string) *shard {
@@ -121,25 +131,29 @@ func (t *Tree) shardFor(path string) *shard {
 
 // lockPair write-locks the shards holding path a and path b in ascending
 // index order (a single lock when both hash to the same shard) and
-// returns the two shards in argument order plus an unlock function, so
-// callers do not re-hash the paths.
-func (t *Tree) lockPair(a, b string) (sa, sb *shard, unlock func()) {
+// returns the two shards in argument order, so callers do not re-hash
+// the paths. unlockPair releases them.
+func (t *Tree) lockPair(a, b string) (sa, sb *shard) {
 	i, j := t.shardIndex(a), t.shardIndex(b)
 	sa, sb = &t.shards[i], &t.shards[j]
-	if i == j {
+	switch {
+	case i == j:
 		sa.mu.Lock()
-		return sa, sb, sa.mu.Unlock
+	case i < j:
+		sa.mu.Lock()
+		sb.mu.Lock()
+	default:
+		sb.mu.Lock()
+		sa.mu.Lock()
 	}
-	lo, hi := sa, sb
-	if i > j {
-		lo, hi = sb, sa
+	return sa, sb
+}
+
+func unlockPair(sa, sb *shard) {
+	if sb != sa {
+		sb.mu.Unlock()
 	}
-	lo.mu.Lock()
-	hi.mu.Lock()
-	return sa, sb, func() {
-		hi.mu.Unlock()
-		lo.mu.Unlock()
-	}
+	sa.mu.Unlock()
 }
 
 // lockAll write-locks every shard in index order; unlockAll reverses it.
@@ -194,12 +208,16 @@ func ValidatePath(path string) error {
 	if strings.HasSuffix(path, "/") {
 		return fmt.Errorf("ztree: trailing slash in %q: %w", path, wire.ErrBadArguments.Error())
 	}
-	for _, seg := range strings.Split(path[1:], "/") {
+	for rest := path[1:]; ; {
+		seg, tail, more := strings.Cut(rest, "/")
 		if seg == "" || seg == "." || seg == ".." {
 			return fmt.Errorf("ztree: invalid segment %q in %q: %w", seg, path, wire.ErrBadArguments.Error())
 		}
+		if !more {
+			return nil
+		}
+		rest = tail
 	}
-	return nil
 }
 
 // SplitPath returns the parent path and the final segment of path.
@@ -214,48 +232,61 @@ func SplitPath(path string) (parent, name string) {
 
 // Create inserts a new znode and returns its Stat. The zxid stamps the
 // creating transaction. For ephemeral nodes, owner is the session id.
+// The payload is copied: data stays the caller's.
 func (t *Tree) Create(path string, data []byte, flags wire.CreateFlags, owner int64, zxid int64) (*wire.Stat, error) {
 	if err := ValidatePath(path); err != nil {
 		return nil, err
 	}
+	stat, code := t.create(path, cloneBytes(data), flags, owner, zxid)
+	if code != wire.ErrOK {
+		return nil, code.Error()
+	}
+	return &stat, nil
+}
+
+// create is Create on a validated path, adopting data: the node keeps
+// the slice itself, so the caller must own it and never write to it
+// again. Apply passes a committed transaction's payload, which is
+// immutable from Submit or decode on; that is how commit log, WAL
+// encoder and the trees of an in-process ensemble share one array.
+func (t *Tree) create(path string, data []byte, flags wire.CreateFlags, owner int64, zxid int64) (wire.Stat, wire.ErrCode) {
 	if path == "/" {
-		return nil, wire.ErrNodeExists.Error()
+		return wire.Stat{}, wire.ErrNodeExists
 	}
 	parentPath, _ := SplitPath(path)
 
-	parentShard, childShard, unlock := t.lockPair(parentPath, path)
+	parentShard, childShard := t.lockPair(parentPath, path)
 	parent, ok := parentShard.nodes[parentPath]
-	if !ok {
-		unlock()
-		return nil, wire.ErrNoNode.Error()
+	code := wire.ErrOK
+	switch {
+	case !ok:
+		code = wire.ErrNoNode
+	case parent.stat.EphemeralOwner != 0:
+		code = wire.ErrNoChildrenForEphemerals
+	case childShard.nodes[path] != nil:
+		code = wire.ErrNodeExists
 	}
-	if parent.stat.EphemeralOwner != 0 {
-		unlock()
-		return nil, wire.ErrNoChildrenForEphemerals.Error()
+	if code != wire.ErrOK {
+		unlockPair(parentShard, childShard)
+		return wire.Stat{}, code
 	}
-	if _, exists := childShard.nodes[path]; exists {
-		unlock()
-		return nil, wire.ErrNodeExists.Error()
-	}
-
 	stat := t.createNodeLocked(parent, path, data, flags, owner, zxid)
-	unlock()
+	unlockPair(parentShard, childShard)
 
 	t.watches.trigger(path, wire.EventNodeCreated)
 	t.watches.trigger(parentPath, wire.EventNodeChildrenChanged)
-	return stat, nil
+	return stat, wire.ErrOK
 }
 
 // createNodeLocked performs the mutation core of Create: the caller
 // has validated the operation and holds write locks covering both the
 // path's and the parent's shards. Shared by Create and the multi-op
-// apply path so the two can never drift.
-func (t *Tree) createNodeLocked(parent *node, path string, data []byte, flags wire.CreateFlags, owner, zxid int64) *wire.Stat {
+// apply path so the two can never drift. The node adopts data.
+func (t *Tree) createNodeLocked(parent *node, path string, data []byte, flags wire.CreateFlags, owner, zxid int64) wire.Stat {
 	_, name := SplitPath(path)
 	now := t.timestamp()
 	n := &node{
-		data:     cloneBytes(data),
-		children: make(map[string]struct{}),
+		data: data,
 		stat: wire.Stat{
 			Czxid:      zxid,
 			Mzxid:      zxid,
@@ -277,12 +308,18 @@ func (t *Tree) createNodeLocked(parent *node, path string, data []byte, flags wi
 		t.ephMu.Unlock()
 	}
 	t.shardFor(path).nodes[path] = n
-	parent.children[name] = struct{}{}
+	parent.addChild(name)
 	parent.stat.Cversion++
 	parent.stat.Pzxid = zxid
 	parent.stat.NumChildren = int32(len(parent.children))
-	stat := n.stat
-	return &stat
+	return n.stat
+}
+
+func (n *node) addChild(name string) {
+	if n.children == nil {
+		n.children = make(map[string]struct{})
+	}
+	n.children[name] = struct{}{}
 }
 
 // Delete removes a znode if version matches (-1 matches any) and it has
@@ -291,31 +328,37 @@ func (t *Tree) Delete(path string, version int32, zxid int64) error {
 	if err := ValidatePath(path); err != nil {
 		return err
 	}
+	return t.delete(path, version, zxid).Error()
+}
+
+// delete is Delete on a validated path.
+func (t *Tree) delete(path string, version int32, zxid int64) wire.ErrCode {
 	if path == "/" {
-		return wire.ErrBadArguments.Error()
+		return wire.ErrBadArguments
 	}
 	parentPath, _ := SplitPath(path)
 
-	_, childShard, unlock := t.lockPair(parentPath, path)
+	parentShard, childShard := t.lockPair(parentPath, path)
 	n, ok := childShard.nodes[path]
-	if !ok {
-		unlock()
-		return wire.ErrNoNode.Error()
+	code := wire.ErrOK
+	switch {
+	case !ok:
+		code = wire.ErrNoNode
+	case version != -1 && version != n.stat.Version:
+		code = wire.ErrBadVersion
+	case len(n.children) > 0:
+		code = wire.ErrNotEmpty
 	}
-	if version != -1 && version != n.stat.Version {
-		unlock()
-		return wire.ErrBadVersion.Error()
-	}
-	if len(n.children) > 0 {
-		unlock()
-		return wire.ErrNotEmpty.Error()
+	if code != wire.ErrOK {
+		unlockPair(parentShard, childShard)
+		return code
 	}
 	t.deleteNodeLocked(n, path, zxid)
-	unlock()
+	unlockPair(parentShard, childShard)
 
 	t.watches.trigger(path, wire.EventNodeDeleted)
 	t.watches.trigger(parentPath, wire.EventNodeChildrenChanged)
-	return nil
+	return wire.ErrOK
 }
 
 // deleteNodeLocked performs the mutation core of Delete: the caller
@@ -343,40 +386,49 @@ func (t *Tree) deleteNodeLocked(n *node, path string, zxid int64) {
 	}
 }
 
-// SetData replaces a znode's payload if version matches (-1 matches any).
+// SetData replaces a znode's payload if version matches (-1 matches
+// any). The payload is copied: data stays the caller's.
 func (t *Tree) SetData(path string, data []byte, version int32, zxid int64) (*wire.Stat, error) {
 	if err := ValidatePath(path); err != nil {
 		return nil, err
 	}
+	stat, code := t.setData(path, cloneBytes(data), version, zxid)
+	if code != wire.ErrOK {
+		return nil, code.Error()
+	}
+	return &stat, nil
+}
+
+// setData is SetData on a validated path, adopting data (see create).
+func (t *Tree) setData(path string, data []byte, version int32, zxid int64) (wire.Stat, wire.ErrCode) {
 	s := t.shardFor(path)
 	s.mu.Lock()
 	n, ok := s.nodes[path]
 	if !ok {
 		s.mu.Unlock()
-		return nil, wire.ErrNoNode.Error()
+		return wire.Stat{}, wire.ErrNoNode
 	}
 	if version != -1 && version != n.stat.Version {
 		s.mu.Unlock()
-		return nil, wire.ErrBadVersion.Error()
+		return wire.Stat{}, wire.ErrBadVersion
 	}
 	stat := t.setNodeLocked(n, data, zxid)
 	s.mu.Unlock()
 
 	t.watches.trigger(path, wire.EventNodeDataChanged)
-	return stat, nil
+	return stat, wire.ErrOK
 }
 
 // setNodeLocked performs the mutation core of SetData: the caller has
 // validated the operation and holds the node's shard write lock.
-// Shared by SetData and the multi-op apply path.
-func (t *Tree) setNodeLocked(n *node, data []byte, zxid int64) *wire.Stat {
-	n.data = cloneBytes(data)
+// Shared by SetData and the multi-op apply path. The node adopts data.
+func (t *Tree) setNodeLocked(n *node, data []byte, zxid int64) wire.Stat {
+	n.data = data
 	n.stat.Version++
 	n.stat.Mzxid = zxid
 	n.stat.Mtime = t.timestamp()
 	n.stat.DataLength = int32(len(data))
-	stat := n.stat
-	return &stat
+	return n.stat
 }
 
 // GetData returns a copy of the payload and the Stat.
@@ -385,29 +437,30 @@ func (t *Tree) GetData(path string) ([]byte, *wire.Stat, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return cloneBytes(data), stat, nil
+	return cloneBytes(data), &stat, nil
 }
 
-// GetDataRef returns the payload without the defensive copy. Payload
-// slices are immutable once stored (SetData installs a fresh clone
-// rather than mutating in place), so the reference stays consistent;
-// the caller must not modify it. This is the replica-internal read
-// path: the server serializes the payload into the response message
-// immediately, and that serialization is the copy at the session
-// boundary.
-func (t *Tree) GetDataRef(path string) ([]byte, *wire.Stat, error) {
+// GetDataRef returns the payload without the defensive copy, and the
+// Stat by value. Payload slices are immutable once stored (a write
+// installs a new slice rather than changing the old one in place), so
+// the reference stays consistent; the caller must not modify it. This
+// is the replica-internal read path: the server serializes the payload
+// into the response message immediately, and that serialization is the
+// copy at the session boundary.
+func (t *Tree) GetDataRef(path string) ([]byte, wire.Stat, error) {
 	if err := ValidatePath(path); err != nil {
-		return nil, nil, err
+		return nil, wire.Stat{}, err
 	}
 	s := t.shardFor(path)
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	n, ok := s.nodes[path]
 	if !ok {
-		return nil, nil, wire.ErrNoNode.Error()
+		s.mu.RUnlock()
+		return nil, wire.Stat{}, wire.ErrNoNode.Error()
 	}
-	stat := n.stat
-	return n.data, &stat, nil
+	data, stat := n.data, n.stat
+	s.mu.RUnlock()
+	return data, stat, nil
 }
 
 // Exists returns the Stat of a znode, or ErrNoNode.
@@ -561,11 +614,7 @@ func (t *Tree) Restore(snap *Snapshot) {
 	t.ephMu.Lock()
 	t.ephemeral = make(map[int64]map[string]struct{})
 	for _, sn := range snap.Nodes {
-		n := &node{
-			data:     cloneBytes(sn.Data),
-			stat:     sn.Stat,
-			children: make(map[string]struct{}),
-		}
+		n := &node{data: cloneBytes(sn.Data), stat: sn.Stat}
 		t.shardFor(sn.Path).nodes[sn.Path] = n
 		if owner := sn.Stat.EphemeralOwner; owner != 0 {
 			set, ok := t.ephemeral[owner]
@@ -579,7 +628,7 @@ func (t *Tree) Restore(snap *Snapshot) {
 	t.ephMu.Unlock()
 	rootShard := t.shardFor("/")
 	if _, ok := rootShard.nodes["/"]; !ok {
-		rootShard.nodes["/"] = &node{children: make(map[string]struct{})}
+		rootShard.nodes["/"] = &node{}
 	}
 	// Rebuild child links.
 	for i := range t.shards {
@@ -589,7 +638,7 @@ func (t *Tree) Restore(snap *Snapshot) {
 			}
 			parentPath, name := SplitPath(p)
 			if parent, ok := t.shardFor(parentPath).nodes[parentPath]; ok {
-				parent.children[name] = struct{}{}
+				parent.addChild(name)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"securekeeper/internal/wire"
@@ -299,7 +300,7 @@ func TestApplyTxns(t *testing.T) {
 		t.Fatalf("create apply = %+v", res)
 	}
 	res = tr.Apply(&Txn{Zxid: 2, Type: TxnSetData, Path: "/t", Data: []byte("b"), Version: -1})
-	if res.Err != wire.ErrOK || res.Stat == nil || res.Stat.Version != 1 {
+	if res.Err != wire.ErrOK || res.Stat.Version != 1 {
 		t.Fatalf("set apply = %+v", res)
 	}
 	res = tr.Apply(&Txn{Zxid: 3, Type: TxnSetData, Path: "/missing", Version: -1})
@@ -324,6 +325,10 @@ func TestApplyTxns(t *testing.T) {
 	}
 }
 
+// TestApplyDeterministic: two trees fed the same transactions end in
+// the same state — same Digest (the checksum replicas compare), same
+// sorted Snapshot — although each places its nodes by a shard hash
+// seeded for that tree alone.
 func TestApplyDeterministic(t *testing.T) {
 	txns := []Txn{
 		{Zxid: 1, Type: TxnCreate, Path: "/d"},
@@ -332,6 +337,18 @@ func TestApplyDeterministic(t *testing.T) {
 		{Zxid: 4, Type: TxnCreate, Path: "/d/2", Data: []byte("two"), Flags: wire.FlagEphemeral, Session: 5},
 		{Zxid: 5, Type: TxnDelete, Path: "/d/1", Version: -1},
 		{Zxid: 6, Type: TxnCloseSession, Session: 5},
+	}
+	var paths []string
+	for i := 0; i < 200; i++ {
+		p := fmt.Sprintf("/d/k%03d", i)
+		paths = append(paths, p)
+		txns = append(txns, Txn{Zxid: int64(len(txns) + 1), Type: TxnCreate, Path: p, Data: []byte(p)})
+		if i%3 == 0 {
+			txns = append(txns, Txn{Zxid: int64(len(txns) + 1), Type: TxnSetData, Path: p, Data: []byte("set"), Version: -1})
+		}
+		if i%7 == 0 {
+			txns = append(txns, Txn{Zxid: int64(len(txns) + 1), Type: TxnDelete, Path: p, Version: -1})
+		}
 	}
 	a, b := New(), New()
 	for i := range txns {
@@ -342,6 +359,18 @@ func TestApplyDeterministic(t *testing.T) {
 	}
 	if a.Digest() != b.Digest() {
 		t.Fatal("same txn sequence must produce identical trees")
+	}
+	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
+		t.Fatal("same txn sequence must produce identical snapshots")
+	}
+	moved := 0
+	for _, p := range paths {
+		if a.shardIndex(p) != b.shardIndex(p) {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatalf("two trees place all %d paths in the same shards: the shard hash is not seeded per tree", len(paths))
 	}
 }
 

@@ -161,11 +161,13 @@ func (t *Txn) Deserialize(d *wire.Decoder) error {
 	return nil
 }
 
-// TxnResult is the outcome of applying a transaction.
+// TxnResult is the outcome of applying a transaction. It travels by
+// value: Stat is meaningful when Err is ErrOK and the transaction type
+// yields one (create, set, check), zero otherwise.
 type TxnResult struct {
 	Zxid    int64
 	Err     wire.ErrCode
-	Stat    *wire.Stat
+	Stat    wire.Stat
 	Path    string   // created path for TxnCreate
 	Deleted []string // ephemeral paths removed by TxnCloseSession
 	// Subs carries one result per sub-transaction of a TxnMulti, in
@@ -177,19 +179,30 @@ type TxnResult struct {
 // Apply executes a committed transaction against the tree. Apply is
 // deterministic: given the same tree state and Txn, every replica
 // produces the same result.
-func (t *Tree) Apply(txn *Txn) *TxnResult {
-	res := &TxnResult{Zxid: txn.Zxid, Path: txn.Path}
+//
+// The tree adopts txn.Data instead of copying it: a transaction's
+// payload is exact-size, owned by the transaction and immutable from
+// Submit or decode on, the contract GetDataRef documents for stored
+// payloads. A set, delete, check, sync or error transaction allocates
+// nothing here; a create allocates the inserted node.
+func (t *Tree) Apply(txn *Txn) TxnResult {
+	res := TxnResult{Zxid: txn.Zxid, Path: txn.Path}
 	switch txn.Type {
-	case TxnCreate:
-		stat, err := t.Create(txn.Path, txn.Data, txn.Flags, txn.Session, txn.Zxid)
-		res.Err = toErrCode(err)
-		res.Stat = stat
-	case TxnDelete:
-		res.Err = toErrCode(t.Delete(txn.Path, txn.Version, txn.Zxid))
-	case TxnSetData:
-		stat, err := t.SetData(txn.Path, txn.Data, txn.Version, txn.Zxid)
-		res.Err = toErrCode(err)
-		res.Stat = stat
+	case TxnCreate, TxnDelete, TxnSetData, TxnCheck:
+		if ValidatePath(txn.Path) != nil {
+			res.Err = wire.ErrBadArguments
+			break
+		}
+		switch txn.Type {
+		case TxnCreate:
+			res.Stat, res.Err = t.create(txn.Path, txn.Data, txn.Flags, txn.Session, txn.Zxid)
+		case TxnDelete:
+			res.Err = t.delete(txn.Path, txn.Version, txn.Zxid)
+		case TxnSetData:
+			res.Stat, res.Err = t.setData(txn.Path, txn.Data, txn.Version, txn.Zxid)
+		case TxnCheck:
+			res.Stat, res.Err = t.check(txn.Path, txn.Version)
+		}
 	case TxnCloseSession:
 		res.Deleted = t.KillSession(txn.Session, txn.Zxid)
 	case TxnSync:
@@ -199,43 +212,12 @@ func (t *Tree) Apply(txn *Txn) *TxnResult {
 		// payload at delivery.
 	case TxnError:
 		res.Err = txn.Err
-	case TxnCheck:
-		stat, err := t.Check(txn.Path, txn.Version)
-		res.Err = toErrCode(err)
-		res.Stat = stat
 	case TxnMulti:
 		return t.applyMulti(txn)
 	default:
 		res.Err = wire.ErrUnimplemented
 	}
 	return res
-}
-
-func toErrCode(err error) wire.ErrCode {
-	if err == nil {
-		return wire.ErrOK
-	}
-	var pe *wire.ProtocolError
-	if asProtocolError(err, &pe) {
-		return pe.Code
-	}
-	return wire.ErrSystemError
-}
-
-func asProtocolError(err error, target **wire.ProtocolError) bool {
-	for err != nil {
-		if pe, ok := err.(*wire.ProtocolError); ok {
-			*target = pe
-			return true
-		}
-		type unwrapper interface{ Unwrap() error }
-		u, ok := err.(unwrapper)
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // String renders the txn for logs.
