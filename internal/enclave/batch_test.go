@@ -54,9 +54,7 @@ func getReply(t *testing.T, codec *skcrypto.Codec, xid int32, path, value string
 
 // TestEntryDrainedQueueHoldsNoPaths: an answered request's plaintext
 // path and sub-op list must not stay reachable in the trusted FIFO
-// queue's backing array. An emptied queue starts over at the front of
-// its array, so a session's steady window allocates nothing, and lets an
-// array go that one long burst grew.
+// queue's backing array, the last one's included when the queue empties.
 func TestEntryDrainedQueueHoldsNoPaths(t *testing.T) {
 	_, entry, _, _ := testSetup(t)
 	reqs := [][]byte{
@@ -93,27 +91,59 @@ func TestEntryDrainedQueueHoldsNoPaths(t *testing.T) {
 	answer(3)
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
-	if len(entry.queue) != 0 || entry.head != 0 {
-		t.Fatalf("drained queue does not start over: len %d, head %d", len(entry.queue), entry.head)
+	if len(entry.queue) != 0 {
+		t.Fatalf("drained queue still holds %d requests", len(entry.queue))
 	}
 	if backing[2].plainPath != "" {
 		t.Fatalf("last answered request still holds %q", backing[2].plainPath)
 	}
-	entry.mu.Unlock()
+}
 
-	burst := make([][]byte, maxIdleQueue+1)
-	for i := range burst {
-		burst[i] = request(t, int32(10+i), wire.OpDelete, &wire.DeleteRequest{Path: "/secret/burst", Version: -1})
+// TestEntryQueueStaysWithinItsWindow: the trusted FIFO queue's array is
+// bounded by the requests outstanding, not by the requests served. A
+// session that takes turns empties the queue every time and stays on
+// one slot; a session that always has requests outstanding never
+// empties it, and an array a larger window made is left behind once the
+// window is smaller.
+func TestEntryQueueStaysWithinItsWindow(t *testing.T) {
+	_, entry, _, _ := testSetup(t)
+	const pairs = 10000
+	xid, answered := int32(0), int32(0)
+	ask := func() {
+		t.Helper()
+		xid++
+		if _, err := entry.ProcessRequest(request(t, xid, wire.OpDelete, &wire.DeleteRequest{Path: "/window/key", Version: -1})); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := entry.ProcessRequests(burst, nil); err != nil {
-		t.Fatal(err)
+	answer := func() {
+		t.Helper()
+		answered++
+		if _, err := entry.ProcessResponse(wire.MarshalPair(&wire.ReplyHeader{Xid: answered, Err: wire.ErrOK}, nil)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for i := range burst {
-		answer(int32(10 + i))
-	}
-	entry.mu.Lock()
-	if entry.queue != nil {
-		t.Fatalf("drained queue keeps the array a burst grew (cap %d)", cap(entry.queue))
+	for _, standing := range []int{0, 1, 16, 300, 1} {
+		for entry.PendingDepth() < standing {
+			ask()
+		}
+		for entry.PendingDepth() > standing {
+			answer()
+		}
+		largest := 0
+		for i := 0; i < pairs; i++ {
+			ask()
+			if i >= pairs/2 {
+				entry.mu.Lock()
+				largest = max(largest, cap(entry.queue))
+				entry.mu.Unlock()
+			}
+			answer()
+		}
+		// Twice the window when append made the array, and its rounding.
+		if limit := 3 * (standing + 1); largest > limit {
+			t.Errorf("%d requests standing, %d more served one at a time: the queue has room for %d, want at most %d", standing, pairs, largest, limit)
+		}
 	}
 }
 
@@ -543,7 +573,7 @@ func FuzzEntryBatchUnpack(f *testing.F) {
 
 		// The real ecalls, through the enclave boundary.
 		entry.mu.Lock()
-		entry.queue, entry.head = nil, 0
+		entry.queue = nil
 		entry.mu.Unlock()
 		for _, name := range []string{EcallRequest, EcallResponse} {
 			buf := make([]byte, len(packed)+64)

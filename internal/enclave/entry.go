@@ -93,14 +93,10 @@ type Entry struct {
 	// for its whole batch.
 	mu    sync.Mutex
 	codec *skcrypto.Codec
-	// The codec's string rewrites in the shape wire.AppendToMapping
+	queue []pendingOp
+	// The codec's path rewrites in the shape wire.AppendToMapping
 	// takes, bound once with the key rather than per message.
 	encryptPath, decryptPath, decryptChild func(dst []byte, s string) ([]byte, error)
-	// queue[head:] are the requests awaiting their response; the slots
-	// before head are zeroed. A drained queue starts over at the front of
-	// its array.
-	queue []pendingOp
-	head  int
 }
 
 // NewEntry instantiates an entry enclave on the runtime. The storage
@@ -223,11 +219,6 @@ const (
 	batchHeaderLen = 4
 	slotHeaderLen  = 8
 )
-
-// maxIdleQueue is the largest FIFO queue array a drained entry enclave
-// keeps for its next requests: a window's worth stays, what one long
-// burst grew is let go.
-const maxIdleQueue = 256
 
 // slotCap is the size of the slot the untrusted caller gives a message.
 func slotCap(msgLen int) int { return msgLen + GrowthHeadroom(msgLen) }
@@ -539,19 +530,23 @@ func (en *Entry) ecResponse(buf []byte, msgLen int) (int, error) {
 		return msgLen, nil
 	}
 
-	if en.head == len(en.queue) {
+	if len(en.queue) == 0 {
 		return 0, ErrNoPending
 	}
 	// The popped slot is zeroed, so the plaintext path of an answered
-	// request is not kept reachable in trusted memory.
-	pend := en.queue[en.head]
-	en.queue[en.head] = pendingOp{}
-	en.head++
-	if en.head == len(en.queue) {
-		en.queue, en.head = en.queue[:0], 0
-		if cap(en.queue) > maxIdleQueue {
-			en.queue = nil
-		}
+	// request is not kept reachable in trusted memory. The queue moves up
+	// its array, and the append that finds the array used up takes only
+	// the live entries to a new one, twice their number long: the array
+	// is bounded by the requests outstanding, never by the requests
+	// served. A queue that empties stays on its last slot, so a session
+	// with one request at a time reuses that slot instead of making an
+	// array per request.
+	pend := en.queue[0]
+	en.queue[0] = pendingOp{}
+	if len(en.queue) > 1 {
+		en.queue = en.queue[1:]
+	} else {
+		en.queue = en.queue[:0]
 	}
 
 	if pend.xid != hdr.Xid {
@@ -710,5 +705,5 @@ func integrityReply(buf []byte, hdr wire.ReplyHeader) (int, error) {
 func (en *Entry) PendingDepth() int {
 	en.mu.Lock()
 	defer en.mu.Unlock()
-	return len(en.queue) - en.head
+	return len(en.queue)
 }

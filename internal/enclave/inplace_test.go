@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"securekeeper/internal/sgx"
@@ -40,7 +41,7 @@ func TestEntryRewritesRequestInEverySlotSize(t *testing.T) {
 					copy(slot, msg)
 					entry.mu.Lock()
 					n, err := entry.ecRequest(slot[:size:size], len(msg))
-					entry.queue, entry.head = entry.queue[:0], 0
+					entry.queue = nil
 					entry.mu.Unlock()
 					if errors.Is(err, sgx.ErrBufferOverflow) {
 						if fitted > 0 {
@@ -156,7 +157,8 @@ func TestEntryRoundTripAllocations(t *testing.T) {
 		}
 	}
 
-	// A burst shares the one allocation for its results.
+	// A burst shares the one allocation for its results. The queue, which
+	// emptied on one slot, grows back by doubling.
 	const burst = 16
 	reqs, rsps := make([][]byte, burst), make([][]byte, burst)
 	for i := range reqs {
@@ -172,7 +174,7 @@ func TestEntryRoundTripAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if want := float64(burst + 2); got > want {
-		t.Errorf("burst of %d sets, both ways: %v allocs, want at most %v (a path copy each, one result array per call)", burst, got, want)
+	if want := float64(burst + 2 + bits.Len(burst-1)); got > want {
+		t.Errorf("burst of %d sets, both ways: %v allocs, want at most %v (a path copy each, one result array per call, the queue's doublings)", burst, got, want)
 	}
 }

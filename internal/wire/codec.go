@@ -29,9 +29,9 @@ var (
 // big-endian, length-prefixed encoding (the jute convention).
 type Encoder struct {
 	buf []byte
-	// mapString and err serve AppendToMapping.
-	mapString func(dst []byte, s string) ([]byte, error)
-	err       error
+	// mapPath and err serve AppendToMapping.
+	mapPath func(dst []byte, s string) ([]byte, error)
+	err     error
 }
 
 // NewEncoder returns an encoder with the given initial capacity.
@@ -47,15 +47,16 @@ func NewEncoder(capacity int) *Encoder {
 // incomplete.
 func AppendTo(dst []byte) Encoder { return Encoder{buf: dst} }
 
-// AppendToMapping is AppendTo with every string field passed through m,
-// which appends what to write in the field's place to dst and returns
-// the extended slice. It lets a caller that rewrites the strings of a
-// record (the entry enclave encrypting and decrypting path names)
-// serialize the record's own layout without first building each
-// replacement string. The first error m returns is kept for Err, and
-// that field is written empty.
+// AppendToMapping is AppendTo with every path field — what a record
+// writes with WritePath, and nothing else — passed through m, which
+// appends what to write in the field's place to dst and returns the
+// extended slice. It lets a caller that rewrites the paths of a record
+// (the entry enclave encrypting and decrypting them) serialize the
+// record's own layout without first building each replacement string.
+// The first error m returns is kept for Err, and that field is written
+// empty.
 func AppendToMapping(dst []byte, m func(dst []byte, s string) ([]byte, error)) Encoder {
-	return Encoder{buf: dst, mapString: m}
+	return Encoder{buf: dst, mapPath: m}
 }
 
 // Err returns the first error of an AppendToMapping mapping.
@@ -144,21 +145,25 @@ func (e *Encoder) WriteRaw(v []byte) {
 
 // WriteString appends a length-prefixed UTF-8 string.
 func (e *Encoder) WriteString(v string) {
-	if e.mapString != nil {
-		e.writeMapped(v)
-		return
-	}
 	e.WriteInt32(int32(len(v)))
 	e.buf = append(e.buf, v...)
 }
 
-// writeMapped appends v's replacement under AppendToMapping: the length
-// prefix is reserved, the mapping appends behind it, and the prefix is
-// then set to what it added.
-func (e *Encoder) writeMapped(v string) {
+// WritePath appends a znode path, or one element of a path (a child's
+// name): a string on the wire like any other, written by the fields an
+// AppendToMapping encoder replaces. A string field that is not a path
+// (an ACL id, an address) must use WriteString, or the entry enclave
+// would encrypt it as one.
+func (e *Encoder) WritePath(v string) {
+	if e.mapPath == nil {
+		e.WriteString(v)
+		return
+	}
+	// The length prefix is reserved, the mapping appends behind it, and
+	// the prefix is then set to what it added.
 	at := len(e.buf)
 	e.WriteInt32(0)
-	buf, err := e.mapString(e.buf, v)
+	buf, err := e.mapPath(e.buf, v)
 	if err != nil {
 		if e.err == nil {
 			e.err = err

@@ -36,7 +36,7 @@ func validMultiOpCode(op OpCode) bool {
 // Serialize implements Record.
 func (o *MultiOp) Serialize(e *Encoder) {
 	e.WriteInt32(int32(o.Op))
-	e.WriteString(o.Path)
+	e.WritePath(o.Path)
 	e.WriteBuffer(o.Data)
 	e.WriteInt32(int32(o.Flags))
 	e.WriteInt32(o.Version)
@@ -115,7 +115,7 @@ type MultiOpResult struct {
 func (o *MultiOpResult) Serialize(e *Encoder) {
 	e.WriteInt32(int32(o.Op))
 	e.WriteInt32(int32(o.Err))
-	e.WriteString(o.Path)
+	e.WritePath(o.Path)
 	o.Stat.Serialize(e)
 }
 

@@ -208,7 +208,7 @@ type CreateRequest struct {
 
 // Serialize implements Record.
 func (r *CreateRequest) Serialize(e *Encoder) {
-	e.WriteString(r.Path)
+	e.WritePath(r.Path)
 	e.WriteBuffer(r.Data)
 	e.WriteInt32(int32(r.Flags))
 }
@@ -237,7 +237,7 @@ type CreateResponse struct {
 }
 
 // Serialize implements Record.
-func (r *CreateResponse) Serialize(e *Encoder) { e.WriteString(r.Path) }
+func (r *CreateResponse) Serialize(e *Encoder) { e.WritePath(r.Path) }
 
 // Deserialize implements Record.
 func (r *CreateResponse) Deserialize(d *Decoder) error {
@@ -254,7 +254,7 @@ type DeleteRequest struct {
 
 // Serialize implements Record.
 func (r *DeleteRequest) Serialize(e *Encoder) {
-	e.WriteString(r.Path)
+	e.WritePath(r.Path)
 	e.WriteInt32(r.Version)
 }
 
@@ -276,7 +276,7 @@ type ExistsRequest struct {
 
 // Serialize implements Record.
 func (r *ExistsRequest) Serialize(e *Encoder) {
-	e.WriteString(r.Path)
+	e.WritePath(r.Path)
 	e.WriteBool(r.Watch)
 }
 
@@ -309,7 +309,7 @@ type GetDataRequest struct {
 
 // Serialize implements Record.
 func (r *GetDataRequest) Serialize(e *Encoder) {
-	e.WriteString(r.Path)
+	e.WritePath(r.Path)
 	e.WriteBool(r.Watch)
 }
 
@@ -353,7 +353,7 @@ type SetDataRequest struct {
 
 // Serialize implements Record.
 func (r *SetDataRequest) Serialize(e *Encoder) {
-	e.WriteString(r.Path)
+	e.WritePath(r.Path)
 	e.WriteBuffer(r.Data)
 	e.WriteInt32(r.Version)
 }
@@ -390,7 +390,7 @@ type GetChildrenRequest struct {
 
 // Serialize implements Record.
 func (r *GetChildrenRequest) Serialize(e *Encoder) {
-	e.WriteString(r.Path)
+	e.WritePath(r.Path)
 	e.WriteBool(r.Watch)
 }
 
@@ -410,7 +410,16 @@ type GetChildrenResponse struct {
 }
 
 // Serialize implements Record.
-func (r *GetChildrenResponse) Serialize(e *Encoder) { e.WriteStringVector(r.Children) }
+func (r *GetChildrenResponse) Serialize(e *Encoder) {
+	if r.Children == nil {
+		e.WriteInt32(-1)
+		return
+	}
+	e.WriteInt32(int32(len(r.Children)))
+	for _, child := range r.Children {
+		e.WritePath(child)
+	}
+}
 
 // Deserialize implements Record.
 func (r *GetChildrenResponse) Deserialize(d *Decoder) error {
@@ -425,7 +434,7 @@ type SyncRequest struct {
 }
 
 // Serialize implements Record.
-func (r *SyncRequest) Serialize(e *Encoder) { e.WriteString(r.Path) }
+func (r *SyncRequest) Serialize(e *Encoder) { e.WritePath(r.Path) }
 
 // Deserialize implements Record.
 func (r *SyncRequest) Deserialize(d *Decoder) error {
@@ -440,7 +449,7 @@ type SyncResponse struct {
 }
 
 // Serialize implements Record.
-func (r *SyncResponse) Serialize(e *Encoder) { e.WriteString(r.Path) }
+func (r *SyncResponse) Serialize(e *Encoder) { e.WritePath(r.Path) }
 
 // Deserialize implements Record.
 func (r *SyncResponse) Deserialize(d *Decoder) error {
@@ -623,7 +632,7 @@ const PingXid int32 = -2
 func (r *WatcherEvent) Serialize(e *Encoder) {
 	e.WriteInt32(int32(r.Type))
 	e.WriteInt32(r.State)
-	e.WriteString(r.Path)
+	e.WritePath(r.Path)
 }
 
 // Deserialize implements Record.
