@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,7 +26,7 @@ func TestParseBenchOutput(t *testing.T) {
 		t.Fatalf("parsed %d benchmarks, want 3: %+v", len(got), got)
 	}
 	van := got["BenchmarkFig7Get/payload=1024/Vanilla-ZK"]
-	if van.AllocsPerOp != 17 {
+	if van.AllocsPerOp != 17 || van.BytesPerOp == nil || *van.BytesPerOp != 4140 {
 		t.Fatalf("vanilla = %+v", van)
 	}
 	// Custom metrics (propose-frames/txn) must not confuse the parser.
@@ -44,6 +45,12 @@ BenchmarkX-8 100 1800 ns/op 10 B/op 6 allocs/op
 	got := ParseBenchOutput(out)
 	if got["BenchmarkX"].AllocsPerOp != 5 {
 		t.Fatalf("kept %v allocs/op, want the lowest, 5", got["BenchmarkX"].AllocsPerOp)
+	}
+	// Each metric keeps its own lowest: the repeat with the fewest
+	// objects need not be the one with the fewest bytes.
+	got = ParseBenchOutput("BenchmarkY-8 100 1 ns/op 900 B/op 5 allocs/op\nBenchmarkY-8 100 1 ns/op 700 B/op 6 allocs/op\n")
+	if y := got["BenchmarkY"]; y.AllocsPerOp != 5 || *y.BytesPerOp != 700 {
+		t.Fatalf("kept %v allocs/op and %v B/op, want 5 and 700", y.AllocsPerOp, *y.BytesPerOp)
 	}
 }
 
@@ -100,5 +107,42 @@ func TestGateRewardsImprovement(t *testing.T) {
 	measured := map[string]Result{"BenchmarkX": {AllocsPerOp: 2}}
 	if f := Gate(baseOf(10), measured, 20); len(f) != 0 {
 		t.Fatalf("improvement flagged as failure: %v", f)
+	}
+}
+
+// TestGateFailsOnBytesRegression: an entry that names bytes_per_op gates
+// B/op as well — a receive path that goes back to a fresh chunk per
+// 32 KiB is 0 allocs/op and 1 KiB/op — with the baseline's own bytes
+// tolerance and a few bytes of slack for a late buffer growth; entries
+// without the field, and baseline files from before it existed, gate
+// allocs/op alone.
+func TestGateFailsOnBytesRegression(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "baseline.json")
+	file := `{"tolerance_pct": 20, "bytes_tolerance_pct": 10, "benchmarks": {
+		"BenchmarkReuse": {"allocs_per_op": 0, "bytes_per_op": 0},
+		"BenchmarkBatch": {"allocs_per_op": 7, "bytes_per_op": 1500},
+		"BenchmarkOther": {"allocs_per_op": 10}}}`
+	if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, err := LoadBaseline(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(reuse, batch, other int) []string {
+		return Gate(base, ParseBenchOutput(fmt.Sprintf(`
+BenchmarkReuse-8 1600 600 ns/op 0.0625 reads/frame %d B/op 0 allocs/op
+BenchmarkBatch-8 1600 2500 ns/op %d B/op 7 allocs/op
+BenchmarkOther-8 100 9000 ns/op %d B/op 10 allocs/op
+`, reuse, batch, other)), base.TolerancePct)
+	}
+	if f := run(15, 1700, 99999); len(f) != 0 {
+		t.Fatalf("within tolerance and slack, ungated entry doubled: %v", f)
+	}
+	if f := run(1024, 1500, 4000); len(f) != 1 || !strings.Contains(f[0], "BenchmarkReuse: B/op regressed") {
+		t.Fatalf("a chunk per 32 KiB on the reuse benchmark: failures = %v", f)
+	}
+	if f := run(0, 2800, 4000); len(f) != 1 || !strings.Contains(f[0], "BenchmarkBatch: B/op regressed") {
+		t.Fatalf("results copied out again on the batch benchmark: failures = %v", f)
 	}
 }

@@ -1,8 +1,11 @@
 // Command benchgate compares `go test -bench -benchmem` output against
 // a committed baseline and fails (exit 1) when a tracked benchmark's
-// allocs/op regresses beyond the tolerance. CI runs it after the bench
-// smoke step so an allocation regression blocks the merge the same way
-// a failing test does.
+// allocs/op — or, for the entries that carry "bytes_per_op", its B/op —
+// regresses beyond the tolerance. CI runs it after the bench smoke step
+// so an allocation regression blocks the merge the same way a failing
+// test does. -update keeps B/op for the entries that already gate it; a
+// benchmark starts gating bytes when "bytes_per_op" is added to its
+// entry by hand.
 //
 // Usage:
 //
@@ -45,10 +48,17 @@ func main() {
 
 	if *update {
 		base := Baseline{TolerancePct: 20, Benchmarks: measured}
-		if prev, err := LoadBaseline(*baselinePath); err == nil {
-			// Preserve the previous baseline's tolerance: -update
-			// refreshes the numbers, not the gate policy.
-			base.TolerancePct = prev.TolerancePct
+		prev, err := LoadBaseline(*baselinePath)
+		if err == nil {
+			// Preserve the previous baseline's policy: -update refreshes
+			// the numbers, not the tolerances or which entries gate B/op.
+			base.TolerancePct, base.BytesTolerancePct = prev.TolerancePct, prev.BytesTolerancePct
+		}
+		for name, m := range measured {
+			if prev == nil || prev.Benchmarks[name].BytesPerOp == nil {
+				m.BytesPerOp = nil
+				measured[name] = m
+			}
 		}
 		buf, err := json.MarshalIndent(&base, "", "  ")
 		if err != nil {
@@ -81,8 +91,12 @@ func main() {
 			continue
 		}
 		b := base.Benchmarks[name]
-		fmt.Printf("benchgate: %-60s allocs/op %5.0f -> %5.0f (%+.1f%%)\n",
+		fmt.Printf("benchgate: %-60s allocs/op %5.0f -> %5.0f (%+.1f%%)",
 			name, b.AllocsPerOp, m.AllocsPerOp, pctDelta(b.AllocsPerOp, m.AllocsPerOp))
+		if b.BytesPerOp != nil && m.BytesPerOp != nil {
+			fmt.Printf("  B/op %6.0f -> %6.0f", *b.BytesPerOp, *m.BytesPerOp)
+		}
+		fmt.Println()
 	}
 	if len(failures) > 0 {
 		for _, f := range failures {

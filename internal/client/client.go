@@ -235,14 +235,15 @@ func (c *Client) recvLoop() {
 			return
 		}
 		var hdr wire.ReplyHeader
-		d := wire.NewDecoder(frame)
-		if err := hdr.Deserialize(d); err != nil {
+		var d wire.Decoder
+		d.Reset(frame)
+		if err := hdr.Deserialize(&d); err != nil {
 			c.failAll(fmt.Errorf("%w: %v", ErrShortReply, err))
 			return
 		}
 		if hdr.Xid == wire.WatcherEventXid {
 			var ev wire.WatcherEvent
-			if err := ev.Deserialize(d); err == nil {
+			if err := ev.Deserialize(&d); err == nil {
 				c.dispatchEvent(ev)
 			}
 			continue
@@ -288,50 +289,89 @@ func (c *Client) failAll(err error) {
 	c.closeAllWatches()
 }
 
+// decodeResult turns a reply into the call's Result. body lies in the
+// connection's receive buffer, which the next receive reuses: the
+// decoder copies every field a Result keeps (a GET's Data, a CREATE's
+// Path) and nothing else is made. Each response record is decoded by a
+// concrete call, so it and the decoder stay on this stack.
 func decodeResult(op wire.OpCode, hdr wire.ReplyHeader, body []byte) Result {
 	res := Result{Op: op, Zxid: hdr.Zxid}
+	var d wire.Decoder
+	d.Reset(body)
 	if hdr.Err != wire.ErrOK {
 		res.Err = hdr.Err.Error()
 		if op == wire.OpMulti {
 			// An aborted multi still carries its per-op result body,
 			// telling the caller which sub-op failed.
 			var resp wire.MultiResponse
-			if err := wire.Unmarshal(body, &resp); err == nil {
+			if whole(&d, resp.Deserialize(&d)) == nil {
 				res.Multi = resp.Results
 			}
 		}
 		return res
 	}
-	record := wire.ResponseBody(op)
-	if record == nil {
-		return res
+	var err error
+	switch op {
+	case wire.OpCreate:
+		var resp wire.CreateResponse
+		if err = whole(&d, resp.Deserialize(&d)); err == nil {
+			res.Path = resp.Path
+		}
+	case wire.OpGetData:
+		var resp wire.GetDataResponse
+		if err = whole(&d, resp.Deserialize(&d)); err == nil {
+			res.Data, res.Stat = resp.Data, resp.Stat
+		}
+	case wire.OpSetData:
+		var resp wire.SetDataResponse
+		if err = whole(&d, resp.Deserialize(&d)); err == nil {
+			res.Stat = resp.Stat
+		}
+	case wire.OpExists:
+		var resp wire.ExistsResponse
+		if err = whole(&d, resp.Deserialize(&d)); err == nil {
+			res.Stat = resp.Stat
+		}
+	case wire.OpGetChildren:
+		var resp wire.GetChildrenResponse
+		if err = whole(&d, resp.Deserialize(&d)); err == nil {
+			res.Children = resp.Children
+		}
+	case wire.OpSync:
+		var resp wire.SyncResponse
+		if err = whole(&d, resp.Deserialize(&d)); err == nil {
+			res.Path = resp.Path
+		}
+	case wire.OpMulti:
+		var resp wire.MultiResponse
+		if err = whole(&d, resp.Deserialize(&d)); err == nil {
+			res.Multi = resp.Results
+		}
+	case wire.OpServerStats:
+		var resp wire.ServerStatsResponse
+		if err = whole(&d, resp.Deserialize(&d)); err == nil {
+			res.ServerStats = resp
+		}
+	case wire.OpReconfig:
+		var resp wire.ReconfigResponse
+		if err = whole(&d, resp.Deserialize(&d)); err == nil {
+			res.Reconfig = resp
+		}
 	}
-	if err := wire.Unmarshal(body, record); err != nil {
+	// Every other reply (DELETE, CLOSE, PING) is its header alone.
+	if err != nil {
 		res.Err = fmt.Errorf("%w: %v", ErrShortReply, err)
-		return res
-	}
-	switch resp := record.(type) {
-	case *wire.CreateResponse:
-		res.Path = resp.Path
-	case *wire.GetDataResponse:
-		res.Data = resp.Data
-		res.Stat = resp.Stat
-	case *wire.SetDataResponse:
-		res.Stat = resp.Stat
-	case *wire.ExistsResponse:
-		res.Stat = resp.Stat
-	case *wire.GetChildrenResponse:
-		res.Children = resp.Children
-	case *wire.SyncResponse:
-		res.Path = resp.Path
-	case *wire.MultiResponse:
-		res.Multi = resp.Results
-	case *wire.ServerStatsResponse:
-		res.ServerStats = *resp
-	case *wire.ReconfigResponse:
-		res.Reconfig = *resp
 	}
 	return res
+}
+
+// whole ends the decoding of a reply body: the record's own error, or
+// one for bytes left over behind it.
+func whole(d *wire.Decoder, err error) error {
+	if err == nil && d.Remaining() != 0 {
+		err = fmt.Errorf("wire: %d trailing bytes after the response record", d.Remaining())
+	}
+	return err
 }
 
 // submit sends a request and registers its future. The returned xid

@@ -41,7 +41,9 @@ func newFakePairConn(t *testing.T, opts Options) (*Client, *fakeServer) {
 		defer srv.wg.Done()
 		srv.serve()
 	}()
-	cl, err := NewSession(a, opts)
+	// The client's end overwrites every reply and event frame at its next
+	// receive: whatever a Result or a watch event keeps must be a copy.
+	cl, err := NewSession(transport.NewPoisonConn(a), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,5 +292,37 @@ func TestUnimplementedOpSurfaces(t *testing.T) {
 	cl, _ := newFakePair(t)
 	if err := cl.Sync(ctxbg, "/x"); err == nil {
 		t.Fatal("fake server answers UNIMPLEMENTED for sync")
+	}
+}
+
+// TestDecodeResultAllocations pins what a reply costs the client: the
+// fields its Result keeps past the receive buffer — a GET's Data, a
+// CREATE's Path — and nothing for the record or the decoder.
+func TestDecodeResultAllocations(t *testing.T) {
+	cases := []struct {
+		name string
+		op   wire.OpCode
+		body []byte
+		want float64
+	}{
+		{"get", wire.OpGetData, wire.Marshal(&wire.GetDataResponse{Data: make([]byte, 1024), Stat: wire.Stat{Version: 3}}), 1},
+		{"create", wire.OpCreate, wire.Marshal(&wire.CreateResponse{Path: "/app/lock-0000000007"}), 1},
+		{"set", wire.OpSetData, wire.Marshal(&wire.SetDataResponse{Stat: wire.Stat{Version: 7}}), 0},
+		{"delete", wire.OpDelete, nil, 0},
+	}
+	for _, tc := range cases {
+		var res Result
+		got := testing.AllocsPerRun(200, func() {
+			res = decodeResult(tc.op, wire.ReplyHeader{Xid: 1, Zxid: 9}, tc.body)
+		})
+		if res.Err != nil {
+			t.Fatalf("%s: %v", tc.name, res.Err)
+		}
+		if got != tc.want {
+			t.Errorf("%s reply: %v allocs, want %v", tc.name, got, tc.want)
+		}
+	}
+	if res := decodeResult(wire.OpSetData, wire.ReplyHeader{}, append(cases[2].body, 0)); !errors.Is(res.Err, ErrShortReply) {
+		t.Fatalf("trailing byte behind a SET reply: err = %v, want ErrShortReply", res.Err)
 	}
 }

@@ -109,6 +109,13 @@ type replicaHost struct {
 	// on this replica; later enclaves unseal instead (§4.5).
 	provMu           sync.Mutex
 	entryProvisioned bool
+	// entries are the host's entry enclaves, one per client connection,
+	// kept for the one thing that is read across all of them: the
+	// path-chunk cache counters. entryCache holds the counts of those
+	// already closed. Guarded by entryMu.
+	entryMu    sync.Mutex
+	entries    map[*enclave.Entry]struct{}
+	entryCache [2]skcrypto.CacheStats // enc, dec
 }
 
 // newKeyServer builds the variant's key-release administrator. A nil
@@ -150,6 +157,8 @@ func buildHost(variant Variant, ks *enclave.KeyServer, cost *sgx.CostModel, appl
 		}
 		host.runtime = sgx.NewRuntime(sgx.EPCUsableBytes, c, applyLatency)
 		registerEcallMetrics(reg, host.runtime)
+		host.entries = make(map[*enclave.Entry]struct{})
+		registerCacheMetrics(reg, "entry", host.entryCacheStats)
 		host.sealed = enclave.NewSealedKeyStore()
 		ks.TrustPlatform(host.runtime.QuoteVerificationKey())
 
@@ -161,6 +170,7 @@ func buildHost(variant Variant, ks *enclave.KeyServer, cost *sgx.CostModel, appl
 			return nil, err
 		}
 		host.counter = counter
+		registerCacheMetrics(reg, "counter", counter.CacheStats)
 		scfg.SeqAppend = counter.AppendSequence
 	}
 
@@ -211,6 +221,65 @@ func registerEcallMetrics(reg *obs.Registry, rt *sgx.Runtime) {
 	})
 }
 
+// registerCacheMetrics exposes the path-chunk cache counters of one
+// kind of enclave, per direction: enc maps a plaintext path prefix to
+// its encrypted chunk, dec an encrypted chunk back. hits/(hits+misses)
+// is the share of path crypto the cache saved; evictions against misses
+// says how much of what it holds is pushed out before anyone asks again.
+func registerCacheMetrics(reg *obs.Registry, kind string, stats func() (enc, dec skcrypto.CacheStats)) {
+	if reg == nil {
+		return
+	}
+	for i, dir := range []string{"enc", "dec"} {
+		labels := fmt.Sprintf("enclave=%q,dir=%q", kind, dir)
+		one := func() skcrypto.CacheStats {
+			enc, dec := stats()
+			if i == 0 {
+				return enc
+			}
+			return dec
+		}
+		reg.CounterFunc("skcrypto_path_cache_hits_total", labels,
+			"Path-chunk cache lookups that found their chunk.", func() int64 { return one().Hits })
+		reg.CounterFunc("skcrypto_path_cache_misses_total", labels,
+			"Path-chunk cache lookups that went on to encrypt or decrypt.", func() int64 { return one().Misses })
+		reg.CounterFunc("skcrypto_path_cache_evictions_total", labels,
+			"Chunks pushed out of a full path-chunk cache.", func() int64 { return one().Evictions })
+	}
+}
+
+// entryCacheStats sums the cache counters over the host's entry
+// enclaves, closed ones included.
+func (host *replicaHost) entryCacheStats() (enc, dec skcrypto.CacheStats) {
+	host.entryMu.Lock()
+	defer host.entryMu.Unlock()
+	sum := host.entryCache
+	for entry := range host.entries {
+		addCacheStats(&sum, entry)
+	}
+	return sum[0], sum[1]
+}
+
+func addCacheStats(sum *[2]skcrypto.CacheStats, entry *enclave.Entry) {
+	enc, dec := entry.CacheStats()
+	for i, s := range [2]skcrypto.CacheStats{enc, dec} {
+		sum[i].Hits += s.Hits
+		sum[i].Misses += s.Misses
+		sum[i].Evictions += s.Evictions
+	}
+}
+
+// closeEntry destroys a session's entry enclave, keeping its counts.
+func (host *replicaHost) closeEntry(entry *enclave.Entry) {
+	host.entryMu.Lock()
+	if _, ok := host.entries[entry]; ok {
+		delete(host.entries, entry)
+		addCacheStats(&host.entryCache, entry)
+	}
+	host.entryMu.Unlock()
+	entry.Close()
+}
+
 // hostEntryEnclave instantiates and provisions a per-client entry
 // enclave on the host's SGX runtime: the first one on a replica is
 // remote-attested by the key server; subsequent ones unseal the key
@@ -223,19 +292,20 @@ func hostEntryEnclave(ks *enclave.KeyServer, host *replicaHost) (*enclave.Entry,
 	host.provMu.Lock()
 	provisioned := host.entryProvisioned
 	host.provMu.Unlock()
-	if provisioned {
-		if err := enclave.UnsealEntry(entry, host.sealed); err == nil {
-			return entry, nil
+	if !provisioned || enclave.UnsealEntry(entry, host.sealed) != nil {
+		// First enclave here, or the sealed blob is missing or damaged:
+		// attest.
+		if err := enclave.ProvisionEntry(entry, ks, host.sealed); err != nil {
+			entry.Close()
+			return nil, err
 		}
-		// Sealed blob missing or damaged: fall back to attestation.
+		host.provMu.Lock()
+		host.entryProvisioned = true
+		host.provMu.Unlock()
 	}
-	if err := enclave.ProvisionEntry(entry, ks, host.sealed); err != nil {
-		entry.Close()
-		return nil, err
-	}
-	host.provMu.Lock()
-	host.entryProvisioned = true
-	host.provMu.Unlock()
+	host.entryMu.Lock()
+	host.entries[entry] = struct{}{}
+	host.entryMu.Unlock()
 	return entry, nil
 }
 
@@ -256,7 +326,7 @@ func serveExternalHost(variant Variant, ks *enclave.KeyServer, host *replicaHost
 		if err != nil {
 			return err
 		}
-		defer entry.Close()
+		defer host.closeEntry(entry)
 		sc, err := transport.Handshake(conn, host.identity, false, transport.VerifyAny())
 		if err != nil {
 			return err
@@ -546,7 +616,7 @@ func (c *Cluster) serveTLS(host *replicaHost, conn transport.Conn, entry *enclav
 	go func() {
 		defer c.wg.Done()
 		if entry != nil {
-			defer entry.Close()
+			defer host.closeEntry(entry)
 		}
 		sc, err := transport.Handshake(conn, host.identity, false, transport.VerifyAny())
 		if err != nil {
@@ -599,7 +669,8 @@ func (c *Cluster) ReplicaPublicKey(i int) []byte {
 // entryInterceptor adapts the entry enclave to the server's
 // interception points: one ecall per burst. The session reader is the
 // only caller of OnRequests and the releaser of OnResponses, so each
-// direction reuses its own result slice.
+// direction reuses its own result slice, as the entry reuses the packed
+// buffer the results lie in.
 type entryInterceptor struct {
 	entry       *enclave.Entry
 	reqs, resps [][]byte

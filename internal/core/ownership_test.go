@@ -7,9 +7,11 @@ package core
 // nowhere else: inflight buffer, commit log, WAL encoder and tree share
 // that one array, and over the in-process transport the trees of all
 // three replicas do. The rule is only sound if nobody ever writes to an
-// array after handing it on. This test drives pipelined writes through
-// every stack, scribbles over every buffer that is legitimately
-// someone's to reuse, and reads everything back.
+// array after handing it on — and if nobody keeps an array that was only
+// lent: a received frame is its reader's until the next receive call,
+// the caller's payload until the Async call returns. This test drives
+// pipelined writes through every stack, overwrites every buffer the
+// moment its owner may reuse it, and reads everything back.
 
 import (
 	"bytes"
@@ -28,64 +30,6 @@ import (
 	"securekeeper/internal/zab"
 	"securekeeper/internal/ztree"
 )
-
-// scribbleConn is the server's end of a client connection, handing
-// frames up the way FramedConn does — carved from a chunk it goes on
-// using — with the difference that it overwrites, on the next receive,
-// every byte of the previous chunk that is not a frame's. Frames are
-// the pipeline's to keep; a pipeline that kept more (a slice reaching
-// past its frame, a chunk's tail) reads the scribble.
-type scribbleConn struct {
-	transport.Conn
-	chunk  []byte
-	frames [][2]int // what of chunk was handed up
-}
-
-func (c *scribbleConn) RecvFrame() ([]byte, error) {
-	frame, err := c.Conn.RecvFrame()
-	if err != nil {
-		return nil, err
-	}
-	return c.relay([][]byte{frame})[0], nil
-}
-
-func (c *scribbleConn) RecvFrames(dst [][]byte) ([][]byte, error) {
-	base := len(dst)
-	dst, err := c.Conn.RecvFrames(dst)
-	if err != nil {
-		return dst, err
-	}
-	c.relay(dst[base:])
-	return dst, nil
-}
-
-// relay scribbles over what was left of the previous chunk and moves
-// frames, in place, into a new one.
-func (c *scribbleConn) relay(frames [][]byte) [][]byte {
-	at := 0
-	for _, f := range c.frames {
-		fill(c.chunk[at:f[0]])
-		at = f[1]
-	}
-	fill(c.chunk[at:])
-
-	const gap = 24
-	size := gap
-	for _, f := range frames {
-		size += len(f) + gap
-	}
-	c.chunk, c.frames = make([]byte, size), c.frames[:0]
-	fill(c.chunk)
-	at = gap
-	for i, f := range frames {
-		end := at + copy(c.chunk[at:], f)
-		fill(f) // the inner connection's frame is ours, and spent
-		frames[i] = c.chunk[at:end:end]
-		c.frames = append(c.frames, [2]int{at, end})
-		at = end + gap
-	}
-	return frames
-}
 
 func fill(b []byte) {
 	for i := range b {
@@ -123,11 +67,11 @@ func (e *ownershipEnsemble) leader(t *testing.T) int {
 
 // dial opens a session to replica i over loopback TCP — the path on
 // which requests arrive in bursts inside a shared receive chunk — with
-// the scribbling connection on the server's side.
+// a transport.PoisonConn at both ends (see dialTCPServed).
 func (e *ownershipEnsemble) dial(t *testing.T, i int, v Variant) *client.Client {
 	t.Helper()
 	return dialTCPServed(t, v, e.pub(i), func(conn transport.Conn) error {
-		return e.serve(i, &scribbleConn{Conn: conn})
+		return e.serve(i, conn)
 	})
 }
 

@@ -16,8 +16,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"securekeeper/internal/client"
+	"securekeeper/internal/wire"
 )
 
 // TestEnclaveResponseMatchingUnderPipelinedMixedOps floods a single
@@ -46,15 +48,7 @@ func TestEnclaveResponseMatchingUnderPipelinedMixedOps(t *testing.T) {
 func TestEnclaveResponseMatchingOverTCPPipelined(t *testing.T) {
 	c := newTestCluster(t, SecureKeeper)
 	cl := dialTCPSession(t, c, 0, SecureKeeper)
-	// Counters are read from the system, through the same mntr
-	// rendering `skclient mntr` prints.
-	mntr := func() map[string]int64 {
-		stats := make(map[string]int64)
-		for _, kv := range c.Obs(0).Mntr() {
-			stats[kv.Key] = kv.Value
-		}
-		return stats
-	}
+	mntr := func() map[string]int64 { return mntrOf(c, 0) }
 	ecalls := func(stats map[string]int64) int64 {
 		return stats["enclave_ecalls_total_ec_request"] + stats["enclave_ecalls_total_ec_response"]
 	}
@@ -93,6 +87,16 @@ func TestEnclaveResponseMatchingOverTCPPipelined(t *testing.T) {
 	if got := ecalls(mntr()) - pipelined; got != 2*2*serial {
 		t.Fatalf("window 1: %d entry-enclave crossings for %d ops, want one in and one out each", got, 2*serial)
 	}
+}
+
+// mntrOf reads replica i's counters from the system, through the same
+// mntr rendering `skclient mntr` prints.
+func mntrOf(c *Cluster, i int) map[string]int64 {
+	stats := make(map[string]int64)
+	for _, kv := range c.Obs(i).Mntr() {
+		stats[kv.Key] = kv.Value
+	}
+	return stats
 }
 
 // pipelinedMixedOps floods one session with rounds of one async write
@@ -209,5 +213,60 @@ func TestEnclaveMatchingManySessions(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestPathCacheCountersInMntr: the path-chunk caches of a replica's
+// entry enclaves and of its counter enclave are counted in the system's
+// own output, per enclave kind and direction, and a session's counts
+// outlive its enclave.
+func TestPathCacheCountersInMntr(t *testing.T) {
+	c := newTestCluster(t, SecureKeeper)
+	leader := c.LeaderIndex()
+	mntr := func() map[string]int64 { return mntrOf(c, leader) }
+	cl, err := c.Connect(leader, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Create(ctxbg, "/cache", []byte("v"), 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := cl.Create(ctxbg, "/cache/seq-", nil, wire.FlagSequential); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := cl.Get(ctxbg, "/cache"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := mntr()
+	for key, least := range map[string]int64{
+		"skcrypto_path_cache_misses_total_entry_enc":   2, // "cache", "seq-"
+		"skcrypto_path_cache_hits_total_entry_enc":     6, // "cache" again with every later op
+		"skcrypto_path_cache_misses_total_counter_enc": 3, // each suffixed chunk is new
+		"skcrypto_path_cache_hits_total_counter_dec":   2, // "seq-", to be suffixed again
+	} {
+		if live[key] < least {
+			t.Errorf("%s = %d with the session open, want at least %d", key, live[key], least)
+		}
+	}
+	for _, key := range []string{"skcrypto_path_cache_evictions_total_entry_enc", "skcrypto_path_cache_evictions_total_counter_dec"} {
+		if v, ok := live[key]; !ok || v != 0 {
+			t.Errorf("%s = %d (present=%v), want 0: nothing filled a cache", key, v, ok)
+		}
+	}
+
+	_ = cl.Close()
+	waitForCond(t, 5*time.Second, "the session's entry enclave to close", func() bool {
+		h := c.hosts[leader]
+		h.entryMu.Lock()
+		defer h.entryMu.Unlock()
+		return len(h.entries) == 0
+	})
+	closed := mntr()
+	for _, key := range []string{"skcrypto_path_cache_misses_total_entry_enc", "skcrypto_path_cache_hits_total_entry_enc"} {
+		if closed[key] != live[key] {
+			t.Errorf("%s = %d after the session closed, was %d", key, closed[key], live[key])
+		}
 	}
 }

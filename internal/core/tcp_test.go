@@ -44,6 +44,9 @@ func dialTCPSession(t *testing.T, cluster *Cluster, i int, v Variant) *client.Cl
 
 // dialTCPServed is dialTCPSession against any replica: serve is handed
 // the server's end of the connection, pub is the key the client pins.
+// Both ends overwrite every frame at their next receive (under the
+// secure channel, which opens its records in place), so a stage that
+// keeps bytes of a frame past its receive call reads poison.
 func dialTCPServed(t *testing.T, v Variant, pub []byte, serve func(transport.Conn) error) *client.Client {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -61,14 +64,14 @@ func dialTCPServed(t *testing.T, v Variant, pub []byte, serve func(transport.Con
 			return
 		}
 		defer conn.Close()
-		_ = serve(transport.NewFramedConn(conn))
+		_ = serve(transport.NewPoisonConn(transport.NewFramedConn(conn)))
 	}()
 
 	tcp, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var conn transport.Conn = transport.NewFramedConn(tcp)
+	var conn transport.Conn = transport.NewPoisonConn(transport.NewFramedConn(tcp))
 	if v != Vanilla {
 		id, err := transport.NewIdentity()
 		if err != nil {

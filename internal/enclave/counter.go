@@ -71,6 +71,18 @@ func (c *Counter) Provisioned() bool {
 	return c.codec != nil
 }
 
+// CacheStats reports the counters of the enclave's path-chunk caches,
+// zero until the key is provisioned.
+func (c *Counter) CacheStats() (enc, dec skcrypto.CacheStats) {
+	c.mu.Lock()
+	codec := c.codec
+	c.mu.Unlock()
+	if codec == nil {
+		return enc, dec
+	}
+	return codec.CacheStats()
+}
+
 // AppendSequence runs the counter enclave's single ecall: given the
 // storage-encrypted path of a sequential create and the sequence number
 // assigned by the (untrusted) leader, it returns the encrypted path

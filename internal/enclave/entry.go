@@ -14,6 +14,7 @@
 package enclave
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -42,7 +43,8 @@ const (
 )
 
 // Ecall names, mirroring Listing 1. The entry enclave's two take a
-// packed buffer of messages (see call), the counter enclave's one.
+// packed buffer of messages (see ecallBuf.call), the counter enclave's
+// one.
 const (
 	EcallRequest  = "ec_request"
 	EcallResponse = "ec_response"
@@ -87,6 +89,10 @@ type pendingOp struct {
 type Entry struct {
 	enclave *sgx.Enclave
 	runtime *sgx.Runtime
+
+	// Untrusted state: the packed buffer the caller keeps for each of
+	// the two ecalls, see ecallBuf.
+	requests, responses ecallBuf
 
 	// Trusted state (lives inside the ELRANGE conceptually): the
 	// storage codec and the FIFO request-type queue. An ecall holds mu
@@ -158,6 +164,19 @@ func (en *Entry) Provisioned() bool {
 	return en.codec != nil
 }
 
+// CacheStats reports the counters of the enclave's path-chunk caches,
+// zero until the key is provisioned (observability: counts leave the
+// enclave, paths and chunks do not).
+func (en *Entry) CacheStats() (enc, dec skcrypto.CacheStats) {
+	en.mu.Lock()
+	codec := en.codec
+	en.mu.Unlock()
+	if codec == nil {
+		return enc, dec
+	}
+	return codec.CacheStats()
+}
+
 // GrowthHeadroom returns the extra buffer capacity the untrusted caller
 // must pre-allocate before an ecall so the enclave can grow the message
 // in place (§5.1): room for per-chunk path expansion, the payload
@@ -172,37 +191,39 @@ func GrowthHeadroom(msgLen int) int {
 // The outcome is what len(msgs) single calls would have produced: if
 // the enclave rejects msgs[i], the rewritten msgs[:i] are appended,
 // their requests are on the FIFO queue, and the error is returned.
+//
+// The appended messages lie in the buffer the entry keeps for this
+// ecall (§5.1) and are the caller's until the next ProcessRequests or
+// ProcessRequest call: the batch methods are for the one goroutine that
+// owns a direction (the session's reader here, its releaser for
+// responses), which copies what has to outlive its next call.
 func (en *Entry) ProcessRequests(msgs, out [][]byte) ([][]byte, error) {
-	return en.call(EcallRequest, msgs, out)
+	en.requests.mu.Lock()
+	defer en.requests.mu.Unlock()
+	return en.requests.call(en.enclave, EcallRequest, msgs, out)
 }
 
 // ProcessResponses runs a burst of replica responses and watch events
 // through the entry enclave in one crossing and appends to out the
 // client-plaintext messages (still to be transport-encrypted by the
-// secure channel). Errors are as for ProcessRequests.
+// secure channel). Errors and the lifetime of the appended messages are
+// as for ProcessRequests, with the response direction's own buffer.
 func (en *Entry) ProcessResponses(msgs, out [][]byte) ([][]byte, error) {
-	return en.call(EcallResponse, msgs, out)
+	en.responses.mu.Lock()
+	defer en.responses.mu.Unlock()
+	return en.responses.call(en.enclave, EcallResponse, msgs, out)
 }
 
-// ProcessRequest is the one-element case of ProcessRequests.
+// ProcessRequest is the one-element case of ProcessRequests, with a
+// result the caller owns; any number of goroutines may call it.
 func (en *Entry) ProcessRequest(msg []byte) ([]byte, error) {
-	return en.callOne(EcallRequest, msg)
+	return en.requests.callOne(en.enclave, EcallRequest, msg)
 }
 
-// ProcessResponse is the one-element case of ProcessResponses.
+// ProcessResponse is the one-element case of ProcessResponses, with a
+// result the caller owns.
 func (en *Entry) ProcessResponse(msg []byte) ([]byte, error) {
-	return en.callOne(EcallResponse, msg)
-}
-
-// callOne is call on a batch of one, with both slices on the stack.
-func (en *Entry) callOne(name string, msg []byte) ([]byte, error) {
-	var in, out [1][]byte
-	in[0] = msg
-	res, err := en.call(name, in[:], out[:0])
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
+	return en.responses.callOne(en.enclave, EcallResponse, msg)
 }
 
 // The packed ecall buffer, in both directions (integers big-endian):
@@ -223,11 +244,26 @@ const (
 // slotCap is the size of the slot the untrusted caller gives a message.
 func slotCap(msgLen int) int { return msgLen + GrowthHeadroom(msgLen) }
 
+// ecallBuf is the untrusted caller's side of one ecall: the packed
+// buffer, which — as in Listing 1, where the caller allocates the buffer
+// it passes — the caller keeps and reuses for its next call. mu admits
+// one call at a time; what a call returns points into buf.
+type ecallBuf struct {
+	mu  sync.Mutex
+	buf []byte
+}
+
+// maxBufRetain bounds the packed buffer an entry keeps between calls. A
+// larger burst gets its buffer for that one call (its results keep it
+// alive for as long as the caller holds them), so it cannot pin its size
+// on the session for the connection's lifetime.
+const maxBufRetain = 256 << 10
+
 // call runs one ecall over msgs with the §5.1 pre-sized buffer
-// contract, per slot. The oversized packed buffer is pooled; the
-// results — which the server pipeline retains in its FIFO queue — are
-// copied out exactly sized, all of them carved from one allocation.
-func (en *Entry) call(name string, msgs, out [][]byte) ([][]byte, error) {
+// contract, per slot, and appends to out the rewritten messages where
+// the trusted side left them: slices of the slots, each capped at its
+// length, valid until the next call. The caller holds mu.
+func (eb *ecallBuf) call(e *sgx.Enclave, name string, msgs, out [][]byte) ([][]byte, error) {
 	if len(msgs) == 0 {
 		return out, nil
 	}
@@ -235,9 +271,13 @@ func (en *Entry) call(name string, msgs, out [][]byte) ([][]byte, error) {
 	for _, m := range msgs {
 		total += slotHeaderLen + slotCap(len(m))
 	}
-	pb := sgx.GetBuf(total)
-	defer pb.Release()
-	buf := pb.B
+	if cap(eb.buf) < total {
+		eb.buf = make([]byte, max(total, 2*cap(eb.buf)))
+	}
+	buf := eb.buf[:total]
+	if cap(buf) > maxBufRetain {
+		eb.buf = nil
+	}
 	binary.BigEndian.PutUint32(buf, uint32(len(msgs)))
 	off := batchHeaderLen
 	for _, m := range msgs {
@@ -246,29 +286,35 @@ func (en *Entry) call(name string, msgs, out [][]byte) ([][]byte, error) {
 		copy(buf[off+slotHeaderLen:], m)
 		off += slotHeaderLen + slotCap(len(m))
 	}
-	n, err := en.enclave.EcallBatch(name, buf, total, len(msgs))
+	n, err := e.EcallBatch(name, buf, total, len(msgs))
 	// Nothing was copied out unless the trusted side ran (n > 0); then
 	// its count says how many slots it finished.
 	done := 0
 	if n > 0 {
 		done = int(binary.BigEndian.Uint32(buf))
 	}
-	size := 0
 	off = batchHeaderLen
 	for _, m := range msgs[:done] {
-		size += int(binary.BigEndian.Uint32(buf[off+4:]))
-		off += slotHeaderLen + slotCap(len(m))
-	}
-	results := make([]byte, size)
-	off = batchHeaderLen
-	for _, m := range msgs[:done] {
-		n := int(binary.BigEndian.Uint32(buf[off+4:]))
-		copy(results[:n], buf[off+slotHeaderLen:])
-		out = append(out, results[:n:n])
-		results = results[n:]
-		off += slotHeaderLen + slotCap(len(m))
+		start := off + slotHeaderLen
+		end := start + int(binary.BigEndian.Uint32(buf[off+4:]))
+		out = append(out, buf[start:end:end])
+		off = start + slotCap(len(m))
 	}
 	return out, err
+}
+
+// callOne is call on a batch of one, with both slices on the stack and
+// the result copied out under mu, so it is the caller's to keep.
+func (eb *ecallBuf) callOne(e *sgx.Enclave, name string, msg []byte) ([]byte, error) {
+	var in, out [1][]byte
+	in[0] = msg
+	eb.mu.Lock()
+	defer eb.mu.Unlock()
+	res, err := eb.call(e, name, in[:], out[:0])
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(res[0]), nil
 }
 
 // --- trusted code (runs inside the enclave) ---

@@ -105,10 +105,10 @@ func checkRewritten(t *testing.T, codec *skcrypto.Codec, op wire.OpCode, msg []b
 // rewrites a message in its slot, without an allocator — as object
 // counts per request/response pair, the messages made beforehand. What
 // remains: the copy of the plaintext path a request leaves in the FIFO
-// queue (the copy a response path is decrypted from, for a CREATE) and
-// one allocation per call for the rewritten messages it hands back. The
-// GET pair is BenchmarkEntryBatchRoundTrip's 9 allocs/op less the 6 its
-// loop spends marshalling.
+// queue (the copy a response path is decrypted from, for a CREATE) and,
+// for the one-message calls only, the caller-owned copy of the result;
+// a burst's results stay in the packed buffer the entry keeps, so a
+// batch call allocates nothing for them.
 func TestEntryRoundTripAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the ecall buffers are pooled, and the race detector empties pools at random")
@@ -157,7 +157,7 @@ func TestEntryRoundTripAllocations(t *testing.T) {
 		}
 	}
 
-	// A burst shares the one allocation for its results. The queue, which
+	// A burst's results are slices of the kept buffer. The queue, which
 	// emptied on one slot, grows back by doubling.
 	const burst = 16
 	reqs, rsps := make([][]byte, burst), make([][]byte, burst)
@@ -174,7 +174,64 @@ func TestEntryRoundTripAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if want := float64(burst + 2 + bits.Len(burst-1)); got > want {
-		t.Errorf("burst of %d sets, both ways: %v allocs, want at most %v (a path copy each, one result array per call, the queue's doublings)", burst, got, want)
+	if want := float64(burst + bits.Len(burst-1)); got > want {
+		t.Errorf("burst of %d sets, both ways: %v allocs, want at most %v (a path copy each, the queue's doublings)", burst, got, want)
+	}
+}
+
+// TestEntryBufferRetentionIsBounded: a 300-message burst gets a packed
+// buffer for its one call — its results stay valid for as long as the
+// caller holds them — and must not pin that size on the session; an
+// ordinary burst keeps its buffer for the next.
+func TestEntryBufferRetentionIsBounded(t *testing.T) {
+	_, entry, _, codec := testSetup(t)
+	const burst = 300
+	stored, err := codec.EncryptPayload("/big/key", make([]byte, 1024), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, rsps := make([][]byte, burst), make([][]byte, burst)
+	for i := range reqs {
+		xid := int32(i + 1)
+		reqs[i] = request(t, xid, wire.OpGetData, &wire.GetDataRequest{Path: "/big/key"})
+		rsps[i] = wire.MarshalPair(&wire.ReplyHeader{Xid: xid, Err: wire.ErrOK},
+			&wire.GetDataResponse{Data: stored, Stat: wire.Stat{DataLength: int32(len(stored))}})
+	}
+	if _, err := entry.ProcessRequests(reqs, nil); err != nil {
+		t.Fatal(err)
+	}
+	big, err := entry.ProcessResponses(rsps, nil)
+	if err != nil || len(big) != burst {
+		t.Fatalf("%d responses, %v", len(big), err)
+	}
+	if c := cap(entry.responses.buf); c > maxBufRetain {
+		t.Fatalf("entry retains %d bytes of response buffer after a burst of %d", c, burst)
+	}
+
+	// Ordinary bursts next: the second reuses the buffers the first made,
+	// and neither touches what the large burst handed out.
+	var kept *byte
+	for round := 0; round < 2; round++ {
+		if _, err := entry.ProcessRequests(reqs[:4], nil); err != nil {
+			t.Fatal(err)
+		}
+		small, err := entry.ProcessResponses(rsps[:4], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(entry.requests.buf) == 0 || cap(entry.responses.buf) == 0 {
+			t.Fatal("ordinary burst did not keep its buffers for reuse")
+		}
+		if round == 1 && &entry.responses.buf[0] != kept {
+			t.Fatal("ordinary burst did not reuse the response buffer")
+		}
+		kept = &entry.responses.buf[0]
+		for i, msg := range big {
+			// The same reply as the first of the small burst, but for the
+			// xid in the header's first four bytes.
+			if !bytes.Equal(msg[4:], small[0][4:]) {
+				t.Fatalf("response %d of the large burst changed under a later call", i)
+			}
+		}
 	}
 }

@@ -222,7 +222,10 @@ func responseXidOrderOverTCP(t *testing.T, window int) {
 			return
 		}
 		defer conn.Close()
-		_ = tc.replicas[0].ServeConn(transport.NewFramedConn(conn), icept)
+		// The server's end overwrites every request frame at its next
+		// receive: a read that waits in the queue behind a write of its
+		// session is executed from the copy it took, or not at all.
+		_ = tc.replicas[0].ServeConn(transport.NewPoisonConn(transport.NewFramedConn(conn)), icept)
 	}()
 	tcp, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {

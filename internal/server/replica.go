@@ -34,8 +34,9 @@ import (
 // at a time: the session reader passes every request one wake-up
 // received, the releaser every response and watch event one pass found
 // due. The SecureKeeper entry enclave implements it, paying one enclave
-// crossing per call; baselines use Nop. The returned slice is the
-// caller's until its next call of the same method.
+// crossing per call; baselines use Nop. The returned slice and the
+// messages in it are the caller's until its next call of the same
+// method — the contract of transport.Conn's receive calls, one stage on.
 type Interceptor interface {
 	// OnRequests rewrites inbound client messages, in order, before
 	// they enter the processing pipeline. If msgs[i] is rejected it

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -129,7 +130,7 @@ func (s *session) run() error {
 // the burst through the interceptor in one call, then classifies and
 // submits each request in order.
 func (s *session) reader() error {
-	var frames [][]byte // reused across bursts; the frames themselves are not
+	var frames [][]byte // reused across bursts, as the connection reuses the frames' storage
 	for {
 		var err error
 		if frames, err = s.conn.RecvFrames(frames[:0]); err != nil {
@@ -197,8 +198,16 @@ func (s *session) admit(entry *inflightReq) (runNow, ok bool) {
 	if s.closed {
 		return false, false
 	}
-	if !entry.isWrite() && s.waiting == 0 {
-		return true, true
+	if !entry.isWrite() {
+		if s.waiting == 0 {
+			return true, true
+		}
+		// Queued unexecuted, the read outlives the burst it came in: its
+		// body lies in the connection's receive chunk (or the entry
+		// enclave's request buffer), which the reader's next receive
+		// reuses, so this one request keeps a copy. A write's body is read
+		// only by handleWrite, before the reader moves on.
+		entry.body = bytes.Clone(entry.body)
 	}
 	s.queue = append(s.queue, entry)
 	s.waiting++

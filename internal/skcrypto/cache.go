@@ -28,6 +28,15 @@ type chunkCache struct {
 	max        int
 	m          map[string]*chunkEntry
 	head, tail *chunkEntry // head = most recent
+	stats      CacheStats
+}
+
+// CacheStats counts what one direction of a codec's chunk cache has
+// done since the codec was built: lookups that found their chunk,
+// lookups that did not (each followed by the crypto and an insertion),
+// and insertions that pushed the least-recently-used chunk out.
+type CacheStats struct {
+	Hits, Misses, Evictions int64
 }
 
 type chunkEntry struct {
@@ -35,6 +44,7 @@ type chunkEntry struct {
 	prev, next *chunkEntry
 }
 
+// newChunkCache returns a cache of at most max (at least one) entries.
 func newChunkCache(max int) *chunkCache {
 	return &chunkCache{max: max, m: make(map[string]*chunkEntry, min(max, 256))}
 }
@@ -44,35 +54,42 @@ func (c *chunkCache) get(key string) (string, bool) {
 	c.mu.Lock()
 	e, ok := c.m[key]
 	if !ok {
+		c.stats.Misses++
 		c.mu.Unlock()
 		return "", false
 	}
+	c.stats.Hits++
 	c.moveToFront(e)
 	v := e.val
 	c.mu.Unlock()
 	return v, true
 }
 
-// add inserts key → val, evicting the least-recently-used entry when
-// full. The key is cloned so cache entries never pin a caller's larger
-// backing string (lookups pass sub-slices of request paths).
+// add inserts key → val. A full cache gives the new pair the entry of
+// the least-recently-used one, so a cache at capacity — under churn,
+// every insertion — allocates the key's clone and nothing else. The key
+// is cloned so cache entries never pin a caller's larger backing string
+// (lookups pass sub-slices of request paths).
 func (c *chunkCache) add(key, val string) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if e, ok := c.m[key]; ok {
 		e.val = val
 		c.moveToFront(e)
-		c.mu.Unlock()
 		return
 	}
-	e := &chunkEntry{key: strings.Clone(key), val: val}
+	var e *chunkEntry
+	if len(c.m) >= c.max {
+		e = c.tail
+		c.unlink(e)
+		delete(c.m, e.key)
+		c.stats.Evictions++
+	} else {
+		e = new(chunkEntry)
+	}
+	e.key, e.val = strings.Clone(key), val
 	c.m[e.key] = e
 	c.pushFront(e)
-	if len(c.m) > c.max {
-		lru := c.tail
-		c.unlink(lru)
-		delete(c.m, lru.key)
-	}
-	c.mu.Unlock()
 }
 
 // len reports the current entry count.
@@ -80,6 +97,12 @@ func (c *chunkCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
+}
+
+func (c *chunkCache) snapshot() CacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats
 }
 
 func (c *chunkCache) pushFront(e *chunkEntry) {

@@ -175,6 +175,42 @@ func TestChunkCacheLRUOrder(t *testing.T) {
 	}
 }
 
+// TestChunkCacheCountsAndRecycles: lookups and evictions are counted per
+// direction, and an insertion into a full cache reuses the entry it
+// pushes out — it allocates the clone of its key and nothing else.
+func TestChunkCacheCountsAndRecycles(t *testing.T) {
+	c := cacheTestCodec(t, 1)
+	c.enc, c.dec = newChunkCache(4), newChunkCache(4)
+	for i := 0; i < 6; i++ { // one chunk each: six misses, two evictions per direction
+		if _, err := c.EncryptPath(fmt.Sprintf("/n%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.EncryptPath("/n5"); err != nil { // still cached
+		t.Fatal(err)
+	}
+	if _, err := c.DecryptChunk("not-a-chunk"); err == nil { // a miss that inserts nothing
+		t.Fatal("garbage chunk decrypted")
+	}
+	enc, dec := c.CacheStats()
+	if want := (CacheStats{Hits: 1, Misses: 6, Evictions: 2}); enc != want {
+		t.Fatalf("enc direction: %+v, want %+v", enc, want)
+	}
+	if want := (CacheStats{Hits: 0, Misses: 1, Evictions: 2}); dec != want {
+		t.Fatalf("dec direction: %+v, want %+v", dec, want)
+	}
+
+	cc := newChunkCache(2)
+	keys := []string{"/churn/a", "/churn/b", "/churn/c"}
+	i := 0
+	if got := testing.AllocsPerRun(100, func() {
+		cc.add(keys[i%len(keys)], "v")
+		i++
+	}); got != 1 {
+		t.Fatalf("insertion into a full cache: %v allocs, want 1 (the key's clone)", got)
+	}
+}
+
 // TestDecryptChunkCachePoisoningRejected: a tampered chunk must fail
 // authentication and must not enter the decrypt cache.
 func TestDecryptChunkCachePoisoningRejected(t *testing.T) {

@@ -107,6 +107,13 @@ func (c *Codec) ChunkCacheLen() (enc, dec int) {
 	return c.enc.len(), c.dec.len()
 }
 
+// CacheStats reports the counters of the encrypt- and decrypt-direction
+// chunk caches: how often path crypto was saved, and how much of what
+// the caches hold is pushed out again before anyone asks for it.
+func (c *Codec) CacheStats() (enc, dec CacheStats) {
+	return c.enc.snapshot(), c.dec.snapshot()
+}
+
 // hashScratch pools the small buffers used to assemble domain-separated
 // hash inputs ("skpath:"+prefix, "skbind:"+path) without string
 // concatenation garbage.

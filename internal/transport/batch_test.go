@@ -94,24 +94,21 @@ func feed(t *testing.T, w net.Conn, pieces ...[]byte) {
 	}()
 }
 
-func recvAll(t *testing.T, c Conn, want [][]byte) [][]byte {
+// recvAll takes len(want) frames out one at a time through a poisoning
+// decorator, comparing each as it is handed out: a frame is the
+// caller's until its next receive call, and no longer.
+func recvAll(t *testing.T, c Conn, want [][]byte) {
 	t.Helper()
-	got := make([][]byte, 0, len(want))
+	c = NewPoisonConn(c)
 	for i := range want {
 		f, err := c.RecvFrame()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		got = append(got, f)
-	}
-	// Compared only after every frame is out: a carve that reused or
-	// overlapped an earlier frame's storage would have overwritten it.
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("frame %d: got %d bytes, want %d, or content differs", i, len(got[i]), len(want[i]))
+		if !bytes.Equal(f, want[i]) {
+			t.Fatalf("frame %d: got %d bytes, want %d, or content differs", i, len(f), len(want[i]))
 		}
 	}
-	return got
 }
 
 // TestFramedConnGoldenBatchBytes pins the wire format: a batch is the
@@ -154,15 +151,27 @@ func TestFramedConnFramesStraddleChunks(t *testing.T) {
 	}
 	feed(t, a, onWire(want...))
 	cc := &countingConn{Conn: b}
-	got := recvAll(t, NewFramedConn(cc), want)
+	recvAll(t, NewFramedConn(cc), want)
 	if r := cc.reads.Load(); r >= int64(len(want)) {
 		t.Fatalf("%d reads for %d frames: the receive chunk is not taking bursts", r, len(want))
 	}
-	// Frames are caller-owned with capacity capped: appending to one
-	// must not reach the bytes of the next.
-	next := append([]byte(nil), got[1]...)
+}
+
+// TestFramedConnFrameCapacityIsCapped: the frames of one burst lie side
+// by side in the receive chunk and are all the caller's at once, so an
+// append to one must not reach the bytes of the next.
+func TestFramedConnFrameCapacityIsCapped(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	want := [][]byte{patterned(1, 100), patterned(2, 100)}
+	feed(t, a, onWire(want...))
+	got, err := NewFramedConn(b).RecvFrames(nil)
+	if err != nil || len(got) != 2 {
+		t.Fatalf("burst of %d frames, %v; want both frames of the one read", len(got), err)
+	}
 	_ = append(got[0], 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
-	if !bytes.Equal(got[1], next) {
+	if !bytes.Equal(got[1], want[1]) {
 		t.Fatal("append to a received frame bled into the following frame")
 	}
 }
@@ -447,10 +456,10 @@ func TestSendScratchIsBounded(t *testing.T) {
 	if err := cli.SendFrame(make([]byte, 1<<20)); err != nil {
 		t.Fatal(err)
 	}
-	if c := cap(fa.writeBuf); c > maxScratchRetain {
+	if c := cap(fa.writeBuf); c > MaxScratchRetain {
 		t.Fatalf("FramedConn retains %d bytes of scratch after a 1 MiB frame", c)
 	}
-	if c := cap(cli.sendBuf); c > maxScratchRetain {
+	if c := cap(cli.sendBuf); c > MaxScratchRetain {
 		t.Fatalf("SecureConn retains %d bytes of scratch after a 1 MiB frame", c)
 	}
 	for _, f := range cli.sealed[:cap(cli.sealed)] {

@@ -38,8 +38,12 @@ type Conn interface {
 	// Writers that own a queue pass what is already queued and never
 	// wait for more. Neither the slice nor the frames are retained.
 	SendFrames(frames [][]byte) error
-	// RecvFrame reads the next message. The returned slice is owned by
-	// the caller; implementations never reuse its storage.
+	// RecvFrame reads the next message. The returned slice is the
+	// caller's until its next receive call (RecvFrame or RecvFrames) on
+	// this connection: a connection keeps one receive buffer and reuses
+	// it, so whatever must outlive the next receive call is copied by the
+	// caller first, and only that. Until then the caller may read and
+	// write the slice freely.
 	RecvFrame() ([]byte, error)
 	// RecvFrames is the receive-side twin of SendFrames: it blocks for
 	// the next message, as RecvFrame does, then appends to dst that
@@ -48,19 +52,19 @@ type Conn interface {
 	// message comes back alone. The sender cannot tell a batch from
 	// single receives. An error is returned only when no message was
 	// appended; one met after the first ends the batch and is reported by
-	// the next call. Frames are caller-owned as with RecvFrame.
+	// the next call. The frames are the caller's as with RecvFrame: all
+	// of them until the next receive call on this connection.
 	RecvFrames(dst [][]byte) ([][]byte, error)
 	// Close tears the connection down.
 	Close() error
 }
 
-// frameArena amortizes per-frame buffer allocations: frames are carved
-// out of a large chunk, and a fresh chunk is allocated only when the
-// current one is exhausted. Carved regions are never reused, so the
-// caller-owns contract of RecvFrame holds — the garbage collector
-// frees a chunk once no frame carved from it is referenced. Frames too
-// large to amortize get their own allocation. (FramedConn applies the
-// same rules to its receive chunk, which it also reads into.)
+// frameArena amortizes per-frame buffer allocations where a frame
+// changes owner (ChanConn hands the receiver a copy it keeps): frames
+// are carved out of a large chunk, and a fresh chunk is allocated only
+// when the current one is exhausted. Carved regions are never reused —
+// the garbage collector frees a chunk once no frame carved from it is
+// referenced. Frames too large to amortize get their own allocation.
 type frameArena struct {
 	buf []byte
 	off int
@@ -74,8 +78,8 @@ const (
 
 	frameHeaderLen = 4
 	// minReadSpace is the least free tail of a receive chunk worth a
-	// read: below it the reader moves to a fresh chunk rather than ask
-	// the kernel for a sliver.
+	// read: below it the reader moves what is buffered to the front
+	// rather than ask the kernel for a sliver.
 	minReadSpace = arenaChunkSize / 16
 	// BatchBytes caps what a writer that owns a queue (a session's
 	// releaser, a mesh link's writer) gathers for one SendFrames call,
@@ -83,11 +87,12 @@ const (
 	// beyond it goes with the next call, at once. A frame that alone
 	// exceeds it travels by itself.
 	BatchBytes = 64 << 10
-	// maxScratchRetain bounds the send scratch a connection keeps
+	// MaxScratchRetain bounds the send scratch a connection keeps
 	// between writes. A larger frame or batch (a snapshot chunk) gets
 	// its scratch for that one write, so it cannot pin its size on the
-	// link for the connection's lifetime.
-	maxScratchRetain = 256 << 10
+	// link for the connection's lifetime. A mesh link's send buffers
+	// (zabnet) keep to the same bound.
+	MaxScratchRetain = 256 << 10
 )
 
 // carve returns a caller-owned slice of n bytes with capacity capped at
@@ -113,14 +118,21 @@ func (a *frameArena) carve(n int) []byte {
 // returns every complete frame the kernel holds; SendFrames
 // length-prefixes a batch into one write. Nothing ever waits for
 // company: a lone frame is read and written alone.
+//
+// Each direction keeps one buffer for the life of the connection: the
+// send scratch and the receive chunk. A received frame is a slice of
+// the chunk, which is why it is the caller's only until its next
+// receive call (see Conn).
 type FramedConn struct {
 	conn     net.Conn
 	writeMu  sync.Mutex
 	readMu   sync.Mutex
 	writeBuf []byte
 
-	// rbuf[rpos:rend] holds bytes read from conn and not yet handed
-	// out; everything before rpos belongs to frames already returned.
+	// rbuf is the receive chunk, made by the first read and never
+	// replaced. rbuf[rpos:rend] holds bytes read from conn and not yet
+	// handed out; what lies before rpos belongs to frames the current or
+	// an earlier receive call returned.
 	rbuf       []byte
 	rpos, rend int
 }
@@ -167,9 +179,9 @@ func (c *FramedConn) SendFrames(frames [][]byte) error {
 }
 
 // retainScratch returns buf emptied for reuse, or nil when it grew past
-// maxScratchRetain.
+// MaxScratchRetain.
 func retainScratch(buf []byte) []byte {
-	if cap(buf) > maxScratchRetain {
+	if cap(buf) > MaxScratchRetain {
 		return nil
 	}
 	return buf[:0]
@@ -240,12 +252,21 @@ func (c *FramedConn) carve(n int) []byte {
 // fill reads until need contiguous unconsumed bytes are buffered; need
 // is at most frameHeaderLen+arenaMaxCarve. Each read asks for the whole
 // free tail of the chunk, which is what makes one read return a burst.
+//
+// This is where the chunk is reused: a consumed chunk is read into from
+// offset 0 again, and a partial frame that has run out of room is moved
+// to the front. Both overwrite frames handed out earlier, so fill runs
+// only before the first frame of a receive call is carved.
 func (c *FramedConn) fill(need int) error {
+	if c.rbuf == nil {
+		c.rbuf = make([]byte, arenaChunkSize)
+	}
 	for c.rend-c.rpos < need {
-		if len(c.rbuf)-c.rpos < need || len(c.rbuf)-c.rend < minReadSpace {
-			chunk := make([]byte, arenaChunkSize)
-			c.rend = copy(chunk, c.rbuf[c.rpos:c.rend])
-			c.rbuf, c.rpos = chunk, 0
+		if c.rpos == c.rend {
+			c.rpos, c.rend = 0, 0
+		} else if len(c.rbuf)-c.rpos < need || len(c.rbuf)-c.rend < minReadSpace {
+			c.rend = copy(c.rbuf, c.rbuf[c.rpos:c.rend])
+			c.rpos = 0
 		}
 		n, err := c.conn.Read(c.rbuf[c.rend:])
 		c.rend += n

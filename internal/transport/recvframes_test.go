@@ -15,30 +15,31 @@ import (
 	"time"
 )
 
-// recvBursts collects len(want) frames with RecvFrames, checks them
-// against want once all are out, and returns the size of each burst.
+// recvBursts takes len(want) frames out with RecvFrames through a
+// poisoning decorator, comparing each burst as it is handed out, and
+// returns the size of each burst.
 func recvBursts(t *testing.T, c Conn, want [][]byte) []int {
 	t.Helper()
-	var got [][]byte
+	c = NewPoisonConn(c)
+	var burst [][]byte
 	var bursts []int
-	for len(got) < len(want) {
-		before := len(got)
+	for got := 0; got < len(want); got += len(burst) {
 		var err error
-		if got, err = c.RecvFrames(got); err != nil {
-			t.Fatalf("after %d frames: %v", before, err)
+		if burst, err = c.RecvFrames(burst[:0]); err != nil {
+			t.Fatalf("after %d frames: %v", got, err)
 		}
-		if len(got) == before {
-			t.Fatalf("after %d frames: RecvFrames returned neither a frame nor an error", before)
+		if len(burst) == 0 {
+			t.Fatalf("after %d frames: RecvFrames returned neither a frame nor an error", got)
 		}
-		bursts = append(bursts, len(got)-before)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d frames, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("frame %d: got %d bytes, want %d, or content differs", i, len(got[i]), len(want[i]))
+		if got+len(burst) > len(want) {
+			t.Fatalf("got %d frames, want %d", got+len(burst), len(want))
 		}
+		for i, f := range burst {
+			if !bytes.Equal(f, want[got+i]) {
+				t.Fatalf("frame %d: got %d bytes, want %d, or content differs", got+i, len(f), len(want[got+i]))
+			}
+		}
+		bursts = append(bursts, len(burst))
 	}
 	return bursts
 }
@@ -253,8 +254,10 @@ func referenceCarve(stream []byte) (frames [][]byte, tooLarge bool) {
 // arbitrary read boundaries and takes them out with an arbitrary mix of
 // RecvFrames and RecvFrame calls. Whatever the boundaries and the mix,
 // the frames must be exactly those of the reference carver, in order,
-// each caller-owned, and the stream must end the way the reference says
-// it ends.
+// when they are handed out — after which the test overwrites them, as
+// their owner may, and the connection must neither miss the bytes nor
+// move to another receive chunk — and the stream must end the way the
+// reference says it ends.
 func FuzzFramedConnRecvFrames(f *testing.F) {
 	small := onWire([]byte("first"), nil, []byte("x"), patterned(3, 40))
 	f.Add(small, []byte{0}, byte(0))
@@ -269,6 +272,9 @@ func FuzzFramedConnRecvFrames(f *testing.F) {
 	f.Add(binary.BigEndian.AppendUint32(onWire([]byte("fine")), MaxFrameSize+1), []byte{2}, byte(0))
 	f.Add(binary.BigEndian.AppendUint32(onWire([]byte("fine")), arenaMaxCarve+5), []byte{9}, byte(1))
 	f.Add([]byte{0, 0}, []byte{}, byte(0))
+	// Pieces that always end inside a frame: the chunk is never found
+	// consumed, so every refill moves a partial frame to its front.
+	f.Add(onWire(straddling...), []byte{40, 41, 37}, byte(0b0110))
 
 	f.Fuzz(func(t *testing.T, stream, cuts []byte, mix byte) {
 		// cuts[i] sets the length of the i-th piece (cycling), from one
@@ -286,19 +292,46 @@ func FuzzFramedConnRecvFrames(f *testing.F) {
 		want, tooLarge := referenceCarve(stream)
 
 		fc := NewFramedConn(&piecesConn{pieces: pieces})
-		var got [][]byte
+		var chunk *byte
+		var burst [][]byte
 		var err error
+		got := 0
 		for call := 0; err == nil; call++ {
 			if mix>>(call%8)&1 == 0 {
-				before := len(got)
-				got, err = fc.RecvFrames(got)
-				if (err == nil) == (len(got) == before) {
-					t.Fatalf("RecvFrames appended %d frames with err = %v", len(got)-before, err)
+				burst, err = fc.RecvFrames(burst[:0])
+				if (err == nil) == (len(burst) == 0) {
+					t.Fatalf("RecvFrames appended %d frames with err = %v", len(burst), err)
 				}
 			} else {
 				var frame []byte
+				burst = burst[:0]
 				if frame, err = fc.RecvFrame(); err == nil {
-					got = append(got, frame)
+					burst = append(burst, frame)
+				}
+			}
+			if got+len(burst) > len(want) {
+				t.Fatalf("%d frames, reference carved %d", got+len(burst), len(want))
+			}
+			for _, frame := range burst {
+				if !bytes.Equal(frame, want[got]) {
+					t.Fatalf("frame %d: %d bytes, reference %d, or content differs", got, len(frame), len(want[got]))
+				}
+				if cap(frame) != len(frame) {
+					t.Fatalf("frame %d: capacity %d beyond its length %d reaches into its neighbour", got, cap(frame), len(frame))
+				}
+				got++
+			}
+			for _, frame := range burst {
+				for i := range frame {
+					frame[i] = poisonByte
+				}
+			}
+			if fc.rbuf != nil {
+				if chunk == nil {
+					chunk = &fc.rbuf[0]
+				}
+				if &fc.rbuf[0] != chunk || cap(fc.rbuf) != arenaChunkSize {
+					t.Fatalf("after %d frames the connection reads into another chunk (cap %d)", got, cap(fc.rbuf))
 				}
 			}
 		}
@@ -308,16 +341,89 @@ func FuzzFramedConnRecvFrames(f *testing.F) {
 		if !tooLarge && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("stream ended with %v, want an end-of-stream error", err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%d frames, reference carved %d (final error %v)", len(got), len(want), err)
-		}
-		for i := range want {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("frame %d: %d bytes, reference %d, or content differs", i, len(got[i]), len(want[i]))
-			}
-			if cap(got[i]) != len(got[i]) {
-				t.Fatalf("frame %d: capacity %d beyond its length %d reaches into its neighbour", i, cap(got[i]), len(got[i]))
-			}
+		if got != len(want) {
+			t.Fatalf("%d frames, reference carved %d (final error %v)", got, len(want), err)
 		}
 	})
+}
+
+// endlessFrames is a stream of frames without end whose every Read ends
+// inside a frame, so its reader always has a partial frame standing in
+// its chunk. Frame i is pattern[i%251:][:sizes[i%len(sizes)]].
+type endlessFrames struct {
+	net.Conn // nil: only Read is used
+	sizes    []int
+	pattern  []byte
+	idx      int    // frames encoded so far
+	cur      []byte // the last frame encoded, as it goes on the wire
+	pos      int    // how much of cur has been read
+	reads    int
+}
+
+func (c *endlessFrames) frame(i int) []byte {
+	return c.pattern[i%251:][:c.sizes[i%len(c.sizes)]]
+}
+
+func (c *endlessFrames) Read(p []byte) (int, error) {
+	// Reads come small, middling and as large as the reader asks for.
+	limit := [...]int{50, 3000, len(p)}[c.reads%3]
+	c.reads++
+	n := 0
+	for {
+		if c.pos == len(c.cur) {
+			body := c.frame(c.idx)
+			c.cur = binary.BigEndian.AppendUint32(c.cur[:0], uint32(len(body)))
+			c.cur, c.pos = append(c.cur, body...), 0
+			c.idx++
+		}
+		rest := c.cur[c.pos:]
+		if len(p)-n > len(rest) && (n == 0 || n+len(rest) < limit) {
+			n += copy(p[n:], rest)
+			c.pos = len(c.cur)
+			continue
+		}
+		// Some of this frame, never all of it.
+		k := min(len(p)-n, len(rest)-1, 1+c.idx*7919%6000)
+		n += copy(p[n:], rest[:k])
+		c.pos += k
+		return n, nil
+	}
+}
+
+// TestFramedConnChunkStaysBounded: a connection reads a million frames
+// of mixed sizes, a partial frame always standing, into the one chunk
+// its first read made, and a receive call allocates nothing.
+func TestFramedConnChunkStaysBounded(t *testing.T) {
+	const frames = 1_000_000
+	src := &endlessFrames{
+		sizes:   []int{0, 1, 17, 300, 1500, 64, 4000, 2, arenaMaxCarve, 700, 33},
+		pattern: patterned(5, 251+arenaMaxCarve),
+	}
+	fc := NewFramedConn(src)
+	var burst [][]byte
+	var err error
+	recv := func() {
+		if burst, err = fc.RecvFrames(burst[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recv()
+	chunk := &fc.rbuf[0]
+	for got := 0; got < frames; recv() {
+		for _, f := range burst {
+			if !bytes.Equal(f, src.frame(got)) {
+				t.Fatalf("frame %d: %d bytes, want %d, or content differs", got, len(f), len(src.frame(got)))
+			}
+			got++
+		}
+		if fc.rend == fc.rpos {
+			t.Fatalf("after %d frames: test lost its point, no partial frame is standing", got)
+		}
+		if &fc.rbuf[0] != chunk || cap(fc.rbuf) != arenaChunkSize {
+			t.Fatalf("after %d frames the connection reads into another chunk (cap %d)", got, cap(fc.rbuf))
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, recv); allocs != 0 {
+		t.Fatalf("RecvFrames allocates %v objects per call, want 0", allocs)
+	}
 }

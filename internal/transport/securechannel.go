@@ -305,8 +305,9 @@ func (c *SecureConn) RecvFrames(dst [][]byte) ([][]byte, error) {
 func (c *SecureConn) open(sealed []byte) ([]byte, error) {
 	binary.BigEndian.PutUint64(c.recvNonce[4:], c.recvSeq)
 	c.recvSeq++
-	// In-place open: the inner frame is caller-owned, so its storage is
-	// reused for the plaintext handed up.
+	// In-place open: the inner frame is ours until the next receive call
+	// on the inner connection, which is exactly how long the plaintext
+	// handed up in its storage has to last.
 	plain, err := c.recvAEAD.Open(sealed[:0], c.recvNonce[:], sealed, nil)
 	if err != nil {
 		c.recvErr = ErrRecordTampered

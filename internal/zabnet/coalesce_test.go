@@ -1,6 +1,6 @@
 package zabnet
 
-// The link writer sends whatever its outbox already holds with one
+// The link writer sends whatever its send buffer already holds with one
 // write. These tests pin what that must not disturb: fragment
 // contiguity under concurrent senders, and the link's lifecycle when a
 // batched write fails.
@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -24,25 +25,32 @@ import (
 
 // TestCoalescedSnapshotRacesLiveTraffic streams chunked snapshots down
 // a link while two other goroutines push PROPOSE and COMMIT frames at
-// it, on the plaintext and the attested mesh. Every snapshot must
-// reassemble exactly (its fragments stay contiguous inside and across
-// batches), each live stream must arrive complete and in order, and the
-// writer must really have coalesced.
+// it, on the plaintext and the attested mesh, and on a link whose
+// receiving end overwrites every frame at its next receive (the
+// reassembly buffer and the decoded messages must be copies). Every
+// snapshot must reassemble exactly (its fragments stay contiguous inside
+// and across batches), each live stream must arrive complete and in
+// order, and the writer must really have coalesced.
 func TestCoalescedSnapshotRacesLiveTraffic(t *testing.T) {
-	for _, secure := range []bool{false, true} {
-		t.Run(fmt.Sprintf("secure=%v", secure), func(t *testing.T) {
+	for _, kind := range []string{"secure=false", "secure=true", "poisoned"} {
+		t.Run(kind, func(t *testing.T) {
 			reg := obs.NewRegistry()
-			meshes := newTestMeshes(t, 2, func(c *Config) {
-				c.ChunkBytes = 512
-				if secure {
-					c.Secure = testSecureConfig(t)
-				}
-				if c.ID == 2 {
-					c.Obs = reg
-				}
-			})
-			waitConnected(t, meshes)
-			sender, receiver := meshes[1], meshes[0]
+			var sender, receiver *Mesh
+			if kind == "poisoned" {
+				sender, receiver = poisonedPair(t, 512, reg)
+			} else {
+				meshes := newTestMeshes(t, 2, func(c *Config) {
+					c.ChunkBytes = 512
+					if kind == "secure=true" {
+						c.Secure = testSecureConfig(t)
+					}
+					if c.ID == 2 {
+						c.Obs = reg
+					}
+				})
+				waitConnected(t, meshes)
+				sender, receiver = meshes[1], meshes[0]
+			}
 
 			const snapshots, live = 4, 600
 			snap := &ztree.Snapshot{}
@@ -77,9 +85,15 @@ func TestCoalescedSnapshotRacesLiveTraffic(t *testing.T) {
 			send(live, func(i int) zab.Message { return propose(int64(i)) })
 			send(live, func(i int) zab.Message { return zab.Message{Kind: zab.KindCommit, Epoch: 1, Zxid: int64(i)} })
 
+			// Checked once everything is in: by then a message that aliased
+			// its frame has long been overwritten.
+			got := make([]zab.Message, snapshots+2*live)
+			for i := range got {
+				got[i] = recvMsg(t, receiver, 10*time.Second)
+			}
+			wg.Wait()
 			next := map[zab.Kind]int64{zab.KindSyncSnap: 1, zab.KindProposeBatch: 1, zab.KindCommit: 1}
-			for got := 0; got < snapshots+2*live; got++ {
-				msg := recvMsg(t, receiver, 10*time.Second)
+			for _, msg := range got {
 				want, ok := next[msg.Kind]
 				if !ok {
 					t.Fatalf("unexpected message kind %v", msg.Kind)
@@ -100,7 +114,6 @@ func TestCoalescedSnapshotRacesLiveTraffic(t *testing.T) {
 					}
 				}
 			}
-			wg.Wait()
 
 			h := sender.framesPerWrite.Snapshot()
 			if h.Count == 0 || h.Sum <= h.Count {
@@ -115,6 +128,44 @@ func TestCoalescedSnapshotRacesLiveTraffic(t *testing.T) {
 			}
 		})
 	}
+}
+
+// poisonedPair joins a sending mesh (id 2) and a receiving mesh (id 1)
+// by one loopback link, installed without listeners or hellos, whose
+// receiving end is a transport.PoisonConn.
+func poisonedPair(t *testing.T, chunkBytes int, reg *obs.Registry) (sender, receiver *Mesh) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	dialed, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := func(id zab.PeerID) *Mesh {
+		cfg := (&Config{ID: id, ChunkBytes: chunkBytes}).withDefaults()
+		return &Mesh{cfg: cfg, inbox: make(chan zab.Message, cfg.InboxFrames),
+			links: make(map[zab.PeerID]*link), closed: make(chan struct{})}
+	}
+	sender, receiver = bare(2), bare(1)
+	sender.framesPerWrite = reg.CountHistogram("zabnet_frames_per_write", "", "")
+	out := sender.newLink(1, transport.NewFramedConn(dialed))
+	in := receiver.newLink(2, transport.NewPoisonConn(transport.NewFramedConn(accepted)))
+	sender.installLink(out)
+	receiver.installLink(in)
+	t.Cleanup(func() {
+		out.close()
+		in.close()
+		sender.wg.Wait()
+		receiver.wg.Wait()
+	})
+	return sender, receiver
 }
 
 // failingConn is a link transport whose writes fail.
@@ -145,9 +196,11 @@ func (c *failingConn) Close() error {
 func TestFailedBatchedWriteClosesLinkOnce(t *testing.T) {
 	m := &Mesh{}
 	fc := &failingConn{batches: make(chan int, 4)}
-	l := &link{peer: 2, fc: fc, outbox: make(chan []byte, 8), done: make(chan struct{})}
-	if err := l.enqueue([][]byte{{frameMsg, 1}, {frameMsg, 2}, {frameMsg, 3}}); err != nil {
-		t.Fatal(err)
+	l := m.newLink(2, fc)
+	for i := byte(1); i <= 3; i++ {
+		if err := l.enqueue([]byte{i}, 512, 8); err != nil {
+			t.Fatal(err)
+		}
 	}
 	m.wg.Add(1)
 	go m.writeLoop(l)
@@ -178,4 +231,47 @@ func TestFailedBatchedWriteClosesLinkOnce(t *testing.T) {
 		t.Fatalf("writer sent another batch of %d after the failure", n)
 	default:
 	}
+}
+
+// TestLinkSendBufferRetentionIsBounded: a message of 1 MiB fragments
+// gets send buffers for the write cycle that carries it and must not pin
+// their size on the link; ordinary traffic keeps its buffers.
+func TestLinkSendBufferRetentionIsBounded(t *testing.T) {
+	meshes := newTestMeshes(t, 2, nil)
+	waitConnected(t, meshes)
+	sender, receiver := meshes[1], meshes[0]
+	l := sender.link(1)
+	caps := func() (pending, spare int) {
+		l.sendMu.Lock()
+		defer l.sendMu.Unlock()
+		return cap(l.pending), cap(l.spare)
+	}
+	// A message received means the write cycle before its own is over.
+	small := func() {
+		t.Helper()
+		if err := sender.Send(1, zab.Message{Kind: zab.KindCommit}); err != nil {
+			t.Fatal(err)
+		}
+		recvMsg(t, receiver, 5*time.Second)
+	}
+
+	big := zab.Message{Kind: zab.KindApp, App: bytes.Repeat([]byte{0xab}, 3<<20)}
+	for round := 0; round < 2; round++ { // once through each of the two buffers
+		if err := sender.Send(1, big); err != nil {
+			t.Fatal(err)
+		}
+		if got := recvMsg(t, receiver, 10*time.Second); !bytes.Equal(got.App, big.App) {
+			t.Fatalf("3 MiB message arrived as %d bytes, or content differs", len(got.App))
+		}
+		small()
+		if pending, spare := caps(); pending > transport.MaxScratchRetain || spare > transport.MaxScratchRetain {
+			t.Fatalf("link retains send buffers of %d and %d bytes after a 3 MiB message", pending, spare)
+		}
+	}
+	small()
+	small()
+	waitFor(t, 5*time.Second, "ordinary traffic to keep both send buffers", func() bool {
+		pending, spare := caps()
+		return pending > 0 && spare > 0
+	})
 }

@@ -11,9 +11,10 @@
 // duplicate links). Dialers reconnect automatically with exponential
 // backoff; the accept side simply waits to be redialed.
 //
-// Framing reuses transport.FramedConn — the same length-prefixed,
-// arena-carved framing clients speak — with a 1-byte frame type in
-// front. Messages that exceed the chunk size (snapshot transfers) are
+// Framing reuses transport.FramedConn — the same length-prefixed
+// framing clients speak, each direction of a connection working in one
+// buffer it keeps — with a 1-byte frame type in front. Messages that
+// exceed the chunk size (snapshot transfers) are
 // fragmented across frames and reassembled on the receive side, so one
 // giant snapshot cannot monopolize a frame or trip MaxFrameSize.
 //
@@ -50,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -231,16 +233,28 @@ var (
 // link is one live TCP connection to a peer. fc is the framed TCP
 // stream on a plaintext mesh and a transport.SecureConn on an attested
 // one — the pump loops are identical either way.
+//
+// A link owns its send buffer: senders append encoded frames to pending
+// (ends[i] is where the i-th of them ends) and the writer swaps pending
+// with the spare it emptied last, so in steady state a send copies a
+// message's bytes into memory the link already has and allocates
+// nothing. sendMu guards all four; holding it for a whole message is
+// also what keeps a fragmented message's frames contiguous (the
+// receiver's reassembly depends on it) and the capacity check atomic.
+// A buffer grown past transport.MaxScratchRetain (a snapshot's
+// fragments) serves the one write cycle that carries it.
 type link struct {
-	peer   zab.PeerID
-	fc     transport.Conn
-	outbox chan []byte
-	// sendMu serializes enqueues so a fragmented message's frames are
-	// contiguous in the outbox (the receiver's reassembly depends on
-	// it) and so the capacity pre-check in Send stays atomic.
-	sendMu sync.Mutex
-	done   chan struct{}
-	once   sync.Once
+	peer zab.PeerID
+	fc   transport.Conn
+
+	sendMu         sync.Mutex
+	pending, spare []byte
+	ends, spareEnd []int
+	// wake tells the writer that pending is not empty.
+	wake chan struct{}
+
+	done chan struct{}
+	once sync.Once
 }
 
 func (l *link) close() {
@@ -326,7 +340,7 @@ func (m *Mesh) gaugePeer(peer zab.PeerID) {
 	}
 	m.cfg.Obs.GaugeFunc("zabnet_outbox_depth", fmt.Sprintf(`peer="%d"`, peer), "frames queued toward this peer", func() int64 {
 		if l := m.link(peer); l != nil {
-			return int64(len(l.outbox))
+			return int64(l.depth())
 		}
 		return 0
 	})
@@ -435,8 +449,11 @@ func (m *Mesh) Send(to zab.PeerID, msg zab.Message) error {
 		return zab.ErrPeerUnreachable
 	}
 	msg.From = m.cfg.ID
-	var one [1][]byte
-	return m.countEnqueue(l.enqueue(encodeFrames(one[:0], &msg, m.cfg.ChunkBytes)))
+	e := wire.GetEncoder()
+	msg.Serialize(e)
+	err := m.countEnqueue(l.enqueue(e.Bytes(), m.cfg.ChunkBytes, m.cfg.OutboxFrames))
+	wire.PutEncoder(e)
+	return err
 }
 
 // countEnqueue attributes an enqueue failure to the right counter and
@@ -455,10 +472,8 @@ func (m *Mesh) countEnqueue(err error) error {
 }
 
 // SendMany implements zab.MultiSender: the message is serialized ONCE
-// and the resulting immutable frames are enqueued on every requested
-// link. Outboxed frames are never mutated (the writer goroutine only
-// reads them), so all links can share the same backing arrays — for a
-// PROPOSE batch or snapshot fan-out in an n-replica ensemble this
+// and its frames appended to the send buffer of every requested link —
+// for a PROPOSE batch or snapshot fan-out in an n-replica ensemble this
 // removes n-1 redundant encodings of the same payload. Per-peer
 // delivery stays best-effort and independent, exactly like Send.
 func (m *Mesh) SendMany(to []zab.PeerID, msg zab.Message) error {
@@ -468,8 +483,7 @@ func (m *Mesh) SendMany(to []zab.PeerID, msg zab.Message) error {
 	default:
 	}
 	msg.From = m.cfg.ID
-	var one [1][]byte
-	var frames [][]byte // encoded lazily: the peer list may hold no live link
+	var e *wire.Encoder // encoded lazily: the peer list may hold no live link
 	for _, id := range to {
 		if id == m.cfg.ID {
 			continue
@@ -479,33 +493,56 @@ func (m *Mesh) SendMany(to []zab.PeerID, msg zab.Message) error {
 			m.unreachable.Inc()
 			continue
 		}
-		if frames == nil {
-			frames = encodeFrames(one[:0], &msg, m.cfg.ChunkBytes)
+		if e == nil {
+			e = wire.GetEncoder()
+			msg.Serialize(e)
 		}
-		_ = m.countEnqueue(l.enqueue(frames))
+		_ = m.countEnqueue(l.enqueue(e.Bytes(), m.cfg.ChunkBytes, m.cfg.OutboxFrames))
+	}
+	if e != nil {
+		wire.PutEncoder(e)
 	}
 	return nil
 }
 
-// enqueue appends a message's frames to the link's outbox atomically:
-// either every fragment is queued or none is (the receiver's
-// reassembly depends on fragment contiguity, which sendMu guarantees).
-func (l *link) enqueue(frames [][]byte) error {
+// enqueue appends one encoded message to the link's send buffer as a
+// frameMsg frame, or as a fragment sequence when it exceeds chunkBytes
+// (snapshot transfers), and wakes the writer. Either every frame is
+// queued or none is: maxFrames bounds the frames waiting for the writer,
+// and a message that would exceed it is shed whole.
+func (l *link) enqueue(body []byte, chunkBytes, maxFrames int) error {
+	frames := 1
+	if len(body) > chunkBytes {
+		frames = (len(body) + chunkBytes - 1) / chunkBytes
+	}
 	l.sendMu.Lock()
 	defer l.sendMu.Unlock()
-	// The outbox is only written under sendMu, so this capacity check
-	// makes the whole multi-frame enqueue atomic.
-	if len(l.outbox)+len(frames) > cap(l.outbox) {
+	select {
+	case <-l.done:
+		return zab.ErrPeerUnreachable
+	default:
+	}
+	if len(l.ends)+frames > maxFrames {
 		return errOutboxFull
 	}
-	for _, f := range frames {
-		select {
-		case l.outbox <- f:
-		case <-l.done:
-			return zab.ErrPeerUnreachable
-		}
+	if frames == 1 {
+		l.pending = append(append(l.pending, frameMsg), body...)
+		l.ends = append(l.ends, len(l.pending))
+	} else {
+		l.pending, l.ends = appendFragments(l.pending, l.ends, body, chunkBytes)
+	}
+	select {
+	case l.wake <- struct{}{}:
+	default:
 	}
 	return nil
+}
+
+// depth is the number of frames waiting for the writer.
+func (l *link) depth() int {
+	l.sendMu.Lock()
+	defer l.sendMu.Unlock()
+	return len(l.ends)
 }
 
 // Receive implements zab.Transport.
@@ -718,10 +755,10 @@ func (m *Mesh) dialPeer(peer zab.PeerID, addr string) (*link, error) {
 
 func (m *Mesh) newLink(peer zab.PeerID, fc transport.Conn) *link {
 	return &link{
-		peer:   peer,
-		fc:     fc,
-		outbox: make(chan []byte, m.cfg.OutboxFrames),
-		done:   make(chan struct{}),
+		peer: peer,
+		fc:   fc,
+		wake: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
 }
 
@@ -756,13 +793,14 @@ func (m *Mesh) removeLink(l *link) {
 
 // --- frame pump ---
 
-// writeLoop sends whatever is ALREADY in the link's outbox (up to
-// transport.BatchBytes; a snapshot chunk goes alone) with one write: it
-// blocks for the first frame only and never waits for more, so a lone
-// frame leaves as soon as it is queued. The outbox is FIFO,
-// so a fragmented message's frames stay contiguous. A failed write
-// loses the whole batch — the loss model of a dropped link — and closes
-// the link.
+// writeLoop sends whatever is ALREADY in the link's send buffer: it
+// takes all of it by swapping the buffer with its spare, so senders
+// carry on appending while it writes, and sends the frames in order in
+// portions of transport.BatchBytes, one write each (a snapshot chunk
+// goes alone). It sleeps only when nothing is queued and never waits
+// for more, so a lone frame leaves as soon as it is queued. A failed
+// write loses everything taken — the loss model of a dropped link — and
+// closes the link.
 func (m *Mesh) writeLoop(l *link) {
 	defer m.wg.Done()
 	var batch [][]byte
@@ -770,27 +808,38 @@ func (m *Mesh) writeLoop(l *link) {
 		select {
 		case <-l.done:
 			return
-		case buf := <-l.outbox:
-			batch = append(batch[:0], buf)
-			size := len(buf)
-		gather:
-			for size < transport.BatchBytes {
-				select {
-				case buf = <-l.outbox:
-					batch = append(batch, buf)
-					size += len(buf)
-				default:
-					break gather
-				}
+		case <-l.wake:
+		}
+		l.sendMu.Lock()
+		buf, ends := l.pending, l.ends
+		l.pending, l.ends = l.spare, l.spareEnd
+		l.spare, l.spareEnd = nil, nil
+		l.sendMu.Unlock()
+
+		start, size := 0, 0
+		for i, end := range ends {
+			batch = append(batch, buf[start:end])
+			size += end - start
+			start = end
+			if size < transport.BatchBytes && i < len(ends)-1 {
+				continue
 			}
 			err := l.fc.SendFrames(batch)
 			m.framesPerWrite.Observe(int64(len(batch)))
-			clear(batch) // outboxed frames can be megabytes; do not pin them until the next write
+			clear(batch)
+			batch, size = batch[:0], 0
 			if err != nil {
 				l.close()
 				return
 			}
 		}
+
+		if cap(buf) > transport.MaxScratchRetain {
+			buf = nil
+		}
+		l.sendMu.Lock()
+		l.spare, l.spareEnd = buf[:0], ends[:0]
+		l.sendMu.Unlock()
 	}
 }
 
@@ -1036,41 +1085,26 @@ func recvHelloSec(fc transport.Conn, signer *sgx.QuoteSigner) (zab.PeerID, bool,
 	return zab.PeerID(id), role == roleObserver, ed25519.PublicKey(chanPub), nil
 }
 
-// encodeFrames serializes a message into one frameMsg frame, or a
-// fragment sequence when the encoding exceeds the chunk size (snapshot
-// transfers), and appends the frames to dst: callers pass a one-element
-// array on their stack, which the common single frame fits. Each frame
-// is an independently owned payload ready for the outbox.
-func encodeFrames(dst [][]byte, msg *zab.Message, chunkBytes int) [][]byte {
-	e := wire.GetEncoder()
-	msg.Serialize(e)
-	body := e.Bytes()
-	if len(body) <= chunkBytes {
-		frame := make([]byte, 0, len(body)+1)
-		frame = append(frame, frameMsg)
-		frame = append(frame, body...)
-		wire.PutEncoder(e)
-		return append(dst, frame)
-	}
+// appendFragments appends to a send buffer the fragment sequence of an
+// encoded message larger than chunkBytes: a frameFragBegin frame that
+// announces the total, frameFragCont frames, and a frameFragEnd frame,
+// each carrying chunkBytes of the body (the last what is left).
+func appendFragments(dst []byte, ends []int, body []byte, chunkBytes int) ([]byte, []int) {
+	frames := (len(body) + chunkBytes - 1) / chunkBytes
+	dst = slices.Grow(dst, len(body)+frames+8)
 	for off := 0; off < len(body); off += chunkBytes {
-		end := off + chunkBytes
-		if end > len(body) {
-			end = len(body)
-		}
-		chunk := body[off:end]
-		fe := wire.GetEncoder()
+		end := min(off+chunkBytes, len(body))
 		switch {
 		case off == 0:
-			_ = fe.WriteByte(frameFragBegin)
-			fe.WriteInt64(int64(len(body)))
+			dst = append(dst, frameFragBegin)
+			dst = binary.BigEndian.AppendUint64(dst, uint64(len(body)))
 		case end == len(body):
-			_ = fe.WriteByte(frameFragEnd)
+			dst = append(dst, frameFragEnd)
 		default:
-			_ = fe.WriteByte(frameFragCont)
+			dst = append(dst, frameFragCont)
 		}
-		fe.WriteRaw(chunk)
-		dst = append(dst, wire.Detach(fe))
+		dst = append(dst, body[off:end]...)
+		ends = append(ends, len(dst))
 	}
-	wire.PutEncoder(e)
-	return dst
+	return dst, ends
 }

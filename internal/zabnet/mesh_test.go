@@ -50,7 +50,7 @@ func newTestMeshes(t *testing.T, n int, tweak func(*Config)) []*Mesh {
 	return meshes
 }
 
-func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
+func waitFor(t testing.TB, timeout time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {

@@ -27,9 +27,11 @@
 #      /debug/pprof/.
 #
 # SMOKE_VARIANT=securekeeper additionally asserts the enclave ecall
-# counters and the messages-per-crossing histogram
-# (enclave_msgs_per_ecall, sum >= count) are exposed (the vanilla
-# variant has no enclave boundary).
+# counters, the messages-per-crossing histogram
+# (enclave_msgs_per_ecall, sum >= count) and the path-chunk cache
+# counters (skcrypto_path_cache_{hits,misses,evictions}_total per
+# enclave kind and direction) are exposed (the vanilla variant has no
+# enclave boundary).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -86,6 +88,14 @@ for i in 1 2 3 4; do
   if [ "$VARIANT" = securekeeper ]; then
     grep -q '^enclave_ecalls_total{' "$LOGS/metrics$i.txt" \
       || { echo "FAIL: node $i exposes no enclave ecall counters" >&2; exit 1; }
+    for kind in entry counter; do
+      for dir in enc dec; do
+        for what in hits misses evictions; do
+          grep -q "^skcrypto_path_cache_${what}_total{enclave=\"$kind\",dir=\"$dir\"} " "$LOGS/metrics$i.txt" \
+            || { echo "FAIL: node $i exposes no skcrypto_path_cache_${what}_total for $kind/$dir" >&2; exit 1; }
+        done
+      done
+    done
   fi
   # The JSON debug dump renders the same snapshot. (Fetched to a file:
   # piping into grep -q would close the pipe early and, under
@@ -142,8 +152,11 @@ for i in "$LEADER" 4; do
       || { echo "FAIL: node $i mntr is missing $key" >&2; exit 1; }
   done
   if [ "$VARIANT" = securekeeper ]; then
-    grep -q '^enclave_msgs_per_ecall_ec_request_count' <<<"$out" \
-      || { echo "FAIL: node $i mntr is missing enclave_msgs_per_ecall_ec_request_count" >&2; exit 1; }
+    for key in enclave_msgs_per_ecall_ec_request_count skcrypto_path_cache_hits_total_entry_enc \
+      skcrypto_path_cache_misses_total_entry_enc skcrypto_path_cache_evictions_total_counter_dec; do
+      grep -q "^$key" <<<"$out" \
+        || { echo "FAIL: node $i mntr is missing $key" >&2; exit 1; }
+    done
   fi
 done
 grep -q '^sk_role	OBSERVING' <<<"$(skc -addr "${CADDR[4]}" mntr)" \
