@@ -25,15 +25,13 @@ type Result struct {
 
 // Baseline is the committed reference file.
 type Baseline struct {
-	// TolerancePct is the allowed allocs/op regression in percent
-	// before the gate fails; BytesTolerancePct the same for B/op, where
-	// an entry gates it (20 when the file does not say).
-	TolerancePct      float64           `json:"tolerance_pct"`
-	BytesTolerancePct float64           `json:"bytes_tolerance_pct,omitempty"`
-	Benchmarks        map[string]Result `json:"benchmarks"`
+	// TolerancePct is the allowed regression in percent before the gate
+	// fails, for allocs/op and, where an entry gates it, for B/op.
+	TolerancePct float64           `json:"tolerance_pct"`
+	Benchmarks   map[string]Result `json:"benchmarks"`
 }
 
-// bytesSlack is allowed on top of the B/op tolerance. B/op is total
+// bytesSlack is allowed on top of the tolerance for B/op. B/op is total
 // bytes over iterations, so one buffer that grows once more after the
 // warm-up shows as a few bytes per op at smoke lengths; anything the
 // bytes gate is after costs hundreds.
@@ -51,9 +49,6 @@ func LoadBaseline(path string) (*Baseline, error) {
 	}
 	if b.TolerancePct <= 0 {
 		b.TolerancePct = 20
-	}
-	if b.BytesTolerancePct <= 0 {
-		b.BytesTolerancePct = 20
 	}
 	if len(b.Benchmarks) == 0 {
 		return nil, fmt.Errorf("%s: no benchmarks in baseline", path)
@@ -115,7 +110,7 @@ func ParseBenchOutput(out string) map[string]Result {
 // Gate returns a human-readable failure per baseline benchmark that is
 // missing from measured, whose allocs/op regressed beyond tolerancePct,
 // or whose B/op — where the baseline entry names it — regressed beyond
-// the baseline's bytes tolerance plus bytesSlack.
+// tolerancePct plus bytesSlack.
 func Gate(base *Baseline, measured map[string]Result, tolerancePct float64) []string {
 	var failures []string
 	for name, want := range base.Benchmarks {
@@ -131,9 +126,9 @@ func Gate(base *Baseline, measured map[string]Result, tolerancePct float64) []st
 		if want.BytesPerOp == nil || got.BytesPerOp == nil {
 			continue // -benchmem prints B/op wherever it prints allocs/op
 		}
-		if allowed := *want.BytesPerOp*(1+base.BytesTolerancePct/100) + bytesSlack; *got.BytesPerOp > allowed {
+		if allowed := *want.BytesPerOp*(1+tolerancePct/100) + bytesSlack; *got.BytesPerOp > allowed {
 			failures = append(failures, fmt.Sprintf("%s: B/op regressed (%.0f -> %.0f, allowed %.0f: tolerance %.0f%% + %d B)",
-				name, *want.BytesPerOp, *got.BytesPerOp, allowed, base.BytesTolerancePct, bytesSlack))
+				name, *want.BytesPerOp, *got.BytesPerOp, allowed, tolerancePct, bytesSlack))
 		}
 	}
 	return failures

@@ -112,13 +112,13 @@ func TestGateRewardsImprovement(t *testing.T) {
 
 // TestGateFailsOnBytesRegression: an entry that names bytes_per_op gates
 // B/op as well — a receive path that goes back to a fresh chunk per
-// 32 KiB is 0 allocs/op and 1 KiB/op — with the baseline's own bytes
-// tolerance and a few bytes of slack for a late buffer growth; entries
+// 32 KiB is 0 allocs/op and 1 KiB/op — with the same tolerance as
+// allocs/op and a few bytes of slack for a late buffer growth; entries
 // without the field, and baseline files from before it existed, gate
 // allocs/op alone.
 func TestGateFailsOnBytesRegression(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "baseline.json")
-	file := `{"tolerance_pct": 20, "bytes_tolerance_pct": 10, "benchmarks": {
+	file := `{"tolerance_pct": 20, "benchmarks": {
 		"BenchmarkReuse": {"allocs_per_op": 0, "bytes_per_op": 0},
 		"BenchmarkBatch": {"allocs_per_op": 7, "bytes_per_op": 1500},
 		"BenchmarkOther": {"allocs_per_op": 10}}}`

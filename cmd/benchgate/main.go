@@ -51,8 +51,8 @@ func main() {
 		prev, err := LoadBaseline(*baselinePath)
 		if err == nil {
 			// Preserve the previous baseline's policy: -update refreshes
-			// the numbers, not the tolerances or which entries gate B/op.
-			base.TolerancePct, base.BytesTolerancePct = prev.TolerancePct, prev.BytesTolerancePct
+			// the numbers, not the tolerance or which entries gate B/op.
+			base.TolerancePct = prev.TolerancePct
 		}
 		for name, m := range measured {
 			if prev == nil || prev.Benchmarks[name].BytesPerOp == nil {

@@ -109,13 +109,9 @@ type replicaHost struct {
 	// on this replica; later enclaves unseal instead (§4.5).
 	provMu           sync.Mutex
 	entryProvisioned bool
-	// entries are the host's entry enclaves, one per client connection,
-	// kept for the one thing that is read across all of them: the
-	// path-chunk cache counters. entryCache holds the counts of those
-	// already closed. Guarded by entryMu.
-	entryMu    sync.Mutex
-	entries    map[*enclave.Entry]struct{}
-	entryCache [2]skcrypto.CacheStats // enc, dec
+	// entryCache is where the path-chunk caches of the host's entry
+	// enclaves, one per client connection, count together.
+	entryCache skcrypto.CacheCounters
 }
 
 // newKeyServer builds the variant's key-release administrator. A nil
@@ -157,8 +153,7 @@ func buildHost(variant Variant, ks *enclave.KeyServer, cost *sgx.CostModel, appl
 		}
 		host.runtime = sgx.NewRuntime(sgx.EPCUsableBytes, c, applyLatency)
 		registerEcallMetrics(reg, host.runtime)
-		host.entries = make(map[*enclave.Entry]struct{})
-		registerCacheMetrics(reg, "entry", host.entryCacheStats)
+		registerCacheMetrics(reg, "entry", host.entryCache.Stats)
 		host.sealed = enclave.NewSealedKeyStore()
 		ks.TrustPlatform(host.runtime.QuoteVerificationKey())
 
@@ -248,38 +243,6 @@ func registerCacheMetrics(reg *obs.Registry, kind string, stats func() (enc, dec
 	}
 }
 
-// entryCacheStats sums the cache counters over the host's entry
-// enclaves, closed ones included.
-func (host *replicaHost) entryCacheStats() (enc, dec skcrypto.CacheStats) {
-	host.entryMu.Lock()
-	defer host.entryMu.Unlock()
-	sum := host.entryCache
-	for entry := range host.entries {
-		addCacheStats(&sum, entry)
-	}
-	return sum[0], sum[1]
-}
-
-func addCacheStats(sum *[2]skcrypto.CacheStats, entry *enclave.Entry) {
-	enc, dec := entry.CacheStats()
-	for i, s := range [2]skcrypto.CacheStats{enc, dec} {
-		sum[i].Hits += s.Hits
-		sum[i].Misses += s.Misses
-		sum[i].Evictions += s.Evictions
-	}
-}
-
-// closeEntry destroys a session's entry enclave, keeping its counts.
-func (host *replicaHost) closeEntry(entry *enclave.Entry) {
-	host.entryMu.Lock()
-	if _, ok := host.entries[entry]; ok {
-		delete(host.entries, entry)
-		addCacheStats(&host.entryCache, entry)
-	}
-	host.entryMu.Unlock()
-	entry.Close()
-}
-
 // hostEntryEnclave instantiates and provisions a per-client entry
 // enclave on the host's SGX runtime: the first one on a replica is
 // remote-attested by the key server; subsequent ones unseal the key
@@ -289,23 +252,23 @@ func hostEntryEnclave(ks *enclave.KeyServer, host *replicaHost) (*enclave.Entry,
 	if err != nil {
 		return nil, err
 	}
+	entry.CountCacheIn(&host.entryCache)
 	host.provMu.Lock()
 	provisioned := host.entryProvisioned
 	host.provMu.Unlock()
-	if !provisioned || enclave.UnsealEntry(entry, host.sealed) != nil {
-		// First enclave here, or the sealed blob is missing or damaged:
-		// attest.
-		if err := enclave.ProvisionEntry(entry, ks, host.sealed); err != nil {
-			entry.Close()
-			return nil, err
+	if provisioned {
+		if err := enclave.UnsealEntry(entry, host.sealed); err == nil {
+			return entry, nil
 		}
-		host.provMu.Lock()
-		host.entryProvisioned = true
-		host.provMu.Unlock()
+		// Sealed blob missing or damaged: fall back to attestation.
 	}
-	host.entryMu.Lock()
-	host.entries[entry] = struct{}{}
-	host.entryMu.Unlock()
+	if err := enclave.ProvisionEntry(entry, ks, host.sealed); err != nil {
+		entry.Close()
+		return nil, err
+	}
+	host.provMu.Lock()
+	host.entryProvisioned = true
+	host.provMu.Unlock()
 	return entry, nil
 }
 
@@ -326,7 +289,7 @@ func serveExternalHost(variant Variant, ks *enclave.KeyServer, host *replicaHost
 		if err != nil {
 			return err
 		}
-		defer host.closeEntry(entry)
+		defer entry.Close()
 		sc, err := transport.Handshake(conn, host.identity, false, transport.VerifyAny())
 		if err != nil {
 			return err
@@ -616,7 +579,7 @@ func (c *Cluster) serveTLS(host *replicaHost, conn transport.Conn, entry *enclav
 	go func() {
 		defer c.wg.Done()
 		if entry != nil {
-			defer host.closeEntry(entry)
+			defer entry.Close()
 		}
 		sc, err := transport.Handshake(conn, host.identity, false, transport.VerifyAny())
 		if err != nil {

@@ -224,6 +224,7 @@ func TestPathCacheCountersInMntr(t *testing.T) {
 	c := newTestCluster(t, SecureKeeper)
 	leader := c.LeaderIndex()
 	mntr := func() map[string]int64 { return mntrOf(c, leader) }
+	enclaves := c.hosts[leader].runtime.EnclaveCount()
 	cl, err := c.Connect(leader, client.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -258,10 +259,7 @@ func TestPathCacheCountersInMntr(t *testing.T) {
 
 	_ = cl.Close()
 	waitForCond(t, 5*time.Second, "the session's entry enclave to close", func() bool {
-		h := c.hosts[leader]
-		h.entryMu.Lock()
-		defer h.entryMu.Unlock()
-		return len(h.entries) == 0
+		return c.hosts[leader].runtime.EnclaveCount() == enclaves
 	})
 	closed := mntr()
 	for _, key := range []string{"skcrypto_path_cache_misses_total_entry_enc", "skcrypto_path_cache_hits_total_entry_enc"} {

@@ -22,6 +22,7 @@ import (
 
 	"securekeeper/internal/sgx"
 	"securekeeper/internal/skcrypto"
+	"securekeeper/internal/transport"
 	"securekeeper/internal/wire"
 )
 
@@ -91,8 +92,10 @@ type Entry struct {
 	runtime *sgx.Runtime
 
 	// Untrusted state: the packed buffer the caller keeps for each of
-	// the two ecalls, see ecallBuf.
-	requests, responses ecallBuf
+	// the two ecalls, see ecallBuf. The one-message methods have theirs,
+	// so they never overwrite what a batch call handed out.
+	requests, responses     ecallBuf
+	oneRequest, oneResponse ecallBuf
 
 	// Trusted state (lives inside the ELRANGE conceptually): the
 	// storage codec and the FIFO request-type queue. An ecall holds mu
@@ -100,6 +103,9 @@ type Entry struct {
 	mu    sync.Mutex
 	codec *skcrypto.Codec
 	queue []pendingOp
+	// cacheCounters is where the codec's chunk caches count: the
+	// enclave's own unless CountCacheIn named others.
+	cacheCounters *skcrypto.CacheCounters
 	// The codec's path rewrites in the shape wire.AppendToMapping
 	// takes, bound once with the key rather than per message.
 	encryptPath, decryptPath, decryptChild func(dst []byte, s string) ([]byte, error)
@@ -109,7 +115,7 @@ type Entry struct {
 // key must be provisioned afterwards (Provision or UnsealFrom) before
 // messages can be processed.
 func NewEntry(rt *sgx.Runtime) (*Entry, error) {
-	en := &Entry{runtime: rt}
+	en := &Entry{runtime: rt, cacheCounters: new(skcrypto.CacheCounters)}
 	spec := sgx.Spec{
 		CodeIdentity: EntryCodeIdentity,
 		CodeBytes:    entryCodeBytes,
@@ -141,12 +147,12 @@ func (en *Entry) Close() { en.runtime.Destroy(en.enclave) }
 
 // installKey sets the storage codec; called by the provisioning flow.
 func (en *Entry) installKey(key []byte) error {
-	codec, err := skcrypto.NewCodec(key)
+	en.mu.Lock()
+	defer en.mu.Unlock()
+	codec, err := skcrypto.NewCodecCounting(key, en.cacheCounters)
 	if err != nil {
 		return err
 	}
-	en.mu.Lock()
-	defer en.mu.Unlock()
 	en.codec = codec
 	en.encryptPath, en.decryptPath = codec.AppendEncryptedPath, codec.AppendDecryptedPath
 	// Children are single path elements, not paths.
@@ -164,17 +170,14 @@ func (en *Entry) Provisioned() bool {
 	return en.codec != nil
 }
 
-// CacheStats reports the counters of the enclave's path-chunk caches,
-// zero until the key is provisioned (observability: counts leave the
-// enclave, paths and chunks do not).
-func (en *Entry) CacheStats() (enc, dec skcrypto.CacheStats) {
+// CountCacheIn makes the enclave's path-chunk caches count in c, which
+// the entry enclaves of a host share (observability: counts leave the
+// enclave, paths and chunks do not). It takes effect with the next key
+// installed: call it before provisioning.
+func (en *Entry) CountCacheIn(c *skcrypto.CacheCounters) {
 	en.mu.Lock()
-	codec := en.codec
-	en.mu.Unlock()
-	if codec == nil {
-		return enc, dec
-	}
-	return codec.CacheStats()
+	defer en.mu.Unlock()
+	en.cacheCounters = c
 }
 
 // GrowthHeadroom returns the extra buffer capacity the untrusted caller
@@ -215,15 +218,16 @@ func (en *Entry) ProcessResponses(msgs, out [][]byte) ([][]byte, error) {
 }
 
 // ProcessRequest is the one-element case of ProcessRequests, with a
-// result the caller owns; any number of goroutines may call it.
+// result the caller owns; any number of goroutines may call it, and it
+// leaves what the last ProcessRequests handed out alone.
 func (en *Entry) ProcessRequest(msg []byte) ([]byte, error) {
-	return en.requests.callOne(en.enclave, EcallRequest, msg)
+	return en.oneRequest.callOne(en.enclave, EcallRequest, msg)
 }
 
-// ProcessResponse is the one-element case of ProcessResponses, with a
-// result the caller owns.
+// ProcessResponse is the one-element case of ProcessResponses, as
+// ProcessRequest is of ProcessRequests.
 func (en *Entry) ProcessResponse(msg []byte) ([]byte, error) {
-	return en.responses.callOne(en.enclave, EcallResponse, msg)
+	return en.oneResponse.callOne(en.enclave, EcallResponse, msg)
 }
 
 // The packed ecall buffer, in both directions (integers big-endian):
@@ -253,16 +257,16 @@ type ecallBuf struct {
 	buf []byte
 }
 
-// maxBufRetain bounds the packed buffer an entry keeps between calls. A
-// larger burst gets its buffer for that one call (its results keep it
-// alive for as long as the caller holds them), so it cannot pin its size
-// on the session for the connection's lifetime.
-const maxBufRetain = 256 << 10
-
 // call runs one ecall over msgs with the §5.1 pre-sized buffer
 // contract, per slot, and appends to out the rewritten messages where
 // the trusted side left them: slices of the slots, each capped at its
 // length, valid until the next call. The caller holds mu.
+//
+// The buffer has the length a pooled one would have (sgx.BufSize), which
+// is what the crossing's page-touch charge goes by. One grown past
+// transport.MaxScratchRetain serves this call only (its results keep it
+// alive for as long as the caller holds them), so a large burst cannot
+// pin its size on the session for the connection's lifetime.
 func (eb *ecallBuf) call(e *sgx.Enclave, name string, msgs, out [][]byte) ([][]byte, error) {
 	if len(msgs) == 0 {
 		return out, nil
@@ -271,11 +275,12 @@ func (eb *ecallBuf) call(e *sgx.Enclave, name string, msgs, out [][]byte) ([][]b
 	for _, m := range msgs {
 		total += slotHeaderLen + slotCap(len(m))
 	}
-	if cap(eb.buf) < total {
-		eb.buf = make([]byte, max(total, 2*cap(eb.buf)))
+	size := sgx.BufSize(total)
+	if cap(eb.buf) < size {
+		eb.buf = make([]byte, size)
 	}
-	buf := eb.buf[:total]
-	if cap(buf) > maxBufRetain {
+	buf := eb.buf[:size]
+	if cap(buf) > transport.MaxScratchRetain {
 		eb.buf = nil
 	}
 	binary.BigEndian.PutUint32(buf, uint32(len(msgs)))

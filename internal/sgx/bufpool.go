@@ -67,6 +67,19 @@ func (s *bufPoolSet) get(n int) *PooledBuf {
 	return &PooledBuf{B: make([]byte, n), class: -1, home: s}
 }
 
+// BufSize is the length of the buffer GetBuf(n) hands out: n rounded up
+// to its pool class. A caller that keeps a message buffer of its own
+// passes it to Ecall at this length, so the crossing touches the same
+// pages as with a pooled one.
+func BufSize(n int) int {
+	for _, size := range bufClasses {
+		if n <= size {
+			return size
+		}
+	}
+	return n
+}
+
 // GetBuf returns a pooled buffer with len(B) >= n for untrusted-side
 // message assembly. Contents are NOT zeroed: callers must treat bytes
 // beyond what they write as garbage (residue of earlier untrusted

@@ -3,6 +3,7 @@ package skcrypto
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // The path codec is deterministic by design (§4.3): a chunk's IV is the
@@ -28,15 +29,36 @@ type chunkCache struct {
 	max        int
 	m          map[string]*chunkEntry
 	head, tail *chunkEntry // head = most recent
-	stats      CacheStats
+	counts     *cacheCounts
 }
 
-// CacheStats counts what one direction of a codec's chunk cache has
-// done since the codec was built: lookups that found their chunk,
-// lookups that did not (each followed by the crypto and an insertion),
-// and insertions that pushed the least-recently-used chunk out.
+// CacheStats counts what one direction of chunk cache has done: lookups
+// that found their chunk, lookups that did not (each followed by the
+// crypto and an insertion), and insertions that pushed the
+// least-recently-used chunk out.
 type CacheStats struct {
 	Hits, Misses, Evictions int64
+}
+
+// CacheCounters are the counters of a codec's two chunk caches. Codecs
+// built over one set (NewCodecCounting) add to it together — a host's
+// entry enclaves, one per client connection, are read as one — and the
+// counts outlive the codecs.
+type CacheCounters struct {
+	enc, dec cacheCounts
+}
+
+type cacheCounts struct {
+	hits, misses, evictions atomic.Int64
+}
+
+// Stats reports the counts per direction.
+func (cc *CacheCounters) Stats() (enc, dec CacheStats) {
+	return cc.enc.stats(), cc.dec.stats()
+}
+
+func (c *cacheCounts) stats() CacheStats {
+	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions.Load()}
 }
 
 type chunkEntry struct {
@@ -44,9 +66,10 @@ type chunkEntry struct {
 	prev, next *chunkEntry
 }
 
-// newChunkCache returns a cache of at most max (at least one) entries.
-func newChunkCache(max int) *chunkCache {
-	return &chunkCache{max: max, m: make(map[string]*chunkEntry, min(max, 256))}
+// newChunkCache returns a cache of at most max (at least one) entries
+// that counts in counts.
+func newChunkCache(max int, counts *cacheCounts) *chunkCache {
+	return &chunkCache{max: max, m: make(map[string]*chunkEntry, min(max, 256)), counts: counts}
 }
 
 // get returns the cached value and refreshes its recency.
@@ -54,11 +77,11 @@ func (c *chunkCache) get(key string) (string, bool) {
 	c.mu.Lock()
 	e, ok := c.m[key]
 	if !ok {
-		c.stats.Misses++
+		c.counts.misses.Add(1)
 		c.mu.Unlock()
 		return "", false
 	}
-	c.stats.Hits++
+	c.counts.hits.Add(1)
 	c.moveToFront(e)
 	v := e.val
 	c.mu.Unlock()
@@ -83,7 +106,7 @@ func (c *chunkCache) add(key, val string) {
 		e = c.tail
 		c.unlink(e)
 		delete(c.m, e.key)
-		c.stats.Evictions++
+		c.counts.evictions.Add(1)
 	} else {
 		e = new(chunkEntry)
 	}
@@ -97,12 +120,6 @@ func (c *chunkCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
-}
-
-func (c *chunkCache) snapshot() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
 }
 
 func (c *chunkCache) pushFront(e *chunkEntry) {

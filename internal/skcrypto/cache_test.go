@@ -155,7 +155,7 @@ func TestChunkCacheBoundedUnderChurn(t *testing.T) {
 // TestChunkCacheLRUOrder: the least-recently-used entry is the one
 // evicted.
 func TestChunkCacheLRUOrder(t *testing.T) {
-	cc := newChunkCache(2)
+	cc := newChunkCache(2, new(cacheCounts))
 	cc.add("a", "1")
 	cc.add("b", "2")
 	if _, ok := cc.get("a"); !ok { // refresh a; b becomes LRU
@@ -180,7 +180,7 @@ func TestChunkCacheLRUOrder(t *testing.T) {
 // pushes out — it allocates the clone of its key and nothing else.
 func TestChunkCacheCountsAndRecycles(t *testing.T) {
 	c := cacheTestCodec(t, 1)
-	c.enc, c.dec = newChunkCache(4), newChunkCache(4)
+	c.enc, c.dec = newChunkCache(4, &c.counters.enc), newChunkCache(4, &c.counters.dec)
 	for i := 0; i < 6; i++ { // one chunk each: six misses, two evictions per direction
 		if _, err := c.EncryptPath(fmt.Sprintf("/n%d", i)); err != nil {
 			t.Fatal(err)
@@ -200,7 +200,7 @@ func TestChunkCacheCountsAndRecycles(t *testing.T) {
 		t.Fatalf("dec direction: %+v, want %+v", dec, want)
 	}
 
-	cc := newChunkCache(2)
+	cc := newChunkCache(2, new(cacheCounts))
 	keys := []string{"/churn/a", "/churn/b", "/churn/c"}
 	i := 0
 	if got := testing.AllocsPerRun(100, func() {

@@ -79,10 +79,18 @@ type Codec struct {
 	// the encoded encrypted chunk; dec maps the encoded chunk back.
 	enc *chunkCache
 	dec *chunkCache
+	// counters are what the two caches count in.
+	counters *CacheCounters
 }
 
 // NewCodec builds a codec from the 16-byte storage key.
 func NewCodec(key []byte) (*Codec, error) {
+	return NewCodecCounting(key, new(CacheCounters))
+}
+
+// NewCodecCounting is NewCodec with chunk caches that count in
+// counters, which other codecs may share.
+func NewCodecCounting(key []byte, counters *CacheCounters) (*Codec, error) {
 	if len(key) != KeySize {
 		return nil, ErrBadKeySize
 	}
@@ -95,9 +103,10 @@ func NewCodec(key []byte) (*Codec, error) {
 		return nil, fmt.Errorf("skcrypto: gcm: %w", err)
 	}
 	return &Codec{
-		aead: aead,
-		enc:  newChunkCache(DefaultChunkCacheSize),
-		dec:  newChunkCache(DefaultChunkCacheSize),
+		aead:     aead,
+		enc:      newChunkCache(DefaultChunkCacheSize, &counters.enc),
+		dec:      newChunkCache(DefaultChunkCacheSize, &counters.dec),
+		counters: counters,
 	}, nil
 }
 
@@ -111,7 +120,7 @@ func (c *Codec) ChunkCacheLen() (enc, dec int) {
 // chunk caches: how often path crypto was saved, and how much of what
 // the caches hold is pushed out again before anyone asks for it.
 func (c *Codec) CacheStats() (enc, dec CacheStats) {
-	return c.enc.snapshot(), c.dec.snapshot()
+	return c.counters.Stats()
 }
 
 // hashScratch pools the small buffers used to assemble domain-separated

@@ -233,6 +233,66 @@ func TestFailedBatchedWriteClosesLinkOnce(t *testing.T) {
 	}
 }
 
+// blockedConn is a link transport whose writes wait to be released.
+type blockedConn struct {
+	transport.Conn // nil: the link under test never reads
+	entered        chan int
+	release        chan struct{}
+}
+
+func (c *blockedConn) SendFrames(frames [][]byte) error {
+	c.entered <- len(frames)
+	<-c.release
+	return nil
+}
+
+func (c *blockedConn) Close() error { return nil }
+
+// TestOutboxBoundCountsFramesBeingWritten: the frames the writer took
+// out of the send buffer occupy the queue until they are written, so a
+// link to a peer that stopped reading holds OutboxFrames frames, not
+// that many behind the write and as many again inside it.
+func TestOutboxBoundCountsFramesBeingWritten(t *testing.T) {
+	const maxFrames = 4
+	m := &Mesh{}
+	fc := &blockedConn{entered: make(chan int, 4), release: make(chan struct{})}
+	l := m.newLink(2, fc)
+	for i := byte(1); i <= 3; i++ {
+		if err := l.enqueue([]byte{i}, 512, maxFrames); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.wg.Add(1)
+	go m.writeLoop(l)
+	if n := <-fc.entered; n != 3 {
+		t.Fatalf("writer took %d frames, want the 3 queued", n)
+	}
+	if d := l.depth(); d != 3 {
+		t.Fatalf("depth %d while 3 frames are being written, want 3", d)
+	}
+	if err := l.enqueue([]byte{4}, 512, maxFrames); err != nil {
+		t.Fatalf("4th frame of %d: %v", maxFrames, err)
+	}
+	if err := l.enqueue([]byte{5}, 512, maxFrames); !errors.Is(err, errOutboxFull) {
+		t.Fatalf("5th frame behind a blocked write of 3: err %v, want errOutboxFull", err)
+	}
+	if d := l.depth(); d != 4 {
+		t.Fatalf("depth %d, want 4", d)
+	}
+	fc.release <- struct{}{}       // the write of 3 completes,
+	if n := <-fc.entered; n != 1 { // the 4th frame follows
+		t.Fatalf("second write carries %d frames, want 1", n)
+	}
+	for i := byte(6); i <= 8; i++ {
+		if err := l.enqueue([]byte{i}, 512, maxFrames); err != nil {
+			t.Fatalf("frame %d after the first write completed: %v", i, err)
+		}
+	}
+	l.close()
+	close(fc.release)
+	m.wg.Wait()
+}
+
 // TestLinkSendBufferRetentionIsBounded: a message of 1 MiB fragments
 // gets send buffers for the write cycle that carries it and must not pin
 // their size on the link; ordinary traffic keeps its buffers.

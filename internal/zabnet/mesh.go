@@ -53,6 +53,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"securekeeper/internal/obs"
@@ -238,7 +239,7 @@ var (
 // (ends[i] is where the i-th of them ends) and the writer swaps pending
 // with the spare it emptied last, so in steady state a send copies a
 // message's bytes into memory the link already has and allocates
-// nothing. sendMu guards all four; holding it for a whole message is
+// nothing. sendMu guards all four buffers; holding it for a whole message is
 // also what keeps a fragmented message's frames contiguous (the
 // receiver's reassembly depends on it) and the capacity check atomic.
 // A buffer grown past transport.MaxScratchRetain (a snapshot's
@@ -250,6 +251,10 @@ type link struct {
 	sendMu         sync.Mutex
 	pending, spare []byte
 	ends, spareEnd []int
+	// writing counts the frames the writer took and has not written yet:
+	// they still occupy the queue (capacity check, depth). The writer
+	// sets it under sendMu when it swaps and lowers it after each write.
+	writing atomic.Int64
 	// wake tells the writer that pending is not empty.
 	wake chan struct{}
 
@@ -508,8 +513,9 @@ func (m *Mesh) SendMany(to []zab.PeerID, msg zab.Message) error {
 // enqueue appends one encoded message to the link's send buffer as a
 // frameMsg frame, or as a fragment sequence when it exceeds chunkBytes
 // (snapshot transfers), and wakes the writer. Either every frame is
-// queued or none is: maxFrames bounds the frames waiting for the writer,
-// and a message that would exceed it is shed whole.
+// queued or none is: maxFrames bounds the frames not yet written — those
+// waiting for the writer and those it took and is still writing — and a
+// message that would exceed it is shed whole.
 func (l *link) enqueue(body []byte, chunkBytes, maxFrames int) error {
 	frames := 1
 	if len(body) > chunkBytes {
@@ -522,7 +528,7 @@ func (l *link) enqueue(body []byte, chunkBytes, maxFrames int) error {
 		return zab.ErrPeerUnreachable
 	default:
 	}
-	if len(l.ends)+frames > maxFrames {
+	if len(l.ends)+int(l.writing.Load())+frames > maxFrames {
 		return errOutboxFull
 	}
 	if frames == 1 {
@@ -538,11 +544,11 @@ func (l *link) enqueue(body []byte, chunkBytes, maxFrames int) error {
 	return nil
 }
 
-// depth is the number of frames waiting for the writer.
+// depth is the number of frames queued and not yet written.
 func (l *link) depth() int {
 	l.sendMu.Lock()
 	defer l.sendMu.Unlock()
-	return len(l.ends)
+	return len(l.ends) + int(l.writing.Load())
 }
 
 // Receive implements zab.Transport.
@@ -814,6 +820,7 @@ func (m *Mesh) writeLoop(l *link) {
 		buf, ends := l.pending, l.ends
 		l.pending, l.ends = l.spare, l.spareEnd
 		l.spare, l.spareEnd = nil, nil
+		l.writing.Store(int64(len(ends)))
 		l.sendMu.Unlock()
 
 		start, size := 0, 0
@@ -825,6 +832,7 @@ func (m *Mesh) writeLoop(l *link) {
 				continue
 			}
 			err := l.fc.SendFrames(batch)
+			l.writing.Add(-int64(len(batch)))
 			m.framesPerWrite.Observe(int64(len(batch)))
 			clear(batch)
 			batch, size = batch[:0], 0
