@@ -76,7 +76,7 @@ func followerFixture(t *testing.T) (*Peer, <-chan Message) {
 		Deliver:   func(Committed) {},
 	})
 	p.role.Store(int32(RoleFollowing))
-	p.followTarget = 1
+	p.followTarget, p.leaderSynced = 1, true
 	p.epoch = 1
 	return p, leaderBox
 }
@@ -99,7 +99,7 @@ func TestHandleProposeBatchAcksAsUnit(t *testing.T) {
 		batchRecord(MakeZxid(1, 2), "/b"),
 		batchRecord(MakeZxid(1, 3), "/c"),
 	}
-	p.handleProposeBatch(Message{Kind: KindProposeBatch, From: 1, Epoch: 1, Zxid: 0, Batch: batch})
+	p.handleProposeBatch(1, Message{Kind: KindProposeBatch, From: 1, Epoch: 1, Zxid: 0, Batch: batch})
 
 	if len(p.inflight) != 3 {
 		t.Fatalf("inflight = %d, want 3", len(p.inflight))
@@ -113,9 +113,9 @@ func TestHandleProposeBatchAcksAsUnit(t *testing.T) {
 func TestHandleProposeBatchPiggybackedCommit(t *testing.T) {
 	p, leaderBox := followerFixture(t)
 	delivered := 0
-	p.cfg.Deliver = func(Committed) { delivered++ }
+	p.env.Deliver = func(Committed) { delivered++ }
 
-	p.handleProposeBatch(Message{Kind: KindProposeBatch, From: 1, Epoch: 1, Zxid: 0, Batch: []ProposalRecord{
+	p.handleProposeBatch(1, Message{Kind: KindProposeBatch, From: 1, Epoch: 1, Zxid: 0, Batch: []ProposalRecord{
 		batchRecord(MakeZxid(1, 1), "/a"),
 		batchRecord(MakeZxid(1, 2), "/b"),
 	}})
@@ -125,7 +125,7 @@ func TestHandleProposeBatchPiggybackedCommit(t *testing.T) {
 	}
 	// Next frame carries commit bound (1,2): both proposals apply
 	// without any explicit COMMIT frame.
-	p.handleProposeBatch(Message{Kind: KindProposeBatch, From: 1, Epoch: 1, Zxid: MakeZxid(1, 2), Batch: []ProposalRecord{
+	p.handleProposeBatch(1, Message{Kind: KindProposeBatch, From: 1, Epoch: 1, Zxid: MakeZxid(1, 2), Batch: []ProposalRecord{
 		batchRecord(MakeZxid(1, 3), "/c"),
 	}})
 	if delivered != 2 {
@@ -143,7 +143,7 @@ func TestHandleProposeBatchNeverAcksPastGap(t *testing.T) {
 	// shed: the cumulative ACK must stop before the gap — acking (1,4)
 	// would let the leader count a false quorum for (1,1) — and the
 	// follower must start recovery.
-	p.handleProposeBatch(Message{Kind: KindProposeBatch, From: 1, Epoch: 1, Zxid: 0, Batch: []ProposalRecord{
+	p.handleProposeBatch(1, Message{Kind: KindProposeBatch, From: 1, Epoch: 1, Zxid: 0, Batch: []ProposalRecord{
 		batchRecord(MakeZxid(1, 3), "/c"),
 		batchRecord(MakeZxid(1, 4), "/d"),
 	}})
@@ -159,7 +159,7 @@ func TestHandleProposeBatchNeverAcksPastGap(t *testing.T) {
 
 func TestHandleProposeBatchIgnoresDisorderedTail(t *testing.T) {
 	p, leaderBox := followerFixture(t)
-	p.handleProposeBatch(Message{Kind: KindProposeBatch, From: 1, Epoch: 1, Zxid: 0, Batch: []ProposalRecord{
+	p.handleProposeBatch(1, Message{Kind: KindProposeBatch, From: 1, Epoch: 1, Zxid: 0, Batch: []ProposalRecord{
 		batchRecord(MakeZxid(1, 1), "/a"),
 		batchRecord(MakeZxid(1, 1), "/dup"), // disordered: replay must stop here
 		batchRecord(MakeZxid(1, 2), "/b"),
@@ -178,7 +178,7 @@ func TestAckFrontierCrossesEpochBoundary(t *testing.T) {
 	p.epoch = 2
 	// Committed through (1,7); inflight holds (1,8) then the first two
 	// proposals of epoch 2.
-	p.lastCommit = MakeZxid(1, 7)
+	p.lastCommit.Store(MakeZxid(1, 7))
 	p.inflight[MakeZxid(1, 8)] = batchRecord(MakeZxid(1, 8), "/x")
 	p.inflight[MakeZxid(2, 1)] = batchRecord(MakeZxid(2, 1), "/y")
 	p.inflight[MakeZxid(2, 2)] = batchRecord(MakeZxid(2, 2), "/z")

@@ -48,7 +48,7 @@ func (l *commitLog) since(zxid int64) ([]ProposalRecord, bool) {
 		return nil, false
 	}
 	idx := sort.Search(l.n, func(i int) bool { return l.at(i).Txn.Zxid > zxid })
-	if idx > 0 && l.at(idx-1).Txn.Zxid != zxid && zxid != l.base {
+	if zxid != l.base && (idx == 0 || l.at(idx-1).Txn.Zxid != zxid) {
 		return nil, false
 	}
 	out := make([]ProposalRecord, l.n-idx)

@@ -74,18 +74,19 @@ func TestObserverNeverVotesOrEntersQuorum(t *testing.T) {
 	}
 
 	// White-box after stopping the loop (safe: no concurrent access):
-	// the observer is tracked in obsSynced, never in the voter sets.
+	// the observer's row carries obsSynced and nothing a quorum reads.
 	leader.Stop()
-	if _, ok := leader.synced[obs]; ok {
+	row := leader.member(obs)
+	if row.synced {
 		t.Fatal("observer entered the leader's synced (quorum) set")
 	}
-	if _, ok := leader.obsSynced[obs]; !ok {
+	if !row.obsSynced {
 		t.Fatal("observer missing from the leader's obsSynced set")
 	}
-	if _, ok := leader.votes[obs]; ok {
+	if row.vote != (vote{}) {
 		t.Fatal("observer vote entered the leader's tally")
 	}
-	if leader.isVoter(obs) {
+	if row.voter {
 		t.Fatal("observer classified as voter")
 	}
 }

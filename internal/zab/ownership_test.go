@@ -34,7 +34,7 @@ func TestCommitLogRing(t *testing.T) {
 		}
 		z := MakeZxid(epoch, counter)
 		zxids = append(zxids, z)
-		p.deliver(Committed{Txn: ztree.Txn{Zxid: z, Type: ztree.TxnSync}, Origin: Origin{Xid: int32(i)}})
+		p.deliver(1, Committed{Txn: ztree.Txn{Zxid: z, Type: ztree.TxnSync}, Origin: Origin{Xid: int32(i)}})
 
 		held := zxids[max(0, len(zxids)-limit):]
 		base := int64(0)
@@ -78,7 +78,7 @@ func TestCommitLogRing(t *testing.T) {
 	// A snapshot install empties the ring and moves the base.
 	p.followTarget = 2
 	p.setRole(RoleFollowing, 2)
-	p.handleSync(Message{Kind: KindSyncSnap, From: 2, Epoch: 2, Zxid: MakeZxid(2, 500)})
+	p.handleSync(1, Message{Kind: KindSyncSnap, From: 2, Epoch: 2, Zxid: MakeZxid(2, 500)})
 	if diff, ok := p.diffSince(MakeZxid(2, 500)); !ok || len(diff) != 0 || p.log.n != 0 {
 		t.Fatalf("after a snapshot install: %d records, diff %v ok=%v", p.log.n, diff, ok)
 	}
@@ -87,7 +87,7 @@ func TestCommitLogRing(t *testing.T) {
 			t.Fatalf("slot %d still holds zxid %#x after the reset", i, p.log.recs[i].Txn.Zxid)
 		}
 	}
-	p.deliver(Committed{Txn: ztree.Txn{Zxid: MakeZxid(2, 501), Type: ztree.TxnSync}})
+	p.deliver(1, Committed{Txn: ztree.Txn{Zxid: MakeZxid(2, 501), Type: ztree.TxnSync}})
 	if diff, ok := p.diffSince(MakeZxid(2, 500)); !ok || len(diff) != 1 {
 		t.Fatalf("first delivery after a reset: diff %v ok=%v", diff, ok)
 	}
@@ -121,7 +121,7 @@ func applyingFollower(tb testing.TB, keys, frames, batch int) (*Peer, *ztree.Tre
 				tb.Errorf("apply %#x: %v", c.Txn.Zxid, res.Err)
 			}
 		}})
-	p.followTarget = 1
+	p.followTarget, p.leaderSynced = 1, true
 	p.setRole(RoleFollowing, 1)
 
 	payload := make([]byte, 1024)
@@ -151,7 +151,7 @@ func (p *Peer) receive(tb testing.TB, frame []byte) {
 		tb.Fatal(err)
 	}
 	msg.From = 1
-	p.handle(msg)
+	p.handle(1, msg)
 }
 
 // TestFollowerDecodeApplyAllocations pins the ownership rule on a

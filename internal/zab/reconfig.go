@@ -115,35 +115,30 @@ func DecodeReconfigChange(data []byte) (ReconfigChange, error) {
 // hostile length prefix cannot drive allocation.
 const maxMembers = 1024
 
-// member is one entry of an encoded membership snapshot.
-type member struct {
-	ID       PeerID
-	Addr     string
-	Observer bool
-}
-
-// encodeMembership serializes a (voters, observers, addrs) view, sorted
-// by id so identical memberships encode identically.
-func encodeMembership(voters, observers map[PeerID]struct{}, addrs map[PeerID]string) []byte {
-	members := make([]member, 0, len(voters)+len(observers))
-	for id := range voters {
-		members = append(members, member{ID: id, Addr: addrs[id]})
-	}
-	for id := range observers {
-		members = append(members, member{ID: id, Addr: addrs[id], Observer: true})
-	}
-	sortMembers(members)
+// encodeMembership serializes the member table (already sorted by id,
+// so identical memberships encode identically): id, address, observer
+// flag per member.
+func encodeMembership(members []member) []byte {
 	e := wire.NewEncoder(4 + 32*len(members))
-	e.WriteInt32(int32(len(members)))
-	for _, m := range members {
-		e.WriteInt64(int64(m.ID))
-		e.WriteString(m.Addr)
-		e.WriteBool(m.Observer)
+	n := 0
+	for i := range members {
+		if members[i].isMember() {
+			n++
+		}
+	}
+	e.WriteInt32(int32(n))
+	for i := range members {
+		if m := &members[i]; m.isMember() {
+			e.WriteInt64(int64(m.id))
+			e.WriteString(m.addr)
+			e.WriteBool(!m.voter)
+		}
 	}
 	return e.Bytes()
 }
 
-// decodeMembership parses an encoded membership snapshot.
+// decodeMembership parses an encoded membership snapshot into rows that
+// carry id, address and kind.
 func decodeMembership(data []byte) ([]member, error) {
 	d := wire.NewDecoder(data)
 	n, err := d.ReadInt32()
@@ -160,22 +155,16 @@ func decodeMembership(data []byte) ([]member, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.ID = PeerID(id)
-		if m.Addr, err = d.ReadString(); err != nil {
+		m.id = PeerID(id)
+		if m.addr, err = d.ReadString(); err != nil {
 			return nil, err
 		}
-		if m.Observer, err = d.ReadBool(); err != nil {
+		observer, err := d.ReadBool()
+		if err != nil {
 			return nil, err
 		}
+		m.voter = !observer
 		members = append(members, m)
 	}
 	return members, nil
-}
-
-func sortMembers(members []member) {
-	for i := 1; i < len(members); i++ {
-		for j := i; j > 0 && members[j].ID < members[j-1].ID; j-- {
-			members[j], members[j-1] = members[j-1], members[j]
-		}
-	}
 }

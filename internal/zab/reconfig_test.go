@@ -40,16 +40,18 @@ func TestReconfigChangeDecodeRejectsGarbage(t *testing.T) {
 }
 
 func TestMembershipCodecRoundTrip(t *testing.T) {
-	voters := map[PeerID]struct{}{3: {}, 1: {}, 2: {}}
-	observers := map[PeerID]struct{}{5: {}}
-	addrs := map[PeerID]string{1: "a:1", 5: "e:5"}
-	members, err := decodeMembership(encodeMembership(voters, observers, addrs))
+	c := newCore(Config{ID: 1, Peers: []PeerID{3, 1, 2}, Transport: discardTransport{}})
+	c.addMember(1, "a:1", true)
+	c.addMember(5, "e:5", false)
+	c.addMember(4, "gone", false)
+	c.member(4).removeAt = 1 // removed, its link not yet torn down: no member
+	members, err := decodeMembership(encodeMembership(c.members))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	want := []member{
-		{ID: 1, Addr: "a:1"}, {ID: 2}, {ID: 3},
-		{ID: 5, Addr: "e:5", Observer: true},
+		{id: 1, addr: "a:1", voter: true}, {id: 2, voter: true}, {id: 3, voter: true},
+		{id: 5, addr: "e:5"},
 	}
 	if len(members) != len(want) {
 		t.Fatalf("got %d members, want %d", len(members), len(want))
@@ -93,7 +95,7 @@ func (h *harness) waitVoters(p *Peer, want []PeerID, timeout time.Duration) {
 			}
 		}
 		if time.Now().After(deadline) {
-			h.t.Fatalf("peer %d voters = %v, want %v", p.cfg.ID, voters, want)
+			h.t.Fatalf("peer %d voters = %v, want %v", p.ID(), voters, want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -104,7 +106,7 @@ func waitRole(t *testing.T, p *Peer, want Role, timeout time.Duration) {
 	deadline := time.Now().Add(timeout)
 	for p.Role() != want {
 		if time.Now().After(deadline) {
-			t.Fatalf("peer %d role = %s, want %s", p.cfg.ID, p.Role(), want)
+			t.Fatalf("peer %d role = %s, want %s", p.ID(), p.Role(), want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -146,7 +148,7 @@ func TestReconfigGrowsQuorumAtCommit(t *testing.T) {
 	// would remain and the leader would abdicate.
 	var downA PeerID
 	for _, id := range []PeerID{1, 2, 3} {
-		if id != leader.cfg.ID {
+		if id != leader.ID() {
 			downA = id
 			break
 		}
@@ -158,7 +160,7 @@ func TestReconfigGrowsQuorumAtCommit(t *testing.T) {
 			live = append(live, id)
 		}
 	}
-	h.submit(leader, createTxn(0), Origin{Peer: leader.cfg.ID, Session: 1, Xid: 1})
+	h.submit(leader, createTxn(0), Origin{Peer: leader.ID(), Session: 1, Xid: 1})
 	h.waitCommitted(3, live, 5*time.Second)
 
 	// The quorum grew: downing a second voter leaves two alive — a
@@ -166,7 +168,7 @@ func TestReconfigGrowsQuorumAtCommit(t *testing.T) {
 	// four-voter one. The leader must abdicate.
 	var downB PeerID
 	for _, id := range []PeerID{1, 2, 3, 4} {
-		if id != leader.cfg.ID && id != downA {
+		if id != leader.ID() && id != downA {
 			downB = id
 			break
 		}
@@ -175,7 +177,7 @@ func TestReconfigGrowsQuorumAtCommit(t *testing.T) {
 	deadline = time.Now().Add(5 * time.Second)
 	for leader.Role() == RoleLeading {
 		if time.Now().After(deadline) {
-			t.Fatalf("leader %d still leading with 2 of 4 voters alive", leader.cfg.ID)
+			t.Fatalf("leader %d still leading with 2 of 4 voters alive", leader.ID())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -208,7 +210,7 @@ func TestJoinerNotCountedBeforeSync(t *testing.T) {
 	}
 
 	// Meanwhile the add must not have disturbed the voter quorum.
-	h.submit(leader, createTxn(0), Origin{Peer: leader.cfg.ID, Session: 1, Xid: 1})
+	h.submit(leader, createTxn(0), Origin{Peer: leader.ID(), Session: 1, Xid: 1})
 	h.waitCommitted(2, h.voters, 5*time.Second)
 
 	// Boot the joiner; once its snapshot sync lands, promote validates.
@@ -237,8 +239,8 @@ func TestRemovedVoterAckDoesNotCount(t *testing.T) {
 		ztree.Txn{Type: ztree.TxnReconfig, Data: remove.Encode()}, createTxn(0))
 	z1, z2 := MakeZxid(p.epoch, 1), MakeZxid(p.epoch, 2)
 
-	p.handleAck(Message{Kind: KindAck, From: 4, Zxid: z2})
-	p.handleAck(Message{Kind: KindAck, From: 2, Zxid: z1})
+	p.handleAck(1, Message{Kind: KindAck, From: 4, Zxid: z2})
+	p.handleAck(1, Message{Kind: KindAck, From: 2, Zxid: z1})
 	if len(delivered) != 1 || delivered[0] != ztree.TxnReconfig {
 		t.Fatalf("delivered %v, want only the reconfig: the create is acknowledged by the removed voter alone", delivered)
 	}
@@ -246,7 +248,7 @@ func TestRemovedVoterAckDoesNotCount(t *testing.T) {
 		t.Fatalf("after remove(4): voter(4) = %v, quorum = %d, want false and 2", p.isVoter(4), p.quorum())
 	}
 
-	p.handleAck(Message{Kind: KindAck, From: 3, Zxid: z2})
+	p.handleAck(1, Message{Kind: KindAck, From: 3, Zxid: z2})
 	if len(delivered) != 2 || delivered[1] != ztree.TxnCreate {
 		t.Fatalf("delivered %v after a current voter acknowledged the create, want it committed", delivered)
 	}
@@ -261,12 +263,12 @@ func TestRemoveShrinksEnsembleAndParksReplica(t *testing.T) {
 
 	var victim PeerID
 	for _, id := range h.voters {
-		if id != leader.cfg.ID {
+		if id != leader.ID() {
 			victim = id
 			break
 		}
 	}
-	if err := leader.ValidateReconfig(ReconfigChange{Action: ReconfigRemove, ID: leader.cfg.ID}); err == nil {
+	if err := leader.ValidateReconfig(ReconfigChange{Action: ReconfigRemove, ID: leader.ID()}); err == nil {
 		t.Fatal("removing the current leader accepted")
 	}
 	h.submitReconfig(leader, ReconfigChange{Action: ReconfigRemove, ID: victim})
@@ -281,7 +283,7 @@ func TestRemoveShrinksEnsembleAndParksReplica(t *testing.T) {
 	h.waitVoters(leader, rest, 5*time.Second)
 
 	// The survivors form the whole ensemble now; writes still commit.
-	h.submit(leader, createTxn(0), Origin{Peer: leader.cfg.ID, Session: 1, Xid: 1})
+	h.submit(leader, createTxn(0), Origin{Peer: leader.ID(), Session: 1, Xid: 1})
 	h.waitCommitted(2, rest, 5*time.Second)
 
 	// The parked replica must refuse new work.
@@ -289,7 +291,7 @@ func TestRemoveShrinksEnsembleAndParksReplica(t *testing.T) {
 		t.Fatal("removed replica accepted a submit")
 	}
 	// And must stay parked: no campaign ever disturbs the leader.
-	time.Sleep(5 * h.peers[victim].cfg.ElectionTimeout)
+	time.Sleep(5 * h.peers[victim].env.ElectionTimeout)
 	if h.peers[victim].Role() != RoleRemoved {
 		t.Fatalf("removed replica left RoleRemoved: %s", h.peers[victim].Role())
 	}
@@ -308,7 +310,7 @@ func TestRemovedReplicaToldOnCampaign(t *testing.T) {
 
 	var victim PeerID
 	for _, id := range h.voters {
-		if id != leader.cfg.ID {
+		if id != leader.ID() {
 			victim = id
 			break
 		}

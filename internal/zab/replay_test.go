@@ -18,13 +18,10 @@ func TestNewLeaderAckReplaysOutstanding(t *testing.T) {
 	// Unstarted: drive the loop-owned state directly. Peer 1 is an
 	// activated leader (self + peer 3 synced) with two proposals whose
 	// PROPOSE fan-out has already happened.
-	p.votes = map[PeerID]vote{}
-	p.becomeLeader()
-	p.synced[3] = struct{}{}
+	p.becomeLeader(1)
+	p.member(3).synced = true
 	for i := 1; i <= 2; i++ {
-		req := submitReq{txn: createTxn(i), errCh: make(chan error, 1)}
-		p.handleSubmit(req)
-		if err := <-req.errCh; err != nil {
+		if err := p.propose(1, createTxn(i), Origin{}); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
@@ -33,7 +30,7 @@ func TestNewLeaderAckReplaysOutstanding(t *testing.T) {
 
 	// Peer 2 completes sync. Its diff covered only committed history
 	// (here: nothing), so the ack must trigger an outstanding replay.
-	p.handleNewLeaderAck(Message{Kind: KindNewLeaderAck, From: 2})
+	p.handleNewLeaderAck(1, Message{Kind: KindNewLeaderAck, From: 2})
 
 	batches := tr.byKind(KindProposeBatch)
 	if len(batches) != before+1 {
@@ -54,7 +51,7 @@ func TestNewLeaderAckReplaysOutstanding(t *testing.T) {
 
 	// A follower with nothing outstanding must not be sent an empty frame.
 	p.outstanding = nil
-	p.handleNewLeaderAck(Message{Kind: KindNewLeaderAck, From: 3})
+	p.handleNewLeaderAck(1, Message{Kind: KindNewLeaderAck, From: 3})
 	if got := len(tr.byKind(KindProposeBatch)); got != before+1 {
 		t.Fatalf("empty outstanding produced a replay frame (%d frames)", got)
 	}
@@ -73,8 +70,8 @@ func TestVotesAdvertiseCommittedFrontier(t *testing.T) {
 	tr := newCaptureTransport()
 	p := NewPeer(Config{ID: 1, Peers: []PeerID{1, 2, 3}, Transport: tr})
 	p.lastZxid = MakeZxid(7, 0) // phantom activation marker from a dead reign
-	p.lastCommit = committed
-	p.startElection()
+	p.lastCommit.Store(committed)
+	p.startElection(1)
 	votes := tr.byKind(KindVote)
 	if len(votes) != 2 {
 		t.Fatalf("startElection broadcast %d votes, want 2", len(votes))
@@ -85,19 +82,17 @@ func TestVotesAdvertiseCommittedFrontier(t *testing.T) {
 		}
 	}
 
-	// Settled peers answering a stray vote follow the same rule.
+	// The leader answering a stray vote follows the same rule. (Followers
+	// answer nothing: see TestSurvivorsDoNotResurrectDeadLeader.)
 	tr2 := newCaptureTransport()
 	p2 := NewPeer(Config{ID: 2, Peers: []PeerID{1, 2, 3}, Transport: tr2})
 	p2.lastZxid = MakeZxid(7, 0)
-	p2.lastCommit = committed
-	p2.setRole(RoleFollowing, 3)
-	// Only a follower whose leader answered its sync this term may
-	// answer votes at all (see TestSurvivorsDoNotResurrectDeadLeader).
-	p2.leaderSynced = true
-	p2.handleVote(Message{Kind: KindVote, From: 1, Epoch: 9, VoteFor: 1, VoteZxid: 0})
+	p2.lastCommit.Store(committed)
+	p2.setRole(RoleLeading, 2)
+	p2.handleVote(1, Message{Kind: KindVote, From: 1, Epoch: 9, VoteFor: 1, VoteZxid: 0})
 	replies := tr2.byKind(KindVote)
 	if len(replies) != 1 || !replies[0].VoteReply {
-		t.Fatalf("settled peer replies = %+v, want one VoteReply", replies)
+		t.Fatalf("leader replies = %+v, want one VoteReply", replies)
 	}
 	if replies[0].VoteZxid != committed {
 		t.Fatalf("reply VoteZxid = %#x, want committed frontier %#x", replies[0].VoteZxid, committed)

@@ -1,0 +1,477 @@
+package zab
+
+import (
+	"container/heap"
+	"fmt"
+	"math/rand"
+	"strings"
+	"time"
+
+	"securekeeper/internal/wire"
+	"securekeeper/internal/ztree"
+)
+
+// The simulated world: N cores, one virtual clock, one event heap keyed
+// (virtual ns, seq) and one math/rand source — nothing else is random,
+// nothing reads a real clock, and no map is ranged over, so a seed is a
+// schedule. sim_test.go holds what is checked after every event and the
+// nemesis that decides which faults a seed injects.
+
+const (
+	simTick     = int64(5 * time.Millisecond)
+	simElection = int64(80 * time.Millisecond)
+	simLogLimit = 12 // small, so laggards recover by snapshot too
+)
+
+// entry is one delivered transaction as the simulated application sees
+// it: where it was ordered and which client request (or reconfig) it is.
+type entry struct {
+	zxid int64
+	id   int64  // client sequence number, carried in Txn.Session
+	data string // reconfig payload, "" otherwise
+}
+
+type simPeer struct {
+	id   PeerID
+	core *core // nil while crashed
+	inc  int   // incarnation; events addressed to an older one are void
+	// applied is the delivered log in memory; applied[:durable] is what
+	// a crash leaves. The disk trails memory by a random lag.
+	applied []entry
+	durable int
+	checked int // applied[:checked] has been compared with the total order
+	// bootVoters/bootObservers is the membership the process is
+	// (re)started under: what it last ran with.
+	bootVoters, bootObservers []PeerID
+	stalled                   bool
+	inbox                     []Message // arrivals while stalled
+	tickEvery                 int64     // per-peer tick skew
+	activated                 bool      // leading with a synced quorum, as last observed
+	electorate                []PeerID  // the voters it knew when it last began a step LOOKING
+}
+
+func (p *simPeer) up() bool { return p.core != nil }
+
+func (p *simPeer) lastApplied() int64 {
+	if len(p.applied) == 0 {
+		return 0
+	}
+	return p.applied[len(p.applied)-1].zxid
+}
+
+type event struct {
+	at   int64
+	seq  uint64
+	peer PeerID
+	inc  int
+	tick bool
+	msg  Message
+	fn   func() // nemesis and client actions
+}
+
+type eventHeap []event
+
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	return h[i].at < h[j].at || h[i].at == h[j].at && h[i].seq < h[j].seq
+}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
+func (h *eventHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+// traceRec is one line of the event trace: formatted only when a seed
+// fails, hashed always.
+type traceRec struct {
+	at, seq    uint64
+	what       string
+	peer       PeerID
+	msg        Message
+	a, b       int64
+	roles      [8]int8
+	committeds [8]int64
+}
+
+type sim struct {
+	seed  int64
+	rng   *rand.Rand
+	now   int64
+	seq   uint64
+	q     eventHeap
+	peers []*simPeer // sorted by id
+	cuts  map[[2]PeerID]bool
+
+	// Network weather, all zero once the faults stop.
+	dropPct, dupPct, slowPct int
+	// tickFirst makes a peer that wakes from a stall tick before it
+	// reads its inbox — the order the driver had before it drained the
+	// mailbox first. Directed schedules only.
+	tickFirst bool
+
+	bootVoters, bootObservers []PeerID // the world's first configuration
+	reconfigStage             int      // how far the joiner's add → promote → remove got
+
+	truth     []entry // the one total order: everything anyone delivered
+	ackedUpTo int     // truth[:ackedUpTo] holds every acknowledged txn
+	nextID    int64
+	proposed  map[int64]bool // client ids a leader accepted
+	// voteSent and ackSent are what the network saw leave: every vote
+	// (from, to, round, for) and each follower's highest ACK per leader.
+	voteSent  map[[4]int64]bool
+	ackSent   map[[2]PeerID]int64
+	ledBy     map[int64][2]int // epoch → (peer, incarnation) that activated in it
+	newestLed int64            // the highest such epoch
+
+	events    int // events run
+	recs      int // trace lines recorded
+	hash      uint64
+	trace     []traceRec // ring of the last *simTrace lines
+	failure   error
+	onDeliver func(p *simPeer, e entry) // directed schedules hook in here
+}
+
+type simFailure struct{ error }
+
+func newSim(seed int64, voters, observers int) *sim {
+	s := &sim{
+		seed:     seed,
+		rng:      rand.New(rand.NewSource(seed)),
+		now:      1,
+		cuts:     make(map[[2]PeerID]bool),
+		proposed: make(map[int64]bool),
+		voteSent: make(map[[4]int64]bool),
+		ackSent:  make(map[[2]PeerID]int64),
+		ledBy:    make(map[int64][2]int),
+		hash:     14695981039346656037,
+		trace:    make([]traceRec, *simTrace),
+	}
+	var vs, os []PeerID
+	for i := 1; i <= voters; i++ {
+		vs = append(vs, PeerID(i))
+	}
+	for i := 1; i <= observers; i++ {
+		os = append(os, PeerID(voters+i))
+	}
+	s.bootVoters, s.bootObservers = vs, os
+	for _, id := range append(append([]PeerID(nil), vs...), os...) {
+		s.addPeer(id, vs, os)
+	}
+	return s
+}
+
+// addPeer registers a process that will run under the given membership;
+// boot starts it.
+func (s *sim) addPeer(id PeerID, voters, observers []PeerID) *simPeer {
+	p := &simPeer{id: id, bootVoters: voters, bootObservers: observers}
+	i := 0
+	for i < len(s.peers) && s.peers[i].id < id {
+		i++
+	}
+	s.peers = append(s.peers, nil)
+	copy(s.peers[i+1:], s.peers[i:])
+	s.peers[i] = p
+	return p
+}
+
+func (s *sim) peer(id PeerID) *simPeer {
+	for _, p := range s.peers {
+		if p.id == id {
+			return p
+		}
+	}
+	return nil
+}
+
+func (s *sim) failf(format string, args ...any) {
+	panic(simFailure{fmt.Errorf(format, args...)})
+}
+
+func (s *sim) schedule(at int64, e event) {
+	s.seq++
+	e.at, e.seq = at, s.seq
+	heap.Push(&s.q, e)
+}
+
+func (s *sim) after(d int64, fn func()) { s.schedule(s.now+d, event{fn: fn}) }
+
+// simLink is one peer's Transport: Send hands the message to the
+// simulated network; nothing is ever received from a channel — the
+// simulator calls handle itself.
+type simLink struct {
+	s    *sim
+	from PeerID
+}
+
+func (l simLink) Send(to PeerID, msg Message) error { l.s.send(l.from, to, msg); return nil }
+func (l simLink) Receive() <-chan Message           { return nil }
+func (l simLink) Close() error                      { return nil }
+func (l simLink) AddPeer(id PeerID, addr string, observer bool) {
+	l.s.record("addpeer", l.from, Message{}, int64(id), 0)
+}
+func (l simLink) RemovePeer(id PeerID) { l.s.record("rmpeer", l.from, Message{}, int64(id), 0) }
+
+// boot (re)starts p from its disk: a new core under the membership the
+// process last ran with, at the last synced zxid.
+func (s *sim) boot(p *simPeer) {
+	p.inc++
+	p.applied = p.applied[:p.durable:p.durable]
+	p.checked = min(p.checked, p.durable)
+	p.stalled, p.inbox, p.activated = false, nil, false
+	p.tickEvery = simTick * int64(90+s.rng.Intn(21)) / 100
+	p.core = newCore(Config{
+		ID:              p.id,
+		Peers:           p.bootVoters,
+		Observers:       p.bootObservers,
+		Transport:       simLink{s, p.id},
+		TickInterval:    time.Duration(simTick),
+		ElectionTimeout: time.Duration(simElection),
+		MaxLogEntries:   simLogLimit,
+		LastZxid:        p.lastApplied(),
+		Deliver:         func(c Committed) { s.delivered(p, c) },
+		Snapshot:        func() *ztree.Snapshot { return snapshotOf(p.applied) },
+		Restore:         func(snap *ztree.Snapshot) { s.restored(p, snap) },
+		OnRoleChange:    func(role Role, leader PeerID) { s.roleChanged(p, role, leader) },
+	})
+	s.record("boot", p.id, Message{}, p.lastApplied(), int64(p.inc))
+	s.enter(p).start(s.now)
+	s.schedule(s.now+int64(s.rng.Int63n(p.tickEvery)), event{peer: p.id, inc: p.inc, tick: true})
+}
+
+// crash discards the core; the disk keeps the synced prefix.
+func (s *sim) crash(p *simPeer) {
+	p.bootVoters, p.bootObservers = p.core.Membership()
+	p.core = nil
+	s.record("crash", p.id, Message{}, int64(p.durable), int64(len(p.applied)))
+}
+
+func snapshotOf(applied []entry) *ztree.Snapshot {
+	snap := &ztree.Snapshot{Nodes: make([]ztree.SnapshotNode, len(applied))}
+	for i, e := range applied {
+		snap.Nodes[i] = ztree.SnapshotNode{Data: []byte(e.data), Stat: wire.Stat{Czxid: e.zxid, Mzxid: e.id}}
+	}
+	return snap
+}
+
+func (s *sim) linkDown(a, b PeerID) bool {
+	if a > b {
+		a, b = b, a
+	}
+	return s.cuts[[2]PeerID{a, b}]
+}
+
+func (s *sim) cut(a, b PeerID, down bool) {
+	if a > b {
+		a, b = b, a
+	}
+	s.cuts[[2]PeerID{a, b}] = down
+}
+
+// send is the network: bookkeeping of what left, then loss, delay
+// (which reorders) and duplication, each decided by the one rng.
+func (s *sim) send(from, to PeerID, msg Message) {
+	msg.From = from
+	switch msg.Kind {
+	case KindVote:
+		s.voteSent[[4]int64{int64(from), int64(to), msg.Epoch, int64(msg.VoteFor)}] = true
+	case KindAck:
+		if k := [2]PeerID{from, to}; msg.Zxid > s.ackSent[k] {
+			s.ackSent[k] = msg.Zxid
+		}
+	}
+	dst := s.peer(to)
+	if dst == nil || !dst.up() || s.linkDown(from, to) || s.rng.Intn(100) < s.dropPct {
+		s.record("lost", to, msg, 0, 0)
+		return
+	}
+	copies := 1
+	if s.rng.Intn(100) < s.dupPct {
+		copies = 2
+	}
+	for ; copies > 0; copies-- {
+		delay := 20_000 + s.rng.Int63n(200_000)
+		if s.rng.Intn(100) < s.slowPct {
+			delay += s.rng.Int63n(3 * simTick)
+		}
+		s.schedule(s.now+delay, event{peer: to, inc: dst.inc, msg: msg})
+	}
+}
+
+// step runs the next event; it reports false when none is left.
+func (s *sim) step() bool {
+	if len(s.q) == 0 {
+		return false
+	}
+	e := heap.Pop(&s.q).(event)
+	s.now = e.at
+	s.events++
+	switch p := s.peer(e.peer); {
+	case e.fn != nil:
+		e.fn()
+	case p == nil || !p.up() || p.inc != e.inc:
+		return true // addressed to a process that is gone
+	case e.tick:
+		s.schedule(s.now+p.tickEvery, event{peer: p.id, inc: p.inc, tick: true})
+		if !p.stalled {
+			s.record("tick", p.id, Message{}, 0, 0)
+			s.enter(p).tick(s.now)
+		}
+	case p.stalled:
+		p.inbox = append(p.inbox, e.msg)
+	default:
+		s.record("recv", p.id, e.msg, 0, 0)
+		s.enter(p).handle(s.now, e.msg)
+	}
+	s.check()
+	return true
+}
+
+// enter returns p's core for one call of an entry point. Whoever wins
+// an election inside that call wins it among the voters known now; the
+// prefix it then delivers may change them.
+func (s *sim) enter(p *simPeer) *core {
+	if p.core.Role() == RoleLooking {
+		p.electorate, _ = p.core.Membership()
+	}
+	return p.core
+}
+
+// run steps until the virtual clock passes until.
+func (s *sim) run(until int64) {
+	for len(s.q) > 0 && s.q[0].at <= until {
+		s.step()
+	}
+	s.now = max(s.now, until)
+}
+
+// unstall wakes a stalled peer: its driver finds a full mailbox and a
+// tick that fired long ago. The driver reads the mailbox first.
+func (s *sim) unstall(p *simPeer) {
+	if !p.up() || !p.stalled {
+		return
+	}
+	p.stalled = false
+	s.record("unstall", p.id, Message{}, int64(len(p.inbox)), 0)
+	if s.tickFirst {
+		s.enter(p).tick(s.now)
+	}
+	for _, msg := range p.inbox {
+		s.enter(p).handle(s.now, msg)
+	}
+	p.inbox = nil
+	if !s.tickFirst {
+		s.enter(p).tick(s.now)
+	}
+}
+
+// propose submits one client transaction at p, as Peer.Submit would
+// between two wake-ups; the caller flushes.
+func (s *sim) propose(p *simPeer, txn ztree.Txn) error {
+	s.nextID++
+	txn.Session = s.nextID
+	err := p.core.propose(s.now, txn, Origin{Peer: p.id, Session: int64(p.inc)})
+	if err == nil {
+		s.proposed[s.nextID] = true
+	}
+	s.record("propose", p.id, Message{}, s.nextID, btoi(err == nil))
+	return err
+}
+
+// flush ends a client burst at p: the driver's flush, with deliveries
+// inside it marked as the leader committing its own proposals.
+func (s *sim) flush(p *simPeer) {
+	p.core.flush(s.now)
+	s.check()
+}
+
+func btoi(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// record appends to the trace and folds the event, and every peer's
+// visible state after the previous one, into the hash.
+func (s *sim) record(what string, peer PeerID, msg Message, a, b int64) {
+	r := traceRec{at: uint64(s.now), seq: s.seq, what: what, peer: peer, msg: msg, a: a, b: b}
+	for i, p := range s.peers {
+		if i < len(r.roles) && p.up() {
+			r.roles[i], r.committeds[i] = int8(p.core.Role()), p.core.LastCommitted()
+		}
+	}
+	s.trace[s.recs%len(s.trace)] = r
+	s.recs++
+	mix := func(v uint64) { s.hash = (s.hash ^ v) * 1099511628211 }
+	mix(r.at)
+	mix(r.seq)
+	for _, c := range []byte(what) {
+		mix(uint64(c))
+	}
+	mix(uint64(peer))
+	mix(uint64(msg.Kind))
+	mix(uint64(msg.From))
+	mix(uint64(msg.Epoch))
+	mix(uint64(msg.Zxid))
+	mix(uint64(msg.VoteFor))
+	mix(uint64(msg.VoteZxid))
+	mix(uint64(len(msg.Batch) + len(msg.Diff)))
+	mix(uint64(a))
+	mix(uint64(b))
+	for i := range r.roles {
+		mix(uint64(r.roles[i]))
+		mix(uint64(r.committeds[i]))
+	}
+}
+
+// dump formats the last events for a failing seed.
+func (s *sim) dump() string {
+	var b strings.Builder
+	for i := max(0, s.recs-len(s.trace)); i < s.recs; i++ {
+		r := &s.trace[i%len(s.trace)]
+		fmt.Fprintf(&b, "%9.3fms #%-6d %-8s peer %d", float64(r.at)/1e6, r.seq, r.what, r.peer)
+		if r.msg.Kind != 0 {
+			fmt.Fprintf(&b, " %s from %d epoch %d zxid %#x", r.msg.Kind, r.msg.From, r.msg.Epoch, r.msg.Zxid)
+			if r.msg.Kind == KindVote {
+				fmt.Fprintf(&b, " for %d@%#x reply=%v", r.msg.VoteFor, r.msg.VoteZxid, r.msg.VoteReply)
+			}
+			if n := len(r.msg.Batch) + len(r.msg.Diff); n > 0 {
+				fmt.Fprintf(&b, " records=%d", n)
+			}
+		}
+		if r.a != 0 || r.b != 0 {
+			fmt.Fprintf(&b, " (%d, %d)", r.a, r.b)
+		}
+		b.WriteString("  |")
+		for j, p := range s.peers {
+			if j < len(r.roles) {
+				fmt.Fprintf(&b, " %d:%s@%#x", p.id, roleLetter(Role(r.roles[j])), r.committeds[j])
+			}
+		}
+		b.WriteByte('\n')
+	}
+	for _, p := range s.peers {
+		if !p.up() {
+			fmt.Fprintf(&b, "peer %d: down, %d txns on disk\n", p.id, p.durable)
+			continue
+		}
+		c := p.core
+		fmt.Fprintf(&b, "peer %d: %s of %d, epoch %d round %d, %d delivered (%d on disk), %d in flight, %d outstanding, synced=%v stalled=%v; rows:",
+			p.id, c.Role(), c.followTarget, c.epoch, c.round, len(p.applied), p.durable, len(c.inflight), len(c.outstanding), c.leaderSynced, p.stalled)
+		for _, m := range c.members {
+			fmt.Fprintf(&b, " %d{voter=%v synced=%v/%v acked=%#x vote=%d@%d gone=%v}", m.id, m.voter, m.synced, m.obsSynced, m.acked, m.vote.for_, m.vote.round, m.removeAt != 0)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+func roleLetter(r Role) string {
+	if r == 0 {
+		return "down"
+	}
+	return r.String()[:4]
+}

@@ -3,7 +3,6 @@ package zab
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 // captureTransport records every Send for protocol-level assertions.
@@ -49,9 +48,9 @@ func TestFollowerInfoAdvertisesCommittedFrontier(t *testing.T) {
 	p := NewPeer(Config{ID: 1, Peers: []PeerID{1, 2, 3}, Transport: tr})
 	// Not started: drive the loop-owned state directly.
 	p.lastZxid = MakeZxid(3, 9) // buffered ahead of the commit point
-	p.lastCommit = MakeZxid(3, 4)
+	p.lastCommit.Store(MakeZxid(3, 4))
 
-	p.becomeFollower(2)
+	p.becomeFollower(1, 2)
 	infos := tr.byKind(KindFollowerInfo)
 	if len(infos) != 1 || infos[0].Zxid != MakeZxid(3, 4) {
 		t.Fatalf("becomeFollower FOLLOWERINFO = %+v, want Zxid=%#x (committed frontier)",
@@ -59,9 +58,7 @@ func TestFollowerInfoAdvertisesCommittedFrontier(t *testing.T) {
 	}
 
 	// The paced tick retry must advertise the same committed frontier.
-	p.nextSyncAsk = time.Time{}
-	p.lastHeard[2] = time.Now()
-	p.tick(time.Now())
+	p.tick(p.nextSyncAsk + 1) // heard from the leader at 1: not silent yet
 	infos = tr.byKind(KindFollowerInfo)
 	if len(infos) != 2 || infos[1].Zxid != MakeZxid(3, 4) {
 		t.Fatalf("tick retry FOLLOWERINFO = %+v, want Zxid=%#x", infos, MakeZxid(3, 4))
@@ -74,12 +71,10 @@ func TestFollowerInfoAdvertisesCommittedFrontier(t *testing.T) {
 func TestFollowerInfoRetryPaced(t *testing.T) {
 	tr := newCaptureTransport()
 	p := NewPeer(Config{ID: 1, Peers: []PeerID{1, 2, 3}, Transport: tr})
-	p.becomeFollower(2) // sends one FOLLOWERINFO, arms nextSyncAsk
-	p.lastHeard[2] = time.Now()
+	p.becomeFollower(1, 2) // sends one FOLLOWERINFO, arms nextSyncAsk
 
-	now := time.Now()
-	for i := 0; i < 10; i++ {
-		p.tick(now.Add(time.Duration(i) * p.cfg.TickInterval))
+	for i := int64(0); i < 10; i++ {
+		p.tick(1 + i*p.tickNs)
 	}
 	got := len(tr.byKind(KindFollowerInfo))
 	// 10 ticks at the default 10ms span 90ms; with a 60ms ask interval
@@ -91,8 +86,9 @@ func TestFollowerInfoRetryPaced(t *testing.T) {
 	// Once synced, retries stop entirely.
 	p.leaderSynced = true
 	before := len(tr.byKind(KindFollowerInfo))
-	for i := 0; i < 20; i++ {
-		p.tick(now.Add(time.Duration(10+i) * p.cfg.TickInterval))
+	for i := int64(0); i < 20; i++ {
+		p.heard = 1 + (10+i)*p.tickNs // the leader keeps pinging
+		p.tick(1 + (10+i)*p.tickNs)
 	}
 	if got := len(tr.byKind(KindFollowerInfo)); got != before {
 		t.Fatalf("synced follower still sent %d FOLLOWERINFOs", got-before)

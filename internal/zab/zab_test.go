@@ -452,15 +452,12 @@ func TestWireErrCodeUnused(t *testing.T) {
 func leaderFixture(t *testing.T, voters []PeerID, deliver func(Committed), txns ...ztree.Txn) *Peer {
 	t.Helper()
 	p := NewPeer(Config{ID: 1, Peers: voters, Transport: newCaptureTransport(), Deliver: deliver})
-	p.votes = map[PeerID]vote{}
-	p.becomeLeader()
-	for _, id := range voters {
-		p.synced[id] = struct{}{}
+	p.becomeLeader(1)
+	for i := range p.members {
+		p.members[i].synced = true
 	}
 	for i, txn := range txns {
-		req := submitReq{txn: txn, errCh: make(chan error, 1)}
-		p.handleSubmit(req)
-		if err := <-req.errCh; err != nil {
+		if err := p.propose(1, txn, Origin{}); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
@@ -481,12 +478,12 @@ func TestQuorumAtAnyEnsembleSize(t *testing.T) {
 	z := MakeZxid(p.epoch, 1)
 	// Ten ACKs, one of them a duplicate: the leader and nine followers.
 	for _, from := range []PeerID{2, 3, 4, 5, 6, 2, 7, 8, 9, 10} {
-		p.handleAck(Message{Kind: KindAck, From: from, Zxid: z})
+		p.handleAck(1, Message{Kind: KindAck, From: from, Zxid: z})
 	}
 	if delivered != 0 {
 		t.Fatal("committed on the leader and 9 distinct followers; quorum of 21 is 11")
 	}
-	p.handleAck(Message{Kind: KindAck, From: 11, Zxid: z})
+	p.handleAck(1, Message{Kind: KindAck, From: 11, Zxid: z})
 	if delivered != 1 {
 		t.Fatalf("delivered = %d after the leader and 10 followers acknowledged, want 1", delivered)
 	}
