@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"securekeeper/internal/client"
+	"securekeeper/internal/zab"
 )
 
 func newTestCluster(t *testing.T, v Variant) *Cluster {
@@ -38,7 +39,26 @@ func newTestCluster(t *testing.T, v Variant) *Cluster {
 			t.Fatalf("replica %d: %v", i, err)
 		}
 	}
-	return c
+	// And they must follow the leader that stands: a replica reports
+	// LEADING the moment its tally is unanimous, while the others still
+	// sit out their finalize wait, and until a quorum of them has synced
+	// it refuses writes — legally (zab's
+	// TestScheduleFreshEnsembleFirstWrite), but a first write that early
+	// failed about once in 300 starts.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		l, followers := c.LeaderIndex(), 0
+		for i := 0; l >= 0 && i < c.Size(); i++ {
+			if p := c.Replica(i).Peer(); p.Role() == zab.RoleFollowing && p.Leader() == c.Replica(l).Peer().ID() {
+				followers++
+			}
+		}
+		if followers == c.Size()-1 {
+			return c
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("ensemble did not settle: leader %d, %d followers", l, followers)
+		}
+	}
 }
 
 // waitTreesConverged blocks until every replica's tree holds at least

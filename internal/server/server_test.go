@@ -51,8 +51,29 @@ func newTestCluster(t *testing.T, n int) *testCluster {
 		tc.net.Close()
 		tc.wg.Wait()
 	})
-	tc.waitLeader(5 * time.Second)
+	tc.waitSettled(5 * time.Second)
 	return tc
+}
+
+// waitSettled blocks until one replica leads and every other follows
+// it. Waiting for the leader's role alone is not enough: a replica
+// reports LEADING the moment its election tally is unanimous, while the
+// others still sit out their finalize wait, and until a quorum of them
+// has synced it refuses writes — legally (zab's
+// TestScheduleFreshEnsembleFirstWrite), but the first write of a test
+// that started that early failed about once in 300 starts.
+func (tc *testCluster) waitSettled(timeout time.Duration) {
+	tc.t.Helper()
+	leader := tc.waitLeader(timeout)
+	deadline := time.Now().Add(timeout)
+	for _, r := range tc.replicas {
+		for r != leader && (r.Peer().Role() != zab.RoleFollowing || r.Peer().Leader() != leader.Peer().ID()) {
+			if time.Now().After(deadline) {
+				tc.t.Fatalf("replica %d is %s of %d, not following leader %d", r.Peer().ID(), r.Peer().Role(), r.Peer().Leader(), leader.Peer().ID())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 }
 
 func (tc *testCluster) waitLeader(timeout time.Duration) *Replica {

@@ -1,10 +1,6 @@
 package zab
 
-import (
-	"fmt"
-
-	"securekeeper/internal/wire"
-)
+import "securekeeper/internal/wire"
 
 // maxBatchRecords caps how many transactions the leader packs into one
 // PROPOSE frame. Large enough to absorb a burst of concurrent writers,
@@ -34,60 +30,6 @@ func (r *ProposalRecord) Deserialize(d *wire.Decoder) error {
 	}
 	if r.Origin.Xid, err = d.ReadInt32(); err != nil {
 		return err
-	}
-	return nil
-}
-
-// ProposeBatch is the wire form of a multi-record PROPOSE frame: the
-// leader's epoch, the commit bound piggybacked on the frame (followers
-// may apply up to it without a separate COMMIT), and the proposed
-// records in ascending zxid order. The in-process transport passes
-// Message.Batch by reference; a TCP peer transport frames this record
-// instead.
-type ProposeBatch struct {
-	Epoch       int64
-	CommitBound int64
-	Records     []ProposalRecord
-}
-
-// Serialize implements wire.Record.
-func (b *ProposeBatch) Serialize(e *wire.Encoder) {
-	e.WriteInt64(b.Epoch)
-	e.WriteInt64(b.CommitBound)
-	e.WriteInt32(int32(len(b.Records)))
-	for i := range b.Records {
-		b.Records[i].Serialize(e)
-	}
-}
-
-// Deserialize implements wire.Record.
-func (b *ProposeBatch) Deserialize(d *wire.Decoder) error {
-	var err error
-	if b.Epoch, err = d.ReadInt64(); err != nil {
-		return err
-	}
-	if b.CommitBound, err = d.ReadInt64(); err != nil {
-		return err
-	}
-	n, err := d.ReadInt32()
-	if err != nil {
-		return err
-	}
-	if n < 0 || n > maxBatchRecords {
-		return fmt.Errorf("zab: bad batch record count %d", n)
-	}
-	b.Records = make([]ProposalRecord, 0, n)
-	var prev int64
-	for i := int32(0); i < n; i++ {
-		var rec ProposalRecord
-		if err := rec.Deserialize(d); err != nil {
-			return err
-		}
-		if len(b.Records) > 0 && rec.Txn.Zxid <= prev {
-			return fmt.Errorf("zab: batch zxid order violated: %#x after %#x", rec.Txn.Zxid, prev)
-		}
-		prev = rec.Txn.Zxid
-		b.Records = append(b.Records, rec)
 	}
 	return nil
 }

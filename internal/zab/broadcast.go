@@ -144,7 +144,9 @@ func (c *core) successor(z int64) (int64, bool) {
 }
 
 // ackFrontier returns the highest zxid z such that this follower holds
-// (or has committed) every proposal in (lastCommitted, z].
+// (or has committed) every proposal in (lastCommitted, z]: what its
+// cumulative ACKs vouch for, and the frontier its election votes
+// advertise. With nothing buffered it is the committed frontier.
 func (c *core) ackFrontier() int64 {
 	z := c.LastCommitted()
 	for {
@@ -155,12 +157,6 @@ func (c *core) ackFrontier() int64 {
 		z = next
 	}
 }
-
-// electionZxid is the frontier a vote advertises: the committed bound
-// plus the contiguous ACKed in-flight prefix (ackFrontier). For a
-// peer with nothing buffered — a leader, or a fully caught-up
-// follower — it degenerates to the committed frontier.
-func (c *core) electionZxid() int64 { return c.ackFrontier() }
 
 // trimInflight drops buffered proposals outside (lastCommitted, keep]:
 // entries at or below the commit bound are applied history, entries

@@ -30,22 +30,14 @@ const (
 	RoleRemoved
 )
 
+var roleNames = [...]string{RoleLooking: "LOOKING", RoleFollowing: "FOLLOWING", RoleLeading: "LEADING", RoleObserving: "OBSERVING", RoleRemoved: "REMOVED"}
+
 // String returns the mnemonic for a role.
 func (r Role) String() string {
-	switch r {
-	case RoleLooking:
-		return "LOOKING"
-	case RoleFollowing:
-		return "FOLLOWING"
-	case RoleLeading:
-		return "LEADING"
-	case RoleObserving:
-		return "OBSERVING"
-	case RoleRemoved:
-		return "REMOVED"
-	default:
-		return fmt.Sprintf("ROLE(%d)", int32(r))
+	if r > 0 && int(r) < len(roleNames) {
+		return roleNames[r]
 	}
+	return fmt.Sprintf("ROLE(%d)", int32(r))
 }
 
 // Submission errors.

@@ -34,6 +34,7 @@ type core struct {
 	// Everything below belongs to the driver's goroutine.
 	members    []member // every ensemble member, sorted by id (membership.go)
 	isObserver bool     // this peer itself is a non-voting member
+	leaving    bool     // leads only to hand on its own removal; see applyReconfig
 
 	round  int64
 	myVote vote
@@ -64,6 +65,7 @@ type core struct {
 	heard        int64
 	leaderSynced bool
 	joined       bool // synced at least once since it last attached to followTarget
+	pinged       bool // pinged at least once since then
 	nextSyncAsk  int64
 
 	// Fan-out lists, rebuilt from the member table before every use.
@@ -272,7 +274,7 @@ func (c *core) tick(now int64) {
 		// comes up after that broadcast (the TCP mesh dials while the
 		// peers already campaign) would cost the whole election timeout.
 		// Re-sending is idempotent at the receiver: same round, same
-		// vote, nothing to adopt; settled peers answer with the leader.
+		// vote, nothing to adopt; a leader answers with itself.
 		c.broadcastVote()
 	case RoleFollowing, RoleObserving:
 		if c.followTarget < 0 {
@@ -298,7 +300,14 @@ func (c *core) handlePing(now int64, msg Message) {
 	switch role := c.Role(); {
 	case role != RoleLooking && role != RoleFollowing && role != RoleObserving:
 	case msg.From == c.followTarget && role != RoleLooking && !(c.leaderSynced && msg.Epoch > c.epoch):
-		c.heard = now
+		if !c.leaderSynced && !c.pinged {
+			// The first ping since we attached, and no sync yet: our
+			// announce reached the winner while it still sat out its own
+			// finalize wait, LOOKING, and was lost on it. It leads now;
+			// ask again at once instead of at the next paced retry.
+			c.askSync(now)
+		}
+		c.heard, c.pinged = now, true
 		c.commitUpTo(now, msg.Zxid)
 		pong := Message{Kind: KindPong, Zxid: c.LastCommitted()}
 		if c.leaderSynced {
@@ -311,16 +320,20 @@ func (c *core) handlePing(now int64, msg Message) {
 		// counts no one as synced, so without a fresh handshake it would
 		// never activate.
 		c.follow(now, msg.From)
-	case role == RoleFollowing:
+	case role != RoleLooking && c.leaderSynced && msg.Epoch <= c.epoch:
+		// Attached to a leader that has synced us: another one, of no
+		// later term, does not lure us away.
 	case c.accepts(msg.From, msg.Epoch) && (c.isMember(msg.From) || msg.Epoch > c.epoch):
-		// A leader exists, and this peer is looking for one (or observes
-		// and is attached to another, or none): join it. It need not be
-		// a voter we know of — an observer promoted while we were away
-		// leads as one, and an observer has no election to learn that
-		// from — nor even a member, if it leads an epoch later than any
-		// we have heard of: it was admitted while we were away. Any
-		// other stranger is refused: a removed replica restarted from
-		// stale state must not drag us into following a ghost.
+		// A leader exists, and this peer is looking for one — or follows
+		// what turned out not to be one (it finalized a tally that its
+		// candidate then left for this leader), or one a later term has
+		// deposed: join it. It need not be a voter we know of — an
+		// observer promoted while we were away leads as one, and an
+		// observer has no election to learn that from — nor even a
+		// member, if it leads an epoch later than any we have heard of:
+		// it was admitted while we were away. Any other stranger is
+		// refused: a removed replica restarted from stale state must not
+		// drag us into following a ghost.
 		c.follow(now, msg.From)
 	case c.isMember(msg.From):
 		c.contest(now, msg.Epoch)
@@ -352,14 +365,4 @@ func (c *core) contest(now, epoch int64) {
 func (c *core) accepts(leader PeerID, epoch int64) bool {
 	return epoch > c.epoch || epoch == c.epoch && (c.acceptedFrom == leader || c.acceptedFrom < 0) ||
 		c.isObserver // counted in no quorum; whoever it attaches to syncs it from scratch
-}
-
-// follow attaches to a leader as what this peer is: a voter enters the
-// follower handshake, an observer the observer's.
-func (c *core) follow(now int64, leader PeerID) {
-	if c.Role() == RoleObserving {
-		c.adoptLeader(now, leader)
-	} else {
-		c.becomeFollower(now, leader)
-	}
 }

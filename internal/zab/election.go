@@ -26,6 +26,13 @@ func (c *core) startElection(now int64) {
 		return
 	}
 	c.stats.elections.Add(1)
+	if c.Role() == RoleLeading && c.count((*member).isSynced) < c.quorum() {
+		// It led an epoch in which no quorum ever synced with it, so it
+		// proposed nothing in it and may serve under whoever else holds
+		// it: it gives the epoch back. (Any peer that did sync with it
+		// refuses that other leader and makes it stand again: contest.)
+		c.epoch, c.acceptedFrom = max(c.epoch-1, EpochOf(c.LastCommitted())), -1
+	}
 	c.setRole(RoleLooking, -1)
 	c.batch = nil // unsent proposals die with the leadership term
 	c.outDepth.Store(0)
@@ -34,7 +41,7 @@ func (c *core) startElection(now int64) {
 	for i := range c.members {
 		c.members[i].synced = false
 	}
-	// Votes advertise the ACKed frontier (electionZxid): the committed
+	// Votes advertise the ACKed frontier (ackFrontier): the committed
 	// bound extended by the gapless in-flight prefix this peer still
 	// buffers. Committed-only is not enough — a leader that reaches
 	// quorum on a proposal commits and acks the client immediately, so
@@ -46,7 +53,7 @@ func (c *core) startElection(now int64) {
 	// activation, letting a peer with *stale committed state* outbid
 	// peers holding real history. The cumulative-ACK frontier is
 	// exactly the set of transactions this peer vouched for.
-	c.adoptVote(vote{round: c.round, for_: c.id, zxid: c.electionZxid()})
+	c.adoptVote(vote{round: c.round, for_: c.id, zxid: c.ackFrontier()})
 	c.electionDue = now + c.electN
 	// A single-peer ensemble (or one whose own vote already forms a
 	// quorum) decides immediately — no votes will arrive to trigger it.
@@ -82,31 +89,41 @@ func (c *core) handleVote(now int64, msg Message) {
 	// never tallies or answers votes, and a vote claimed by a non-voting
 	// peer (buggy or malicious) must never enter a voter's tally.
 	from := c.member(msg.From)
-	if c.isObserver || from == nil || !from.voter {
+	if c.isObserver {
+		return
+	}
+	v := vote{round: msg.Epoch, for_: msg.VoteFor, zxid: msg.VoteZxid, seen: msg.Zxid}
+	if c.Role() == RoleLeading && from != nil && from.isMember() &&
+		(v.seen > c.epoch || v.zxid > c.LastCommitted() && EpochOf(v.zxid) < c.epoch) {
+		// A member that will refuse our syncs for good. Either it has
+		// accepted a later epoch than the one we lead (it was elected
+		// into it and lost its voters before any synced; see accepts), or
+		// it holds acknowledged proposals of an earlier epoch that we
+		// never had (see handleSync). Only a new term gets it back: in an
+		// epoch above both, under whoever holds the most. (It need not be
+		// a voter: a leader that never gathered a quorum may have synced
+		// it a promotion that never became history, and then it campaigns
+		// where no one counts its votes.)
+		c.startElection(now)
+	}
+	if from == nil || !from.voter {
 		// A campaigner that is no member AT ALL was removed by a
 		// committed reconfig it never saw (it was down, or restarted
 		// from stale state). Left alone it campaigns forever against a
 		// quorum that no longer counts it; the leader — whose membership
 		// reflects every committed reconfig — tells it so.
-		if !c.isObserver && c.Role() == RoleLeading && !c.isMember(msg.From) {
+		if c.Role() == RoleLeading && !c.isMember(msg.From) {
 			c.env.send(msg.From, Message{Kind: KindRemoved})
 		}
 		return
 	}
-	v := vote{round: msg.Epoch, for_: msg.VoteFor, zxid: msg.VoteZxid, seen: msg.Zxid}
 	switch role := c.Role(); {
-	case role == RoleFollowing && msg.From == c.followTarget && !msg.VoteReply:
-		// The leader we follow is campaigning, so it leads no more: it
-		// abdicated, or it crashed and came back before we missed a
-		// ping. Campaign with it, and handle its vote as one candidate's.
-		c.startElection(now)
-	case role == RoleLeading && (v.seen > c.epoch || v.zxid > c.LastCommitted() && EpochOf(v.zxid) < c.epoch):
-		// A voter that will refuse our syncs for good. Either it has
-		// accepted a later epoch than the one we lead (it was elected
-		// into it and lost its voters before any synced; see accepts), or
-		// it holds acknowledged proposals of an earlier epoch that we
-		// never had (see handleSync). Only a new term gets it back: in an
-		// epoch above both, under whoever holds the most.
+	case role == RoleFollowing && msg.From == c.followTarget && !msg.VoteReply && v.round > c.round:
+		// The leader we follow campaigns in a later round than the one
+		// that elected it, so it leads no more: it abdicated. Campaign
+		// with it, and handle its vote as one candidate's. (In the round
+		// we finalized in, it is merely still sitting out its own
+		// finalize wait, re-sending its vote on every tick.)
 		c.startElection(now)
 	case role == RoleLeading && !msg.VoteReply:
 		// The leader answers a genuine vote broadcast with a reply naming
@@ -130,7 +147,7 @@ func (c *core) handleVote(now int64, msg Message) {
 	case role != RoleLooking:
 		return
 	}
-	if v.for_ == c.id && v.zxid > c.electionZxid() {
+	if v.for_ == c.id && v.zxid > c.ackFrontier() {
 		// A vote for this peer that promises more history than it holds
 		// was cast for an earlier incarnation, which crashed with
 		// proposals in memory. Counting it would elect this peer over
@@ -141,12 +158,15 @@ func (c *core) handleVote(now int64, msg Message) {
 	case v.round > c.round:
 		// Join the newer round, adopting the better of the two votes.
 		from.vote = v
-		if mine := (vote{round: v.round, for_: c.id, zxid: c.electionZxid()}); betterVote(mine, v) {
+		if mine := (vote{round: v.round, for_: c.id, zxid: c.ackFrontier()}); betterVote(mine, v) {
 			c.adoptVote(mine)
 		} else {
 			c.adoptVote(v)
 		}
 	case v.round == c.round:
+		if from.vote.round == v.round && betterVote(from.vote, v) {
+			return // overtaken in flight: within a round a vote only ever improves
+		}
 		from.vote = v
 		if betterVote(v, c.myVote) {
 			c.adoptVote(v)
@@ -222,7 +242,7 @@ func (c *core) finalizeElection(now int64, candidate PeerID) {
 	if candidate == c.id {
 		c.becomeLeader(now)
 	} else {
-		c.becomeFollower(now, candidate)
+		c.follow(now, candidate)
 	}
 }
 
@@ -235,10 +255,7 @@ func (c *core) becomeLeader(now int64) {
 	// the intersecting voter only voted for a frontier at least as
 	// high as its own — so ours covers the write, and committing the
 	// prefix here is what turns that argument into a preserved write.
-	c.applyUpTo(now, c.electionZxid())
-	if c.Role() == RoleRemoved {
-		return // the prefix held this peer's own removal, proposed under another leader
-	}
+	c.applyUpTo(now, c.ackFrontier())
 	c.inflight = make(map[int64]ProposalRecord)
 	// The new epoch must exceed every epoch the voters know of: those of
 	// their zxids and the one each last accepted. The rows are reset for
@@ -261,17 +278,4 @@ func (c *core) becomeLeader(now int64) {
 	c.outDepth.Store(0)
 	c.batch = nil
 	c.setRole(RoleLeading, c.id)
-}
-
-func (c *core) becomeFollower(now int64, leader PeerID) {
-	c.followTarget = leader
-	c.leaderSynced, c.joined = false, false
-	// Keep the ACKed in-flight prefix across the transition: if the new
-	// leader dies before syncing us, the next election vote must still
-	// cover every transaction this peer's ACKs vouched for. The sync
-	// answer supersedes (and trims) the buffer when it lands.
-	c.trimInflight(c.ackFrontier())
-	c.heard = now
-	c.setRole(RoleFollowing, leader)
-	c.askSync(now)
 }

@@ -237,7 +237,7 @@ func (c *core) applyReconfig(now, zxid int64, data []byte) {
 			// Enter the voter handshake with the leader that promoted
 			// us; with no known leader, campaign like any voter.
 			if c.followTarget >= 0 {
-				c.becomeFollower(now, c.followTarget)
+				c.follow(now, c.followTarget)
 			} else {
 				c.startElection(now)
 			}
@@ -260,7 +260,16 @@ func (c *core) applyReconfig(now, zxid int64, data []byte) {
 		}
 		c.env.logf("zab: peer %d: reconfig@%#x removed %d; quorum is now %d of %d",
 			c.id, zxid, ch.ID, c.quorum(), c.count((*member).isVoter))
-		if ch.ID == c.id {
+		switch {
+		case ch.ID != c.id:
+		case c.Role() == RoleLooking:
+			// Elected, and the prefix it completes holds its own removal
+			// (proposed under another leader). So far only it has delivered
+			// that: were it to park now, the others would go on counting a
+			// voter that is gone for good. It leads until a quorum has
+			// synced the removal from it, and parks then.
+			c.leaving = true
+		default:
 			c.becomeRemoved(fmt.Sprintf("reconfig txn %#x removed this id", zxid))
 		}
 	}

@@ -62,40 +62,19 @@ const (
 	KindRemoved
 )
 
+var kindNames = [...]string{
+	KindVote: "VOTE", KindFollowerInfo: "FOLLOWERINFO", KindSyncSnap: "SYNCSNAP", KindSyncDiff: "SYNCDIFF",
+	KindNewLeaderAck: "NEWLEADERACK", KindProposeBatch: "PROPOSEBATCH", KindAck: "ACK", KindCommit: "COMMIT",
+	KindPing: "PING", KindPong: "PONG", KindApp: "APP", KindObserverInfo: "OBSERVERINFO",
+	KindObserverCommit: "OBSERVERCOMMIT", KindRemoved: "REMOVED",
+}
+
 // String returns the mnemonic for a message kind.
 func (k Kind) String() string {
-	switch k {
-	case KindVote:
-		return "VOTE"
-	case KindFollowerInfo:
-		return "FOLLOWERINFO"
-	case KindSyncSnap:
-		return "SYNCSNAP"
-	case KindSyncDiff:
-		return "SYNCDIFF"
-	case KindNewLeaderAck:
-		return "NEWLEADERACK"
-	case KindProposeBatch:
-		return "PROPOSEBATCH"
-	case KindAck:
-		return "ACK"
-	case KindCommit:
-		return "COMMIT"
-	case KindPing:
-		return "PING"
-	case KindPong:
-		return "PONG"
-	case KindApp:
-		return "APP"
-	case KindObserverInfo:
-		return "OBSERVERINFO"
-	case KindObserverCommit:
-		return "OBSERVERCOMMIT"
-	case KindRemoved:
-		return "REMOVED"
-	default:
-		return fmt.Sprintf("KIND(%d)", int32(k))
+	if k > 0 && int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("KIND(%d)", int32(k))
 }
 
 // Origin correlates a committed transaction back to the replica and

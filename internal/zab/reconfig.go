@@ -38,32 +38,24 @@ const (
 	ReconfigPromote
 )
 
+var reconfigNames = [...]string{ReconfigAdd: "add", ReconfigRemove: "remove", ReconfigPromote: "promote"}
+
 // String returns the operator-facing name of the action.
 func (a ReconfigAction) String() string {
-	switch a {
-	case ReconfigAdd:
-		return "add"
-	case ReconfigRemove:
-		return "remove"
-	case ReconfigPromote:
-		return "promote"
-	default:
-		return fmt.Sprintf("reconfig(%d)", int32(a))
+	if a > 0 && int(a) < len(reconfigNames) {
+		return reconfigNames[a]
 	}
+	return fmt.Sprintf("reconfig(%d)", int32(a))
 }
 
 // ParseReconfigAction maps the operator-facing name back to the action.
 func ParseReconfigAction(s string) (ReconfigAction, error) {
-	switch s {
-	case "add":
-		return ReconfigAdd, nil
-	case "remove":
-		return ReconfigRemove, nil
-	case "promote":
-		return ReconfigPromote, nil
-	default:
-		return 0, fmt.Errorf("zab: unknown reconfig action %q (want add, remove or promote)", s)
+	for a, name := range reconfigNames {
+		if a > 0 && name == s {
+			return ReconfigAction(a), nil
+		}
 	}
+	return 0, fmt.Errorf("zab: unknown reconfig action %q (want add, remove or promote)", s)
 }
 
 // ReconfigChange is one incremental membership change.

@@ -1,9 +1,9 @@
 package zab
 
 import (
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"securekeeper/internal/ztree"
 )
@@ -66,50 +66,12 @@ func TestMembershipCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// submitReconfig pushes a membership change through the leader like the
-// server layer would: validate, then commit it as a TxnReconfig.
-func (h *harness) submitReconfig(leader *Peer, ch ReconfigChange) {
-	h.t.Helper()
-	if err := leader.ValidateReconfig(ch); err != nil {
-		h.t.Fatalf("validate %s %d: %v", ch.Action, ch.ID, err)
-	}
-	h.submit(leader, ztree.Txn{Type: ztree.TxnReconfig, Data: ch.Encode()}, Origin{})
-}
-
-// waitVoters blocks until the peer's published membership lists exactly
-// the given voters.
-func (h *harness) waitVoters(p *Peer, want []PeerID, timeout time.Duration) {
-	h.t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		voters, _ := p.Membership()
-		if len(voters) == len(want) {
-			match := true
-			for i := range want {
-				if voters[i] != want[i] {
-					match = false
-				}
-			}
-			if match {
-				return
-			}
-		}
-		if time.Now().After(deadline) {
-			h.t.Fatalf("peer %d voters = %v, want %v", p.ID(), voters, want)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func waitRole(t *testing.T, p *Peer, want Role, timeout time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for p.Role() != want {
-		if time.Now().After(deadline) {
-			t.Fatalf("peer %d role = %s, want %s", p.ID(), p.Role(), want)
-		}
-		time.Sleep(time.Millisecond)
-	}
+// join boots peer id under the membership the leader has now.
+func (s *sim) join(l *simPeer, id PeerID) *simPeer {
+	voters, observers := l.core.Membership()
+	p := s.addPeer(id, voters, observers)
+	s.boot(p)
+	return p
 }
 
 // TestReconfigGrowsQuorumAtCommit walks the full join protocol — add as
@@ -118,69 +80,45 @@ func waitRole(t *testing.T, p *Peer, want Role, timeout time.Duration) {
 // and a pair that was a quorum of the old three-voter ensemble no longer
 // sustains a leader.
 func TestReconfigGrowsQuorumAtCommit(t *testing.T) {
-	h := newHarness(t, 3)
-	leader := h.leader(5 * time.Second)
+	schedule(t, 3, 0, func(s *sim) {
+		l := s.elect(10)
+		// Grow: add 4 as an observer, boot it, wait for its sync.
+		s.reconfig(l, ReconfigChange{Action: ReconfigAdd, ID: 4})
+		s.awaitDelivered(1, 4, 1, 2, 3)
+		four := s.join(l, 4)
+		promote := ReconfigChange{Action: ReconfigPromote, ID: 4}
+		s.await("observer 4 to become promotable", 10, func() bool { return l.core.ValidateReconfig(promote) == nil })
+		s.reconfig(l, promote)
+		s.awaitDelivered(2, 4, s.ids()...)
+		for _, p := range s.peers {
+			if voters, _ := p.core.Membership(); len(voters) != 4 {
+				s.failf("peer %d voters = %v, want all four", p.id, voters)
+			}
+		}
+		s.await("the promoted voter to follow", 4, func() bool { return four.core.Role() == RoleFollowing && four.core.leaderSynced })
 
-	// Grow: add 4 as an observer, boot it, wait for its sync.
-	h.submitReconfig(leader, ReconfigChange{Action: ReconfigAdd, ID: 4})
-	h.waitCommitted(1, h.voters, 5*time.Second)
-	h.obs = append(h.obs, 4)
-	h.startPeer(4)
-	deadline := time.Now().Add(5 * time.Second)
-	for leader.ValidateReconfig(ReconfigChange{Action: ReconfigPromote, ID: 4}) != nil {
-		if time.Now().After(deadline) {
-			t.Fatal("observer 4 never became promotable")
+		// The promoted voter counts: with one original follower down, the
+		// remaining three of four voters still form a quorum and writes
+		// keep committing. Were 4 still an observer, only two voters
+		// would remain and the leader would abdicate.
+		var downA, downB *simPeer
+		for _, p := range s.others(l) {
+			if p != four && downA == nil {
+				downA = p
+			} else if p != four {
+				downB = p
+			}
 		}
-		time.Sleep(time.Millisecond)
-	}
-	h.submitReconfig(leader, ReconfigChange{Action: ReconfigPromote, ID: 4})
+		s.crash(downA)
+		s.write(l, 1)
+		s.awaitDelivered(3, 4, l.id, downB.id, four.id)
 
-	all := []PeerID{1, 2, 3, 4}
-	h.waitCommitted(2, all, 5*time.Second)
-	for _, id := range all {
-		h.waitVoters(h.peers[id], all, 5*time.Second)
-	}
-	waitRole(t, h.peers[4], RoleFollowing, 5*time.Second)
-
-	// The promoted voter counts: with one original follower down, the
-	// remaining three of four voters still form a quorum (3 >= 3) and
-	// writes keep committing. Were 4 still an observer, only two voters
-	// would remain and the leader would abdicate.
-	var downA PeerID
-	for _, id := range []PeerID{1, 2, 3} {
-		if id != leader.ID() {
-			downA = id
-			break
-		}
-	}
-	h.net.SetDown(downA, true)
-	live := make([]PeerID, 0, 3)
-	for _, id := range all {
-		if id != downA {
-			live = append(live, id)
-		}
-	}
-	h.submit(leader, createTxn(0), Origin{Peer: leader.ID(), Session: 1, Xid: 1})
-	h.waitCommitted(3, live, 5*time.Second)
-
-	// The quorum grew: downing a second voter leaves two alive — a
-	// quorum of the OLD three-voter ensemble, but not of the new
-	// four-voter one. The leader must abdicate.
-	var downB PeerID
-	for _, id := range []PeerID{1, 2, 3, 4} {
-		if id != leader.ID() && id != downA {
-			downB = id
-			break
-		}
-	}
-	h.net.SetDown(downB, true)
-	deadline = time.Now().Add(5 * time.Second)
-	for leader.Role() == RoleLeading {
-		if time.Now().After(deadline) {
-			t.Fatalf("leader %d still leading with 2 of 4 voters alive", leader.ID())
-		}
-		time.Sleep(time.Millisecond)
-	}
+		// The quorum grew: downing a second voter leaves two alive — a
+		// quorum of the OLD three-voter ensemble, but not of the new
+		// four-voter one. The leader must abdicate.
+		s.crash(downB)
+		s.await("the leader to abdicate with 2 of 4 voters alive", failover, func() bool { return l.core.Role() != RoleLeading })
+	})
 }
 
 // TestJoinerNotCountedBeforeSync: an added-but-unsynced observer must be
@@ -188,41 +126,28 @@ func TestReconfigGrowsQuorumAtCommit(t *testing.T) {
 // cannot yet help form — and becomes promotable only after its sync
 // completes.
 func TestJoinerNotCountedBeforeSync(t *testing.T) {
-	h := newHarness(t, 3)
-	leader := h.leader(5 * time.Second)
-
-	// Promote of a total stranger is rejected outright.
-	err := leader.ValidateReconfig(ReconfigChange{Action: ReconfigPromote, ID: 9})
-	if err == nil {
-		t.Fatal("promote of non-member accepted")
-	}
-
-	h.submitReconfig(leader, ReconfigChange{Action: ReconfigAdd, ID: 4})
-	h.waitCommitted(1, h.voters, 5*time.Second)
-
-	// Member, but never booted: no sync, no promotion.
-	err = leader.ValidateReconfig(ReconfigChange{Action: ReconfigPromote, ID: 4})
-	if err == nil {
-		t.Fatal("promote of unsynced joiner accepted")
-	}
-	if !strings.Contains(err.Error(), "sync") {
-		t.Fatalf("want sync-gate error, got: %v", err)
-	}
-
-	// Meanwhile the add must not have disturbed the voter quorum.
-	h.submit(leader, createTxn(0), Origin{Peer: leader.ID(), Session: 1, Xid: 1})
-	h.waitCommitted(2, h.voters, 5*time.Second)
-
-	// Boot the joiner; once its snapshot sync lands, promote validates.
-	h.obs = append(h.obs, 4)
-	h.startPeer(4)
-	deadline := time.Now().Add(5 * time.Second)
-	for leader.ValidateReconfig(ReconfigChange{Action: ReconfigPromote, ID: 4}) != nil {
-		if time.Now().After(deadline) {
-			t.Fatal("synced observer never became promotable")
+	schedule(t, 3, 0, func(s *sim) {
+		l := s.elect(10)
+		// Promote of a total stranger is rejected outright.
+		if l.core.ValidateReconfig(ReconfigChange{Action: ReconfigPromote, ID: 9}) == nil {
+			s.failf("promote of non-member accepted")
 		}
-		time.Sleep(time.Millisecond)
-	}
+		s.reconfig(l, ReconfigChange{Action: ReconfigAdd, ID: 4})
+		s.awaitDelivered(1, 4, 1, 2, 3)
+
+		// Member, but never booted: no sync, no promotion.
+		promote := ReconfigChange{Action: ReconfigPromote, ID: 4}
+		if err := l.core.ValidateReconfig(promote); err == nil || !strings.Contains(err.Error(), "sync") {
+			s.failf("promote of unsynced joiner: %v, want the sync-gate error", err)
+		}
+		// Meanwhile the add must not have disturbed the voter quorum.
+		s.write(l, 1)
+		s.awaitDelivered(2, 4, 1, 2, 3)
+
+		// Boot the joiner; once its snapshot sync lands, promote validates.
+		s.join(l, 4)
+		s.await("the synced observer to become promotable", 10, func() bool { return l.core.ValidateReconfig(promote) == nil })
+	})
 }
 
 // TestRemovedVoterAckDoesNotCount: a reconfig delivered in the middle
@@ -258,79 +183,52 @@ func TestRemovedVoterAckDoesNotCount(t *testing.T) {
 // participating (role REMOVED, no campaigning) and the survivors commit
 // under the shrunken quorum.
 func TestRemoveShrinksEnsembleAndParksReplica(t *testing.T) {
-	h := newHarness(t, 3)
-	leader := h.leader(5 * time.Second)
-
-	var victim PeerID
-	for _, id := range h.voters {
-		if id != leader.ID() {
-			victim = id
-			break
+	schedule(t, 3, 0, func(s *sim) {
+		l := s.elect(10)
+		victim, other := s.others(l)[0], s.others(l)[1]
+		if l.core.ValidateReconfig(ReconfigChange{Action: ReconfigRemove, ID: l.id}) == nil {
+			s.failf("removing the current leader accepted")
 		}
-	}
-	if err := leader.ValidateReconfig(ReconfigChange{Action: ReconfigRemove, ID: leader.ID()}); err == nil {
-		t.Fatal("removing the current leader accepted")
-	}
-	h.submitReconfig(leader, ReconfigChange{Action: ReconfigRemove, ID: victim})
-
-	waitRole(t, h.peers[victim], RoleRemoved, 5*time.Second)
-	rest := make([]PeerID, 0, 2)
-	for _, id := range h.voters {
-		if id != victim {
-			rest = append(rest, id)
+		s.reconfig(l, ReconfigChange{Action: ReconfigRemove, ID: victim.id})
+		s.await("the victim to park", 4, func() bool { return victim.core.Role() == RoleRemoved })
+		if voters, _ := l.core.Membership(); len(voters) != 2 || slices.Contains(voters, victim.id) {
+			s.failf("leader's voters = %v after removing %d", voters, victim.id)
 		}
-	}
-	h.waitVoters(leader, rest, 5*time.Second)
 
-	// The survivors form the whole ensemble now; writes still commit.
-	h.submit(leader, createTxn(0), Origin{Peer: leader.ID(), Session: 1, Xid: 1})
-	h.waitCommitted(2, rest, 5*time.Second)
+		// The survivors form the whole ensemble now; writes still commit.
+		s.write(l, 1)
+		s.awaitDelivered(2, 4, l.id, other.id)
 
-	// The parked replica must refuse new work.
-	if err := h.peers[victim].Submit(createTxn(1), Origin{}); err == nil {
-		t.Fatal("removed replica accepted a submit")
-	}
-	// And must stay parked: no campaign ever disturbs the leader.
-	time.Sleep(5 * h.peers[victim].env.ElectionTimeout)
-	if h.peers[victim].Role() != RoleRemoved {
-		t.Fatalf("removed replica left RoleRemoved: %s", h.peers[victim].Role())
-	}
-	if leader.Role() != RoleLeading {
-		t.Fatalf("leader destabilized by removed replica: %s", leader.Role())
-	}
+		// The parked replica must refuse new work, and stay parked: no
+		// campaign ever disturbs the leader.
+		if victim.core.propose(s.now, ztree.Txn{Type: ztree.TxnSetData, Path: "/k"}, Origin{}) == nil {
+			s.failf("removed replica accepted a submit")
+		}
+		votes := len(s.voteSent)
+		s.idle(5 * simElection / simTick)
+		if victim.core.Role() != RoleRemoved || l.core.Role() != RoleLeading || len(s.voteSent) != votes {
+			s.failf("after five election timeouts: victim %s, leader %s, %d votes sent", victim.core.Role(), l.core.Role(), len(s.voteSent)-votes)
+		}
+	})
 }
 
-// TestRemovedReplicaToldOnCampaign: a replica that was down when its
-// removal committed restarts with stale membership and campaigns; the
-// leader answers REMOVED and the ghost parks instead of campaigning
-// forever.
+// TestRemovedReplicaToldOnCampaign: a replica that was cut off when its
+// removal committed campaigns with stale membership; the leader answers
+// REMOVED and the ghost parks instead of campaigning forever.
 func TestRemovedReplicaToldOnCampaign(t *testing.T) {
-	h := newHarness(t, 3)
-	leader := h.leader(5 * time.Second)
+	schedule(t, 3, 0, func(s *sim) {
+		l := s.elect(10)
+		victim, other := s.others(l)[0], s.others(l)[1]
+		s.isolate(victim, true)
+		s.reconfig(l, ReconfigChange{Action: ReconfigRemove, ID: victim.id})
+		s.awaitDelivered(1, 4, l.id, other.id)
 
-	var victim PeerID
-	for _, id := range h.voters {
-		if id != leader.ID() {
-			victim = id
-			break
+		// The victim never saw the removal; it heals, times out on a
+		// leader that no longer pings it, campaigns, and is told off.
+		s.isolate(victim, false)
+		s.await("the ghost to be told it was removed", failover, func() bool { return victim.core.Role() == RoleRemoved })
+		if l.core.Role() != RoleLeading {
+			s.failf("leader destabilized by the removed campaigner: %s", l.core.Role())
 		}
-	}
-	h.net.SetDown(victim, true)
-	h.submitReconfig(leader, ReconfigChange{Action: ReconfigRemove, ID: victim})
-	rest := make([]PeerID, 0, 2)
-	for _, id := range h.voters {
-		if id != victim {
-			rest = append(rest, id)
-		}
-	}
-	h.waitCommitted(1, rest, 5*time.Second)
-
-	// The victim never saw the removal; it heals with stale membership,
-	// campaigns, and must be told off by the leader.
-	h.net.Flush(victim)
-	h.net.SetDown(victim, false)
-	waitRole(t, h.peers[victim], RoleRemoved, 10*time.Second)
-	if leader.Role() != RoleLeading {
-		t.Fatalf("leader destabilized by removed campaigner: %s", leader.Role())
-	}
+	})
 }

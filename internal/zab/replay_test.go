@@ -1,9 +1,6 @@
 package zab
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestNewLeaderAckReplaysOutstanding: a follower that (re)syncs while
 // the leader holds uncommitted proposals must receive them again. Sync
@@ -97,49 +94,4 @@ func TestVotesAdvertiseCommittedFrontier(t *testing.T) {
 	if replies[0].VoteZxid != committed {
 		t.Fatalf("reply VoteZxid = %#x, want committed frontier %#x", replies[0].VoteZxid, committed)
 	}
-}
-
-// TestOrphanedProposalRecoversOnResync is the end-to-end wedge
-// regression the SIGKILL crash harness exposed: a proposal whose
-// PROPOSE fan-out is lost to every follower must still commit once the
-// followers resync. Without the NewLeaderAck replay this deadlocks —
-// the resync diff is empty (nothing newly committed), the orphan is
-// re-sent to nobody, and in-order commit blocks every later write while
-// the leader keeps accepting them.
-func TestOrphanedProposalRecoversOnResync(t *testing.T) {
-	h := newHarness(t, 3)
-	leader := h.leader(5 * time.Second)
-
-	// Settle activation with one committed write everywhere.
-	h.submit(leader, createTxn(0), Origin{Peer: leader.ID()})
-	h.waitCommitted(1, h.ids, 5*time.Second)
-
-	// Cut the leader off from BOTH followers just long enough for one
-	// proposal's fan-out to vanish: the submit succeeds (the leader is
-	// activated) but the frame reaches nobody. Keep the cut well under
-	// the election timeout so no role changes.
-	var followers []PeerID
-	for _, id := range h.ids {
-		if id != leader.ID() {
-			followers = append(followers, id)
-		}
-	}
-	for _, f := range followers {
-		h.net.Cut(leader.ID(), f, true)
-	}
-	if err := leader.Submit(createTxn(1), Origin{Peer: leader.ID()}); err != nil {
-		t.Fatalf("submit under cut: %v", err)
-	}
-	time.Sleep(20 * time.Millisecond) // let the doomed flush happen while cut
-	for _, f := range followers {
-		h.net.Cut(leader.ID(), f, false)
-	}
-
-	// The next write's frame reaches the followers but acks a frontier
-	// short of the orphan, forcing both to resync; only the replay on
-	// their NewLeaderAck can resurrect it.
-	if err := leader.Submit(createTxn(2), Origin{Peer: leader.ID()}); err != nil {
-		t.Fatalf("submit after heal: %v", err)
-	}
-	h.waitCommitted(3, h.ids, 5*time.Second)
 }

@@ -1,0 +1,376 @@
+package zab
+
+import (
+	"testing"
+
+	"securekeeper/internal/ztree"
+)
+
+// Directed schedules: the simulator's world with the weather off and a
+// script in place of the nemesis. Each of zab's historical bugs is one
+// (it fails with the fix reverted), as are the scenarios that used to
+// be goroutine tests polling a real clock. Every invariant of the
+// random sweep is checked after every event here too.
+
+// failover bounds, in ticks, how long an ensemble takes to settle under
+// a new leader once the old one is gone: the election timeout to notice,
+// the finalize wait, and one FOLLOWERINFO retry — the first announce
+// races the winner's own finalize wait and is lost on a peer still
+// LOOKING.
+const failover = (simElection+simElection/2)/simTick + 12
+
+// schedule plays script in a fresh world of the given shape and reports
+// a violated invariant or a failed await with the trace.
+func schedule(t *testing.T, voters, observers int, script func(s *sim)) {
+	t.Helper()
+	s := newSim(1, voters, observers)
+	defer func() {
+		if r := recover(); r != nil {
+			f, ok := r.(simFailure)
+			if !ok {
+				panic(r)
+			}
+			t.Fatalf("%v\nlast %d events:\n%s", f, *simTrace, s.dump())
+		}
+	}()
+	script(s)
+}
+
+// start boots every peer at once. A script that does not call it, to
+// set the stage first, has it called by its first await.
+func (s *sim) start() {
+	for _, p := range s.peers {
+		if p.inc == 0 {
+			s.boot(p)
+		}
+	}
+}
+
+// await steps the world until cond holds, for at most ticks ticks.
+func (s *sim) await(what string, ticks int64, cond func() bool) {
+	s.start()
+	for deadline := s.now + ticks*simTick; !cond(); {
+		if len(s.q) == 0 || s.q[0].at > deadline {
+			s.failf("%s: not within %d ticks", what, ticks)
+		}
+		s.step()
+	}
+}
+
+// idle lets ticks ticks pass.
+func (s *sim) idle(ticks int64) { s.run(s.now + ticks*simTick) }
+
+// settled reports whether l leads with a synced quorum and every other
+// running member follows it, synced.
+func (s *sim) settled(l *simPeer) bool {
+	if l == nil || !l.activated {
+		return false
+	}
+	for _, p := range s.peers {
+		if c := p.core; p.up() && p != l && c.Role() != RoleRemoved && (c.followTarget != l.id || !c.leaderSynced) {
+			return false
+		}
+	}
+	return true
+}
+
+// elect waits for the ensemble to settle under a leader and returns it.
+func (s *sim) elect(ticks int64) *simPeer {
+	s.await("a leader every running member is synced with", ticks, func() bool { return s.settled(s.leaderNow()) })
+	return s.leaderNow()
+}
+
+// write proposes n client transactions at l and flushes them as one burst.
+func (s *sim) write(l *simPeer, n int) {
+	for ; n > 0; n-- {
+		if err := s.propose(l, ztree.Txn{Type: ztree.TxnSetData, Path: "/k"}); err != nil {
+			s.failf("leader %d refused a write: %v", l.id, err)
+		}
+	}
+	s.flush(l)
+}
+
+// reconfig validates and proposes one membership change at l.
+func (s *sim) reconfig(l *simPeer, ch ReconfigChange) {
+	if err := l.core.ValidateReconfig(ch); err != nil {
+		s.failf("validate %s %d: %v", ch.Action, ch.ID, err)
+	}
+	if err := s.propose(l, ztree.Txn{Type: ztree.TxnReconfig, Data: ch.Encode()}); err != nil {
+		s.failf("leader %d refused %s %d: %v", l.id, ch.Action, ch.ID, err)
+	}
+	s.flush(l)
+}
+
+// awaitDelivered waits until each of the peers has delivered n transactions.
+func (s *sim) awaitDelivered(n int, ticks int64, ids ...PeerID) {
+	s.await("deliveries", ticks, func() bool {
+		for _, id := range ids {
+			if len(s.peer(id).applied) < n {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+func (s *sim) ids() []PeerID {
+	ids := make([]PeerID, len(s.peers))
+	for i, p := range s.peers {
+		ids[i] = p.id
+	}
+	return ids
+}
+
+// isolate cuts (or heals) every link of p.
+func (s *sim) isolate(p *simPeer, down bool) {
+	for _, o := range s.peers {
+		s.cut(p.id, o.id, down)
+	}
+}
+
+// others returns the running peers other than p.
+func (s *sim) others(p *simPeer) []*simPeer {
+	var out []*simPeer
+	for _, o := range s.peers {
+		if o != p && o.up() {
+			out = append(out, o)
+		}
+	}
+	return out
+}
+
+// TestScheduleRingOfFollowers (PR 2's bug): peers 1 and 2 tally a quorum
+// for 2 before the better vote of 3 reaches them. Finalizing on the
+// spot, 1 follows 2 while 2 goes on to adopt 3's vote: followers in a
+// ring, no leader, an election timeout lost. The finalize wait holds the
+// tally for two ticks, 3's vote lands within it, and nobody ever follows
+// anyone but 3.
+func TestScheduleRingOfFollowers(t *testing.T) {
+	schedule(t, 3, 0, func(s *sim) {
+		s.route = func(from, to PeerID, msg Message) int64 {
+			if from == 3 && msg.Kind == KindVote {
+				return simTick // 3's votes take a tick; all else 50µs
+			}
+			return 50_000
+		}
+		s.onRole = func(p *simPeer, role Role, leader PeerID) {
+			if role == RoleFollowing && leader != 3 {
+				s.failf("peer %d follows %d: it finalized a tally that 3's vote was about to change", p.id, leader)
+			}
+		}
+		if l := s.elect(8); l.id != 3 {
+			s.failf("peer %d leads, want 3", l.id)
+		}
+	})
+}
+
+// TestOrphanedProposalRecoversOnResync (PR 6's livelock, found by the SIGKILL
+// harness): a proposal whose PROPOSE fan-out reaches no follower must
+// still commit once they resync. The resync diff is empty (nothing new
+// is committed) and PROPOSE frames go out once, so only the replay on
+// NEWLEADERACK brings the orphan back; without it in-order commit blocks
+// every later write while the leader keeps accepting them.
+func TestOrphanedProposalRecoversOnResync(t *testing.T) {
+	schedule(t, 3, 0, func(s *sim) {
+		l := s.elect(10)
+		s.write(l, 1)
+		s.awaitDelivered(1, 4, s.ids()...)
+
+		// The leader is cut off for one burst, well under the election
+		// timeout: the submit succeeds, the frame reaches nobody.
+		s.isolate(l, true)
+		s.write(l, 1)
+		s.idle(2)
+		s.isolate(l, false)
+
+		// The next frame acks a frontier short of the orphan, so both
+		// followers resync.
+		s.write(l, 1)
+		s.awaitDelivered(3, 10, s.ids()...)
+		if l.core.StatsSnapshot().Elections != 1 {
+			s.failf("the cut cost an election")
+		}
+	})
+}
+
+// TestSurvivorsDoNotResurrectDeadLeader (PR 8): peers 1 and 2 adopt leader
+// 3, which dies before it syncs either; their silence clocks are offset
+// by half a timeout. Nobody may vouch for a leader that never answered:
+// once a survivor has given 3 up it never follows 3 again, and the two
+// elect one of themselves as soon as the second clock runs out.
+func TestSurvivorsDoNotResurrectDeadLeader(t *testing.T) {
+	schedule(t, 3, 0, func(s *sim) {
+		s.start()
+		three := s.peer(3)
+		s.crash(three)
+		ping := func(to PeerID) { s.send(3, to, Message{Kind: KindPing, Epoch: 1}) }
+		ping(1)
+		ping(2)
+		s.await("both adopt 3", 2, func() bool {
+			return s.peer(1).core.Leader() == 3 && s.peer(2).core.Leader() == 3
+		})
+		for i := 0; i < 8; i++ { // 3 keeps 2 alone alive for half a timeout more
+			ping(2)
+			s.idle(1)
+		}
+		gaveUp := map[PeerID]bool{}
+		s.onRole = func(p *simPeer, role Role, leader PeerID) {
+			gaveUp[p.id] = gaveUp[p.id] || role == RoleLooking
+			if gaveUp[p.id] && leader == 3 {
+				s.failf("peer %d re-adopted the dead leader", p.id)
+			}
+		}
+		s.elect(failover)
+	})
+}
+
+// TestScheduleAckedWriteSurvivesLeaderLoss (PR 9): the leader commits
+// and acknowledges a write on one follower's ACK and is lost before any
+// COMMIT leaves it; the other follower never saw the proposal. The write
+// survives in one in-flight buffer only, so that follower's vote must
+// advertise the ACKed frontier, not the committed one — on committed
+// frontiers the two tie, the higher id wins, and here that is the
+// follower without the write — and the winner must complete the prefix.
+func TestScheduleAckedWriteSurvivesLeaderLoss(t *testing.T) {
+	schedule(t, 3, 0, func(s *sim) {
+		l := s.elect(10)
+		s.write(l, 1)
+		s.awaitDelivered(1, 4, s.ids()...)
+		holder := s.others(l)[0] // the lower id of the two
+		s.route = func(from, to PeerID, msg Message) int64 {
+			if msg.Kind == KindCommit || msg.Kind == KindPing || msg.Kind == KindProposeBatch && to != holder.id {
+				return -1 // one follower gets the proposal, nobody a commit bound
+			}
+			return 50_000
+		}
+		s.write(l, 1)
+		s.await("the leader to acknowledge the write", 2, func() bool { return s.ackedUpTo == 2 })
+		s.crash(l)
+		s.route = nil
+		if next := s.elect(failover); next != holder || len(next.applied) != 2 {
+			s.failf("leader %d has %d txns, want %d with the acknowledged 2", next.id, len(next.applied), holder.id)
+		}
+	})
+}
+
+// TestScheduleRemovedVoterAck (PR 17): voters {1,2,3,4}, remove(4) at z1
+// and a write at z2 that only voter 4 acknowledges. Committing z1
+// shrinks the quorum to two of {1,2,3}; z2 is then held by the leader
+// alone among them and must wait for 2 or 3.
+func TestScheduleRemovedVoterAck(t *testing.T) {
+	schedule(t, 4, 0, func(s *sim) {
+		l := s.elect(10)
+		var four, other *simPeer
+		for _, p := range s.others(l) {
+			if four == nil {
+				four = p // the voter to remove (any but the leader)
+			} else {
+				other = p
+			}
+		}
+		s.route = func(from, to PeerID, msg Message) int64 {
+			if msg.Kind == KindProposeBatch && to != four.id && !(to == other.id && msg.Batch[0].Txn.Type == ztree.TxnReconfig) {
+				return -1 // the write reaches only the voter being removed
+			}
+			return 50_000
+		}
+		s.reconfig(l, ReconfigChange{Action: ReconfigRemove, ID: four.id})
+		s.write(l, 1)
+		s.idle(2)
+		if len(l.applied) != 1 {
+			s.failf("leader delivered %d txns, want only the reconfig: the write is held by the removed voter alone", len(l.applied))
+		}
+		// The next frame shows the others the gap; they resync, the
+		// replay brings the write, and now it commits.
+		s.route = nil
+		s.write(l, 1)
+		s.awaitDelivered(3, 10, l.id, other.id)
+	})
+}
+
+// TestScheduleLinksUpAfterFirstBroadcast (red list): every process of a
+// TCP ensemble starts at once and campaigns before its dials complete,
+// so every first vote is lost. A vote used to be sent once per
+// adoption: nobody heard anybody, and the whole election timeout passed
+// before the next round. A LOOKING peer now re-sends its vote on every
+// tick, and the ensemble settles a few ticks after the links come up.
+func TestScheduleLinksUpAfterFirstBroadcast(t *testing.T) {
+	schedule(t, 3, 0, func(s *sim) {
+		s.start()
+		for _, p := range s.peers {
+			s.isolate(p, true) // the boot broadcasts, just sent, were lost already
+		}
+		s.idle(1)
+		for _, p := range s.peers {
+			s.isolate(p, false)
+		}
+		// One tick to re-send, the votes' flight, the leader's first ping
+		// and a sync: well inside the finalize wait plus three ticks.
+		s.elect(2 + 3)
+	})
+}
+
+// TestScheduleFreshEnsembleFirstWrite (red list, ~1/300 starts: one
+// LEADING, two LOOKING, the first write fails). The winner finalizes at
+// once when its tally is unanimous; the others, who each lack one
+// adopted vote, sit out the finalize wait. A write in that window is
+// refused — the leader has no synced quorum yet — and that is legal:
+// LEADING is a role, not a promise to accept writes. The tests that
+// failed waited for the role; they now wait for the followers too, as
+// benchmark/ensemble.go does. What made the window 40 ms wide was not
+// legal wear: the followers' FOLLOWERINFO reached the winner while it
+// was still LOOKING and the retry was half an election timeout away;
+// the winner's first ping now triggers it.
+func TestScheduleFreshEnsembleFirstWrite(t *testing.T) {
+	schedule(t, 3, 0, func(s *sim) {
+		s.route = func(from, to PeerID, msg Message) int64 {
+			if msg.Kind == KindVote && from != 3 && to != 3 {
+				return 3 * simTick / 2 // 1 and 2 hear each other late
+			}
+			return 50_000
+		}
+		three := s.peer(3)
+		s.await("3 to lead", 2, func() bool { return three.core.Role() == RoleLeading })
+		if r1, r2 := s.peer(1).core.Role(), s.peer(2).core.Role(); r1 != RoleLooking || r2 != RoleLooking {
+			s.failf("peers 1 and 2 are %s and %s, want both LOOKING while 3 already leads", r1, r2)
+		}
+		if err := s.propose(three, ztree.Txn{Type: ztree.TxnSetData, Path: "/k"}); err == nil {
+			s.failf("a leader without a synced quorum accepted a write")
+		}
+		// The finalize wait, then the first ping: no half election
+		// timeout in it.
+		s.write(s.elect(2+3), 1)
+		s.awaitDelivered(1, 4, s.ids()...)
+	})
+}
+
+// TestScheduleStalledFollowerReadsBeforeItTicks (the hypothesis behind
+// durable_write_sk's "2 elections started during the run", leader
+// unchanged): a follower descheduled for longer than the election
+// timeout wakes to a mailbox full of its leader's pings and a tick that
+// fired long ago. Ticking first, it judges the leader silent and
+// campaigns; the leader's next vote check stands it down too. Reading
+// first — what Peer.onTick does — nothing happens at all.
+func TestScheduleStalledFollowerReadsBeforeItTicks(t *testing.T) {
+	for _, tickFirst := range []bool{false, true} {
+		schedule(t, 3, 0, func(s *sim) {
+			s.tickFirst = tickFirst
+			l := s.elect(10)
+			f := s.others(l)[0]
+			elections := func() (n int64) {
+				for _, p := range s.peers {
+					n += p.core.StatsSnapshot().Elections
+				}
+				return n
+			}
+			before := elections()
+			f.stalled = true
+			s.idle(simElection/simTick + 4)
+			s.unstall(f)
+			s.idle(4)
+			if started := elections() - before; (started > 0) != tickFirst {
+				s.failf("tick first = %v: %d elections started", tickFirst, started)
+			}
+		})
+	}
+}

@@ -35,13 +35,13 @@ import (
 // needs, because zab keeps nothing of its own on disk (the WAL sees a
 // txn only at Deliver): a follower acknowledges a proposal, and accepts
 // an epoch, from memory. So a voter is crashed only where that cannot
-// erase the last quorum copy — everything in the total order is held,
-// delivered or acknowledged in flight, by a quorum of running voters
-// not counting the victim — and only once the latest epoch shows in a
-// delivered zxid. README "What zab promises, and when".
+// erase the last quorum copy — everything in the total order, and
+// everything the victim has acknowledged, is held by a quorum of running
+// voters not counting the victim — and only once the latest epoch shows
+// in a delivered zxid. README "What zab promises, and when".
 
 var (
-	simSeeds = flag.Int("zabsim.seeds", 0, "random schedules per ensemble shape in TestSimSweep (0: 1100, or 60 under -race/-short)")
+	simSeeds = flag.Int("zabsim.seeds", 0, "random schedules in TestSimSweep (0: 2400, or 240 under -race or -short)")
 	simSeed  = flag.Int64("zabsim.seed", 0, "replay this one seed in TestSimSweep, verbosely")
 	simTrace = flag.Int("zabsim.trace", 200, "trace lines a failing seed prints")
 )
@@ -63,7 +63,10 @@ func (s *sim) delivered(p *simPeer, c Committed) {
 	p.applied = append(p.applied, e)
 	p.durable = max(p.durable, len(p.applied)-s.rng.Intn(4))
 	s.record("deliver", p.id, Message{}, e.zxid, e.id)
-	s.fits(p)
+	role, l := p.core.Role(), s.peer(p.core.followTarget)
+	if p.activated || (role == RoleFollowing || role == RoleObserving) && l != nil && l.up() && l.activated {
+		s.fits(p) // delivered by, or from, a leader with a synced quorum
+	}
 	if c.Origin.Peer == p.id && c.Origin.Session == int64(p.inc) && p.activated {
 		// The leader that proposed it commits it: the client hears "ok".
 		s.quorumHeld(p, len(p.applied)-1)
@@ -71,7 +74,7 @@ func (s *sim) delivered(p *simPeer, c Committed) {
 		s.ackedUpTo = max(s.ackedUpTo, len(p.applied))
 	}
 	if s.onDeliver != nil {
-		s.onDeliver(p, e)
+		s.onDeliver(p, c)
 	}
 }
 
@@ -83,11 +86,11 @@ func (s *sim) confirm(p *simPeer) {
 }
 
 // fits checks p's log against the total order as far as both reach. A
-// delivery past the end of the order is not yet confirmed — a leader
-// delivers the prefix it acknowledged as soon as it is elected, and
-// whoever syncs with it before a quorum has receives it too — and one
-// that never is must be gone, by a snapshot install, before its holder
-// delivers again.
+// leader delivers the prefix it acknowledged as soon as it is elected,
+// and whoever syncs with it before a quorum has receives it too: such a
+// delivery is not yet confirmed, and one that never is must be gone, by
+// a snapshot install, before its holder delivers anything from a leader
+// that has a quorum.
 func (s *sim) fits(p *simPeer) {
 	for ; p.checked < min(len(p.applied), len(s.truth)); p.checked++ {
 		if got, want := p.applied[p.checked], s.truth[p.checked]; got != want {
@@ -108,11 +111,17 @@ func (s *sim) restored(p *simPeer, snap *ztree.Snapshot) {
 	p.durable = min(p.durable, len(p.applied))
 	p.durable = max(p.durable, len(p.applied)-s.rng.Intn(4))
 	s.record("restore", p.id, Message{}, p.lastApplied(), int64(len(p.applied)))
-	s.fits(p)
 }
 
 func (s *sim) roleChanged(p *simPeer, role Role, leader PeerID) {
 	s.record("role", p.id, Message{}, int64(role), int64(leader))
+	if s.onRole != nil {
+		s.onRole(p, role, leader)
+	}
+	if role == RoleRemoved && p.lastRole == RoleLeading && p.core.leaving {
+		s.activates(p) // it led just long enough to hand on its own removal
+	}
+	p.lastRole = role
 	if role != RoleLeading {
 		return
 	}
@@ -193,35 +202,50 @@ func (s *sim) check() {
 		}
 		active := leading && c.count((*member).isSynced) >= c.quorum()
 		if active && !p.activated {
-			s.record("active", p.id, Message{}, c.epoch, 0)
-			if by, taken := s.ledBy[c.epoch]; taken && by != [2]int{int(p.id), p.inc} {
-				s.failf("peer %d (incarnation %d) activates in epoch %d, which peer %d (incarnation %d) led", p.id, p.inc, c.epoch, by[0], by[1])
-			}
-			s.ledBy[c.epoch] = [2]int{int(p.id), p.inc}
-			// (A deposed leader can still gather a "quorum" of handshakes
-			// sent before its followers left; they will not acknowledge
-			// what it proposes, and nothing is claimed for it.)
-			if c.epoch >= s.newestLed {
-				s.newestLed = c.epoch
-				s.confirm(p)
-				if len(p.applied) < s.ackedUpTo {
-					s.failf("leader %d activated in epoch %d with %d txns delivered; %d were acknowledged", p.id, c.epoch, len(p.applied), s.ackedUpTo)
-				}
-			}
+			s.activates(p)
 		}
 		p.activated = active
 	}
 }
 
-// holders counts the running voters other than skip that hold all of
-// the total order, delivered or acknowledged in flight.
-func (s *sim) holders(voters []PeerID, skip PeerID) int {
-	if len(s.truth) == 0 {
-		return len(voters)
+// activates records that p has gathered a synced quorum in its epoch.
+func (s *sim) activates(p *simPeer) {
+	c := p.core
+	s.record("active", p.id, Message{}, c.epoch, 0)
+	if by, taken := s.ledBy[c.epoch]; taken && by != [2]int{int(p.id), p.inc} {
+		s.failf("peer %d (incarnation %d) activates in epoch %d, which peer %d (incarnation %d) led", p.id, p.inc, c.epoch, by[0], by[1])
 	}
-	last, n := s.truth[len(s.truth)-1].zxid, 0
+	s.ledBy[c.epoch] = [2]int{int(p.id), p.inc}
+	// (A deposed leader can still gather a "quorum" of handshakes sent
+	// before its followers left; they will not acknowledge what it
+	// proposes, and nothing is claimed for it.)
+	if c.epoch >= s.newestLed {
+		s.newestLed = c.epoch
+		s.confirm(p)
+		if len(p.applied) < s.ackedUpTo {
+			s.failf("leader %d activated in epoch %d with %d txns delivered; %d were acknowledged", p.id, c.epoch, len(p.applied), s.ackedUpTo)
+		}
+	}
+}
+
+// holders counts the running voters other than victim that hold all
+// of the total order and everything victim has acknowledged — an ACK
+// may still be on its way to a leader who will commit on it —
+// delivered, acknowledged in flight or, on the leader, proposed.
+func (s *sim) holders(voters []PeerID, victim *simPeer) int {
+	upTo := victim.core.ackFrontier()
+	if len(s.truth) > 0 {
+		upTo = max(upTo, s.truth[len(s.truth)-1].zxid)
+	}
+	n := 0
 	for _, v := range voters {
-		if p := s.peer(v); p != nil && p.id != skip && p.up() && (p.lastApplied() >= last || p.core.ackFrontier() >= last) {
+		p := s.peer(v)
+		if p == nil || p == victim || !p.up() {
+			continue
+		}
+		c := p.core
+		proposed := c.Role() == RoleLeading && len(c.outstanding) > 0 && c.outstanding[len(c.outstanding)-1].rec.Txn.Zxid >= upTo
+		if p.lastApplied() >= upTo || c.ackFrontier() >= upTo || proposed {
 			n++
 		}
 	}
@@ -325,7 +349,7 @@ func (s *sim) nemesis() {
 			}
 		}
 		isVoter := slices.Contains(voters, p.id)
-		if p.up() && (!isVoter || down+1 < quorum && s.holders(voters, p.id) >= quorum && s.epochsShow()) {
+		if p.up() && p.core.Role() != RoleRemoved && (!isVoter || down+1 < quorum && s.holders(voters, p) >= quorum && s.epochsShow()) {
 			s.crash(p)
 			s.after(s.rng.Int63n(2*simElection), func() {
 				if !p.up() {
@@ -405,10 +429,8 @@ func runSeed(seed int64, nVoters, nObservers int) (s *sim, err error) {
 		if p.up() && p.core.Role() == RoleRemoved && (slices.Contains(voters, p.id) || slices.Contains(observers, p.id)) {
 			// Parked, yet a member: elected, it delivered a removal of
 			// itself that only it held, and no quorum ever synced with
-			// it. The operator's remedy for a parked peer is a restart
-			// under the ensemble's membership.
+			// it. The operator's remedy for a parked peer is a restart.
 			s.crash(p)
-			p.bootVoters, p.bootObservers = voters, observers
 		}
 		if !p.up() {
 			s.boot(p)
@@ -454,9 +476,9 @@ func simShapes() [][2]int { return [][2]int{{3, 0}, {5, 0}, {3, 1}, {5, 2}} }
 func TestSimSweep(t *testing.T) {
 	n := *simSeeds
 	if n == 0 {
-		n = 1100
+		n = 2400
 		if testing.Short() || raceEnabled {
-			n = 60
+			n = 240
 		}
 	}
 	first := int64(1)

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -41,12 +42,13 @@ type simPeer struct {
 	durable int
 	checked int // applied[:checked] has been compared with the total order
 	// bootVoters/bootObservers is the membership the process is
-	// (re)started under: what it last ran with.
+	// (re)started under; see boot.
 	bootVoters, bootObservers []PeerID
 	stalled                   bool
 	inbox                     []Message // arrivals while stalled
 	tickEvery                 int64     // per-peer tick skew
 	activated                 bool      // leading with a synced quorum, as last observed
+	lastRole                  Role      // as last reported by OnRoleChange
 	electorate                []PeerID  // the voters it knew when it last began a step LOOKING
 }
 
@@ -109,8 +111,12 @@ type sim struct {
 	dropPct, dupPct, slowPct int
 	// tickFirst makes a peer that wakes from a stall tick before it
 	// reads its inbox — the order the driver had before it drained the
-	// mailbox first. Directed schedules only.
+	// mailbox first. route, when set, replaces the weather: it returns
+	// each message's delay, or a negative one to lose it. onRole sees
+	// every role change. Directed schedules only.
 	tickFirst bool
+	route     func(from, to PeerID, msg Message) int64
+	onRole    func(p *simPeer, role Role, leader PeerID)
 
 	bootVoters, bootObservers []PeerID // the world's first configuration
 	reconfigStage             int      // how far the joiner's add → promote → remove got
@@ -131,7 +137,7 @@ type sim struct {
 	hash      uint64
 	trace     []traceRec // ring of the last *simTrace lines
 	failure   error
-	onDeliver func(p *simPeer, e entry) // directed schedules hook in here
+	onDeliver func(p *simPeer, c Committed) // directed schedules hook in here
 }
 
 type simFailure struct{ error }
@@ -214,9 +220,15 @@ func (l simLink) AddPeer(id PeerID, addr string, observer bool) {
 }
 func (l simLink) RemovePeer(id PeerID) { l.s.record("rmpeer", l.from, Message{}, int64(id), 0) }
 
-// boot (re)starts p from its disk: a new core under the membership the
-// process last ran with, at the last synced zxid.
+// boot (re)starts p from its disk, at the last synced zxid. zab keeps no
+// membership on disk: a process runs under the one its operator starts
+// it with, and the operator knows what the ensemble confirmed — every
+// reconfig is his, and acknowledged to him. A peer the ensemble no
+// longer lists restarts as what it last was.
 func (s *sim) boot(p *simPeer) {
+	if voters, observers := s.membersAt(len(s.truth)); slices.Contains(voters, p.id) || slices.Contains(observers, p.id) {
+		p.bootVoters, p.bootObservers = voters, observers
+	}
 	p.inc++
 	p.applied = p.applied[:p.durable:p.durable]
 	p.checked = min(p.checked, p.durable)
@@ -285,6 +297,14 @@ func (s *sim) send(from, to PeerID, msg Message) {
 	dst := s.peer(to)
 	if dst == nil || !dst.up() || s.linkDown(from, to) || s.rng.Intn(100) < s.dropPct {
 		s.record("lost", to, msg, 0, 0)
+		return
+	}
+	if s.route != nil {
+		if delay := s.route(from, to, msg); delay >= 0 {
+			s.schedule(s.now+delay, event{peer: to, inc: dst.inc, msg: msg})
+		} else {
+			s.record("lost", to, msg, 0, 0)
+		}
 		return
 	}
 	copies := 1

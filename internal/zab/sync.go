@@ -12,16 +12,21 @@ func (c *core) startObserving() {
 	c.setRole(RoleObserving, -1)
 }
 
-// adoptLeader points the observer at a (possibly new) leader and asks
-// to be synced from the committed frontier, exactly like a lagging
-// follower — except via OBSERVERINFO, so the leader never confuses the
-// sender with a quorum participant.
-func (c *core) adoptLeader(now int64, leader PeerID) {
-	c.followTarget = leader
-	c.leaderSynced, c.joined = false, false
-	c.inflight = make(map[int64]ProposalRecord)
-	c.heard = now
-	c.setRole(RoleObserving, leader)
+// follow attaches this peer to a leader as what it is — a voter
+// follows, an observer observes — and announces its frontier. It keeps
+// the ACKed in-flight prefix across the transition: if the new leader
+// dies before syncing us, the next election vote must still cover
+// every transaction this peer's ACKs vouched for. The sync answer
+// supersedes the buffer when it lands.
+func (c *core) follow(now int64, leader PeerID) {
+	c.followTarget, c.heard = leader, now
+	c.leaderSynced, c.joined, c.pinged = false, false, false
+	c.trimInflight(c.ackFrontier())
+	if c.isObserver {
+		c.setRole(RoleObserving, leader)
+	} else {
+		c.setRole(RoleFollowing, leader)
+	}
 	c.askSync(now)
 }
 
@@ -92,22 +97,28 @@ func (c *core) handleSync(now int64, msg Message) {
 		c.contest(now, msg.Epoch)
 		return
 	}
+	// The first sync of a term: since this peer attached to the leader,
+	// or since the leader, unnoticed, was elected again.
+	fresh := !c.joined || msg.Epoch != c.epoch
 	switch {
-	case (c.joined || c.isObserver) && msg.Zxid < c.LastCommitted(), !startsHere(msg.Diff, c.LastCommitted()):
+	case (!fresh || c.isObserver) && msg.Zxid < c.LastCommitted(), !startsHere(msg.Diff, c.LastCommitted()):
 		// An answer to an earlier ask that later frames overtook (every
 		// retry is answered, and installing a frontier older than what
 		// this peer has delivered since would take deliveries back), or
 		// a diff from a frontier this peer is not at — one it announced
 		// before it crashed and came back with less. The tick asks again.
 		return
-	case !c.joined && msg.Zxid < c.ackFrontier() && !c.isObserver:
+	case fresh && msg.Zxid < c.ackFrontier() && !c.isObserver:
 		// A new leader that lacks what this peer acknowledged to an
 		// earlier one. It was elected on votes cast before those
 		// proposals were made — a vote does not stop its voter from
 		// following the old leader a while longer — and they may be
 		// committed. Syncing would drop them and help activate a leader
 		// without them; campaigning shows it the frontier it missed (see
-		// handleVote), and whoever holds the most wins the next round.
+		// handleVote), and whoever holds the most wins the next round —
+		// in an epoch above this leader's, which this peer now counts as
+		// spent, so that its pings do not pull it back in meanwhile.
+		c.epoch, c.acceptedFrom = max(c.epoch, msg.Epoch)+1, -1
 		c.startElection(now)
 		return
 	}
@@ -122,7 +133,7 @@ func (c *core) handleSync(now int64, msg Message) {
 	// — left buffered, its commit bounds would deliver it in place of
 	// its own proposals.
 	keep := int64(0)
-	if c.joined {
+	if !fresh {
 		keep = c.ackFrontier()
 	}
 	switch msg.Kind {
@@ -187,6 +198,9 @@ func (c *core) handleNewLeaderAck(now int64, msg Message) {
 	if m.voter {
 		m.synced = true
 		c.replayOutstanding(msg.From)
+		if c.leaving && c.count((*member).isSynced) >= c.quorum() {
+			c.becomeRemoved("a quorum has synced the reconfig txn that removed this id")
+		}
 		return
 	}
 	// An observer completing its sync joins the committed stream and

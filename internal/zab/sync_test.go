@@ -50,7 +50,7 @@ func TestFollowerInfoAdvertisesCommittedFrontier(t *testing.T) {
 	p.lastZxid = MakeZxid(3, 9) // buffered ahead of the commit point
 	p.lastCommit.Store(MakeZxid(3, 4))
 
-	p.becomeFollower(1, 2)
+	p.follow(1, 2)
 	infos := tr.byKind(KindFollowerInfo)
 	if len(infos) != 1 || infos[0].Zxid != MakeZxid(3, 4) {
 		t.Fatalf("becomeFollower FOLLOWERINFO = %+v, want Zxid=%#x (committed frontier)",
@@ -71,7 +71,7 @@ func TestFollowerInfoAdvertisesCommittedFrontier(t *testing.T) {
 func TestFollowerInfoRetryPaced(t *testing.T) {
 	tr := newCaptureTransport()
 	p := NewPeer(Config{ID: 1, Peers: []PeerID{1, 2, 3}, Transport: tr})
-	p.becomeFollower(1, 2) // sends one FOLLOWERINFO, arms nextSyncAsk
+	p.follow(1, 2) // sends one FOLLOWERINFO, arms nextSyncAsk
 
 	for i := int64(0); i < 10; i++ {
 		p.tick(1 + i*p.tickNs)

@@ -1,419 +1,358 @@
 package zab
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"securekeeper/internal/obs"
 	"securekeeper/internal/wire"
 	"securekeeper/internal/ztree"
 )
 
-// harness runs an ensemble of peers over an in-process network, each
-// applying committed txns to its own tree.
+// harness runs an ensemble of real peers — goroutines, tickers, the
+// in-process network — for what only the driver does: start and stop,
+// the submit rendezvous, batching under contention. Everything about
+// the protocol itself is a schedule (schedule_test.go).
 type harness struct {
-	t      *testing.T
-	net    *Network
-	ids    []PeerID // every member: voters then observers
-	voters []PeerID
-	obs    []PeerID
-	peers  map[PeerID]*Peer
-	trees  map[PeerID]*ztree.Tree
+	t     *testing.T
+	net   *Network
+	ids   []PeerID
+	peers map[PeerID]*Peer
 
 	mu        sync.Mutex
 	delivered map[PeerID][]int64 // zxids in delivery order
 }
 
 func newHarness(t *testing.T, n int) *harness {
-	return newObserverHarness(t, n, 0)
-}
-
-// newObserverHarness builds an ensemble of nVoters voting members (ids
-// 1..nVoters) plus nObs observers (the ids after the voters).
-func newObserverHarness(t *testing.T, nVoters, nObs int) *harness {
 	t.Helper()
-	h := &harness{
-		t:         t,
-		net:       NewNetwork(),
-		peers:     make(map[PeerID]*Peer, nVoters+nObs),
-		trees:     make(map[PeerID]*ztree.Tree, nVoters+nObs),
-		delivered: make(map[PeerID][]int64, nVoters+nObs),
+	h := &harness{t: t, net: NewNetwork(), peers: make(map[PeerID]*Peer, n), delivered: make(map[PeerID][]int64, n)}
+	for i := 1; i <= n; i++ {
+		h.ids = append(h.ids, PeerID(i))
 	}
-	for i := 0; i < nVoters; i++ {
-		h.voters = append(h.voters, PeerID(i+1))
-	}
-	for i := 0; i < nObs; i++ {
-		h.obs = append(h.obs, PeerID(nVoters+i+1))
-	}
-	h.ids = append(append([]PeerID(nil), h.voters...), h.obs...)
 	for _, id := range h.ids {
-		h.startPeer(id)
+		id := id
+		tree := ztree.New()
+		h.peers[id] = NewPeer(Config{
+			ID:        id,
+			Peers:     h.ids,
+			Transport: h.net.Endpoint(id),
+			Deliver: func(c Committed) {
+				tree.Apply(&c.Txn)
+				h.mu.Lock()
+				h.delivered[id] = append(h.delivered[id], c.Txn.Zxid)
+				h.mu.Unlock()
+			},
+			Snapshot:        tree.Snapshot,
+			Restore:         tree.Restore,
+			TickInterval:    5 * time.Millisecond,
+			ElectionTimeout: 80 * time.Millisecond,
+		})
+		h.peers[id].Start()
 	}
-	t.Cleanup(h.close)
+	t.Cleanup(func() {
+		for _, p := range h.peers {
+			p.Stop()
+		}
+		h.net.Close()
+	})
 	return h
 }
 
-func (h *harness) startPeer(id PeerID) {
-	tree := ztree.New()
-	h.trees[id] = tree
-	peer := NewPeer(Config{
-		ID:        id,
-		Peers:     h.voters,
-		Observers: h.obs,
-		Transport: h.net.Endpoint(id),
-		Deliver: func(c Committed) {
-			tree.Apply(&c.Txn)
-			h.mu.Lock()
-			h.delivered[id] = append(h.delivered[id], c.Txn.Zxid)
-			h.mu.Unlock()
-		},
-		Snapshot:        tree.Snapshot,
-		Restore:         tree.Restore,
-		TickInterval:    5 * time.Millisecond,
-		ElectionTimeout: 80 * time.Millisecond,
-	})
-	h.peers[id] = peer
-	peer.Start()
-}
-
-func (h *harness) close() {
-	for _, p := range h.peers {
-		p.Stop()
-	}
-	h.net.Close()
-}
-
-func (h *harness) leader(timeout time.Duration) *Peer {
+// eventually polls cond; real peers run on a real clock.
+func (h *harness) eventually(what string, cond func() bool) {
 	h.t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			h.t.Fatalf("timeout waiting for %s", what)
+		}
+	}
+}
+
+// leader waits for a leader every other peer follows.
+func (h *harness) leader() *Peer {
+	h.t.Helper()
+	var l *Peer
+	h.eventually("a settled ensemble", func() bool {
+		followers := 0
 		for _, p := range h.peers {
-			if p.Role() == RoleLeading {
-				return p
+			switch {
+			case p.Role() == RoleLeading:
+				l = p
+			case p.Role() == RoleFollowing:
+				followers++
 			}
 		}
-		time.Sleep(time.Millisecond)
-	}
-	h.t.Fatal("no leader elected")
-	return nil
+		return l != nil && followers == len(h.peers)-1
+	})
+	return l
 }
 
-// waitCommitted blocks until every live peer has delivered n txns.
-func (h *harness) waitCommitted(n int, live []PeerID, timeout time.Duration) {
+// waitCommitted blocks until every peer has delivered n txns.
+func (h *harness) waitCommitted(n int) {
 	h.t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		done := true
+	h.eventually(fmt.Sprintf("%d commits", n), func() bool {
 		h.mu.Lock()
-		for _, id := range live {
+		defer h.mu.Unlock()
+		for _, id := range h.ids {
 			if len(h.delivered[id]) < n {
-				done = false
+				return false
 			}
 		}
-		h.mu.Unlock()
-		if done {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, id := range live {
-		h.t.Logf("peer %d delivered %d", id, len(h.delivered[id]))
-	}
-	h.t.Fatalf("timeout waiting for %d commits", n)
+		return true
+	})
 }
 
-// submit retries until the leader accepts the transaction. A freshly
-// elected leader reports RoleLeading before a quorum of followers has
-// completed sync, and submissions in that window are refused — so the
-// first submit after h.leader() must tolerate the activation gap.
-// Refused submissions were never stamped with a zxid, so retrying
-// cannot duplicate a transaction.
+// submit retries until the leader accepts the transaction: it reports
+// RoleLeading before a quorum of followers has synced, and refuses
+// submissions until then. A refused submission was never stamped with
+// a zxid, so retrying cannot duplicate it.
 func (h *harness) submit(p *Peer, txn ztree.Txn, origin Origin) {
 	h.t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		err := p.Submit(txn, origin)
-		if err == nil {
-			return
-		}
-		if time.Now().After(deadline) {
-			h.t.Fatalf("submit: %v", err)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	var err error
+	h.eventually("the leader to accept a submission", func() bool {
+		err = p.Submit(txn, origin)
+		return err == nil
+	})
 }
 
 func createTxn(i int) ztree.Txn {
 	return ztree.Txn{Type: ztree.TxnCreate, Path: fmt.Sprintf("/n%05d", i), Data: []byte("d")}
 }
 
-func TestElectionConverges(t *testing.T) {
-	h := newHarness(t, 3)
-	leader := h.leader(5 * time.Second)
+// sameLog fails unless every listed peer delivered exactly the n
+// transactions of the total order (which the simulator has compared
+// position by position, after every event).
+func (s *sim) sameLog(n int, ids ...PeerID) {
+	for _, id := range ids {
+		if p := s.peer(id); len(p.applied) != n || len(s.truth) != n {
+			s.failf("peer %d delivered %d txns, the order has %d, want %d", id, len(p.applied), len(s.truth), n)
+		}
+		s.fits(s.peer(id))
+	}
+}
 
-	// Exactly one leader; others follow it.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		leaders, followers := 0, 0
-		for _, p := range h.peers {
-			switch p.Role() {
-			case RoleLeading:
-				leaders++
-			case RoleFollowing:
-				if p.Leader() == leader.ID() {
-					followers++
-				}
+func TestElectionConverges(t *testing.T) {
+	schedule(t, 3, 0, func(s *sim) {
+		l := s.elect(10)
+		for _, p := range s.others(l) {
+			if p.core.Role() != RoleFollowing || p.core.Leader() != l.id {
+				s.failf("peer %d is %s of %d, want FOLLOWING of %d", p.id, p.core.Role(), p.core.Leader(), l.id)
 			}
 		}
-		if leaders == 1 && followers == 2 {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("ensemble did not converge to 1 leader + 2 followers")
+	})
 }
 
 func TestCommitReachesAllReplicas(t *testing.T) {
-	h := newHarness(t, 3)
-	leader := h.leader(5 * time.Second)
-
-	const n = 50
-	for i := 0; i < n; i++ {
-		h.submit(leader, createTxn(i), Origin{Peer: leader.ID()})
-	}
-	h.waitCommitted(n, h.ids, 5*time.Second)
-
-	// All trees converge.
-	digest := h.trees[h.ids[0]].Digest()
-	for _, id := range h.ids[1:] {
-		if h.trees[id].Digest() != digest {
-			t.Fatalf("tree digest mismatch on peer %d", id)
+	schedule(t, 3, 0, func(s *sim) {
+		l := s.elect(10)
+		for i := 0; i < 50; i++ {
+			s.write(l, 1)
+			s.idle(1)
 		}
-	}
+		s.awaitDelivered(50, 4, s.ids()...)
+		s.sameLog(50, s.ids()...)
+	})
 }
 
 func TestCommitOrderIsIdenticalEverywhere(t *testing.T) {
-	h := newHarness(t, 3)
-	leader := h.leader(5 * time.Second)
-	const n = 100
-	for i := 0; i < n; i++ {
-		h.submit(leader, createTxn(i), Origin{Peer: leader.ID()})
-	}
-	h.waitCommitted(n, h.ids, 5*time.Second)
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	ref := h.delivered[h.ids[0]]
-	for _, id := range h.ids[1:] {
-		got := h.delivered[id]
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("delivery order diverged at %d: %x vs %x", i, got[i], ref[i])
+	schedule(t, 3, 0, func(s *sim) {
+		l := s.elect(10)
+		for i := 0; i < 25; i++ {
+			s.write(l, 4) // bursts: several records a frame
+			s.idle(1)
+		}
+		s.awaitDelivered(100, 4, s.ids()...)
+		s.sameLog(100, s.ids()...)
+		for i := 1; i < len(s.truth); i++ {
+			if s.truth[i].zxid <= s.truth[i-1].zxid {
+				s.failf("zxid not increasing: %#x then %#x", s.truth[i-1].zxid, s.truth[i].zxid)
 			}
 		}
-	}
-	// Strictly increasing zxids.
-	for i := 1; i < len(ref); i++ {
-		if ref[i] <= ref[i-1] {
-			t.Fatalf("zxid not increasing: %x then %x", ref[i-1], ref[i])
-		}
-	}
+	})
 }
 
 func TestSubmitOnFollowerFails(t *testing.T) {
 	h := newHarness(t, 3)
-	leader := h.leader(5 * time.Second)
+	leader := h.leader()
 	for _, p := range h.peers {
-		if p == leader {
-			continue
+		if p != leader {
+			if err := p.Submit(createTxn(0), Origin{}); !errors.Is(err, ErrNotLeader) {
+				t.Fatalf("follower Submit: %v, want ErrNotLeader", err)
+			}
 		}
-		if err := p.Submit(createTxn(0), Origin{}); err == nil {
-			t.Fatal("follower Submit must fail")
-		}
-		break
 	}
 }
 
 func TestLeaderFailureTriggersReelection(t *testing.T) {
-	h := newHarness(t, 3)
-	old := h.leader(5 * time.Second)
-	for i := 0; i < 10; i++ {
-		h.submit(old, createTxn(i), Origin{Peer: old.ID()})
-	}
-	live := make([]PeerID, 0, 2)
-	for _, id := range h.ids {
-		if id != old.ID() {
-			live = append(live, id)
-		}
-	}
-	h.waitCommitted(10, h.ids, 5*time.Second)
+	schedule(t, 3, 0, func(s *sim) {
+		old := s.elect(10)
+		s.write(old, 10)
+		s.awaitDelivered(10, 4, s.ids()...)
+		s.crash(old)
 
-	// Crash the leader.
-	h.net.SetDown(old.ID(), true)
-	old.Stop()
-
-	// A new leader emerges among the remaining two.
-	deadline := time.Now().Add(10 * time.Second)
-	var newLeader *Peer
-	for newLeader == nil && time.Now().Before(deadline) {
-		for _, id := range live {
-			if h.peers[id].Role() == RoleLeading {
-				newLeader = h.peers[id]
-			}
+		// A new leader emerges among the remaining two; the new regime
+		// keeps committing and history is preserved.
+		next := s.elect(failover)
+		s.write(next, 1)
+		var live []PeerID
+		for _, p := range s.others(old) {
+			live = append(live, p.id)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	if newLeader == nil {
-		t.Fatal("no re-election after leader crash")
-	}
-
-	// The new regime keeps committing; history is preserved.
-	deadline = time.Now().Add(5 * time.Second)
-	var err error
-	for time.Now().Before(deadline) {
-		if err = newLeader.Submit(createTxn(100), Origin{Peer: newLeader.ID()}); err == nil {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("submit under new leader: %v", err)
-	}
-	h.waitCommitted(11, live, 5*time.Second)
-	if h.trees[live[0]].Digest() != h.trees[live[1]].Digest() {
-		t.Fatal("survivors diverged")
-	}
+		s.awaitDelivered(11, 4, live...)
+		s.sameLog(11, live...)
+	})
 }
 
 func TestFollowerRejoinsAfterPartition(t *testing.T) {
-	h := newHarness(t, 3)
-	leader := h.leader(5 * time.Second)
-
-	var victim PeerID
-	for _, id := range h.ids {
-		if id != leader.ID() {
-			victim = id
-			break
+	schedule(t, 3, 0, func(s *sim) {
+		l := s.elect(10)
+		victim := s.others(l)[0]
+		// Partition one follower; commit traffic it misses entirely, more
+		// of it than the leader's log keeps for a diff.
+		s.isolate(victim, true)
+		for i := 0; i < 30; i++ {
+			s.write(l, 1)
+			s.idle(1)
 		}
-	}
-	// Partition one follower, commit traffic it misses entirely.
-	h.net.SetDown(victim, true)
-	for i := 0; i < 30; i++ {
-		h.submit(leader, createTxn(i), Origin{Peer: leader.ID()})
-	}
-	others := []PeerID{}
-	for _, id := range h.ids {
-		if id != victim {
-			others = append(others, id)
-		}
-	}
-	h.waitCommitted(30, others, 5*time.Second)
-
-	// Heal; the follower re-syncs and converges.
-	h.net.SetDown(victim, false)
-	deadline := time.Now().Add(10 * time.Second)
-	want := h.trees[leader.ID()].Digest()
-	for time.Now().Before(deadline) {
-		if h.trees[victim].Digest() == want {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("partitioned follower did not converge: %d vs %d nodes",
-		h.trees[victim].Count(), h.trees[leader.ID()].Count())
+		s.awaitDelivered(30, 4, l.id, s.others(victim)[0].id, s.others(victim)[1].id)
+		// Heal; the follower re-syncs and converges.
+		s.isolate(victim, false)
+		s.awaitDelivered(30, failover, victim.id)
+		s.sameLog(30, s.ids()...)
+	})
 }
 
 func TestSingleNodeEnsemble(t *testing.T) {
 	h := newHarness(t, 1)
-	leader := h.leader(5 * time.Second)
+	leader := h.leader()
 	for i := 0; i < 20; i++ {
 		if err := leader.Submit(createTxn(i), Origin{Peer: leader.ID()}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	h.waitCommitted(20, h.ids, 5*time.Second)
+	h.waitCommitted(20)
+}
+
+// TestSubmitAfterStop: a stopped peer answers, it does not hang.
+func TestSubmitAfterStop(t *testing.T) {
+	h := newHarness(t, 1)
+	leader := h.leader()
+	leader.Stop()
+	if err := leader.Submit(createTxn(0), Origin{}); !errors.Is(err, ErrStopped) {
+		t.Fatalf("Submit after Stop: %v, want ErrStopped", err)
+	}
+	leader.Stop() // and stopping twice is fine
 }
 
 func TestFiveNodeEnsemble(t *testing.T) {
-	h := newHarness(t, 5)
-	leader := h.leader(5 * time.Second)
-	for i := 0; i < 20; i++ {
-		h.submit(leader, createTxn(i), Origin{Peer: leader.ID()})
-	}
-	h.waitCommitted(20, h.ids, 5*time.Second)
-	digest := h.trees[h.ids[0]].Digest()
-	for _, id := range h.ids[1:] {
-		if h.trees[id].Digest() != digest {
-			t.Fatalf("peer %d diverged", id)
-		}
-	}
+	schedule(t, 5, 0, func(s *sim) {
+		l := s.elect(10)
+		s.write(l, 20)
+		s.awaitDelivered(20, 4, s.ids()...)
+		s.sameLog(20, s.ids()...)
+	})
 }
 
+// TestNoVoteStormAtRest: an idle ensemble exchanges heartbeats and
+// nothing else (the vote-reply regression produced millions of messages
+// per second here).
 func TestNoVoteStormAtRest(t *testing.T) {
-	h := newHarness(t, 3)
-	h.leader(5 * time.Second)
-	// Let the ensemble idle; stats must stay quiet (the vote-reply
-	// regression produced millions of messages per second here).
-	before := make(map[PeerID]Stats)
-	for id, p := range h.peers {
-		before[id] = p.StatsSnapshot()
-	}
-	time.Sleep(300 * time.Millisecond)
-	for id, p := range h.peers {
-		s := p.StatsSnapshot()
-		if s.Elections != before[id].Elections {
-			t.Errorf("peer %d re-elected at rest", id)
+	schedule(t, 3, 0, func(s *sim) {
+		s.elect(10)
+		before := make(map[PeerID]Stats)
+		for _, p := range s.peers {
+			before[p.id] = p.core.StatsSnapshot()
 		}
-		if s.Resyncs > before[id].Resyncs+1 {
-			t.Errorf("peer %d resynced %d times at rest", id, s.Resyncs-before[id].Resyncs)
+		votes := len(s.voteSent)
+		s.idle(60)
+		for _, p := range s.peers {
+			if st := p.core.StatsSnapshot(); st.Elections != before[p.id].Elections || st.Resyncs != before[p.id].Resyncs {
+				s.failf("peer %d at rest: %d elections, %d resyncs", p.id, st.Elections-before[p.id].Elections, st.Resyncs-before[p.id].Resyncs)
+			}
 		}
-	}
+		if len(s.voteSent) != votes {
+			s.failf("%d votes sent at rest", len(s.voteSent)-votes)
+		}
+	})
 }
 
+// TestOriginCorrelationDelivered: every replica delivers a transaction
+// with the origin its proposer gave it, so the owning replica can
+// complete the pending client call.
 func TestOriginCorrelationDelivered(t *testing.T) {
-	h := newHarness(t, 3)
-	leader := h.leader(5 * time.Second)
-
-	type gotOrigin struct {
-		zxid   int64
-		origin Origin
-	}
-	ch := make(chan gotOrigin, 8)
-	// Attach one more peer-level observer via a wrapped deliver? The
-	// harness already applies; instead verify through SendApp+Submit:
-	origin := Origin{Peer: leader.ID(), Session: 777, Xid: 42}
-	h.submit(leader, createTxn(0), origin)
-	h.waitCommitted(1, h.ids, 5*time.Second)
-	close(ch)
-	// Origin is carried in the commit log; check via a diff sync from
-	// the leader's perspective by asking for everything after zero.
-	// (Internal check: the harness trees applied session 0 txns, which
-	// suffices; the server-layer tests cover end-to-end correlation.)
+	schedule(t, 3, 1, func(s *sim) {
+		l := s.elect(10)
+		seen := 0
+		s.onDeliver = func(p *simPeer, c Committed) {
+			if want := (Origin{Peer: l.id, Session: int64(l.inc)}); c.Origin != want {
+				s.failf("peer %d delivered origin %+v, want %+v", p.id, c.Origin, want)
+			}
+			seen++
+		}
+		s.write(l, 3)
+		s.awaitDelivered(3, 4, s.ids()...)
+		if seen != 3*len(s.peers) {
+			s.failf("%d deliveries seen, want %d", seen, 3*len(s.peers))
+		}
+	})
 }
 
 func TestSendApp(t *testing.T) {
-	h := newHarness(t, 2)
-	received := make(chan []byte, 1)
-	// Rebuild peer 2 with an app handler: simplest is direct net send.
-	ep := h.net.Endpoint(99)
-	_ = ep
-	// Use existing peers: register OnApp is config-time, so send from
-	// peer 1 to peer 2 and sniff at the transport level instead.
-	if err := h.peers[1].SendApp(2, []byte("payload")); err != nil {
+	net := NewNetwork()
+	defer net.Close()
+	got := make(chan []byte, 1)
+	var peers [2]*Peer
+	for i := range peers {
+		peers[i] = NewPeer(Config{ID: PeerID(i + 1), Peers: []PeerID{1, 2}, Transport: net.Endpoint(PeerID(i + 1)),
+			Deliver: func(Committed) {}, OnApp: func(from PeerID, payload []byte) { got <- append([]byte{byte(from)}, payload...) }})
+		peers[i].Start()
+		defer peers[i].Stop()
+	}
+	if err := peers[0].SendApp(2, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	// Peer 2 has no OnApp; the message is dropped silently — this test
-	// asserts SendApp does not error toward a live peer.
-	h.net.SetDown(2, true)
-	if err := h.peers[1].SendApp(2, []byte("payload")); err == nil {
+	select {
+	case msg := <-got:
+		if string(msg) != "\x01payload" {
+			t.Fatalf("OnApp got %q", msg)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("application payload never arrived")
+	}
+	net.SetDown(2, true)
+	if err := peers[0].SendApp(2, []byte("payload")); err == nil {
 		t.Fatal("SendApp to downed peer must error")
 	}
-	select {
-	case <-received:
-	default:
+}
+
+// TestTickReadsTheMailboxFirst: the driver handles what is already
+// queued before a tick judges silence. select picks at random among
+// ready cases, so after a scheduling stall a follower could otherwise
+// time out a leader whose pings sit unread in its own mailbox.
+func TestTickReadsTheMailboxFirst(t *testing.T) {
+	net := NewNetwork()
+	defer net.Close()
+	leader := net.Endpoint(1)
+	p := NewPeer(Config{ID: 2, Peers: []PeerID{1, 2, 3}, Transport: net.Endpoint(2), Deliver: func(Committed) {}})
+	recv := p.env.Transport.Receive()
+	p.follow(obs.Now(), 1)
+	p.leaderSynced = true
+	elections := p.StatsSnapshot().Elections
+
+	p.heard = obs.Now() - int64(time.Hour) // the leader has been silent for ever —
+	_ = leader.Send(2, Message{Kind: KindPing})
+	p.onTick(recv) // — except for the ping in the mailbox
+	if p.Role() != RoleFollowing || p.StatsSnapshot().Elections != elections {
+		t.Fatalf("a tick with the leader's ping queued: role %s, %d elections", p.Role(), p.StatsSnapshot().Elections-elections)
+	}
+
+	p.heard = obs.Now() - int64(time.Hour)
+	p.onTick(recv) // nothing queued: now it is silence
+	if p.Role() != RoleLooking {
+		t.Fatalf("a tick after an hour of silence: role %s, want LOOKING", p.Role())
 	}
 }
 
@@ -486,110 +425,5 @@ func TestQuorumAtAnyEnsembleSize(t *testing.T) {
 	p.handleAck(1, Message{Kind: KindAck, From: 11, Zxid: z})
 	if delivered != 1 {
 		t.Fatalf("delivered = %d after the leader and 10 followers acknowledged, want 1", delivered)
-	}
-}
-
-// TestSurvivorsDoNotResurrectDeadLeader pins the vote-answering rule in
-// handleVote: a settled peer may only advertise its leader in a vote
-// reply once that leader has answered its sync request this term
-// (leaderSynced). Without the gate, two survivors that adopted a leader
-// which died before syncing them can livelock: the settled one answers
-// the looking one's vote broadcast naming the dead peer, the looking
-// one re-adopts it on the equal-zxid id tie-break, and each re-follow
-// restarts the silence clock, keeping the survivors' timeout windows
-// offset for many election rounds.
-//
-// The test plays the doomed leader (id 3) from a bare endpoint: it
-// pings peers 1 and 2 into following it, never answers their
-// FOLLOWERINFO, and falls silent — the in-process version of a freshly
-// elected process being SIGKILLed. The survivors must elect one of
-// themselves, and once a survivor has given up on 3 (gone LOOKING) it
-// must never be observed following 3 again.
-func TestSurvivorsDoNotResurrectDeadLeader(t *testing.T) {
-	net := NewNetwork()
-	defer net.Close()
-	voters := []PeerID{1, 2, 3}
-	dead := net.Endpoint(3)
-
-	// Pre-load the doomed leader's pings so the survivors adopt it on
-	// their very first receive, before their election timers can fire.
-	for _, id := range []PeerID{1, 2} {
-		_ = dead.Send(id, Message{Kind: KindPing, Epoch: 1})
-	}
-
-	peers := map[PeerID]*Peer{}
-	for _, id := range []PeerID{1, 2} {
-		tree := ztree.New()
-		p := NewPeer(Config{
-			ID:              id,
-			Peers:           voters,
-			Transport:       net.Endpoint(id),
-			Deliver:         func(c Committed) { tree.Apply(&c.Txn) },
-			Snapshot:        tree.Snapshot,
-			Restore:         tree.Restore,
-			TickInterval:    5 * time.Millisecond,
-			ElectionTimeout: 80 * time.Millisecond,
-		})
-		peers[id] = p
-		p.Start()
-		defer p.Stop()
-	}
-
-	adopted := func() bool {
-		for _, p := range peers {
-			if p.Role() != RoleFollowing || p.Leader() != 3 {
-				return false
-			}
-		}
-		return true
-	}
-	for start := time.Now(); !adopted(); {
-		if time.Since(start) > 5*time.Second {
-			t.Fatal("survivors never adopted the fake leader")
-		}
-		for _, id := range []PeerID{1, 2} {
-			_ = dead.Send(id, Message{Kind: KindPing, Epoch: 1})
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	// Keep only peer 2's heartbeat alive for another half election
-	// timeout before full silence: the survivors' timeout windows must
-	// be offset for the resurrection cycle to arise (simultaneous
-	// timeouts elect a replacement immediately and prove nothing). In
-	// the wild the offset comes from the survivors having adopted the
-	// doomed leader at different moments.
-	for i := 0; i < 8; i++ {
-		_ = dead.Send(2, Message{Kind: KindPing, Epoch: 1})
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// The fake leader now falls silent. Both survivors follow id 3
-	// with leaderSynced unset: their FOLLOWERINFO was never answered,
-	// exactly like followers of a leader that died as it was elected.
-	wasLooking := map[PeerID]bool{}
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatalf("survivors never elected a replacement (1=%v leader=%d, 2=%v leader=%d)",
-				peers[1].Role(), peers[1].Leader(), peers[2].Role(), peers[2].Leader())
-		}
-		elected := false
-		for id, p := range peers {
-			role, leader := p.Role(), p.Leader()
-			if role == RoleLooking {
-				wasLooking[id] = true
-			}
-			if wasLooking[id] && role == RoleFollowing && leader == 3 {
-				t.Fatalf("peer %d re-adopted the dead leader after looking", id)
-			}
-			if role == RoleLeading {
-				elected = true
-			}
-		}
-		if elected {
-			return
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
