@@ -27,7 +27,7 @@ func (c *core) propose(now int64, txn ztree.Txn, origin Origin) error {
 	if c.Role() != RoleLeading {
 		return ErrNotLeader
 	}
-	if synced, quorum := c.count((*member).isSynced), c.quorum(); synced < quorum {
+	if synced, quorum := c.syncedQuorum(); synced < quorum {
 		return fmt.Errorf("zab: leader not yet activated (%d/%d synced): %w", synced, quorum, ErrNotLeader)
 	}
 	c.counter++

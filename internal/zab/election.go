@@ -26,7 +26,7 @@ func (c *core) startElection(now int64) {
 		return
 	}
 	c.stats.elections.Add(1)
-	if c.Role() == RoleLeading && c.count((*member).isSynced) < c.quorum() {
+	if synced, quorum := c.syncedQuorum(); c.Role() == RoleLeading && synced < quorum {
 		// It led an epoch in which no quorum ever synced with it, so it
 		// proposed nothing in it and may serve under whoever else holds
 		// it: it gives the epoch back. (Any peer that did sync with it

@@ -48,10 +48,8 @@ func FuzzCoreAnyMessage(f *testing.F) {
 		fromLeader := false
 		defer func() {
 			if r := recover(); r != nil {
-				if f, ok := r.(simFailure); !ok || !fromLeader {
+				if _, invariant := r.(simFailure); !invariant || !fromLeader {
 					t.Fatalf("%v after %+v\n%s", r, msg, s.dump())
-				} else {
-					_ = f
 				}
 			}
 		}()

@@ -115,6 +115,11 @@ func (c *core) count(keep func(*member) bool) int {
 	return n
 }
 
+// syncedQuorum counts the voters that finished this term's handshake
+// (the leader's own row included) and the majority they must reach
+// before the leader may propose: its activation.
+func (c *core) syncedQuorum() (synced, quorum int) { return c.count((*member).isSynced), c.quorum() }
+
 // quorum returns the minimum ensemble majority size over the CURRENT
 // voter set — the set reconfig transactions mutate, so the required
 // majority switches at exactly the reconfig txn's zxid.

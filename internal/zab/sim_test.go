@@ -200,7 +200,8 @@ func (s *sim) check() {
 				s.failf("peer %d: non-voter %d is in a tally (synced %v, acked %#x, vote %+v)", p.id, m.id, m.synced, m.acked, m.vote)
 			}
 		}
-		active := leading && c.count((*member).isSynced) >= c.quorum()
+		synced, quorum := c.syncedQuorum()
+		active := leading && synced >= quorum
 		if active && !p.activated {
 			s.activates(p)
 		}
@@ -468,7 +469,8 @@ func runSeed(seed int64, nVoters, nObservers int) (s *sim, err error) {
 	return s, nil
 }
 
-func simShapes() [][2]int { return [][2]int{{3, 0}, {5, 0}, {3, 1}, {5, 2}} }
+// simShapes are the ensembles the sweep alternates over: voters, observers.
+var simShapes = [][2]int{{3, 0}, {5, 0}, {3, 1}, {5, 2}}
 
 // TestSimSweep runs random schedules over 3- and 5-voter ensembles with
 // and without observers. -zabsim.seed=N replays seed N (on every shape)
@@ -487,7 +489,7 @@ func TestSimSweep(t *testing.T) {
 	}
 	events := 0
 	for seed := first; seed < first+int64(n); seed++ {
-		shape := simShapes()[seed%int64(len(simShapes()))]
+		shape := simShapes[seed%int64(len(simShapes))]
 		s, err := runSeed(seed, shape[0], shape[1])
 		events += s.events
 		if err != nil || *simSeed != 0 {

@@ -99,7 +99,6 @@ type traceRec struct {
 }
 
 type sim struct {
-	seed  int64
 	rng   *rand.Rand
 	now   int64
 	seq   uint64
@@ -135,8 +134,7 @@ type sim struct {
 	events    int // events run
 	recs      int // trace lines recorded
 	hash      uint64
-	trace     []traceRec // ring of the last *simTrace lines
-	failure   error
+	trace     []traceRec                    // ring of the last *simTrace lines
 	onDeliver func(p *simPeer, c Committed) // directed schedules hook in here
 }
 
@@ -144,7 +142,6 @@ type simFailure struct{ error }
 
 func newSim(seed int64, voters, observers int) *sim {
 	s := &sim{
-		seed:     seed,
 		rng:      rand.New(rand.NewSource(seed)),
 		now:      1,
 		cuts:     make(map[[2]PeerID]bool),

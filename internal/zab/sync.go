@@ -198,7 +198,7 @@ func (c *core) handleNewLeaderAck(now int64, msg Message) {
 	if m.voter {
 		m.synced = true
 		c.replayOutstanding(msg.From)
-		if c.leaving && c.count((*member).isSynced) >= c.quorum() {
+		if synced, quorum := c.syncedQuorum(); c.leaving && synced >= quorum {
 			c.becomeRemoved("a quorum has synced the reconfig txn that removed this id")
 		}
 		return
