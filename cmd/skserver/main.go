@@ -1,18 +1,9 @@
-// Command skserver runs SecureKeeper (or baseline) replicas and serves
-// clients over TCP. It has two modes:
-//
-// In-process ensemble (default): all replicas run in this process
-// connected by the in-process broadcast network; replica i listens for
-// clients on port+i.
-//
-//	skserver -variant securekeeper -replicas 3 -listen 127.0.0.1:2181
-//
-// Process-per-replica (-id/-topology): this process runs ONE replica,
-// connected to its peers over the zabnet TCP mesh — the paper's
-// deployment shape, one replica per machine. The topology spec names
-// every ensemble member, voters and observers alike, so all processes
-// share one spec string. Each process serves clients on its own
-// -listen address:
+// Command skserver runs ONE SecureKeeper (or baseline) replica and serves
+// clients over TCP. The replica is connected to its peers over the zabnet
+// TCP mesh — the paper's deployment shape, one replica per machine — so
+// -id and -topology are required. The topology spec names every ensemble
+// member, voters and observers alike, so all processes share one spec
+// string. Each process serves clients on its own -listen address:
 //
 //	skserver -id 1 -topology '1@127.0.0.1:2888;2@127.0.0.1:2889;3@127.0.0.1:2890;4@127.0.0.1:2891:observer' -listen 127.0.0.1:2181
 //	skserver -id 2 -topology '1@127.0.0.1:2888;2@127.0.0.1:2889;3@127.0.0.1:2890;4@127.0.0.1:2891:observer' -listen 127.0.0.1:2182
@@ -21,10 +12,12 @@
 //
 // Replica 4 above joins as a non-voting observer: it replays the
 // leader's commit stream and serves reads, but never votes or counts
-// toward quorum.
+// toward quorum. A topology of one member is a whole ensemble in one
+// process; a program that wants several replicas in its own process
+// embeds core.NewCluster, as the examples do.
 //
-// For -variant securekeeper in multi-process mode every replica must
-// share one storage key: pass the same -storage-key (32 hex chars) to
+// For -variant securekeeper every replica of an ensemble of more than one
+// must share one storage key: pass the same -storage-key (32 hex chars) to
 // each process, playing the role of the paper's key server releasing
 // one key to all attested enclaves.
 //
@@ -42,7 +35,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -59,37 +51,101 @@ func main() {
 	}
 }
 
+// run starts the replica on its TCP peer mesh and serves clients until
+// interrupted. With -data-dir the replica is durable: committed
+// transactions are logged and snapshotted there, and a restart recovers
+// from disk instead of relying on a live leader's snapshot/diff sync.
 func run() error {
 	variant := flag.String("variant", "securekeeper", "vanilla, tls or securekeeper")
-	replicas := flag.Int("replicas", 3, "ensemble size (in-process mode)")
-	listen := flag.String("listen", "127.0.0.1:2181", "client address; in-process mode gives replica i port+i")
-	id := flag.Int64("id", 0, "replica id: enables process-per-replica mode (requires -topology)")
-	topologyFlag := flag.String("topology", "", "ensemble spec, id@host:port[:observer] semicolon-separated (process-per-replica mode)")
-	storageKey := flag.String("storage-key", "", "shared storage key, hex (securekeeper multi-process ensembles)")
-	dataDir := flag.String("data-dir", "", "durable state directory (process-per-replica mode); empty = in-memory only")
+	listen := flag.String("listen", "127.0.0.1:2181", "client address")
+	id := flag.Int64("id", 0, "this replica's id in -topology (required)")
+	topologyFlag := flag.String("topology", "", "ensemble spec, id@host:port[:observer] semicolon-separated (required)")
+	storageKey := flag.String("storage-key", "", "shared storage key, hex (securekeeper ensembles of more than one replica)")
+	dataDir := flag.String("data-dir", "", "durable state directory; empty = in-memory only")
 	snapshotEvery := flag.Int("snapshot-every", 0, "commits between durable snapshots (0 = storage default)")
 	logSegmentBytes := flag.Int64("log-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = storage default)")
-	metricsAddr := flag.String("metrics-addr", "", "admin HTTP address serving /metrics (Prometheus text), /metrics.json and /debug/pprof/; in-process mode gives replica i port+i; empty disables")
+	metricsAddr := flag.String("metrics-addr", "", "admin HTTP address serving /metrics (Prometheus text), /metrics.json and /debug/pprof/; empty disables")
 	flag.Parse()
 
 	v, err := parseVariant(*variant)
 	if err != nil {
 		return err
 	}
-	if (*id != 0) != (*topologyFlag != "") {
-		return fmt.Errorf("-id and -topology must be used together")
+	if *id == 0 || *topologyFlag == "" {
+		flag.Usage()
+		return fmt.Errorf("-id and -topology are required: skserver runs one replica of the ensemble -topology describes (a single-replica ensemble is -id 1 -topology '1@127.0.0.1:2888')")
 	}
-	if *id != 0 {
-		topo, err := core.ParseTopology(*topologyFlag)
-		if err != nil {
-			return fmt.Errorf("parse -topology: %w", err)
+	topo, err := core.ParseTopology(*topologyFlag)
+	if err != nil {
+		return fmt.Errorf("parse -topology: %w", err)
+	}
+	var key []byte
+	if *storageKey != "" {
+		if key, err = hex.DecodeString(*storageKey); err != nil {
+			return fmt.Errorf("parse -storage-key: %w", err)
 		}
-		return runNode(v, *id, topo, *listen, *storageKey, *dataDir, *snapshotEvery, *logSegmentBytes, *metricsAddr)
 	}
-	if *dataDir != "" {
-		return fmt.Errorf("-data-dir requires process-per-replica mode (-id/-topology)")
+	node, err := core.NewNode(core.NodeConfig{
+		Variant:         v,
+		ID:              zab.PeerID(*id),
+		Topology:        topo,
+		StorageKey:      key,
+		DataDir:         *dataDir,
+		SnapshotEvery:   *snapshotEvery,
+		LogSegmentBytes: *logSegmentBytes,
+		// Mesh and membership lifecycle lines (reconfig applications,
+		// link attestation failures, removal notices) go to stderr where
+		// the smoke harnesses collect per-node logs.
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, format+"\n", args...)
+		},
+	})
+	if err != nil {
+		return err
 	}
-	return runCluster(v, *replicas, *listen, *metricsAddr)
+	defer node.Close()
+
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		return fmt.Errorf("listen %s: %w", *listen, err)
+	}
+	defer ln.Close()
+	role := "voter"
+	if topo.IsObserver(zab.PeerID(*id)) {
+		role = "observer"
+	}
+	fmt.Printf("skserver: id=%d variant=%s mesh=%s clients=%s voters=%d observers=%d member=%s\n",
+		*id, v, node.Mesh().Addr(), ln.Addr(), len(topo.Voters), len(topo.Observers), role)
+	if *metricsAddr != "" {
+		mln, err := serveMetrics(*metricsAddr, node.Obs())
+		if err != nil {
+			return err
+		}
+		defer mln.Close()
+		fmt.Printf("skserver: id=%d metrics=%s\n", *id, mln.Addr())
+	}
+
+	go watchRole(node)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				if err := node.ServeExternal(transport.NewFramedConn(conn)); err != nil {
+					fmt.Fprintf(os.Stderr, "skserver: session on replica %d ended: %v\n", *id, err)
+				}
+			}()
+		}
+	}()
+
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	<-sig
+	fmt.Printf("skserver: id=%d shutting down\n", *id)
+	return nil
 }
 
 // serveMetrics starts the opt-in admin HTTP listener: GET /metrics
@@ -121,84 +177,6 @@ func serveMetrics(addr string, reg *obs.Registry) (net.Listener, error) {
 	return ln, nil
 }
 
-// runNode is the process-per-replica mode: one replica, TCP peer mesh.
-// With -data-dir the replica is durable: committed transactions are
-// logged and snapshotted there, and a restart recovers from disk
-// instead of relying on a live leader's snapshot/diff sync.
-func runNode(v core.Variant, id int64, topo core.Topology, listen, keyHex, dataDir string, snapshotEvery int, logSegmentBytes int64, metricsAddr string) error {
-	if !topo.Has(zab.PeerID(id)) {
-		return fmt.Errorf("topology has no entry for own id %d", id)
-	}
-	var key []byte
-	var err error
-	if keyHex != "" {
-		if key, err = hex.DecodeString(keyHex); err != nil {
-			return fmt.Errorf("parse -storage-key: %w", err)
-		}
-	}
-	node, err := core.NewNode(core.NodeConfig{
-		Variant:         v,
-		ID:              zab.PeerID(id),
-		Topology:        topo,
-		StorageKey:      key,
-		DataDir:         dataDir,
-		SnapshotEvery:   snapshotEvery,
-		LogSegmentBytes: logSegmentBytes,
-		// Mesh and membership lifecycle lines (reconfig applications,
-		// link attestation failures, removal notices) go to stderr where
-		// the smoke harnesses collect per-node logs.
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
-	if err != nil {
-		return err
-	}
-	defer node.Close()
-
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		return fmt.Errorf("listen %s: %w", listen, err)
-	}
-	defer ln.Close()
-	role := "voter"
-	if topo.IsObserver(zab.PeerID(id)) {
-		role = "observer"
-	}
-	fmt.Printf("skserver: id=%d variant=%s mesh=%s clients=%s voters=%d observers=%d member=%s\n",
-		id, v, node.Mesh().Addr(), ln.Addr(), len(topo.Voters), len(topo.Observers), role)
-	if metricsAddr != "" {
-		mln, err := serveMetrics(metricsAddr, node.Obs())
-		if err != nil {
-			return err
-		}
-		defer mln.Close()
-		fmt.Printf("skserver: id=%d metrics=%s\n", id, mln.Addr())
-	}
-
-	go watchRole(node)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				if err := node.ServeExternal(transport.NewFramedConn(conn)); err != nil {
-					fmt.Fprintf(os.Stderr, "skserver: session on replica %d ended: %v\n", id, err)
-				}
-			}()
-		}
-	}()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Printf("skserver: id=%d shutting down\n", id)
-	return nil
-}
-
 // watchRole prints ensemble role transitions; the failover harness and
 // the CI smoke script grep these lines to locate the leader.
 func watchRole(node *core.Node) {
@@ -211,98 +189,6 @@ func watchRole(node *core.Node) {
 		}
 		lastRole, lastLeader = role, leader
 		fmt.Printf("skserver: id=%d role=%s leader=%d\n", node.ID(), role, leader)
-	}
-}
-
-// runCluster is the legacy in-process mode: the whole ensemble in this
-// process, replica i serving clients on port+i (and, with
-// -metrics-addr, exposing its registry on metrics-port+i).
-func runCluster(v core.Variant, replicas int, listen, metricsAddr string) error {
-	cluster, err := core.NewCluster(core.Config{Variant: v, Replicas: replicas})
-	if err != nil {
-		return err
-	}
-	defer cluster.Close()
-	leader, err := cluster.WaitForLeader(10 * time.Second)
-	if err != nil {
-		return err
-	}
-
-	host, portStr, err := net.SplitHostPort(listen)
-	if err != nil {
-		return fmt.Errorf("parse -listen: %w", err)
-	}
-	basePort, err := strconv.Atoi(portStr)
-	if err != nil {
-		return fmt.Errorf("parse port: %w", err)
-	}
-
-	listeners := make([]net.Listener, 0, replicas)
-	defer func() {
-		for _, ln := range listeners {
-			_ = ln.Close()
-		}
-	}()
-	var mHost string
-	var mBase int
-	if metricsAddr != "" {
-		var portStr string
-		if mHost, portStr, err = net.SplitHostPort(metricsAddr); err != nil {
-			return fmt.Errorf("parse -metrics-addr: %w", err)
-		}
-		if mBase, err = strconv.Atoi(portStr); err != nil {
-			return fmt.Errorf("parse -metrics-addr port: %w", err)
-		}
-	}
-	for i := 0; i < replicas; i++ {
-		addr := net.JoinHostPort(host, strconv.Itoa(basePort+i))
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			return fmt.Errorf("listen %s: %w", addr, err)
-		}
-		listeners = append(listeners, ln)
-		fmt.Printf("replica %d (%s) listening on %s\n", i, roleName(i, leader), addr)
-		go acceptLoop(cluster, i, ln)
-		if metricsAddr != "" {
-			mln, err := serveMetrics(net.JoinHostPort(mHost, strconv.Itoa(mBase+i)), cluster.Obs(i))
-			if err != nil {
-				return err
-			}
-			listeners = append(listeners, mln)
-			fmt.Printf("replica %d metrics on %s\n", i, mln.Addr())
-		}
-	}
-
-	fmt.Printf("%s ensemble up, leader is replica %d — Ctrl-C to stop\n", v, leader)
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	fmt.Println("shutting down")
-	return nil
-}
-
-func roleName(i, leader int) string {
-	if i == leader {
-		return "leader"
-	}
-	return "follower"
-}
-
-// acceptLoop serves TCP clients against replica i of an in-process
-// cluster.
-func acceptLoop(cluster *core.Cluster, i int, ln net.Listener) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go func() {
-			defer conn.Close()
-			framed := transport.NewFramedConn(conn)
-			if err := cluster.ServeExternal(i, framed); err != nil {
-				fmt.Fprintf(os.Stderr, "session on replica %d ended: %v\n", i, err)
-			}
-		}()
 	}
 }
 

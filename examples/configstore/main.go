@@ -43,9 +43,6 @@ func run() error {
 		return err
 	}
 	defer cluster.Close()
-	if _, err := cluster.WaitForLeader(5 * time.Second); err != nil {
-		return err
-	}
 
 	// The ops team provisions database credentials.
 	admin, err := cluster.Connect(0, client.Options{})

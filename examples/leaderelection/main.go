@@ -44,9 +44,6 @@ func run() error {
 		return err
 	}
 	defer cluster.Close()
-	if _, err := cluster.WaitForLeader(5 * time.Second); err != nil {
-		return err
-	}
 
 	// Three service instances volunteer.
 	contenders := make([]*contender, 0, 3)

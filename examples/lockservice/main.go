@@ -42,9 +42,6 @@ func run() error {
 		return err
 	}
 	defer cluster.Close()
-	if _, err := cluster.WaitForLeader(5 * time.Second); err != nil {
-		return err
-	}
 
 	// Three workers contend for the lock; the critical section appends
 	// to a shared log guarded only by the lock.

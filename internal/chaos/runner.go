@@ -160,9 +160,6 @@ func RunScenario(ctx context.Context, cfg ScenarioConfig) (*Report, error) {
 		return nil, err
 	}
 	defer cluster.Close()
-	if _, err := cluster.WaitForLeader(5 * time.Second); err != nil {
-		return nil, err
-	}
 
 	env := &runEnv{
 		cfg:     c,

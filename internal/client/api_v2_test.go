@@ -297,28 +297,6 @@ func TestWatchClosedOnSessionEnd(t *testing.T) {
 	}
 }
 
-// TestWatchShimStillFires: the deprecated global OnEvent callback
-// keeps receiving every event alongside handle delivery.
-func TestWatchShimStillFires(t *testing.T) {
-	events := make(chan wire.WatcherEvent, 1)
-	cl, srv := newFakePairOpts(t, Options{OnEvent: func(ev wire.WatcherEvent) { events <- ev }})
-	_, _, w, err := cl.GetW(ctxbg, "/shim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.sendEvent(wire.WatcherEvent{Type: wire.EventNodeDataChanged, Path: "/shim"})
-	for i, ch := range []<-chan wire.WatcherEvent{events, w.Events()} {
-		select {
-		case ev := <-ch:
-			if ev.Path != "/shim" {
-				t.Fatalf("channel %d: %+v", i, ev)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("channel %d starved", i)
-		}
-	}
-}
-
 // --- Txn builder ---
 
 func TestTxnBuilderCommit(t *testing.T) {
@@ -360,11 +338,4 @@ func TestTxnBuilderAbortCarriesPerOpResults(t *testing.T) {
 		results[1].Err != wire.ErrRuntimeInconsistency {
 		t.Fatalf("results = %+v", results)
 	}
-}
-
-// newFakePairOpts is newFakePair with explicit client options.
-func newFakePairOpts(t *testing.T, opts Options) (*Client, *fakeServer) {
-	t.Helper()
-	cl, srv := newFakePairConn(t, opts)
-	return cl, srv
 }

@@ -33,9 +33,6 @@ var (
 	ErrShortReply = errors.New("client: malformed reply")
 )
 
-// EventHandler receives watch notifications.
-type EventHandler func(ev wire.WatcherEvent)
-
 // ReadPreference selects which ensemble member Dial settles on. Writes
 // always reach the leader (replicas forward them over the broadcast
 // mesh); the preference decides where this session's READS are served.
@@ -92,13 +89,6 @@ type Options struct {
 	// badly-lagged observer would serve arbitrarily stale reads. Zero
 	// keeps the zero-round-trip Nearest behaviour (any member will do).
 	MaxCommitLag int64
-	// OnEvent handles every watch notification (optional).
-	//
-	// Deprecated: OnEvent is the v1 global callback, kept as a shim. It
-	// still fires for every event, but new code should use the typed
-	// *Watch handles returned by GetW/ExistsW/ChildrenW, which deliver
-	// exactly once per subscription on their own channel.
-	OnEvent EventHandler
 }
 
 // Result is the outcome of an asynchronous call.
@@ -153,7 +143,6 @@ type call struct {
 type Client struct {
 	conn      transport.Conn
 	sessionID int64
-	onEvent   EventHandler
 
 	xid atomic.Int32
 	// lastZxid is the highest zxid observed in any reply header —
@@ -192,7 +181,6 @@ func NewSession(conn transport.Conn, opts Options) (*Client, error) {
 	c := &Client{
 		conn:      conn,
 		sessionID: resp.SessionID,
-		onEvent:   opts.OnEvent,
 		pending:   make(map[int32]call),
 		watches:   make(map[watchKey]map[*Watch]struct{}),
 		recvDone:  make(chan struct{}),

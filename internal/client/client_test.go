@@ -209,24 +209,14 @@ func TestClientAsyncPipelining(t *testing.T) {
 }
 
 func TestClientWatchCallback(t *testing.T) {
-	a, b := transport.NewChanPipe()
-	srv := &fakeServer{t: t, conn: b}
-	srv.wg.Add(1)
-	go func() { defer srv.wg.Done(); srv.serve() }()
-
-	events := make(chan wire.WatcherEvent, 1)
-	cl, err := NewSession(a, Options{OnEvent: func(ev wire.WatcherEvent) { events <- ev }})
+	cl, srv := newFakePair(t)
+	_, _, w, err := cl.GetW(ctxbg, "/born")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		_ = cl.Close()
-		srv.wg.Wait()
-	}()
-
 	srv.sendEvent(wire.WatcherEvent{Type: wire.EventNodeCreated, Path: "/born"})
 	select {
-	case ev := <-events:
+	case ev := <-w.Events():
 		if ev.Type != wire.EventNodeCreated || ev.Path != "/born" {
 			t.Fatalf("event = %+v", ev)
 		}

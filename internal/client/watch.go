@@ -97,15 +97,11 @@ func (c *Client) removeWatch(w *Watch) {
 	}
 }
 
-// dispatchEvent routes one server notification: first through the
-// deprecated global callback (the v1 shim), then to every subscription
+// dispatchEvent routes one server notification to every subscription
 // whose (path, kind) the event matches — exactly once each, removing
 // them (one-shot). Runs on the receive loop goroutine; delivery never
 // blocks it (fire sends into a 1-buffered channel).
 func (c *Client) dispatchEvent(ev wire.WatcherEvent) {
-	if c.onEvent != nil {
-		c.onEvent(ev)
-	}
 	var fired []*Watch
 	c.mu.Lock()
 	collect := func(kind wire.WatchKind) {

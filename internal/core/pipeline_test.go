@@ -224,7 +224,7 @@ func TestPathCacheCountersInMntr(t *testing.T) {
 	c := newTestCluster(t, SecureKeeper)
 	leader := c.LeaderIndex()
 	mntr := func() map[string]int64 { return mntrOf(c, leader) }
-	enclaves := c.hosts[leader].runtime.EnclaveCount()
+	enclaves := c.Runtime(leader).EnclaveCount()
 	cl, err := c.Connect(leader, client.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestPathCacheCountersInMntr(t *testing.T) {
 
 	_ = cl.Close()
 	waitForCond(t, 5*time.Second, "the session's entry enclave to close", func() bool {
-		return c.hosts[leader].runtime.EnclaveCount() == enclaves
+		return c.Runtime(leader).EnclaveCount() == enclaves
 	})
 	closed := mntr()
 	for _, key := range []string{"skcrypto_path_cache_misses_total_entry_enc", "skcrypto_path_cache_hits_total_entry_enc"} {

@@ -238,8 +238,7 @@ func TestSequentialNamingAttackSurface(t *testing.T) {
 // enclave path decryption (paths arrive plaintext at the client).
 func TestWatchThroughEnclave(t *testing.T) {
 	c := newTestCluster(t, SecureKeeper)
-	events := make(chan wire.WatcherEvent, 1)
-	watcher, err := c.Connect(0, client.Options{OnEvent: func(ev wire.WatcherEvent) { events <- ev }})
+	watcher, err := c.Connect(0, client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,11 +252,15 @@ func TestWatchThroughEnclave(t *testing.T) {
 	if _, err := writer.Create(ctxbg, "/watched", []byte("a"), 0); err != nil {
 		t.Fatal(err)
 	}
+	var watch *client.Watch
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, _, _, err := watcher.GetW(ctxbg, "/watched"); err == nil {
+		_, _, w, err := watcher.GetW(ctxbg, "/watched")
+		if err == nil {
+			watch = w
 			break
 		}
+		w.Cancel()
 		if time.Now().After(deadline) {
 			t.Fatal("node never propagated")
 		}
@@ -267,7 +270,7 @@ func TestWatchThroughEnclave(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case ev := <-events:
+	case ev := <-watch.Events():
 		if ev.Path != "/watched" {
 			t.Fatalf("event path = %q (must be plaintext)", ev.Path)
 		}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"securekeeper/internal/client"
-	"securekeeper/internal/zab"
 )
 
 func newTestCluster(t *testing.T, v Variant) *Cluster {
@@ -24,41 +23,11 @@ func newTestCluster(t *testing.T, v Variant) *Cluster {
 		t.Fatalf("NewCluster(%v): %v", v, err)
 	}
 	t.Cleanup(c.Close)
-	// Settle the ensemble before tests connect: a write submitted
-	// during the election window fails with CONNECTIONLOSS (there is
-	// no leader to forward to), which is correct protocol behaviour
-	// but a flaky test.
-	if _, err := c.WaitForLeader(5 * time.Second); err != nil {
-		t.Fatalf("WaitForLeader(%v): %v", v, err)
-	}
-	// Every replica must know its role before clients connect: a
-	// follower that is still LOOKING rejects forwarded writes with
-	// CONNECTIONLOSS because it has no leader to forward to.
-	for i := 0; i < c.Size(); i++ {
-		if err := c.Replica(i).WaitForRole(5 * time.Second); err != nil {
-			t.Fatalf("replica %d: %v", i, err)
-		}
-	}
-	// And they must follow the leader that stands: a replica reports
-	// LEADING the moment its tally is unanimous, while the others still
-	// sit out their finalize wait, and until a quorum of them has synced
-	// it refuses writes — legally (zab's
-	// TestScheduleFreshEnsembleFirstWrite), but a first write that early
-	// failed about once in 300 starts.
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		l, followers := c.LeaderIndex(), 0
-		for i := 0; l >= 0 && i < c.Size(); i++ {
-			if p := c.Replica(i).Peer(); p.Role() == zab.RoleFollowing && p.Leader() == c.Replica(l).Peer().ID() {
-				followers++
-			}
-		}
-		if followers == c.Size()-1 {
-			return c
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("ensemble did not settle: leader %d, %d followers", l, followers)
-		}
-	}
+	// NewCluster has waited for a leader with every other replica
+	// following it, so the first write of a test cannot meet the election
+	// window (CONNECTIONLOSS: no leader to forward to, or a leader that
+	// has not synced a quorum yet).
+	return c
 }
 
 // waitTreesConverged blocks until every replica's tree holds at least

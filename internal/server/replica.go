@@ -71,6 +71,10 @@ func PlainSequenceAppender(path string, seq int32) (string, error) {
 	return wire.AppendSequence(path, seq), nil
 }
 
+// sessionTimeoutMillis is what every ConnectResponse grants; nothing
+// expires a session on it (informational).
+const sessionTimeoutMillis = 10000
+
 // Config parameterizes a replica.
 type Config struct {
 	// ID identifies the replica; Peers lists the ensemble's VOTING
@@ -88,8 +92,6 @@ type Config struct {
 	// TickInterval and ElectionTimeout tune the broadcast protocol.
 	TickInterval    time.Duration
 	ElectionTimeout time.Duration
-	// SessionTimeout bounds client session liveness (informational).
-	SessionTimeout time.Duration
 	// DataDir, when set, makes the replica durable: committed
 	// transactions are group-committed to the write-ahead log there,
 	// the tree snapshotted periodically, and a restart recovers from
@@ -218,9 +220,6 @@ type forwardedReq struct {
 func NewReplica(cfg Config) *Replica {
 	if cfg.SeqAppend == nil {
 		cfg.SeqAppend = PlainSequenceAppender
-	}
-	if cfg.SessionTimeout <= 0 {
-		cfg.SessionTimeout = 10 * time.Second
 	}
 	r := &Replica{
 		cfg:      cfg,
@@ -469,7 +468,7 @@ func (r *Replica) ServeConn(conn transport.Conn, icept Interceptor) error {
 	r.mu.Unlock()
 
 	resp := wire.ConnectResponse{
-		TimeoutMillis: int32(r.cfg.SessionTimeout / time.Millisecond),
+		TimeoutMillis: sessionTimeoutMillis,
 		SessionID:     sessionID,
 		Passwd:        connReq.Passwd,
 	}

@@ -214,8 +214,7 @@ func TestSequentialNodesUniqueUnderContention(t *testing.T) {
 
 func TestWatchDeliveredAcrossReplicas(t *testing.T) {
 	tc := newTestCluster(t, 3)
-	events := make(chan wire.WatcherEvent, 4)
-	watcher := tc.connect(1, client.Options{OnEvent: func(ev wire.WatcherEvent) { events <- ev }})
+	watcher := tc.connect(1, client.Options{})
 	defer watcher.Close()
 	writer := tc.connect(2, client.Options{})
 	defer writer.Close()
@@ -224,11 +223,18 @@ func TestWatchDeliveredAcrossReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Watch may race the commit propagation to replica 1.
+	var watch *client.Watch
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, _, _, err := watcher.GetW(ctxbg, "/w"); err == nil {
+		_, _, w, err := watcher.GetW(ctxbg, "/w")
+		if err == nil {
+			watch = w
 			break
 		}
+		// A GetW attempt that ran before the create reached this
+		// replica registered an exist watch; its NodeCreated firing is
+		// legitimate, and belongs to that attempt's handle.
+		w.Cancel()
 		if time.Now().After(deadline) {
 			t.Fatal("node never appeared on follower")
 		}
@@ -237,22 +243,13 @@ func TestWatchDeliveredAcrossReplicas(t *testing.T) {
 	if _, err := writer.Set(ctxbg, "/w", []byte("b"), -1); err != nil {
 		t.Fatal(err)
 	}
-	for {
-		select {
-		case ev := <-events:
-			// A GetW attempt that ran before the create reached this
-			// replica registered an exist watch; its NodeCreated firing
-			// is legitimate and may precede the data watch's event.
-			if ev.Type == wire.EventNodeCreated && ev.Path == "/w" {
-				continue
-			}
-			if ev.Type != wire.EventNodeDataChanged || ev.Path != "/w" {
-				t.Fatalf("event = %+v", ev)
-			}
-			return
-		case <-time.After(5 * time.Second):
-			t.Fatal("watch event not delivered")
+	select {
+	case ev := <-watch.Events():
+		if ev.Type != wire.EventNodeDataChanged || ev.Path != "/w" {
+			t.Fatalf("event = %+v", ev)
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("watch event not delivered")
 	}
 }
 

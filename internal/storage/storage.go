@@ -50,9 +50,6 @@ var (
 )
 
 const (
-	// legacyLogName is the pre-segmentation single-file log; OpenLog
-	// migrates it to segment 0 so rotation and purge treat it uniformly.
-	legacyLogName  = "txnlog"
 	segPrefix      = "log."
 	snapPrefix     = "snapshot."
 	snapTmpName    = "snap.tmp" // deliberately NOT snapPrefix-matching
@@ -108,10 +105,6 @@ func listSegments(dir string) ([]segmentInfo, error) {
 	var segs []segmentInfo
 	for _, e := range entries {
 		name := e.Name()
-		if name == legacyLogName {
-			segs = append(segs, segmentInfo{name: name, firstZxid: -1})
-			continue
-		}
 		if !strings.HasPrefix(name, segPrefix) {
 			continue
 		}
@@ -175,16 +168,6 @@ func OpenLogSegmented(dir string, segmentBytes int64) (*Log, error) {
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: mkdir: %w", err)
-	}
-	// Migrate a legacy single-file log into segment 0.
-	legacy := filepath.Join(dir, legacyLogName)
-	if _, err := os.Stat(legacy); err == nil {
-		if err := os.Rename(legacy, filepath.Join(dir, segmentName(0))); err != nil {
-			return nil, fmt.Errorf("storage: migrate legacy log: %w", err)
-		}
-		if err := fsyncDir(dir); err != nil {
-			return nil, err
-		}
 	}
 	l := &Log{dir: dir, segmentBytes: segmentBytes}
 	segs, err := listSegments(dir)

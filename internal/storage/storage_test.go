@@ -301,42 +301,6 @@ func TestTornRecordInSealedSegmentIsError(t *testing.T) {
 	}
 }
 
-func TestLegacyLogMigration(t *testing.T) {
-	dir := t.TempDir()
-	log, _ := OpenLog(dir)
-	txns := sampleTxns(5)
-	for i := range txns {
-		if err := log.Append(&txns[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_ = log.Close()
-	// Rewind history: pretend this data predates segmentation.
-	paths := segmentPaths(t, dir)
-	if err := os.Rename(paths[0], filepath.Join(dir, legacyLogName)); err != nil {
-		t.Fatal(err)
-	}
-	log2, err := OpenLog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := ztree.Txn{Zxid: 6, Type: ztree.TxnCreate, Path: "/post", Data: nil}
-	if err := log2.Append(&next); err != nil {
-		t.Fatal(err)
-	}
-	_ = log2.Close()
-	if _, err := os.Stat(filepath.Join(dir, legacyLogName)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("legacy txnlog still present after migration")
-	}
-	count := 0
-	if err := ReplayLog(dir, func(*ztree.Txn) error { count++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if count != 6 {
-		t.Fatalf("replayed %d, want 6", count)
-	}
-}
-
 func TestPurgeSegments(t *testing.T) {
 	dir := t.TempDir()
 	log, err := OpenLogSegmented(dir, 1)

@@ -40,7 +40,7 @@ func TestCoalescedSnapshotRacesLiveTraffic(t *testing.T) {
 				sender, receiver = poisonedPair(t, 512, reg)
 			} else {
 				meshes := newTestMeshes(t, 2, func(c *Config) {
-					c.ChunkBytes = 512
+					c.chunkBytes = 512
 					if kind == "secure=true" {
 						c.Secure = testSecureConfig(t)
 					}
@@ -149,14 +149,14 @@ func poisonedPair(t *testing.T, chunkBytes int, reg *obs.Registry) (sender, rece
 		t.Fatal(err)
 	}
 	bare := func(id zab.PeerID) *Mesh {
-		cfg := (&Config{ID: id, ChunkBytes: chunkBytes}).withDefaults()
-		return &Mesh{cfg: cfg, inbox: make(chan zab.Message, cfg.InboxFrames),
-			links: make(map[zab.PeerID]*link), closed: make(chan struct{})}
+		cfg := (&Config{ID: id, chunkBytes: chunkBytes}).withDefaults()
+		return &Mesh{cfg: cfg, inbox: make(chan zab.Message, inboxFrames),
+			peers: map[zab.PeerID]*peer{1: {member: true}, 2: {member: true}}, closed: make(chan struct{})}
 	}
 	sender, receiver = bare(2), bare(1)
 	sender.framesPerWrite = reg.CountHistogram("zabnet_frames_per_write", "", "")
-	out := sender.newLink(1, transport.NewFramedConn(dialed))
-	in := receiver.newLink(2, transport.NewPoisonConn(transport.NewFramedConn(accepted)))
+	out := newLink(1, transport.NewFramedConn(dialed))
+	in := newLink(2, transport.NewPoisonConn(transport.NewFramedConn(accepted)))
 	sender.installLink(out)
 	receiver.installLink(in)
 	t.Cleanup(func() {
@@ -196,7 +196,7 @@ func (c *failingConn) Close() error {
 func TestFailedBatchedWriteClosesLinkOnce(t *testing.T) {
 	m := &Mesh{}
 	fc := &failingConn{batches: make(chan int, 4)}
-	l := m.newLink(2, fc)
+	l := newLink(2, fc)
 	for i := byte(1); i <= 3; i++ {
 		if err := l.enqueue([]byte{i}, 512, 8); err != nil {
 			t.Fatal(err)
@@ -250,13 +250,13 @@ func (c *blockedConn) Close() error { return nil }
 
 // TestOutboxBoundCountsFramesBeingWritten: the frames the writer took
 // out of the send buffer occupy the queue until they are written, so a
-// link to a peer that stopped reading holds OutboxFrames frames, not
+// link to a peer that stopped reading holds outboxFrames frames, not
 // that many behind the write and as many again inside it.
 func TestOutboxBoundCountsFramesBeingWritten(t *testing.T) {
 	const maxFrames = 4
 	m := &Mesh{}
 	fc := &blockedConn{entered: make(chan int, 4), release: make(chan struct{})}
-	l := m.newLink(2, fc)
+	l := newLink(2, fc)
 	for i := byte(1); i <= 3; i++ {
 		if err := l.enqueue([]byte{i}, 512, maxFrames); err != nil {
 			t.Fatal(err)

@@ -24,18 +24,20 @@
 // are identified by the handshaken peer id and Message.From is stamped
 // from the link identity, never trusted from the wire.
 //
-// Trust model: with Config.Secure unset the hello exchange is a
-// PLAINTEXT id claim — the Vanilla baseline's deployment shape, where
-// the cluster network itself is trusted. With Config.Secure set
-// (SecureKeeper), every link is mutually attested and encrypted: each
-// side's hello carries an sgx quote binding its id, role and a fresh
-// channel public key into the attestation transcript, and the link then
-// runs transport.Handshake to an ephemeral-keyed SecureConn. Session
+// Trust model: a link opens with one hello from each side — id and role,
+// the dialer's first. With Config.Secure unset that PLAINTEXT claim is
+// all there is — the Vanilla baseline's deployment shape, where the
+// cluster network itself is trusted. With Config.Secure set
+// (SecureKeeper) the same hello carries an attested tail — a fresh
+// channel public key and an sgx quote binding id, role and key into the
+// attestation transcript — and the link then runs transport.Handshake to
+// an ephemeral-keyed SecureConn pinned to the quoted key. Session
 // keys come from the per-connection X25519 exchange — never from the
 // storage key, which stays inside the enclaves. A peer that cannot
 // produce a quote under the deployment's attestation root and expected
 // measurement, or whose claimed id/role disagrees with the quoted
-// transcript, is rejected before any protocol frame flows.
+// transcript, is rejected before any protocol frame flows; so is a hello
+// of the other kind, so a link cannot be downgraded.
 //
 // Membership is dynamic: the mesh implements zab.MembershipUpdater, so
 // committed reconfiguration transactions grow and shrink the peer map
@@ -65,12 +67,12 @@ import (
 
 // Frame types carried in the first payload byte of every mesh frame.
 const (
-	frameHello     byte = 0x01 // plaintext handshake: magic, version, peer id, role
+	frameHello     byte = 0x01 // hello: magic, version, peer id, role
 	frameMsg       byte = 0x02 // one complete encoded zab.Message
 	frameFragBegin byte = 0x03 // fragment start: total length + first chunk
 	frameFragCont  byte = 0x04 // fragment continuation chunk
 	frameFragEnd   byte = 0x05 // final fragment chunk
-	frameHelloSec  byte = 0x06 // attested handshake: hello fields + channel key + sgx quote
+	frameHelloSec  byte = 0x06 // hello with the attested tail: + channel key + sgx quote
 )
 
 // helloMagic identifies the mesh protocol in the handshake frame.
@@ -90,6 +92,13 @@ const (
 	roleObserver byte = 0x01
 )
 
+func roleByte(observer bool) byte {
+	if observer {
+		return roleObserver
+	}
+	return roleVoter
+}
+
 // maxReassembledBytes bounds a fragmented message (snapshot transfer)
 // on the receive side; the claimed total is peer-controlled.
 const maxReassembledBytes = 256 << 20
@@ -101,6 +110,15 @@ var (
 	// errOutboxFull is enqueue's internal capacity-shed signal; callers
 	// surface it as zab.ErrPeerUnreachable after counting the shed.
 	errOutboxFull = errors.New("zabnet: outbox full")
+)
+
+// Connection set-up bounds: one dial attempt, the hello exchange (and
+// channel handshake) on a new link, and the shared receive queue, which
+// sheds when full.
+const (
+	dialTimeout      = time.Second
+	handshakeTimeout = 2 * time.Second
+	inboxFrames      = 16384
 )
 
 // Config parameterizes a Mesh.
@@ -118,21 +136,6 @@ type Config struct {
 	// Listener optionally provides a pre-bound listener (tests use
 	// ephemeral ports); when nil the mesh listens on Peers[ID].
 	Listener net.Listener
-	// DialTimeout bounds one connection attempt; HandshakeTimeout
-	// bounds the hello exchange on a new link.
-	DialTimeout      time.Duration
-	HandshakeTimeout time.Duration
-	// ReconnectMin/Max bound the dialer's exponential backoff.
-	ReconnectMin time.Duration
-	ReconnectMax time.Duration
-	// OutboxFrames bounds each peer's send queue; a full outbox sheds
-	// (the protocol tolerates loss, and blocking would stall the zab
-	// loop). InboxFrames bounds the shared receive queue.
-	OutboxFrames int
-	InboxFrames  int
-	// ChunkBytes is the fragmentation threshold and fragment size for
-	// oversized messages (snapshot transfers).
-	ChunkBytes int
 	// Logf, when set, receives connection lifecycle diagnostics.
 	Logf func(format string, args ...any)
 	// Obs, when set, receives the mesh's metrics: per-peer outbox
@@ -142,6 +145,17 @@ type Config struct {
 	// plus channel encryption (the SecureKeeper mesh). Nil keeps the
 	// plaintext hello — the Vanilla baseline.
 	Secure *SecureConfig
+
+	// What follows no deployment sets; the package's tests shrink them.
+	// reconnectMin/Max bound the dialer's exponential backoff.
+	reconnectMin, reconnectMax time.Duration
+	// outboxFrames bounds each peer's send queue; a full outbox sheds
+	// (the protocol tolerates loss, and blocking would stall the zab
+	// loop).
+	outboxFrames int
+	// chunkBytes is the fragmentation threshold and fragment size for
+	// oversized messages (snapshot transfers).
+	chunkBytes int
 }
 
 // SecureConfig holds the material for attested, encrypted peer links.
@@ -159,31 +173,22 @@ type SecureConfig struct {
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.DialTimeout <= 0 {
-		out.DialTimeout = time.Second
+	if out.reconnectMin <= 0 {
+		out.reconnectMin = 20 * time.Millisecond
 	}
-	if out.HandshakeTimeout <= 0 {
-		out.HandshakeTimeout = 2 * time.Second
+	if out.reconnectMax <= 0 {
+		out.reconnectMax = time.Second
 	}
-	if out.ReconnectMin <= 0 {
-		out.ReconnectMin = 20 * time.Millisecond
+	if out.outboxFrames <= 0 {
+		out.outboxFrames = 4096
 	}
-	if out.ReconnectMax <= 0 {
-		out.ReconnectMax = time.Second
-	}
-	if out.OutboxFrames <= 0 {
-		out.OutboxFrames = 4096
-	}
-	if out.InboxFrames <= 0 {
-		out.InboxFrames = 16384
-	}
-	if out.ChunkBytes <= 0 {
-		out.ChunkBytes = 1 << 20
+	if out.chunkBytes <= 0 {
+		out.chunkBytes = 1 << 20
 	}
 	// A fragment frame is type byte + 8-byte total + chunk; keep it
 	// comfortably under the transport's frame ceiling.
-	if out.ChunkBytes > transport.MaxFrameSize/2 {
-		out.ChunkBytes = transport.MaxFrameSize / 2
+	if out.chunkBytes > transport.MaxFrameSize/2 {
+		out.chunkBytes = transport.MaxFrameSize / 2
 	}
 	return out
 }
@@ -194,18 +199,11 @@ type Mesh struct {
 	ln    net.Listener
 	inbox chan zab.Message
 
+	// peers is everything the mesh knows per peer id, itself included,
+	// under mu: the LIVE membership — seeded from Config, mutated by
+	// Add/RemovePeer as reconfig txns commit — and the current link.
 	mu    sync.Mutex
-	links map[zab.PeerID]*link
-	// peers/observers are the LIVE membership — seeded from Config,
-	// mutated by Add/RemovePeer as reconfig txns commit. Presence in
-	// peers marks membership even when the address is unknown (the
-	// accept side needs no address). dialStops cancels the per-peer
-	// dial loop on removal; gauged dedups metric registration across
-	// remove/re-add cycles.
-	peers     map[zab.PeerID]string
-	observers map[zab.PeerID]bool
-	dialStops map[zab.PeerID]chan struct{}
-	gauged    map[zab.PeerID]bool
+	peers map[zab.PeerID]*peer
 
 	// Shed accounting (nil instruments no-op without a registry).
 	// outboxShed counts messages dropped because a peer's outbox was
@@ -230,6 +228,19 @@ var (
 	_ zab.MultiSender       = (*Mesh)(nil)
 	_ zab.MembershipUpdater = (*Mesh)(nil)
 )
+
+// peer is one row of the mesh's peer table. A removed member keeps its
+// row (member false) and with it its outbox-depth gauge, so that a
+// remove/re-add cycle registers no second one.
+type peer struct {
+	member   bool   // in the live membership
+	observer bool   // its role there
+	addr     string // "" when unknown: the accept side needs none
+	link     *link  // current connection, nil while there is none
+	// dialStop cancels the dial loop toward this (lower-id) peer; nil
+	// while none runs.
+	dialStop chan struct{}
+}
 
 // link is one live TCP connection to a peer. fc is the framed TCP
 // stream on a plaintext mesh and a transport.SecureConn on an attested
@@ -269,10 +280,13 @@ func (l *link) close() {
 	})
 }
 
-// NewMesh starts the mesh: it listens for lower-id... rather, for
-// higher-id peers dialing in, and dials every lower-id peer itself.
+// NewMesh starts the mesh: it listens for higher-id peers dialing in, and
+// dials every lower-id peer itself.
 func NewMesh(cfg Config) (*Mesh, error) {
 	c := cfg.withDefaults()
+	if c.Secure != nil && (c.Secure.Signer == nil || c.Secure.Identity == nil) {
+		return nil, errors.New("zabnet: Secure requires both Signer and Identity")
+	}
 	ln := c.Listener
 	if ln == nil {
 		addr, ok := c.Peers[c.ID]
@@ -285,88 +299,59 @@ func NewMesh(cfg Config) (*Mesh, error) {
 			return nil, fmt.Errorf("zabnet: listen %s: %w", addr, err)
 		}
 	}
-	if c.Secure != nil && (c.Secure.Signer == nil || c.Secure.Identity == nil) {
-		if c.Listener == nil {
-			_ = ln.Close()
-		}
-		return nil, errors.New("zabnet: Secure requires both Signer and Identity")
-	}
 	m := &Mesh{
-		cfg:       c,
-		ln:        ln,
-		inbox:     make(chan zab.Message, c.InboxFrames),
-		links:     make(map[zab.PeerID]*link),
-		peers:     make(map[zab.PeerID]string, len(c.Peers)),
-		observers: make(map[zab.PeerID]bool, len(c.Observers)),
-		dialStops: make(map[zab.PeerID]chan struct{}),
-		gauged:    make(map[zab.PeerID]bool),
-		closed:    make(chan struct{}),
+		cfg:    c,
+		ln:     ln,
+		inbox:  make(chan zab.Message, inboxFrames),
+		peers:  make(map[zab.PeerID]*peer, len(c.Peers)),
+		closed: make(chan struct{}),
 	}
-	for id, addr := range c.Peers {
-		m.peers[id] = addr
-	}
-	for id, obs := range c.Observers {
-		m.observers[id] = obs
-	}
-	if c.Obs != nil {
-		m.outboxShed = c.Obs.Counter("zabnet_outbox_shed_total", "", "messages dropped on a full peer outbox (zero in a healthy run)")
-		m.unreachable = c.Obs.Counter("zabnet_unreachable_total", "", "sends to peers with no live link")
-		m.inboxShed = c.Obs.Counter("zabnet_inbox_shed_total", "", "received messages dropped on a full inbox")
-		m.framesPerWrite = c.Obs.CountHistogram("zabnet_frames_per_write", "", "frames a link writer found queued and sent with one write")
-	}
-	for id := range m.peers {
-		if id != c.ID {
-			m.gaugePeer(id)
-		}
-	}
+	// A nil registry hands out nil instruments, which count nothing.
+	m.outboxShed = c.Obs.Counter("zabnet_outbox_shed_total", "", "messages dropped on a full peer outbox (zero in a healthy run)")
+	m.unreachable = c.Obs.Counter("zabnet_unreachable_total", "", "sends to peers with no live link")
+	m.inboxShed = c.Obs.Counter("zabnet_inbox_shed_total", "", "received messages dropped on a full inbox")
+	m.framesPerWrite = c.Obs.CountHistogram("zabnet_frames_per_write", "", "frames a link writer found queued and sent with one write")
 	m.wg.Add(1)
 	go m.acceptLoop()
-	for id, addr := range m.peers {
-		if id >= c.ID {
-			continue // higher ids dial us; we dial lower ids
-		}
-		m.startDial(id, addr)
+	for id, addr := range c.Peers {
+		m.addMember(id, addr, c.Observers[id])
 	}
 	return m, nil
 }
 
-// gaugePeer registers the per-peer outbox-depth gauge exactly once per
-// peer id for the mesh's lifetime.
-func (m *Mesh) gaugePeer(peer zab.PeerID) {
-	if m.cfg.Obs == nil {
-		return
-	}
+// addMember puts id into the live membership, or re-classifies it; an
+// empty addr keeps the address already known. A peer other than
+// ourselves gets its outbox-depth gauge with its row, so once per id for
+// the mesh's lifetime, and a lower-id one whose address is known its dial
+// loop, unless one runs. Returns the address now on record.
+func (m *Mesh) addMember(id zab.PeerID, addr string, observer bool) string {
 	m.mu.Lock()
-	seen := m.gauged[peer]
-	m.gauged[peer] = true
-	m.mu.Unlock()
-	if seen {
-		return
-	}
-	m.cfg.Obs.GaugeFunc("zabnet_outbox_depth", fmt.Sprintf(`peer="%d"`, peer), "frames queued toward this peer", func() int64 {
-		if l := m.link(peer); l != nil {
-			return int64(l.depth())
+	defer m.mu.Unlock()
+	p := m.peers[id]
+	if p == nil {
+		p = &peer{}
+		m.peers[id] = p
+		if id != m.cfg.ID {
+			// Under mu, which the gauge takes: the registry reads a gauge
+			// outside its own lock.
+			m.cfg.Obs.GaugeFunc("zabnet_outbox_depth", fmt.Sprintf(`peer="%d"`, id), "frames queued toward this peer", func() int64 {
+				if l := m.link(id); l != nil {
+					return int64(l.depth())
+				}
+				return 0
+			})
 		}
-		return 0
-	})
-}
-
-// startDial launches (idempotently) the dial loop toward a lower-id
-// peer. Caller must not hold m.mu.
-func (m *Mesh) startDial(peer zab.PeerID, addr string) {
-	if addr == "" {
-		return // no address yet; the peer will dial us or AddPeer retries
 	}
-	m.mu.Lock()
-	if m.dialStops[peer] != nil {
-		m.mu.Unlock()
-		return
+	if addr != "" {
+		p.addr = addr
 	}
-	stop := make(chan struct{})
-	m.dialStops[peer] = stop
-	m.mu.Unlock()
-	m.wg.Add(1)
-	go m.dialLoop(peer, addr, stop)
+	p.member, p.observer = true, observer
+	if id < m.cfg.ID && p.addr != "" && p.dialStop == nil {
+		p.dialStop = make(chan struct{})
+		m.wg.Add(1)
+		go m.dialLoop(id, p.addr, p.dialStop)
+	}
+	return p.addr
 }
 
 // AddPeer implements zab.MembershipUpdater: a committed reconfig added
@@ -379,22 +364,12 @@ func (m *Mesh) AddPeer(id zab.PeerID, addr string, observer bool) {
 		return
 	default:
 	}
-	m.mu.Lock()
-	if addr == "" {
-		addr = m.peers[id]
-	}
-	m.peers[id] = addr
-	m.observers[id] = observer
-	m.mu.Unlock()
+	addr = m.addMember(id, addr, observer)
 	if id == m.cfg.ID {
 		m.logf("zabnet %d: own role is now observer=%v", m.cfg.ID, observer)
 		return
 	}
-	m.gaugePeer(id)
 	m.logf("zabnet %d: membership adds peer %d (%s, observer=%v)", m.cfg.ID, id, addr, observer)
-	if id < m.cfg.ID {
-		m.startDial(id, addr)
-	}
 }
 
 // RemovePeer implements zab.MembershipUpdater: a committed reconfig
@@ -402,13 +377,15 @@ func (m *Mesh) AddPeer(id zab.PeerID, addr string, observer bool) {
 // hellos claiming its id are rejected as unknown.
 func (m *Mesh) RemovePeer(id zab.PeerID) {
 	m.mu.Lock()
-	delete(m.peers, id)
-	delete(m.observers, id)
-	if stop := m.dialStops[id]; stop != nil {
-		close(stop)
-		delete(m.dialStops, id)
+	var l *link
+	if p := m.peers[id]; p != nil {
+		p.member, p.addr = false, ""
+		if p.dialStop != nil {
+			close(p.dialStop)
+			p.dialStop = nil
+		}
+		l = p.link
 	}
-	l := m.links[id]
 	m.mu.Unlock()
 	if l != nil {
 		l.close()
@@ -420,14 +397,8 @@ func (m *Mesh) RemovePeer(id zab.PeerID) {
 func (m *Mesh) memberRole(id zab.PeerID) (known, observer bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	_, known = m.peers[id]
-	return known, m.observers[id]
-}
-
-func (m *Mesh) selfObserver() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.observers[m.cfg.ID]
+	p := m.peers[id]
+	return p != nil && p.member, p != nil && p.observer
 }
 
 // Addr returns the mesh listener's bound address.
@@ -456,7 +427,7 @@ func (m *Mesh) Send(to zab.PeerID, msg zab.Message) error {
 	msg.From = m.cfg.ID
 	e := wire.GetEncoder()
 	msg.Serialize(e)
-	err := m.countEnqueue(l.enqueue(e.Bytes(), m.cfg.ChunkBytes, m.cfg.OutboxFrames))
+	err := m.countEnqueue(l.enqueue(e.Bytes(), m.cfg.chunkBytes, m.cfg.outboxFrames))
 	wire.PutEncoder(e)
 	return err
 }
@@ -502,7 +473,7 @@ func (m *Mesh) SendMany(to []zab.PeerID, msg zab.Message) error {
 			e = wire.GetEncoder()
 			msg.Serialize(e)
 		}
-		_ = m.countEnqueue(l.enqueue(e.Bytes(), m.cfg.ChunkBytes, m.cfg.OutboxFrames))
+		_ = m.countEnqueue(l.enqueue(e.Bytes(), m.cfg.chunkBytes, m.cfg.outboxFrames))
 	}
 	if e != nil {
 		wire.PutEncoder(e)
@@ -561,8 +532,10 @@ func (m *Mesh) Close() error {
 		close(m.closed)
 		_ = m.ln.Close()
 		m.mu.Lock()
-		for _, l := range m.links {
-			l.close()
+		for _, p := range m.peers {
+			if p.link != nil {
+				p.link.close()
+			}
 		}
 		m.mu.Unlock()
 	})
@@ -584,7 +557,10 @@ func (m *Mesh) KillLink(id zab.PeerID) {
 func (m *Mesh) link(id zab.PeerID) *link {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.links[id]
+	if p := m.peers[id]; p != nil {
+		return p.link
+	}
+	return nil
 }
 
 func (m *Mesh) logf(format string, args ...any) {
@@ -605,10 +581,9 @@ func (m *Mesh) acceptLoop() {
 		m.wg.Add(1)
 		go func() {
 			defer m.wg.Done()
-			l, err := m.acceptPeer(conn)
+			l, err := m.handshake(conn, 0)
 			if err != nil {
 				m.logf("zabnet %d: reject inbound %s: %v", m.cfg.ID, conn.RemoteAddr(), err)
-				_ = conn.Close()
 				return
 			}
 			m.installLink(l)
@@ -616,173 +591,131 @@ func (m *Mesh) acceptLoop() {
 	}
 }
 
-// acceptPeer validates an inbound handshake. Only higher-id peers may
-// dial us (the dial-direction rule); anything else is rejected. On a
-// secured mesh the hello is attested and the link is wrapped in a
-// SecureConn before any protocol frame flows.
-func (m *Mesh) acceptPeer(conn net.Conn) (*link, error) {
-	fc := transport.NewFramedConn(conn)
-	_ = fc.SetDeadline(time.Now().Add(m.cfg.HandshakeTimeout))
-	var (
-		peer    zab.PeerID
-		obs     bool
-		chanPub ed25519.PublicKey
-		err     error
-	)
-	if m.cfg.Secure != nil {
-		peer, obs, chanPub, err = recvHelloSec(fc, m.cfg.Secure.Signer)
-	} else {
-		peer, obs, err = recvHello(fc)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if peer <= m.cfg.ID {
-		return nil, fmt.Errorf("%w: peer %d must not dial %d (higher id dials lower)", errBadHello, peer, m.cfg.ID)
-	}
-	known, wantObs := m.memberRole(peer)
-	if !known {
-		return nil, fmt.Errorf("%w: unknown peer %d", errBadHello, peer)
-	}
-	if obs != wantObs {
-		return nil, fmt.Errorf("%w: peer %d claims observer=%v, topology says %v", errBadHello, peer, obs, wantObs)
-	}
-	if m.cfg.Secure != nil {
-		if err := sendHelloSec(fc, m.cfg.ID, m.selfObserver(), m.cfg.Secure); err != nil {
-			return nil, err
-		}
-		sc, err := transport.Handshake(fc, m.cfg.Secure.Identity, false, transport.VerifyExact(chanPub))
-		if err != nil {
-			return nil, fmt.Errorf("zabnet: secure channel with peer %d: %w", peer, err)
-		}
-		_ = fc.SetDeadline(time.Time{})
-		return m.newLink(peer, sc), nil
-	}
-	if err := sendHello(fc, m.cfg.ID, m.selfObserver()); err != nil {
-		return nil, err
-	}
-	_ = fc.SetDeadline(time.Time{})
-	return m.newLink(peer, fc), nil
-}
-
+// dialLoop keeps a link to a lower-id peer up: one attempt, then it waits
+// for the link to die or, after a failure, out the backoff.
 func (m *Mesh) dialLoop(peer zab.PeerID, addr string, stop chan struct{}) {
 	defer m.wg.Done()
-	backoff := m.cfg.ReconnectMin
+	backoff := m.cfg.reconnectMin
 	for {
-		select {
-		case <-m.closed:
-			return
-		case <-stop:
-			return
-		default:
+		var (
+			l     *link
+			died  <-chan struct{}
+			retry <-chan time.Time
+		)
+		conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+		if err == nil {
+			l, err = m.handshake(conn, peer)
 		}
-		l, err := m.dialPeer(peer, addr)
 		if err != nil {
 			m.logf("zabnet %d: dial peer %d (%s): %v (retry in %v)", m.cfg.ID, peer, addr, err, backoff)
-			select {
-			case <-m.closed:
-				return
-			case <-stop:
-				return
-			case <-time.After(backoff):
-			}
-			backoff *= 2
-			if backoff > m.cfg.ReconnectMax {
-				backoff = m.cfg.ReconnectMax
-			}
-			continue
+			retry = time.After(backoff)
+			backoff = min(2*backoff, m.cfg.reconnectMax)
+		} else {
+			backoff = m.cfg.reconnectMin
+			m.logf("zabnet %d: connected to peer %d (%s)", m.cfg.ID, peer, addr)
+			m.installLink(l)
+			died = l.done
 		}
-		backoff = m.cfg.ReconnectMin
-		m.logf("zabnet %d: connected to peer %d (%s)", m.cfg.ID, peer, addr)
-		m.installLink(l)
 		select {
-		case <-l.done:
-			// Link died; loop to redial.
+		case <-died:
+			continue
+		case <-retry:
+			continue
 		case <-stop:
-			l.close()
-			return
 		case <-m.closed:
-			l.close()
-			return
 		}
+		if l != nil {
+			l.close()
+		}
+		return
 	}
 }
 
-func (m *Mesh) dialPeer(peer zab.PeerID, addr string) (*link, error) {
-	conn, err := net.DialTimeout("tcp", addr, m.cfg.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	fc := transport.NewFramedConn(conn)
-	_ = fc.SetDeadline(time.Now().Add(m.cfg.HandshakeTimeout))
-	var (
-		got     zab.PeerID
-		obs     bool
-		chanPub ed25519.PublicKey
-	)
-	if m.cfg.Secure != nil {
-		if err := sendHelloSec(fc, m.cfg.ID, m.selfObserver(), m.cfg.Secure); err != nil {
-			_ = fc.Close()
-			return nil, err
-		}
-		got, obs, chanPub, err = recvHelloSec(fc, m.cfg.Secure.Signer)
-	} else {
-		if err := sendHello(fc, m.cfg.ID, m.selfObserver()); err != nil {
-			_ = fc.Close()
-			return nil, err
-		}
-		got, obs, err = recvHello(fc)
-	}
-	if err != nil {
-		_ = fc.Close()
-		return nil, err
-	}
-	if got != peer {
-		_ = fc.Close()
-		return nil, fmt.Errorf("%w: dialed peer %d but %d answered", errBadHello, peer, got)
-	}
-	_, wantObs := m.memberRole(peer)
-	if obs != wantObs {
-		_ = fc.Close()
-		return nil, fmt.Errorf("%w: peer %d claims observer=%v, topology says %v", errBadHello, peer, obs, wantObs)
-	}
-	if m.cfg.Secure != nil {
-		sc, err := transport.Handshake(fc, m.cfg.Secure.Identity, true, transport.VerifyExact(chanPub))
+// handshake opens a link on a fresh connection, in either direction:
+// dialed is the peer we dialed, 0 when the connection was accepted. Each
+// side sends one hello, the dialer first. The other side's must come from
+// the peer we dialed, or — only higher-id peers may dial us (the
+// dial-direction rule) — from a higher id than ours; the sender must be a
+// member, in the role the live membership gives it. On a secured mesh the
+// hello was attested (parseHello) and the link is wrapped in a SecureConn
+// pinned to the quoted channel key. All of that precedes the first
+// protocol frame; a connection that fails any of it is closed.
+func (m *Mesh) handshake(conn net.Conn, dialed zab.PeerID) (_ *link, err error) {
+	defer func() {
 		if err != nil {
-			_ = fc.Close()
-			return nil, fmt.Errorf("zabnet: secure channel with peer %d: %w", peer, err)
+			_ = conn.Close()
 		}
-		_ = fc.SetDeadline(time.Time{})
-		return m.newLink(peer, sc), nil
+	}()
+	fc := transport.NewFramedConn(conn)
+	_ = fc.SetDeadline(time.Now().Add(handshakeTimeout))
+	dialing := dialed != 0
+	_, selfObserver := m.memberRole(m.cfg.ID)
+	own := newHello(m.cfg.ID, selfObserver, m.cfg.Secure)
+	if dialing {
+		if err := sendHello(fc, &own); err != nil {
+			return nil, err
+		}
+	}
+	payload, err := fc.RecvFrame()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", errBadHello, err)
+	}
+	h, err := parseHello(payload, m.cfg.Secure)
+	if err != nil {
+		return nil, err
+	}
+	if dialing && h.id != dialed {
+		return nil, fmt.Errorf("%w: dialed peer %d but %d answered", errBadHello, dialed, h.id)
+	}
+	if !dialing && h.id <= m.cfg.ID {
+		return nil, fmt.Errorf("%w: peer %d must not dial %d (higher id dials lower)", errBadHello, h.id, m.cfg.ID)
+	}
+	known, wantObs := m.memberRole(h.id)
+	if !known {
+		return nil, fmt.Errorf("%w: unknown peer %d", errBadHello, h.id)
+	}
+	if h.observer != wantObs {
+		return nil, fmt.Errorf("%w: peer %d claims observer=%v, topology says %v", errBadHello, h.id, h.observer, wantObs)
+	}
+	if !dialing {
+		if err := sendHello(fc, &own); err != nil {
+			return nil, err
+		}
+	}
+	var c transport.Conn = fc
+	if m.cfg.Secure != nil {
+		c, err = transport.Handshake(fc, m.cfg.Secure.Identity, dialing, transport.VerifyExact(h.channelPub))
+		if err != nil {
+			return nil, fmt.Errorf("zabnet: secure channel with peer %d: %w", h.id, err)
+		}
 	}
 	_ = fc.SetDeadline(time.Time{})
-	return m.newLink(peer, fc), nil
+	return newLink(h.id, c), nil
 }
 
-func (m *Mesh) newLink(peer zab.PeerID, fc transport.Conn) *link {
-	return &link{
-		peer: peer,
-		fc:   fc,
-		wake: make(chan struct{}, 1),
-		done: make(chan struct{}),
-	}
+func newLink(peer zab.PeerID, fc transport.Conn) *link {
+	return &link{peer: peer, fc: fc, wake: make(chan struct{}, 1), done: make(chan struct{})}
 }
 
 // installLink makes l the current link for its peer, retiring any
 // previous one, and starts its writer and reader goroutines.
 func (m *Mesh) installLink(l *link) {
 	m.mu.Lock()
+	p := m.peers[l.peer]
 	select {
 	case <-m.closed:
+		p = nil
+	default:
+	}
+	if p == nil || !p.member { // closing, or removed since the handshake
 		m.mu.Unlock()
 		l.close()
 		return
-	default:
 	}
-	if old := m.links[l.peer]; old != nil {
-		old.close()
+	if p.link != nil {
+		p.link.close()
 	}
-	m.links[l.peer] = l
+	p.link = l
 	m.mu.Unlock()
 	m.wg.Add(2)
 	go m.writeLoop(l)
@@ -791,8 +724,8 @@ func (m *Mesh) installLink(l *link) {
 
 func (m *Mesh) removeLink(l *link) {
 	m.mu.Lock()
-	if m.links[l.peer] == l {
-		delete(m.links, l.peer)
+	if p := m.peers[l.peer]; p != nil && p.link == l {
+		p.link = nil
 	}
 	m.mu.Unlock()
 }
@@ -938,51 +871,16 @@ func (m *Mesh) deliverEncoded(l *link, body []byte) {
 
 // --- wire helpers ---
 
-func sendHello(fc *transport.FramedConn, id zab.PeerID, observer bool) error {
-	e := wire.GetEncoder()
-	_ = e.WriteByte(frameHello)
-	e.WriteInt32(helloMagic)
-	e.WriteInt32(protoVersion)
-	e.WriteInt64(int64(id))
-	role := roleVoter
-	if observer {
-		role = roleObserver
-	}
-	_ = e.WriteByte(role)
-	err := fc.SendFrame(e.Bytes())
-	wire.PutEncoder(e)
-	return err
-}
-
-func recvHello(fc *transport.FramedConn) (zab.PeerID, bool, error) {
-	payload, err := fc.RecvFrame()
-	if err != nil {
-		return 0, false, fmt.Errorf("%w: %v", errBadHello, err)
-	}
-	var d wire.Decoder
-	d.Reset(payload)
-	d.SetZeroCopy(true)
-	t, err := d.ReadByte()
-	if err != nil || t != frameHello {
-		return 0, false, errBadHello
-	}
-	magic, err := d.ReadInt32()
-	if err != nil || magic != helloMagic {
-		return 0, false, errBadHello
-	}
-	version, err := d.ReadInt32()
-	if err != nil || version != protoVersion {
-		return 0, false, fmt.Errorf("%w: protocol version %d (want %d)", errBadHello, version, protoVersion)
-	}
-	id, err := d.ReadInt64()
-	if err != nil || id <= 0 {
-		return 0, false, errBadHello
-	}
-	role, err := d.ReadByte()
-	if err != nil || d.Remaining() != 0 || (role != roleVoter && role != roleObserver) {
-		return 0, false, errBadHello
-	}
-	return zab.PeerID(id), role == roleObserver, nil
+// hello is the record each side of a new link sends first: who it is and
+// in which role. On a secured mesh it ends in an attested tail, told apart
+// by the frame type.
+type hello struct {
+	id       zab.PeerID
+	observer bool
+	// The attested tail (frameHelloSec): the sender's channel key and a
+	// quote whose report data is helloTranscript(id, observer, channelPub).
+	channelPub ed25519.PublicKey
+	quote      *sgx.Quote
 }
 
 // helloTranscript hashes the identity claims of one attested hello —
@@ -995,102 +893,117 @@ func helloTranscript(id zab.PeerID, observer bool, channelPub ed25519.PublicKey)
 	h.Write([]byte("zabnet-hello-v1"))
 	var fixed [9]byte
 	binary.BigEndian.PutUint64(fixed[:8], uint64(id))
-	fixed[8] = roleVoter
-	if observer {
-		fixed[8] = roleObserver
-	}
+	fixed[8] = roleByte(observer)
 	h.Write(fixed[:])
 	h.Write(channelPub)
 	return h.Sum(nil)
 }
 
-// sendHelloSec sends the attested hello: the plaintext hello fields
-// plus this replica's channel public key and an sgx quote over the
-// transcript binding all of them together.
-func sendHelloSec(fc transport.Conn, id zab.PeerID, observer bool, sec *SecureConfig) error {
-	e := wire.GetEncoder()
-	_ = e.WriteByte(frameHelloSec)
+// encode writes the hello frame; the attested tail follows when the
+// record has one.
+func (h *hello) encode(e *wire.Encoder) {
+	t := frameHello
+	if h.quote != nil {
+		t = frameHelloSec
+	}
+	_ = e.WriteByte(t)
 	e.WriteInt32(helloMagic)
 	e.WriteInt32(protoVersion)
-	e.WriteInt64(int64(id))
-	role := roleVoter
-	if observer {
-		role = roleObserver
+	e.WriteInt64(int64(h.id))
+	_ = e.WriteByte(roleByte(h.observer))
+	if h.quote != nil {
+		e.WriteBuffer(h.channelPub)
+		e.WriteRaw(h.quote.Measurement[:])
+		e.WriteBuffer(h.quote.ReportData)
+		e.WriteBuffer(h.quote.Signature)
 	}
-	_ = e.WriteByte(role)
-	e.WriteBuffer(sec.Identity.Public)
-	q := sec.Signer.Quote(helloTranscript(id, observer, sec.Identity.Public))
-	e.WriteRaw(q.Measurement[:])
-	e.WriteBuffer(q.ReportData)
-	e.WriteBuffer(q.Signature)
+}
+
+// newHello is the hello of peer id: plaintext when sec is nil, else with
+// sec's channel public key and its signer's quote over the transcript
+// binding all of them together.
+func newHello(id zab.PeerID, observer bool, sec *SecureConfig) hello {
+	h := hello{id: id, observer: observer}
+	if sec != nil {
+		h.channelPub = sec.Identity.Public
+		h.quote = sec.Signer.Quote(helloTranscript(id, observer, h.channelPub))
+	}
+	return h
+}
+
+func sendHello(fc *transport.FramedConn, h *hello) error {
+	e := wire.GetEncoder()
+	h.encode(e)
 	err := fc.SendFrame(e.Bytes())
 	wire.PutEncoder(e)
 	return err
 }
 
-// recvHelloSec reads and verifies an attested hello: the quote must
-// verify under the deployment attestation root with the expected
-// measurement, and its report data must equal the transcript recomputed
-// from the claimed id, role and channel key.
-func recvHelloSec(fc transport.Conn, signer *sgx.QuoteSigner) (zab.PeerID, bool, ed25519.PublicKey, error) {
-	payload, err := fc.RecvFrame()
-	if err != nil {
-		return 0, false, nil, fmt.Errorf("%w: %v", errBadHello, err)
-	}
+// parseHello reads and checks a received hello frame. With sec nil (a
+// plaintext mesh) only a plaintext hello is accepted; otherwise only an
+// attested one, whose quote must verify under the deployment attestation
+// root with the expected measurement, and whose report data must equal
+// the transcript recomputed from the claimed id, role and channel key.
+func parseHello(payload []byte, sec *SecureConfig) (hello, error) {
 	var d wire.Decoder
-	d.Reset(payload)
+	d.Reset(payload) // copying reads: the frame is the connection's until its next receive
 	t, err := d.ReadByte()
-	if err != nil {
-		return 0, false, nil, errBadHello
+	if err != nil || (t != frameHello && t != frameHelloSec) {
+		return hello{}, errBadHello
 	}
-	if t != frameHelloSec {
-		if t == frameHello {
-			return 0, false, nil, fmt.Errorf("%w: peer sent a plaintext hello to a secured mesh", errBadHello)
-		}
-		return 0, false, nil, errBadHello
+	if attested := t == frameHelloSec; attested != (sec != nil) {
+		// Neither kind of mesh takes the other's hello: no downgrade.
+		return hello{}, fmt.Errorf("%w: hello attested=%v on a mesh with secure=%v", errBadHello, attested, sec != nil)
 	}
 	magic, err := d.ReadInt32()
 	if err != nil || magic != helloMagic {
-		return 0, false, nil, errBadHello
+		return hello{}, errBadHello
 	}
 	version, err := d.ReadInt32()
 	if err != nil || version != protoVersion {
-		return 0, false, nil, fmt.Errorf("%w: protocol version %d (want %d)", errBadHello, version, protoVersion)
+		return hello{}, fmt.Errorf("%w: protocol version %d (want %d)", errBadHello, version, protoVersion)
 	}
 	id, err := d.ReadInt64()
 	if err != nil || id <= 0 {
-		return 0, false, nil, errBadHello
+		return hello{}, errBadHello
 	}
 	role, err := d.ReadByte()
 	if err != nil || (role != roleVoter && role != roleObserver) {
-		return 0, false, nil, errBadHello
+		return hello{}, errBadHello
 	}
-	chanPub, err := d.ReadBuffer()
-	if err != nil || len(chanPub) != ed25519.PublicKeySize {
-		return 0, false, nil, errBadHello
+	h := hello{id: zab.PeerID(id), observer: role == roleObserver}
+	if sec != nil {
+		chanPub, err := d.ReadBuffer()
+		if err != nil || len(chanPub) != ed25519.PublicKeySize {
+			return hello{}, errBadHello
+		}
+		meas, err := d.ReadRaw(sha256.Size)
+		if err != nil {
+			return hello{}, errBadHello
+		}
+		h.channelPub, h.quote = chanPub, new(sgx.Quote)
+		copy(h.quote.Measurement[:], meas)
+		if h.quote.ReportData, err = d.ReadBuffer(); err != nil {
+			return hello{}, errBadHello
+		}
+		if h.quote.Signature, err = d.ReadBuffer(); err != nil {
+			return hello{}, errBadHello
+		}
 	}
-	meas, err := d.ReadRaw(sha256.Size)
-	if err != nil {
-		return 0, false, nil, errBadHello
+	if d.Remaining() != 0 {
+		return hello{}, errBadHello
 	}
-	var q sgx.Quote
-	copy(q.Measurement[:], meas)
-	if q.ReportData, err = d.ReadBuffer(); err != nil {
-		return 0, false, nil, errBadHello
+	if sec != nil {
+		if err := sec.Signer.Verify(h.quote); err != nil {
+			// Surface the sgx error itself (measurement rejected, signature
+			// invalid) — it is the actionable part of the rejection.
+			return hello{}, fmt.Errorf("zabnet: peer attestation: %w", err)
+		}
+		if !hmac.Equal(h.quote.ReportData, helloTranscript(h.id, h.observer, h.channelPub)) {
+			return hello{}, fmt.Errorf("%w: quote transcript does not match claimed identity", errBadHello)
+		}
 	}
-	if q.Signature, err = d.ReadBuffer(); err != nil || d.Remaining() != 0 {
-		return 0, false, nil, errBadHello
-	}
-	if err := signer.Verify(&q); err != nil {
-		// Surface the sgx error itself (measurement rejected, signature
-		// invalid) — it is the actionable part of the rejection.
-		return 0, false, nil, fmt.Errorf("zabnet: peer attestation: %w", err)
-	}
-	want := helloTranscript(zab.PeerID(id), role == roleObserver, ed25519.PublicKey(chanPub))
-	if !hmac.Equal(q.ReportData, want) {
-		return 0, false, nil, fmt.Errorf("%w: quote transcript does not match claimed identity", errBadHello)
-	}
-	return zab.PeerID(id), role == roleObserver, ed25519.PublicKey(chanPub), nil
+	return h, nil
 }
 
 // appendFragments appends to a send buffer the fragment sequence of an

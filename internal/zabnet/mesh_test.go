@@ -34,8 +34,8 @@ func newTestMeshes(t *testing.T, n int, tweak func(*Config)) []*Mesh {
 			ID:           zab.PeerID(i + 1),
 			Peers:        peers,
 			Listener:     listeners[i],
-			ReconnectMin: 5 * time.Millisecond,
-			ReconnectMax: 50 * time.Millisecond,
+			reconnectMin: 5 * time.Millisecond,
+			reconnectMax: 50 * time.Millisecond,
 		}
 		if tweak != nil {
 			tweak(&cfg)
@@ -139,52 +139,6 @@ func TestMeshSendToUnknownOrSelf(t *testing.T) {
 	}
 }
 
-// TestMeshRejectsWrongDialDirection: a lower-id peer dialing a
-// higher-id peer violates the dedup rule and must be rejected, as must
-// unknown ids and garbage handshakes.
-func TestMeshRejectsWrongDialDirection(t *testing.T) {
-	meshes := newTestMeshes(t, 3, nil)
-	waitConnected(t, meshes)
-
-	cases := map[string]func(fc *transport.FramedConn) error{
-		"lower id dialing higher": func(fc *transport.FramedConn) error {
-			return sendHello(fc, 1, false) // mesh 2 only accepts ids > 2
-		},
-		"unknown id": func(fc *transport.FramedConn) error {
-			return sendHello(fc, 7, false)
-		},
-		"role mismatch": func(fc *transport.FramedConn) error {
-			// Peer 3 is a voter in the topology but claims observer.
-			return sendHello(fc, 3, true)
-		},
-		"bad magic": func(fc *transport.FramedConn) error {
-			e := wire.NewEncoder(32)
-			_ = e.WriteByte(frameHello)
-			e.WriteInt32(0x12345678)
-			e.WriteInt32(protoVersion)
-			e.WriteInt64(3)
-			return fc.SendFrame(e.Bytes())
-		},
-	}
-	for name, hello := range cases {
-		t.Run(name, func(t *testing.T) {
-			conn, err := net.Dial("tcp", meshes[1].Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			fc := transport.NewFramedConn(conn)
-			if err := hello(fc); err != nil {
-				t.Fatal(err)
-			}
-			_ = fc.SetDeadline(time.Now().Add(2 * time.Second))
-			if _, err := fc.RecvFrame(); err == nil {
-				t.Fatal("mesh must close a connection with an invalid handshake")
-			}
-		})
-	}
-}
-
 // TestMeshObserverHello: a topology that marks a member as observer
 // still reaches full connectivity — the role byte round-trips on both
 // the dial and accept sides and validates consistently.
@@ -231,7 +185,7 @@ func TestMeshReconnectAfterLinkLoss(t *testing.T) {
 // TestMeshChunkedSnapshotTransfer sends a snapshot far larger than the
 // chunk size and verifies the fragmented frames reassemble exactly.
 func TestMeshChunkedSnapshotTransfer(t *testing.T) {
-	meshes := newTestMeshes(t, 2, func(c *Config) { c.ChunkBytes = 512 })
+	meshes := newTestMeshes(t, 2, func(c *Config) { c.chunkBytes = 512 })
 	waitConnected(t, meshes)
 
 	snap := &ztree.Snapshot{}
@@ -379,8 +333,8 @@ func TestZabTCPResyncAfterGap(t *testing.T) {
 		// Hold reconnects off long enough for a burst to be shed while
 		// the link is down, but well under the election timeout so the
 		// follower does not simply re-elect.
-		c.ReconnectMin = 100 * time.Millisecond
-		c.ReconnectMax = 100 * time.Millisecond
+		c.reconnectMin = 100 * time.Millisecond
+		c.reconnectMax = 100 * time.Millisecond
 	})
 	leader := leaderOf(t, ensemble)
 
@@ -458,10 +412,11 @@ func TestMeshOutboxOverflowSheds(t *testing.T) {
 		}
 		defer conn.Close()
 		fc := transport.NewFramedConn(conn)
-		if _, _, err := recvHello(fc); err != nil {
+		if _, err := fc.RecvFrame(); err != nil {
 			return
 		}
-		if err := sendHello(fc, 1, false); err != nil {
+		h := newHello(1, false, nil)
+		if err := sendHello(fc, &h); err != nil {
 			return
 		}
 		<-release
@@ -474,7 +429,7 @@ func TestMeshOutboxOverflowSheds(t *testing.T) {
 		ID:           2,
 		Peers:        map[zab.PeerID]string{1: deaf.Addr().String(), 2: own.Addr().String()},
 		Listener:     own,
-		OutboxFrames: 4,
+		outboxFrames: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -123,10 +123,11 @@ func BenchmarkMeshSendPropose(b *testing.B) {
 			}
 			defer conn.Close()
 			fc := transport.NewFramedConn(conn)
-			if _, _, err := recvHello(fc); err != nil {
+			if _, err := fc.RecvFrame(); err != nil {
 				return
 			}
-			if err := sendHello(fc, id, false); err != nil {
+			h := newHello(id, false, nil)
+			if err := sendHello(fc, &h); err != nil {
 				return
 			}
 			sink := make([]byte, 64<<10)
