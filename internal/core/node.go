@@ -161,17 +161,13 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Variant == 0 {
 		cfg.Variant = Vanilla
 	}
-	if cfg.ID <= 0 {
-		return nil, fmt.Errorf("core: node id %d must be positive", cfg.ID)
-	}
+	// A valid topology has positive ids and an address for each, so
+	// membership is all that is left to check of cfg.ID.
 	if err := cfg.Topology.Validate(); err != nil {
 		return nil, err
 	}
 	if !cfg.Topology.Has(cfg.ID) {
 		return nil, fmt.Errorf("core: topology has no entry for node %d", cfg.ID)
-	}
-	if cfg.Topology.Addr(cfg.ID) == "" && cfg.MeshListener == nil {
-		return nil, fmt.Errorf("core: topology has no address for node %d", cfg.ID)
 	}
 
 	var (
