@@ -74,7 +74,7 @@ func BenchmarkDurableCommit(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			before := r.PersistStats()
+			before := r.Persister().Stats()
 
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -104,7 +104,7 @@ func BenchmarkDurableCommit(b *testing.B) {
 			wg.Wait()
 			b.StopTimer()
 
-			st := r.PersistStats()
+			st := r.Persister().Stats()
 			if fsyncs := st.Fsyncs - before.Fsyncs; fsyncs > 0 {
 				b.ReportMetric(float64(st.Records-before.Records)/float64(fsyncs), "txns/fsync")
 			}

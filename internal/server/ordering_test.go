@@ -168,6 +168,73 @@ func TestResponseXidOrder(t *testing.T) {
 	}
 }
 
+// TestRepeatedXidInFlight: a client that reuses an xid while its first
+// use is still in flight gets both replies, in order. The session queue
+// is the only record of a write on its origin replica, so a commit finds
+// "the first unanswered write with this xid", and a second use cannot
+// overwrite the first. On a follower, so both writes are forwarded.
+func TestRepeatedXidInFlight(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	leader := tc.waitLeader(time.Second)
+	follower := tc.replicas[int(leader.ID())%3]
+	a, b := transport.NewChanPipe()
+	tc.wg.Add(1)
+	go func() {
+		defer tc.wg.Done()
+		_ = follower.ServeConn(b, nil)
+	}()
+	defer a.Close()
+	if err := a.SendFrame(wire.Marshal(&wire.ConnectRequest{TimeoutMillis: 10000})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.RecvFrame(); err != nil {
+		t.Fatal(err)
+	}
+
+	paths := []string{"/dup-a", "/dup-b"}
+	var burst [][]byte
+	for _, p := range paths {
+		burst = append(burst, wire.MarshalPair(&wire.RequestHeader{Xid: 7, Op: wire.OpCreate},
+			&wire.CreateRequest{Path: p, Data: []byte("v")}))
+	}
+	if err := a.SendFrames(burst); err != nil {
+		t.Fatal(err)
+	}
+	replies := make(chan []byte)
+	go func() {
+		defer close(replies)
+		for range paths {
+			frame, err := a.RecvFrame()
+			if err != nil {
+				return
+			}
+			replies <- append([]byte(nil), frame...)
+		}
+	}()
+	for i, p := range paths {
+		select {
+		case frame, ok := <-replies:
+			if !ok {
+				t.Fatalf("reply %d: connection closed", i)
+			}
+			var hdr wire.ReplyHeader
+			var resp wire.CreateResponse
+			d := wire.NewDecoder(frame)
+			if err := hdr.Deserialize(d); err != nil || hdr.Xid != 7 || hdr.Err != wire.ErrOK {
+				t.Fatalf("reply %d: header %+v, %v", i, hdr, err)
+			}
+			if err := resp.Deserialize(d); err != nil || resp.Path != p {
+				t.Fatalf("reply %d: created %q (%v), want %q: replies out of order", i, resp.Path, err, p)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("reply %d never came", i)
+		}
+		if _, err := leader.Tree().Exists(p); err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+	}
+}
+
 // countingInterceptor passes messages through and counts its calls: one
 // call is what costs the entry enclave one crossing.
 type countingInterceptor struct {
@@ -433,17 +500,17 @@ type releasedReply struct {
 	version int32 // GetData replies only
 }
 
-func decodeReleased(t *testing.T, due [][]byte, isRead func(xid int32) bool) []releasedReply {
+func decodeReleased(t *testing.T, due [][]byte, isRead func(i int, xid int32) bool) []releasedReply {
 	t.Helper()
 	out := make([]releasedReply, 0, len(due))
-	for _, msg := range due {
+	for i, msg := range due {
 		var hdr wire.ReplyHeader
 		d := wire.NewDecoder(msg)
 		if err := hdr.Deserialize(d); err != nil {
 			t.Fatal(err)
 		}
 		rel := releasedReply{xid: hdr.Xid, err: hdr.Err}
-		if hdr.Err == wire.ErrOK && isRead(hdr.Xid) {
+		if hdr.Err == wire.ErrOK && isRead(i, hdr.Xid) {
 			var resp wire.GetDataResponse
 			if err := resp.Deserialize(d); err != nil {
 				t.Fatal(err)
@@ -505,7 +572,7 @@ func TestWatermarkOutOfOrderAbort(t *testing.T) {
 	if closing {
 		t.Fatal("pass reported CloseSession")
 	}
-	got := decodeReleased(t, due, func(xid int32) bool { return xid >= 3 })
+	got := decodeReleased(t, due, func(_ int, xid int32) bool { return xid >= 3 })
 	want := []releasedReply{
 		{xid: 1, err: wire.ErrOK},
 		{xid: 3, err: wire.ErrOK},
@@ -533,8 +600,12 @@ func TestWatermarkOutOfOrderAbort(t *testing.T) {
 // one-queue rule from outside: responses leave in submission order; a
 // read executes only after every write ahead of it was resolved;
 // exactly the reads that were waiting behind a write when it aborted
-// fail; nothing is left waiting. The znode's version is bumped before
-// every step, so a read's reply says at which step it executed.
+// fail; nothing is left waiting. A write is resolved the way deliver, a
+// reject and a role change find it — the first unanswered write with the
+// xid — and a quarter of the writes reuse the xid of one still in
+// flight, so that lookup has to pick the oldest. The znode's version is
+// bumped before every step, so a read's reply says at which step it
+// executed.
 func TestSessionQueueSeededSchedules(t *testing.T) {
 	tc := newTestCluster(t, 1)
 	r := tc.replicas[0]
@@ -558,8 +629,17 @@ func TestSessionQueueSeededSchedules(t *testing.T) {
 		var step int32
 
 		resolve := func() {
-			i := rng.Intn(len(pending))
+			// Any write in flight, not the oldest: commits come in order,
+			// rejects and aborts need not. pending is in submission order.
+			xid := pending[rng.Intn(len(pending))].entry.xid
+			i := 0
+			for pending[i].entry.xid != xid {
+				i++
+			}
 			w := pending[i]
+			if got := s.inflight(xid); got != w.entry {
+				t.Fatalf("seed %d: inflight(%d) = %p, want the oldest unanswered write with that xid, %p", seed, xid, got, w.entry)
+			}
 			pending = append(pending[:i], pending[i+1:]...)
 			w.resolved = step
 			code := wire.ErrOK
@@ -570,7 +650,8 @@ func TestSessionQueueSeededSchedules(t *testing.T) {
 		}
 		drain := func() int {
 			due, _ := s.gatherDue(nil)
-			released = append(released, decodeReleased(t, due, func(xid int32) bool { return !reqs[xid-1].write })...)
+			base := len(released)
+			released = append(released, decodeReleased(t, due, func(i int, _ int32) bool { return !reqs[base+i].write })...)
 			return len(due)
 		}
 		nextStep := func() {
@@ -588,6 +669,9 @@ func TestSessionQueueSeededSchedules(t *testing.T) {
 				q.entry = &inflightReq{xid: int32(len(reqs) + 1), op: wire.OpGetData, body: readBodyOf(t, "/wm")}
 				if q.write {
 					q.entry.op = wire.OpSetData
+					if len(pending) > 0 && rng.Intn(4) == 0 {
+						q.entry.xid = pending[rng.Intn(len(pending))].entry.xid
+					}
 					pending = append(pending, q)
 				}
 				reqs = append(reqs, q)
@@ -646,6 +730,9 @@ func TestSessionQueueSeededSchedules(t *testing.T) {
 			t.Fatalf("seed %d: waiting = %d, queue = %d at the end", seed, s.waiting, len(s.queue))
 		}
 		s.mu.Unlock()
+		if got := s.inflight(1); got != nil {
+			t.Fatalf("seed %d: inflight finds xid %d with everything answered", seed, got.xid)
+		}
 	}
 }
 

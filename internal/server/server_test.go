@@ -288,6 +288,85 @@ func TestEphemeralCleanupOnDisconnect(t *testing.T) {
 	}
 }
 
+// TestEphemeralCleanupWhenSessionDiesDuringElection: a session that
+// drops while its replica knows no leader still gets its CloseSession
+// agreed once there is one — the session is listed as closing, not
+// counted as live, and the close is submitted again until it is
+// delivered. The follower the client is attached to is held LOOKING (its
+// leader closed, its link to the other follower cut) for as long as the
+// session takes to die, so the first attempt fails every time.
+func TestEphemeralCleanupWhenSessionDiesDuringElection(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	leader := tc.waitLeader(time.Second)
+	var followers []int
+	for i, r := range tc.replicas {
+		if r != leader {
+			followers = append(followers, i)
+		}
+	}
+	home, other := tc.replicas[followers[0]], tc.replicas[followers[1]]
+
+	a, b := transport.NewChanPipe()
+	served := make(chan struct{})
+	tc.wg.Add(1)
+	go func() {
+		defer tc.wg.Done()
+		defer close(served)
+		_ = home.ServeConn(b, nil)
+	}()
+	owner, err := client.NewSession(a, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := owner.Create(ctxbg, "/eph-election", []byte("x"), wire.FlagEphemeral); err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.Sync(ctxbg, "/"); err != nil {
+		t.Fatal(err)
+	}
+
+	tc.net.Cut(home.ID(), other.ID(), true)
+	leader.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for home.Peer().Role() != zab.RoleLooking {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica %d still %s after its leader closed", home.ID(), home.Peer().Role())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	_ = owner.Close()
+	select {
+	case <-served:
+	case <-time.After(5 * time.Second):
+		t.Fatal("session did not end")
+	}
+	if n := mntrValue(t, tc.regs[followers[0]], "server_sessions"); n != 0 {
+		t.Fatalf("server_sessions = %d with the only session closing, want live sessions only", n)
+	}
+
+	tc.net.Cut(home.ID(), other.ID(), false)
+	deadline = time.Now().Add(10 * time.Second)
+	for _, r := range []*Replica{home, other} {
+		for {
+			if _, err := r.Tree().Exists("/eph-election"); err != nil {
+				break // gone
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %d (%s) still has the dead session's ephemeral node", r.ID(), r.Peer().Role())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	for closing := 1; closing != 0; time.Sleep(time.Millisecond) {
+		home.mu.Lock()
+		closing = len(home.closing)
+		home.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions still listed as closing after the close was delivered", closing)
+		}
+	}
+}
+
 func TestVersionConflictsSurface(t *testing.T) {
 	tc := newTestCluster(t, 3)
 	cl := tc.connect(0, client.Options{})
@@ -386,7 +465,7 @@ func TestOpsCounters(t *testing.T) {
 	if _, _, err := cl.Get(ctxbg, "/ops"); err != nil {
 		t.Fatal(err)
 	}
-	reads, writes := tc.replicas[0].Ops()
+	reads, writes := mntrValue(t, tc.regs[0], "server_reads_total"), mntrValue(t, tc.regs[0], "server_writes_total")
 	if reads < 1 || writes < 1 {
 		t.Fatalf("ops = %d reads, %d writes", reads, writes)
 	}

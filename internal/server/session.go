@@ -235,23 +235,63 @@ func (s *session) push(entry *inflightReq, resp []byte) {
 // fate of whatever earlier write they are behind. A write is answered
 // once: a second call for the same entry changes nothing.
 func (s *session) writeDone(entry *inflightReq, resp []byte, aborted bool) {
+	var now int64
 	if entry.submitNs > 0 {
-		now := obs.Now()
-		entry.commitNs = now
-		if !aborted {
-			s.rep.submitToCommit.Observe(now - entry.submitNs)
-		}
+		now = obs.Now()
 	}
 	s.mu.Lock()
-	if entry.resp == nil {
-		entry.resp = resp
+	answered := entry.resp != nil
+	if !answered {
+		entry.resp, entry.commitNs = resp, now
 		s.waiting--
 		if aborted {
 			s.failReadsBehind(entry)
 		}
 	}
 	s.mu.Unlock()
+	if answered {
+		return
+	}
+	if now > 0 && !aborted {
+		s.rep.submitToCommit.Observe(now - entry.submitNs)
+	}
 	s.kick()
+}
+
+// abort answers a write as aborted with CONNECTIONLOSS.
+func (s *session) abort(entry *inflightReq) {
+	s.writeDone(entry, errorReply(entry.xid, 0, wire.ErrConnectionLoss), true)
+}
+
+// abortWrites aborts every unanswered write of the session.
+func (s *session) abortWrites() {
+	s.mu.Lock()
+	var writes []*inflightReq
+	for _, e := range s.queue {
+		if e.resp == nil && e.isWrite() {
+			writes = append(writes, e)
+		}
+	}
+	s.mu.Unlock()
+	for _, e := range writes {
+		s.abort(e)
+	}
+}
+
+// inflight returns the first unanswered write with this xid, the one a
+// commit, reject or abort with the xid in its Origin is about, or nil.
+// A session's writes are proposed, and so committed, in queue order: of
+// two writes in flight under one xid the first is the one the ensemble
+// answers first. The scan is as long as the session's window.
+func (s *session) inflight(xid int32) *inflightReq {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range s.queue {
+		if e.resp == nil && e.xid == xid && e.isWrite() {
+			return e
+		}
+	}
+	return nil
 }
 
 // failReadsBehind answers every unexecuted read queued after the

@@ -10,9 +10,7 @@ const maxBatchRecords = 512
 // Serialize implements wire.Record for a single proposal record.
 func (r *ProposalRecord) Serialize(e *wire.Encoder) {
 	r.Txn.Serialize(e)
-	e.WriteInt64(int64(r.Origin.Peer))
-	e.WriteInt64(r.Origin.Session)
-	e.WriteInt32(r.Origin.Xid)
+	r.Origin.Serialize(e)
 }
 
 // Deserialize implements wire.Record.
@@ -20,16 +18,27 @@ func (r *ProposalRecord) Deserialize(d *wire.Decoder) error {
 	if err := r.Txn.Deserialize(d); err != nil {
 		return err
 	}
+	return r.Origin.Deserialize(d)
+}
+
+// Serialize implements wire.Record: the one encoding of an Origin, in a
+// proposal record and in the replica layer's forwarded writes.
+func (o *Origin) Serialize(e *wire.Encoder) {
+	e.WriteInt64(int64(o.Peer))
+	e.WriteInt64(o.Session)
+	e.WriteInt32(o.Xid)
+}
+
+// Deserialize implements wire.Record.
+func (o *Origin) Deserialize(d *wire.Decoder) error {
 	peer, err := d.ReadInt64()
 	if err != nil {
 		return err
 	}
-	r.Origin.Peer = PeerID(peer)
-	if r.Origin.Session, err = d.ReadInt64(); err != nil {
+	o.Peer = PeerID(peer)
+	if o.Session, err = d.ReadInt64(); err != nil {
 		return err
 	}
-	if r.Origin.Xid, err = d.ReadInt32(); err != nil {
-		return err
-	}
-	return nil
+	o.Xid, err = d.ReadInt32()
+	return err
 }
