@@ -90,8 +90,8 @@ const (
 // the client's op code and request body.
 type forwardMsg struct {
 	kind   byte
-	origin zab.Origin
 	op     wire.OpCode
+	origin zab.Origin
 	body   []byte
 }
 

@@ -396,14 +396,13 @@ func (r *Replica) dropSession(s *session) {
 	r.tree.Watches().RemoveWatcher(s)
 	r.mu.Lock()
 	delete(r.sessions, s.id)
-	closed := r.closed
-	if !closed {
-		r.closing = append(r.closing, s.id)
+	if r.closed {
+		r.mu.Unlock()
+		return // no ensemble to tell any more
 	}
+	r.closing = append(r.closing, s.id)
 	r.mu.Unlock()
-	if !closed {
-		r.submitClose(s.id)
-	}
+	r.submitClose(s.id)
 }
 
 // submitClose proposes a closing session's CloseSession, under an xid

@@ -240,18 +240,16 @@ func (s *session) writeDone(entry *inflightReq, resp []byte, aborted bool) {
 		now = obs.Now()
 	}
 	s.mu.Lock()
-	answered := entry.resp != nil
-	if !answered {
-		entry.resp, entry.commitNs = resp, now
-		s.waiting--
-		if aborted {
-			s.failReadsBehind(entry)
-		}
-	}
-	s.mu.Unlock()
-	if answered {
+	if entry.resp != nil {
+		s.mu.Unlock()
 		return
 	}
+	entry.resp, entry.commitNs = resp, now
+	s.waiting--
+	if aborted {
+		s.failReadsBehind(entry)
+	}
+	s.mu.Unlock()
 	if now > 0 && !aborted {
 		s.rep.submitToCommit.Observe(now - entry.submitNs)
 	}
