@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -177,6 +179,37 @@ func TestTable3CountsThisRepo(t *testing.T) {
 	}
 	if total == "" || total == "0" {
 		t.Fatalf("total SLOC = %q", total)
+	}
+}
+
+// TestTable3CoversEveryPackage: a directory under internal/ that holds
+// implementation code is counted in exactly one row of Table 3.
+func TestTable3CoversEveryPackage(t *testing.T) {
+	rows := map[string]int{}
+	for _, comp := range table3Components {
+		for _, dir := range comp.dirs {
+			rows[dir]++
+		}
+	}
+	entries, err := os.ReadDir("..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		dir := "internal/" + e.Name()
+		if n, err := countDirSLOC(filepath.Join("../..", dir)); err != nil {
+			t.Fatal(err)
+		} else if n > 0 && rows[dir] == 0 {
+			t.Errorf("%s (%d SLOC) is in no row of Table 3", dir, n)
+		}
+	}
+	for dir, n := range rows {
+		if n > 1 {
+			t.Errorf("%s is in %d rows of Table 3", dir, n)
+		}
 	}
 }
 

@@ -8,6 +8,25 @@ import (
 	"strings"
 )
 
+// table3Components assigns every directory of this repository that
+// holds implementation code to one row of Table 3.
+var table3Components = []struct {
+	label   string
+	trusted bool
+	dirs    []string
+}{
+	{"(De-)Serialization (wire)", true, []string{"internal/wire"}},
+	{"Counter and entry enclave", true, []string{"internal/enclave"}},
+	{"Storage cryptography", true, []string{"internal/skcrypto"}},
+	{"Secure channel (enclave endpoint)", true, []string{"internal/transport"}},
+	{"Coordination server (ZooKeeper analogue)", false, []string{"internal/server", "internal/ztree", "internal/zab", "internal/zabnet", "internal/storage", "internal/obs"}},
+	{"Client library and recipes", false, []string{"internal/client", "recipes"}},
+	{"SGX runtime simulation", false, []string{"internal/sgx"}},
+	{"Cluster assembly / enclave management", false, []string{"internal/core"}},
+	{"Benchmark and fault-injection harness", false, []string{"internal/bench", "internal/kvstore", "internal/chaos", "benchmark"}},
+	{"Commands and examples", false, []string{"cmd", "examples"}},
+}
+
 // Table3 reproduces "Size of code base of SecureKeeper components" for
 // this repository: source lines of code per component, classified into
 // the trusted code base (everything that runs inside enclaves — the
@@ -16,29 +35,12 @@ import (
 // breakdown (§6.4). Test files are excluded, as the paper counts only
 // implementation code.
 func Table3(repoRoot string) (*Table, error) {
-	components := []struct {
-		label   string
-		trusted bool
-		dirs    []string
-	}{
-		{"(De-)Serialization (wire)", true, []string{"internal/wire"}},
-		{"Counter and entry enclave", true, []string{"internal/enclave"}},
-		{"Storage cryptography", true, []string{"internal/skcrypto"}},
-		{"Secure channel (enclave endpoint)", true, []string{"internal/transport"}},
-		{"Coordination server (ZooKeeper analogue)", false, []string{"internal/server", "internal/ztree", "internal/zab"}},
-		{"Client library", false, []string{"internal/client"}},
-		{"SGX runtime simulation", false, []string{"internal/sgx"}},
-		{"Cluster assembly / enclave management", false, []string{"internal/core"}},
-		{"Benchmark harness", false, []string{"internal/bench", "internal/kvstore"}},
-		{"Commands and examples", false, []string{"cmd", "examples"}},
-	}
-
 	t := &Table{
 		ID: "table3", Title: "Size of code base (SLOC, Go, tests excluded)",
 		Header: []string{"component", "trust", "SLOC"},
 	}
 	var trustedTotal, untrustedTotal int
-	for _, comp := range components {
+	for _, comp := range table3Components {
 		var total int
 		for _, dir := range comp.dirs {
 			n, err := countDirSLOC(filepath.Join(repoRoot, dir))

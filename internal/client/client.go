@@ -292,7 +292,7 @@ func decodeResult(op wire.OpCode, hdr wire.ReplyHeader, body []byte) Result {
 			// An aborted multi still carries its per-op result body,
 			// telling the caller which sub-op failed.
 			var resp wire.MultiResponse
-			if whole(&d, resp.Deserialize(&d)) == nil {
+			if d.Finish(resp.Deserialize(&d)) == nil {
 				res.Multi = resp.Results
 			}
 		}
@@ -300,49 +300,39 @@ func decodeResult(op wire.OpCode, hdr wire.ReplyHeader, body []byte) Result {
 	}
 	var err error
 	switch op {
-	case wire.OpCreate:
-		var resp wire.CreateResponse
-		if err = whole(&d, resp.Deserialize(&d)); err == nil {
+	case wire.OpCreate, wire.OpSync:
+		var resp wire.PathRecord
+		if err = d.Finish(resp.Deserialize(&d)); err == nil {
 			res.Path = resp.Path
 		}
 	case wire.OpGetData:
 		var resp wire.GetDataResponse
-		if err = whole(&d, resp.Deserialize(&d)); err == nil {
+		if err = d.Finish(resp.Deserialize(&d)); err == nil {
 			res.Data, res.Stat = resp.Data, resp.Stat
 		}
-	case wire.OpSetData:
-		var resp wire.SetDataResponse
-		if err = whole(&d, resp.Deserialize(&d)); err == nil {
-			res.Stat = resp.Stat
-		}
-	case wire.OpExists:
-		var resp wire.ExistsResponse
-		if err = whole(&d, resp.Deserialize(&d)); err == nil {
+	case wire.OpSetData, wire.OpExists:
+		var resp wire.StatRecord
+		if err = d.Finish(resp.Deserialize(&d)); err == nil {
 			res.Stat = resp.Stat
 		}
 	case wire.OpGetChildren:
 		var resp wire.GetChildrenResponse
-		if err = whole(&d, resp.Deserialize(&d)); err == nil {
+		if err = d.Finish(resp.Deserialize(&d)); err == nil {
 			res.Children = resp.Children
-		}
-	case wire.OpSync:
-		var resp wire.SyncResponse
-		if err = whole(&d, resp.Deserialize(&d)); err == nil {
-			res.Path = resp.Path
 		}
 	case wire.OpMulti:
 		var resp wire.MultiResponse
-		if err = whole(&d, resp.Deserialize(&d)); err == nil {
+		if err = d.Finish(resp.Deserialize(&d)); err == nil {
 			res.Multi = resp.Results
 		}
 	case wire.OpServerStats:
 		var resp wire.ServerStatsResponse
-		if err = whole(&d, resp.Deserialize(&d)); err == nil {
+		if err = d.Finish(resp.Deserialize(&d)); err == nil {
 			res.ServerStats = resp
 		}
 	case wire.OpReconfig:
 		var resp wire.ReconfigResponse
-		if err = whole(&d, resp.Deserialize(&d)); err == nil {
+		if err = d.Finish(resp.Deserialize(&d)); err == nil {
 			res.Reconfig = resp
 		}
 	}
@@ -351,15 +341,6 @@ func decodeResult(op wire.OpCode, hdr wire.ReplyHeader, body []byte) Result {
 		res.Err = fmt.Errorf("%w: %v", ErrShortReply, err)
 	}
 	return res
-}
-
-// whole ends the decoding of a reply body: the record's own error, or
-// one for bytes left over behind it.
-func whole(d *wire.Decoder, err error) error {
-	if err == nil && d.Remaining() != 0 {
-		err = fmt.Errorf("wire: %d trailing bytes after the response record", d.Remaining())
-	}
-	return err
 }
 
 // submit sends a request and registers its future. The returned xid
@@ -523,12 +504,12 @@ func (c *Client) MultiAsync(ops []wire.MultiOp) *Future {
 
 // --- synchronous API ---
 //
-// The plain methods return the operation-specific values; their R
-// twins (CreateR, SetR, DeleteR, SyncR, MultiR) return the full Result
-// so callers that care about the commit coordinate get the per-op Zxid
-// instead of dropping it — the async API always carried it, and the
-// fenced-lock recipe turns a CreateR zxid directly into its fencing
-// token (the created node's Czxid IS the create op's zxid).
+// The plain methods return the operation-specific values. CreateR
+// returns the full Result, so a caller that cares about the commit
+// coordinate gets the Zxid instead of dropping it: the fenced-lock
+// recipe turns it directly into its fencing token (the created node's
+// Czxid IS the create op's zxid). For any other op the async API
+// carries the Result.
 
 // Create creates a znode and returns its actual path (with the
 // sequence suffix for sequential nodes).
@@ -546,13 +527,7 @@ func (c *Client) CreateR(ctx context.Context, path string, data []byte, flags wi
 
 // Delete removes a znode; version -1 matches any version.
 func (c *Client) Delete(ctx context.Context, path string, version int32) error {
-	return c.DeleteR(ctx, path, version).Err
-}
-
-// DeleteR is Delete returning the full Result (Zxid of the deleting
-// transaction).
-func (c *Client) DeleteR(ctx context.Context, path string, version int32) Result {
-	return c.do(ctx, wire.OpDelete, &wire.DeleteRequest{Path: path, Version: version})
+	return c.do(ctx, wire.OpDelete, &wire.DeleteRequest{Path: path, Version: version}).Err
 }
 
 // Get reads a znode's payload and Stat.
@@ -577,14 +552,8 @@ func (c *Client) GetW(ctx context.Context, path string) ([]byte, wire.Stat, *Wat
 
 // Set replaces a znode's payload; version -1 matches any version.
 func (c *Client) Set(ctx context.Context, path string, data []byte, version int32) (wire.Stat, error) {
-	res := c.SetR(ctx, path, data, version)
+	res := c.do(ctx, wire.OpSetData, &wire.SetDataRequest{Path: path, Data: data, Version: version})
 	return res.Stat, res.Err
-}
-
-// SetR is Set returning the full Result (Stat plus the writing
-// transaction's Zxid).
-func (c *Client) SetR(ctx context.Context, path string, data []byte, version int32) Result {
-	return c.do(ctx, wire.OpSetData, &wire.SetDataRequest{Path: path, Data: data, Version: version})
 }
 
 // Exists returns the znode's Stat or a NoNode error.
@@ -624,29 +593,15 @@ func (c *Client) ChildrenW(ctx context.Context, path string) ([]string, *Watch, 
 
 // Sync flushes the leader-replica channel for a path.
 func (c *Client) Sync(ctx context.Context, path string) error {
-	return c.SyncR(ctx, path).Err
-}
-
-// SyncR is Sync returning the full Result: Zxid is the committed
-// frontier the serving replica had caught up to when the barrier
-// completed.
-func (c *Client) SyncR(ctx context.Context, path string) Result {
-	return c.do(ctx, wire.OpSync, &wire.SyncRequest{Path: path})
+	return c.do(ctx, wire.OpSync, &wire.SyncRequest{Path: path}).Err
 }
 
 // Multi atomically applies the given sub-operations: either every op
 // commits under one zxid, or none does and the per-op results report
 // which op failed. Most callers should use the Txn builder instead.
 func (c *Client) Multi(ctx context.Context, ops []wire.MultiOp) ([]wire.MultiOpResult, error) {
-	res := c.MultiR(ctx, ops)
+	res := c.do(ctx, wire.OpMulti, &wire.MultiRequest{Ops: ops})
 	return res.Multi, res.Err
-}
-
-// MultiR is Multi returning the full Result: Zxid is the single
-// transaction the whole multi committed under (the atomic claim in the
-// work-queue recipe records it as the claim's commit coordinate).
-func (c *Client) MultiR(ctx context.Context, ops []wire.MultiOp) Result {
-	return c.do(ctx, wire.OpMulti, &wire.MultiRequest{Ops: ops})
 }
 
 // ServerStats reports the serving replica's identity and load: its

@@ -61,9 +61,3 @@ func (t *Txn) Set(path string, data []byte, version int32) *Txn {
 func (t *Txn) Commit(ctx context.Context) ([]wire.MultiOpResult, error) {
 	return t.c.Multi(ctx, t.ops)
 }
-
-// CommitR is Commit returning the full Result: Zxid is the one
-// transaction every sub-op committed under.
-func (t *Txn) CommitR(ctx context.Context) Result {
-	return t.c.MultiR(ctx, t.ops)
-}

@@ -222,6 +222,32 @@ func TestEntryBatchFailureSemantics(t *testing.T) {
 				}
 			},
 		},
+		{
+			// Only a store that lies reports less than the overhead every
+			// sealed payload carries; the client must not be told a
+			// negative length for it.
+			name: "SET reply whose stored length is below the overhead",
+			reqs: [][]byte{wire.MarshalPair(&wire.RequestHeader{Xid: 1, Op: wire.OpSetData},
+				&wire.SetDataRequest{Path: "/a", Data: []byte("v"), Version: -1})},
+			responses: true,
+			msgs: func(*skcrypto.Codec) [][]byte {
+				return [][]byte{wire.MarshalPair(&wire.ReplyHeader{Xid: 1},
+					&wire.SetDataResponse{Stat: wire.Stat{DataLength: int32(skcrypto.PayloadOverhead) - 1}})}
+			},
+			wantDone: 1, wantErr: errNone, wantDepth: 0,
+			check: func(t *testing.T, out [][]byte) {
+				var hdr wire.ReplyHeader
+				var resp wire.SetDataResponse
+				d := wire.NewDecoder(out[0])
+				hdr.Deserialize(d)
+				if err := d.Finish(resp.Deserialize(d)); err != nil {
+					t.Fatal(err)
+				}
+				if resp.Stat.DataLength < 0 {
+					t.Errorf("the client is told a length of %d", resp.Stat.DataLength)
+				}
+			},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -102,10 +102,10 @@ func (c *Counter) AppendSequence(encPath string, seq int32) (string, error) {
 	}
 	var d wire.Decoder
 	d.Reset(pb.B[:n])
-	out, err := d.ReadString()
+	out := d.ReadString()
 	pb.Release()
-	if err != nil {
-		return "", fmt.Errorf("enclave: sequence reply: %w", err)
+	if d.Err() != nil {
+		return "", fmt.Errorf("enclave: sequence reply: %w", d.Err())
 	}
 	return out, nil
 }
@@ -120,13 +120,9 @@ func (c *Counter) ecSequence(buf []byte, msgLen int) (int, error) {
 	}
 	var d wire.Decoder
 	d.Reset(buf[:msgLen])
-	encPath, err := d.ReadString()
-	if err != nil {
-		return 0, fmt.Errorf("enclave: sequence input: %w", err)
-	}
-	seq, err := d.ReadInt32()
-	if err != nil {
-		return 0, fmt.Errorf("enclave: sequence input: %w", err)
+	encPath, seq := d.ReadString(), d.ReadInt32()
+	if d.Err() != nil {
+		return 0, fmt.Errorf("enclave: sequence input: %w", d.Err())
 	}
 	if seq < 0 {
 		// The value is attacker-controlled; a negative number would

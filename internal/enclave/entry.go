@@ -428,10 +428,10 @@ func (en *Entry) ecRequest(buf []byte, msgLen int) (int, error) {
 		hdr.Serialize(&e)
 		req.Serialize(&e)
 
-	case wire.OpGetData:
-		var req wire.GetDataRequest
+	case wire.OpGetData, wire.OpExists, wire.OpGetChildren:
+		var req wire.ReadRequest
 		if err := req.Deserialize(&d); err != nil {
-			return 0, fmt.Errorf("enclave: get body: %w", err)
+			return 0, fmt.Errorf("enclave: %s body: %w", hdr.Op, err)
 		}
 		pend.plainPath = req.Path
 		hdr.Serialize(&e)
@@ -441,24 +441,6 @@ func (en *Entry) ecRequest(buf []byte, msgLen int) (int, error) {
 		var req wire.DeleteRequest
 		if err := req.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: delete body: %w", err)
-		}
-		pend.plainPath = req.Path
-		hdr.Serialize(&e)
-		req.Serialize(&e)
-
-	case wire.OpExists:
-		var req wire.ExistsRequest
-		if err := req.Deserialize(&d); err != nil {
-			return 0, fmt.Errorf("enclave: exists body: %w", err)
-		}
-		pend.plainPath = req.Path
-		hdr.Serialize(&e)
-		req.Serialize(&e)
-
-	case wire.OpGetChildren:
-		var req wire.GetChildrenRequest
-		if err := req.Deserialize(&d); err != nil {
-			return 0, fmt.Errorf("enclave: ls body: %w", err)
 		}
 		pend.plainPath = req.Path
 		hdr.Serialize(&e)
@@ -630,10 +612,10 @@ func (en *Entry) ecResponse(buf []byte, msgLen int) (int, error) {
 		hdr.Serialize(&e)
 		resp.Serialize(&e)
 
-	case wire.OpCreate:
-		var resp wire.CreateResponse
+	case wire.OpCreate, wire.OpSync:
+		var resp wire.PathRecord
 		if err := resp.Deserialize(&d); err != nil {
-			return 0, fmt.Errorf("enclave: create response: %w", err)
+			return 0, fmt.Errorf("enclave: %s response: %w", pend.op, err)
 		}
 		hdr.Serialize(&e)
 		resp.Serialize(&e)
@@ -647,31 +629,12 @@ func (en *Entry) ecResponse(buf []byte, msgLen int) (int, error) {
 		hdr.Serialize(&e)
 		resp.Serialize(&e)
 
-	case wire.OpSetData:
-		var resp wire.SetDataResponse
+	case wire.OpSetData, wire.OpExists:
+		var resp wire.StatRecord
 		if err := resp.Deserialize(&d); err != nil {
-			return 0, fmt.Errorf("enclave: set response: %w", err)
+			return 0, fmt.Errorf("enclave: %s response: %w", pend.op, err)
 		}
-		resp.Stat.DataLength -= int32(skcrypto.PayloadOverhead)
-		hdr.Serialize(&e)
-		resp.Serialize(&e)
-
-	case wire.OpExists:
-		var resp wire.ExistsResponse
-		if err := resp.Deserialize(&d); err != nil {
-			return 0, fmt.Errorf("enclave: exists response: %w", err)
-		}
-		if resp.Stat.DataLength >= int32(skcrypto.PayloadOverhead) {
-			resp.Stat.DataLength -= int32(skcrypto.PayloadOverhead)
-		}
-		hdr.Serialize(&e)
-		resp.Serialize(&e)
-
-	case wire.OpSync:
-		var resp wire.SyncResponse
-		if err := resp.Deserialize(&d); err != nil {
-			return 0, fmt.Errorf("enclave: sync response: %w", err)
-		}
+		plainLength(&resp.Stat)
 		hdr.Serialize(&e)
 		resp.Serialize(&e)
 
@@ -704,14 +667,9 @@ func (en *Entry) ecResponse(buf []byte, msgLen int) (int, error) {
 					return integrityReply(buf, hdr)
 				}
 				mr.Path = plain
-				if mr.Stat.DataLength >= int32(skcrypto.PayloadOverhead) {
-					mr.Stat.DataLength -= int32(skcrypto.PayloadOverhead)
-				}
+				plainLength(&mr.Stat)
 			case wire.OpSetData, wire.OpCheck:
-				// The untrusted store tracks ciphertext lengths (§5.2).
-				if mr.Stat.DataLength >= int32(skcrypto.PayloadOverhead) {
-					mr.Stat.DataLength -= int32(skcrypto.PayloadOverhead)
-				}
+				plainLength(&mr.Stat)
 			}
 		}
 		// Only created paths are ciphertext, and they are plaintext now.
@@ -730,6 +688,16 @@ func (en *Entry) ecResponse(buf []byte, msgLen int) (int, error) {
 		return integrityReply(buf, hdr)
 	}
 	return fitted(&e, buf)
+}
+
+// plainLength turns the length the untrusted store keeps for a node,
+// its ciphertext's, into the plaintext's (§5.2). A length below the
+// overhead every sealed payload carries is none the enclave wrote, and
+// is passed on as it is: never a negative length.
+func plainLength(st *wire.Stat) {
+	if st.DataLength >= int32(skcrypto.PayloadOverhead) {
+		st.DataLength -= int32(skcrypto.PayloadOverhead)
+	}
 }
 
 // fitted ends a rewrite: the length of the message e serialized into

@@ -114,32 +114,19 @@ func decodeForward(buf []byte) (forwardMsg, error) {
 	var d wire.Decoder
 	d.Reset(buf)
 	d.SetZeroCopy(true)
-	var m forwardMsg
-	var err error
-	if m.kind, err = d.ReadByte(); err != nil {
-		return m, err
-	}
-	if err = m.origin.Deserialize(&d); err != nil {
-		return m, err
-	}
+	m := forwardMsg{kind: d.ReadUint8()}
+	m.origin.Deserialize(&d)
 	switch m.kind {
 	case fwdReject:
 	case fwdRequest:
-		op, err := d.ReadInt32()
-		if err != nil {
-			return m, err
-		}
-		m.op = wire.OpCode(op)
-		if m.body, err = d.ReadBuffer(); err != nil {
-			return m, err
-		}
+		m.op = wire.OpCode(d.ReadInt32())
+		m.body = d.ReadBuffer()
 	default:
-		return m, fmt.Errorf("server: forward of unknown kind %d", m.kind)
+		if d.Err() == nil {
+			return m, fmt.Errorf("server: forward of unknown kind %d", m.kind)
+		}
 	}
-	if d.Remaining() != 0 {
-		return m, fmt.Errorf("server: forward with %d trailing bytes", d.Remaining())
-	}
-	return m, nil
+	return m, d.Finish(nil)
 }
 
 // prepTxn validates a write into a transaction; validation failures
@@ -168,35 +155,35 @@ func (r *Replica) prep(op wire.OpCode, body []byte, sessionID int64) (ztree.Txn,
 	switch op {
 	case wire.OpCreate:
 		var req wire.CreateRequest
-		if req.Deserialize(&d) != nil || d.Remaining() != 0 {
+		if d.Finish(req.Deserialize(&d)) != nil {
 			return ztree.Txn{}, wire.ErrMarshallingError
 		}
 		return r.opTxn(op, req.Path, req.Data, 0, req.Flags, sessionID)
 
 	case wire.OpSetData:
 		var req wire.SetDataRequest
-		if req.Deserialize(&d) != nil || d.Remaining() != 0 {
+		if d.Finish(req.Deserialize(&d)) != nil {
 			return ztree.Txn{}, wire.ErrMarshallingError
 		}
 		return r.opTxn(op, req.Path, req.Data, req.Version, 0, sessionID)
 
 	case wire.OpDelete:
 		var req wire.DeleteRequest
-		if req.Deserialize(&d) != nil || d.Remaining() != 0 {
+		if d.Finish(req.Deserialize(&d)) != nil {
 			return ztree.Txn{}, wire.ErrMarshallingError
 		}
 		return r.opTxn(op, req.Path, nil, req.Version, 0, sessionID)
 
 	case wire.OpSync:
 		var req wire.SyncRequest
-		if req.Deserialize(&d) != nil || d.Remaining() != 0 {
+		if d.Finish(req.Deserialize(&d)) != nil {
 			return ztree.Txn{}, wire.ErrMarshallingError
 		}
 		return ztree.Txn{Type: ztree.TxnSync, Path: req.Path, Session: sessionID}, wire.ErrOK
 
 	case wire.OpMulti:
 		var req wire.MultiRequest
-		if req.Deserialize(&d) != nil || d.Remaining() != 0 {
+		if d.Finish(req.Deserialize(&d)) != nil {
 			return ztree.Txn{}, wire.ErrMarshallingError
 		}
 		return r.prepMulti(&req, sessionID)
@@ -206,7 +193,7 @@ func (r *Replica) prep(op wire.OpCode, body []byte, sessionID int64) (ztree.Txn,
 
 	case wire.OpReconfig:
 		var req wire.ReconfigRequest
-		if req.Deserialize(&d) != nil || d.Remaining() != 0 {
+		if d.Finish(req.Deserialize(&d)) != nil {
 			return ztree.Txn{}, wire.ErrMarshallingError
 		}
 		action, err := zab.ParseReconfigAction(req.Action)

@@ -28,7 +28,7 @@ func (r *Replica) handleRead(s *session, entry *inflightReq) []byte {
 	switch entry.op {
 	case wire.OpGetData:
 		var req wire.GetDataRequest
-		if req.Deserialize(&d) != nil || d.Remaining() != 0 {
+		if d.Finish(req.Deserialize(&d)) != nil {
 			return errorReply(entry.xid, zxid, wire.ErrMarshallingError)
 		}
 		data, stat, err := r.tree.GetDataRef(req.Path)
@@ -48,7 +48,7 @@ func (r *Replica) handleRead(s *session, entry *inflightReq) []byte {
 
 	case wire.OpExists:
 		var req wire.ExistsRequest
-		if req.Deserialize(&d) != nil || d.Remaining() != 0 {
+		if d.Finish(req.Deserialize(&d)) != nil {
 			return errorReply(entry.xid, zxid, wire.ErrMarshallingError)
 		}
 		stat, err := r.tree.Exists(req.Path)
@@ -69,7 +69,7 @@ func (r *Replica) handleRead(s *session, entry *inflightReq) []byte {
 
 	case wire.OpGetChildren:
 		var req wire.GetChildrenRequest
-		if req.Deserialize(&d) != nil || d.Remaining() != 0 {
+		if d.Finish(req.Deserialize(&d)) != nil {
 			return errorReply(entry.xid, zxid, wire.ErrMarshallingError)
 		}
 		children, err := r.tree.GetChildren(req.Path)

@@ -92,8 +92,7 @@ type segmentInfo struct {
 	firstZxid int64
 }
 
-// listSegments returns dir's log segments in replay (zxid) order. A
-// not-yet-migrated legacy "txnlog" sorts first.
+// listSegments returns dir's log segments in replay (zxid) order.
 func listSegments(dir string) ([]segmentInfo, error) {
 	entries, err := os.ReadDir(dir)
 	if errors.Is(err, os.ErrNotExist) {
@@ -154,9 +153,6 @@ type Log struct {
 	rotations int64
 	segments  int64 // segments created by this instance
 }
-
-// OpenLog opens the log in dir with the default rotation threshold.
-func OpenLog(dir string) (*Log, error) { return OpenLogSegmented(dir, 0) }
 
 // OpenLogSegmented opens (creating dir if needed) the segmented log.
 // segmentBytes <= 0 selects DefaultSegmentBytes. A torn record at the

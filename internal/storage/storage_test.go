@@ -44,7 +44,7 @@ func segmentPaths(t *testing.T, dir string) []string {
 
 func TestLogAppendReplay(t *testing.T) {
 	dir := t.TempDir()
-	log, err := OpenLog(dir)
+	log, err := OpenLogSegmented(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestReplayEmptyAndMissing(t *testing.T) {
 		t.Fatalf("missing log: %d records, %v", count, err)
 	}
 	// Opened-but-never-appended log: no segments exist at all.
-	log, _ := OpenLog(dir)
+	log, _ := OpenLogSegmented(dir, 0)
 	_ = log.Close()
 	if err := ReplayLog(dir, func(*ztree.Txn) error { count++; return nil }); err != nil || count != 0 {
 		t.Fatalf("empty log: %d records, %v", count, err)
@@ -162,7 +162,7 @@ func TestMultiSegmentReplayOrder(t *testing.T) {
 
 func TestReplayTornTailIsIgnored(t *testing.T) {
 	dir := t.TempDir()
-	log, _ := OpenLog(dir)
+	log, _ := OpenLogSegmented(dir, 0)
 	txns := sampleTxns(5)
 	for i := range txns {
 		if err := log.Append(&txns[i]); err != nil {
@@ -193,7 +193,7 @@ func TestReplayTornTailIsIgnored(t *testing.T) {
 
 func TestOpenLogRepairsTornTailBeforeAppending(t *testing.T) {
 	dir := t.TempDir()
-	log, _ := OpenLog(dir)
+	log, _ := OpenLogSegmented(dir, 0)
 	txns := sampleTxns(5)
 	for i := range txns {
 		if err := log.Append(&txns[i]); err != nil {
@@ -211,7 +211,7 @@ func TestOpenLogRepairsTornTailBeforeAppending(t *testing.T) {
 	// Reopen: the torn record must be truncated away so the next append
 	// lands right after the last valid record — otherwise the garbage
 	// in between would turn into fatal mid-log corruption on replay.
-	log2, err := OpenLog(dir)
+	log2, err := OpenLogSegmented(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestOpenLogRepairsTornTailBeforeAppending(t *testing.T) {
 
 func TestReplayMidCorruptionReported(t *testing.T) {
 	dir := t.TempDir()
-	log, _ := OpenLog(dir)
+	log, _ := OpenLogSegmented(dir, 0)
 	txns := sampleTxns(5)
 	for i := range txns {
 		if err := log.Append(&txns[i]); err != nil {
@@ -747,7 +747,7 @@ func TestPersisterFailureIsSticky(t *testing.T) {
 
 func TestDirSize(t *testing.T) {
 	dir := t.TempDir()
-	log, _ := OpenLog(dir)
+	log, _ := OpenLogSegmented(dir, 0)
 	txn := ztree.Txn{Zxid: 1, Type: ztree.TxnCreate, Path: "/x", Data: make([]byte, 1000)}
 	_ = log.Append(&txn)
 	_ = log.Close()
@@ -763,7 +763,7 @@ func TestDirSize(t *testing.T) {
 // replays the same.
 func TestGroupCommitIsOneWrite(t *testing.T) {
 	dir := t.TempDir()
-	log, err := OpenLog(dir)
+	log, err := OpenLogSegmented(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -815,7 +815,7 @@ func TestGroupCommitIsOneWrite(t *testing.T) {
 // whole, and a reopened log must continue right behind them.
 func TestTornGroupCommitRecoversValidPrefix(t *testing.T) {
 	src := t.TempDir()
-	log, err := OpenLog(src)
+	log, err := OpenLogSegmented(src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -868,7 +868,7 @@ func TestTornGroupCommitRecoversValidPrefix(t *testing.T) {
 			t.Fatalf("cut at %d: replayed %v, want the first %d records", cut, zxids, valid)
 		}
 
-		reopened, err := OpenLog(dir)
+		reopened, err := OpenLogSegmented(dir, 0)
 		if err != nil {
 			t.Fatalf("cut at %d: reopen: %v", cut, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 )
 
@@ -186,10 +185,17 @@ func (e *Encoder) WriteStringVector(v []string) {
 	}
 }
 
-// Decoder deserializes primitive values from a byte slice.
+// Decoder deserializes primitive values from a byte slice. Like the
+// Encoder it keeps its first error: a read that fails records why, and
+// from then on every read returns the zero value, consumes nothing and
+// allocates nothing. A record's Deserialize therefore assigns one field
+// per line and consults Err once, at its end (and before it trusts a
+// decoded value in a range check of its own, or goes round a loop a
+// decoded count drives).
 type Decoder struct {
 	buf []byte
 	off int
+	err error
 	// zeroCopy makes ReadBuffer return sub-slices of buf instead of
 	// copies. Only safe when the decoded records do not outlive buf.
 	zeroCopy bool
@@ -200,11 +206,11 @@ func NewDecoder(buf []byte) *Decoder {
 	return &Decoder{buf: buf}
 }
 
-// Reset re-targets the decoder at buf, clearing position and mode, so a
-// stack-allocated (or reused) Decoder value avoids the NewDecoder heap
-// allocation on hot paths.
+// Reset re-targets the decoder at buf, clearing position, kept error
+// and mode, so a stack-allocated (or reused) Decoder value avoids the
+// NewDecoder heap allocation on hot paths.
 func (d *Decoder) Reset(buf []byte) {
-	d.buf, d.off, d.zeroCopy = buf, 0, false
+	*d = Decoder{buf: buf}
 }
 
 // SetZeroCopy toggles zero-copy ReadBuffer mode: byte fields alias the
@@ -220,141 +226,125 @@ func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 // Offset returns the current read position.
 func (d *Decoder) Offset() int { return d.off }
 
-// ReadBool reads a single-byte boolean.
-func (d *Decoder) ReadBool() (bool, error) {
-	b, err := d.ReadByte()
-	if err != nil {
-		return false, err
+// Err returns the error of the first read that failed, nil if none has.
+func (d *Decoder) Err() error { return d.err }
+
+// Finish ends the decoding of a buffer that holds exactly one record:
+// err, the verdict of the record's Deserialize, if it has one; else the
+// decoder's kept error; else an error for bytes left over.
+func (d *Decoder) Finish(err error) error {
+	if err == nil {
+		err = d.err
 	}
-	return b != 0, nil
+	if err == nil && d.Remaining() != 0 {
+		err = fmt.Errorf("wire: %d trailing bytes after the record", d.Remaining())
+	}
+	return err
 }
 
-// ReadByte reads one raw byte.
-func (d *Decoder) ReadByte() (byte, error) {
-	if d.Remaining() < 1 {
-		return 0, ErrShortBuffer
+// take consumes the next n bytes and returns them, still part of buf;
+// nil, with the reason kept, if that many are not there.
+func (d *Decoder) take(n int) []byte {
+	switch {
+	case d.err != nil:
+	case n < 0:
+		d.err = ErrNegativeLen
+	case n > d.Remaining():
+		d.err = ErrShortBuffer
+	default:
+		d.off += n
+		return d.buf[d.off-n : d.off : d.off]
 	}
-	b := d.buf[d.off]
-	d.off++
-	return b, nil
+	return nil
+}
+
+// ReadBool reads a single-byte boolean.
+func (d *Decoder) ReadBool() bool { return d.ReadUint8() != 0 }
+
+// ReadUint8 reads one raw byte, the counterpart of WriteByte (go vet
+// reserves the name ReadByte for a method that returns an error).
+func (d *Decoder) ReadUint8() byte {
+	if b := d.take(1); b != nil {
+		return b[0]
+	}
+	return 0
 }
 
 // ReadInt32 reads a big-endian int32.
-func (d *Decoder) ReadInt32() (int32, error) {
-	if d.Remaining() < 4 {
-		return 0, ErrShortBuffer
+func (d *Decoder) ReadInt32() int32 {
+	if b := d.take(4); b != nil {
+		return int32(binary.BigEndian.Uint32(b))
 	}
-	v := int32(binary.BigEndian.Uint32(d.buf[d.off:]))
-	d.off += 4
-	return v, nil
+	return 0
 }
 
 // ReadInt64 reads a big-endian int64.
-func (d *Decoder) ReadInt64() (int64, error) {
-	if d.Remaining() < 8 {
-		return 0, ErrShortBuffer
+func (d *Decoder) ReadInt64() int64 {
+	if b := d.take(8); b != nil {
+		return int64(binary.BigEndian.Uint64(b))
 	}
-	v := int64(binary.BigEndian.Uint64(d.buf[d.off:]))
-	d.off += 8
-	return v, nil
+	return 0
+}
+
+// readLen reads the length prefix of a buffer or string. (A prefix that
+// is not zero was read, so the error it earns is the first.)
+func (d *Decoder) readLen() int {
+	n := d.ReadInt32()
+	if n > MaxBufferSize {
+		d.err = ErrBufferTooLarge
+	}
+	return int(n)
 }
 
 // ReadBuffer reads a length-prefixed byte buffer. Length -1 yields nil.
 // The returned slice is a copy, safe to retain — unless the decoder is
 // in zero-copy mode, in which case it aliases the decoded buffer.
-func (d *Decoder) ReadBuffer() ([]byte, error) {
-	n, err := d.ReadInt32()
-	if err != nil {
-		return nil, err
-	}
+func (d *Decoder) ReadBuffer() []byte {
+	n := d.readLen()
 	if n == -1 {
-		return nil, nil
+		return nil
 	}
-	if n < 0 {
-		return nil, ErrNegativeLen
-	}
-	if n > MaxBufferSize {
-		return nil, ErrBufferTooLarge
-	}
-	if d.Remaining() < int(n) {
-		return nil, ErrShortBuffer
-	}
-	if d.zeroCopy {
-		out := d.buf[d.off : d.off+int(n) : d.off+int(n)]
-		d.off += int(n)
-		return out, nil
-	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:])
-	d.off += int(n)
-	return out, nil
+	return d.ReadRaw(n)
 }
 
 // ReadRaw reads exactly n unprefixed bytes, the counterpart of
 // WriteRaw. In zero-copy mode the result aliases the decoded buffer.
-func (d *Decoder) ReadRaw(n int) ([]byte, error) {
-	if n < 0 {
-		return nil, ErrNegativeLen
-	}
-	if d.Remaining() < n {
-		return nil, ErrShortBuffer
-	}
-	if d.zeroCopy {
-		out := d.buf[d.off : d.off+n : d.off+n]
-		d.off += n
-		return out, nil
+func (d *Decoder) ReadRaw(n int) []byte {
+	b := d.take(n)
+	if d.zeroCopy || d.err != nil {
+		return b
 	}
 	out := make([]byte, n)
-	copy(out, d.buf[d.off:])
-	d.off += n
-	return out, nil
+	copy(out, b)
+	return out
 }
 
 // ReadString reads a length-prefixed UTF-8 string.
-func (d *Decoder) ReadString() (string, error) {
-	n, err := d.ReadInt32()
-	if err != nil {
-		return "", err
-	}
-	if n < 0 {
-		return "", ErrNegativeLen
-	}
-	if n > MaxBufferSize {
-		return "", ErrBufferTooLarge
-	}
-	if d.Remaining() < int(n) {
-		return "", ErrShortBuffer
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
-}
+func (d *Decoder) ReadString() string { return string(d.take(d.readLen())) }
 
 // ReadStringVector reads a length-prefixed vector of strings. Length -1
 // yields nil.
-func (d *Decoder) ReadStringVector() ([]string, error) {
-	n, err := d.ReadInt32()
-	if err != nil {
-		return nil, err
+func (d *Decoder) ReadStringVector() []string {
+	n := d.ReadInt32()
+	switch {
+	case n == -1:
+		return nil
+	case n < 0:
+		d.err = ErrNegativeLen
+	case n > MaxVectorLen:
+		d.err = fmt.Errorf("wire: vector length %d exceeds limit", n)
 	}
-	if n == -1 {
-		return nil, nil
-	}
-	if n < 0 {
-		return nil, ErrNegativeLen
-	}
-	if n > MaxVectorLen {
-		return nil, fmt.Errorf("wire: vector length %d exceeds limit", n)
+	if d.err != nil {
+		return nil
 	}
 	out := make([]string, 0, min(int(n), 4096))
-	for i := int32(0); i < n; i++ {
-		s, err := d.ReadString()
-		if err != nil {
-			return nil, fmt.Errorf("wire: vector element %d: %w", i, err)
-		}
-		out = append(out, s)
+	for i := int32(0); i < n && d.err == nil; i++ {
+		out = append(out, d.ReadString())
 	}
-	return out, nil
+	if d.err != nil {
+		return nil
+	}
+	return out
 }
 
 // Record is any protocol message that knows how to serialize itself.
@@ -387,13 +377,7 @@ func Marshal(r Record) []byte {
 // consumed the whole buffer.
 func Unmarshal(buf []byte, r Record) error {
 	d := NewDecoder(buf)
-	if err := r.Deserialize(d); err != nil {
-		return err
-	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("wire: %d trailing bytes after %T", d.Remaining(), r)
-	}
-	return nil
+	return d.Finish(r.Deserialize(d))
 }
 
 // MarshalPair serializes a header followed by a body; either may be
@@ -407,10 +391,4 @@ func MarshalPair(header, body Record) []byte {
 		body.Serialize(e)
 	}
 	return Detach(e)
-}
-
-// ValidInt32 reports whether v fits an int32, guarding conversions in
-// message construction paths.
-func ValidInt32(v int) bool {
-	return v >= math.MinInt32 && v <= math.MaxInt32
 }

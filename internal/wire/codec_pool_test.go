@@ -173,16 +173,13 @@ func TestDecoderZeroCopy(t *testing.T) {
 	raw := e.Bytes()
 
 	d := NewDecoder(raw)
-	copied, err := d.ReadBuffer()
-	if err != nil {
-		t.Fatal(err)
-	}
+	copied := d.ReadBuffer()
 	var zc Decoder
 	zc.Reset(raw)
 	zc.SetZeroCopy(true)
-	aliased, err := zc.ReadBuffer()
-	if err != nil {
-		t.Fatal(err)
+	aliased := zc.ReadBuffer()
+	if d.Err() != nil || zc.Err() != nil {
+		t.Fatal(d.Err(), zc.Err())
 	}
 	if !bytes.Equal(copied, aliased) {
 		t.Fatal("modes disagree on content")
@@ -201,22 +198,28 @@ func TestDecoderZeroCopy(t *testing.T) {
 	}
 }
 
-// TestDecoderReset clears position, buffer, and mode.
+// TestDecoderReset clears position, buffer, kept error and mode.
 func TestDecoderReset(t *testing.T) {
 	var d Decoder
 	d.Reset([]byte{0, 0, 0, 1, 0xff})
 	d.SetZeroCopy(true)
-	if v, err := d.ReadInt32(); err != nil || v != 1 {
-		t.Fatalf("ReadInt32 = %d, %v", v, err)
+	if v := d.ReadInt32(); d.Err() != nil || v != 1 {
+		t.Fatalf("ReadInt32 = %d, %v", v, d.Err())
+	}
+	if d.ReadInt32(); d.Err() != ErrShortBuffer {
+		t.Fatalf("read past the end: err = %v, want ErrShortBuffer", d.Err())
 	}
 	d.Reset([]byte{0, 0, 0, 2})
+	if d.Err() != nil {
+		t.Fatal("Reset kept the error")
+	}
 	if d.Offset() != 0 {
 		t.Fatal("Reset kept the read position")
 	}
 	if d.zeroCopy {
 		t.Fatal("Reset kept zero-copy mode")
 	}
-	if v, err := d.ReadInt32(); err != nil || v != 2 {
-		t.Fatalf("ReadInt32 after Reset = %d, %v", v, err)
+	if v := d.ReadInt32(); d.Err() != nil || v != 2 {
+		t.Fatalf("ReadInt32 after Reset = %d, %v", v, d.Err())
 	}
 }

@@ -23,41 +23,41 @@ func TestEncoderDecoderPrimitives(t *testing.T) {
 	e.WriteStringVector(nil)
 
 	d := NewDecoder(e.Bytes())
-	if v, err := d.ReadBool(); err != nil || v != true {
-		t.Fatalf("ReadBool = %v, %v", v, err)
+	if v := d.ReadBool(); d.Err() != nil || v != true {
+		t.Fatalf("ReadBool = %v, %v", v, d.Err())
 	}
-	if v, err := d.ReadBool(); err != nil || v != false {
-		t.Fatalf("ReadBool = %v, %v", v, err)
+	if v := d.ReadBool(); d.Err() != nil || v != false {
+		t.Fatalf("ReadBool = %v, %v", v, d.Err())
 	}
-	if v, err := d.ReadByte(); err != nil || v != 0xAB {
-		t.Fatalf("ReadByte = %v, %v", v, err)
+	if v := d.ReadUint8(); d.Err() != nil || v != 0xAB {
+		t.Fatalf("ReadUint8 = %v, %v", v, d.Err())
 	}
-	if v, err := d.ReadInt32(); err != nil || v != -42 {
-		t.Fatalf("ReadInt32 = %v, %v", v, err)
+	if v := d.ReadInt32(); d.Err() != nil || v != -42 {
+		t.Fatalf("ReadInt32 = %v, %v", v, d.Err())
 	}
-	if v, err := d.ReadInt32(); err != nil || v != math.MaxInt32 {
-		t.Fatalf("ReadInt32 = %v, %v", v, err)
+	if v := d.ReadInt32(); d.Err() != nil || v != math.MaxInt32 {
+		t.Fatalf("ReadInt32 = %v, %v", v, d.Err())
 	}
-	if v, err := d.ReadInt64(); err != nil || v != math.MinInt64 {
-		t.Fatalf("ReadInt64 = %v, %v", v, err)
+	if v := d.ReadInt64(); d.Err() != nil || v != math.MinInt64 {
+		t.Fatalf("ReadInt64 = %v, %v", v, d.Err())
 	}
-	if v, err := d.ReadBuffer(); err != nil || !bytes.Equal(v, []byte("hello")) {
-		t.Fatalf("ReadBuffer = %q, %v", v, err)
+	if v := d.ReadBuffer(); d.Err() != nil || !bytes.Equal(v, []byte("hello")) {
+		t.Fatalf("ReadBuffer = %q, %v", v, d.Err())
 	}
-	if v, err := d.ReadBuffer(); err != nil || v != nil {
-		t.Fatalf("ReadBuffer nil = %v, %v", v, err)
+	if v := d.ReadBuffer(); d.Err() != nil || v != nil {
+		t.Fatalf("ReadBuffer nil = %v, %v", v, d.Err())
 	}
-	if v, err := d.ReadBuffer(); err != nil || v == nil || len(v) != 0 {
-		t.Fatalf("ReadBuffer empty = %v, %v", v, err)
+	if v := d.ReadBuffer(); d.Err() != nil || v == nil || len(v) != 0 {
+		t.Fatalf("ReadBuffer empty = %v, %v", v, d.Err())
 	}
-	if v, err := d.ReadString(); err != nil || v != "héllo/wörld" {
-		t.Fatalf("ReadString = %q, %v", v, err)
+	if v := d.ReadString(); d.Err() != nil || v != "héllo/wörld" {
+		t.Fatalf("ReadString = %q, %v", v, d.Err())
 	}
-	if v, err := d.ReadStringVector(); err != nil || len(v) != 3 || v[1] != "" {
-		t.Fatalf("ReadStringVector = %v, %v", v, err)
+	if v := d.ReadStringVector(); d.Err() != nil || len(v) != 3 || v[1] != "" {
+		t.Fatalf("ReadStringVector = %v, %v", v, d.Err())
 	}
-	if v, err := d.ReadStringVector(); err != nil || v != nil {
-		t.Fatalf("ReadStringVector nil = %v, %v", v, err)
+	if v := d.ReadStringVector(); d.Err() != nil || v != nil {
+		t.Fatalf("ReadStringVector nil = %v, %v", v, d.Err())
 	}
 	if d.Remaining() != 0 {
 		t.Fatalf("Remaining = %d, want 0", d.Remaining())
@@ -69,17 +69,17 @@ func TestDecoderShortBuffer(t *testing.T) {
 		name string
 		run  func(d *Decoder) error
 	}{
-		{"bool", func(d *Decoder) error { _, err := d.ReadBool(); return err }},
-		{"int32", func(d *Decoder) error { _, err := d.ReadInt32(); return err }},
-		{"int64", func(d *Decoder) error { _, err := d.ReadInt64(); return err }},
-		{"buffer", func(d *Decoder) error { _, err := d.ReadBuffer(); return err }},
-		{"string", func(d *Decoder) error { _, err := d.ReadString(); return err }},
-		{"vector", func(d *Decoder) error { _, err := d.ReadStringVector(); return err }},
+		{"bool", func(d *Decoder) error { d.ReadBool(); return d.Err() }},
+		{"int32", func(d *Decoder) error { d.ReadInt32(); return d.Err() }},
+		{"int64", func(d *Decoder) error { d.ReadInt64(); return d.Err() }},
+		{"buffer", func(d *Decoder) error { d.ReadBuffer(); return d.Err() }},
+		{"string", func(d *Decoder) error { d.ReadString(); return d.Err() }},
+		{"vector", func(d *Decoder) error { d.ReadStringVector(); return d.Err() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.run(NewDecoder(nil)); err == nil {
-				t.Fatal("want error on empty buffer")
+			if err := tc.run(NewDecoder(nil)); err != ErrShortBuffer {
+				t.Fatalf("empty buffer: err = %v, want ErrShortBuffer", err)
 			}
 		})
 	}
@@ -89,30 +89,33 @@ func TestDecoderBufferBodyTruncated(t *testing.T) {
 	e := NewEncoder(0)
 	e.WriteInt32(100) // declares 100 bytes, provides none
 	d := NewDecoder(e.Bytes())
-	if _, err := d.ReadBuffer(); err == nil {
-		t.Fatal("want error for truncated buffer body")
+	if d.ReadBuffer(); d.Err() != ErrShortBuffer {
+		t.Fatalf("truncated buffer body: err = %v, want ErrShortBuffer", d.Err())
 	}
 }
 
 func TestDecoderNegativeLengths(t *testing.T) {
 	e := NewEncoder(0)
 	e.WriteInt32(-7)
-	if _, err := NewDecoder(e.Bytes()).ReadBuffer(); err == nil {
-		t.Fatal("want error for negative buffer length other than -1")
+	if d := NewDecoder(e.Bytes()); d.ReadBuffer() != nil || d.Err() != ErrNegativeLen {
+		t.Fatalf("negative buffer length other than -1: err = %v, want ErrNegativeLen", d.Err())
 	}
-	if _, err := NewDecoder(e.Bytes()).ReadString(); err == nil {
-		t.Fatal("want error for negative string length")
+	if d := NewDecoder(e.Bytes()); d.ReadString() != "" || d.Err() != ErrNegativeLen {
+		t.Fatalf("negative string length: err = %v, want ErrNegativeLen", d.Err())
+	}
+	if d := NewDecoder(e.Bytes()); d.ReadStringVector() != nil || d.Err() != ErrNegativeLen {
+		t.Fatalf("negative vector length other than -1: err = %v, want ErrNegativeLen", d.Err())
 	}
 }
 
 func TestDecoderOversizedDeclaration(t *testing.T) {
 	e := NewEncoder(0)
 	e.WriteInt32(MaxBufferSize + 1)
-	if _, err := NewDecoder(e.Bytes()).ReadBuffer(); err == nil {
-		t.Fatal("want error for oversized buffer")
+	if d := NewDecoder(e.Bytes()); d.ReadBuffer() != nil || d.Err() != ErrBufferTooLarge {
+		t.Fatalf("oversized buffer: err = %v, want ErrBufferTooLarge", d.Err())
 	}
-	if _, err := NewDecoder(e.Bytes()).ReadString(); err == nil {
-		t.Fatal("want error for oversized string")
+	if d := NewDecoder(e.Bytes()); d.ReadString() != "" || d.Err() != ErrBufferTooLarge {
+		t.Fatalf("oversized string: err = %v, want ErrBufferTooLarge", d.Err())
 	}
 }
 
@@ -133,9 +136,9 @@ func TestReadBufferCopies(t *testing.T) {
 	e.WriteBuffer([]byte{1, 2, 3})
 	raw := e.Bytes()
 	d := NewDecoder(raw)
-	got, err := d.ReadBuffer()
-	if err != nil {
-		t.Fatal(err)
+	got := d.ReadBuffer()
+	if d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	raw[4] = 99 // mutate the underlying storage
 	if got[0] != 1 {
@@ -153,38 +156,11 @@ func TestQuickPrimitivesRoundTrip(t *testing.T) {
 		e.WriteBuffer(b)
 		e.WriteBool(flag)
 		d := NewDecoder(e.Bytes())
-		gi32, err := d.ReadInt32()
-		if err != nil || gi32 != i32 {
-			return false
-		}
-		gi64, err := d.ReadInt64()
-		if err != nil || gi64 != i64 {
-			return false
-		}
-		gs, err := d.ReadString()
-		if err != nil || gs != s {
-			return false
-		}
-		gb, err := d.ReadBuffer()
-		if err != nil || !bytes.Equal(gb, b) {
-			return false
-		}
-		gf, err := d.ReadBool()
-		if err != nil || gf != flag {
-			return false
-		}
-		return d.Remaining() == 0
+		same := d.ReadInt32() == i32 && d.ReadInt64() == i64 && d.ReadString() == s &&
+			bytes.Equal(d.ReadBuffer(), b) && d.ReadBool() == flag
+		return same && d.Finish(nil) == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestValidInt32(t *testing.T) {
-	if !ValidInt32(0) || !ValidInt32(math.MaxInt32) || !ValidInt32(math.MinInt32) {
-		t.Fatal("boundary values must validate")
-	}
-	if ValidInt32(math.MaxInt32+1) || ValidInt32(math.MinInt32-1) {
-		t.Fatal("out-of-range values must not validate")
 	}
 }

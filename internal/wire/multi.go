@@ -44,27 +44,15 @@ func (o *MultiOp) Serialize(e *Encoder) {
 
 // Deserialize implements Record.
 func (o *MultiOp) Deserialize(d *Decoder) error {
-	op, err := d.ReadInt32()
-	if err != nil {
-		return err
+	o.Op = OpCode(d.ReadInt32())
+	if d.Err() == nil && !validMultiOpCode(o.Op) {
+		return fmt.Errorf("wire: invalid multi sub-op %d", o.Op)
 	}
-	o.Op = OpCode(op)
-	if !validMultiOpCode(o.Op) {
-		return fmt.Errorf("wire: invalid multi sub-op %d", op)
-	}
-	if o.Path, err = d.ReadString(); err != nil {
-		return err
-	}
-	if o.Data, err = d.ReadBuffer(); err != nil {
-		return err
-	}
-	flags, err := d.ReadInt32()
-	if err != nil {
-		return err
-	}
-	o.Flags = CreateFlags(flags)
-	o.Version, err = d.ReadInt32()
-	return err
+	o.Path = d.ReadString()
+	o.Data = d.ReadBuffer()
+	o.Flags = CreateFlags(d.ReadInt32())
+	o.Version = d.ReadInt32()
+	return d.Err()
 }
 
 // MultiRequest carries the sub-operations of one atomic transaction.
@@ -84,10 +72,7 @@ func (r *MultiRequest) Serialize(e *Encoder) {
 
 // Deserialize implements Record.
 func (r *MultiRequest) Deserialize(d *Decoder) error {
-	n, err := d.ReadInt32()
-	if err != nil {
-		return err
-	}
+	n := d.ReadInt32()
 	if n < 0 || n > MaxMultiOps {
 		return fmt.Errorf("wire: multi op count %d out of range [0, %d]", n, MaxMultiOps)
 	}
@@ -97,7 +82,7 @@ func (r *MultiRequest) Deserialize(d *Decoder) error {
 			return err
 		}
 	}
-	return nil
+	return d.Err()
 }
 
 // MultiOpResult is the per-sub-op outcome of a multi. On an aborted
@@ -121,22 +106,12 @@ func (o *MultiOpResult) Serialize(e *Encoder) {
 
 // Deserialize implements Record.
 func (o *MultiOpResult) Deserialize(d *Decoder) error {
-	op, err := d.ReadInt32()
-	if err != nil {
-		return err
+	o.Op = OpCode(d.ReadInt32())
+	if d.Err() == nil && !validMultiOpCode(o.Op) {
+		return fmt.Errorf("wire: invalid multi result op %d", o.Op)
 	}
-	o.Op = OpCode(op)
-	if !validMultiOpCode(o.Op) {
-		return fmt.Errorf("wire: invalid multi result op %d", op)
-	}
-	code, err := d.ReadInt32()
-	if err != nil {
-		return err
-	}
-	o.Err = ErrCode(code)
-	if o.Path, err = d.ReadString(); err != nil {
-		return err
-	}
+	o.Err = ErrCode(d.ReadInt32())
+	o.Path = d.ReadString()
 	return o.Stat.Deserialize(d)
 }
 
@@ -155,10 +130,7 @@ func (r *MultiResponse) Serialize(e *Encoder) {
 
 // Deserialize implements Record.
 func (r *MultiResponse) Deserialize(d *Decoder) error {
-	n, err := d.ReadInt32()
-	if err != nil {
-		return err
-	}
+	n := d.ReadInt32()
 	if n < 0 || n > MaxMultiOps {
 		return fmt.Errorf("wire: multi result count %d out of range [0, %d]", n, MaxMultiOps)
 	}
@@ -168,5 +140,5 @@ func (r *MultiResponse) Deserialize(d *Decoder) error {
 			return err
 		}
 	}
-	return nil
+	return d.Err()
 }

@@ -142,9 +142,6 @@ func TestMultiOpsRegistered(t *testing.T) {
 	if !OpMulti.IsWrite() {
 		t.Fatal("OpMulti must be a write (agreed through broadcast)")
 	}
-	if _, ok := RequestBody(OpMulti).(*MultiRequest); !ok {
-		t.Fatal("RequestBody(OpMulti) wrong type")
-	}
 	if _, ok := ResponseBody(OpMulti).(*MultiResponse); !ok {
 		t.Fatal("ResponseBody(OpMulti) wrong type")
 	}

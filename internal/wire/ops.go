@@ -4,6 +4,21 @@
 // mirrors the ZooKeeper protocol closely enough that the entry enclave's
 // (de)serialization code — the bulk of the paper's trusted code base —
 // operates on the same message shapes as the original system.
+//
+// The two halves of the codec share one error model. An Encoder appends
+// and cannot fail but for the path mapping of AppendToMapping, whose
+// first error it keeps for Err. A Decoder keeps the first read that
+// failed (short buffer, negative length, a length or count over its
+// limit): every later read returns the zero value, consumes nothing and
+// allocates nothing, so a record's Deserialize is one assignment per
+// field ending in "return d.Err()", and Finish says whether a buffer was
+// exactly one record.
+//
+// Each wire shape is declared once. Three are shared by several ops and
+// carry the per-op names as aliases: ReadRequest {Path, Watch} is
+// GetDataRequest, ExistsRequest and GetChildrenRequest; PathRecord
+// {Path} is CreateResponse, SyncRequest and SyncResponse; StatRecord
+// {Stat} is ExistsResponse and SetDataResponse.
 package wire
 
 import (

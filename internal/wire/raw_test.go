@@ -12,31 +12,30 @@ func TestRawRoundTrip(t *testing.T) {
 	e.WriteInt32(9)
 
 	d := NewDecoder(e.Bytes())
-	if v, err := d.ReadInt32(); err != nil || v != 7 {
-		t.Fatalf("ReadInt32 = %d, %v", v, err)
+	if v := d.ReadInt32(); v != 7 {
+		t.Fatalf("ReadInt32 = %d, %v", v, d.Err())
 	}
-	raw, err := d.ReadRaw(10)
-	if err != nil || !bytes.Equal(raw, []byte("chunkbytes")) {
-		t.Fatalf("ReadRaw = %q, %v", raw, err)
+	if raw := d.ReadRaw(10); !bytes.Equal(raw, []byte("chunkbytes")) {
+		t.Fatalf("ReadRaw = %q, %v", raw, d.Err())
 	}
-	if v, err := d.ReadInt32(); err != nil || v != 9 {
-		t.Fatalf("trailing ReadInt32 = %d, %v", v, err)
+	if v := d.ReadInt32(); v != 9 {
+		t.Fatalf("trailing ReadInt32 = %d, %v", v, d.Err())
 	}
-	if d.Remaining() != 0 {
-		t.Fatalf("remaining = %d", d.Remaining())
+	if err := d.Finish(nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestReadRawBounds(t *testing.T) {
-	d := NewDecoder([]byte{1, 2, 3})
-	if _, err := d.ReadRaw(-1); err != ErrNegativeLen {
-		t.Fatalf("negative length: err = %v", err)
+	buf := []byte{1, 2, 3}
+	if d := NewDecoder(buf); d.ReadRaw(-1) != nil || d.Err() != ErrNegativeLen {
+		t.Fatalf("negative length: err = %v", d.Err())
 	}
-	if _, err := d.ReadRaw(4); err != ErrShortBuffer {
-		t.Fatalf("overlong read: err = %v", err)
+	if d := NewDecoder(buf); d.ReadRaw(4) != nil || d.Err() != ErrShortBuffer {
+		t.Fatalf("overlong read: err = %v", d.Err())
 	}
-	if raw, err := d.ReadRaw(3); err != nil || len(raw) != 3 {
-		t.Fatalf("exact read = %v, %v", raw, err)
+	if d := NewDecoder(buf); len(d.ReadRaw(3)) != 3 || d.Err() != nil {
+		t.Fatalf("exact read: err = %v", d.Err())
 	}
 }
 
@@ -44,9 +43,9 @@ func TestReadRawZeroCopyAliases(t *testing.T) {
 	buf := []byte("abcdef")
 	d := NewDecoder(buf)
 	d.SetZeroCopy(true)
-	raw, err := d.ReadRaw(6)
-	if err != nil {
-		t.Fatal(err)
+	raw := d.ReadRaw(6)
+	if d.Err() != nil {
+		t.Fatal(d.Err())
 	}
 	raw[0] = 'X'
 	if buf[0] != 'X' {

@@ -32,41 +32,18 @@ func (s *Stat) Serialize(e *Encoder) {
 
 // Deserialize implements Record.
 func (s *Stat) Deserialize(d *Decoder) error {
-	var err error
-	if s.Czxid, err = d.ReadInt64(); err != nil {
-		return err
-	}
-	if s.Mzxid, err = d.ReadInt64(); err != nil {
-		return err
-	}
-	if s.Ctime, err = d.ReadInt64(); err != nil {
-		return err
-	}
-	if s.Mtime, err = d.ReadInt64(); err != nil {
-		return err
-	}
-	if s.Version, err = d.ReadInt32(); err != nil {
-		return err
-	}
-	if s.Cversion, err = d.ReadInt32(); err != nil {
-		return err
-	}
-	if s.Aversion, err = d.ReadInt32(); err != nil {
-		return err
-	}
-	if s.EphemeralOwner, err = d.ReadInt64(); err != nil {
-		return err
-	}
-	if s.DataLength, err = d.ReadInt32(); err != nil {
-		return err
-	}
-	if s.NumChildren, err = d.ReadInt32(); err != nil {
-		return err
-	}
-	if s.Pzxid, err = d.ReadInt64(); err != nil {
-		return err
-	}
-	return nil
+	s.Czxid = d.ReadInt64()
+	s.Mzxid = d.ReadInt64()
+	s.Ctime = d.ReadInt64()
+	s.Mtime = d.ReadInt64()
+	s.Version = d.ReadInt32()
+	s.Cversion = d.ReadInt32()
+	s.Aversion = d.ReadInt32()
+	s.EphemeralOwner = d.ReadInt64()
+	s.DataLength = d.ReadInt32()
+	s.NumChildren = d.ReadInt32()
+	s.Pzxid = d.ReadInt64()
+	return d.Err()
 }
 
 // RequestHeader precedes every client request.
@@ -83,16 +60,9 @@ func (h *RequestHeader) Serialize(e *Encoder) {
 
 // Deserialize implements Record.
 func (h *RequestHeader) Deserialize(d *Decoder) error {
-	xid, err := d.ReadInt32()
-	if err != nil {
-		return err
-	}
-	op, err := d.ReadInt32()
-	if err != nil {
-		return err
-	}
-	h.Xid, h.Op = xid, OpCode(op)
-	return nil
+	h.Xid = d.ReadInt32()
+	h.Op = OpCode(d.ReadInt32())
+	return d.Err()
 }
 
 // ReplyHeader precedes every server response.
@@ -111,19 +81,10 @@ func (h *ReplyHeader) Serialize(e *Encoder) {
 
 // Deserialize implements Record.
 func (h *ReplyHeader) Deserialize(d *Decoder) error {
-	var err error
-	if h.Xid, err = d.ReadInt32(); err != nil {
-		return err
-	}
-	if h.Zxid, err = d.ReadInt64(); err != nil {
-		return err
-	}
-	code, err := d.ReadInt32()
-	if err != nil {
-		return err
-	}
-	h.Err = ErrCode(code)
-	return nil
+	h.Xid = d.ReadInt32()
+	h.Zxid = d.ReadInt64()
+	h.Err = ErrCode(d.ReadInt32())
+	return d.Err()
 }
 
 // ConnectRequest opens a session.
@@ -146,23 +107,12 @@ func (r *ConnectRequest) Serialize(e *Encoder) {
 
 // Deserialize implements Record.
 func (r *ConnectRequest) Deserialize(d *Decoder) error {
-	var err error
-	if r.ProtocolVersion, err = d.ReadInt32(); err != nil {
-		return err
-	}
-	if r.LastZxidSeen, err = d.ReadInt64(); err != nil {
-		return err
-	}
-	if r.TimeoutMillis, err = d.ReadInt32(); err != nil {
-		return err
-	}
-	if r.SessionID, err = d.ReadInt64(); err != nil {
-		return err
-	}
-	if r.Passwd, err = d.ReadBuffer(); err != nil {
-		return err
-	}
-	return nil
+	r.ProtocolVersion = d.ReadInt32()
+	r.LastZxidSeen = d.ReadInt64()
+	r.TimeoutMillis = d.ReadInt32()
+	r.SessionID = d.ReadInt64()
+	r.Passwd = d.ReadBuffer()
+	return d.Err()
 }
 
 // ConnectResponse acknowledges a session.
@@ -183,20 +133,11 @@ func (r *ConnectResponse) Serialize(e *Encoder) {
 
 // Deserialize implements Record.
 func (r *ConnectResponse) Deserialize(d *Decoder) error {
-	var err error
-	if r.ProtocolVersion, err = d.ReadInt32(); err != nil {
-		return err
-	}
-	if r.TimeoutMillis, err = d.ReadInt32(); err != nil {
-		return err
-	}
-	if r.SessionID, err = d.ReadInt64(); err != nil {
-		return err
-	}
-	if r.Passwd, err = d.ReadBuffer(); err != nil {
-		return err
-	}
-	return nil
+	r.ProtocolVersion = d.ReadInt32()
+	r.TimeoutMillis = d.ReadInt32()
+	r.SessionID = d.ReadInt64()
+	r.Passwd = d.ReadBuffer()
+	return d.Err()
 }
 
 // CreateRequest creates a znode.
@@ -215,35 +156,33 @@ func (r *CreateRequest) Serialize(e *Encoder) {
 
 // Deserialize implements Record.
 func (r *CreateRequest) Deserialize(d *Decoder) error {
-	var err error
-	if r.Path, err = d.ReadString(); err != nil {
-		return err
-	}
-	if r.Data, err = d.ReadBuffer(); err != nil {
-		return err
-	}
-	flags, err := d.ReadInt32()
-	if err != nil {
-		return err
-	}
-	r.Flags = CreateFlags(flags)
-	return nil
+	r.Path = d.ReadString()
+	r.Data = d.ReadBuffer()
+	r.Flags = CreateFlags(d.ReadInt32())
+	return d.Err()
 }
 
-// CreateResponse returns the actual path of the created node (which
-// differs from the requested path for sequential nodes).
-type CreateResponse struct {
+// PathRecord is the body that is one path: the actual path of a created
+// node (which differs from the requested path for sequential nodes),
+// and the path a SYNC names and its reply echoes.
+type PathRecord struct {
 	Path string
 }
 
+// The bodies that are a PathRecord.
+type (
+	CreateResponse = PathRecord
+	SyncRequest    = PathRecord
+	SyncResponse   = PathRecord
+)
+
 // Serialize implements Record.
-func (r *CreateResponse) Serialize(e *Encoder) { e.WritePath(r.Path) }
+func (r *PathRecord) Serialize(e *Encoder) { e.WritePath(r.Path) }
 
 // Deserialize implements Record.
-func (r *CreateResponse) Deserialize(d *Decoder) error {
-	var err error
-	r.Path, err = d.ReadString()
-	return err
+func (r *PathRecord) Deserialize(d *Decoder) error {
+	r.Path = d.ReadString()
+	return d.Err()
 }
 
 // DeleteRequest removes a znode when the version matches (-1 matches any).
@@ -260,68 +199,55 @@ func (r *DeleteRequest) Serialize(e *Encoder) {
 
 // Deserialize implements Record.
 func (r *DeleteRequest) Deserialize(d *Decoder) error {
-	var err error
-	if r.Path, err = d.ReadString(); err != nil {
-		return err
-	}
-	r.Version, err = d.ReadInt32()
-	return err
+	r.Path = d.ReadString()
+	r.Version = d.ReadInt32()
+	return d.Err()
 }
 
-// ExistsRequest checks node existence, optionally leaving a watch.
-type ExistsRequest struct {
+// ReadRequest is the body of the three reads of one node, each of which
+// may leave a watch: its payload, its existence, its children.
+type ReadRequest struct {
 	Path  string
 	Watch bool
 }
 
+// The requests that are a ReadRequest.
+type (
+	GetDataRequest     = ReadRequest
+	ExistsRequest      = ReadRequest
+	GetChildrenRequest = ReadRequest
+)
+
 // Serialize implements Record.
-func (r *ExistsRequest) Serialize(e *Encoder) {
+func (r *ReadRequest) Serialize(e *Encoder) {
 	e.WritePath(r.Path)
 	e.WriteBool(r.Watch)
 }
 
 // Deserialize implements Record.
-func (r *ExistsRequest) Deserialize(d *Decoder) error {
-	var err error
-	if r.Path, err = d.ReadString(); err != nil {
-		return err
-	}
-	r.Watch, err = d.ReadBool()
-	return err
+func (r *ReadRequest) Deserialize(d *Decoder) error {
+	r.Path = d.ReadString()
+	r.Watch = d.ReadBool()
+	return d.Err()
 }
 
-// ExistsResponse carries the node's Stat.
-type ExistsResponse struct {
+// StatRecord is the body that is a node's Stat: what EXISTS finds and
+// what a SET leaves.
+type StatRecord struct {
 	Stat Stat
 }
 
-// Serialize implements Record.
-func (r *ExistsResponse) Serialize(e *Encoder) { r.Stat.Serialize(e) }
-
-// Deserialize implements Record.
-func (r *ExistsResponse) Deserialize(d *Decoder) error { return r.Stat.Deserialize(d) }
-
-// GetDataRequest reads a znode's payload.
-type GetDataRequest struct {
-	Path  string
-	Watch bool
-}
+// The responses that are a StatRecord.
+type (
+	ExistsResponse  = StatRecord
+	SetDataResponse = StatRecord
+)
 
 // Serialize implements Record.
-func (r *GetDataRequest) Serialize(e *Encoder) {
-	e.WritePath(r.Path)
-	e.WriteBool(r.Watch)
-}
+func (r *StatRecord) Serialize(e *Encoder) { r.Stat.Serialize(e) }
 
 // Deserialize implements Record.
-func (r *GetDataRequest) Deserialize(d *Decoder) error {
-	var err error
-	if r.Path, err = d.ReadString(); err != nil {
-		return err
-	}
-	r.Watch, err = d.ReadBool()
-	return err
-}
+func (r *StatRecord) Deserialize(d *Decoder) error { return r.Stat.Deserialize(d) }
 
 // GetDataResponse carries payload and Stat.
 type GetDataResponse struct {
@@ -337,10 +263,7 @@ func (r *GetDataResponse) Serialize(e *Encoder) {
 
 // Deserialize implements Record.
 func (r *GetDataResponse) Deserialize(d *Decoder) error {
-	var err error
-	if r.Data, err = d.ReadBuffer(); err != nil {
-		return err
-	}
+	r.Data = d.ReadBuffer()
 	return r.Stat.Deserialize(d)
 }
 
@@ -360,48 +283,10 @@ func (r *SetDataRequest) Serialize(e *Encoder) {
 
 // Deserialize implements Record.
 func (r *SetDataRequest) Deserialize(d *Decoder) error {
-	var err error
-	if r.Path, err = d.ReadString(); err != nil {
-		return err
-	}
-	if r.Data, err = d.ReadBuffer(); err != nil {
-		return err
-	}
-	r.Version, err = d.ReadInt32()
-	return err
-}
-
-// SetDataResponse carries the updated Stat.
-type SetDataResponse struct {
-	Stat Stat
-}
-
-// Serialize implements Record.
-func (r *SetDataResponse) Serialize(e *Encoder) { r.Stat.Serialize(e) }
-
-// Deserialize implements Record.
-func (r *SetDataResponse) Deserialize(d *Decoder) error { return r.Stat.Deserialize(d) }
-
-// GetChildrenRequest lists a znode's children.
-type GetChildrenRequest struct {
-	Path  string
-	Watch bool
-}
-
-// Serialize implements Record.
-func (r *GetChildrenRequest) Serialize(e *Encoder) {
-	e.WritePath(r.Path)
-	e.WriteBool(r.Watch)
-}
-
-// Deserialize implements Record.
-func (r *GetChildrenRequest) Deserialize(d *Decoder) error {
-	var err error
-	if r.Path, err = d.ReadString(); err != nil {
-		return err
-	}
-	r.Watch, err = d.ReadBool()
-	return err
+	r.Path = d.ReadString()
+	r.Data = d.ReadBuffer()
+	r.Version = d.ReadInt32()
+	return d.Err()
 }
 
 // GetChildrenResponse carries child node names (not full paths).
@@ -423,39 +308,8 @@ func (r *GetChildrenResponse) Serialize(e *Encoder) {
 
 // Deserialize implements Record.
 func (r *GetChildrenResponse) Deserialize(d *Decoder) error {
-	var err error
-	r.Children, err = d.ReadStringVector()
-	return err
-}
-
-// SyncRequest flushes the leader-follower channel for a path.
-type SyncRequest struct {
-	Path string
-}
-
-// Serialize implements Record.
-func (r *SyncRequest) Serialize(e *Encoder) { e.WritePath(r.Path) }
-
-// Deserialize implements Record.
-func (r *SyncRequest) Deserialize(d *Decoder) error {
-	var err error
-	r.Path, err = d.ReadString()
-	return err
-}
-
-// SyncResponse echoes the path.
-type SyncResponse struct {
-	Path string
-}
-
-// Serialize implements Record.
-func (r *SyncResponse) Serialize(e *Encoder) { e.WritePath(r.Path) }
-
-// Deserialize implements Record.
-func (r *SyncResponse) Deserialize(d *Decoder) error {
-	var err error
-	r.Path, err = d.ReadString()
-	return err
+	r.Children = d.ReadStringVector()
+	return d.Err()
 }
 
 // ServerStatsResponse answers OpServerStats (which has no request
@@ -511,35 +365,15 @@ func (r *ServerStatsResponse) Serialize(e *Encoder) {
 
 // Deserialize implements Record.
 func (r *ServerStatsResponse) Deserialize(d *Decoder) error {
-	var err error
-	if r.Role, err = d.ReadString(); err != nil {
-		return err
-	}
-	if r.Leader, err = d.ReadInt64(); err != nil {
-		return err
-	}
-	if r.Zxid, err = d.ReadInt64(); err != nil {
-		return err
-	}
-	if r.Sessions, err = d.ReadInt32(); err != nil {
-		return err
-	}
-	if r.Watches, err = d.ReadInt32(); err != nil {
-		return err
-	}
-	if r.Outstanding, err = d.ReadInt32(); err != nil {
-		return err
-	}
-	if r.UptimeSeconds, err = d.ReadInt64(); err != nil {
-		return err
-	}
-	if r.CommitLag, err = d.ReadInt64(); err != nil {
-		return err
-	}
-	n, err := d.ReadInt32()
-	if err != nil {
-		return err
-	}
+	r.Role = d.ReadString()
+	r.Leader = d.ReadInt64()
+	r.Zxid = d.ReadInt64()
+	r.Sessions = d.ReadInt32()
+	r.Watches = d.ReadInt32()
+	r.Outstanding = d.ReadInt32()
+	r.UptimeSeconds = d.ReadInt64()
+	r.CommitLag = d.ReadInt64()
+	n := d.ReadInt32()
 	if n < 0 {
 		return ErrNegativeLen
 	}
@@ -549,17 +383,13 @@ func (r *ServerStatsResponse) Deserialize(d *Decoder) error {
 	r.Metrics = nil
 	if n > 0 {
 		r.Metrics = make([]KV, n)
-		for i := range r.Metrics {
-			if r.Metrics[i].Key, err = d.ReadString(); err != nil {
-				return err
-			}
-			if r.Metrics[i].Value, err = d.ReadInt64(); err != nil {
-				return err
-			}
-		}
 	}
-	r.Ensemble, err = d.ReadString()
-	return err
+	for i := 0; i < len(r.Metrics) && d.Err() == nil; i++ {
+		r.Metrics[i].Key = d.ReadString()
+		r.Metrics[i].Value = d.ReadInt64()
+	}
+	r.Ensemble = d.ReadString()
+	return d.Err()
 }
 
 // ReconfigRequest asks the leader to commit one incremental membership
@@ -581,15 +411,10 @@ func (r *ReconfigRequest) Serialize(e *Encoder) {
 
 // Deserialize implements Record.
 func (r *ReconfigRequest) Deserialize(d *Decoder) error {
-	var err error
-	if r.Action, err = d.ReadString(); err != nil {
-		return err
-	}
-	if r.ID, err = d.ReadInt64(); err != nil {
-		return err
-	}
-	r.Addr, err = d.ReadString()
-	return err
+	r.Action = d.ReadString()
+	r.ID = d.ReadInt64()
+	r.Addr = d.ReadString()
+	return d.Err()
 }
 
 // ReconfigResponse reports the membership after the change committed.
@@ -606,12 +431,9 @@ func (r *ReconfigResponse) Serialize(e *Encoder) {
 
 // Deserialize implements Record.
 func (r *ReconfigResponse) Deserialize(d *Decoder) error {
-	var err error
-	if r.Zxid, err = d.ReadInt64(); err != nil {
-		return err
-	}
-	r.Ensemble, err = d.ReadString()
-	return err
+	r.Zxid = d.ReadInt64()
+	r.Ensemble = d.ReadString()
+	return d.Err()
 }
 
 // WatcherEvent notifies a client of a triggered watch. It is sent with
@@ -637,43 +459,10 @@ func (r *WatcherEvent) Serialize(e *Encoder) {
 
 // Deserialize implements Record.
 func (r *WatcherEvent) Deserialize(d *Decoder) error {
-	t, err := d.ReadInt32()
-	if err != nil {
-		return err
-	}
-	r.Type = EventType(t)
-	if r.State, err = d.ReadInt32(); err != nil {
-		return err
-	}
-	r.Path, err = d.ReadString()
-	return err
-}
-
-// RequestBody returns a zero value of the body record for an op, or nil
-// for ops without a body (ping, close).
-func RequestBody(op OpCode) Record {
-	switch op {
-	case OpCreate:
-		return &CreateRequest{}
-	case OpDelete:
-		return &DeleteRequest{}
-	case OpExists:
-		return &ExistsRequest{}
-	case OpGetData:
-		return &GetDataRequest{}
-	case OpSetData:
-		return &SetDataRequest{}
-	case OpGetChildren:
-		return &GetChildrenRequest{}
-	case OpSync:
-		return &SyncRequest{}
-	case OpMulti:
-		return &MultiRequest{}
-	case OpReconfig:
-		return &ReconfigRequest{}
-	default:
-		return nil
-	}
+	r.Type = EventType(d.ReadInt32())
+	r.State = d.ReadInt32()
+	r.Path = d.ReadString()
+	return d.Err()
 }
 
 // ResponseBody returns a zero value of the response record for an op, or

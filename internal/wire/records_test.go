@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -19,15 +21,19 @@ func roundTrip(t *testing.T, in Record, out Record) {
 	}
 }
 
-func TestRecordRoundTrips(t *testing.T) {
+// recordCase is one record of the protocol with every field set, and a
+// zero value of its type to decode into.
+type recordCase struct {
+	name    string
+	in, out Record
+}
+
+func recordCases() []recordCase {
 	stat := Stat{
 		Czxid: 1, Mzxid: 2, Ctime: 3, Mtime: 4, Version: 5, Cversion: 6,
 		Aversion: 7, EphemeralOwner: 8, DataLength: 9, NumChildren: 10, Pzxid: 11,
 	}
-	cases := []struct {
-		name    string
-		in, out Record
-	}{
+	return []recordCase{
 		{"stat", &stat, &Stat{}},
 		{"reqHeader", &RequestHeader{Xid: 7, Op: OpCreate}, &RequestHeader{}},
 		{"replyHeader", &ReplyHeader{Xid: 7, Zxid: 99, Err: ErrNoNode}, &ReplyHeader{}},
@@ -47,9 +53,73 @@ func TestRecordRoundTrips(t *testing.T) {
 		{"syncReq", &SyncRequest{Path: "/a"}, &SyncRequest{}},
 		{"syncResp", &SyncResponse{Path: "/a"}, &SyncResponse{}},
 		{"watcherEvent", &WatcherEvent{Type: EventNodeDataChanged, State: 3, Path: "/a"}, &WatcherEvent{}},
+		{"statsResp", &ServerStatsResponse{Role: "LEADING", Leader: 1, Zxid: 2, Sessions: 3, Watches: 4, Outstanding: 5,
+			UptimeSeconds: 6, CommitLag: 7, Metrics: []KV{{"a", 1}, {"b", 2}}, Ensemble: "voters=1"}, &ServerStatsResponse{}},
+		{"reconfigReq", &ReconfigRequest{Action: "add", ID: 4, Addr: "h:1"}, &ReconfigRequest{}},
+		{"reconfigResp", &ReconfigResponse{Zxid: 9, Ensemble: "voters=1,2,3 observers=4"}, &ReconfigResponse{}},
+		{"multiReq", sampleMultiRequest(), &MultiRequest{}},
+		{"multiResp", &MultiResponse{Results: []MultiOpResult{{Op: OpCreate, Path: "/a", Stat: stat}, {Op: OpCheck, Err: ErrNoNode}}}, &MultiResponse{}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) { roundTrip(t, tc.in, tc.out) })
+}
+
+// fresh returns a new zero value of the case's record type.
+func (c recordCase) fresh() Record {
+	return reflect.New(reflect.TypeOf(c.out).Elem()).Interface().(Record)
+}
+
+func TestRecordRoundTrips(t *testing.T) {
+	for _, tc := range recordCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			roundTrip(t, tc.in, tc.out)
+			// The language is exactly the encodings: a record cut short
+			// anywhere is a short buffer, a byte behind it is refused.
+			buf := Marshal(tc.in)
+			for cut := 0; cut < len(buf); cut++ {
+				if err := Unmarshal(buf[:cut], tc.fresh()); !errors.Is(err, ErrShortBuffer) {
+					t.Fatalf("%d of %d bytes: err = %v, want ErrShortBuffer", cut, len(buf), err)
+				}
+			}
+			if err := Unmarshal(append(buf, 0), tc.fresh()); err == nil || errors.Is(err, ErrShortBuffer) {
+				t.Fatalf("a byte behind the record: err = %v", err)
+			}
+		})
+	}
+
+	// A count is a claim until the elements parse: one that announces the
+	// most the decoder takes, over a body that is not there, fails on the
+	// first element and allocates for a bounded few.
+	count := func(head Record, n int32) []byte {
+		e := NewEncoder(64)
+		if head != nil {
+			head.Serialize(e)
+			e.buf = e.buf[:e.Len()-8] // up to the metrics count
+		}
+		e.WriteInt32(n)
+		return e.Bytes()
+	}
+	claims := []struct {
+		name string
+		buf  []byte
+		out  Record
+	}{
+		{"children", count(nil, MaxVectorLen), &GetChildrenResponse{}},
+		{"multiReq", count(nil, MaxMultiOps), &MultiRequest{}},
+		{"multiResp", count(nil, MaxMultiOps), &MultiResponse{}},
+		{"statsMetrics", count(&ServerStatsResponse{Role: "LEADING"}, maxStatsMetrics), &ServerStatsResponse{}},
+	}
+	for _, tc := range claims {
+		t.Run("claim/"+tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := Unmarshal(tc.buf, tc.out)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrShortBuffer) {
+				t.Fatalf("err = %v, want ErrShortBuffer", err)
+			}
+			if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+				t.Fatalf("a %d-byte frame made the decoder allocate %d bytes", len(tc.buf), grown)
+			}
+		})
 	}
 }
 
@@ -84,14 +154,6 @@ func TestMarshalPair(t *testing.T) {
 }
 
 func TestRequestResponseBodyFactories(t *testing.T) {
-	for _, op := range []OpCode{OpCreate, OpDelete, OpExists, OpGetData, OpSetData, OpGetChildren, OpSync} {
-		if RequestBody(op) == nil {
-			t.Errorf("RequestBody(%v) = nil", op)
-		}
-	}
-	if RequestBody(OpPing) != nil {
-		t.Error("RequestBody(ping) should be nil")
-	}
 	for _, op := range []OpCode{OpCreate, OpExists, OpGetData, OpSetData, OpGetChildren, OpSync} {
 		if ResponseBody(op) == nil {
 			t.Errorf("ResponseBody(%v) = nil", op)

@@ -31,14 +31,8 @@ func (o *Origin) Serialize(e *wire.Encoder) {
 
 // Deserialize implements wire.Record.
 func (o *Origin) Deserialize(d *wire.Decoder) error {
-	peer, err := d.ReadInt64()
-	if err != nil {
-		return err
-	}
-	o.Peer = PeerID(peer)
-	if o.Session, err = d.ReadInt64(); err != nil {
-		return err
-	}
-	o.Xid, err = d.ReadInt32()
-	return err
+	o.Peer = PeerID(d.ReadInt64())
+	o.Session = d.ReadInt64()
+	o.Xid = d.ReadInt32()
+	return d.Err()
 }

@@ -228,7 +228,7 @@ func (c *core) advanceCommits(now int64) {
 		prop := c.outstanding[n]
 		n++
 		c.proposeToAck.Observe(now - prop.proposedNs)
-		c.deliver(now, Committed{Txn: prop.rec.Txn, Origin: prop.rec.Origin})
+		c.deliver(now, prop.rec)
 		if len(c.streamTo) > 0 {
 			c.obsRun = append(c.obsRun, prop.rec)
 		}
@@ -315,7 +315,7 @@ func (c *core) applyUpTo(now, bound int64) {
 		}
 		rec := c.inflight[next]
 		delete(c.inflight, next)
-		c.deliver(now, Committed{Txn: rec.Txn, Origin: rec.Origin})
+		c.deliver(now, rec)
 	}
 }
 
@@ -324,7 +324,7 @@ func (c *core) applyUpTo(now, bound int64) {
 func (c *core) deliver(now int64, d Committed) {
 	c.lastCommit.Store(d.Txn.Zxid)
 	c.lastZxid = max(c.lastZxid, d.Txn.Zxid)
-	c.log.append(ProposalRecord{Txn: d.Txn, Origin: d.Origin})
+	c.log.append(d)
 	c.stats.commits.Add(1)
 	if d.Txn.Type == ztree.TxnReconfig {
 		c.applyReconfig(now, d.Txn.Zxid, d.Txn.Data)

@@ -122,18 +122,16 @@ type Message struct {
 	App []byte
 }
 
-// ProposalRecord pairs a transaction with its origin for log transfer.
+// ProposalRecord pairs a transaction with its origin: what a proposal
+// frame, a diff and the commit log carry.
 type ProposalRecord struct {
 	Txn    ztree.Txn
 	Origin Origin
 }
 
-// Committed is delivered to the replica layer for every transaction the
-// ensemble commits, in zxid order.
-type Committed struct {
-	Txn    ztree.Txn
-	Origin Origin
-}
+// Committed is that same record once the ensemble has committed it, as
+// delivered to the replica layer, in zxid order.
+type Committed = ProposalRecord
 
 // EpochOf extracts the epoch from a zxid.
 func EpochOf(zxid int64) int64 { return zxid >> 32 }

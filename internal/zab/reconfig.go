@@ -76,25 +76,19 @@ func (c *ReconfigChange) Encode() []byte {
 
 // DecodeReconfigChange parses a TxnReconfig payload.
 func DecodeReconfigChange(data []byte) (ReconfigChange, error) {
-	var c ReconfigChange
 	d := wire.NewDecoder(data)
-	action, err := d.ReadInt32()
-	if err != nil {
-		return c, err
+	c := ReconfigChange{
+		Action: ReconfigAction(d.ReadInt32()),
+		ID:     PeerID(d.ReadInt64()),
+		Addr:   d.ReadString(),
 	}
-	c.Action = ReconfigAction(action)
-	id, err := d.ReadInt64()
-	if err != nil {
-		return c, err
-	}
-	c.ID = PeerID(id)
-	if c.Addr, err = d.ReadString(); err != nil {
-		return c, err
+	if d.Err() != nil {
+		return c, d.Err()
 	}
 	switch c.Action {
 	case ReconfigAdd, ReconfigRemove, ReconfigPromote:
 	default:
-		return c, fmt.Errorf("zab: bad reconfig action %d", action)
+		return c, fmt.Errorf("zab: bad reconfig action %d", c.Action)
 	}
 	if c.ID <= 0 {
 		return c, fmt.Errorf("zab: bad reconfig peer id %d", c.ID)
@@ -133,30 +127,20 @@ func encodeMembership(members []member) []byte {
 // carry id, address and kind.
 func decodeMembership(data []byte) ([]member, error) {
 	d := wire.NewDecoder(data)
-	n, err := d.ReadInt32()
-	if err != nil {
-		return nil, err
-	}
+	n := d.ReadInt32()
 	if n < 0 || n > maxMembers {
 		return nil, fmt.Errorf("zab: bad membership count %d", n)
 	}
 	members := make([]member, 0, n)
-	for i := int32(0); i < n; i++ {
-		var m member
-		id, err := d.ReadInt64()
-		if err != nil {
-			return nil, err
-		}
-		m.id = PeerID(id)
-		if m.addr, err = d.ReadString(); err != nil {
-			return nil, err
-		}
-		observer, err := d.ReadBool()
-		if err != nil {
-			return nil, err
-		}
-		m.voter = !observer
-		members = append(members, m)
+	for i := int32(0); i < n && d.Err() == nil; i++ {
+		members = append(members, member{
+			id:    PeerID(d.ReadInt64()),
+			addr:  d.ReadString(),
+			voter: !d.ReadBool(),
+		})
+	}
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 	return members, nil
 }

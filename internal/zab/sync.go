@@ -149,7 +149,7 @@ func (c *core) handleSync(now int64, msg Message) {
 	case KindSyncDiff:
 		for _, rec := range msg.Diff {
 			if rec.Txn.Zxid > c.LastCommitted() {
-				c.deliver(now, Committed{Txn: rec.Txn, Origin: rec.Origin})
+				c.deliver(now, rec)
 			}
 		}
 		c.lastZxid = msg.Zxid

@@ -12,10 +12,10 @@ import (
 // peer link. The layout is a fixed header (kind, epoch, zxid) followed
 // by kind-specific fields; the sender's identity is NOT on the wire —
 // the mesh stamps Message.From from the link's handshaken identity, so
-// a connected peer cannot claim frames as another replica's. (The
-// handshake itself is a plaintext id exchange: the mesh assumes a
-// trusted cluster network; authenticated peer links are a ROADMAP
-// item.)
+// a connected peer cannot claim frames as another replica's. (What the
+// handshake proves about that identity is the mesh's business: a hello
+// with an attested tail on a SecureKeeper ensemble, a bare id exchange
+// on the baselines — see zabnet.)
 //
 // Decoding is defensive throughout: every length is bounds-checked,
 // record counts are capped, batch/diff zxids must ascend, and unknown
@@ -64,66 +64,43 @@ func (m *Message) Serialize(e *wire.Encoder) {
 
 // Deserialize implements wire.Record.
 func (m *Message) Deserialize(d *wire.Decoder) error {
-	kind, err := d.ReadInt32()
-	if err != nil {
-		return err
-	}
-	m.Kind = Kind(kind)
-	if m.Epoch, err = d.ReadInt64(); err != nil {
-		return err
-	}
-	if m.Zxid, err = d.ReadInt64(); err != nil {
-		return err
+	m.Kind = Kind(d.ReadInt32())
+	m.Epoch = d.ReadInt64()
+	m.Zxid = d.ReadInt64()
+	if d.Err() != nil {
+		return d.Err()
 	}
 	switch m.Kind {
 	case KindVote:
-		peer, err := d.ReadInt64()
-		if err != nil {
-			return err
-		}
-		m.VoteFor = PeerID(peer)
-		if m.VoteZxid, err = d.ReadInt64(); err != nil {
-			return err
-		}
-		if m.VoteReply, err = d.ReadBool(); err != nil {
-			return err
-		}
+		m.VoteFor = PeerID(d.ReadInt64())
+		m.VoteZxid = d.ReadInt64()
+		m.VoteReply = d.ReadBool()
 	case KindFollowerInfo, KindNewLeaderAck, KindAck, KindCommit, KindPing, KindPong, KindObserverInfo, KindRemoved:
 		// Header only.
 	case KindProposeBatch, KindObserverCommit:
-		if m.Batch, err = deserializeRecords(d, maxBatchRecords, "batch"); err != nil {
-			return err
-		}
+		var err error
+		m.Batch, err = deserializeRecords(d, maxBatchRecords, "batch")
+		return err
 	case KindSyncDiff:
+		var err error
 		if m.Diff, err = deserializeRecords(d, maxDiffRecords, "diff"); err != nil {
 			return err
 		}
-		if m.Config, err = d.ReadBuffer(); err != nil {
-			return err
-		}
+		m.Config = d.ReadBuffer()
 	case KindSyncSnap:
-		present, err := d.ReadBool()
-		if err != nil {
-			return err
-		}
-		if present {
-			snap := new(ztree.Snapshot)
-			if err := snap.Deserialize(d); err != nil {
+		if d.ReadBool() {
+			m.Snapshot = new(ztree.Snapshot)
+			if err := m.Snapshot.Deserialize(d); err != nil {
 				return err
 			}
-			m.Snapshot = snap
 		}
-		if m.Config, err = d.ReadBuffer(); err != nil {
-			return err
-		}
+		m.Config = d.ReadBuffer()
 	case KindApp:
-		if m.App, err = d.ReadBuffer(); err != nil {
-			return err
-		}
+		m.App = d.ReadBuffer()
 	default:
-		return fmt.Errorf("zab: unknown message kind %d", kind)
+		return fmt.Errorf("zab: unknown message kind %d", m.Kind)
 	}
-	return nil
+	return d.Err()
 }
 
 // minRecordWireLen is the encoding of a proposal record with an empty
@@ -139,15 +116,12 @@ const minRecordWireLen = 68
 // link's receive chunk once, exactly sized — the arrays inflight buffer,
 // commit log, WAL encoder and tree then share.
 func deserializeRecords(d *wire.Decoder, limit int, what string) ([]ProposalRecord, error) {
-	n, err := d.ReadInt32()
-	if err != nil {
-		return nil, err
-	}
+	n := d.ReadInt32()
 	if n < 0 || int(n) > limit {
 		return nil, fmt.Errorf("zab: bad %s record count %d", what, n)
 	}
 	if n == 0 {
-		return nil, nil
+		return nil, d.Err()
 	}
 	// The claimed count is attacker-controlled until the records
 	// actually parse, so the allocation is bounded by what the bytes at

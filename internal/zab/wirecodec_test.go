@@ -2,7 +2,10 @@ package zab
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -49,6 +52,9 @@ func sampleMessages() []Message {
 		{Kind: KindPing, Epoch: 3, Zxid: MakeZxid(3, 7)},
 		{Kind: KindPong, Zxid: MakeZxid(3, 7)},
 		{Kind: KindApp, App: []byte("tunneled request")},
+		{Kind: KindObserverInfo, Zxid: MakeZxid(2, 4)},
+		{Kind: KindObserverCommit, Epoch: 3, Zxid: MakeZxid(3, 8), Batch: []ProposalRecord{{Txn: txn, Origin: origin}}},
+		{Kind: KindRemoved, Epoch: 3},
 	}
 }
 
@@ -69,8 +75,9 @@ func TestMessageWireRoundTripAllKinds(t *testing.T) {
 }
 
 // TestMessageWireTruncated feeds every prefix of every kind's encoding
-// to the decoder: all must fail cleanly (or parse as a shorter valid
-// frame is NOT acceptable — Unmarshal enforces full consumption).
+// to the decoder: all must fail cleanly, as a short buffer (to parse as
+// a shorter valid frame is NOT acceptable — Unmarshal enforces full
+// consumption), and a byte behind the encoding is refused too.
 func TestMessageWireTruncated(t *testing.T) {
 	for _, msg := range sampleMessages() {
 		msg := msg
@@ -78,9 +85,45 @@ func TestMessageWireTruncated(t *testing.T) {
 			buf := wire.Marshal(&msg)
 			for n := 0; n < len(buf); n++ {
 				var got Message
-				if err := wire.Unmarshal(buf[:n], &got); err == nil {
-					t.Fatalf("truncated frame (%d/%d bytes) decoded without error", n, len(buf))
+				if err := wire.Unmarshal(buf[:n], &got); !errors.Is(err, wire.ErrShortBuffer) {
+					t.Fatalf("truncated frame (%d/%d bytes): err = %v, want ErrShortBuffer", n, len(buf), err)
 				}
+			}
+			var got Message
+			if err := wire.Unmarshal(append(buf, 0), &got); err == nil || errors.Is(err, wire.ErrShortBuffer) {
+				t.Fatalf("a byte behind the frame: err = %v", err)
+			}
+		})
+	}
+	// A count that claims the most its kind takes, over a body that is
+	// not there: refused at the first record, nothing reserved on the
+	// claim's word.
+	for name, claim := range map[string]struct {
+		kind  Kind
+		count int32
+	}{
+		"batch":    {KindProposeBatch, maxBatchRecords},
+		"diff":     {KindSyncDiff, maxDiffRecords},
+		"snapshot": {KindSyncSnap, wire.MaxVectorLen},
+	} {
+		t.Run("claim/"+name, func(t *testing.T) {
+			e := wire.NewEncoder(32)
+			(&Message{Kind: claim.kind}).Serialize(e)
+			buf := e.Bytes()[:20] // the header
+			if claim.kind == KindSyncSnap {
+				buf = append(buf, 1) // a snapshot follows
+			}
+			buf = binary.BigEndian.AppendUint32(buf, uint32(claim.count))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			var got Message
+			err := wire.Unmarshal(buf, &got)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, wire.ErrShortBuffer) {
+				t.Fatalf("err = %v, want ErrShortBuffer", err)
+			}
+			if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+				t.Fatalf("a %d-byte frame made the decoder allocate %d bytes", len(buf), grown)
 			}
 		})
 	}
@@ -202,4 +245,33 @@ func TestMessageWireRandomBytes(t *testing.T) {
 			_ = wire.Unmarshal(mut, &got)
 		}
 	}
+}
+
+// FuzzMessageDecode puts arbitrary bytes to the peer protocol's decoder:
+// no input may panic it, and what it accepts is what Serialize writes —
+// accepted bytes re-encode to themselves (but for a true spelled as a
+// byte other than 1: a vote's reply flag, a snapshot's presence flag).
+func FuzzMessageDecode(f *testing.F) {
+	for _, msg := range sampleMessages() {
+		buf := wire.Marshal(&msg)
+		f.Add(buf)
+		f.Add(buf[:len(buf)/2])
+		f.Add(append(buf, 0))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var msg Message
+		if err := wire.Unmarshal(data, &msg); err != nil {
+			return
+		}
+		want := bytes.Clone(data)
+		switch {
+		case msg.Kind == KindVote && msg.VoteReply:
+			want[len(want)-1] = 1
+		case msg.Kind == KindSyncSnap && msg.Snapshot != nil:
+			want[20] = 1
+		}
+		if re := wire.Marshal(&msg); !bytes.Equal(re, want) {
+			t.Fatalf("%s: accepted %x, re-encodes as %x", msg.Kind, data, re)
+		}
+	})
 }

@@ -812,9 +812,9 @@ func (m *Mesh) readLoop(l *link) {
 			var d wire.Decoder
 			d.Reset(payload[1:])
 			d.SetZeroCopy(true) // the chunk is copied into asm below
-			total, err := d.ReadInt64()
-			chunk, rawErr := d.ReadRaw(d.Remaining())
-			if asmTotal >= 0 || err != nil || rawErr != nil {
+			total := d.ReadInt64()
+			chunk := d.ReadRaw(d.Remaining())
+			if asmTotal >= 0 || d.Err() != nil {
 				m.logf("zabnet %d: bad fragment start from peer %d", m.cfg.ID, l.peer)
 				return
 			}
@@ -822,9 +822,10 @@ func (m *Mesh) readLoop(l *link) {
 				m.logf("zabnet %d: fragment total %d from peer %d out of range", m.cfg.ID, total, l.peer)
 				return
 			}
+			// total is only the peer's claim: memory is taken as the
+			// bytes arrive, not reserved on its word.
 			asmTotal = int(total)
-			asm = make([]byte, 0, asmTotal)
-			asm = append(asm, chunk...)
+			asm = append([]byte(nil), chunk...)
 		case frameFragCont, frameFragEnd:
 			if asmTotal < 0 || len(asm)+len(payload)-1 > asmTotal {
 				m.logf("zabnet %d: fragment overflow from peer %d", m.cfg.ID, l.peer)
@@ -854,7 +855,7 @@ func (m *Mesh) deliverEncoded(l *link, body []byte) {
 	var msg zab.Message
 	var d wire.Decoder
 	d.Reset(body)
-	if err := msg.Deserialize(&d); err != nil || d.Remaining() != 0 {
+	if err := d.Finish(msg.Deserialize(&d)); err != nil {
 		m.logf("zabnet %d: drop undecodable %d-byte message from peer %d: %v", m.cfg.ID, len(body), l.peer, err)
 		return
 	}
@@ -947,50 +948,31 @@ func sendHello(fc *transport.FramedConn, h *hello) error {
 func parseHello(payload []byte, sec *SecureConfig) (hello, error) {
 	var d wire.Decoder
 	d.Reset(payload) // copying reads: the frame is the connection's until its next receive
-	t, err := d.ReadByte()
-	if err != nil || (t != frameHello && t != frameHelloSec) {
+	t := d.ReadUint8()
+	if t != frameHello && t != frameHelloSec {
 		return hello{}, errBadHello
 	}
 	if attested := t == frameHelloSec; attested != (sec != nil) {
 		// Neither kind of mesh takes the other's hello: no downgrade.
 		return hello{}, fmt.Errorf("%w: hello attested=%v on a mesh with secure=%v", errBadHello, attested, sec != nil)
 	}
-	magic, err := d.ReadInt32()
-	if err != nil || magic != helloMagic {
+	if d.ReadInt32() != helloMagic {
 		return hello{}, errBadHello
 	}
-	version, err := d.ReadInt32()
-	if err != nil || version != protoVersion {
+	if version := d.ReadInt32(); version != protoVersion {
 		return hello{}, fmt.Errorf("%w: protocol version %d (want %d)", errBadHello, version, protoVersion)
 	}
-	id, err := d.ReadInt64()
-	if err != nil || id <= 0 {
-		return hello{}, errBadHello
-	}
-	role, err := d.ReadByte()
-	if err != nil || (role != roleVoter && role != roleObserver) {
-		return hello{}, errBadHello
-	}
-	h := hello{id: zab.PeerID(id), observer: role == roleObserver}
+	h := hello{id: zab.PeerID(d.ReadInt64())}
+	role := d.ReadUint8()
+	h.observer = role == roleObserver
 	if sec != nil {
-		chanPub, err := d.ReadBuffer()
-		if err != nil || len(chanPub) != ed25519.PublicKeySize {
-			return hello{}, errBadHello
-		}
-		meas, err := d.ReadRaw(sha256.Size)
-		if err != nil {
-			return hello{}, errBadHello
-		}
-		h.channelPub, h.quote = chanPub, new(sgx.Quote)
-		copy(h.quote.Measurement[:], meas)
-		if h.quote.ReportData, err = d.ReadBuffer(); err != nil {
-			return hello{}, errBadHello
-		}
-		if h.quote.Signature, err = d.ReadBuffer(); err != nil {
-			return hello{}, errBadHello
-		}
+		h.channelPub, h.quote = d.ReadBuffer(), new(sgx.Quote)
+		copy(h.quote.Measurement[:], d.ReadRaw(sha256.Size))
+		h.quote.ReportData = d.ReadBuffer()
+		h.quote.Signature = d.ReadBuffer()
 	}
-	if d.Remaining() != 0 {
+	if d.Finish(nil) != nil || h.id <= 0 || (role != roleVoter && role != roleObserver) ||
+		(sec != nil && len(h.channelPub) != ed25519.PublicKeySize) {
 		return hello{}, errBadHello
 	}
 	if sec != nil {

@@ -2,9 +2,11 @@ package zabnet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -214,6 +216,57 @@ func TestMeshChunkedSnapshotTransfer(t *testing.T) {
 	}
 	if got := recvMsg(t, meshes[0], 2*time.Second); got.Kind != zab.KindPing {
 		t.Fatalf("post-snapshot frame = %+v", got)
+	}
+}
+
+// TestFragmentStartReservesNothingOnThePeersWord: the total a fragment
+// sequence announces is a claim. A 14-byte frame that claims the largest
+// message the mesh reassembles must cost the receiver what has arrived,
+// not the 256 MiB it speaks of.
+func TestFragmentStartReservesNothingOnThePeersWord(t *testing.T) {
+	own, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMesh(Config{ID: 1, Peers: map[zab.PeerID]string{1: own.Addr().String(), 2: ""}, Listener: own})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = m.Close() })
+	conn, err := net.Dial("tcp", m.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fc := transport.NewFramedConn(conn)
+	_ = fc.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := fc.SendFrame(helloFrame(newHello(2, false, nil))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fc.RecvFrame(); err != nil {
+		t.Fatalf("the mesh's hello: %v", err)
+	}
+	waitFor(t, 3*time.Second, "the link", func() bool { return m.Connected(2) })
+
+	// TotalAlloc, not HeapAlloc: what the read loop allocates is counted
+	// whether or not a collection has run since.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	begin := binary.BigEndian.AppendUint64([]byte{frameFragBegin}, maxReassembledBytes)
+	if err := fc.SendFrame(append(begin, 'x')); err != nil {
+		t.Fatal(err)
+	}
+	// A whole message in the middle of a fragment sequence makes the mesh
+	// hang up: once it has, it has taken the fragment start in.
+	if err := fc.SendFrame([]byte{frameMsg}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fc.RecvFrame(); err == nil {
+		t.Fatal("the mesh kept a link that interleaved a message with fragments")
+	}
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 4<<20 {
+		t.Fatalf("a 1-byte chunk announcing %d bytes made the mesh allocate %d", maxReassembledBytes, grown)
 	}
 }
 

@@ -666,30 +666,25 @@ func (s *Snapshot) Serialize(e *wire.Encoder) {
 	}
 }
 
+// minSnapshotNodeLen is the encoding of a node with an empty path and no
+// payload: two length prefixes and the Stat (68 bytes).
+const minSnapshotNodeLen = 76
+
 // Deserialize implements wire.Record.
 func (s *Snapshot) Deserialize(d *wire.Decoder) error {
-	n, err := d.ReadInt32()
-	if err != nil {
-		return err
-	}
+	n := d.ReadInt32()
 	if n < 0 || n > wire.MaxVectorLen {
 		return fmt.Errorf("ztree: bad snapshot node count %d", n)
 	}
-	s.Nodes = make([]SnapshotNode, 0, min(int(n), 65536))
-	for i := int32(0); i < n; i++ {
-		var sn SnapshotNode
-		if sn.Path, err = d.ReadString(); err != nil {
-			return err
-		}
-		if sn.Data, err = d.ReadBuffer(); err != nil {
-			return err
-		}
-		if err = sn.Stat.Deserialize(d); err != nil {
-			return err
-		}
+	// As for a frame's proposal records: what is reserved on the count's
+	// word is bounded by what the bytes at hand could hold.
+	s.Nodes = make([]SnapshotNode, 0, min(int(n), d.Remaining()/minSnapshotNodeLen))
+	for i := int32(0); i < n && d.Err() == nil; i++ {
+		sn := SnapshotNode{Path: d.ReadString(), Data: d.ReadBuffer()}
+		sn.Stat.Deserialize(d)
 		s.Nodes = append(s.Nodes, sn)
 	}
-	return nil
+	return d.Err()
 }
 
 func cloneBytes(b []byte) []byte {

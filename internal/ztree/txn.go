@@ -82,43 +82,16 @@ func (t *Txn) serializeBase(e *wire.Encoder) {
 }
 
 func (t *Txn) deserializeBase(d *wire.Decoder) error {
-	var err error
-	if t.Zxid, err = d.ReadInt64(); err != nil {
-		return err
-	}
-	typ, err := d.ReadInt32()
-	if err != nil {
-		return err
-	}
-	t.Type = TxnType(typ)
-	if t.Path, err = d.ReadString(); err != nil {
-		return err
-	}
-	if t.Data, err = d.ReadBuffer(); err != nil {
-		return err
-	}
-	flags, err := d.ReadInt32()
-	if err != nil {
-		return err
-	}
-	t.Flags = wire.CreateFlags(flags)
-	if t.Version, err = d.ReadInt32(); err != nil {
-		return err
-	}
-	if t.Session, err = d.ReadInt64(); err != nil {
-		return err
-	}
-	code, err := d.ReadInt32()
-	if err != nil {
-		return err
-	}
-	t.Err = wire.ErrCode(code)
-	reqOp, err := d.ReadInt32()
-	if err != nil {
-		return err
-	}
-	t.ReqOp = wire.OpCode(reqOp)
-	return nil
+	t.Zxid = d.ReadInt64()
+	t.Type = TxnType(d.ReadInt32())
+	t.Path = d.ReadString()
+	t.Data = d.ReadBuffer()
+	t.Flags = wire.CreateFlags(d.ReadInt32())
+	t.Version = d.ReadInt32()
+	t.Session = d.ReadInt64()
+	t.Err = wire.ErrCode(d.ReadInt32())
+	t.ReqOp = wire.OpCode(d.ReadInt32())
+	return d.Err()
 }
 
 // Serialize implements wire.Record.
@@ -132,12 +105,10 @@ func (t *Txn) Serialize(e *wire.Encoder) {
 
 // Deserialize implements wire.Record.
 func (t *Txn) Deserialize(d *wire.Decoder) error {
-	if err := t.deserializeBase(d); err != nil {
-		return err
-	}
-	n, err := d.ReadInt32()
-	if err != nil {
-		return err
+	t.deserializeBase(d)
+	n := d.ReadInt32()
+	if d.Err() != nil {
+		return d.Err()
 	}
 	if n < 0 || n > MaxMultiSubs {
 		return fmt.Errorf("ztree: txn sub count %d out of range [0, %d]", n, MaxMultiSubs)
