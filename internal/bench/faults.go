@@ -135,7 +135,7 @@ func runFaultRun(v core.Variant, c FaultConfig) (Series, error) {
 	if c.KillLeader {
 		act = chaos.ActKillLeader
 	}
-	ctl := &chaos.Controller{Target: chaos.ClusterTarget{C: cluster}}
+	ctl := &chaos.Controller{Cluster: cluster}
 	_ = ctl.Run(context.Background(), chaos.Schedule{
 		{At: time.Duration(c.KillBucket)*c.BucketDur - time.Since(start), Act: act},
 	})

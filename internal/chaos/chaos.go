@@ -10,11 +10,11 @@
 // split the ensemble:
 //
 //   - network faults: a transport shim over zab.Transport imposes
-//     message drop, added latency/jitter, per-link message-rate caps
-//     (bandwidth-cap stand-in), and symmetric or asymmetric partitions
-//     with heal — the in-process counterpart of tc/netem;
+//     message drop, added latency/jitter, and symmetric or asymmetric
+//     partitions with heal — the in-process counterpart of tc/netem;
 //   - process faults: replica crash (kill) and restart, including
-//     leader churn, via core.Cluster's StopReplica/RestartReplica;
+//     leader churn: the controller holds the core.Cluster and calls its
+//     StopReplica/RestartReplica;
 //   - storage faults: fsync stalls and sticky persistence failures on
 //     the write-ahead log, exercising the replica's degraded
 //     read-only mode.

@@ -12,55 +12,13 @@ import (
 	"securekeeper/internal/zab"
 )
 
-// Target is the cluster surface the controller injects process and
-// storage faults through. It abstracts core.Cluster so the controller
-// (and its tests) need nothing heavier than these seven calls.
-type Target interface {
-	// Size is the replica count (voters + observers); Voters the
-	// voting-ensemble size. Replica indexes are 0-based; peer IDs on
-	// the wire are index+1.
-	Size() int
-	Voters() int
-	// LeaderIndex returns the current leader's replica index, or -1
-	// while no replica is leading.
-	LeaderIndex() int
-	Stopped(i int) bool
-	Kill(i int)
-	Restart(i int) error
-	// WaitLeader blocks until some replica leads (or the timeout
-	// passes) — the settle step between rolling restarts.
-	WaitLeader(timeout time.Duration) error
-	// Persister returns replica i's WAL persister, or nil for
-	// memory-only clusters (storage faults become no-ops).
-	Persister(i int) *storage.Persister
-}
-
-// ClusterTarget adapts an in-process core.Cluster to Target.
-type ClusterTarget struct{ C *core.Cluster }
-
-func (t ClusterTarget) Size() int           { return t.C.Size() }
-func (t ClusterTarget) Voters() int         { return t.C.Voters() }
-func (t ClusterTarget) LeaderIndex() int    { return t.C.LeaderIndex() }
-func (t ClusterTarget) Stopped(i int) bool  { return t.C.Stopped(i) }
-func (t ClusterTarget) Kill(i int)          { t.C.StopReplica(i) }
-func (t ClusterTarget) Restart(i int) error { return t.C.RestartReplica(i) }
-func (t ClusterTarget) WaitLeader(timeout time.Duration) error {
-	_, err := t.C.WaitForLeader(timeout)
-	return err
-}
-func (t ClusterTarget) Persister(i int) *storage.Persister {
-	if t.C.Stopped(i) {
-		return nil
-	}
-	return t.C.Replica(i).Persister()
-}
-
-// Controller executes a Schedule against one injector/target pair,
-// resolving runtime-dependent choices (who leads NOW) at fire time and
-// recording what actually happened.
+// Controller executes a Schedule against one injector and the
+// in-process cluster it covers, resolving runtime-dependent choices (who
+// leads NOW) at fire time and recording what actually happened. Replica
+// indexes are 0-based; peer IDs on the wire are index+1.
 type Controller struct {
-	Inj    *Injector
-	Target Target
+	Inj     *Injector
+	Cluster *core.Cluster
 	// Logf, when set, receives one line per executed action.
 	Logf func(format string, args ...any)
 
@@ -139,7 +97,7 @@ func (c *Controller) apply(ctx context.Context, ev Event) {
 			c.record("%v kill-leader skipped: %v", ev.At.Round(time.Millisecond), err)
 			return
 		}
-		c.Target.Kill(leader)
+		c.Cluster.StopReplica(leader)
 		c.record("%v kill-leader r%d", ev.At.Round(time.Millisecond), leader+1)
 	case ActKillFollower:
 		leader, err := c.leader(ctx)
@@ -152,7 +110,7 @@ func (c *Controller) apply(ctx context.Context, ev Event) {
 			c.record("%v kill-follower skipped: no live non-leader voter", ev.At.Round(time.Millisecond))
 			return
 		}
-		c.Target.Kill(victim)
+		c.Cluster.StopReplica(victim)
 		c.record("%v kill-follower r%d", ev.At.Round(time.Millisecond), victim+1)
 	case ActRestartAll:
 		// Rolling restart: bring replicas back ONE at a time, letting
@@ -162,15 +120,15 @@ func (c *Controller) apply(ctx context.Context, ev Event) {
 		// empty leader before the surviving full replica's vote lands —
 		// wiping committed state, exactly as wiping a majority of
 		// ZooKeeper disks simultaneously would.
-		for i := 0; i < c.Target.Size(); i++ {
-			if !c.Target.Stopped(i) {
+		for i := 0; i < c.Cluster.Size(); i++ {
+			if !c.Cluster.Stopped(i) {
 				continue
 			}
-			if err := c.Target.Restart(i); err != nil {
+			if err := c.Cluster.RestartReplica(i); err != nil {
 				c.record("%v restart r%d failed: %v", ev.At.Round(time.Millisecond), i+1, err)
 				continue
 			}
-			if err := c.Target.WaitLeader(5 * time.Second); err != nil {
+			if _, err := c.Cluster.WaitForLeader(5 * time.Second); err != nil {
 				c.record("%v restart r%d (no leader settled: %v)", ev.At.Round(time.Millisecond), i+1, err)
 				continue
 			}
@@ -178,8 +136,8 @@ func (c *Controller) apply(ctx context.Context, ev Event) {
 		}
 	case ActStallFsync:
 		n := 0
-		for i := 0; i < c.Target.Size(); i++ {
-			if p := c.Target.Persister(i); p != nil {
+		for i := 0; i < c.Cluster.Size(); i++ {
+			if p := c.persister(i); p != nil {
 				p.StallFsync(ev.Stall)
 				n++
 			}
@@ -196,7 +154,7 @@ func (c *Controller) apply(ctx context.Context, ev Event) {
 			c.record("%v fail-storage skipped: no live non-leader voter", ev.At.Round(time.Millisecond))
 			return
 		}
-		p := c.Target.Persister(victim)
+		p := c.persister(victim)
 		if p == nil {
 			c.record("%v fail-storage skipped: r%d has no persister", ev.At.Round(time.Millisecond), victim+1)
 			return
@@ -208,12 +166,21 @@ func (c *Controller) apply(ctx context.Context, ev Event) {
 	}
 }
 
+// persister returns replica i's WAL persister, or nil when it is stopped
+// or the cluster is memory-only (storage faults become no-ops).
+func (c *Controller) persister(i int) *storage.Persister {
+	if c.Cluster.Stopped(i) {
+		return nil
+	}
+	return c.Cluster.Replica(i).Persister()
+}
+
 // leader resolves the current leader index, retrying while an election
 // is in flight (the same wait the Fig 12 harness used before killing).
 func (c *Controller) leader(ctx context.Context) (int, error) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if i := c.Target.LeaderIndex(); i >= 0 && !c.Target.Stopped(i) {
+		if i := c.Cluster.LeaderIndex(); i >= 0 && !c.Cluster.Stopped(i) {
 			return i, nil
 		}
 		if time.Now().After(deadline) {
@@ -231,8 +198,8 @@ func (c *Controller) leader(ctx context.Context) (int, error) {
 // voting replicas in index order, wrapping k; -1 when none are live.
 func (c *Controller) nonLeaderVoter(leader, k int) int {
 	var live []int
-	for i := 0; i < c.Target.Voters(); i++ {
-		if i != leader && !c.Target.Stopped(i) {
+	for i := 0; i < c.Cluster.Voters(); i++ {
+		if i != leader && !c.Cluster.Stopped(i) {
 			live = append(live, i)
 		}
 	}

@@ -21,15 +21,11 @@ type LinkFault struct {
 	// random amount in [0, Jitter).
 	Delay  time.Duration
 	Jitter time.Duration
-	// RatePerSec caps the link's message rate with a one-second-burst
-	// token bucket; excess messages queue behind the cap (delayed, not
-	// dropped) — the transport-level stand-in for a bandwidth cap.
-	RatePerSec int
 }
 
 // healthy reports whether the fault is a no-op.
 func (f LinkFault) healthy() bool {
-	return f.Drop == 0 && f.Delay == 0 && f.Jitter == 0 && f.RatePerSec == 0
+	return f.Drop == 0 && f.Delay == 0 && f.Jitter == 0
 }
 
 // String renders the fault for schedules and logs.
@@ -37,19 +33,11 @@ func (f LinkFault) String() string {
 	if f.healthy() {
 		return "healthy"
 	}
-	return fmt.Sprintf("drop=%.2f delay=%v jitter=%v rate=%d/s", f.Drop, f.Delay, f.Jitter, f.RatePerSec)
+	return fmt.Sprintf("drop=%.2f delay=%v jitter=%v", f.Drop, f.Delay, f.Jitter)
 }
 
 // linkKey addresses a DIRECTED link: faults may be asymmetric.
 type linkKey struct{ from, to zab.PeerID }
-
-// bucket is one directed link's rate-cap state: a token bucket with a
-// one-second burst. Tokens go negative to model a queue behind the
-// cap, so each excess message waits its full serialized slot.
-type bucket struct {
-	tokens float64
-	lastNs int64
-}
 
 // Injector is the shared fault state consulted by every replica's
 // transport shim. One Injector covers one ensemble; all methods are
@@ -66,8 +54,7 @@ type Injector struct {
 	// the map share the implicit side 0. Cross-side messages drop.
 	side map[zab.PeerID]int
 	// cuts severs individual directed links (asymmetric partitions).
-	cuts    map[linkKey]bool
-	buckets map[linkKey]*bucket
+	cuts map[linkKey]bool
 
 	// Aggregate fault accounting, readable from any registry via
 	// Register (CounterFunc/GaugeFunc snapshots).
@@ -87,7 +74,6 @@ func NewInjector(seed int64) *Injector {
 		perLink: make(map[linkKey]LinkFault),
 		side:    make(map[zab.PeerID]int),
 		cuts:    make(map[linkKey]bool),
-		buckets: make(map[linkKey]*bucket),
 	}
 }
 
@@ -107,13 +93,12 @@ func (inj *Injector) SetLink(from, to zab.PeerID, f LinkFault) {
 	inj.injected.Add(1)
 }
 
-// ClearLinks removes the default and every per-link fault (rate-cap
-// state included); partitions and cuts are untouched.
+// ClearLinks removes the default and every per-link fault; partitions
+// and cuts are untouched.
 func (inj *Injector) ClearLinks() {
 	inj.mu.Lock()
 	inj.defaults = LinkFault{}
 	inj.perLink = make(map[linkKey]LinkFault)
-	inj.buckets = make(map[linkKey]*bucket)
 	inj.mu.Unlock()
 	inj.injected.Add(1)
 }
@@ -187,9 +172,6 @@ func (inj *Injector) decide(from, to zab.PeerID) (drop bool, wait time.Duration)
 	if f.Jitter > 0 {
 		wait += time.Duration(inj.rng.Int63n(int64(f.Jitter)))
 	}
-	if f.RatePerSec > 0 {
-		wait += inj.rateWait(linkKey{from, to}, f.RatePerSec)
-	}
 	if wait > 0 {
 		inj.delayed.Add(1)
 	}
@@ -198,7 +180,7 @@ func (inj *Injector) decide(from, to zab.PeerID) (drop bool, wait time.Duration)
 
 // severed reports whether the directed link is currently partitioned
 // or cut, counting the loss. Used for delayed deliveries, which paid
-// their drop coin and rate slot when originally sent.
+// their drop coin when originally sent.
 func (inj *Injector) severed(from, to zab.PeerID) bool {
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
@@ -207,28 +189,6 @@ func (inj *Injector) severed(from, to zab.PeerID) bool {
 		return true
 	}
 	return false
-}
-
-// rateWait charges one message against the link's token bucket and
-// returns how long the message must wait for its slot. Called with
-// inj.mu held.
-func (inj *Injector) rateWait(key linkKey, rate int) time.Duration {
-	now := obs.Now()
-	b, ok := inj.buckets[key]
-	if !ok {
-		b = &bucket{tokens: float64(rate), lastNs: now}
-		inj.buckets[key] = b
-	}
-	b.tokens += float64(now-b.lastNs) * float64(rate) / float64(time.Second)
-	if b.tokens > float64(rate) {
-		b.tokens = float64(rate)
-	}
-	b.lastNs = now
-	b.tokens--
-	if b.tokens >= 0 {
-		return 0
-	}
-	return time.Duration(-b.tokens / float64(rate) * float64(time.Second))
 }
 
 // Stats is a snapshot of the injector's aggregate fault accounting.
@@ -311,7 +271,7 @@ func (t *shim) Send(to zab.PeerID, msg zab.Message) error {
 		// The link may have partitioned while the message was "in
 		// flight"; best-effort loss is the contract either way. Only the
 		// severed state is re-checked — the message already paid its
-		// drop coin and rate-bucket slot at send time.
+		// drop coin at send time.
 		if !t.inj.severed(t.id, to) {
 			_ = t.inner.Send(to, msg)
 		}

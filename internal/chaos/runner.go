@@ -165,7 +165,7 @@ func RunScenario(ctx context.Context, cfg ScenarioConfig) (*Report, error) {
 		cfg:     c,
 		cluster: cluster,
 		inj:     inj,
-		ctl:     &Controller{Inj: inj, Target: ClusterTarget{C: cluster}, Logf: c.Logf},
+		ctl:     &Controller{Inj: inj, Cluster: cluster, Logf: c.Logf},
 		sched:   sched,
 		hist:    &History{},
 	}

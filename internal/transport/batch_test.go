@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -217,6 +218,39 @@ func TestFramedConnLargeFrames(t *testing.T) {
 	}
 	feed(t, a, onWire(want...))
 	recvAll(t, NewFramedConn(b), want)
+}
+
+// TestFramedConnLargeFrameMemoryFollowsBytes: a frame's length is only
+// the peer's claim. A 5-byte stream — a header announcing MaxFrameSize
+// and one body byte — must not make the receiver reserve MaxFrameSize;
+// a frame that does arrive whole past MaxScratchRetain still comes back
+// intact.
+func TestFramedConnLargeFrameMemoryFollowsBytes(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	fc := NewFramedConn(b)
+	// TotalAlloc, not HeapAlloc: what the receive allocates is counted
+	// whether or not a collection has run since.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	go func() {
+		_, _ = a.Write(append(binary.BigEndian.AppendUint32(nil, MaxFrameSize), 'x'))
+		a.Close()
+	}()
+	if _, err := fc.RecvFrame(); err == nil {
+		t.Fatal("a frame cut short after one body byte was delivered")
+	}
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+		t.Fatalf("a 5-byte stream announcing %d bytes made the connection allocate %d", MaxFrameSize, grown)
+	}
+
+	c, d := net.Pipe()
+	defer c.Close()
+	defer d.Close()
+	want := [][]byte{patterned(1, 3*MaxScratchRetain+5), []byte("after")}
+	feed(t, c, onWire(want...))
+	recvAll(t, NewFramedConn(d), want)
 }
 
 // TestSendFramesRejectsOversizedFrameWhole: one oversized frame inside

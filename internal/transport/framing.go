@@ -282,15 +282,27 @@ func (c *FramedConn) fill(need int) error {
 
 // recvLarge reads a frame too big to carve: whatever part of the body
 // is already buffered is copied over and the rest is read from the
-// connection straight into the frame's own allocation.
+// connection straight into the frame's own allocation. The length is
+// only the peer's claim, so memory is taken as the bytes arrive: a frame
+// up to MaxScratchRetain gets its one exact allocation at once, a larger
+// one starts there and doubles as it fills, never holding more than
+// twice what has arrived.
 func (c *FramedConn) recvLarge(n int) ([]byte, error) {
-	payload := make([]byte, n)
-	have := copy(payload, c.rbuf[c.rpos+frameHeaderLen:c.rend])
-	c.rpos += frameHeaderLen + have
-	if _, err := io.ReadFull(c.conn, payload[have:]); err != nil {
-		return nil, fmt.Errorf("transport: read frame body: %w", err)
+	buffered := c.rbuf[c.rpos+frameHeaderLen : c.rend]
+	buffered = buffered[:min(len(buffered), n)]
+	c.rpos += frameHeaderLen + len(buffered)
+	payload := append(make([]byte, 0, min(n, MaxScratchRetain)), buffered...)
+	for {
+		got, err := io.ReadFull(c.conn, payload[len(payload):cap(payload)])
+		payload = payload[:len(payload)+got]
+		if err != nil {
+			return nil, fmt.Errorf("transport: read frame body: %w", err)
+		}
+		if len(payload) == n {
+			return payload, nil
+		}
+		payload = append(make([]byte, 0, min(n, 2*len(payload))), payload...)
 	}
-	return payload, nil
 }
 
 // Close implements Conn.

@@ -29,12 +29,14 @@ func applyFixture(tb testing.TB, keys, spares int) (tr *Tree, held, fresh []stri
 // TestApplyAllocations pins the replicated write path's rule inside the
 // tree: applying a committed transaction allocates nothing but the node
 // a create inserts (and, amortized, its slots in the shard's and the
-// parent's maps). Every replica pays Apply once per write.
+// parent's maps) and a multi's slice of per-op results. Every replica
+// pays Apply once per write.
 func TestApplyAllocations(t *testing.T) {
 	const runs = 200
 	tr, held, fresh := applyFixture(t, runs+1, runs+1)
 	payload := make([]byte, 1024)
 	zxid := int64(1 << 20)
+	cas := casSubs(held, payload)
 	cases := []struct {
 		name string
 		max  float64
@@ -48,6 +50,7 @@ func TestApplyAllocations(t *testing.T) {
 		{"create", 2, func(i int) Txn { return Txn{Type: TxnCreate, Path: fresh[i], Data: payload} }},
 		{"create-exists", 0, func(i int) Txn { return Txn{Type: TxnCreate, Path: held[i], Data: payload} }},
 		{"delete-missing", 0, func(i int) Txn { return Txn{Type: TxnDelete, Path: "/a/never-there", Version: -1} }},
+		{"cas", 1, func(i int) Txn { return Txn{Type: TxnMulti, Subs: cas[i]} }},
 		{"delete", 0, func(i int) Txn { return Txn{Type: TxnDelete, Path: held[i], Version: -1} }},
 	}
 	for _, tc := range cases {
@@ -66,7 +69,7 @@ func TestApplyAllocations(t *testing.T) {
 			t.Errorf("Apply %s: %v allocs per transaction, want at most %v", tc.name, got, tc.max)
 		}
 		switch tc.name {
-		case "set", "check", "sync", "create", "delete":
+		case "set", "check", "sync", "create", "cas", "delete":
 			if failed != wire.ErrOK {
 				t.Errorf("Apply %s failed: %v", tc.name, failed)
 			}
@@ -76,6 +79,17 @@ func TestApplyAllocations(t *testing.T) {
 			}
 		}
 	}
+}
+
+// casSubs returns, per held key, the subs of a compare-and-set multi:
+// a Check and a Set of the key. They are built up front so that an
+// allocation count sees Apply alone.
+func casSubs(held []string, payload []byte) [][]Txn {
+	subs := make([][]Txn, len(held))
+	for i, p := range held {
+		subs[i] = []Txn{{Type: TxnCheck, Path: p, Version: -1}, {Type: TxnSetData, Path: p, Data: payload, Version: -1}}
+	}
+	return subs
 }
 
 // TestApplyAdoptsPayload: the tree keeps a committed transaction's own
@@ -127,7 +141,8 @@ func TestApplyAdoptsPayload(t *testing.T) {
 }
 
 // BenchmarkTreeApply is the bench-gate's view of TestApplyAllocations:
-// allocs/op of applying a committed 1 KiB set, create and delete.
+// allocs/op of applying a committed 1 KiB set, create and delete, and
+// of a compare-and-set multi (a Check and a 1 KiB Set of one key).
 func BenchmarkTreeApply(b *testing.B) {
 	payload := make([]byte, 1024)
 	b.Run("set", func(b *testing.B) {
@@ -144,6 +159,15 @@ func BenchmarkTreeApply(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			tr.Apply(&Txn{Zxid: int64(1<<20 + i), Type: TxnCreate, Path: fresh[i], Data: payload})
+		}
+	})
+	b.Run("cas", func(b *testing.B) {
+		tr, held, _ := applyFixture(b, 1024, 0)
+		cas := casSubs(held, payload)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tr.Apply(&Txn{Zxid: int64(1<<20 + i), Type: TxnMulti, Subs: cas[i%len(cas)]})
 		}
 	})
 	b.Run("delete", func(b *testing.B) {

@@ -1,175 +1,147 @@
 package ztree
 
 import (
-	"sort"
+	"slices"
 
 	"securekeeper/internal/wire"
 )
 
-// This file implements atomic multi-op transactions (TxnMulti): every
-// sub-operation is validated against the tree — including the effects
-// of earlier sub-ops in the same transaction — and then either ALL
-// sub-ops are applied under one zxid or none is. Validation and apply
-// happen with every shard the transaction touches write-locked (in
-// ascending index order, composing with the tree's other lock paths),
-// so no concurrent reader or writer can observe a partially applied
-// transaction; watch dispatch happens after all locks are released,
-// like every other mutation.
+// This file is the tree's one write engine. Every write is a
+// transaction of ops: a lone create, delete, set or check is a
+// transaction of one op, a TxnMulti one of its subs, a session's close
+// one delete per ephemeral node. apply write-locks exactly the shards
+// the ops touch — each op's path, and its parent's for create and
+// delete — in ascending index order, the order lockAll takes too; it
+// checks every op with the one rule function, validate, against an
+// overlay of what the transaction's earlier ops did; then it applies
+// every op under the transaction's zxid, or none. No reader or writer
+// sees a transaction half applied, and watches fire after every lock is
+// released.
 
 // Check verifies a znode exists and, when version >= 0, that its data
 // version matches. It never mutates the tree; inside a multi it is the
 // guard that turns racy read-modify-write sequences into atomic
 // compare-and-commit transactions.
 func (t *Tree) Check(path string, version int32) (*wire.Stat, error) {
-	if err := ValidatePath(path); err != nil {
-		return nil, err
-	}
-	stat, code := t.check(path, version)
-	if code != wire.ErrOK {
-		return nil, code.Error()
-	}
-	return &stat, nil
+	return statOrErr(t.Apply(&Txn{Type: TxnCheck, Path: path, Version: version}))
 }
 
-// check is Check on a validated path.
-func (t *Tree) check(path string, version int32) (wire.Stat, wire.ErrCode) {
-	s := t.shardFor(path)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n, ok := s.nodes[path]
-	if !ok {
-		return wire.Stat{}, wire.ErrNoNode
-	}
-	if version >= 0 && version != n.stat.Version {
-		return wire.Stat{}, wire.ErrBadVersion
-	}
-	return n.stat, wire.ErrOK
-}
-
-// ovNode is one path's simulated state in the validation overlay.
+// ovNode is one path's state as the transaction's earlier ops left it.
 type ovNode struct {
 	exists   bool
 	version  int32
+	children int32
 	eph      int64
-	children int
 }
 
-// overlay tracks the hypothetical tree state produced by the sub-ops
-// validated so far, seeded lazily from the real tree. The caller holds
-// the locks of every shard the sub-ops can touch (lockForSubs), so the
-// direct map reads below are safe.
+// overlay is the tree as the ops validated so far would leave it, read
+// through from the real tree on a path's first use. The caller holds
+// the lock of every shard the ops touch, so the direct map reads are
+// safe. Only later ops read what an op records, so a lone op's overlay
+// has no map; values live in the map, not behind pointers, so a small
+// transaction's map stays on the stack.
 type overlay struct {
 	t     *Tree
-	nodes map[string]*ovNode
+	nodes map[string]ovNode
 }
 
-func (o *overlay) get(path string) *ovNode {
+func (o *overlay) get(path string) ovNode {
 	if n, ok := o.nodes[path]; ok {
 		return n
 	}
-	n := &ovNode{}
-	if real, ok := o.t.shardFor(path).nodes[path]; ok {
-		n.exists = true
-		n.version = real.stat.Version
-		n.eph = real.stat.EphemeralOwner
-		n.children = len(real.children)
+	real, ok := o.t.shardFor(path).nodes[path]
+	if !ok {
+		return ovNode{}
 	}
-	o.nodes[path] = n
-	return n
+	return ovNode{exists: true, version: real.stat.Version, eph: real.stat.EphemeralOwner, children: int32(len(real.children))}
 }
 
-// validateSub checks one sub-op against the overlay and advances the
-// overlay on success. Returns the error code the sub-op would fail
-// with, or ErrOK.
-func (o *overlay) validateSub(sub *Txn) wire.ErrCode {
-	switch sub.Type {
+// validate is the tree's one rule function for a write: it checks op
+// against the overlay and, when op passes, records op's effect there.
+// It returns the code op fails with, or ErrOK.
+func (o *overlay) validate(op *Txn) wire.ErrCode {
+	switch op.Type {
+	case TxnCreate, TxnDelete, TxnSetData, TxnCheck:
+	case TxnError:
+		// An op the leader already rejected during prep (bad path,
+		// sequence-append failure): deterministically aborts the multi.
+		if op.Err != wire.ErrOK {
+			return op.Err
+		}
+		return wire.ErrSystemError
+	default:
+		return wire.ErrUnimplemented
+	}
+	if ValidatePath(op.Path) != nil {
+		return wire.ErrBadArguments
+	}
+	n := o.get(op.Path)
+	switch op.Type {
 	case TxnCheck:
-		if ValidatePath(sub.Path) != nil {
-			return wire.ErrBadArguments
-		}
-		n := o.get(sub.Path)
-		if !n.exists {
+		switch {
+		case !n.exists:
 			return wire.ErrNoNode
-		}
-		if sub.Version >= 0 && sub.Version != n.version {
+		case op.Version >= 0 && op.Version != n.version:
 			return wire.ErrBadVersion
 		}
 		return wire.ErrOK
 
 	case TxnCreate:
-		if ValidatePath(sub.Path) != nil {
-			return wire.ErrBadArguments
-		}
-		if sub.Path == "/" {
+		if op.Path == "/" {
 			return wire.ErrNodeExists
 		}
-		parentPath, _ := SplitPath(sub.Path)
+		parentPath, _ := SplitPath(op.Path)
 		parent := o.get(parentPath)
-		if !parent.exists {
+		switch {
+		case !parent.exists:
 			return wire.ErrNoNode
-		}
-		if parent.eph != 0 {
+		case parent.eph != 0:
 			return wire.ErrNoChildrenForEphemerals
-		}
-		n := o.get(sub.Path)
-		if n.exists {
+		case n.exists:
 			return wire.ErrNodeExists
 		}
-		n.exists = true
-		n.version = 0
-		n.children = 0
-		n.eph = 0
-		if sub.Flags&wire.FlagEphemeral != 0 {
-			n.eph = sub.Session
+		n = ovNode{exists: true}
+		if op.Flags&wire.FlagEphemeral != 0 {
+			n.eph = op.Session
 		}
 		parent.children++
-		return wire.ErrOK
+		o.put(parentPath, parent)
 
 	case TxnDelete:
-		if ValidatePath(sub.Path) != nil || sub.Path == "/" {
+		switch {
+		case op.Path == "/":
 			return wire.ErrBadArguments
-		}
-		n := o.get(sub.Path)
-		if !n.exists {
+		case !n.exists:
 			return wire.ErrNoNode
-		}
-		if sub.Version != -1 && sub.Version != n.version {
+		case op.Version != -1 && op.Version != n.version:
 			return wire.ErrBadVersion
-		}
-		if n.children > 0 {
+		case n.children > 0:
 			return wire.ErrNotEmpty
 		}
 		n.exists = false
-		parentPath, _ := SplitPath(sub.Path)
+		parentPath, _ := SplitPath(op.Path)
 		if parent := o.get(parentPath); parent.exists && parent.children > 0 {
 			parent.children--
+			o.put(parentPath, parent)
 		}
-		return wire.ErrOK
 
 	case TxnSetData:
-		if ValidatePath(sub.Path) != nil {
-			return wire.ErrBadArguments
-		}
-		n := o.get(sub.Path)
-		if !n.exists {
+		switch {
+		case !n.exists:
 			return wire.ErrNoNode
-		}
-		if sub.Version != -1 && sub.Version != n.version {
+		case op.Version != -1 && op.Version != n.version:
 			return wire.ErrBadVersion
 		}
 		n.version++
-		return wire.ErrOK
+	}
+	o.put(op.Path, n)
+	return wire.ErrOK
+}
 
-	case TxnError:
-		// A sub-op the leader already rejected during prep (bad path,
-		// sequence-append failure): deterministically aborts the multi.
-		if sub.Err != wire.ErrOK {
-			return sub.Err
-		}
-		return wire.ErrSystemError
-
-	default:
-		return wire.ErrUnimplemented
+// put records a path's state for the ops after this one, if any.
+func (o *overlay) put(path string, n ovNode) {
+	if o.nodes != nil {
+		o.nodes[path] = n
 	}
 }
 
@@ -179,107 +151,98 @@ type watchFire struct {
 	typ  wire.EventType
 }
 
-// lockForSubs write-locks exactly the shards the transaction's
-// sub-ops can touch (each valid path, plus the parent for create and
-// delete), in ascending index order so it composes with lockPair's and
-// lockAll's ordering. Invalid paths are rejected by validation before
-// any tree access, so their shards need no lock. Returns the unlock
-// function.
-func (t *Tree) lockForSubs(subs []Txn) func() {
-	seen := make(map[uint64]struct{}, 2*len(subs))
-	for i := range subs {
-		sub := &subs[i]
-		if ValidatePath(sub.Path) != nil {
-			continue
-		}
-		switch sub.Type {
+// apply is the tree's one write engine (see the top of this file). It
+// validates and applies ops as one transaction under zxid. On the first
+// failing op the tree is left untouched and apply returns that op's
+// index and code; otherwise it returns ErrOK and, when out is not nil,
+// fills out[i] with op i's result. The ops adopt their Data: the tree
+// keeps each payload slice itself, so the caller must own it and never
+// write to it again.
+//
+// A lone op's bookkeeping — its two shard indexes and two watch fires —
+// stays on the stack.
+func (t *Tree) apply(ops []Txn, zxid int64, out []TxnResult) (failed int, code wire.ErrCode) {
+	var shardBuf [4]uint64
+	shards := shardBuf[:0]
+	for i := range ops {
+		op := &ops[i]
+		switch op.Type {
 		case TxnCreate, TxnDelete:
-			parent, _ := SplitPath(sub.Path)
-			seen[t.shardIndex(parent)] = struct{}{}
-			seen[t.shardIndex(sub.Path)] = struct{}{}
+			if op.Path == "" {
+				continue // no parent: fails validation untouched
+			}
+			parentPath, _ := SplitPath(op.Path)
+			shards = addShard(shards, t.shardIndex(parentPath))
+			fallthrough
 		case TxnSetData, TxnCheck:
-			seen[t.shardIndex(sub.Path)] = struct{}{}
+			shards = addShard(shards, t.shardIndex(op.Path))
 		}
 	}
-	idxs := make([]int, 0, len(seen))
-	for i := range seen {
-		idxs = append(idxs, int(i))
+	for _, s := range shards {
+		t.shards[s].mu.Lock()
 	}
-	sort.Ints(idxs)
-	for _, i := range idxs {
-		t.shards[i].mu.Lock()
+
+	ov := overlay{t: t}
+	if len(ops) > 1 {
+		ov.nodes = make(map[string]ovNode, len(ops))
 	}
-	return func() {
-		for j := len(idxs) - 1; j >= 0; j-- {
-			t.shards[idxs[j]].mu.Unlock()
+	for i := range ops {
+		if code = ov.validate(&ops[i]); code != wire.ErrOK {
+			t.unlockShards(shards)
+			return i, code
 		}
 	}
-}
 
-// applyMulti validates and applies a TxnMulti atomically. On the first
-// failing sub-op the whole transaction aborts with the tree untouched:
-// the failing sub reports its own error and every other sub reports
-// ErrRuntimeInconsistency (ZooKeeper's multi error convention). On
-// success every sub-op is applied under the transaction's single zxid.
-// Only the shards the sub-ops touch are locked, so a 1-path Check+Set
-// CAS contends like a plain Set rather than collapsing the sharded
-// tree into a global lock.
-func (t *Tree) applyMulti(txn *Txn) TxnResult {
-	res := TxnResult{Zxid: txn.Zxid, Subs: make([]TxnResult, len(txn.Subs))}
-
-	unlock := t.lockForSubs(txn.Subs)
-
-	ov := overlay{t: t, nodes: make(map[string]*ovNode, 2*len(txn.Subs))}
-	failed := -1
-	for i := range txn.Subs {
-		if code := ov.validateSub(&txn.Subs[i]); code != wire.ErrOK {
-			failed = i
-			res.Err = code
-			break
-		}
-	}
-	if failed >= 0 {
-		unlock()
-		for i := range res.Subs {
-			res.Subs[i] = TxnResult{Zxid: txn.Zxid, Err: wire.ErrRuntimeInconsistency}
-		}
-		res.Subs[failed].Err = res.Err
-		return res
-	}
-
-	// Validation passed for every sub-op: apply for real through the
-	// SAME mutation cores the standalone ops use (createNodeLocked &
-	// co.), so standalone and in-multi application cannot drift.
-	fires := make([]watchFire, 0, 2*len(txn.Subs))
-	for i := range txn.Subs {
-		sub := &txn.Subs[i]
-		sr := TxnResult{Zxid: txn.Zxid, Path: sub.Path}
-		switch sub.Type {
+	// Every op passed: apply them for real through the mutation cores.
+	var fireBuf [2]watchFire
+	fires := fireBuf[:0]
+	for i := range ops {
+		op := &ops[i]
+		res := TxnResult{Zxid: zxid, Path: op.Path}
+		switch op.Type {
 		case TxnCheck:
-			sr.Stat = t.shardFor(sub.Path).nodes[sub.Path].stat
+			res.Stat = t.shardFor(op.Path).nodes[op.Path].stat
 		case TxnCreate:
-			parentPath, _ := SplitPath(sub.Path)
+			parentPath, _ := SplitPath(op.Path)
 			parent := t.shardFor(parentPath).nodes[parentPath]
-			sr.Stat = t.createNodeLocked(parent, sub.Path, sub.Data, sub.Flags, sub.Session, txn.Zxid)
+			res.Stat = t.createNodeLocked(parent, op.Path, op.Data, op.Flags, op.Session, zxid)
 			fires = append(fires,
-				watchFire{sub.Path, wire.EventNodeCreated},
+				watchFire{op.Path, wire.EventNodeCreated},
 				watchFire{parentPath, wire.EventNodeChildrenChanged})
 		case TxnDelete:
-			t.deleteNodeLocked(t.shardFor(sub.Path).nodes[sub.Path], sub.Path, txn.Zxid)
-			parentPath, _ := SplitPath(sub.Path)
+			t.deleteNodeLocked(t.shardFor(op.Path).nodes[op.Path], op.Path, zxid)
+			parentPath, _ := SplitPath(op.Path)
 			fires = append(fires,
-				watchFire{sub.Path, wire.EventNodeDeleted},
+				watchFire{op.Path, wire.EventNodeDeleted},
 				watchFire{parentPath, wire.EventNodeChildrenChanged})
 		case TxnSetData:
-			sr.Stat = t.setNodeLocked(t.shardFor(sub.Path).nodes[sub.Path], sub.Data, txn.Zxid)
-			fires = append(fires, watchFire{sub.Path, wire.EventNodeDataChanged})
+			res.Stat = t.setNodeLocked(t.shardFor(op.Path).nodes[op.Path], op.Data, zxid)
+			fires = append(fires, watchFire{op.Path, wire.EventNodeDataChanged})
 		}
-		res.Subs[i] = sr
+		if out != nil {
+			out[i] = res
+		}
 	}
-	unlock()
+	t.unlockShards(shards)
 
 	for _, f := range fires {
 		t.watches.trigger(f.path, f.typ)
 	}
-	return res
+	return -1, wire.ErrOK
+}
+
+// addShard adds shard index s to the ascending, duplicate-free list
+// shards.
+func addShard(shards []uint64, s uint64) []uint64 {
+	if i, found := slices.BinarySearch(shards, s); !found {
+		shards = slices.Insert(shards, i, s)
+	}
+	return shards
+}
+
+// unlockShards releases what apply locked, in reverse order.
+func (t *Tree) unlockShards(shards []uint64) {
+	for i := len(shards) - 1; i >= 0; i-- {
+		t.shards[shards[i]].mu.Unlock()
+	}
 }

@@ -10,18 +10,27 @@
 // through unmodified ("the untrusted components handle the ciphertext as
 // a blackbox, i.e. the same as plaintext", §4.1).
 //
+// The tree has one write engine (multi.go): every write is a
+// transaction, checked by one rule function against what its earlier
+// ops did and then applied whole or not at all. A lone create, delete,
+// set or check is a transaction of one op, a multi one of its subs, and
+// a session's close one delete per ephemeral node it owned.
+//
 // Concurrency: the node map is split into path-hash-addressed shards,
 // each guarded by its own RWMutex, so readers and writers touching
-// different subtree regions do not contend on a single lock. Operations
-// that span two nodes (create and delete touch the node and its parent)
-// lock at most two shards, always in ascending shard-index order, which
-// makes deadlock impossible. Watch dispatch always happens after every
-// shard lock is released.
+// different subtree regions do not contend on a single lock. A
+// transaction write-locks exactly the shards its ops touch (each op's
+// node, and its parent for create and delete) in ascending shard-index
+// order, which makes deadlock impossible: a lone set locks one shard, a
+// lone create or delete at most two, a session's close every shard its
+// ephemerals and their parents live in. Watch dispatch always happens
+// after every shard lock is released.
 package ztree
 
 import (
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -129,33 +138,6 @@ func (t *Tree) shardFor(path string) *shard {
 	return &t.shards[t.shardIndex(path)]
 }
 
-// lockPair write-locks the shards holding path a and path b in ascending
-// index order (a single lock when both hash to the same shard) and
-// returns the two shards in argument order, so callers do not re-hash
-// the paths. unlockPair releases them.
-func (t *Tree) lockPair(a, b string) (sa, sb *shard) {
-	i, j := t.shardIndex(a), t.shardIndex(b)
-	sa, sb = &t.shards[i], &t.shards[j]
-	switch {
-	case i == j:
-		sa.mu.Lock()
-	case i < j:
-		sa.mu.Lock()
-		sb.mu.Lock()
-	default:
-		sb.mu.Lock()
-		sa.mu.Lock()
-	}
-	return sa, sb
-}
-
-func unlockPair(sa, sb *shard) {
-	if sb != sa {
-		sb.mu.Unlock()
-	}
-	sa.mu.Unlock()
-}
-
 // lockAll write-locks every shard in index order; unlockAll reverses it.
 func (t *Tree) lockAll() {
 	for i := range t.shards {
@@ -234,54 +216,21 @@ func SplitPath(path string) (parent, name string) {
 // creating transaction. For ephemeral nodes, owner is the session id.
 // The payload is copied: data stays the caller's.
 func (t *Tree) Create(path string, data []byte, flags wire.CreateFlags, owner int64, zxid int64) (*wire.Stat, error) {
-	if err := ValidatePath(path); err != nil {
-		return nil, err
+	return statOrErr(t.Apply(&Txn{Zxid: zxid, Type: TxnCreate, Path: path, Data: cloneBytes(data), Flags: flags, Session: owner}))
+}
+
+// statOrErr is the public mutators' view of a one-op transaction.
+func statOrErr(res TxnResult) (*wire.Stat, error) {
+	if res.Err != wire.ErrOK {
+		return nil, res.Err.Error()
 	}
-	stat, code := t.create(path, cloneBytes(data), flags, owner, zxid)
-	if code != wire.ErrOK {
-		return nil, code.Error()
-	}
+	stat := res.Stat
 	return &stat, nil
 }
 
-// create is Create on a validated path, adopting data: the node keeps
-// the slice itself, so the caller must own it and never write to it
-// again. Apply passes a committed transaction's payload, which is
-// immutable from Submit or decode on; that is how commit log, WAL
-// encoder and the trees of an in-process ensemble share one array.
-func (t *Tree) create(path string, data []byte, flags wire.CreateFlags, owner int64, zxid int64) (wire.Stat, wire.ErrCode) {
-	if path == "/" {
-		return wire.Stat{}, wire.ErrNodeExists
-	}
-	parentPath, _ := SplitPath(path)
-
-	parentShard, childShard := t.lockPair(parentPath, path)
-	parent, ok := parentShard.nodes[parentPath]
-	code := wire.ErrOK
-	switch {
-	case !ok:
-		code = wire.ErrNoNode
-	case parent.stat.EphemeralOwner != 0:
-		code = wire.ErrNoChildrenForEphemerals
-	case childShard.nodes[path] != nil:
-		code = wire.ErrNodeExists
-	}
-	if code != wire.ErrOK {
-		unlockPair(parentShard, childShard)
-		return wire.Stat{}, code
-	}
-	stat := t.createNodeLocked(parent, path, data, flags, owner, zxid)
-	unlockPair(parentShard, childShard)
-
-	t.watches.trigger(path, wire.EventNodeCreated)
-	t.watches.trigger(parentPath, wire.EventNodeChildrenChanged)
-	return stat, wire.ErrOK
-}
-
-// createNodeLocked performs the mutation core of Create: the caller
-// has validated the operation and holds write locks covering both the
-// path's and the parent's shards. Shared by Create and the multi-op
-// apply path so the two can never drift. The node adopts data.
+// createNodeLocked performs the mutation core of a create: apply has
+// validated the op and holds write locks covering both the path's and
+// the parent's shards. The node adopts data.
 func (t *Tree) createNodeLocked(parent *node, path string, data []byte, flags wire.CreateFlags, owner, zxid int64) wire.Stat {
 	_, name := SplitPath(path)
 	now := t.timestamp()
@@ -325,46 +274,12 @@ func (n *node) addChild(name string) {
 // Delete removes a znode if version matches (-1 matches any) and it has
 // no children.
 func (t *Tree) Delete(path string, version int32, zxid int64) error {
-	if err := ValidatePath(path); err != nil {
-		return err
-	}
-	return t.delete(path, version, zxid).Error()
+	return t.Apply(&Txn{Zxid: zxid, Type: TxnDelete, Path: path, Version: version}).Err.Error()
 }
 
-// delete is Delete on a validated path.
-func (t *Tree) delete(path string, version int32, zxid int64) wire.ErrCode {
-	if path == "/" {
-		return wire.ErrBadArguments
-	}
-	parentPath, _ := SplitPath(path)
-
-	parentShard, childShard := t.lockPair(parentPath, path)
-	n, ok := childShard.nodes[path]
-	code := wire.ErrOK
-	switch {
-	case !ok:
-		code = wire.ErrNoNode
-	case version != -1 && version != n.stat.Version:
-		code = wire.ErrBadVersion
-	case len(n.children) > 0:
-		code = wire.ErrNotEmpty
-	}
-	if code != wire.ErrOK {
-		unlockPair(parentShard, childShard)
-		return code
-	}
-	t.deleteNodeLocked(n, path, zxid)
-	unlockPair(parentShard, childShard)
-
-	t.watches.trigger(path, wire.EventNodeDeleted)
-	t.watches.trigger(parentPath, wire.EventNodeChildrenChanged)
-	return wire.ErrOK
-}
-
-// deleteNodeLocked performs the mutation core of Delete: the caller
-// has validated the operation and holds write locks covering both the
-// path's and the parent's shards. Shared by Delete and the multi-op
-// apply path.
+// deleteNodeLocked performs the mutation core of a delete: apply has
+// validated the op and holds write locks covering both the path's and
+// the parent's shards.
 func (t *Tree) deleteNodeLocked(n *node, path string, zxid int64) {
 	parentPath, name := SplitPath(path)
 	delete(t.shardFor(path).nodes, path)
@@ -389,39 +304,12 @@ func (t *Tree) deleteNodeLocked(n *node, path string, zxid int64) {
 // SetData replaces a znode's payload if version matches (-1 matches
 // any). The payload is copied: data stays the caller's.
 func (t *Tree) SetData(path string, data []byte, version int32, zxid int64) (*wire.Stat, error) {
-	if err := ValidatePath(path); err != nil {
-		return nil, err
-	}
-	stat, code := t.setData(path, cloneBytes(data), version, zxid)
-	if code != wire.ErrOK {
-		return nil, code.Error()
-	}
-	return &stat, nil
+	return statOrErr(t.Apply(&Txn{Zxid: zxid, Type: TxnSetData, Path: path, Data: cloneBytes(data), Version: version}))
 }
 
-// setData is SetData on a validated path, adopting data (see create).
-func (t *Tree) setData(path string, data []byte, version int32, zxid int64) (wire.Stat, wire.ErrCode) {
-	s := t.shardFor(path)
-	s.mu.Lock()
-	n, ok := s.nodes[path]
-	if !ok {
-		s.mu.Unlock()
-		return wire.Stat{}, wire.ErrNoNode
-	}
-	if version != -1 && version != n.stat.Version {
-		s.mu.Unlock()
-		return wire.Stat{}, wire.ErrBadVersion
-	}
-	stat := t.setNodeLocked(n, data, zxid)
-	s.mu.Unlock()
-
-	t.watches.trigger(path, wire.EventNodeDataChanged)
-	return stat, wire.ErrOK
-}
-
-// setNodeLocked performs the mutation core of SetData: the caller has
-// validated the operation and holds the node's shard write lock.
-// Shared by SetData and the multi-op apply path. The node adopts data.
+// setNodeLocked performs the mutation core of a set: apply has
+// validated the op and holds the node's shard write lock. The node
+// adopts data.
 func (t *Tree) setNodeLocked(n *node, data []byte, zxid int64) wire.Stat {
 	n.data = data
 	n.stat.Version++
@@ -513,26 +401,31 @@ func (t *Tree) NextSequence(parentPath string) (int32, error) {
 	return n.stat.Cversion, nil
 }
 
-// KillSession deletes all ephemeral nodes owned by a session and returns
-// the deleted paths (deepest first so children go before parents).
+// KillSession closes a session: one transaction deletes every ephemeral
+// node it owns and KillSession returns their paths, deepest first so
+// that children go before parents. Every delete lands before any watch
+// fires, so neither a watcher nor a concurrent reader sees the session
+// half closed. If the transaction fails, nothing is deleted: only a
+// restored snapshot holding a child under an ephemeral node can make it
+// fail, and the tree never writes such a snapshot. (So can a Delete of
+// one of the nodes racing the close, which a replica never runs: it
+// applies every write from one goroutine, in commit order.)
 func (t *Tree) KillSession(sessionID int64, zxid int64) []string {
 	t.ephMu.Lock()
-	set := t.ephemeral[sessionID]
-	paths := make([]string, 0, len(set))
-	for p := range set {
+	paths := make([]string, 0, len(t.ephemeral[sessionID]))
+	for p := range t.ephemeral[sessionID] {
 		paths = append(paths, p)
 	}
 	t.ephMu.Unlock()
-	// Deepest paths first so that (hypothetical) ephemeral parents are
-	// emptied before deletion.
-	sort.Slice(paths, func(i, j int) bool { return len(paths[i]) > len(paths[j]) })
-	deleted := paths[:0]
-	for _, p := range paths {
-		if err := t.Delete(p, -1, zxid); err == nil {
-			deleted = append(deleted, p)
-		}
+	slices.SortFunc(paths, func(a, b string) int { return len(b) - len(a) })
+	ops := make([]Txn, len(paths))
+	for i, p := range paths {
+		ops[i] = Txn{Type: TxnDelete, Path: p, Version: -1}
 	}
-	return deleted
+	if _, code := t.apply(ops, zxid, nil); code != wire.ErrOK {
+		return paths[:0]
+	}
+	return paths
 }
 
 // Count returns the number of znodes including the root.

@@ -149,7 +149,13 @@ type TxnResult struct {
 
 // Apply executes a committed transaction against the tree. Apply is
 // deterministic: given the same tree state and Txn, every replica
-// produces the same result.
+// produces the same result. Every write goes through the one engine,
+// apply: a create, delete, set or check as a transaction of one op, a
+// multi with its subs, a session's close with its ephemerals' deletes.
+//
+// A multi is all-or-nothing: on the first failing sub the tree is
+// untouched, that sub reports its own code and every other sub
+// ErrRuntimeInconsistency (ZooKeeper's multi error convention).
 //
 // The tree adopts txn.Data instead of copying it: a transaction's
 // payload is exact-size, owned by the transaction and immutable from
@@ -160,20 +166,9 @@ func (t *Tree) Apply(txn *Txn) TxnResult {
 	res := TxnResult{Zxid: txn.Zxid, Path: txn.Path}
 	switch txn.Type {
 	case TxnCreate, TxnDelete, TxnSetData, TxnCheck:
-		if ValidatePath(txn.Path) != nil {
-			res.Err = wire.ErrBadArguments
-			break
-		}
-		switch txn.Type {
-		case TxnCreate:
-			res.Stat, res.Err = t.create(txn.Path, txn.Data, txn.Flags, txn.Session, txn.Zxid)
-		case TxnDelete:
-			res.Err = t.delete(txn.Path, txn.Version, txn.Zxid)
-		case TxnSetData:
-			res.Stat, res.Err = t.setData(txn.Path, txn.Data, txn.Version, txn.Zxid)
-		case TxnCheck:
-			res.Stat, res.Err = t.check(txn.Path, txn.Version)
-		}
+		var out [1]TxnResult // left zero when the op fails
+		_, res.Err = t.apply([]Txn{*txn}, txn.Zxid, out[:])
+		res.Stat = out[0].Stat
 	case TxnCloseSession:
 		res.Deleted = t.KillSession(txn.Session, txn.Zxid)
 	case TxnSync:
@@ -184,7 +179,15 @@ func (t *Tree) Apply(txn *Txn) TxnResult {
 	case TxnError:
 		res.Err = txn.Err
 	case TxnMulti:
-		return t.applyMulti(txn)
+		res = TxnResult{Zxid: txn.Zxid, Subs: make([]TxnResult, len(txn.Subs))}
+		failed, code := t.apply(txn.Subs, txn.Zxid, res.Subs)
+		if code != wire.ErrOK {
+			for i := range res.Subs {
+				res.Subs[i] = TxnResult{Zxid: txn.Zxid, Err: wire.ErrRuntimeInconsistency}
+			}
+			res.Subs[failed].Err = code
+			res.Err = code
+		}
 	default:
 		res.Err = wire.ErrUnimplemented
 	}

@@ -159,6 +159,36 @@ func TestMultipleWatchersAllFire(t *testing.T) {
 	}
 }
 
+// TestKillSessionIsOneTransaction: a session's close deletes every one
+// of its ephemerals before any watch fires, so the watcher of one that
+// reads another finds that one gone too, never a half-closed session.
+func TestKillSessionIsOneTransaction(t *testing.T) {
+	tr := New()
+	mustCreate(t, tr, "/app", nil)
+	paths := []string{"/app/a", "/app/b"}
+	for i, p := range paths {
+		if _, err := tr.Create(p, nil, wire.FlagEphemeral, 42, int64(2+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fired := 0
+	for i, p := range paths {
+		other := paths[1-i]
+		tr.Watches().Add(p, wire.WatchData, FuncWatcher(func(ev wire.WatcherEvent) {
+			fired++
+			if _, err := tr.Exists(other); err == nil {
+				t.Errorf("the watch on %s fired with %s still present: the session was half closed", ev.Path, other)
+			}
+		}))
+	}
+	if deleted := tr.KillSession(42, 9); len(deleted) != 2 {
+		t.Fatalf("deleted = %v", deleted)
+	}
+	if fired != 2 {
+		t.Fatalf("%d watches fired, want 2", fired)
+	}
+}
+
 func TestNilWatcherIgnored(t *testing.T) {
 	wm := NewWatchManager()
 	wm.Add("/x", wire.WatchData, nil)
