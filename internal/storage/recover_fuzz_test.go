@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"securekeeper/internal/wire"
@@ -63,46 +62,44 @@ func FuzzLogRecovery(f *testing.F) {
 }
 
 func runOne(t *testing.T, records, tail []byte, split uint8) {
-	{
-		var payloads [][]byte
-		for len(records) >= 2 {
-			n := min(int(binary.BigEndian.Uint16(records)), len(records)-2)
-			payloads = append(payloads, records[2:2+n])
-			records = records[2+n:]
+	var payloads [][]byte
+	for len(records) >= 2 {
+		n := min(int(binary.BigEndian.Uint16(records)), len(records)-2)
+		payloads = append(payloads, records[2:2+n])
+		records = records[2+n:]
+	}
+	segments := [][][]byte{payloads}
+	if s := int(split & 0x7f); s > 0 && s < len(payloads) {
+		segments = [][][]byte{payloads[:s], payloads[s:]}
+	}
+	tailAt := len(segments) - 1
+	if split&0x80 != 0 {
+		tailAt = 0
+	}
+	dir := t.TempDir()
+	for i, seg := range segments {
+		var b []byte
+		for _, p := range seg {
+			b = appendRecord(b, p)
 		}
-		segments := [][][]byte{payloads}
-		if s := int(split & 0x7f); s > 0 && s < len(payloads) {
-			segments = [][][]byte{payloads[:s], payloads[s:]}
+		if i == tailAt {
+			b = append(b, tail...)
 		}
-		tailAt := len(segments) - 1
-		if split&0x80 != 0 {
-			tailAt = 0
+		if err := os.WriteFile(filepath.Join(dir, segmentName(int64(i+1))), b, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		dir := t.TempDir()
-		for i, seg := range segments {
-			var b []byte
-			for _, p := range seg {
-				b = appendRecord(b, p)
-			}
-			if i == tailAt {
-				b = append(b, tail...)
-			}
-			if err := os.WriteFile(filepath.Join(dir, segmentName(int64(i+1))), b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
+	}
 
-		zxid, digest, err := recoverDir(t, dir)
-		if err != nil {
-			if !errors.Is(err, ErrCorruptRecord) && !strings.HasPrefix(err.Error(), "storage: replay decode: ") {
-				t.Fatalf("recovery failed with neither ErrCorruptRecord nor a decode error: %v", err)
-			}
-			return
+	zxid, digest, err := recoverDir(t, dir)
+	if err != nil {
+		if !errors.Is(err, ErrCorruptRecord) && !errors.Is(err, errReplayDecode) {
+			t.Fatalf("recovery failed with neither ErrCorruptRecord nor a decode error: %v", err)
 		}
-		again, digestAgain, err := recoverDir(t, dir)
-		if err != nil || again != zxid || digestAgain != digest {
-			t.Fatalf("second recovery: zxid %d digest %#x, %v; the first recovered zxid %d digest %#x", again, digestAgain, err, zxid, digest)
-		}
+		return
+	}
+	again, digestAgain, err := recoverDir(t, dir)
+	if err != nil || again != zxid || digestAgain != digest {
+		t.Fatalf("second recovery: zxid %d digest %#x, %v; the first recovered zxid %d digest %#x", again, digestAgain, err, zxid, digest)
 	}
 }
 

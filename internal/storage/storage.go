@@ -47,6 +47,9 @@ var (
 	ErrCorruptRecord = errors.New("storage: corrupt log record")
 	ErrNoSnapshot    = errors.New("storage: no snapshot found")
 	ErrClosed        = errors.New("storage: persister closed")
+
+	// errReplayDecode wraps the decode error of a CRC-valid log record.
+	errReplayDecode = errors.New("storage: replay decode")
 )
 
 const (
@@ -402,7 +405,7 @@ func scanSegment(path string, fn func(txn *ztree.Txn) error) (int64, bool, error
 		if fn != nil {
 			var txn ztree.Txn
 			if err := wire.Unmarshal(payload, &txn); err != nil {
-				return valid, false, fmt.Errorf("storage: replay decode: %w", err)
+				return valid, false, fmt.Errorf("%w: %w", errReplayDecode, err)
 			}
 			if err := fn(&txn); err != nil {
 				return valid, false, err

@@ -30,7 +30,6 @@ package ztree
 import (
 	"fmt"
 	"hash/maphash"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -417,7 +416,7 @@ func (t *Tree) KillSession(sessionID int64, zxid int64) []string {
 		paths = append(paths, p)
 	}
 	t.ephMu.Unlock()
-	slices.SortFunc(paths, func(a, b string) int { return len(b) - len(a) })
+	sort.Slice(paths, func(i, j int) bool { return len(paths[i]) > len(paths[j]) })
 	ops := make([]Txn, len(paths))
 	for i, p := range paths {
 		ops[i] = Txn{Type: TxnDelete, Path: p, Version: -1}
