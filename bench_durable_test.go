@@ -1,19 +1,23 @@
 package securekeeper_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"securekeeper/internal/client"
+	"securekeeper/internal/obs"
 	"securekeeper/internal/server"
 	"securekeeper/internal/transport"
 	"securekeeper/internal/zab"
 )
 
-// newDurableBenchReplica boots a single durable replica backed by dir.
-func newDurableBenchReplica(b *testing.B, dir string) *server.Replica {
+// newDurableBenchReplica boots a single durable replica backed by dir,
+// reporting to reg.
+func newDurableBenchReplica(b *testing.B, dir string, reg *obs.Registry) *server.Replica {
 	b.Helper()
 	net := zab.NewNetwork()
 	r := server.NewReplica(server.Config{
@@ -26,6 +30,7 @@ func newDurableBenchReplica(b *testing.B, dir string) *server.Replica {
 		// Steady-state log appends only: snapshot churn would measure
 		// tree serialization, not the commit path.
 		SnapshotEvery: 1 << 30,
+		Obs:           reg,
 	})
 	b.Cleanup(func() {
 		r.Close()
@@ -65,7 +70,8 @@ func BenchmarkDurableCommit(b *testing.B) {
 	for _, writers := range []int{1, 8, 64} {
 		writers := writers
 		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
-			r := newDurableBenchReplica(b, b.TempDir())
+			reg := obs.NewRegistry()
+			r := newDurableBenchReplica(b, b.TempDir(), reg)
 			payload := make([]byte, 128)
 			cls := make([]*client.Client, writers)
 			for i := range cls {
@@ -74,7 +80,7 @@ func BenchmarkDurableCommit(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			before := r.Persister().Stats()
+			fsyncs, txns := fsyncTally(b, reg)
 
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -104,10 +110,34 @@ func BenchmarkDurableCommit(b *testing.B) {
 			wg.Wait()
 			b.StopTimer()
 
-			st := r.Persister().Stats()
-			if fsyncs := st.Fsyncs - before.Fsyncs; fsyncs > 0 {
-				b.ReportMetric(float64(st.Records-before.Records)/float64(fsyncs), "txns/fsync")
+			fsyncsAfter, txnsAfter := fsyncTally(b, reg)
+			if n := fsyncsAfter - fsyncs; n > 0 {
+				b.ReportMetric((txnsAfter-txns)/n, "txns/fsync")
 			}
 		})
 	}
+}
+
+// fsyncTally reads storage_txns_per_fsync from reg: its count is the
+// group-commit fsyncs so far, its sum the transactions they covered.
+func fsyncTally(b *testing.B, reg *obs.Registry) (fsyncs, txns float64) {
+	b.Helper()
+	var buf bytes.Buffer
+	if err := reg.WriteJSON(&buf); err != nil {
+		b.Fatal(err)
+	}
+	var metrics []struct {
+		Name  string
+		Count *int64
+		Sum   *float64
+	}
+	if err := json.Unmarshal(buf.Bytes(), &metrics); err != nil {
+		b.Fatal(err)
+	}
+	for _, m := range metrics {
+		if m.Name == "storage_txns_per_fsync" && m.Count != nil {
+			return float64(*m.Count), *m.Sum
+		}
+	}
+	return 0, 0
 }

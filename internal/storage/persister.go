@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,11 +8,6 @@ import (
 	"securekeeper/internal/obs"
 	"securekeeper/internal/ztree"
 )
-
-// keepSnapshots is how many recovery points survive a purge: the
-// newest is the normal recovery point, the older ones are fallbacks
-// for the corrupt-newest case in LoadLatestSnapshot.
-const keepSnapshots = 3
 
 // PersisterConfig configures Recover.
 type PersisterConfig struct {
@@ -29,23 +23,10 @@ type PersisterConfig struct {
 	Obs *obs.Registry
 }
 
-// PersistStats is a snapshot of the persister's counters. The
-// interesting derived figure is Records/Fsyncs — the mean group-commit
-// batch size, i.e. how many concurrent writers shared each fsync.
-type PersistStats struct {
-	Records   int64 // transactions made durable
-	Fsyncs    int64 // fsync calls that covered them
-	Batches   int64 // commit batches processed (== Fsyncs incl. barrier-only)
-	MaxBatch  int64 // largest single batch
-	Snapshots int64 // snapshots written
-	Rotations int64 // log segments sealed
-	Segments  int64 // log segments created
-}
-
-// commitReq is one unit of work queued for the commit-log goroutine.
+// commitReq is one unit of work queued for the commit-log goroutine: a
+// transaction to log, or a state-transfer snapshot to publish.
 type commitReq struct {
-	txn    ztree.Txn
-	hasTxn bool
+	txn ztree.Txn
 	// done is invoked exactly once, after the fsync that made txn
 	// durable (or with the failure that prevented it). May be called
 	// from the commit-log goroutine; must not block.
@@ -54,8 +35,9 @@ type commitReq struct {
 	// enqueue time, consistent with exactly the records up to snapZxid.
 	snap     *ztree.Snapshot
 	snapZxid int64
-	// snapDone reports the snapshot's own outcome (forced snapshots).
-	snapDone func(error)
+	// transferDone marks a state-transfer snapshot, which carries no
+	// txn, and reports its outcome.
+	transferDone func(error)
 	// enqNs is the obs.Now() stamp taken at enqueue, for the
 	// commit-wait histogram (Record → covering fsync returned).
 	enqNs int64
@@ -73,26 +55,18 @@ type commitReq struct {
 // replica layer reacts by dropping into degraded read-only mode — it
 // must never acknowledge a commit it can no longer store.
 type Persister struct {
-	dir           string
 	log           *Log
 	tree          *ztree.Tree
 	snapshotEvery int
 
-	mu          sync.Mutex
-	queue       []commitReq
-	sinceSnap   int
-	lastApplied int64
-	failure     error
-	closed      bool
+	mu        sync.Mutex
+	queue     []commitReq
+	sinceSnap int
+	failure   error
+	closed    bool
 
 	kick     chan struct{} // 1-buffered wakeup for the commit loop
 	loopDone chan struct{}
-
-	records   atomic.Int64
-	fsyncs    atomic.Int64
-	batches   atomic.Int64
-	maxBatch  atomic.Int64
-	snapshots atomic.Int64
 
 	// Live metrics (nil instruments are no-ops when no registry is wired).
 	fsyncHist  *obs.Histogram // storage_fsync_seconds
@@ -107,45 +81,18 @@ type Persister struct {
 }
 
 // Recover restores state from dir — latest valid snapshot, then every
-// log record above it — into cfg.Tree, and returns a running Persister
-// plus the highest zxid recovered. A fresh directory recovers to zxid
-// 0. Replay is idempotent with respect to snapshots: records at or
-// below the snapshot's zxid are skipped.
+// log record above it — into cfg.Tree through OpenLog on the operating
+// system's file system, and returns a running Persister plus the
+// highest zxid recovered. A fresh directory recovers to zxid 0.
 func Recover(cfg PersisterConfig) (*Persister, int64, error) {
-	var lastZxid int64
-	snap, zxid, err := LoadLatestSnapshot(cfg.Dir)
-	switch {
-	case err == nil:
-		cfg.Tree.Restore(snap)
-		lastZxid = zxid
-	case err == ErrNoSnapshot:
-		// fresh start
-	default:
-		return nil, 0, err
-	}
-	snapZxid := lastZxid
-	if err := ReplayLog(cfg.Dir, func(txn *ztree.Txn) error {
-		if txn.Zxid <= snapZxid {
-			return nil // already reflected in the snapshot
-		}
-		cfg.Tree.Apply(txn)
-		if txn.Zxid > lastZxid {
-			lastZxid = txn.Zxid
-		}
-		return nil
-	}); err != nil {
-		return nil, 0, err
-	}
-	log, err := OpenLogSegmented(cfg.Dir, cfg.SegmentBytes)
+	log, lastZxid, err := OpenLog(osFS{}, cfg.Dir, cfg.SegmentBytes, cfg.Tree.Restore, func(txn *ztree.Txn) { cfg.Tree.Apply(txn) })
 	if err != nil {
 		return nil, 0, err
 	}
 	p := &Persister{
-		dir:           cfg.Dir,
 		log:           log,
 		tree:          cfg.Tree,
 		snapshotEvery: cfg.SnapshotEvery,
-		lastApplied:   lastZxid,
 		kick:          make(chan struct{}, 1),
 		loopDone:      make(chan struct{}),
 	}
@@ -185,10 +132,7 @@ func (p *Persister) Record(txn *ztree.Txn, done func(error)) {
 		}
 		return
 	}
-	req := commitReq{txn: *txn, hasTxn: true, done: done, enqNs: obs.Now()}
-	if txn.Zxid > p.lastApplied {
-		p.lastApplied = txn.Zxid
-	}
+	req := commitReq{txn: *txn, done: done, enqNs: obs.Now()}
 	p.sinceSnap++
 	if p.snapshotEvery > 0 && p.sinceSnap >= p.snapshotEvery {
 		req.snap = p.tree.Snapshot()
@@ -200,32 +144,13 @@ func (p *Persister) Record(txn *ztree.Txn, done func(error)) {
 	p.wake()
 }
 
-// RecordSync is Record + wait: it returns once txn is on disk. Handy
-// for tests and callers without a completion pipeline.
-func (p *Persister) RecordSync(txn *ztree.Txn) error {
-	ch := make(chan error, 1)
-	p.Record(txn, func(err error) { ch <- err })
-	return <-ch
-}
-
-// Flush blocks until everything enqueued before it is durable.
-func (p *Persister) Flush() error {
-	ch := make(chan error, 1)
-	p.mu.Lock()
-	if err := p.deadLocked(); err != nil {
-		p.mu.Unlock()
-		return err
-	}
-	p.queue = append(p.queue, commitReq{done: func(err error) { ch <- err }})
-	p.mu.Unlock()
-	p.wake()
-	return <-ch
-}
-
-// Snapshot captures the tree now, labels it zxid, and blocks until it
-// is durably written (and superseded segments purged). Used after a
-// state transfer: the restored tree must be persisted even though its
-// transactions never traversed this replica's log.
+// Snapshot installs the tree as it is now, as of zxid, as this
+// replica's whole history on disk, and blocks until it is published:
+// the log and every other snapshot go (see Log.Snapshot). Used after a
+// state transfer: the restored tree's transactions never traversed this
+// replica's log, and the records it holds above zxid were rolled back.
+// Like Record, it is called from the single apply goroutine, so nothing
+// is recorded behind it before it returns.
 func (p *Persister) Snapshot(zxid int64) error {
 	snap := p.tree.Snapshot()
 	ch := make(chan error, 1)
@@ -234,25 +159,15 @@ func (p *Persister) Snapshot(zxid int64) error {
 		p.mu.Unlock()
 		return err
 	}
-	if zxid > p.lastApplied {
-		p.lastApplied = zxid
-	}
 	p.sinceSnap = 0
 	p.queue = append(p.queue, commitReq{
-		snap:     snap,
-		snapZxid: zxid,
-		snapDone: func(err error) { ch <- err },
+		snap:         snap,
+		snapZxid:     zxid,
+		transferDone: func(err error) { ch <- err },
 	})
 	p.mu.Unlock()
 	p.wake()
 	return <-ch
-}
-
-// LastApplied reports the highest zxid recorded or recovered.
-func (p *Persister) LastApplied() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lastApplied
 }
 
 // Err reports the sticky persistence failure, nil while healthy.
@@ -260,20 +175,6 @@ func (p *Persister) Err() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.failure
-}
-
-// Stats returns a snapshot of the persister's counters.
-func (p *Persister) Stats() PersistStats {
-	rot, segs := p.log.counters()
-	return PersistStats{
-		Records:   p.records.Load(),
-		Fsyncs:    p.fsyncs.Load(),
-		Batches:   p.batches.Load(),
-		MaxBatch:  p.maxBatch.Load(),
-		Snapshots: p.snapshots.Load(),
-		Rotations: rot,
-		Segments:  segs,
-	}
 }
 
 // Close drains the queue, seals the log, and stops the commit loop.
@@ -343,12 +244,11 @@ func (p *Persister) commitBatch(batch []commitReq) {
 	txns := 0
 	if err == nil {
 		for i := range batch {
-			if !batch[i].hasTxn {
+			if batch[i].transferDone != nil {
 				continue
 			}
 			txns++
-			if aerr := p.log.Append(&batch[i].txn); aerr != nil {
-				err = aerr
+			if err = p.log.Append(&batch[i].txn); err != nil {
 				break
 			}
 		}
@@ -362,81 +262,44 @@ func (p *Persister) commitBatch(batch []commitReq) {
 		}
 	}
 	if err == nil {
-		p.records.Add(int64(txns))
-		p.fsyncs.Add(1)
-		p.batches.Add(1)
 		p.txnsHist.Observe(int64(txns))
-		if n := int64(txns); n > p.maxBatch.Load() {
-			p.maxBatch.Store(n)
-		}
 	} else {
 		p.fail(err)
 	}
 	durableNs := obs.Now()
 	for i := range batch {
 		if batch[i].done != nil {
-			if batch[i].hasTxn {
-				p.commitWait.Observe(durableNs - batch[i].enqNs)
-			}
+			p.commitWait.Observe(durableNs - batch[i].enqNs)
 			batch[i].done(err)
 		}
 	}
 
-	// Snapshot handling: only the LAST snapshot in the batch needs
-	// writing — recovery always prefers the newest — and it covers the
-	// intent of every earlier one.
-	var snap *ztree.Snapshot
-	var snapZxid int64
+	// Only the LAST snapshot in the batch needs writing — recovery
+	// always prefers the newest — and it covers the intent of every
+	// earlier one. A state transfer is always last: nothing is recorded
+	// behind it until it is published.
+	var last *commitReq
 	for i := range batch {
 		if batch[i].snap != nil {
-			snap = batch[i].snap
-			snapZxid = batch[i].snapZxid
+			last = &batch[i]
 		}
 	}
-	var snapErr error
-	if err != nil {
-		snapErr = err
-	} else if snap != nil {
-		snapErr = p.writeSnapshotAndPurge(snap, snapZxid)
-		if snapErr != nil {
+	snapErr := err
+	if err == nil && last != nil {
+		if snapErr = p.log.Snapshot(last.snap, last.snapZxid, last.transferDone != nil); snapErr != nil {
 			p.fail(snapErr)
 		}
 	}
 	for i := range batch {
-		if batch[i].snapDone != nil {
-			batch[i].snapDone(snapErr)
+		if batch[i].transferDone != nil {
+			batch[i].transferDone(snapErr)
 		}
 	}
 }
 
-// writeSnapshotAndPurge publishes a snapshot and reclaims space: the
-// active log segment is sealed (so a later purge can remove it once a
-// snapshot covers it), snapshots beyond the retention window are
-// dropped, and every log segment fully below the OLDEST retained
-// snapshot goes with them — older segments can never be needed again,
-// because even the corrupt-newest fallback path starts at that
-// snapshot.
-func (p *Persister) writeSnapshotAndPurge(snap *ztree.Snapshot, zxid int64) error {
-	if err := WriteSnapshot(p.dir, snap, zxid); err != nil {
-		return err
-	}
-	p.snapshots.Add(1)
-	if err := p.log.Rotate(); err != nil {
-		return err
-	}
-	oldest, err := PurgeSnapshots(p.dir, keepSnapshots)
-	if err != nil {
-		return fmt.Errorf("storage: purge snapshots: %w", err)
-	}
-	if _, err := PurgeSegments(p.dir, oldest); err != nil {
-		return err
-	}
-	return nil
-}
-
 // Fail injects a sticky persistence failure (fault injection for
-// tests and operators): every subsequent Record, Flush and Snapshot
-// fails fast with err, as if the disk had died.
+// tests and operators): every subsequent Record and Snapshot fails
+// fast with err, as if the disk had died.
 func (p *Persister) Fail(err error) { p.fail(err) }
 
 // StallFsync injects (or, with d <= 0, clears) an fsync stall: every

@@ -2,7 +2,12 @@
 // ZooKeeper's on-disk format: a segmented, CRC-checked write-ahead
 // transaction log and periodic tree snapshots that let old log
 // segments be purged. On restart a replica restores the latest valid
-// snapshot and replays the log records above it, in zxid order.
+// snapshot and replays the log records above it, in zxid order; OpenLog
+// is that one recovery pass.
+//
+// Every file operation goes through FS, which holds exactly the calls
+// the package makes. Recover runs it on the operating system; the zab
+// simulator runs the same code on an in-memory FS that crashes.
 //
 // Crash semantics:
 //
@@ -16,6 +21,9 @@
 //     final) segment, which was fsynced before the next segment was
 //     created — cannot be a torn write and is reported as a hard
 //     error rather than silently losing acknowledged state.
+//   - A snapshot installed by a state transfer replaces the history on
+//     disk: the log and every other snapshot go with it, so no recovery
+//     replays a record the transfer rolled back.
 //
 // Under SecureKeeper, everything written here is ciphertext already
 // (paths and payloads were encrypted by the entry enclaves before they
@@ -29,13 +37,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"securekeeper/internal/wire"
@@ -45,7 +51,6 @@ import (
 // Storage errors.
 var (
 	ErrCorruptRecord = errors.New("storage: corrupt log record")
-	ErrNoSnapshot    = errors.New("storage: no snapshot found")
 	ErrClosed        = errors.New("storage: persister closed")
 
 	// errReplayDecode wraps the decode error of a CRC-valid log record.
@@ -66,149 +71,250 @@ const (
 	// maxBufRetain bounds the record buffer a log keeps between syncs;
 	// one outsized group commit does not pin its size for good.
 	maxBufRetain = 1 << 20
+
+	// keepSnapshots is how many recovery points survive a purge: the
+	// newest is the normal recovery point, the older ones are fallbacks
+	// for a corrupt newest one.
+	keepSnapshots = 3
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // corruptRecords counts tolerated corruption events — torn final-
 // segment tails dropped by replay and corrupt snapshots skipped during
-// restore. It is package-level (recovery runs through package
-// functions before any Persister exists) and process-wide; a non-zero
-// value during a run that saw no crash means silent data damage, which
-// the smoke harness turns into a failure. Hard corruption errors are
-// not counted here: they already fail the open loudly.
+// restore. It is package-level (recovery runs before any Persister
+// exists) and process-wide; a non-zero value during a run that saw no
+// crash means silent data damage, which the smoke harness turns into a
+// failure. Hard corruption errors are not counted here: they already
+// fail the open loudly.
 var corruptRecords atomic.Int64
 
 // CorruptRecords reports the tolerated-corruption events seen by this
 // process (exposed as storage_corrupt_records_total).
 func CorruptRecords() int64 { return corruptRecords.Load() }
 
-// segmentName renders the file name of the segment whose first record
-// carries zxid: fixed-width hex, so lexical order is zxid order.
-func segmentName(zxid int64) string {
-	return fmt.Sprintf("%s%016x", segPrefix, uint64(zxid))
+// FS is the file system the package works through: exactly the calls
+// it makes, on the names of one directory.
+type FS interface {
+	// OpenFile opens name with the given os.O_* flags.
+	OpenFile(name string, flag int) (File, error)
+	ReadFile(name string) ([]byte, error)
+	// ReadDir lists the names in dir, creating it when it is missing.
+	ReadDir(dir string) ([]string, error)
+	Rename(oldname, newname string) error
+	Remove(name string) error
+	// SyncDir makes the names created, renamed and removed in dir
+	// durable: without it a fresh segment or a published snapshot can
+	// exist in memory only, its data durable but not the name.
+	SyncDir(dir string) error
 }
 
-// segmentInfo is one on-disk log segment.
-type segmentInfo struct {
-	name      string
-	firstZxid int64
+// File is an open file of an FS.
+type File interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
 }
 
-// listSegments returns dir's log segments in replay (zxid) order.
-func listSegments(dir string) ([]segmentInfo, error) {
-	entries, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
+// osFS is the operating system's file system.
+type osFS struct{}
+
+func (osFS) OpenFile(name string, flag int) (File, error) {
+	f, err := os.OpenFile(name, flag, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("storage: read dir: %w", err)
+		return nil, err
 	}
-	var segs []segmentInfo
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, segPrefix) {
-			continue
-		}
-		z, err := strconv.ParseUint(strings.TrimPrefix(name, segPrefix), 16, 64)
-		if err != nil {
-			continue // not a segment name
-		}
-		segs = append(segs, segmentInfo{name: name, firstZxid: int64(z)})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].firstZxid < segs[j].firstZxid })
-	return segs, nil
+	return f, nil
 }
 
-// fsyncDir flushes directory metadata so a just-created, renamed or
-// removed name survives a crash. Without it, a snapshot rename or a
-// fresh segment can exist in memory only: the file's data is durable
-// but the name pointing at it is not.
-func fsyncDir(dir string) error {
+func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+func (osFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
+func (osFS) Remove(name string) error             { return os.Remove(name) }
+
+func (osFS) ReadDir(dir string) ([]string, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	entries, err := os.ReadDir(dir)
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names, err
+}
+
+func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return fmt.Errorf("storage: open dir for fsync: %w", err)
+		return err
 	}
 	err = d.Sync()
 	if cerr := d.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		return fmt.Errorf("storage: fsync dir: %w", err)
-	}
-	return nil
+	return err
 }
 
-// Log is the segmented append-only transaction log. Appends go to the
-// active segment; when it exceeds the rotation threshold (or Rotate is
-// called, e.g. after a snapshot) the segment is fsynced, sealed, and
-// the next append opens a new one named by its first record's zxid.
-// Safe for one appender and concurrent readers of sealed state; all
-// methods are internally serialized.
+// segmentName and snapshotName render a file name from the zxid of the
+// segment's first record or the snapshot's last: fixed-width hex, so
+// lexical order is zxid order.
+func segmentName(zxid int64) string  { return fmt.Sprintf("%s%016x", segPrefix, uint64(zxid)) }
+func snapshotName(zxid int64) string { return fmt.Sprintf("%s%016x", snapPrefix, uint64(zxid)) }
+
+// parseName returns the zxid in a name of the form prefix + 16 hex digits.
+func parseName(name, prefix string) (int64, bool) {
+	hex, ok := strings.CutPrefix(name, prefix)
+	if !ok || len(hex) != 16 {
+		return 0, false
+	}
+	z, err := strconv.ParseUint(hex, 16, 64)
+	return int64(z), err == nil
+}
+
+// Log is one replica's storage directory: the segmented append-only
+// transaction log and the snapshots beside it. Appends go to the active
+// segment; when it exceeds the rotation threshold (or a snapshot is
+// published) the segment is fsynced, sealed, and the next append opens
+// a new one named by its first record's zxid. Not safe for concurrent
+// use: a Persister's commit goroutine is its one user.
 type Log struct {
-	mu           sync.Mutex
+	fs           FS
 	dir          string
 	segmentBytes int64
-	file         *os.File // active segment; nil until the next Append opens one
-	size         int64    // bytes written to the active segment
-	buf          []byte   // records appended since the last write, encoded
-
-	rotations int64
-	segments  int64 // segments created by this instance
+	file         File   // active segment; nil until the next Append opens one
+	size         int64  // bytes written to the active segment
+	buf          []byte // records appended since the last write, encoded
 }
 
-// OpenLogSegmented opens (creating dir if needed) the segmented log.
-// segmentBytes <= 0 selects DefaultSegmentBytes. A torn record at the
-// tail of the last segment — the only place a crash can leave one —
-// is truncated away so appends resume from the last durable record.
-func OpenLogSegmented(dir string, segmentBytes int64) (*Log, error) {
+func (l *Log) path(name string) string { return filepath.Join(l.dir, name) }
+
+// list scans the directory once: the zxids of its snapshots and of its
+// log segments, each ascending. A name it cannot parse — snap.tmp, a
+// stray snapshot.bak — is not storage's, and is ignored.
+func (l *Log) list() (snaps, segs []int64, err error) {
+	names, err := l.fs.ReadDir(l.dir)
+	if err != nil {
+		return nil, nil, fmt.Errorf("storage: read dir: %w", err)
+	}
+	for _, name := range names {
+		if z, ok := parseName(name, snapPrefix); ok {
+			snaps = append(snaps, z)
+		} else if z, ok := parseName(name, segPrefix); ok {
+			segs = append(segs, z)
+		}
+	}
+	slices.Sort(snaps)
+	slices.Sort(segs)
+	return snaps, segs, nil
+}
+
+// OpenLog is the one recovery pass over dir. It lists the directory
+// once, hands the newest valid snapshot to restore (an older one when
+// the newest is corrupt), then every later log record to apply, in zxid
+// order, reading each segment once. A torn record at the tail of the
+// final segment — the only place a crash can leave one — is dropped and
+// truncated away. It returns the log, open for appending behind the
+// last whole record, and the highest zxid recovered (0 for a fresh
+// directory). segmentBytes <= 0 selects DefaultSegmentBytes.
+func OpenLog(fsys FS, dir string, segmentBytes int64, restore func(*ztree.Snapshot), apply func(*ztree.Txn)) (*Log, int64, error) {
 	if segmentBytes <= 0 {
 		segmentBytes = DefaultSegmentBytes
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("storage: mkdir: %w", err)
-	}
-	l := &Log{dir: dir, segmentBytes: segmentBytes}
-	segs, err := listSegments(dir)
+	l := &Log{fs: fsys, dir: dir, segmentBytes: segmentBytes}
+	snaps, segs, err := l.list()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if len(segs) == 0 {
-		return l, nil
-	}
-	// Repair the final segment: scan it, drop a torn tail, and keep
-	// appending to it. Mid-segment corruption is NOT repairable — it
-	// would mean acknowledged records are gone — so it fails the open.
-	last := filepath.Join(dir, segs[len(segs)-1].name)
-	valid, _, err := scanSegment(last, nil)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(last, os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: open segment: %w", err)
-	}
-	info, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("storage: stat segment: %w", err)
-	}
-	if info.Size() > valid {
-		if err := f.Truncate(valid); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("storage: truncate torn tail: %w", err)
+	var last int64
+	for i := len(snaps) - 1; i >= 0; i-- {
+		snap, zxid, err := l.readSnapshot(snaps[i])
+		if err == nil {
+			restore(snap)
+			last = zxid
+			break
 		}
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("storage: sync repaired segment: %w", err)
+		corruptRecords.Add(1) // corrupt snapshot skipped; older one tried
+		if i == 0 {
+			return nil, 0, fmt.Errorf("storage: all %d snapshots corrupt: %w", len(snaps), ErrCorruptRecord)
 		}
 	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("storage: seek segment end: %w", err)
+	from := last // records at or below it are in the snapshot
+	for i, first := range segs {
+		name, final := segmentName(first), i == len(segs)-1
+		buf, err := fsys.ReadFile(l.path(name))
+		if err != nil {
+			return nil, 0, fmt.Errorf("storage: read segment: %w", err)
+		}
+		valid, clean, err := scanSegment(buf, func(txn *ztree.Txn) {
+			if txn.Zxid > from {
+				apply(txn)
+				last = max(last, txn.Zxid)
+			}
+		})
+		switch {
+		case err != nil:
+			return nil, 0, fmt.Errorf("%w in %s", err, name)
+		case !clean && !final:
+			return nil, 0, fmt.Errorf("%w: torn record in sealed segment %s", ErrCorruptRecord, name)
+		case !clean:
+			corruptRecords.Add(1) // tolerated torn tail on the final segment
+		}
+		if final {
+			f, err := fsys.OpenFile(l.path(name), os.O_WRONLY|os.O_APPEND)
+			if err == nil && valid < len(buf) {
+				if err = f.Truncate(int64(valid)); err == nil {
+					err = f.Sync()
+				}
+			}
+			if err != nil {
+				if f != nil {
+					_ = f.Close()
+				}
+				return nil, 0, fmt.Errorf("storage: repair segment %s: %w", name, err)
+			}
+			l.file, l.size = f, int64(valid)
+		}
 	}
-	l.file, l.size = f, valid
-	return l, nil
+	return l, last, nil
+}
+
+// scanSegment hands each whole, CRC-valid record at the front of buf to
+// fn and returns the bytes they span and whether buf ends there
+// (clean=false means a torn tail follows: a short header, a short
+// payload, or a CRC mismatch with nothing after it). Corruption that
+// cannot be a torn tail — a bad record with more data following, an
+// impossible length, an undecodable valid-CRC payload — is an error.
+func scanSegment(buf []byte, fn func(txn *ztree.Txn)) (valid int, clean bool, err error) {
+	for valid < len(buf) {
+		rest := buf[valid:]
+		if len(rest) < recordHeader {
+			return valid, false, nil // torn header
+		}
+		n := binary.BigEndian.Uint32(rest)
+		if n > maxRecordBytes {
+			return valid, false, fmt.Errorf("%w: impossible record length %d", ErrCorruptRecord, n)
+		}
+		end := recordHeader + int(n)
+		if len(rest) < end {
+			return valid, false, nil // torn payload: treat as unwritten
+		}
+		if crc32.Checksum(rest[recordHeader:end], crcTable) != binary.BigEndian.Uint32(rest[4:]) {
+			// A bad CRC on the final record is a torn write; anything
+			// followed by more data is real corruption.
+			if len(rest) > end {
+				return valid, false, fmt.Errorf("%w: CRC mismatch mid-segment", ErrCorruptRecord)
+			}
+			return valid, false, nil
+		}
+		var txn ztree.Txn
+		if err := wire.Unmarshal(rest[recordHeader:end], &txn); err != nil {
+			return valid, false, fmt.Errorf("%w: %w", errReplayDecode, err)
+		}
+		fn(&txn)
+		valid += end
+	}
+	return valid, true, nil
 }
 
 // Append adds one committed transaction to the active segment, sealing
@@ -218,17 +324,15 @@ func OpenLogSegmented(dir string, segmentBytes int64) (*Log, error) {
 // write, not one per record. The record is NOT durable until that Sync
 // returns.
 func (l *Log) Append(txn *ztree.Txn) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	// What is buffered counts towards the segment's size, so segments
 	// end at the same records as if each had been written at once.
 	if l.file != nil && l.size+int64(len(l.buf)) >= l.segmentBytes {
-		if err := l.rotateLocked(); err != nil {
+		if err := l.rotate(); err != nil {
 			return err
 		}
 	}
 	if l.file == nil {
-		if err := l.openSegmentLocked(txn.Zxid); err != nil {
+		if err := l.openSegment(txn.Zxid); err != nil {
 			return err
 		}
 	}
@@ -244,8 +348,8 @@ func (l *Log) Append(txn *ztree.Txn) error {
 	return nil
 }
 
-// flushLocked writes the buffered records to the active segment.
-func (l *Log) flushLocked() error {
+// flush writes the buffered records to the active segment.
+func (l *Log) flush() error {
 	if len(l.buf) == 0 {
 		return nil
 	}
@@ -265,352 +369,155 @@ func (l *Log) flushLocked() error {
 // stable storage. Records in already-sealed segments were fsynced at
 // rotation time.
 func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.file == nil {
 		return nil
 	}
-	if err := l.flushLocked(); err != nil {
+	if err := l.flush(); err != nil {
 		return err
 	}
 	return l.file.Sync()
 }
 
-// Rotate seals the active segment (fsync + close); the next Append
-// opens a new one. Called by the Persister after a snapshot so the
-// sealed segment becomes purgeable once a snapshot covers it.
-func (l *Log) Rotate() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rotateLocked()
-}
-
-func (l *Log) rotateLocked() error {
+// rotate seals the active segment (flush, fsync, close); the next
+// Append opens a new one. The fsync before the close establishes the
+// invariant replay relies on: damage in a non-final segment is never a
+// torn write.
+func (l *Log) rotate() error {
 	if l.file == nil {
 		return nil
 	}
-	if err := l.flushLocked(); err != nil {
-		return err
-	}
-	// Seal: fsync before closing, establishing the invariant replay
-	// relies on — damage in a non-final segment is never a torn write.
-	if err := l.file.Sync(); err != nil {
+	if err := l.Sync(); err != nil {
 		return fmt.Errorf("storage: seal segment: %w", err)
 	}
-	if err := l.file.Close(); err != nil {
+	err := l.file.Close()
+	l.file, l.size = nil, 0
+	if err != nil {
 		return fmt.Errorf("storage: close segment: %w", err)
 	}
-	l.file = nil
-	l.size = 0
-	l.rotations++
 	return nil
 }
 
-func (l *Log) openSegmentLocked(firstZxid int64) error {
-	path := filepath.Join(l.dir, segmentName(firstZxid))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
+func (l *Log) openSegment(firstZxid int64) error {
+	f, err := l.fs.OpenFile(l.path(segmentName(firstZxid)), os.O_CREATE|os.O_EXCL|os.O_WRONLY)
 	if err != nil {
 		return fmt.Errorf("storage: create segment: %w", err)
 	}
 	// The segment's NAME must be durable before records in it are
 	// acknowledged; the following record fsync does not cover the
 	// directory entry.
-	if err := fsyncDir(l.dir); err != nil {
+	if err := l.fs.SyncDir(l.dir); err != nil {
 		_ = f.Close()
-		return err
+		return fmt.Errorf("storage: fsync dir: %w", err)
 	}
-	l.file = f
-	l.size = 0
-	l.segments++
+	l.file, l.size = f, 0
 	return nil
 }
 
 // Close seals and closes the active segment.
-func (l *Log) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.file == nil {
-		return nil
+func (l *Log) Close() error { return l.rotate() }
+
+// Snapshot publishes snap, the tree as of zxid, and removes what no
+// recovery needs any more. The active segment is sealed, the snapshot
+// is written to a temp file and fsynced, and only then do names change,
+// in an order where a crash that keeps any prefix of the changes
+// recovers a state this replica has held; one directory fsync at the
+// end makes them durable.
+//
+// A periodic snapshot (transfer false) keeps the newest keepSnapshots
+// snapshots and every segment with records above the oldest of them,
+// which a fallback starts from. A transfer snapshot — the tree a leader
+// sent, which may roll back records this log holds above zxid —
+// replaces the history: the segments go before it is published, newest
+// first, and every other snapshot after, so that none, newer by zxid or
+// a fallback, can precede the records appended behind it.
+func (l *Log) Snapshot(snap *ztree.Snapshot, zxid int64, transfer bool) error {
+	if err := l.rotate(); err != nil {
+		return err
 	}
-	err := l.flushLocked()
-	if serr := l.file.Sync(); err == nil {
-		err = serr
+	payload := wire.Marshal(snap)
+	buf := make([]byte, 0, len(payload)+12)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(zxid))
+	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
+	tmp := l.path(snapTmpName)
+	f, err := l.fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY)
+	if err != nil {
+		return fmt.Errorf("storage: create snapshot tmp: %w", err)
 	}
-	if cerr := l.file.Close(); err == nil {
+	_, err = f.Write(append(buf, payload...))
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	l.file = nil
-	return err
-}
-
-// counters reports (rotations, segments created) for observability.
-func (l *Log) counters() (int64, int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rotations, l.segments
-}
-
-// scanSegment reads every whole, CRC-valid record of one segment file,
-// invoking fn (when non-nil) per record. It returns the byte offset
-// after the last valid record and whether the file ended cleanly
-// (clean=false means a torn tail followed: short header, short
-// payload, or a CRC mismatch with nothing after it). Corruption that
-// cannot be a torn tail — a bad record with more data following, an
-// impossible length, an undecodable valid-CRC payload — is an error.
-func scanSegment(path string, fn func(txn *ztree.Txn) error) (int64, bool, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, true, nil
-	}
 	if err != nil {
-		return 0, false, fmt.Errorf("storage: open segment for replay: %w", err)
+		return fmt.Errorf("storage: write snapshot: %w", err)
 	}
-	defer f.Close()
 
-	br := &countingReader{r: f}
-	header := make([]byte, recordHeader)
-	var payload []byte
-	var valid int64
-	for {
-		if _, err := io.ReadFull(br, header); err != nil {
-			if errors.Is(err, io.EOF) {
-				return valid, true, nil // clean end
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return valid, false, nil // torn header
-			}
-			return valid, false, fmt.Errorf("storage: replay: %w", err)
-		}
-		n := binary.BigEndian.Uint32(header[:4])
-		wantCRC := binary.BigEndian.Uint32(header[4:])
-		if n > maxRecordBytes {
-			return valid, false, fmt.Errorf("%w: impossible record length %d in %s", ErrCorruptRecord, n, filepath.Base(path))
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return valid, false, nil // torn payload: treat as unwritten
-		}
-		if crc32.Checksum(payload, crcTable) != wantCRC {
-			// A bad CRC on the final record is a torn write; anything
-			// followed by more data is real corruption.
-			var probe [1]byte
-			if _, err := br.Read(probe[:]); err != nil {
-				return valid, false, nil
-			}
-			return valid, false, fmt.Errorf("%w: CRC mismatch mid-segment in %s", ErrCorruptRecord, filepath.Base(path))
-		}
-		if fn != nil {
-			var txn ztree.Txn
-			if err := wire.Unmarshal(payload, &txn); err != nil {
-				return valid, false, fmt.Errorf("%w: %w", errReplayDecode, err)
-			}
-			if err := fn(&txn); err != nil {
-				return valid, false, err
-			}
-		}
-		valid = br.n
-	}
-}
-
-// countingReader tracks the number of bytes consumed.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// ReplayLog reads every valid record across dir's log segments in
-// zxid order. A torn record at the tail of the FINAL segment stops the
-// replay without error (crash semantics: the record was never
-// acknowledged); a torn record in any sealed segment, or corruption
-// mid-segment anywhere, is reported — sealed segments were fsynced
-// before their successor existed, so damage there means acknowledged
-// state is gone.
-func ReplayLog(dir string, fn func(txn *ztree.Txn) error) error {
-	segs, err := listSegments(dir)
+	snaps, segs, err := l.list()
 	if err != nil {
 		return err
 	}
-	for i, seg := range segs {
-		_, clean, err := scanSegment(filepath.Join(dir, seg.name), fn)
-		if err != nil {
+	keep := keepSnapshots - 1 // older snapshots kept beside this one
+	if transfer {
+		keep = 0
+		slices.Reverse(segs)
+		if err := l.remove(segmentName, segs); err != nil {
 			return err
 		}
-		if !clean {
-			if i != len(segs)-1 {
-				return fmt.Errorf("%w: torn record in sealed segment %s", ErrCorruptRecord, seg.name)
-			}
-			corruptRecords.Add(1) // tolerated torn tail on the final segment
+		segs = nil
+	}
+	if err := l.fs.Rename(tmp, l.path(snapshotName(zxid))); err != nil {
+		return fmt.Errorf("storage: publish snapshot: %w", err)
+	}
+	snaps = slices.DeleteFunc(snaps, func(z int64) bool { return z == zxid })
+	dropped := snaps[:max(0, len(snaps)-keep)]
+	if err := l.remove(snapshotName, dropped); err != nil {
+		return err
+	}
+	// A segment every record of which the oldest snapshot kept covers:
+	// its successor starts at or below that snapshot's zxid + 1 (records
+	// never interleave across segments). The last one always stays.
+	oldest := zxid
+	if kept := snaps[len(dropped):]; len(kept) > 0 {
+		oldest = min(oldest, kept[0])
+	}
+	n := 0
+	for n+1 < len(segs) && segs[n+1] <= oldest+1 {
+		n++
+	}
+	if err := l.remove(segmentName, segs[:n]); err != nil {
+		return err
+	}
+	if err := l.fs.SyncDir(l.dir); err != nil {
+		return fmt.Errorf("storage: fsync dir: %w", err)
+	}
+	return nil
+}
+
+// remove deletes the files named by zxids, in the order given.
+func (l *Log) remove(name func(int64) string, zxids []int64) error {
+	for _, z := range zxids {
+		if err := l.fs.Remove(l.path(name(z))); err != nil {
+			return fmt.Errorf("storage: purge: %w", err)
 		}
 	}
 	return nil
 }
 
-// PurgeSegments removes log segments every record of which is covered
-// by a snapshot at uptoZxid. A segment qualifies when its successor's
-// first zxid is <= uptoZxid+1 (records never interleave across
-// segments, so everything in it precedes the successor's first
-// record); the final segment is never removed — it is the append
-// target. Returns the number of segments removed.
-func PurgeSegments(dir string, uptoZxid int64) (int, error) {
-	segs, err := listSegments(dir)
-	if err != nil {
-		return 0, err
-	}
-	removed := 0
-	for i := 0; i+1 < len(segs); i++ {
-		if segs[i+1].firstZxid > uptoZxid+1 {
-			break
-		}
-		if err := os.Remove(filepath.Join(dir, segs[i].name)); err != nil {
-			return removed, fmt.Errorf("storage: purge segment: %w", err)
-		}
-		removed++
-	}
-	if removed > 0 {
-		if err := fsyncDir(dir); err != nil {
-			return removed, err
-		}
-	}
-	return removed, nil
-}
-
-// --- snapshots ---
-
-// WriteSnapshot durably stores a tree snapshot tagged with the last
-// zxid it reflects: the payload is written to a temp file, fsynced,
-// renamed into place, and the directory fsynced — so a crash can never
-// leave a half-written snapshot under a valid name, nor a valid
-// snapshot whose name evaporates with the page cache.
-func WriteSnapshot(dir string, snap *ztree.Snapshot, lastZxid int64) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("storage: mkdir: %w", err)
-	}
-	payload := wire.Marshal(snap)
-	buf := make([]byte, 0, len(payload)+12)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(lastZxid))
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	buf = append(buf, payload...)
-
-	tmp := filepath.Join(dir, snapTmpName)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: create snapshot tmp: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("storage: write snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("storage: sync snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("storage: close snapshot: %w", err)
-	}
-	final := filepath.Join(dir, fmt.Sprintf("%s%016x", snapPrefix, uint64(lastZxid)))
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("storage: publish snapshot: %w", err)
-	}
-	return fsyncDir(dir)
-}
-
-// LoadLatestSnapshot restores the newest valid snapshot in dir,
-// returning it and the zxid it reflects. ErrNoSnapshot if none exists.
-func LoadLatestSnapshot(dir string) (*ztree.Snapshot, int64, error) {
-	names, err := snapshotNames(dir)
+func (l *Log) readSnapshot(zxid int64) (*ztree.Snapshot, int64, error) {
+	buf, err := l.fs.ReadFile(l.path(snapshotName(zxid)))
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(names) == 0 {
-		return nil, 0, ErrNoSnapshot
-	}
-	// Names embed the zxid in hex: lexical order is zxid order. Try
-	// newest first; skip corrupt ones (fall back to an older snapshot).
-	sort.Sort(sort.Reverse(sort.StringSlice(names)))
-	for _, name := range names {
-		snap, zxid, err := readSnapshotFile(filepath.Join(dir, name))
-		if err == nil {
-			return snap, zxid, nil
-		}
-		corruptRecords.Add(1) // corrupt snapshot skipped; older one tried
-	}
-	return nil, 0, fmt.Errorf("storage: all %d snapshots corrupt: %w", len(names), ErrCorruptRecord)
-}
-
-func snapshotNames(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("storage: read dir: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), snapPrefix) {
-			names = append(names, e.Name())
-		}
-	}
-	return names, nil
-}
-
-func readSnapshotFile(path string) (*ztree.Snapshot, int64, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(buf) < 12 {
-		return nil, 0, ErrCorruptRecord
-	}
-	zxid := int64(binary.BigEndian.Uint64(buf[:8]))
-	wantCRC := binary.BigEndian.Uint32(buf[8:12])
-	payload := buf[12:]
-	if crc32.Checksum(payload, crcTable) != wantCRC {
+	if len(buf) < 12 || crc32.Checksum(buf[12:], crcTable) != binary.BigEndian.Uint32(buf[8:12]) {
 		return nil, 0, ErrCorruptRecord
 	}
 	var snap ztree.Snapshot
-	if err := wire.Unmarshal(payload, &snap); err != nil {
+	if err := wire.Unmarshal(buf[12:], &snap); err != nil {
 		return nil, 0, fmt.Errorf("storage: snapshot decode: %w", err)
 	}
-	return &snap, zxid, nil
-}
-
-// PurgeSnapshots removes all but the newest keep snapshots and returns
-// the zxid of the OLDEST snapshot retained (0 when none): log segments
-// above that zxid must be kept so every retained snapshot stays a
-// usable recovery point.
-func PurgeSnapshots(dir string, keep int) (int64, error) {
-	names, err := snapshotNames(dir)
-	if err != nil {
-		return 0, err
-	}
-	sort.Sort(sort.Reverse(sort.StringSlice(names)))
-	for i := keep; i < len(names); i++ {
-		if err := os.Remove(filepath.Join(dir, names[i])); err != nil {
-			return 0, err
-		}
-	}
-	if len(names) == 0 {
-		return 0, nil
-	}
-	oldestIdx := len(names) - 1
-	if keep > 0 && keep-1 < oldestIdx {
-		oldestIdx = keep - 1
-	}
-	z, err := strconv.ParseUint(strings.TrimPrefix(names[oldestIdx], snapPrefix), 16, 64)
-	if err != nil {
-		return 0, nil // unparsable name: be conservative, purge nothing
-	}
-	return int64(z), nil
+	return &snap, int64(binary.BigEndian.Uint64(buf)), nil
 }
 
 // DirSize reports the bytes used under dir (observability).

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"securekeeper/internal/obs"
 	"securekeeper/internal/wire"
 	"securekeeper/internal/ztree"
 )
@@ -28,43 +29,112 @@ func sampleTxns(n int) []ztree.Txn {
 	return txns
 }
 
-// segmentPaths lists the log segment files in replay order.
-func segmentPaths(t *testing.T, dir string) []string {
+// openLog recovers dir on the real file system, discarding what it
+// restores, and returns the log open for appending.
+func openLog(t *testing.T, dir string, segmentBytes int64) *Log {
 	t.Helper()
-	segs, err := listSegments(dir)
+	l, _, err := OpenLog(osFS{}, dir, segmentBytes, func(*ztree.Snapshot) {}, func(*ztree.Txn) {})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return l
+}
+
+// appendAll appends txns to l and closes it.
+func appendAll(t *testing.T, l *Log, txns []ztree.Txn) {
+	t.Helper()
+	for i := range txns {
+		if err := l.Append(&txns[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// replay recovers dir and returns the zxids of the log records it
+// replays above the newest snapshot.
+func replay(dir string) ([]int64, error) {
+	var zxids []int64
+	l, _, err := OpenLog(osFS{}, dir, 0, func(*ztree.Snapshot) {}, func(txn *ztree.Txn) { zxids = append(zxids, txn.Zxid) })
+	if err != nil {
+		return nil, err
+	}
+	return zxids, l.Close()
+}
+
+// mustReplay is replay that fails the test on an error.
+func mustReplay(t *testing.T, dir string) []int64 {
+	t.Helper()
+	zxids, err := replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return zxids
+}
+
+// listed returns the zxids of dir's snapshots and segments.
+func listed(t *testing.T, dir string) (snaps, segs []int64) {
+	t.Helper()
+	snaps, segs, err := (&Log{fs: osFS{}, dir: dir}).list()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snaps, segs
+}
+
+// segmentPaths lists the log segment files in replay order.
+func segmentPaths(t *testing.T, dir string) []string {
+	t.Helper()
+	_, segs := listed(t, dir)
 	paths := make([]string, len(segs))
-	for i, s := range segs {
-		paths[i] = filepath.Join(dir, s.name)
+	for i, z := range segs {
+		paths[i] = filepath.Join(dir, segmentName(z))
 	}
 	return paths
 }
 
+// record hands txn to p and waits for the fsync covering it.
+func record(p *Persister, txn *ztree.Txn) error {
+	ch := make(chan error, 1)
+	p.Record(txn, func(err error) { ch <- err })
+	return <-ch
+}
+
+// snapshotAt publishes tree as a periodic snapshot at zxid in dir.
+func snapshotAt(t *testing.T, dir string, tree *ztree.Tree, zxid int64) {
+	t.Helper()
+	l := openLog(t, dir, 0)
+	if err := l.Snapshot(tree.Snapshot(), zxid, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// restoreLatest recovers dir into a fresh tree.
+func restoreLatest(dir string) (*ztree.Tree, int64, error) {
+	tree := ztree.New()
+	l, zxid, err := OpenLog(osFS{}, dir, 0, tree.Restore, func(txn *ztree.Txn) { tree.Apply(txn) })
+	if err != nil {
+		return nil, 0, err
+	}
+	return tree, zxid, l.Close()
+}
+
 func TestLogAppendReplay(t *testing.T) {
 	dir := t.TempDir()
-	log, err := OpenLogSegmented(dir, 0)
+	txns := sampleTxns(20)
+	appendAll(t, openLog(t, dir, 0), txns)
+
+	var got []ztree.Txn
+	l, _, err := OpenLog(osFS{}, dir, 0, func(*ztree.Snapshot) {}, func(txn *ztree.Txn) { got = append(got, *txn) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	txns := sampleTxns(20)
-	for i := range txns {
-		if err := log.Append(&txns[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var got []ztree.Txn
-	if err := ReplayLog(dir, func(txn *ztree.Txn) error {
-		got = append(got, *txn)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	_ = l.Close()
 	if len(got) != len(txns) {
 		t.Fatalf("replayed %d, want %d", len(got), len(txns))
 	}
@@ -76,17 +146,18 @@ func TestLogAppendReplay(t *testing.T) {
 }
 
 func TestReplayEmptyAndMissing(t *testing.T) {
-	dir := t.TempDir()
-	// Missing log: no error, no records.
-	count := 0
-	if err := ReplayLog(dir, func(*ztree.Txn) error { count++; return nil }); err != nil || count != 0 {
-		t.Fatalf("missing log: %d records, %v", count, err)
+	// Missing directory: created, no records.
+	dir := filepath.Join(t.TempDir(), "missing")
+	if zxids := mustReplay(t, dir); len(zxids) != 0 {
+		t.Fatalf("missing log: %d records", len(zxids))
 	}
 	// Opened-but-never-appended log: no segments exist at all.
-	log, _ := OpenLogSegmented(dir, 0)
-	_ = log.Close()
-	if err := ReplayLog(dir, func(*ztree.Txn) error { count++; return nil }); err != nil || count != 0 {
-		t.Fatalf("empty log: %d records, %v", count, err)
+	_ = openLog(t, dir, 0).Close()
+	if zxids := mustReplay(t, dir); len(zxids) != 0 {
+		t.Fatalf("empty log: %d records", len(zxids))
+	}
+	if _, segs := listed(t, dir); len(segs) != 0 {
+		t.Fatalf("segments = %v, want none", segs)
 	}
 }
 
@@ -95,19 +166,7 @@ func TestSegmentRotationBoundaries(t *testing.T) {
 	// Threshold smaller than a single record: every append lands in its
 	// own segment (rotation is checked before writing, so a segment
 	// always takes at least one record — records are never split).
-	log, err := OpenLogSegmented(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	txns := sampleTxns(7)
-	for i := range txns {
-		if err := log.Append(&txns[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
+	appendAll(t, openLog(t, dir, 1), sampleTxns(7))
 	paths := segmentPaths(t, dir)
 	if len(paths) != 7 {
 		t.Fatalf("segments = %d, want 7 (one per record at threshold 1)", len(paths))
@@ -119,37 +178,15 @@ func TestSegmentRotationBoundaries(t *testing.T) {
 	if want := filepath.Join(dir, segmentName(7)); paths[6] != want {
 		t.Fatalf("last segment %q, want %q", paths[6], want)
 	}
-	rot, segs := log.counters()
-	if rot != 6 || segs != 7 {
-		t.Fatalf("rotations=%d segments=%d, want 6/7", rot, segs)
-	}
 }
 
 func TestMultiSegmentReplayOrder(t *testing.T) {
 	dir := t.TempDir()
-	log, err := OpenLogSegmented(dir, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	txns := sampleTxns(50)
-	for i := range txns {
-		if err := log.Append(&txns[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
+	appendAll(t, openLog(t, dir, 64), sampleTxns(50))
 	if got := len(segmentPaths(t, dir)); got < 3 {
 		t.Fatalf("expected several segments, got %d", got)
 	}
-	var zxids []int64
-	if err := ReplayLog(dir, func(txn *ztree.Txn) error {
-		zxids = append(zxids, txn.Zxid)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	zxids := mustReplay(t, dir)
 	if len(zxids) != 50 {
 		t.Fatalf("replayed %d, want 50", len(zxids))
 	}
@@ -160,96 +197,50 @@ func TestMultiSegmentReplayOrder(t *testing.T) {
 	}
 }
 
-func TestReplayTornTailIsIgnored(t *testing.T) {
-	dir := t.TempDir()
-	log, _ := OpenLogSegmented(dir, 0)
-	txns := sampleTxns(5)
-	for i := range txns {
-		if err := log.Append(&txns[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_ = log.Close()
-
-	// Simulate a crash mid-write: truncate inside the last record of
-	// the final segment.
-	paths := segmentPaths(t, dir)
-	path := paths[len(paths)-1]
+// truncateTail cuts n bytes off the end of path.
+func truncateTail(t *testing.T, path string, n int64) {
+	t.Helper()
 	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path, info.Size()-3); err != nil {
+	if err := os.Truncate(path, info.Size()-n); err != nil {
 		t.Fatal(err)
 	}
-	count := 0
-	if err := ReplayLog(dir, func(*ztree.Txn) error { count++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if count != 4 {
-		t.Fatalf("replayed %d, want 4 (torn tail dropped)", count)
+}
+
+func TestReplayTornTailIsIgnored(t *testing.T) {
+	dir := t.TempDir()
+	appendAll(t, openLog(t, dir, 0), sampleTxns(5))
+	// Simulate a crash mid-write: truncate inside the last record of
+	// the final segment.
+	paths := segmentPaths(t, dir)
+	truncateTail(t, paths[len(paths)-1], 3)
+	if zxids := mustReplay(t, dir); len(zxids) != 4 {
+		t.Fatalf("replayed %d, want 4 (torn tail dropped)", len(zxids))
 	}
 }
 
 func TestOpenLogRepairsTornTailBeforeAppending(t *testing.T) {
 	dir := t.TempDir()
-	log, _ := OpenLogSegmented(dir, 0)
-	txns := sampleTxns(5)
-	for i := range txns {
-		if err := log.Append(&txns[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_ = log.Close()
+	appendAll(t, openLog(t, dir, 0), sampleTxns(5))
 	paths := segmentPaths(t, dir)
-	path := paths[len(paths)-1]
-	info, _ := os.Stat(path)
-	if err := os.Truncate(path, info.Size()-3); err != nil {
-		t.Fatal(err)
-	}
+	truncateTail(t, paths[len(paths)-1], 3)
 
 	// Reopen: the torn record must be truncated away so the next append
 	// lands right after the last valid record — otherwise the garbage
 	// in between would turn into fatal mid-log corruption on replay.
-	log2, err := OpenLogSegmented(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := ztree.Txn{Zxid: 6, Type: ztree.TxnCreate, Path: "/after", Data: []byte("x")}
-	if err := log2.Append(&next); err != nil {
-		t.Fatal(err)
-	}
-	if err := log2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var zxids []int64
-	if err := ReplayLog(dir, func(txn *ztree.Txn) error {
-		zxids = append(zxids, txn.Zxid)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	appendAll(t, openLog(t, dir, 0), []ztree.Txn{{Zxid: 6, Type: ztree.TxnCreate, Path: "/after", Data: []byte("x")}})
+	zxids := mustReplay(t, dir)
 	want := []int64{1, 2, 3, 4, 6} // 5 was torn, never acknowledged
-	if len(zxids) != len(want) {
+	if fmt.Sprint(zxids) != fmt.Sprint(want) {
 		t.Fatalf("zxids = %v, want %v", zxids, want)
-	}
-	for i := range want {
-		if zxids[i] != want[i] {
-			t.Fatalf("zxids = %v, want %v", zxids, want)
-		}
 	}
 }
 
 func TestReplayMidCorruptionReported(t *testing.T) {
 	dir := t.TempDir()
-	log, _ := OpenLogSegmented(dir, 0)
-	txns := sampleTxns(5)
-	for i := range txns {
-		if err := log.Append(&txns[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_ = log.Close()
+	appendAll(t, openLog(t, dir, 0), sampleTxns(5))
 
 	// Flip a byte inside the SECOND record's payload: a bad record with
 	// more data after it cannot be a torn write.
@@ -259,31 +250,19 @@ func TestReplayMidCorruptionReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	firstLen := int(uint32(buf[0])<<24 | uint32(buf[1])<<16 | uint32(buf[2])<<8 | uint32(buf[3]))
-	off := recordHeader + firstLen + recordHeader + 2
-	buf[off] ^= 0xFF
+	firstLen := int(binary.BigEndian.Uint32(buf))
+	buf[recordHeader+firstLen+recordHeader+2] ^= 0xFF
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = ReplayLog(dir, func(*ztree.Txn) error { return nil })
-	if !errors.Is(err, ErrCorruptRecord) {
+	if _, err := replay(dir); !errors.Is(err, ErrCorruptRecord) {
 		t.Fatalf("err = %v, want ErrCorruptRecord", err)
 	}
 }
 
 func TestTornRecordInSealedSegmentIsError(t *testing.T) {
 	dir := t.TempDir()
-	log, err := OpenLogSegmented(dir, 1) // one record per segment
-	if err != nil {
-		t.Fatal(err)
-	}
-	txns := sampleTxns(3)
-	for i := range txns {
-		if err := log.Append(&txns[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_ = log.Close()
+	appendAll(t, openLog(t, dir, 1), sampleTxns(3)) // one record per segment
 	paths := segmentPaths(t, dir)
 	if len(paths) != 3 {
 		t.Fatalf("segments = %d, want 3", len(paths))
@@ -291,72 +270,58 @@ func TestTornRecordInSealedSegmentIsError(t *testing.T) {
 	// Truncate the FIRST (sealed) segment: it was fsynced before its
 	// successor was created, so a short read there is real data loss,
 	// not a torn write.
-	info, _ := os.Stat(paths[0])
-	if err := os.Truncate(paths[0], info.Size()-3); err != nil {
-		t.Fatal(err)
-	}
-	err = ReplayLog(dir, func(*ztree.Txn) error { return nil })
-	if !errors.Is(err, ErrCorruptRecord) {
+	truncateTail(t, paths[0], 3)
+	if _, err := replay(dir); !errors.Is(err, ErrCorruptRecord) {
 		t.Fatalf("err = %v, want ErrCorruptRecord for sealed-segment damage", err)
 	}
 }
 
+// TestPurgeSegments: a snapshot removes the segments every record of
+// which the oldest retained snapshot covers, and never the last one.
 func TestPurgeSegments(t *testing.T) {
 	dir := t.TempDir()
-	log, err := OpenLogSegmented(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	txns := sampleTxns(5)
+	l := openLog(t, dir, 1)
 	for i := range txns {
-		if err := log.Append(&txns[i]); err != nil {
+		if err := l.Append(&txns[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_ = log.Close()
 	// Snapshot covers zxid <= 3: segments holding records 1..3 go.
-	removed, err := PurgeSegments(dir, 3)
-	if err != nil {
+	if err := l.Snapshot(ztree.New().Snapshot(), 3, false); err != nil {
 		t.Fatal(err)
 	}
-	if removed != 3 {
-		t.Fatalf("removed %d, want 3", removed)
+	if _, segs := listed(t, dir); fmt.Sprint(segs) != "[4 5]" {
+		t.Fatalf("segments after a snapshot at 3 start at %v, want [4 5]", segs)
 	}
-	var zxids []int64
-	if err := ReplayLog(dir, func(txn *ztree.Txn) error {
-		zxids = append(zxids, txn.Zxid)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	zxids, err := replay(dir)
+	if err != nil || fmt.Sprint(zxids) != "[4 5]" {
+		t.Fatalf("surviving zxids = %v (%v), want [4 5]", zxids, err)
 	}
-	if len(zxids) != 2 || zxids[0] != 4 || zxids[1] != 5 {
-		t.Fatalf("surviving zxids = %v, want [4 5]", zxids)
+	// Once three snapshots above everything are retained, the final
+	// segment still stays: it is the last of the log.
+	for z := int64(100); z < 103; z++ {
+		if err := l.Snapshot(ztree.New().Snapshot(), z, false); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The final segment is never purged even when fully covered.
-	if removed, _ := PurgeSegments(dir, 100); removed != 1 {
-		t.Fatalf("removed %d, want 1 (final segment must stay)", removed)
+	if snaps, segs := listed(t, dir); fmt.Sprint(snaps) != "[100 101 102]" || fmt.Sprint(segs) != "[5]" {
+		t.Fatalf("snapshots %v, segments %v; want [100 101 102] and the final segment [5]", snaps, segs)
 	}
-	if got := len(segmentPaths(t, dir)); got != 1 {
-		t.Fatalf("segments = %d, want 1", got)
-	}
+	_ = l.Close()
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	tree := ztree.New()
-	for i := range sampleTxns(10) {
-		txn := sampleTxns(10)[i]
+	for _, txn := range sampleTxns(10) {
 		tree.Apply(&txn)
 	}
-	if err := WriteSnapshot(dir, tree.Snapshot(), 10); err != nil {
-		t.Fatal(err)
-	}
-	snap, zxid, err := LoadLatestSnapshot(dir)
+	snapshotAt(t, dir, tree, 10)
+	restored, zxid, err := restoreLatest(dir)
 	if err != nil || zxid != 10 {
 		t.Fatalf("load = zxid %d, %v", zxid, err)
 	}
-	restored := ztree.New()
-	restored.Restore(snap)
 	if restored.Digest() != tree.Digest() {
 		t.Fatal("digest mismatch")
 	}
@@ -366,20 +331,14 @@ func TestLoadLatestPicksNewest(t *testing.T) {
 	dir := t.TempDir()
 	old := ztree.New()
 	old.Apply(&ztree.Txn{Zxid: 1, Type: ztree.TxnCreate, Path: "/old"})
-	if err := WriteSnapshot(dir, old.Snapshot(), 1); err != nil {
-		t.Fatal(err)
-	}
+	snapshotAt(t, dir, old, 1)
 	newer := ztree.New()
 	newer.Apply(&ztree.Txn{Zxid: 2, Type: ztree.TxnCreate, Path: "/new"})
-	if err := WriteSnapshot(dir, newer.Snapshot(), 2); err != nil {
-		t.Fatal(err)
-	}
-	snap, zxid, err := LoadLatestSnapshot(dir)
+	snapshotAt(t, dir, newer, 2)
+	restored, zxid, err := restoreLatest(dir)
 	if err != nil || zxid != 2 {
 		t.Fatalf("zxid = %d, %v", zxid, err)
 	}
-	restored := ztree.New()
-	restored.Restore(snap)
 	if _, err := restored.Exists("/new"); err != nil {
 		t.Fatal("newest snapshot not selected")
 	}
@@ -389,54 +348,67 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	good := ztree.New()
 	good.Apply(&ztree.Txn{Zxid: 1, Type: ztree.TxnCreate, Path: "/good"})
-	if err := WriteSnapshot(dir, good.Snapshot(), 1); err != nil {
-		t.Fatal(err)
-	}
+	snapshotAt(t, dir, good, 1)
 	// A newer but corrupt snapshot.
-	bad := filepath.Join(dir, snapPrefix+"00000000000000ff")
-	if err := os.WriteFile(bad, []byte("garbage-too-short-or-bad"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapshotName(0xff)), []byte("garbage-too-short-or-bad"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	snap, zxid, err := LoadLatestSnapshot(dir)
+	restored, zxid, err := restoreLatest(dir)
 	if err != nil || zxid != 1 {
 		t.Fatalf("fallback failed: zxid %d, %v", zxid, err)
 	}
-	restored := ztree.New()
-	restored.Restore(snap)
 	if _, err := restored.Exists("/good"); err != nil {
 		t.Fatal("fallback snapshot wrong")
 	}
 }
 
+// TestAbandonedSnapshotTmpIsIgnored: a crash between writing snap.tmp
+// and renaming it leaves the tmp file behind. Like every name that is
+// not storage's — an operator's snapshot.bak sorts after every real
+// snapshot — it is never tried as a snapshot, never counted as
+// corruption, never takes a retention slot, and never removed.
 func TestAbandonedSnapshotTmpIsIgnored(t *testing.T) {
-	// A crash between writing snap.tmp and renaming it leaves the tmp
-	// file behind; it must never be mistaken for a snapshot.
-	dir := t.TempDir()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapTmpName), []byte("half-written"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadLatestSnapshot(dir); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("err = %v, want ErrNoSnapshot", err)
-	}
-	tree := ztree.New()
-	tree.Apply(&ztree.Txn{Zxid: 1, Type: ztree.TxnCreate, Path: "/real"})
-	if err := WriteSnapshot(dir, tree.Snapshot(), 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, zxid, err := LoadLatestSnapshot(dir); err != nil || zxid != 1 {
-		t.Fatalf("zxid = %d, %v", zxid, err)
+	for _, stray := range []string{snapTmpName, "snapshot.bak", "snapshot.1", "log.0000000000000001.old", "log.zzzzzzzzzzzzzzzz"} {
+		t.Run(stray, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, stray), []byte("half-written"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			corrupt := CorruptRecords()
+			if tree, zxid, err := restoreLatest(dir); err != nil || zxid != 0 || tree.Count() != ztree.New().Count() {
+				t.Fatalf("recovered zxid %d, %v; want an empty tree", zxid, err)
+			}
+			tree := ztree.New()
+			tree.Apply(&ztree.Txn{Zxid: 1, Type: ztree.TxnCreate, Path: "/real"})
+			for z := int64(1); z <= keepSnapshots+1; z++ {
+				snapshotAt(t, dir, tree, z)
+			}
+			if _, zxid, err := restoreLatest(dir); err != nil || zxid != keepSnapshots+1 {
+				t.Fatalf("zxid = %d, %v", zxid, err)
+			}
+			if n := CorruptRecords() - corrupt; n != 0 {
+				t.Fatalf("%d corruption events counted for a stray %s", n, stray)
+			}
+			if snaps, _ := listed(t, dir); len(snaps) != keepSnapshots {
+				t.Fatalf("snapshots retained %v, want %d", snaps, keepSnapshots)
+			}
+			if stray != snapTmpName {
+				if _, err := os.Stat(filepath.Join(dir, stray)); err != nil {
+					t.Fatalf("the stray %s was touched: %v", stray, err)
+				}
+			}
+		})
 	}
 }
 
 func TestNoSnapshot(t *testing.T) {
-	if _, _, err := LoadLatestSnapshot(t.TempDir()); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, _, err := LoadLatestSnapshot(filepath.Join(t.TempDir(), "missing")); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("missing dir err = %v", err)
+	for _, dir := range []string{t.TempDir(), filepath.Join(t.TempDir(), "missing")} {
+		restored := false
+		l, zxid, err := OpenLog(osFS{}, dir, 0, func(*ztree.Snapshot) { restored = true }, func(*ztree.Txn) {})
+		if err != nil || zxid != 0 || restored {
+			t.Fatalf("%s: zxid %d, restored %v, %v", dir, zxid, restored, err)
+		}
+		_ = l.Close()
 	}
 }
 
@@ -444,25 +416,14 @@ func TestPurgeSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	tree := ztree.New()
 	for i := int64(1); i <= 5; i++ {
-		if err := WriteSnapshot(dir, tree.Snapshot(), i); err != nil {
-			t.Fatal(err)
-		}
+		snapshotAt(t, dir, tree, i)
 	}
-	oldest, err := PurgeSnapshots(dir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Snapshots 4 and 5 survive; the purge bound for log segments is
+	// Snapshots 3, 4 and 5 survive; the purge bound for log segments is
 	// the OLDEST retained one, so the fallback path stays recoverable.
-	if oldest != 4 {
-		t.Fatalf("oldest retained = %d, want 4", oldest)
+	if snaps, _ := listed(t, dir); fmt.Sprint(snaps) != "[3 4 5]" {
+		t.Fatalf("snapshots after purge = %v, want [3 4 5]", snaps)
 	}
-	names, _ := snapshotNames(dir)
-	if len(names) != 2 {
-		t.Fatalf("snapshots after purge = %d", len(names))
-	}
-	_, zxid, err := LoadLatestSnapshot(dir)
-	if err != nil || zxid != 5 {
+	if _, zxid, err := restoreLatest(dir); err != nil || zxid != 5 {
 		t.Fatalf("newest lost: zxid %d, %v", zxid, err)
 	}
 }
@@ -479,50 +440,33 @@ func TestPersisterRecoveryFullCycle(t *testing.T) {
 	txns := sampleTxns(20)
 	for i := range txns {
 		tree.Apply(&txns[i])
-		if err := p.RecordSync(&txns[i]); err != nil {
+		if err := record(p, &txns[i]); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if p.LastApplied() != 20 {
-		t.Fatalf("lastApplied = %d", p.LastApplied())
-	}
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if st := p.Stats(); st.Snapshots < 2 {
-		t.Fatalf("snapshots = %d, want >= 2 at SnapshotEvery=7", st.Snapshots)
 	}
 	wantDigest := tree.Digest()
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Second life: recover from snapshot + log suffix.
-	tree2 := ztree.New()
-	p2, zxid, err := Recover(PersisterConfig{Dir: dir, Tree: tree2, SnapshotEvery: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if zxid != 20 {
-		t.Fatalf("recovered zxid = %d, want 20", zxid)
-	}
-	if tree2.Digest() != wantDigest {
-		t.Fatal("recovered tree diverges")
-	}
-	if err := p2.Close(); err != nil {
-		t.Fatal(err)
+	if snaps, _ := listed(t, dir); fmt.Sprint(snaps) != "[7 14]" {
+		t.Fatalf("snapshots = %v, want [7 14] at SnapshotEvery=7", snaps)
 	}
 
-	// Recovery idempotence: a third recovery over the exact same files
-	// must land on the identical digest and zxid.
-	tree3 := ztree.New()
-	p3, zxid3, err := Recover(PersisterConfig{Dir: dir, Tree: tree3, SnapshotEvery: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p3.Close()
-	if zxid3 != 20 || tree3.Digest() != wantDigest {
-		t.Fatalf("second recovery diverges: zxid %d", zxid3)
+	// Second life: recover from snapshot + log suffix; a third recovery
+	// over the exact same files must land on the identical digest and
+	// zxid.
+	for life := 2; life <= 3; life++ {
+		tree2 := ztree.New()
+		p2, zxid, err := Recover(PersisterConfig{Dir: dir, Tree: tree2, SnapshotEvery: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if zxid != 20 || tree2.Digest() != wantDigest {
+			t.Fatalf("life %d: recovered zxid = %d, want 20, digests equal %v", life, zxid, tree2.Digest() == wantDigest)
+		}
+		if err := p2.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -539,16 +483,17 @@ func TestPersisterIdempotentReplayAfterSnapshot(t *testing.T) {
 	txns := sampleTxns(5)
 	for i := range txns {
 		tree.Apply(&txns[i])
-		if err := p.RecordSync(&txns[i]); err != nil {
+		if err := record(p, &txns[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Manual snapshot WITHOUT purging the log: recovery must skip the
-	// already-reflected records.
-	if err := WriteSnapshot(dir, tree.Snapshot(), 5); err != nil {
-		t.Fatal(err)
-	}
 	_ = p.Close()
+	// A snapshot at 5 over a log whose one segment is the final one, so
+	// nothing is purged: recovery must skip the already-reflected records.
+	snapshotAt(t, dir, tree, 5)
+	if _, segs := listed(t, dir); len(segs) != 1 {
+		t.Fatalf("segments = %v, want the one holding 1..5", segs)
+	}
 
 	tree2 := ztree.New()
 	p2, zxid, err := Recover(PersisterConfig{Dir: dir, Tree: tree2})
@@ -571,7 +516,7 @@ func TestPersisterPurgesCoveredSegments(t *testing.T) {
 	txns := sampleTxns(40)
 	for i := range txns {
 		tree.Apply(&txns[i])
-		if err := p.RecordSync(&txns[i]); err != nil {
+		if err := record(p, &txns[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -581,16 +526,13 @@ func TestPersisterPurgesCoveredSegments(t *testing.T) {
 	// 40 one-record segments were created; with snapshots every 5 and 3
 	// retained, everything below the oldest retained snapshot (zxid 30)
 	// must be gone.
-	segs, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, segs := listed(t, dir)
 	if len(segs) >= 40 {
 		t.Fatalf("purge did not reclaim segments: %d left", len(segs))
 	}
-	for _, s := range segs {
-		if s.firstZxid < 30 {
-			t.Fatalf("segment %s below oldest retained snapshot survived", s.name)
+	for _, z := range segs {
+		if z < 30 {
+			t.Fatalf("segment %s below oldest retained snapshot survived", segmentName(z))
 		}
 	}
 	// And the reclaimed directory still recovers to the same state.
@@ -608,7 +550,7 @@ func TestPersisterPurgesCoveredSegments(t *testing.T) {
 func TestGroupCommitCoalesces(t *testing.T) {
 	dir := t.TempDir()
 	tree := ztree.New()
-	p, _, err := Recover(PersisterConfig{Dir: dir, Tree: tree})
+	p, _, err := Recover(PersisterConfig{Dir: dir, Tree: tree, Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,7 +568,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 					Type: ztree.TxnCreate,
 					Path: fmt.Sprintf("/w%d/n%d", w, i),
 				}
-				if err := p.RecordSync(&txn); err != nil {
+				if err := record(p, &txn); err != nil {
 					t.Error(err)
 					return
 				}
@@ -634,52 +576,48 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	st := p.Stats()
-	if st.Records != writers*per {
-		t.Fatalf("records = %d, want %d", st.Records, writers*per)
+	// storage_txns_per_fsync: one observation per fsync, summing to the
+	// records it covered.
+	st := p.txnsHist.Snapshot()
+	if st.Sum != writers*per {
+		t.Fatalf("records = %d, want %d", st.Sum, writers*per)
 	}
 	// With 8 writers blocked on each fsync, batches must form; strictly
 	// one-record-per-fsync would mean zero overlap across 400 commits.
-	if st.Fsyncs >= st.Records {
-		t.Fatalf("no group commit: %d fsyncs for %d records", st.Fsyncs, st.Records)
-	}
-	if st.MaxBatch < 2 {
-		t.Fatalf("max batch = %d, want >= 2", st.MaxBatch)
+	if st.Count >= st.Sum {
+		t.Fatalf("no group commit: %d fsyncs for %d records", st.Count, st.Sum)
 	}
 }
 
+// TestConcurrentRecordSnapshotStress runs under -race in the nightly
+// sweep: goroutines record transactions and publish state-transfer
+// snapshots, each holding the apply lock the way the one apply
+// goroutine would, while their fsync waits overlap the commit loop.
+// Everything acknowledged must recover, and nothing twice.
 func TestConcurrentRecordSnapshotStress(t *testing.T) {
-	// Run under -race: concurrent recorders (distinct subtrees, so tree
-	// application order does not matter) racing forced snapshots.
 	dir := t.TempDir()
 	tree := ztree.New()
-	p, _, err := Recover(PersisterConfig{Dir: dir, Tree: tree, SegmentBytes: 4 << 10})
+	p, _, err := Recover(PersisterConfig{Dir: dir, Tree: tree, SegmentBytes: 4 << 10, SnapshotEvery: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const writers, per = 4, 100
 	var wg sync.WaitGroup
+	var apply sync.Mutex
 	var zxid int64
-	var zmu sync.Mutex
-	nextZxid := func() int64 {
-		zmu.Lock()
-		defer zmu.Unlock()
-		zxid++
-		return zxid
-	}
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				txn := ztree.Txn{
-					Zxid: nextZxid(),
-					Type: ztree.TxnCreate,
-					Path: fmt.Sprintf("/s%d/n%d", w, i),
-					Data: []byte{byte(i)},
-				}
+				done := make(chan error, 1)
+				apply.Lock()
+				zxid++
+				txn := ztree.Txn{Zxid: zxid, Type: ztree.TxnCreate, Path: fmt.Sprintf("/s%d-n%d", w, i), Data: []byte{byte(i)}}
 				tree.Apply(&txn)
-				if err := p.RecordSync(&txn); err != nil {
+				p.Record(&txn, func(err error) { done <- err })
+				apply.Unlock()
+				if err := <-done; err != nil {
 					t.Error(err)
 					return
 				}
@@ -690,10 +628,10 @@ func TestConcurrentRecordSnapshotStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			zmu.Lock()
-			z := zxid
-			zmu.Unlock()
-			if err := p.Snapshot(z); err != nil {
+			apply.Lock()
+			err := p.Snapshot(zxid)
+			apply.Unlock()
+			if err != nil {
 				t.Error(err)
 				return
 			}
@@ -703,15 +641,14 @@ func TestConcurrentRecordSnapshotStress(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Everything acknowledged must recover.
 	tree2 := ztree.New()
 	p2, got, err := Recover(PersisterConfig{Dir: dir, Tree: tree2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	if got != int64(writers*per) {
-		t.Fatalf("recovered zxid = %d, want %d", got, writers*per)
+	if got != int64(writers*per) || tree2.Digest() != tree.Digest() {
+		t.Fatalf("recovered zxid = %d, want %d; digests equal %v", got, writers*per, tree2.Digest() == tree.Digest())
 	}
 }
 
@@ -722,35 +659,31 @@ func TestPersisterFailureIsSticky(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	txn := ztree.Txn{Zxid: 1, Type: ztree.TxnCreate, Path: "/a"}
-	if err := p.RecordSync(&txn); err != nil {
+	if err := record(p, &ztree.Txn{Zxid: 1, Type: ztree.TxnCreate, Path: "/a"}); err != nil {
 		t.Fatal(err)
 	}
-	// Sabotage the log out from under the persister: further appends
-	// must fail, and the failure must stick.
-	p.log.mu.Lock()
+	// Sabotage the log out from under the persister, whose commit loop
+	// is idle until the next Record: further appends must fail, and the
+	// failure must stick.
 	_ = p.log.file.Close()
-	p.log.mu.Unlock()
-	txn2 := ztree.Txn{Zxid: 2, Type: ztree.TxnCreate, Path: "/b"}
-	if err := p.RecordSync(&txn2); err == nil {
+	if err := record(p, &ztree.Txn{Zxid: 2, Type: ztree.TxnCreate, Path: "/b"}); err == nil {
 		t.Fatal("record after sabotage succeeded")
 	}
 	if p.Err() == nil {
 		t.Fatal("failure not sticky")
 	}
-	txn3 := ztree.Txn{Zxid: 3, Type: ztree.TxnCreate, Path: "/c"}
-	if err := p.RecordSync(&txn3); err == nil {
+	if err := record(p, &ztree.Txn{Zxid: 3, Type: ztree.TxnCreate, Path: "/c"}); err == nil {
 		t.Fatal("record accepted after sticky failure")
+	}
+	if err := p.Snapshot(3); err == nil {
+		t.Fatal("snapshot accepted after sticky failure")
 	}
 	_ = p.Close()
 }
 
 func TestDirSize(t *testing.T) {
 	dir := t.TempDir()
-	log, _ := OpenLogSegmented(dir, 0)
-	txn := ztree.Txn{Zxid: 1, Type: ztree.TxnCreate, Path: "/x", Data: make([]byte, 1000)}
-	_ = log.Append(&txn)
-	_ = log.Close()
+	appendAll(t, openLog(t, dir, 0), []ztree.Txn{{Zxid: 1, Type: ztree.TxnCreate, Path: "/x", Data: make([]byte, 1000)}})
 	size, err := DirSize(dir)
 	if err != nil || size < 1000 {
 		t.Fatalf("size = %d, %v", size, err)
@@ -763,10 +696,7 @@ func TestDirSize(t *testing.T) {
 // replays the same.
 func TestGroupCommitIsOneWrite(t *testing.T) {
 	dir := t.TempDir()
-	log, err := OpenLogSegmented(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := openLog(t, dir, 0)
 	txns := sampleTxns(7)
 	sizeAfter := func() int64 {
 		t.Helper()
@@ -812,13 +742,10 @@ func TestGroupCommitIsOneWrite(t *testing.T) {
 // TestTornGroupCommitRecoversValidPrefix cuts a segment whose last three
 // records went down in one write at every byte offset: a crash can tear
 // that write anywhere. Replay must yield exactly the records that are
-// whole, and a reopened log must continue right behind them.
+// whole, and the reopened log must continue right behind them.
 func TestTornGroupCommitRecoversValidPrefix(t *testing.T) {
 	src := t.TempDir()
-	log, err := OpenLogSegmented(src, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	log := openLog(t, src, 0)
 	txns := sampleTxns(5)
 	var ends []int // byte offset behind each record
 	for i := range txns {
@@ -858,32 +785,16 @@ func TestTornGroupCommitRecoversValidPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 		var zxids []int64
-		if err := ReplayLog(dir, func(txn *ztree.Txn) error {
-			zxids = append(zxids, txn.Zxid)
-			return nil
-		}); err != nil {
-			t.Fatalf("cut at %d: replay: %v", cut, err)
+		reopened, _, err := OpenLog(osFS{}, dir, 0, func(*ztree.Snapshot) {}, func(txn *ztree.Txn) { zxids = append(zxids, txn.Zxid) })
+		if err != nil {
+			t.Fatalf("cut at %d: recover: %v", cut, err)
 		}
 		if len(zxids) != valid {
 			t.Fatalf("cut at %d: replayed %v, want the first %d records", cut, zxids, valid)
 		}
-
-		reopened, err := OpenLogSegmented(dir, 0)
+		appendAll(t, reopened, []ztree.Txn{{Zxid: 100, Type: ztree.TxnCreate, Path: "/after", Data: []byte("x")}})
+		zxids, err = replay(dir)
 		if err != nil {
-			t.Fatalf("cut at %d: reopen: %v", cut, err)
-		}
-		next := ztree.Txn{Zxid: 100, Type: ztree.TxnCreate, Path: "/after", Data: []byte("x")}
-		if err := reopened.Append(&next); err != nil {
-			t.Fatal(err)
-		}
-		if err := reopened.Close(); err != nil {
-			t.Fatal(err)
-		}
-		zxids = zxids[:0]
-		if err := ReplayLog(dir, func(txn *ztree.Txn) error {
-			zxids = append(zxids, txn.Zxid)
-			return nil
-		}); err != nil {
 			t.Fatalf("cut at %d: replay after reopen: %v", cut, err)
 		}
 		if len(zxids) != valid+1 || zxids[valid] != 100 {
@@ -894,5 +805,103 @@ func TestTornGroupCommitRecoversValidPrefix(t *testing.T) {
 				t.Fatalf("cut at %d: record %d has zxid %d, want %d", cut, i, zxids[i], txns[i].Zxid)
 			}
 		}
+	}
+}
+
+// TestStateTransferDiscardsRolledBackTail: a replica logs (1,1)…(1,5),
+// of which (1,4) and (1,5) were provisional deliveries, installs the
+// leader's snapshot at (1,3) — which rolls them back — and logs the
+// leader's (2,1) and (2,2), or (2,1) alone. No recovery may replay a
+// record the transfer discarded: not above the transfer's snapshot, not
+// from an older-history snapshot that is newer by zxid, and not from a
+// fallback once every snapshot from the transfer on is corrupt (recovery
+// may then fail; it may not land anywhere but on the leader's tree).
+// zab never installs a snapshot below a follower's delivered frontier,
+// so only the last row is reachable through it (the zab simulator's
+// TestScheduleRollbackThenRestart); the first two hold storage to the
+// same rule for any caller.
+func TestStateTransferDiscardsRolledBackTail(t *testing.T) {
+	z := func(epoch, n int64) int64 { return epoch<<32 | n }
+	create := func(zxid int64, path, data string) ztree.Txn {
+		return ztree.Txn{Zxid: zxid, Type: ztree.TxnCreate, Path: path, Data: []byte(data)}
+	}
+	set := func(zxid int64, path, data string, version int32) ztree.Txn {
+		return ztree.Txn{Zxid: zxid, Type: ztree.TxnSetData, Path: path, Data: []byte(data), Version: version}
+	}
+	common := []ztree.Txn{create(z(1, 1), "/x", "a"), create(z(1, 2), "/y", "b"), set(z(1, 3), "/x", "c", 0)}
+	rolledBack := []ztree.Txn{create(z(1, 4), "/a", "ROLLED-BACK"), set(z(1, 5), "/x", "ROLLED-BACK", 1)}
+	after := []ztree.Txn{create(z(2, 1), "/a", "new"), set(z(2, 2), "/x", "new", 1)}
+	show := func(tree *ztree.Tree) string {
+		a, _, _ := tree.GetData("/a")
+		x, _, _ := tree.GetData("/x")
+		return fmt.Sprintf("/a=%q /x=%q", a, x)
+	}
+
+	for _, tc := range []struct {
+		name          string
+		snapshotEvery int
+		after         int  // of the leader's records logged behind the transfer
+		corrupt       bool // every snapshot at or above the transfer's
+	}{
+		{"log above the transfer", 0, 2, false},
+		{"older-history snapshot above the transfer", 4, 2, false},
+		{"fallback below the transfer", 2, 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			leader := ztree.New()
+			for i := range common {
+				leader.Apply(&common[i])
+			}
+			transferred := leader.Snapshot()
+			for i := range after[:tc.after] {
+				leader.Apply(&after[i])
+			}
+			dir := t.TempDir()
+			tree := ztree.New()
+			p, _, err := Recover(PersisterConfig{Dir: dir, Tree: tree, SnapshotEvery: tc.snapshotEvery})
+			if err != nil {
+				t.Fatal(err)
+			}
+			deliver := func(txns []ztree.Txn) {
+				for i := range txns {
+					tree.Apply(&txns[i])
+					if err := record(p, &txns[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			deliver(append(append([]ztree.Txn(nil), common...), rolledBack...))
+			tree.Restore(transferred)
+			if err := p.Snapshot(z(1, 3)); err != nil {
+				t.Fatal(err)
+			}
+			deliver(after[:tc.after])
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if snaps, _ := listed(t, dir); tc.corrupt {
+				for _, zxid := range snaps {
+					if zxid < z(1, 3) {
+						continue
+					}
+					if err := os.WriteFile(filepath.Join(dir, snapshotName(zxid)), []byte("corrupt"), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			got := ztree.New()
+			p2, zxid, err := Recover(PersisterConfig{Dir: dir, Tree: got})
+			if tc.corrupt && errors.Is(err, ErrCorruptRecord) {
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = p2.Close()
+			if want := after[tc.after-1].Zxid; zxid != want || got.Digest() != leader.Digest() {
+				t.Fatalf("recovered zxid %#x with %s; the leader has %#x with %s", zxid, show(got), want, show(leader))
+			}
+		})
 	}
 }

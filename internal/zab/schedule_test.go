@@ -1,8 +1,11 @@
 package zab
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
+	"securekeeper/internal/storage"
 	"securekeeper/internal/ztree"
 )
 
@@ -373,4 +376,110 @@ func TestScheduleStalledFollowerReadsBeforeItTicks(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestScheduleRollbackThenRestart: a follower rolled back by a snapshot
+// install restarts with that snapshot rotted. A leader loses the ACK of
+// a write that one follower, A, holds; the leader dies; A wins on the
+// ACKed frontier and delivers the write at once, but is cut off before
+// anyone syncs with it. The others elect a leader without the write,
+// which commits in its own epoch, so A, back, is synced by a snapshot
+// that rolls the write back. A delivers on, dies, and its newest
+// snapshot — the install's — decays. Recovery must refuse the disk: an
+// older snapshot from before the install, and the log behind it, would
+// replay the rolled-back write (storage's state-transfer rule removes
+// both when it publishes the install).
+func TestScheduleRollbackThenRestart(t *testing.T) {
+	schedule(t, 3, 0, func(s *sim) {
+		l := s.elect(10)
+		s.write(l, simSnapEvery+1) // a periodic snapshot everywhere
+		s.awaitDelivered(simSnapEvery+1, 4, s.ids()...)
+		a := s.others(l)[0]
+		s.route = func(from, to PeerID, msg Message) int64 {
+			if msg.Kind == KindProposeBatch && to != a.id || msg.Kind == KindAck && from == a.id {
+				return -1 // only A holds the write, and the leader never hears so
+			}
+			return 50_000
+		}
+		s.write(l, 1)
+		s.idle(2)
+		s.crash(l)
+		s.route = nil
+		s.onRole = func(p *simPeer, role Role, leader PeerID) {
+			if p == a && role == RoleLeading {
+				s.isolate(a, true) // elected, and gone before anyone syncs
+			}
+		}
+		s.await("A to lead on the write it acknowledged", failover, func() bool { return a.core.Role() == RoleLeading })
+		if n := len(a.applied); n != simSnapEvery+2 {
+			s.failf("A delivered %d txns on election, want the %d it acknowledged", n, simSnapEvery+2)
+		}
+		s.onRole = nil
+		s.boot(l)
+		var next *simPeer
+		s.await("a leader without A", 3*failover, func() bool { next = s.leaderNow(); return next != nil && next != a })
+		s.write(next, 1)
+		s.awaitDelivered(simSnapEvery+2, 4, next.id)
+		s.isolate(a, false)
+		s.await("A to sync with it", 2*failover, func() bool {
+			return a.core.Role() == RoleFollowing && a.core.followTarget == next.id && a.core.leaderSynced
+		})
+		if a.core.StatsSnapshot().Resyncs == 0 || a.lastApplied() != s.truth[len(s.truth)-1].zxid {
+			s.failf("A is at %#x, want the snapshot at %#x", a.lastApplied(), s.truth[len(s.truth)-1].zxid)
+		}
+		s.write(next, 2)
+		s.awaitDelivered(simSnapEvery+4, 4, s.ids()...)
+		s.idle(2) // A's group commit
+		s.crash(a)
+		rotted := a.disk.rot("snapshot.")
+		if _, _, err := s.recoverDisk(a); !errors.Is(err, storage.ErrCorruptRecord) {
+			s.failf("A's recovery with %s rotted: %v, want it refused as corrupt", rotted, err)
+		}
+	})
+}
+
+// TestScheduleCrashAtEachPublishStep: a follower cut off for longer than
+// the leader's log reaches comes back by a snapshot install, and its
+// process dies at step k of publishing it — the tmp file's write and
+// fsync, the removal of the replaced log, the rename, the removal of
+// the replaced snapshot, the directory fsync — for every k until the
+// publish completes. Each time it restarts from what recovery returns
+// (recoverDisk checks it is a prefix of a log it held) and ends with the
+// leader's log.
+func TestScheduleCrashAtEachPublishStep(t *testing.T) {
+	var steps []string
+	for k := 1; ; k++ {
+		died := ""
+		schedule(t, 3, 0, func(s *sim) {
+			l := s.elect(10)
+			f := s.others(l)[0]
+			s.write(l, simSnapEvery+2) // a periodic snapshot and a log behind it
+			s.awaitDelivered(simSnapEvery+2, 4, s.ids()...)
+			s.idle(2)
+			s.isolate(f, true)
+			for i := 0; i < simLogLimit+2; i++ {
+				s.write(l, 1)
+				s.idle(1)
+			}
+			n := len(s.truth)
+			f.disk.dieIn = k
+			s.isolate(f, false)
+			s.await("the snapshot install", failover, func() bool { return !f.up() || len(f.applied) == n })
+			died = f.disk.died
+			s.awaitDelivered(n, 3*failover, s.ids()...)
+			s.sameLog(n, s.ids()...)
+		})
+		if died == "" {
+			break
+		}
+		if steps = append(steps, died); k > 50 {
+			t.Fatalf("no publish completed within %d steps: %v", k, steps)
+		}
+	}
+	for _, want := range []string{"write", "fsync", "remove", "rename", "dir fsync"} {
+		if !slices.Contains(steps, want) {
+			t.Errorf("no crash at a %s; the publish's steps were %v", want, steps)
+		}
+	}
+	t.Logf("crashed at each of %d steps: %v", len(steps), steps)
 }

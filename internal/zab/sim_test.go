@@ -28,7 +28,11 @@ import (
 //     and a vote or frontier in a tally belongs to a voter's row;
 //   - once the faults stop and everyone is connected, a leader activates
 //     within simSettle and every transaction it then accepts commits,
-//     everywhere.
+//     everywhere;
+//   - a restarted process recovers, from storage on its disk, a prefix
+//     of a log it held (see recoverDisk): a crash can lose deliveries,
+//     never invent or reorder them, and never bring back ones a
+//     snapshot install rolled back.
 //
 // The nemesis keeps ZooKeeper's premise — fewer than a quorum of voters
 // crashed at any instant — and one more condition this implementation
@@ -39,6 +43,11 @@ import (
 // everything the victim has acknowledged, is held by a quorum of running
 // voters not counting the victim — and only once the latest epoch shows
 // in a delivered zxid. README "What zab promises, and when".
+//
+// The disk is a nemesis too. A process may die in its group commit,
+// with the write out and the fsync not returned, or at any step of a
+// snapshot publish; a crash tears unsynced bytes and reverts names no
+// directory fsync covered (simdisk_test.go).
 
 var (
 	simSeeds = flag.Int("zabsim.seeds", 0, "random schedules in TestSimSweep (0: 2400, or 240 under -race or -short)")
@@ -53,15 +62,25 @@ const (
 )
 
 func (s *sim) delivered(p *simPeer, c Committed) {
-	e := entry{zxid: c.Txn.Zxid, id: c.Txn.Session}
-	if c.Txn.Type == ztree.TxnReconfig {
-		e.data = string(c.Txn.Data)
+	if p.disk.died != "" {
+		return // the process is dead; what its core still does is void
 	}
+	e := entryOf(&c.Txn)
 	if e.zxid <= p.lastApplied() {
 		s.failf("peer %d delivered %#x after %#x: not ascending", p.id, e.zxid, p.lastApplied())
 	}
 	p.applied = append(p.applied, e)
-	p.durable = max(p.durable, len(p.applied)-s.rng.Intn(4))
+	s.logged(p, p.log.Append(&c.Txn))
+	p.sinceSnap++
+	if !p.committing {
+		p.committing = true
+		inc := p.inc
+		s.after(s.rng.Int63n(simTick), func() {
+			if p.up() && p.inc == inc {
+				s.commit(p)
+			}
+		})
+	}
 	s.record("deliver", p.id, Message{}, e.zxid, e.id)
 	role, l := p.core.Role(), s.peer(p.core.followTarget)
 	if p.activated || (role == RoleFollowing || role == RoleObserving) && l != nil && l.up() && l.activated {
@@ -100,17 +119,58 @@ func (s *sim) fits(p *simPeer) {
 	}
 }
 
+// commit is p's group commit: one fsync covers every delivery since the
+// last, as the persister's does, and every simSnapEvery deliveries a
+// periodic snapshot follows, as SnapshotEvery's does.
+func (s *sim) commit(p *simPeer) {
+	p.committing = false
+	s.logged(p, p.log.Sync())
+	if p.sinceSnap >= simSnapEvery {
+		p.sinceSnap = 0
+		s.publish(p, snapshotOf(p.applied), p.lastApplied(), false)
+	}
+}
+
+// logged fails the world on a storage error, unless p's process died.
+func (s *sim) logged(p *simPeer, err error) {
+	if err != nil && p.disk.died == "" {
+		s.failf("peer %d: %v", p.id, err)
+	}
+}
+
+// publish writes a snapshot through storage. Now and then, within the
+// crash budget, the process dies at one of the publish's steps.
+func (s *sim) publish(p *simPeer, snap *ztree.Snapshot, zxid int64, transfer bool) {
+	if s.rng.Intn(100) < s.diskPct && s.mayCrash(p) {
+		p.disk.dieIn = 1 + s.rng.Intn(12)
+	}
+	s.logged(p, p.log.Snapshot(snap, zxid, transfer))
+	if p.disk.died != "" {
+		s.stats.midPublish++
+		s.record("died", p.id, Message{}, zxid, btoi(transfer))
+	}
+	p.disk.dieIn = 0
+}
+
+// restored installs a leader's snapshot and publishes it as the peer's
+// history on disk, as a durable replica does before it goes on.
 func (s *sim) restored(p *simPeer, snap *ztree.Snapshot) {
-	if len(snap.Nodes) < p.checked {
-		s.failf("peer %d installed a snapshot of %d txns over %d confirmed ones", p.id, len(snap.Nodes), p.checked)
+	if p.disk.died != "" {
+		return
 	}
-	p.applied, p.checked = p.applied[:0], 0
-	for _, n := range snap.Nodes {
-		p.applied = append(p.applied, entry{zxid: n.Stat.Czxid, id: n.Stat.Mzxid, data: string(n.Data)})
+	log, ok := entriesOf(snap)
+	switch {
+	case !ok:
+		s.failf("peer %d installed a snapshot no peer made", p.id)
+	case len(log) < p.checked:
+		s.failf("peer %d installed a snapshot of %d txns over %d confirmed ones", p.id, len(log), p.checked)
 	}
-	p.durable = min(p.durable, len(p.applied))
-	p.durable = max(p.durable, len(p.applied)-s.rng.Intn(4))
+	p.before = p.applied
+	p.applied, p.checked, p.sinceSnap = log, 0, 0
 	s.record("restore", p.id, Message{}, p.lastApplied(), int64(len(p.applied)))
+	if s.publish(p, snap, p.core.LastCommitted(), true); p.disk.died == "" {
+		p.before = nil
+	}
 }
 
 func (s *sim) roleChanged(p *simPeer, role Role, leader PeerID) {
@@ -187,8 +247,15 @@ func (s *sim) quorumHeld(p *simPeer, i int) {
 	}
 }
 
-// check runs after every event.
+// check runs after every event. A process whose disk died under it in
+// the event goes first, as if at that instant: what it did after is
+// void (send and delivered drop it).
 func (s *sim) check() {
+	for _, p := range s.peers {
+		if p.up() && p.disk.died != "" {
+			s.kill(p)
+		}
+	}
 	for _, p := range s.peers {
 		if !p.up() {
 			continue
@@ -336,28 +403,46 @@ func (s *sim) reconfigure() {
 	}
 }
 
+// mayCrash is the crash budget: p may die now without taking the last
+// quorum copy of anything with it (see the top of this file).
+func (s *sim) mayCrash(p *simPeer) bool {
+	voters := s.votersAt(len(s.truth))
+	quorum := len(voters)/2 + 1
+	down := 0
+	for _, v := range voters {
+		if q := s.peer(v); q == nil || !q.up() || q.disk.died != "" {
+			down++
+		}
+	}
+	isVoter := slices.Contains(voters, p.id)
+	return p.up() && p.disk.died == "" && p.core.Role() != RoleRemoved && (!isVoter || down+1 < quorum && s.holders(voters, p) >= quorum && s.epochsShow())
+}
+
+// kill crashes p and restarts it a while later.
+func (s *sim) kill(p *simPeer) {
+	s.crash(p)
+	s.after(s.rng.Int63n(2*simElection), func() {
+		if !p.up() {
+			s.boot(p)
+		}
+	})
+}
+
 // nemesis injects one fault, or lifts one.
 func (s *sim) nemesis() {
 	p := s.peers[s.rng.Intn(len(s.peers))]
-	voters := s.votersAt(len(s.truth))
-	quorum := len(voters)/2 + 1
 	switch s.rng.Intn(12) {
 	case 0, 1: // crash, within the budget
-		down := 0
-		for _, v := range voters {
-			if q := s.peer(v); q == nil || !q.up() {
-				down++
-			}
+		if !s.mayCrash(p) {
+			break
 		}
-		isVoter := slices.Contains(voters, p.id)
-		if p.up() && p.core.Role() != RoleRemoved && (!isVoter || down+1 < quorum && s.holders(voters, p) >= quorum && s.epochsShow()) {
-			s.crash(p)
-			s.after(s.rng.Int63n(2*simElection), func() {
-				if !p.up() {
-					s.boot(p)
-				}
-			})
+		if p.committing && s.rng.Intn(2) == 0 {
+			// It dies in its group commit: the write went out, the fsync
+			// never returned.
+			p.disk.dieIn = 2
+			_ = p.log.Sync()
 		}
+		s.kill(p)
 	case 2, 3: // cut a link for a while
 		o := s.peers[s.rng.Intn(len(s.peers))]
 		s.cut(p.id, o.id, true)
@@ -418,12 +503,13 @@ func runSeed(seed int64, nVoters, nObservers int) (s *sim, err error) {
 	}
 	s.after(s.rng.Int63n(10*simTick), chaos)
 	s.after(s.rng.Int63n(10*simTick), traffic)
+	s.diskPct = 10
 	s.run(simChaos)
 
 	// The faults stop: links heal, the weather clears, whoever is down
 	// or stalled comes back (the pending restarts still fire, harmlessly).
 	s.record("calm", 0, Message{}, 0, 0)
-	s.dropPct, s.dupPct, s.slowPct = 0, 0, 0
+	s.dropPct, s.dupPct, s.slowPct, s.diskPct = 0, 0, 0, 0
 	s.cuts = make(map[[2]PeerID]bool)
 	voters, observers := s.membersAt(len(s.truth))
 	for _, p := range s.peers {
@@ -488,10 +574,15 @@ func TestSimSweep(t *testing.T) {
 		first, n = *simSeed, 1
 	}
 	events := 0
+	var disk diskStats
 	for seed := first; seed < first+int64(n); seed++ {
 		shape := simShapes[seed%int64(len(simShapes))]
 		s, err := runSeed(seed, shape[0], shape[1])
 		events += s.events
+		disk.torn += s.stats.torn
+		disk.lost += s.stats.lost
+		disk.reverted += s.stats.reverted
+		disk.midPublish += s.stats.midPublish
 		if err != nil || *simSeed != 0 {
 			t.Logf("last %d events of seed %d (%d voters, %d observers):\n%s", *simTrace, seed, shape[0], shape[1], s.dump())
 		}
@@ -500,7 +591,12 @@ func TestSimSweep(t *testing.T) {
 				seed, shape[0], shape[1], s.events, err, seed)
 		}
 	}
-	t.Logf("%d seeds, %d events, every invariant held after each", n, events)
+	t.Logf("%d seeds, %d events, every invariant held after each; the disks saw %d torn tails, %d crashes that lost unsynced writes, %d that reverted names, %d mid-publish",
+		n, events, disk.torn, disk.lost, disk.reverted, disk.midPublish)
+	// The disk nemesis must not go quiet unnoticed.
+	if *simSeed == 0 && (disk.torn == 0 || disk.lost == 0 || disk.reverted == 0 || disk.midPublish == 0) {
+		t.Fatalf("a kind of disk fault never happened over %d seeds: %+v", n, disk)
+	}
 }
 
 // TestSimSameSeedSameTrace: a seed is a schedule — two runs of one seed

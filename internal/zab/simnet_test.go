@@ -2,26 +2,34 @@ package zab
 
 import (
 	"container/heap"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
 	"time"
 
-	"securekeeper/internal/wire"
+	"securekeeper/internal/storage"
 	"securekeeper/internal/ztree"
 )
 
 // The simulated world: N cores, one virtual clock, one event heap keyed
 // (virtual ns, seq) and one math/rand source — nothing else is random,
 // nothing reads a real clock, and no map is ranged over, so a seed is a
-// schedule. sim_test.go holds what is checked after every event and the
-// nemesis that decides which faults a seed injects.
+// schedule. Each peer keeps its deliveries in storage's real log and
+// snapshots, on a disk of its own (simdisk_test.go), and a restart boots
+// from what storage's recovery returns. sim_test.go holds what is
+// checked after every event and the nemesis that decides which faults a
+// seed injects.
 
 const (
 	simTick     = int64(5 * time.Millisecond)
 	simElection = int64(80 * time.Millisecond)
 	simLogLimit = 12 // small, so laggards recover by snapshot too
+
+	simDir          = "wal"
+	simSegmentBytes = 1024 // a few dozen records: several segments between snapshots
+	simSnapEvery    = 32   // deliveries between periodic snapshots
 )
 
 // entry is one delivered transaction as the simulated application sees
@@ -36,11 +44,17 @@ type simPeer struct {
 	id   PeerID
 	core *core // nil while crashed
 	inc  int   // incarnation; events addressed to an older one are void
-	// applied is the delivered log in memory; applied[:durable] is what
-	// a crash leaves. The disk trails memory by a random lag.
-	applied []entry
-	durable int
-	checked int // applied[:checked] has been compared with the total order
+	// applied is the delivered log in memory; log writes it to disk, a
+	// group commit (commit) at a time.
+	applied    []entry
+	checked    int // applied[:checked] has been compared with the total order
+	disk       *simDisk
+	log        *storage.Log // nil while crashed
+	committing bool         // a group commit is scheduled
+	sinceSnap  int          // deliveries since the last snapshot
+	// before is applied as it was before a snapshot install whose
+	// publish the process died in: what a restart may recover instead.
+	before []entry
 	// bootVoters/bootObservers is the membership the process is
 	// (re)started under; see boot.
 	bootVoters, bootObservers []PeerID
@@ -136,6 +150,11 @@ type sim struct {
 	hash      uint64
 	trace     []traceRec                    // ring of the last *simTrace lines
 	onDeliver func(p *simPeer, c Committed) // directed schedules hook in here
+
+	// diskPct is the chance, in percent, that the nemesis lets a process
+	// die inside a snapshot publish; stats counts what crashes did.
+	diskPct int
+	stats   diskStats
 }
 
 type simFailure struct{ error }
@@ -169,7 +188,7 @@ func newSim(seed int64, voters, observers int) *sim {
 // addPeer registers a process that will run under the given membership;
 // boot starts it.
 func (s *sim) addPeer(id PeerID, voters, observers []PeerID) *simPeer {
-	p := &simPeer{id: id, bootVoters: voters, bootObservers: observers}
+	p := &simPeer{id: id, bootVoters: voters, bootObservers: observers, disk: newSimDisk(s.rng, &s.stats)}
 	i := 0
 	for i < len(s.peers) && s.peers[i].id < id {
 		i++
@@ -217,18 +236,22 @@ func (l simLink) AddPeer(id PeerID, addr string, observer bool) {
 }
 func (l simLink) RemovePeer(id PeerID) { l.s.record("rmpeer", l.from, Message{}, int64(id), 0) }
 
-// boot (re)starts p from its disk, at the last synced zxid. zab keeps no
-// membership on disk: a process runs under the one its operator starts
-// it with, and the operator knows what the ensemble confirmed — every
-// reconfig is his, and acknowledged to him. A peer the ensemble no
-// longer lists restarts as what it last was.
+// boot (re)starts p from what storage's recovery returns from its disk.
+// zab keeps no membership on disk: a process runs under the one its
+// operator starts it with, and the operator knows what the ensemble
+// confirmed, since every reconfig is submitted through the operator and
+// acknowledged to them. A peer the ensemble no longer lists restarts as
+// what it last was.
 func (s *sim) boot(p *simPeer) {
 	if voters, observers := s.membersAt(len(s.truth)); slices.Contains(voters, p.id) || slices.Contains(observers, p.id) {
 		p.bootVoters, p.bootObservers = voters, observers
 	}
 	p.inc++
-	p.applied = p.applied[:p.durable:p.durable]
-	p.checked = min(p.checked, p.durable)
+	log, lastZxid, err := s.recoverDisk(p)
+	if err != nil {
+		s.failf("peer %d cannot recover its disk: %v", p.id, err)
+	}
+	p.log = log
 	p.stalled, p.inbox, p.activated = false, nil, false
 	p.tickEvery = simTick * int64(90+s.rng.Intn(21)) / 100
 	p.core = newCore(Config{
@@ -239,7 +262,7 @@ func (s *sim) boot(p *simPeer) {
 		TickInterval:    time.Duration(simTick),
 		ElectionTimeout: time.Duration(simElection),
 		MaxLogEntries:   simLogLimit,
-		LastZxid:        p.lastApplied(),
+		LastZxid:        lastZxid,
 		Deliver:         func(c Committed) { s.delivered(p, c) },
 		Snapshot:        func() *ztree.Snapshot { return snapshotOf(p.applied) },
 		Restore:         func(snap *ztree.Snapshot) { s.restored(p, snap) },
@@ -250,19 +273,87 @@ func (s *sim) boot(p *simPeer) {
 	s.schedule(s.now+int64(s.rng.Int63n(p.tickEvery)), event{peer: p.id, inc: p.inc, tick: true})
 }
 
-// crash discards the core; the disk keeps the synced prefix.
-func (s *sim) crash(p *simPeer) {
-	p.bootVoters, p.bootObservers = p.core.Membership()
-	p.core = nil
-	s.record("crash", p.id, Message{}, int64(p.durable), int64(len(p.applied)))
+// recoverDisk runs storage's recovery over p's disk, rebuilding p.applied
+// from the snapshot and records it hands back, and checks what it got:
+// a prefix of the log the process held when it died — or, had it died
+// publishing a snapshot install, of the one it held before — so it holds
+// nothing the peer had not delivered, and what of it was compared with
+// the total order still fits it.
+func (s *sim) recoverDisk(p *simPeer) (*storage.Log, int64, error) {
+	held, before := p.applied, p.before
+	p.applied, p.before, p.sinceSnap, p.disk.died = nil, nil, 0, ""
+	log, lastZxid, err := storage.OpenLog(p.disk, simDir, simSegmentBytes,
+		func(snap *ztree.Snapshot) { p.applied, _ = entriesOf(snap) },
+		func(txn *ztree.Txn) { p.applied = append(p.applied, entryOf(txn)) })
+	switch {
+	case err != nil:
+		return nil, 0, err
+	case lastZxid != p.lastApplied():
+		s.failf("peer %d recovered a log ending at %#x as zxid %#x", p.id, p.lastApplied(), lastZxid)
+	case isPrefix(p.applied, held):
+		p.checked = min(p.checked, len(p.applied))
+	case before != nil && isPrefix(p.applied, before):
+		p.checked = 0
+	default:
+		s.failf("peer %d recovered %d txns up to %#x, not a prefix of the %d it held (up to %#x)",
+			p.id, len(p.applied), lastZxid, len(held), lastOf(held))
+	}
+	return log, lastZxid, nil
 }
 
-func snapshotOf(applied []entry) *ztree.Snapshot {
-	snap := &ztree.Snapshot{Nodes: make([]ztree.SnapshotNode, len(applied))}
-	for i, e := range applied {
-		snap.Nodes[i] = ztree.SnapshotNode{Data: []byte(e.data), Stat: wire.Stat{Czxid: e.zxid, Mzxid: e.id}}
+// crash discards the core and its log; the disk keeps what a crash
+// leaves (simDisk.crash).
+func (s *sim) crash(p *simPeer) {
+	p.bootVoters, p.bootObservers = p.core.Membership()
+	p.core, p.log, p.committing = nil, nil, false
+	s.record("crash", p.id, Message{}, int64(len(p.applied)), 0)
+	p.disk.crash()
+}
+
+func isPrefix(a, b []entry) bool { return len(a) <= len(b) && slices.Equal(a, b[:len(a)]) }
+
+func lastOf(log []entry) int64 {
+	if len(log) == 0 {
+		return 0
 	}
-	return snap
+	return log[len(log)-1].zxid
+}
+
+// snapshotOf packs a delivered log into a snapshot of one node, whose
+// data holds each entry's zxid, id and reconfig payload; entriesOf
+// unpacks it, and entryOf reads a logged transaction.
+func snapshotOf(applied []entry) *ztree.Snapshot {
+	var b []byte
+	for _, e := range applied {
+		b = binary.BigEndian.AppendUint64(b, uint64(e.zxid))
+		b = binary.BigEndian.AppendUint64(b, uint64(e.id))
+		b = binary.BigEndian.AppendUint16(b, uint16(len(e.data)))
+		b = append(b, e.data...)
+	}
+	return &ztree.Snapshot{Nodes: []ztree.SnapshotNode{{Data: b}}}
+}
+
+// entriesOf reports ok=false for a snapshot snapshotOf did not make.
+func entriesOf(snap *ztree.Snapshot) (log []entry, ok bool) {
+	for _, n := range snap.Nodes {
+		for b := n.Data; len(b) > 0; {
+			if len(b) < 18 || len(b) < 18+int(binary.BigEndian.Uint16(b[16:])) {
+				return nil, false
+			}
+			end := 18 + int(binary.BigEndian.Uint16(b[16:]))
+			log = append(log, entry{zxid: int64(binary.BigEndian.Uint64(b)), id: int64(binary.BigEndian.Uint64(b[8:])), data: string(b[18:end])})
+			b = b[end:]
+		}
+	}
+	return log, true
+}
+
+func entryOf(txn *ztree.Txn) entry {
+	e := entry{zxid: txn.Zxid, id: txn.Session}
+	if txn.Type == ztree.TxnReconfig {
+		e.data = string(txn.Data)
+	}
+	return e
 }
 
 func (s *sim) linkDown(a, b PeerID) bool {
@@ -292,7 +383,7 @@ func (s *sim) send(from, to PeerID, msg Message) {
 		}
 	}
 	dst := s.peer(to)
-	if dst == nil || !dst.up() || s.linkDown(from, to) || s.rng.Intn(100) < s.dropPct {
+	if dst == nil || !dst.up() || s.peer(from).disk.died != "" || s.linkDown(from, to) || s.rng.Intn(100) < s.dropPct {
 		s.record("lost", to, msg, 0, 0)
 		return
 	}
@@ -472,12 +563,12 @@ func (s *sim) dump() string {
 	}
 	for _, p := range s.peers {
 		if !p.up() {
-			fmt.Fprintf(&b, "peer %d: down, %d txns on disk\n", p.id, p.durable)
+			fmt.Fprintf(&b, "peer %d: down, %d txns delivered before\n", p.id, len(p.applied))
 			continue
 		}
 		c := p.core
-		fmt.Fprintf(&b, "peer %d: %s of %d, epoch %d round %d, %d delivered (%d on disk), %d in flight, %d outstanding, synced=%v stalled=%v; rows:",
-			p.id, c.Role(), c.followTarget, c.epoch, c.round, len(p.applied), p.durable, len(c.inflight), len(c.outstanding), c.leaderSynced, p.stalled)
+		fmt.Fprintf(&b, "peer %d: %s of %d, epoch %d round %d, %d delivered, %d in flight, %d outstanding, synced=%v stalled=%v; rows:",
+			p.id, c.Role(), c.followTarget, c.epoch, c.round, len(p.applied), len(c.inflight), len(c.outstanding), c.leaderSynced, p.stalled)
 		for _, m := range c.members {
 			fmt.Fprintf(&b, " %d{voter=%v synced=%v/%v acked=%#x vote=%d@%d gone=%v}", m.id, m.voter, m.synced, m.obsSynced, m.acked, m.vote.for_, m.vote.round, m.removeAt != 0)
 		}
