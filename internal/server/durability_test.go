@@ -113,7 +113,7 @@ func TestPersistFailureDegradesReplica(t *testing.T) {
 	// Kill the disk out from under the replica.
 	r.persister.Fail(errors.New("injected disk failure"))
 
-	// The in-flight commit path must fail the write, not ack it.
+	// The replica degraded at the failure: the write fails, unacknowledged.
 	if _, err := cl.Create(ctxbg, "/lost", nil, 0); err == nil {
 		t.Fatal("write acknowledged after persistence failure")
 	}
@@ -127,6 +127,22 @@ func TestPersistFailureDegradesReplica(t *testing.T) {
 	// ...but reads keep serving from the in-memory tree.
 	if data, _, err := cl.Get(ctxbg, "/pre"); err != nil || !bytes.Equal(data, []byte("ok")) {
 		t.Fatalf("degraded read = %q, %v", data, err)
+	}
+}
+
+// TestPersistFailureDegradesIdleReplica: a replica none of whose
+// clients waits on a record — here it has none at all — degrades the
+// moment its disk fails, not at the next write one of them sends.
+func TestPersistFailureDegradesIdleReplica(t *testing.T) {
+	net := zab.NewNetwork()
+	r := newDurableSingle(t, net, t.TempDir())
+	defer func() {
+		r.Close()
+		net.Close()
+	}()
+	r.persister.Fail(errors.New("injected disk failure"))
+	if !r.Degraded() {
+		t.Fatal("replica with no session not degraded after persistence failure")
 	}
 }
 

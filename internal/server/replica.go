@@ -195,6 +195,7 @@ func NewReplica(cfg Config) *Replica {
 			SnapshotEvery: cfg.SnapshotEvery,
 			SegmentBytes:  cfg.LogSegmentBytes,
 			Obs:           cfg.Obs,
+			OnFail:        r.enterDegraded,
 		})
 		if err != nil {
 			// A replica that cannot read its durable state must not
@@ -505,8 +506,10 @@ func (r *Replica) abortWrites() {
 // commit-log goroutine (this loop never blocks on disk, so consecutive
 // deliveries pile into one shared fsync) and the same reply is released
 // when the fsync covering it returns: the client sees "committed" only
-// once it means "on disk". A persistence failure drops the replica into
-// degraded mode and aborts the write instead.
+// once it means "on disk". Only a record a local client waits on carries
+// a callback, which is how the persister's flush rule tells awaited
+// records from the rest. A persistence failure aborts the write instead;
+// the replica has dropped into degraded mode already (OnFail).
 func (r *Replica) deliver(c zab.Committed) {
 	applyStart := obs.Now()
 	res := r.tree.Apply(&c.Txn)
@@ -523,22 +526,22 @@ func (r *Replica) deliver(c zab.Committed) {
 			resp = r.buildWriteResponse(&c.Txn, entry.op, entry.xid, &res)
 		}
 	}
-	if r.persister == nil {
+	switch {
+	case r.persister == nil:
 		if entry != nil {
 			s.writeDone(entry, resp, false)
 		}
-		return
-	}
-	r.persister.Record(&c.Txn, func(err error) {
-		if err != nil {
-			r.enterDegraded(err)
-			if entry != nil {
+	case entry == nil:
+		r.persister.Record(&c.Txn, nil)
+	default:
+		r.persister.Record(&c.Txn, func(err error) {
+			if err != nil {
 				s.abort(entry)
+			} else {
+				s.writeDone(entry, resp, false)
 			}
-		} else if entry != nil {
-			s.writeDone(entry, resp, false)
-		}
-	})
+		})
+	}
 }
 
 // restoreFromSync installs a snapshot received from the leader during
@@ -549,12 +552,11 @@ func (r *Replica) restoreFromSync(snap *ztree.Snapshot) {
 	if r.persister != nil {
 		// The peer updates its commit position before calling Restore.
 		// Failure to persist the synced snapshot means this replica's
-		// durable state is stale AND its disk is suspect: degrade
-		// rather than keep acknowledging (the sticky persister failure
-		// blocks later Records anyway).
-		if err := r.persister.Snapshot(r.peer.LastCommitted()); err != nil {
-			r.enterDegraded(err)
-		}
+		// durable state is stale AND its disk is suspect: the failure
+		// latched in the persister, whose OnFail has degraded the replica
+		// already (and the sticky failure blocks later Records anyway).
+		// The other error, ErrClosed, only comes while the replica closes.
+		_ = r.persister.Snapshot(r.peer.LastCommitted())
 	}
 }
 

@@ -19,8 +19,13 @@ type PersisterConfig struct {
 	// SegmentBytes is the log rotation threshold (0 = default).
 	SegmentBytes int64
 	// Obs, when set, receives the persister's live metrics: fsync
-	// latency, txns per fsync, commit-wait latency and queue depth.
+	// latency, txns per fsync, commit-wait latency, flush holds and
+	// queue depth.
 	Obs *obs.Registry
+	// OnFail, when set, is called once with the failure that latches
+	// the persister (a disk error or Fail), on the goroutine that
+	// latched it, before any waiter hears of it. It must not block.
+	OnFail func(error)
 }
 
 // commitReq is one unit of work queued for the commit-log goroutine: a
@@ -45,33 +50,50 @@ type commitReq struct {
 
 // Persister ties the tree, the segmented WAL and snapshots together
 // with ZooKeeper-style group commit: callers enqueue transactions and
-// a single commit-log goroutine coalesces everything that arrived
-// within one fsync window into one Append run + one Sync, completing
-// every waiter on the shared fsync. Under W concurrent writers the
-// per-transaction fsync cost approaches 1/W of a solo commit.
+// a single commit-log goroutine coalesces everything queued into one
+// Append run + one Sync, completing every waiter on the shared fsync.
+// Under W concurrent writers the per-transaction fsync cost approaches
+// 1/W of a solo commit.
+//
+// When the next flush starts is one rule. A record with a done
+// callback is awaited: somebody's reply waits on its fsync. After a
+// flush that released k awaited records, the next one starts once k
+// awaited records are queued again, or once as long as that flush took
+// has passed since it ended, whichever comes first. Writers that a
+// flush answers come back together, so they go down together, instead
+// of splitting into cohorts that each wait out the other's flush. A
+// flush that released no waiter, a queued state transfer, Close and a
+// latched failure never hold the queue. The cost: a device faster
+// than a client's round trip can sit idle for up to one flush per
+// cycle while the hold waits for writers that will not all return.
 //
 // Any persistence failure is sticky: the first error is reported to
-// its waiters and every subsequent Record fails fast with it. The
-// replica layer reacts by dropping into degraded read-only mode — it
-// must never acknowledge a commit it can no longer store.
+// OnFail and to its waiters, and every subsequent Record fails fast
+// with it. The replica layer reacts by dropping into degraded read-only
+// mode — it must never acknowledge a commit it can no longer store.
 type Persister struct {
 	log           *Log
 	tree          *ztree.Tree
 	snapshotEvery int
+	onFail        func(error)
 
 	mu        sync.Mutex
 	queue     []commitReq
+	awaited   int // queued records with a done callback
+	holdFor   int // while the loop holds: the awaited count that ends the hold
 	sinceSnap int
 	failure   error
 	closed    bool
 
 	kick     chan struct{} // 1-buffered wakeup for the commit loop
+	hold     *time.Timer   // bounds a hold; the loop's one timer, reset per hold
 	loopDone chan struct{}
 
 	// Live metrics (nil instruments are no-ops when no registry is wired).
 	fsyncHist  *obs.Histogram // storage_fsync_seconds
 	txnsHist   *obs.Histogram // storage_txns_per_fsync
 	commitWait *obs.Histogram // storage_commit_wait_seconds
+	holdHist   *obs.Histogram // storage_flush_hold_seconds
 
 	// syncStallNs is a fault-injection knob: when positive, every fsync
 	// is preceded by that many nanoseconds of sleep on the commit-log
@@ -93,13 +115,17 @@ func Recover(cfg PersisterConfig) (*Persister, int64, error) {
 		log:           log,
 		tree:          cfg.Tree,
 		snapshotEvery: cfg.SnapshotEvery,
+		onFail:        cfg.OnFail,
 		kick:          make(chan struct{}, 1),
+		hold:          time.NewTimer(time.Hour),
 		loopDone:      make(chan struct{}),
 	}
+	p.hold.Stop()
 	if cfg.Obs != nil {
 		p.fsyncHist = cfg.Obs.Histogram("storage_fsync_seconds", "", "group-commit fsync latency")
 		p.txnsHist = cfg.Obs.CountHistogram("storage_txns_per_fsync", "", "transactions covered by each fsync")
 		p.commitWait = cfg.Obs.Histogram("storage_commit_wait_seconds", "", "Record enqueue to covering fsync return")
+		p.holdHist = cfg.Obs.Histogram("storage_flush_hold_seconds", "", "time the flush rule held a non-empty queue for awaited records")
 		cfg.Obs.GaugeFunc("storage_commit_queue_depth", "", "commit requests awaiting the group fsync", func() int64 {
 			p.mu.Lock()
 			n := len(p.queue)
@@ -112,12 +138,13 @@ func Recover(cfg PersisterConfig) (*Persister, int64, error) {
 	return p, lastZxid, nil
 }
 
-// Record enqueues txn for durable storage. done (optional) fires
-// exactly once — possibly on the commit-log goroutine, so it must not
-// block — after the fsync covering txn returns, or with the error that
-// prevented durability. Record itself never blocks on I/O: the zab
-// delivery loop stays decoupled from disk latency, which is what lets
-// concurrent proposals pile into one fsync window.
+// Record enqueues txn for durable storage. done, when set, marks txn
+// as awaited (see Persister) and fires exactly once — possibly on the
+// commit-log goroutine, so it must not block — after the fsync covering
+// txn returns, or with the error that prevented durability. Pass nil
+// for a record nobody waits on. Record itself never blocks on I/O: the
+// zab delivery loop stays decoupled from disk latency, which is what
+// lets concurrent proposals pile into one fsync window.
 //
 // Must be called from the single apply goroutine, after txn has been
 // applied to the tree: automatic snapshots are captured here,
@@ -140,8 +167,14 @@ func (p *Persister) Record(txn *ztree.Txn, done func(error)) {
 		p.sinceSnap = 0
 	}
 	p.queue = append(p.queue, req)
+	if done != nil {
+		p.awaited++
+	}
+	wake := p.awaited >= p.holdFor // during a hold, only the record that ends it
 	p.mu.Unlock()
-	p.wake()
+	if wake {
+		p.wake()
+	}
 }
 
 // Snapshot installs the tree as it is now, as of zxid, as this
@@ -215,31 +248,81 @@ func (p *Persister) wake() {
 	}
 }
 
+// flushed is what the flush rule remembers of the last flush: the
+// awaited records it released, and how long it took to make them
+// durable and when it did (obs.Now ns).
+type flushed struct {
+	awaited     int
+	took, ended int64
+}
+
 // commitLoop is the commit-log goroutine: it repeatedly swaps out the
-// whole queue and commits it as one batch — every transaction that
-// arrived while the previous fsync was in flight shares the next one.
+// whole queue and commits it as one batch, starting each flush by the
+// rule in the Persister doc.
 func (p *Persister) commitLoop() {
 	defer close(p.loopDone)
+	var last flushed
+	var heldSince int64 // when the current hold began; 0: none
 	for {
-		<-p.kick
-		for {
-			p.mu.Lock()
-			batch := p.queue
-			p.queue = nil
+		p.mu.Lock()
+		if len(p.queue) == 0 {
 			closed := p.closed
 			p.mu.Unlock()
-			if len(batch) == 0 {
-				if closed {
-					return
-				}
-				break // back to waiting on kick
+			if closed {
+				return
 			}
-			p.commitBatch(batch)
+			<-p.kick
+			continue
 		}
+		if wait := last.ended + last.took - obs.Now(); wait > 0 && p.holdsLocked(last.awaited) {
+			p.holdFor = last.awaited
+			select { // a wakeup from before the hold would end it at once
+			case <-p.kick:
+			default:
+			}
+			p.mu.Unlock()
+			if heldSince == 0 {
+				heldSince = obs.Now()
+			}
+			p.waitHold(time.Duration(wait))
+			continue
+		}
+		batch := p.queue
+		p.queue, p.awaited, p.holdFor = nil, 0, 0
+		p.mu.Unlock()
+		if heldSince != 0 {
+			p.holdHist.Observe(obs.Now() - heldSince)
+			heldSince = 0
+		}
+		last = p.commitBatch(batch)
 	}
 }
 
-func (p *Persister) commitBatch(batch []commitReq) {
+// holdsLocked reports whether the queue waits for more awaited records,
+// given that the last flush released target of them.
+func (p *Persister) holdsLocked(target int) bool {
+	return p.awaited < target && !p.closed && p.failure == nil &&
+		p.queue[len(p.queue)-1].transferDone == nil // a state transfer is always last
+}
+
+// waitHold sleeps until a wakeup (the awaited count reached, a state
+// transfer, Close, a failure) or for d, whichever comes first.
+func (p *Persister) waitHold(d time.Duration) {
+	p.hold.Reset(d)
+	select {
+	case <-p.kick:
+		if !p.hold.Stop() {
+			select { // it fired meanwhile: drain it before the next Reset
+			case <-p.hold.C:
+			default:
+			}
+		}
+	case <-p.hold.C:
+	}
+}
+
+func (p *Persister) commitBatch(batch []commitReq) flushed {
+	start := obs.Now()
 	err := p.Err() // sticky: fail queued work without touching the disk
 	txns := 0
 	if err == nil {
@@ -267,8 +350,10 @@ func (p *Persister) commitBatch(batch []commitReq) {
 		p.fail(err)
 	}
 	durableNs := obs.Now()
+	awaited := 0
 	for i := range batch {
 		if batch[i].done != nil {
+			awaited++
 			p.commitWait.Observe(durableNs - batch[i].enqNs)
 			batch[i].done(err)
 		}
@@ -295,6 +380,7 @@ func (p *Persister) commitBatch(batch []commitReq) {
 			batch[i].transferDone(snapErr)
 		}
 	}
+	return flushed{awaited: awaited, took: durableNs - start, ended: durableNs}
 }
 
 // Fail injects a sticky persistence failure (fault injection for
@@ -311,8 +397,15 @@ func (p *Persister) StallFsync(d time.Duration) { p.syncStallNs.Store(int64(d)) 
 
 func (p *Persister) fail(err error) {
 	p.mu.Lock()
-	if p.failure == nil {
+	first := p.failure == nil
+	if first {
 		p.failure = err
 	}
 	p.mu.Unlock()
+	if first {
+		if p.onFail != nil {
+			p.onFail(err)
+		}
+		p.wake() // a latched failure ends a hold
+	}
 }

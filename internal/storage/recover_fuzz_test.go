@@ -103,6 +103,94 @@ func runOne(t *testing.T, records, tail []byte, split uint8) {
 	}
 }
 
+// FuzzSnapshotRecovery recovers a directory that holds a log of four
+// records, a good snapshot at zxid 2 and, newer than it at zxid 3, a
+// fuzz-chosen snapshot file. mode's low bit frames body as the file
+// would be written — zxid and a CRC-valid header — so the snapshot
+// decoder is reached; without it body is the whole file, so truncated
+// and bit-flipped files are reached. mode's second bit leaves the good
+// snapshot out. A file that does not read back as a snapshot must make
+// recovery fall back to the good one and replay the log behind it, or,
+// with none left, refuse the directory as corrupt. One that does is used,
+// and recovers the same twice. Recovery never panics.
+func FuzzSnapshotRecovery(f *testing.F) {
+	txns := []ztree.Txn{
+		{Zxid: 1, Type: ztree.TxnCreate, Path: "/a", Data: []byte("v")},
+		{Zxid: 2, Type: ztree.TxnCreate, Path: "/a/b"},
+		{Zxid: 3, Type: ztree.TxnSetData, Path: "/a", Data: []byte("w"), Version: -1},
+		{Zxid: 4, Type: ztree.TxnCreate, Path: "/c"},
+	}
+	at := func(n int) *ztree.Tree {
+		tree := ztree.New()
+		for i := range txns[:n] {
+			tree.Apply(&txns[i])
+		}
+		return tree
+	}
+	good := wire.Marshal(at(2).Snapshot())
+	var log []byte
+	for i := range txns {
+		log = appendRecord(log, wire.Marshal(&txns[i]))
+	}
+	wantDigest := at(len(txns)).Digest()
+
+	valid := wire.Marshal(at(3).Snapshot())
+	file := snapshotFile(3, valid)
+	flipped := append([]byte(nil), file...)
+	flipped[len(flipped)/2] ^= 0x10
+	f.Add(valid, uint8(1))                // a real snapshot, used
+	f.Add(valid, uint8(3))                // the only snapshot, used
+	f.Add(valid[:len(valid)/2], uint8(1)) // framed over a truncated body
+	f.Add(file[:len(file)-5], uint8(0))   // a truncated file
+	f.Add(file[:7], uint8(2))             // shorter than its header, alone
+	f.Add(flipped, uint8(0))              // a flipped bit
+	f.Add([]byte{1, 2, 3}, uint8(3))      // framed, undecodable, alone
+	f.Add(wire.Marshal(&ztree.Snapshot{Nodes: []ztree.SnapshotNode{{Path: ""}}}), uint8(1))
+	f.Add(wire.Marshal(&ztree.Snapshot{Nodes: []ztree.SnapshotNode{{Path: "a/b"}}}), uint8(1))
+	f.Fuzz(func(t *testing.T, body []byte, mode uint8) {
+		dir := t.TempDir()
+		damaged := body
+		if mode&1 != 0 {
+			damaged = snapshotFile(3, body)
+		}
+		files := map[string][]byte{segmentName(1): log, snapshotName(3): damaged}
+		if mode&2 == 0 {
+			files[snapshotName(2)] = snapshotFile(2, good)
+		}
+		for name, b := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, _, readErr := (&Log{fs: osFS{}, dir: dir}).readSnapshot(3)
+
+		zxid, digest, err := recoverDir(t, dir)
+		switch {
+		case readErr == nil:
+			if err != nil {
+				t.Fatalf("a readable snapshot failed recovery: %v", err)
+			}
+			again, digestAgain, err := recoverDir(t, dir)
+			if err != nil || again != zxid || digestAgain != digest {
+				t.Fatalf("second recovery: zxid %d digest %#x, %v; the first recovered zxid %d digest %#x", again, digestAgain, err, zxid, digest)
+			}
+		case mode&2 != 0:
+			if !errors.Is(err, ErrCorruptRecord) {
+				t.Fatalf("the only snapshot is unreadable (%v), and recovery returned zxid %d, %v; want it refused as corrupt", readErr, zxid, err)
+			}
+		case err != nil || zxid != 4 || digest != wantDigest:
+			t.Fatalf("an unreadable newest snapshot (%v): recovered zxid %d, digest %#x, %v; want the fallback's zxid 4, digest %#x", readErr, zxid, digest, err, wantDigest)
+		}
+	})
+}
+
+// snapshotFile frames payload as the snapshot file of zxid.
+func snapshotFile(zxid int64, payload []byte) []byte {
+	b := binary.BigEndian.AppendUint64(nil, uint64(zxid))
+	b = binary.BigEndian.AppendUint32(b, crc32.Checksum(payload, crcTable))
+	return append(b, payload...)
+}
+
 // appendRecord frames payload as one CRC-valid log record.
 func appendRecord(b, payload []byte) []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))

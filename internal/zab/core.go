@@ -243,15 +243,17 @@ func (c *core) tick(now int64) {
 		c.env.sendMany(c.others((*member).isMember), Message{Kind: KindPing, Epoch: c.epoch, Zxid: c.LastCommitted()})
 		// Abdicate if a quorum has gone silent. Observers never count:
 		// an ensemble of live observers with no voter quorum is not a
-		// functioning ensemble.
-		voters, alive := 0, 1
+		// functioning ensemble. Nor does the leader, once it is no voter
+		// of its own table (leaving): its followers alone must be a
+		// quorum, or it would lead on for good with too few to commit.
+		voters, alive := 0, 0
 		for i := range c.members {
 			m := &c.members[i]
 			if !m.voter {
 				continue
 			}
 			voters++
-			if m.id != c.id && m.lastHeard != 0 && now-m.lastHeard < c.electN {
+			if m.id == c.id || m.lastHeard != 0 && now-m.lastHeard < c.electN {
 				alive++
 			}
 		}

@@ -291,6 +291,43 @@ func TestScheduleRemovedVoterAck(t *testing.T) {
 	})
 }
 
+// TestScheduleLeavingLeaderAbdicates (red list, simulator seed 13262):
+// a leader proposes the removal of follower A, which only A acknowledges,
+// and dies. A wins on its ACKed frontier and delivers its own removal
+// while it completes the prefix, so it leads on, leaving, over the
+// voters {B, the dead leader}, with B alone to follow it. That is no
+// quorum, and A must abdicate as any leader does when a quorum of its
+// voters goes silent; counting itself, though no voter of its own table,
+// it used to lead on for good. Once the dead leader is back, B and it
+// elect one of themselves and commit.
+func TestScheduleLeavingLeaderAbdicates(t *testing.T) {
+	schedule(t, 3, 0, func(s *sim) {
+		l := s.elect(10)
+		s.write(l, 1)
+		s.awaitDelivered(1, 4, s.ids()...)
+		a := s.others(l)[0]
+		s.route = func(from, to PeerID, msg Message) int64 {
+			if msg.Kind == KindProposeBatch && to != a.id || msg.Kind == KindAck && from == a.id {
+				return -1 // only A holds its removal, and the leader never hears so
+			}
+			return 50_000
+		}
+		s.reconfig(l, ReconfigChange{Action: ReconfigRemove, ID: a.id})
+		s.idle(2)
+		s.crash(l)
+		s.route = nil
+		s.await("A to lead on its own removal", failover, func() bool { return a.core.Role() == RoleLeading && a.core.leaving })
+		s.await("A to abdicate", failover, func() bool { return a.core.Role() != RoleLeading })
+		s.boot(l)
+		next := s.elect(3 * failover)
+		if next == a {
+			s.failf("A leads again after its removal")
+		}
+		s.write(next, 1)
+		s.awaitDelivered(3, 4, next.id, l.id)
+	})
+}
+
 // TestScheduleLinksUpAfterFirstBroadcast (red list): every process of a
 // TCP ensemble starts at once and campaigns before its dials complete,
 // so every first vote is lost. A vote used to be sent once per

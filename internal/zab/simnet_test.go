@@ -330,7 +330,7 @@ func snapshotOf(applied []entry) *ztree.Snapshot {
 		b = binary.BigEndian.AppendUint16(b, uint16(len(e.data)))
 		b = append(b, e.data...)
 	}
-	return &ztree.Snapshot{Nodes: []ztree.SnapshotNode{{Data: b}}}
+	return &ztree.Snapshot{Nodes: []ztree.SnapshotNode{{Path: "/", Data: b}}}
 }
 
 // entriesOf reports ok=false for a snapshot snapshotOf did not make.

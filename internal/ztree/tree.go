@@ -562,7 +562,8 @@ func (s *Snapshot) Serialize(e *wire.Encoder) {
 // payload: two length prefixes and the Stat (68 bytes).
 const minSnapshotNodeLen = 76
 
-// Deserialize implements wire.Record.
+// Deserialize implements wire.Record. Every node's path must be one
+// ValidatePath accepts: Restore links each node to its parent by path.
 func (s *Snapshot) Deserialize(d *wire.Decoder) error {
 	n := d.ReadInt32()
 	if n < 0 || n > wire.MaxVectorLen {
@@ -574,6 +575,9 @@ func (s *Snapshot) Deserialize(d *wire.Decoder) error {
 	for i := int32(0); i < n && d.Err() == nil; i++ {
 		sn := SnapshotNode{Path: d.ReadString(), Data: d.ReadBuffer()}
 		sn.Stat.Deserialize(d)
+		if err := ValidatePath(sn.Path); d.Err() == nil && err != nil {
+			return fmt.Errorf("ztree: snapshot node %d: %w", i, err)
+		}
 		s.Nodes = append(s.Nodes, sn)
 	}
 	return d.Err()
