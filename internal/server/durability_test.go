@@ -4,12 +4,19 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"securekeeper/internal/client"
+	"securekeeper/internal/obs"
+	"securekeeper/internal/storage"
 	"securekeeper/internal/transport"
+	"securekeeper/internal/wire"
 	"securekeeper/internal/zab"
+	"securekeeper/internal/ztree"
 )
 
 // newDurableSingle boots a single-replica ensemble persisting to dir.
@@ -23,6 +30,7 @@ func newDurableSingle(t *testing.T, net *zab.Network, dir string) *Replica {
 		ElectionTimeout: 60 * time.Millisecond,
 		DataDir:         dir,
 		SnapshotEvery:   10,
+		Obs:             obs.NewRegistry(),
 	})
 	deadline := time.Now().Add(5 * time.Second)
 	for !r.IsLeader() && time.Now().Before(deadline) {
@@ -147,13 +155,17 @@ func TestPersistFailureDegradesIdleReplica(t *testing.T) {
 }
 
 // TestDurableFollowerSnapSyncPersists: a durable follower that receives
-// a snapshot sync persists it, so a subsequent restart reflects it.
+// a snapshot sync persists it, so a restart from its data dir reflects
+// it. The follower is down while the ensemble commits more and restarts
+// into a new epoch, whose leader holds no diff for it, so it syncs by
+// snapshot; then its data dir alone must recover the leader's tree.
 func TestDurableFollowerSnapSyncPersists(t *testing.T) {
 	net := zab.NewNetwork()
 	ids := []zab.PeerID{1, 2, 3}
 	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
 	replicas := make([]*Replica, 3)
-	for i := range replicas {
+	start := func(i int) {
+		net.Flush(ids[i]) // what the previous incarnation was sent
 		replicas[i] = NewReplica(Config{
 			ID:              ids[i],
 			Peers:           ids,
@@ -163,6 +175,37 @@ func TestDurableFollowerSnapSyncPersists(t *testing.T) {
 			DataDir:         dirs[i],
 			SnapshotEvery:   1000,
 		})
+		net.SetDown(ids[i], false)
+	}
+	stop := func(i int) {
+		net.SetDown(ids[i], true)
+		replicas[i].Close()
+		replicas[i] = nil
+	}
+	// settled waits for a leader that the other live replicas follow, so
+	// a quorum has synced and the first write is not refused.
+	settled := func() *Replica {
+		var live []*Replica
+		for _, r := range replicas {
+			if r != nil {
+				live = append(live, r)
+			}
+		}
+		tc := &testCluster{t: t, replicas: live}
+		tc.waitSettled(5 * time.Second)
+		return tc.waitLeader(time.Second)
+	}
+	create := func(leader *Replica, from, to int) {
+		cl := connectTo(t, leader)
+		defer cl.Close()
+		for i := from; i < to; i++ {
+			if _, err := cl.Create(ctxbg, fmt.Sprintf("/s%02d", i), nil, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := range replicas {
+		start(i)
 	}
 	defer func() {
 		for _, r := range replicas {
@@ -173,46 +216,141 @@ func TestDurableFollowerSnapSyncPersists(t *testing.T) {
 		net.Close()
 	}()
 
-	// Wait for a leader and write through it.
-	var leaderIdx int
+	leader := settled()
+	create(leader, 0, 10)
+	f := (int(leader.ID()) % 3) // a follower's index
+	stop(f)
+	create(leader, 10, 15) // the follower misses these
+	for i := range replicas {
+		if i != f {
+			stop(i)
+		}
+	}
+	for i := range replicas {
+		if i != f {
+			start(i)
+		}
+	}
+	leader = settled() // a new epoch, whose log starts empty
+	start(f)
+	want := leader.Tree().Digest()
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		leaderIdx = -1
-		for i, r := range replicas {
-			if r.IsLeader() {
-				leaderIdx = i
-			}
-		}
-		if leaderIdx >= 0 {
-			break
-		}
+	for replicas[f].Tree().Digest() != want {
 		if time.Now().After(deadline) {
-			t.Fatal("no leader")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cl := connectTo(t, replicas[leaderIdx])
-	defer cl.Close()
-	for i := 0; i < 10; i++ {
-		if _, err := cl.Create(ctxbg, fmt.Sprintf("/s%02d", i), nil, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// All replicas converge and each data dir is non-empty.
-	deadline = time.Now().Add(5 * time.Second)
-	want := replicas[leaderIdx].Tree().Digest()
-	for time.Now().Before(deadline) {
-		ok := true
-		for _, r := range replicas {
-			if r.Tree().Digest() != want {
-				ok = false
-			}
-		}
-		if ok {
-			return
+			t.Fatal("the restarted follower did not converge")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatal("durable ensemble did not converge")
+	stop(f)
+
+	if snaps, _ := filepath.Glob(filepath.Join(dirs[f], "snapshot.*")); len(snaps) != 1 {
+		t.Fatalf("the follower's data dir holds snapshots %v, want the one of its snapshot sync", snaps)
+	}
+	tree := ztree.New()
+	p, _, err := storage.Recover(storage.PersisterConfig{Dir: dirs[f], Tree: tree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if tree.Digest() != want {
+		t.Fatal("the follower's data dir does not recover the leader's tree")
+	}
+}
+
+// TestFlushRuleCountsQueuedReads: on a durable replica, a read that a
+// session queues behind its own unanswered write counts toward the
+// persister's flush rule, because the flush that makes the write durable
+// answers the read too. Under a 100 ms fsync stall a pipelined session
+// sends a lone write and, while its flush runs, [w w w w w r]: one batch
+// of five records and the read. Then [w w w w r r], six requests again,
+// and the hold before they go down ends when all six have arrived, far
+// under the stall. Counting records alone, it waited for a fifth write
+// until the bound.
+func TestFlushRuleCountsQueuedReads(t *testing.T) {
+	const stall = 100 * time.Millisecond
+	net := zab.NewNetwork()
+	r := newDurableSingle(t, net, t.TempDir())
+	defer func() {
+		r.Close()
+		net.Close()
+	}()
+	a, b := transport.NewChanPipe()
+	go func() { _ = r.ServeConn(b, nil) }()
+	defer a.Close()
+	if err := a.SendFrame(wire.Marshal(&wire.ConnectRequest{TimeoutMillis: 10000})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.RecvFrame(); err != nil {
+		t.Fatal(err)
+	}
+
+	var xid int32
+	sent := 0
+	send := func(ops ...wire.OpCode) {
+		t.Helper()
+		var burst [][]byte
+		for _, op := range ops {
+			xid++
+			var body wire.Record = &wire.GetDataRequest{Path: "/f"}
+			switch op {
+			case wire.OpCreate:
+				body = &wire.CreateRequest{Path: "/f"}
+			case wire.OpSetData:
+				body = &wire.SetDataRequest{Path: "/f", Data: []byte("v"), Version: -1}
+			}
+			burst = append(burst, wire.MarshalPair(&wire.RequestHeader{Xid: xid, Op: op}, body))
+		}
+		if err := a.SendFrames(burst); err != nil {
+			t.Fatal(err)
+		}
+		sent += len(ops)
+	}
+	replies := func() {
+		t.Helper()
+		for ; sent > 0; sent-- {
+			frame, err := a.RecvFrame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var hdr wire.ReplyHeader
+			if err := hdr.Deserialize(wire.NewDecoder(frame)); err != nil || hdr.Err != wire.ErrOK {
+				t.Fatalf("reply %+v, %v", hdr, err)
+			}
+		}
+	}
+	w, rd := wire.OpSetData, wire.OpGetData
+
+	send(wire.OpCreate)
+	replies()
+	r.Persister().StallFsync(stall)
+	send(w)
+	time.Sleep(stall / 5) // its flush has started
+	send(w, w, w, w, w, rd)
+	replies()
+	send(w, w, w, w, rd, rd)
+	replies()
+
+	if held := heldSeconds(t, r.cfg.Obs); held > (stall / 2).Seconds() {
+		t.Fatalf("the flush rule held the queue %.3f s in all, want far under the %v stall", held, stall)
+	}
+}
+
+// heldSeconds sums storage_flush_hold_seconds over all of its series.
+func heldSeconds(t *testing.T, reg *obs.Registry) float64 {
+	t.Helper()
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	for _, line := range strings.Split(text.String(), "\n") {
+		if series, value, ok := strings.Cut(line, " "); ok && strings.HasPrefix(series, "storage_flush_hold_seconds_sum") {
+			v, err := strconv.ParseFloat(value, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += v
+		}
+	}
+	return sum
 }

@@ -181,6 +181,10 @@ func (s *session) submit(msg []byte) (stop bool, err error) {
 		s.push(entry, s.rep.handleRead(s, entry))
 	case entry.isWrite():
 		s.rep.handleWrite(s, entry)
+	case s.rep.persister != nil:
+		// Queued behind an unanswered write, the read is answered by the
+		// flush that makes that write durable: the flush rule counts it.
+		s.rep.persister.Await()
 	}
 	// After CloseSession stop reading; the writer drains its response.
 	return hdr.Op == wire.OpCloseSession, nil

@@ -55,17 +55,29 @@ type commitReq struct {
 // Under W concurrent writers the per-transaction fsync cost approaches
 // 1/W of a solo commit.
 //
-// When the next flush starts is one rule. A record with a done
-// callback is awaited: somebody's reply waits on its fsync. After a
-// flush that released k awaited records, the next one starts once k
-// awaited records are queued again, or once as long as that flush took
-// has passed since it ended, whichever comes first. Writers that a
-// flush answers come back together, so they go down together, instead
-// of splitting into cohorts that each wait out the other's flush. A
-// flush that released no waiter, a queued state transfer, Close and a
-// latched failure never hold the queue. The cost: a device faster
-// than a client's round trip can sit idle for up to one flush per
-// cycle while the hold waits for writers that will not all return.
+// When the next flush starts is one rule, and it counts requests: the
+// client requests a flush answers. A record with a done callback is
+// one (somebody's reply waits on its fsync), and so is each Await: a
+// read its session queued behind a write not yet answered, which the
+// flush that makes that write durable answers too. A request counts in
+// the period it arrives in, the time between two flushes taking the
+// queue. After a flush that took a batch of k requests, the next one
+// starts once k requests have arrived again, or once as long as that
+// flush took has passed since it ended, whichever comes first. Clients
+// that a flush answers come back together, reads and writes alike, so
+// their writes go down together, instead of splitting into cohorts that
+// each wait out the other's flush. A flush that took no request, a
+// queued state transfer, Close and a latched failure never hold the
+// queue.
+//
+// The bound caps what the rule can cost. It accepts one imprecision: a
+// read admitted while the write ahead of it is already inside the
+// running flush (or just came out of it, its reply not yet released)
+// needs no later flush but counts toward the next, so the hold after
+// the next flush waits for one request too many, up to the bound. And a
+// device faster than a client's round trip can sit idle for up to one
+// flush per cycle while a hold waits for requests that will not all
+// return.
 //
 // Any persistence failure is sticky: the first error is reported to
 // OnFail and to its waiters, and every subsequent Record fails fast
@@ -76,14 +88,14 @@ type Persister struct {
 	tree          *ztree.Tree
 	snapshotEvery int
 	onFail        func(error)
+	sinceSnap     int // records since the last snapshot; the apply goroutine's alone
 
-	mu        sync.Mutex
-	queue     []commitReq
-	awaited   int // queued records with a done callback
-	holdFor   int // while the loop holds: the awaited count that ends the hold
-	sinceSnap int
-	failure   error
-	closed    bool
+	mu      sync.Mutex
+	queue   []commitReq
+	awaited int // requests that arrived this period: awaited records and Awaits
+	holdFor int // while the loop holds: the awaited count that ends the hold
+	failure error
+	closed  bool
 
 	kick     chan struct{} // 1-buffered wakeup for the commit loop
 	hold     *time.Timer   // bounds a hold; the loop's one timer, reset per hold
@@ -93,7 +105,7 @@ type Persister struct {
 	fsyncHist  *obs.Histogram // storage_fsync_seconds
 	txnsHist   *obs.Histogram // storage_txns_per_fsync
 	commitWait *obs.Histogram // storage_commit_wait_seconds
-	holdHist   *obs.Histogram // storage_flush_hold_seconds
+	holdHist   holdHists      // storage_flush_hold_seconds
 
 	// syncStallNs is a fault-injection knob: when positive, every fsync
 	// is preceded by that many nanoseconds of sleep on the commit-log
@@ -125,7 +137,11 @@ func Recover(cfg PersisterConfig) (*Persister, int64, error) {
 		p.fsyncHist = cfg.Obs.Histogram("storage_fsync_seconds", "", "group-commit fsync latency")
 		p.txnsHist = cfg.Obs.CountHistogram("storage_txns_per_fsync", "", "transactions covered by each fsync")
 		p.commitWait = cfg.Obs.Histogram("storage_commit_wait_seconds", "", "Record enqueue to covering fsync return")
-		p.holdHist = cfg.Obs.Histogram("storage_flush_hold_seconds", "", "time the flush rule held a non-empty queue for awaited records")
+		const holdHelp = "time the flush rule held a non-empty queue for the requests the last flush took, by how the hold ended"
+		p.holdHist = holdHists{
+			requests: cfg.Obs.Histogram("storage_flush_hold_seconds", `ended="requests"`, holdHelp),
+			bound:    cfg.Obs.Histogram("storage_flush_hold_seconds", `ended="bound"`, holdHelp),
+		}
 		cfg.Obs.GaugeFunc("storage_commit_queue_depth", "", "commit requests awaiting the group fsync", func() int64 {
 			p.mu.Lock()
 			n := len(p.queue)
@@ -149,8 +165,15 @@ func Recover(cfg PersisterConfig) (*Persister, int64, error) {
 // Must be called from the single apply goroutine, after txn has been
 // applied to the tree: automatic snapshots are captured here,
 // synchronously, so they are consistent with exactly the records
-// enqueued so far.
+// enqueued so far. The tree is copied before the lock is taken, so the
+// commit loop and Await never wait on the copy.
 func (p *Persister) Record(txn *ztree.Txn, done func(error)) {
+	req := commitReq{txn: *txn, done: done, enqNs: obs.Now()}
+	if p.snapshotEvery > 0 {
+		if p.sinceSnap++; p.sinceSnap >= p.snapshotEvery {
+			req.snap, req.snapZxid, p.sinceSnap = p.tree.Snapshot(), txn.Zxid, 0
+		}
+	}
 	p.mu.Lock()
 	if err := p.deadLocked(); err != nil {
 		p.mu.Unlock()
@@ -159,18 +182,25 @@ func (p *Persister) Record(txn *ztree.Txn, done func(error)) {
 		}
 		return
 	}
-	req := commitReq{txn: *txn, done: done, enqNs: obs.Now()}
-	p.sinceSnap++
-	if p.snapshotEvery > 0 && p.sinceSnap >= p.snapshotEvery {
-		req.snap = p.tree.Snapshot()
-		req.snapZxid = txn.Zxid
-		p.sinceSnap = 0
-	}
 	p.queue = append(p.queue, req)
 	if done != nil {
 		p.awaited++
 	}
 	wake := p.awaited >= p.holdFor // during a hold, only the record that ends it
+	p.mu.Unlock()
+	if wake {
+		p.wake()
+	}
+}
+
+// Await counts one request that the next flush answers without logging
+// anything for it: a read a session queued behind a write of its own
+// that is not answered yet (see Persister). It never blocks on I/O and
+// may be called from any goroutine.
+func (p *Persister) Await() {
+	p.mu.Lock()
+	p.awaited++
+	wake := p.awaited == p.holdFor // only the request that ends a hold
 	p.mu.Unlock()
 	if wake {
 		p.wake()
@@ -192,13 +222,13 @@ func (p *Persister) Snapshot(zxid int64) error {
 		p.mu.Unlock()
 		return err
 	}
-	p.sinceSnap = 0
 	p.queue = append(p.queue, commitReq{
 		snap:         snap,
 		snapZxid:     zxid,
 		transferDone: func(err error) { ch <- err },
 	})
 	p.mu.Unlock()
+	p.sinceSnap = 0
 	p.wake()
 	return <-ch
 }
@@ -249,11 +279,25 @@ func (p *Persister) wake() {
 }
 
 // flushed is what the flush rule remembers of the last flush: the
-// awaited records it released, and how long it took to make them
+// requests in the batch it took, and how long it took to make them
 // durable and when it did (obs.Now ns).
 type flushed struct {
 	awaited     int
 	took, ended int64
+}
+
+// holdHists is storage_flush_hold_seconds, one series per way a hold
+// ends: ended="requests" when the requests it waited for arrived,
+// "bound" when they did not — the last flush's duration ran out, or,
+// rarely, a state transfer, Close or a failure cut the hold short.
+type holdHists struct{ requests, bound *obs.Histogram }
+
+func (h holdHists) observe(ns int64, met bool) {
+	if met {
+		h.requests.Observe(ns)
+	} else {
+		h.bound.Observe(ns)
+	}
 }
 
 // commitLoop is the commit-log goroutine: it repeatedly swaps out the
@@ -287,19 +331,21 @@ func (p *Persister) commitLoop() {
 			p.waitHold(time.Duration(wait))
 			continue
 		}
-		batch := p.queue
+		batch, awaited := p.queue, p.awaited
 		p.queue, p.awaited, p.holdFor = nil, 0, 0
 		p.mu.Unlock()
+		start := obs.Now()
 		if heldSince != 0 {
-			p.holdHist.Observe(obs.Now() - heldSince)
+			p.holdHist.observe(start-heldSince, awaited >= last.awaited)
 			heldSince = 0
 		}
-		last = p.commitBatch(batch)
+		ended := p.commitBatch(batch)
+		last = flushed{awaited: awaited, took: ended - start, ended: ended}
 	}
 }
 
-// holdsLocked reports whether the queue waits for more awaited records,
-// given that the last flush released target of them.
+// holdsLocked reports whether the queue waits for more requests, given
+// that the last flush took a batch of target of them.
 func (p *Persister) holdsLocked(target int) bool {
 	return p.awaited < target && !p.closed && p.failure == nil &&
 		p.queue[len(p.queue)-1].transferDone == nil // a state transfer is always last
@@ -321,8 +367,9 @@ func (p *Persister) waitHold(d time.Duration) {
 	}
 }
 
-func (p *Persister) commitBatch(batch []commitReq) flushed {
-	start := obs.Now()
+// commitBatch makes batch durable, answers its waiters, and returns
+// when the fsync returned (obs.Now ns).
+func (p *Persister) commitBatch(batch []commitReq) int64 {
 	err := p.Err() // sticky: fail queued work without touching the disk
 	txns := 0
 	if err == nil {
@@ -350,10 +397,8 @@ func (p *Persister) commitBatch(batch []commitReq) flushed {
 		p.fail(err)
 	}
 	durableNs := obs.Now()
-	awaited := 0
 	for i := range batch {
 		if batch[i].done != nil {
-			awaited++
 			p.commitWait.Observe(durableNs - batch[i].enqNs)
 			batch[i].done(err)
 		}
@@ -380,7 +425,7 @@ func (p *Persister) commitBatch(batch []commitReq) flushed {
 			batch[i].transferDone(snapErr)
 		}
 	}
-	return flushed{awaited: awaited, took: durableNs - start, ended: durableNs}
+	return durableNs
 }
 
 // Fail injects a sticky persistence failure (fault injection for

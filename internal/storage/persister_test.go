@@ -168,3 +168,79 @@ func TestFlushRuleNeverHolds(t *testing.T) {
 		})
 	}
 }
+
+// Snapshot sums storage_flush_hold_seconds over both of its series.
+func (h holdHists) Snapshot() obs.HistogramSnapshot {
+	s, b := h.requests.Snapshot(), h.bound.Snapshot()
+	for i := range s.Buckets {
+		s.Buckets[i] += b.Buckets[i]
+	}
+	s.Count += b.Count
+	s.Sum += b.Sum
+	return s
+}
+
+// TestFlushRuleCountsReads: the last flush took 5 awaited records and a
+// read counted by Await, and the cohort comes back as 4 records and 2
+// reads. The hold ends at the 6th request, not at the bound: counting
+// records alone, it would wait for a 5th record that never comes.
+func TestFlushRuleCountsReads(t *testing.T) {
+	const stall = 100 * time.Millisecond
+	r := newHoldRig(t, stall)
+	r.record(false)
+	r.until(func() bool { return len(r.p.queue) == 0 }) // the loop took it
+	for i := 0; i < 5; i++ {
+		r.record(true)
+	}
+	r.p.Await()
+	r.wait(5)
+
+	before := r.p.txnsHist.Snapshot()
+	for _, read := range []bool{false, true, false, false, false, true} {
+		time.Sleep(time.Millisecond)
+		if read {
+			r.p.Await()
+		} else {
+			r.record(true)
+		}
+	}
+	r.wait(4)
+	after := r.p.txnsHist.Snapshot()
+	if fsyncs, txns := after.Count-before.Count, after.Sum-before.Sum; fsyncs != 1 || txns != 4 {
+		t.Fatalf("the returning cohort took %d fsyncs for %d records, want 1 for 4", fsyncs, txns)
+	}
+	req, bound := r.p.holdHist.requests.Snapshot(), r.p.holdHist.bound.Snapshot()
+	if held := time.Duration(req.Sum); req.Count != 1 || bound.Count != 0 || held > stall/2 {
+		t.Fatalf("holds: %d ended by requests (%v in all), %d by the bound; want one, far under %v",
+			req.Count, held, bound.Count, stall)
+	}
+}
+
+// TestFlushRuleLateReadCountsTowardNextHold: the imprecision the rule
+// accepts, capped by the bound. A read admitted while the write ahead of
+// it is inside the running flush is answered by that flush but counts
+// toward the next batch, so the hold after the next flush waits for one
+// request too many: it ends at the bound, about one flush, and the flush
+// after it is back to counting right.
+func TestFlushRuleLateReadCountsTowardNextHold(t *testing.T) {
+	const stall = 100 * time.Millisecond
+	r := newHoldRig(t, stall)
+	r.prime(1)
+	r.record(true) // the writer is back: one request, as many as last time
+	r.until(func() bool { return len(r.p.queue) == 0 })
+	r.p.Await() // the read behind its write, admitted during the flush
+	r.wait(1)
+	r.record(true) // a batch of 2 requests: this record and the late read
+	r.wait(1)
+	r.record(true) // held for a 2nd request that never comes
+	r.wait(1)
+	bound := r.p.holdHist.bound.Snapshot()
+	if held := time.Duration(bound.Sum); bound.Count != 1 || held < stall/2 || held > 3*stall/2 {
+		t.Fatalf("held to the bound %d times for %v in all, want once for about %v", bound.Count, held, stall)
+	}
+	r.record(true) // the last batch was 1 request: not held
+	r.wait(1)
+	if st := r.p.holdHist.Snapshot(); st.Count != 1 {
+		t.Fatalf("%d holds, want only the one at the bound", st.Count)
+	}
+}

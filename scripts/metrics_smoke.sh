@@ -9,7 +9,9 @@
 #      /metrics.json;
 #   2. the commit pipeline actually recorded the burst: the leader's
 #      per-stage histograms have non-zero counts, its committed-zxid
-#      gauge covers the acknowledged writes, and the batch factors of
+#      gauge covers the acknowledged writes, the flush rule's hold
+#      histogram renders both of its series (ended="requests" and
+#      ended="bound"), and the batch factors of
 #      the mesh link writers, the session writers and the session
 #      readers (zabnet_frames_per_write, server_frames_per_release_write,
 #      server_frames_per_request_read) are exposed with count > 0 and
@@ -113,6 +115,13 @@ FSYNCS=$(metric_value "${MADDR[$LEADER]}" storage_fsync_seconds_count)
 [ "$FSYNCS" -gt 0 ] \
   || { echo "FAIL: leader recorded no group-commit fsyncs despite the durable burst" >&2; exit 1; }
 echo "== leader: submit_to_commit count=$SUBMITS, fsync count=$FSYNCS"
+# The flush rule's holds, one series per way a hold ended: the share
+# that ran to its bound is the bound count over both.
+for ended in requests bound; do
+  holds=$(metric_value "${MADDR[$LEADER]}" "storage_flush_hold_seconds_count{ended=\"$ended\"}") \
+    || { echo "FAIL: leader /metrics has no storage_flush_hold_seconds{ended=\"$ended\"} series" >&2; exit 1; }
+  echo "== leader: $holds flush holds ended=$ended"
+done
 
 echo "== batch factors of the burst-taking readers and writers are exposed and saw the burst"
 FAMILIES="zabnet_frames_per_write server_frames_per_release_write server_frames_per_request_read"
@@ -147,7 +156,8 @@ for i in "$LEADER" 4; do
   out=$(skc -addr "${CADDR[$i]}" mntr)
   for key in sk_role sk_zxid sk_uptime_seconds sk_commit_lag zab_committed_zxid server_uptime_seconds \
     zabnet_frames_per_write_count server_frames_per_release_write_count \
-    server_frames_per_request_read_count; do
+    server_frames_per_request_read_count storage_flush_hold_seconds_requests_count \
+    storage_flush_hold_seconds_bound_count; do
     grep -q "^$key" <<<"$out" \
       || { echo "FAIL: node $i mntr is missing $key" >&2; exit 1; }
   done
