@@ -1,7 +1,7 @@
 // Package securekeeper's root benchmark suite: one testing.B benchmark
-// per paper table/figure (regenerating the same comparisons as
-// cmd/skbench, expressed as per-operation costs), plus ablation
-// benchmarks for the design choices called out in DESIGN.md.
+// per figure and table of the paper's evaluation (§6), expressed as
+// per-operation costs, plus ablation benchmarks for its design choices.
+// Table 3 is `go run ./cmd/sksloc`.
 //
 // Run with: go test -bench=. -benchmem
 package securekeeper_test
@@ -10,12 +10,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"securekeeper/internal/bench"
 	"securekeeper/internal/client"
 	"securekeeper/internal/core"
 	"securekeeper/internal/enclave"
@@ -27,6 +27,21 @@ import (
 
 // ctxbg is the background context for benchmark operations.
 var ctxbg = context.Background()
+
+// variants are the paper's three systems, in its order.
+var variants = []core.Variant{core.Vanilla, core.TLS, core.SecureKeeper}
+
+// opMode is the operation pattern benchOps runs.
+type opMode int
+
+const (
+	opGet       opMode = iota // GET of the target node
+	opSet                     // SET of the target node
+	opCreate                  // CREATE of a new regular node
+	opCreateSeq               // CREATE of a new sequential node
+	opLs                      // getChildren of a node with 8 children
+	opMixed                   // 70:30 GET/SET
+)
 
 // newBenchCluster boots a cluster tuned for benchmarking.
 func newBenchCluster(b *testing.B, v core.Variant) *core.Cluster {
@@ -47,8 +62,9 @@ func newBenchCluster(b *testing.B, v core.Variant) *core.Cluster {
 	return c
 }
 
-// benchOps measures one synchronous operation type end to end.
-func benchOps(b *testing.B, v core.Variant, mode bench.OpMode, payloadSize int) {
+// benchOps measures one synchronous operation type end to end. It
+// returns the cluster, which stays up until the benchmark ends.
+func benchOps(b *testing.B, v core.Variant, mode opMode, payloadSize int) *core.Cluster {
 	b.Helper()
 	cluster := newBenchCluster(b, v)
 	cl, err := cluster.Connect(0, client.Options{})
@@ -67,7 +83,7 @@ func benchOps(b *testing.B, v core.Variant, mode bench.OpMode, payloadSize int) 
 	if _, err := cl.Create(ctxbg, "/b/target", payload, 0); err != nil {
 		b.Fatal(err)
 	}
-	if mode == bench.ModeLs {
+	if mode == opLs {
 		for i := 0; i < 8; i++ {
 			if _, err := cl.Create(ctxbg, fmt.Sprintf("/b/target/c%02d", i), nil, 0); err != nil {
 				b.Fatal(err)
@@ -80,23 +96,17 @@ func benchOps(b *testing.B, v core.Variant, mode bench.OpMode, payloadSize int) 
 	for i := 0; i < b.N; i++ {
 		var err error
 		switch mode {
-		case bench.ModeGet:
+		case opGet:
 			_, _, err = cl.Get(ctxbg, "/b/target")
-		case bench.ModeSet:
+		case opSet:
 			_, err = cl.Set(ctxbg, "/b/target", payload, -1)
-		case bench.ModeCreate:
+		case opCreate:
 			_, err = cl.Create(ctxbg, fmt.Sprintf("/b/n%09d", i), payload, 0)
-		case bench.ModeCreateSeq:
+		case opCreateSeq:
 			_, err = cl.Create(ctxbg, "/b/s-", payload, wire.FlagSequential)
-		case bench.ModeLs:
+		case opLs:
 			_, err = cl.Children(ctxbg, "/b/target")
-		case bench.ModeDelete:
-			p := fmt.Sprintf("/b/d%09d", i)
-			if _, cerr := cl.Create(ctxbg, p, nil, 0); cerr != nil {
-				b.Fatal(cerr)
-			}
-			err = cl.Delete(ctxbg, p, -1)
-		case bench.ModeMixed:
+		case opMixed:
 			if i%10 < 7 {
 				_, _, err = cl.Get(ctxbg, "/b/target")
 			} else {
@@ -107,33 +117,36 @@ func benchOps(b *testing.B, v core.Variant, mode bench.OpMode, payloadSize int) 
 			b.Fatalf("op %d: %v", i, err)
 		}
 	}
+	return cluster
 }
 
 // forEachVariant runs a sub-benchmark per system variant.
 func forEachVariant(b *testing.B, fn func(b *testing.B, v core.Variant)) {
-	for _, v := range bench.Variants() {
+	for _, v := range variants {
 		v := v
 		b.Run(v.String(), func(b *testing.B) { fn(b, v) })
 	}
 }
 
-// --- Figure 2: memory usage over time ---
+// --- Figure 2: memory usage ---
 
+// BenchmarkFig2MemoryUsage shows a coordination service outgrowing the
+// EPC on a small data set (§3.3): after a 70:30 GET/SET load on a
+// Vanilla ensemble it reports each replica's share of the Go heap and
+// its tree's size, with the usable EPC beside them.
 func BenchmarkFig2MemoryUsage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig, err := bench.Fig2(bench.MemoryConfig{
-			Clients:   2,
-			SampleDur: 20 * time.Millisecond,
-			Samples:   6,
-			StartAt:   2,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(fig.Series) == 0 {
-			b.Fatal("no series")
-		}
+	cluster := benchOps(b, core.Vanilla, opMixed, 1024)
+	b.StopTimer()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	var treeBytes int64
+	for i := 0; i < cluster.Size(); i++ {
+		treeBytes += cluster.Replica(i).Tree().ApproxBytes()
 	}
+	replicas := float64(cluster.Size())
+	b.ReportMetric(float64(ms.HeapAlloc)/replicas/(1<<20), "heap-MB/replica")
+	b.ReportMetric(float64(treeBytes)/replicas/(1<<20), "tree-MB/replica")
+	b.ReportMetric(float64(sgx.EPCUsableBytes)/(1<<20), "epc-usable-MB")
 }
 
 // --- Figure 3: EPC paging on random access ---
@@ -207,7 +220,7 @@ func BenchmarkFig4EnclaveKVS(b *testing.B) {
 
 func BenchmarkFig6aSyncMixed(b *testing.B) {
 	forEachVariant(b, func(b *testing.B, v core.Variant) {
-		benchOps(b, v, bench.ModeMixed, 1024)
+		benchOps(b, v, opMixed, 1024)
 	})
 }
 
@@ -259,7 +272,7 @@ func BenchmarkFig7Get(b *testing.B) {
 		payload := payload
 		b.Run(fmt.Sprintf("payload=%d", payload), func(b *testing.B) {
 			forEachVariant(b, func(b *testing.B, v core.Variant) {
-				benchOps(b, v, bench.ModeGet, payload)
+				benchOps(b, v, opGet, payload)
 			})
 		})
 	}
@@ -270,7 +283,7 @@ func BenchmarkFig8Set(b *testing.B) {
 		payload := payload
 		b.Run(fmt.Sprintf("payload=%d", payload), func(b *testing.B) {
 			forEachVariant(b, func(b *testing.B, v core.Variant) {
-				benchOps(b, v, bench.ModeSet, payload)
+				benchOps(b, v, opSet, payload)
 			})
 		})
 	}
@@ -635,19 +648,19 @@ func BenchmarkMultiSequentialSets(b *testing.B) {
 
 func BenchmarkFig9aCreate(b *testing.B) {
 	forEachVariant(b, func(b *testing.B, v core.Variant) {
-		benchOps(b, v, bench.ModeCreate, 1024)
+		benchOps(b, v, opCreate, 1024)
 	})
 }
 
 func BenchmarkFig9bCreateSequential(b *testing.B) {
 	forEachVariant(b, func(b *testing.B, v core.Variant) {
-		benchOps(b, v, bench.ModeCreateSeq, 1024)
+		benchOps(b, v, opCreateSeq, 1024)
 	})
 }
 
 func BenchmarkFig10Ls(b *testing.B) {
 	forEachVariant(b, func(b *testing.B, v core.Variant) {
-		benchOps(b, v, bench.ModeLs, 64)
+		benchOps(b, v, opLs, 64)
 	})
 }
 
@@ -733,42 +746,33 @@ func BenchmarkFig12LeaderFailover(b *testing.B) {
 	}
 }
 
-// --- Tables ---
+// --- Table 2: encryption overhead on message lengths ---
 
+// BenchmarkTable2MessageSizes encrypts a sample path and a 1 KiB
+// payload as the entry enclave does on their way to the store, and
+// reports how many bytes each grows by.
 func BenchmarkTable2MessageSizes(b *testing.B) {
+	const path = "/app/config/database"
+	payload := make([]byte, 1024)
+	codec, err := skcrypto.NewCodec(make([]byte, skcrypto.KeySize))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var encPath string
+	var encPayload []byte
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.Table2("/app/config/database", 1024); err != nil {
+		if encPath, err = codec.EncryptPath(path); err != nil {
+			b.Fatal(err)
+		}
+		if encPayload, err = codec.EncryptPayload(path, payload, false); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(len(encPath)-len(path)), "path-overhead-B")
+	b.ReportMetric(float64(len(encPayload)-len(payload)), "payload-overhead-B")
 }
 
-func BenchmarkTable3SLOC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Table3("."); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Table 1 is the aggregation of Figs 7-10; its per-op costs are covered
-// by the figure benchmarks above. This bench regenerates the headline
-// delta on a tiny scale.
-func BenchmarkTable1OverheadSummary(b *testing.B) {
-	scale := bench.QuickScale()
-	scale.Duration = 80 * time.Millisecond
-	scale.Warmup = 20 * time.Millisecond
-	scale.SyncClients = 2
-	for i := 0; i < b.N; i++ {
-		delta, err := bench.OverheadSummary(scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(delta*100, "sk-vs-tls-overhead-%")
-	}
-}
-
-// --- Ablations (DESIGN.md) ---
+// --- Ablations ---
 
 // Ablation 1: per-chunk path encryption (supports getChildren) vs
 // encrypting the whole path as one blob (which would break hierarchy).

@@ -7,9 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
-
-	"securekeeper/internal/bench"
+	"strings"
 )
 
 func main() {
@@ -17,10 +17,40 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	table, err := bench.Table3(root)
+	rows, err := table3(root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sksloc:", err)
 		os.Exit(1)
 	}
-	table.Render(os.Stdout)
+	render(os.Stdout, rows)
+}
+
+// render writes Table 3 with left-aligned, space-padded columns under
+// a dashed rule.
+func render(w io.Writer, rows [][]string) {
+	header := []string{"component", "trust", "SLOC"}
+	widths := make([]int, len(header))
+	for _, row := range append([][]string{header}, rows...) {
+		for i, cell := range row {
+			widths[i] = max(widths[i], len(cell))
+		}
+	}
+	line := func(cells []string) {
+		parts := make([]string, len(cells))
+		for i, cell := range cells {
+			parts[i] = cell + strings.Repeat(" ", widths[i]-len(cell))
+		}
+		fmt.Fprintf(w, "  %s\n", strings.Join(parts, "  "))
+	}
+	fmt.Fprintln(w, "== table3: Size of code base (SLOC, Go, tests excluded) ==")
+	line(header)
+	rule := make([]string, len(header))
+	for i := range rule {
+		rule[i] = strings.Repeat("-", widths[i])
+	}
+	line(rule)
+	for _, row := range rows {
+		line(row)
+	}
+	fmt.Fprintln(w)
 }

@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"bufio"
@@ -23,29 +23,27 @@ var table3Components = []struct {
 	{"Client library and recipes", false, []string{"internal/client", "recipes"}},
 	{"SGX runtime simulation", false, []string{"internal/sgx"}},
 	{"Cluster assembly / enclave management", false, []string{"internal/core"}},
-	{"Benchmark and fault-injection harness", false, []string{"internal/bench", "internal/kvstore", "internal/chaos", "benchmark"}},
+	{"Benchmark and fault-injection harness", false, []string{"internal/kvstore", "internal/chaos", "benchmark"}},
 	{"Commands and examples", false, []string{"cmd", "examples"}},
 }
 
-// Table3 reproduces "Size of code base of SecureKeeper components" for
+// table3 reproduces "Size of code base of SecureKeeper components" for
 // this repository: source lines of code per component, classified into
 // the trusted code base (everything that runs inside enclaves — the
 // message (de)serialization, the enclave logic, and the storage
 // cryptography) and the untrusted remainder, mirroring the paper's
 // breakdown (§6.4). Test files are excluded, as the paper counts only
-// implementation code.
-func Table3(repoRoot string) (*Table, error) {
-	t := &Table{
-		ID: "table3", Title: "Size of code base (SLOC, Go, tests excluded)",
-		Header: []string{"component", "trust", "SLOC"},
-	}
+// implementation code. Each row is {component, trust, SLOC}, followed
+// by the trusted, untrusted and overall totals.
+func table3(repoRoot string) ([][]string, error) {
+	var rows [][]string
 	var trustedTotal, untrustedTotal int
 	for _, comp := range table3Components {
 		var total int
 		for _, dir := range comp.dirs {
 			n, err := countDirSLOC(filepath.Join(repoRoot, dir))
 			if err != nil {
-				return nil, fmt.Errorf("bench: sloc %s: %w", dir, err)
+				return nil, fmt.Errorf("sloc %s: %w", dir, err)
 			}
 			total += n
 		}
@@ -56,14 +54,13 @@ func Table3(repoRoot string) (*Table, error) {
 		} else {
 			untrustedTotal += total
 		}
-		t.Rows = append(t.Rows, []string{comp.label, trust, fmt.Sprintf("%d", total)})
+		rows = append(rows, []string{comp.label, trust, fmt.Sprintf("%d", total)})
 	}
-	t.Rows = append(t.Rows,
+	return append(rows,
 		[]string{"Total trusted", "trusted", fmt.Sprintf("%d", trustedTotal)},
 		[]string{"Total untrusted", "untrusted", fmt.Sprintf("%d", untrustedTotal)},
 		[]string{"Total", "", fmt.Sprintf("%d", trustedTotal+untrustedTotal)},
-	)
-	return t, nil
+	), nil
 }
 
 // countDirSLOC counts non-blank, non-comment Go lines under dir,
@@ -93,7 +90,7 @@ func countDirSLOC(dir string) (int, error) {
 	return total, err
 }
 
-// countFileSLOC counts source lines: non-blank lines that are not pure
+// countFileSLOC counts source lines: lines that hold code outside
 // comments (block comments are tracked across lines).
 func countFileSLOC(path string) (int, error) {
 	f, err := os.Open(path)
@@ -107,30 +104,33 @@ func countFileSLOC(path string) (int, error) {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+		var code bool
+		code, inBlock = lineCode(strings.TrimSpace(sc.Text()), inBlock)
+		if code {
+			count++
 		}
-		if inBlock {
-			if idx := strings.Index(line, "*/"); idx >= 0 {
-				inBlock = false
-				rest := strings.TrimSpace(line[idx+2:])
-				if rest != "" && !strings.HasPrefix(rest, "//") {
-					count++
-				}
-			}
-			continue
-		}
-		if strings.HasPrefix(line, "//") {
-			continue
-		}
-		if strings.HasPrefix(line, "/*") {
-			if !strings.Contains(line, "*/") {
-				inBlock = true
-			}
-			continue
-		}
-		count++
 	}
 	return count, sc.Err()
+}
+
+// lineCode reports whether a trimmed line holds code, given whether a
+// block comment is open at its start, and whether one is open at its
+// end. Block comments are skipped where they open at the start of the
+// line or continue from an earlier one; a "/*" after code on the same
+// line is not tracked, since telling it from one inside a string
+// literal would take a tokenizer.
+func lineCode(line string, inBlock bool) (code, open bool) {
+	for {
+		if inBlock {
+			end := strings.Index(line, "*/")
+			if end < 0 {
+				return false, true
+			}
+			line, inBlock = strings.TrimSpace(line[end+2:]), false
+		}
+		if !strings.HasPrefix(line, "/*") {
+			return line != "" && !strings.HasPrefix(line, "//"), false
+		}
+		line, inBlock = line[2:], true
+	}
 }

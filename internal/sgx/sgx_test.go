@@ -3,6 +3,7 @@ package sgx
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -274,6 +275,45 @@ func TestTouchRandomPageCosts(t *testing.T) {
 	e.TouchRandomPage(64<<20, 7, false)
 	if kind := e.TouchRandomPage(64<<20, 7, false); kind != AccessDRAM {
 		t.Fatalf("64 MB resident page = %v, want DRAM", kind)
+	}
+}
+
+// TestTouchRandomPageFig3Shape holds the cost model to the shape of the
+// paper's Fig 3: random accesses to a buffer past the L3 cost ~5.5×
+// more, past the usable EPC at least 20× more again, and a paged write
+// costs no less than a paged read.
+func TestTouchRandomPageFig3Shape(t *testing.T) {
+	const accesses = 20000
+	// costPerAccess is the steady-state virtual ns of one random access
+	// to a buffer of mb MiB, every page touched once beforehand.
+	costPerAccess := func(mb int64, write bool) float64 {
+		rt := testRuntime()
+		bufBytes := mb << 20
+		e, err := rt.Create(Spec{CodeIdentity: "fig3", CodeBytes: 4096, HeapBytes: bufBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Destroy(e)
+		pages := bufBytes / PageSize
+		for p := int64(0); p < pages; p++ {
+			e.TouchRandomPage(bufBytes, p, write)
+		}
+		rng := rand.New(rand.NewSource(42))
+		before := rt.Meter().VirtualNs()
+		for i := 0; i < accesses; i++ {
+			e.TouchRandomPage(bufBytes, rng.Int63n(pages), write)
+		}
+		return (rt.Meter().VirtualNs() - before) / accesses
+	}
+	l3, dram, paged := costPerAccess(4, false), costPerAccess(64, false), costPerAccess(256, false)
+	if r := dram / l3; r < 4 || r > 8 {
+		t.Errorf("DRAM:L3 cost = %.1f, want ~5.5", r)
+	}
+	if r := paged / dram; r < 20 {
+		t.Errorf("paged:DRAM cost = %.1f, want >= 20 (the paging cliff)", r)
+	}
+	if pagedWrite := costPerAccess(256, true); pagedWrite < paged {
+		t.Errorf("paged write %.0f ns cheaper than paged read %.0f ns", pagedWrite, paged)
 	}
 }
 
