@@ -30,9 +30,22 @@ type simDisk struct {
 	died  string
 }
 
-// diskStats counts what the crashes of one world did to its disks.
+// diskStats counts what the crashes of one world did to its disks, and
+// how the holds of its peers' flush rules ended: by the requests they
+// waited for, by the bound, or by a crash of the process inside one.
 type diskStats struct {
 	torn, lost, reverted, midPublish int
+	byRequests, byBound, inHold      int
+}
+
+func (d *diskStats) add(o diskStats) {
+	d.torn += o.torn
+	d.lost += o.lost
+	d.reverted += o.reverted
+	d.midPublish += o.midPublish
+	d.byRequests += o.byRequests
+	d.byBound += o.byBound
+	d.inHold += o.inHold
 }
 
 type dirent struct {

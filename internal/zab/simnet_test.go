@@ -17,7 +17,8 @@ import (
 // (virtual ns, seq) and one math/rand source — nothing else is random,
 // nothing reads a real clock, and no map is ranged over, so a seed is a
 // schedule. Each peer keeps its deliveries in storage's real log and
-// snapshots, on a disk of its own (simdisk_test.go), and a restart boots
+// snapshots, on a disk of its own (simdisk_test.go), group-committed by
+// storage's own flush rule on the virtual clock, and a restart boots
 // from what storage's recovery returns. sim_test.go holds what is
 // checked after every event and the nemesis that decides which faults a
 // seed injects.
@@ -45,13 +46,15 @@ type simPeer struct {
 	core *core // nil while crashed
 	inc  int   // incarnation; events addressed to an older one are void
 	// applied is the delivered log in memory; log writes it to disk, a
-	// group commit (commit) at a time.
-	applied    []entry
-	checked    int // applied[:checked] has been compared with the total order
-	disk       *simDisk
-	log        *storage.Log // nil while crashed
-	committing bool         // a group commit is scheduled
-	sinceSnap  int          // deliveries since the last snapshot
+	// group commit at a time: rule is the persister's queue and flush
+	// rule, and flight the flush under way (see pump).
+	applied   []entry
+	checked   int // applied[:checked] has been compared with the total order
+	disk      *simDisk
+	log       *storage.Log // nil while crashed
+	rule      storage.GroupCommit[simRecord]
+	flight    *simFlush
+	sinceSnap int // deliveries since the last snapshot
 	// before is applied as it was before a snapshot install whose
 	// publish the process died in: what a restart may recover instead.
 	before []entry
@@ -67,6 +70,23 @@ type simPeer struct {
 }
 
 func (p *simPeer) up() bool { return p.core != nil }
+
+// simRecord is what a peer queues for its group commit, as the
+// persister does: a delivered transaction, with the periodic snapshot
+// taken at it if one was due, or a state transfer's snapshot.
+type simRecord struct {
+	txn      ztree.Txn
+	snap     *ztree.Snapshot
+	zxid     int64 // snap's
+	transfer bool
+}
+
+// simFlush is a flush under way: when it began, and the last snapshot
+// of its batch, which it publishes once the records are synced.
+type simFlush struct {
+	start int64
+	last  *simRecord
+}
 
 func (p *simPeer) lastApplied() int64 {
 	if len(p.applied) == 0 {
@@ -220,6 +240,16 @@ func (s *sim) schedule(at int64, e event) {
 
 func (s *sim) after(d int64, fn func()) { s.schedule(s.now+d, event{fn: fn}) }
 
+// later runs fn after d unless p's process has died or restarted by then.
+func (s *sim) later(p *simPeer, d int64, fn func()) {
+	inc := p.inc
+	s.after(d, func() {
+		if p.up() && p.inc == inc {
+			fn()
+		}
+	})
+}
+
 // simLink is one peer's Transport: Send hands the message to the
 // simulated network; nothing is ever received from a channel — the
 // simulator calls handle itself.
@@ -301,11 +331,14 @@ func (s *sim) recoverDisk(p *simPeer) (*storage.Log, int64, error) {
 	return log, lastZxid, nil
 }
 
-// crash discards the core and its log; the disk keeps what a crash
-// leaves (simDisk.crash).
+// crash discards the core, its log and its commit queue; the disk keeps
+// what a crash leaves (simDisk.crash).
 func (s *sim) crash(p *simPeer) {
+	if p.rule.Holding() {
+		s.stats.inHold++
+	}
 	p.bootVoters, p.bootObservers = p.core.Membership()
-	p.core, p.log, p.committing = nil, nil, false
+	p.core, p.log, p.rule, p.flight = nil, nil, storage.GroupCommit[simRecord]{}, nil
 	s.record("crash", p.id, Message{}, int64(len(p.applied)), 0)
 	p.disk.crash()
 }
