@@ -350,13 +350,38 @@ func execute(ctx context.Context, cl *client.Client, args []string) error {
 	return nil
 }
 
+// electionSpan bounds how long burst keeps retrying one write that the
+// ensemble answered with CONNECTIONLOSS: long enough to cover the
+// election that follows a leader's death.
+const electionSpan = 15 * time.Second
+
+// fate classifies one create attempt of a burst as the ledger records
+// it: "ACK", "MAYBE" or "LOST", or "" when the write is not settled and
+// is tried again, on a new session if redial is set. retried says an
+// earlier attempt of the same create went unanswered, so a node found
+// already there may be that attempt's write: reached consensus, never
+// acknowledged to us, and so not covered by the durability contract.
+func fate(err error, retried bool) (f string, redial bool) {
+	var pe *wire.ProtocolError
+	switch {
+	case err == nil:
+		return "ACK", false
+	case !errors.As(err, &pe):
+		return "", true // the session broke: redial a surviving replica
+	case pe.Code == wire.ErrConnectionLoss:
+		return "", false // the replica lost its leader: retry through the election
+	case pe.Code == wire.ErrNodeExists && retried:
+		return "MAYBE", false
+	default:
+		return "LOST", false // rejected for a structural reason
+	}
+}
+
 // runBurst writes <count> nodes under <prefix>, printing an "ACK
 // <path>" ledger line for every write the ensemble acknowledged. The
-// crash harness SIGKILLs replicas while this runs, so a failed op
-// redials (any surviving replica) and retries; a retried create that
-// finds its node already there commits as "MAYBE" — the original
-// attempt reached consensus but was never acknowledged to us, so the
-// durability contract does not cover it. Burst always exits 0 once
+// crash harness SIGKILLs replicas while this runs, so an unanswered
+// write is retried (see fate) until electionSpan has passed, or until
+// six dials in a row found no replica. Burst always exits 0 once
 // arguments parse: the ledger, not the exit code, is the result.
 func runBurst(ctx context.Context, addrs []string, opts client.Options, args []string) error {
 	if len(args) < 2 {
@@ -393,31 +418,27 @@ func runBurst(ctx context.Context, addrs []string, opts client.Options, args []s
 	}
 
 	// tryOp runs one create with redial-retry; returns its ledger fate.
-	const attempts = 6
 	tryOp := func(path string, data []byte) string {
-		for a := 0; a < attempts; a++ {
-			if ctx.Err() != nil {
-				return "LOST"
-			}
+		retried := false
+		deadline := time.Now().Add(electionSpan)
+		for dials := 0; dials < 6 && ctx.Err() == nil && time.Now().Before(deadline); {
 			if cl == nil {
 				if err := connect(); err != nil {
+					dials++
 					time.Sleep(200 * time.Millisecond)
 					continue
 				}
+				dials = 0
 			}
 			_, err := cl.Create(ctx, path, data, 0)
-			if err == nil {
-				return "ACK"
+			f, redial := fate(err, retried)
+			if f != "" {
+				return f
 			}
-			var pe *wire.ProtocolError
-			if errors.As(err, &pe) {
-				if pe.Code == wire.ErrNodeExists {
-					return "MAYBE" // an earlier unacknowledged attempt committed
-				}
-				return "LOST" // rejected for a structural reason; don't retry
+			retried = true
+			if redial {
+				disconnect()
 			}
-			// Transport-level failure: the session is toast, redial.
-			disconnect()
 			time.Sleep(200 * time.Millisecond)
 		}
 		return "LOST"

@@ -15,9 +15,7 @@
 //   - process faults: replica crash (kill) and restart, including
 //     leader churn: the controller holds the core.Cluster and calls its
 //     StopReplica/RestartReplica;
-//   - storage faults: fsync stalls and sticky persistence failures on
-//     the write-ahead log, exercising the replica's degraded
-//     read-only mode.
+//   - storage faults: fsync stalls on the write-ahead log.
 //
 // Determinism contract: the fault SCHEDULE — which faults fire, their
 // parameters and their relative times — is a pure function of

@@ -86,7 +86,7 @@ func (c *Controller) apply(ctx context.Context, ev Event) {
 			c.record("%v oneway-cut skipped: no live non-leader voter", ev.At.Round(time.Millisecond))
 			return
 		}
-		c.Inj.CutOneWay(zab.PeerID(leader+1), zab.PeerID(victim+1), true)
+		c.Inj.CutOneWay(zab.PeerID(leader+1), zab.PeerID(victim+1))
 		c.record("%v oneway-cut r%d->r%d severed", ev.At.Round(time.Millisecond), leader+1, victim+1)
 	case ActHeal:
 		c.Inj.Heal()
@@ -143,31 +143,13 @@ func (c *Controller) apply(ctx context.Context, ev Event) {
 			}
 		}
 		c.record("%v stall-fsync %v on %d replicas", ev.At.Round(time.Millisecond), ev.Stall, n)
-	case ActFailStorage:
-		leader, err := c.leader(ctx)
-		if err != nil {
-			c.record("%v fail-storage skipped: %v", ev.At.Round(time.Millisecond), err)
-			return
-		}
-		victim := c.nonLeaderVoter(leader, ev.Target)
-		if victim < 0 {
-			c.record("%v fail-storage skipped: no live non-leader voter", ev.At.Round(time.Millisecond))
-			return
-		}
-		p := c.persister(victim)
-		if p == nil {
-			c.record("%v fail-storage skipped: r%d has no persister", ev.At.Round(time.Millisecond), victim+1)
-			return
-		}
-		p.Fail(errors.New("chaos: injected persistence failure"))
-		c.record("%v fail-storage r%d", ev.At.Round(time.Millisecond), victim+1)
 	default:
 		c.record("%v unknown action %d", ev.At.Round(time.Millisecond), int(ev.Act))
 	}
 }
 
 // persister returns replica i's WAL persister, or nil when it is stopped
-// or the cluster is memory-only (storage faults become no-ops).
+// or the cluster is memory-only (fsync stalls become no-ops).
 func (c *Controller) persister(i int) *storage.Persister {
 	if c.Cluster.Stopped(i) {
 		return nil

@@ -11,8 +11,8 @@ import (
 	"securekeeper/internal/zab"
 )
 
-// LinkFault describes the per-message behaviour imposed on a directed
-// peer link. The zero value is a healthy link.
+// LinkFault describes the per-message behaviour imposed on the peer
+// links. The zero value is a healthy link.
 type LinkFault struct {
 	// Drop is the probability in [0,1] that a message is silently
 	// discarded (the zab loss model: the protocol resyncs).
@@ -47,9 +47,9 @@ type Injector struct {
 	// rng drives per-message decisions (drop coin flips, jitter).
 	// Seeded for reproducibility, but see the package determinism
 	// contract: message-level outcomes depend on interleaving.
-	rng      *rand.Rand
-	defaults LinkFault
-	perLink  map[linkKey]LinkFault
+	rng *rand.Rand
+	// fault applies to every link.
+	fault LinkFault
 	// side assigns each peer to a partition side; peers missing from
 	// the map share the implicit side 0. Cross-side messages drop.
 	side map[zab.PeerID]int
@@ -70,37 +70,23 @@ type Injector struct {
 // the per-message randomness only; schedules are planned by Plan.
 func NewInjector(seed int64) *Injector {
 	return &Injector{
-		rng:     rand.New(rand.NewSource(seed)),
-		perLink: make(map[linkKey]LinkFault),
-		side:    make(map[zab.PeerID]int),
-		cuts:    make(map[linkKey]bool),
+		rng:  rand.New(rand.NewSource(seed)),
+		side: make(map[zab.PeerID]int),
+		cuts: make(map[linkKey]bool),
 	}
 }
 
-// SetDefaults applies f to every link without a per-link override.
+// SetDefaults applies f to every link.
 func (inj *Injector) SetDefaults(f LinkFault) {
 	inj.mu.Lock()
-	inj.defaults = f
+	inj.fault = f
 	inj.mu.Unlock()
 	inj.injected.Add(1)
 }
 
-// SetLink overrides the fault on the directed link from→to.
-func (inj *Injector) SetLink(from, to zab.PeerID, f LinkFault) {
-	inj.mu.Lock()
-	inj.perLink[linkKey{from, to}] = f
-	inj.mu.Unlock()
-	inj.injected.Add(1)
-}
-
-// ClearLinks removes the default and every per-link fault; partitions
-// and cuts are untouched.
+// ClearLinks removes the link fault; partitions and cuts are untouched.
 func (inj *Injector) ClearLinks() {
-	inj.mu.Lock()
-	inj.defaults = LinkFault{}
-	inj.perLink = make(map[linkKey]LinkFault)
-	inj.mu.Unlock()
-	inj.injected.Add(1)
+	inj.SetDefaults(LinkFault{})
 }
 
 // Partition splits the ensemble: messages flow only within a side.
@@ -119,16 +105,12 @@ func (inj *Injector) Partition(sides ...[]zab.PeerID) {
 	inj.injected.Add(1)
 }
 
-// CutOneWay severs (sever=true) or restores the DIRECTED link from→to,
+// CutOneWay severs the DIRECTED link from→to until the next Heal,
 // leaving the reverse direction alone — the asymmetric partition case
 // (a can hear b, b cannot hear a) that trips naive failure detectors.
-func (inj *Injector) CutOneWay(from, to zab.PeerID, sever bool) {
+func (inj *Injector) CutOneWay(from, to zab.PeerID) {
 	inj.mu.Lock()
-	if sever {
-		inj.cuts[linkKey{from, to}] = true
-	} else {
-		delete(inj.cuts, linkKey{from, to})
-	}
+	inj.cuts[linkKey{from, to}] = true
 	n := len(inj.cuts)
 	inj.mu.Unlock()
 	inj.activeCuts.Store(int64(n))
@@ -157,10 +139,7 @@ func (inj *Injector) decide(from, to zab.PeerID) (drop bool, wait time.Duration)
 		inj.cut.Add(1)
 		return true, 0
 	}
-	f, ok := inj.perLink[linkKey{from, to}]
-	if !ok {
-		f = inj.defaults
-	}
+	f := inj.fault
 	if f.healthy() {
 		return false, 0
 	}

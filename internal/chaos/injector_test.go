@@ -31,19 +31,22 @@ func mustReceive(t *testing.T, tr zab.Transport) zab.Message {
 
 func TestInjectorDropAll(t *testing.T) {
 	inj := NewInjector(1)
-	inj.SetLink(1, 2, LinkFault{Drop: 1})
+	inj.SetDefaults(LinkFault{Drop: 1})
 	a, b := twoPeers(t, inj)
 	if err := a.Send(2, zab.Message{Kind: zab.KindPing}); !errors.Is(err, zab.ErrPeerUnreachable) {
 		t.Fatalf("send on drop=1 link = %v, want ErrPeerUnreachable", err)
 	}
-	// The reverse direction is untouched: faults are per directed link.
+	if err := b.Send(1, zab.Message{Kind: zab.KindPing}); !errors.Is(err, zab.ErrPeerUnreachable) {
+		t.Fatalf("send on drop=1 link = %v, want ErrPeerUnreachable", err)
+	}
+	if s := inj.Stats(); s.Dropped != 2 {
+		t.Fatalf("dropped = %d, want 2", s.Dropped)
+	}
+	inj.ClearLinks()
 	if err := b.Send(1, zab.Message{Kind: zab.KindPing}); err != nil {
 		t.Fatal(err)
 	}
 	mustReceive(t, a)
-	if s := inj.Stats(); s.Dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", s.Dropped)
-	}
 }
 
 func TestInjectorPartitionAndHeal(t *testing.T) {
@@ -69,7 +72,7 @@ func TestInjectorPartitionAndHeal(t *testing.T) {
 func TestInjectorOneWayCut(t *testing.T) {
 	inj := NewInjector(1)
 	a, b := twoPeers(t, inj)
-	inj.CutOneWay(1, 2, true)
+	inj.CutOneWay(1, 2)
 	if err := a.Send(2, zab.Message{Kind: zab.KindPing}); !errors.Is(err, zab.ErrPeerUnreachable) {
 		t.Fatalf("severed direction send = %v, want ErrPeerUnreachable", err)
 	}
@@ -77,7 +80,7 @@ func TestInjectorOneWayCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustReceive(t, a)
-	inj.CutOneWay(1, 2, false)
+	inj.Heal()
 	if err := a.Send(2, zab.Message{Kind: zab.KindPing}); err != nil {
 		t.Fatal(err)
 	}

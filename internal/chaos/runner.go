@@ -26,8 +26,8 @@ type ScenarioConfig struct {
 	Replicas int
 	Workers  int
 	Variant  core.Variant
-	// DataDir, when set, makes replicas durable and unlocks the
-	// storage-fault legs (fsync stall, sticky failure).
+	// DataDir, when set, makes replicas durable and adds fsync stalls
+	// to the lock and queue schedules.
 	DataDir string
 	// Registry, when set, receives the injector's fault metrics and
 	// the checker verdict counters (for a /metrics endpoint during the
@@ -221,6 +221,26 @@ func connectLive(cluster *core.Cluster, rng *rand.Rand) *client.Client {
 	return nil
 }
 
+// worker starts a goroutine that runs session on a connection to a
+// live replica, reconnecting each time session returns (its connection
+// failed), until ctx ends. idx seeds the worker's RNG.
+func (env *runEnv) worker(ctx context.Context, wg *sync.WaitGroup, idx int, session func(cl *client.Client)) {
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := env.workerRng(idx)
+		for ctx.Err() == nil {
+			cl := connectLive(env.cluster, rng)
+			if cl == nil {
+				sleepCtx(ctx, 20*time.Millisecond)
+				continue
+			}
+			session(cl)
+			_ = cl.Close()
+		}
+	}()
+}
+
 // workerRng derives a per-worker RNG from the scenario seed.
 func (env *runEnv) workerRng(idx int) *rand.Rand {
 	return rand.New(rand.NewSource(env.cfg.Seed + int64(idx+1)*7919))
@@ -287,20 +307,9 @@ func runLockScenario(ctx context.Context, env *runEnv) ([]string, error) {
 	wctx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup
 	for i := 0; i < env.cfg.Workers; i++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			rng := env.workerRng(idx)
-			for wctx.Err() == nil {
-				cl := connectLive(env.cluster, rng)
-				if cl == nil {
-					sleepCtx(wctx, 20*time.Millisecond)
-					continue
-				}
-				lockSession(wctx, env, cl, idx, root)
-				_ = cl.Close()
-			}
-		}(i)
+		env.worker(wctx, &wg, i, func(cl *client.Client) {
+			lockSession(wctx, env, cl, i, root)
+		})
 	}
 
 	err := env.runFaults(ctx)
@@ -370,65 +379,43 @@ func runQueueScenario(ctx context.Context, env *runEnv) ([]string, error) {
 	// Producers: first half of the workers put jobs, recording ACKed
 	// vs unknown-outcome puts distinctly.
 	for i := 0; i < half; i++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			rng := env.workerRng(idx)
-			seq := 0
-			for wctx.Err() == nil {
-				cl := connectLive(env.cluster, rng)
-				if cl == nil {
-					sleepCtx(wctx, 20*time.Millisecond)
-					continue
+		seq := 0
+		env.worker(wctx, &wg, i, func(cl *client.Client) {
+			q, err := recipes.NewWorkQueue(wctx, cl, root)
+			for err == nil && wctx.Err() == nil {
+				payload := fmt.Sprintf("w%d-%d", i, seq)
+				seq++
+				var name string
+				name, err = q.Put(wctx, []byte(payload))
+				if err == nil {
+					env.hist.Append(Op{Kind: OpQueuePutAck, Client: i, Name: name})
+					sleepCtx(wctx, 5*time.Millisecond)
+				} else if !isCode(err, wire.ErrNoNode) {
+					// Connection loss mid-put: fate unknown. The job, if
+					// it exists, carries the payload, not the name we
+					// never learned — record it by payload so the drain
+					// can match it up.
+					env.hist.Append(Op{Kind: OpQueuePutMaybe, Client: i, Name: payload})
 				}
-				q, err := recipes.NewWorkQueue(wctx, cl, root)
-				for err == nil && wctx.Err() == nil {
-					payload := fmt.Sprintf("w%d-%d", idx, seq)
-					seq++
-					var name string
-					name, err = q.Put(wctx, []byte(payload))
-					if err == nil {
-						env.hist.Append(Op{Kind: OpQueuePutAck, Client: idx, Name: name})
-						sleepCtx(wctx, 5*time.Millisecond)
-					} else if !isCode(err, wire.ErrNoNode) {
-						// Connection loss mid-put: fate unknown. The job, if
-						// it exists, carries the payload, not the name we
-						// never learned — record it by payload so the drain
-						// can match it up.
-						env.hist.Append(Op{Kind: OpQueuePutMaybe, Client: idx, Name: payload})
-					}
-				}
-				_ = cl.Close()
 			}
-		}(i)
+		})
 	}
 	// Consumers: remaining workers take jobs.
 	for i := half; i < env.cfg.Workers; i++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			rng := env.workerRng(idx)
-			for wctx.Err() == nil {
-				cl := connectLive(env.cluster, rng)
-				if cl == nil {
-					sleepCtx(wctx, 20*time.Millisecond)
-					continue
+		env.worker(wctx, &wg, i, func(cl *client.Client) {
+			q, err := recipes.NewWorkQueue(wctx, cl, root)
+			for err == nil && wctx.Err() == nil {
+				var name string
+				var data []byte
+				name, data, err = q.Take(wctx)
+				if err == nil {
+					env.hist.Append(Op{Kind: OpQueueTake, Client: i, Name: name, Data: string(data)})
+				} else if errors.Is(err, recipes.ErrQueueEmpty) {
+					err = nil
+					sleepCtx(wctx, 5*time.Millisecond)
 				}
-				q, err := recipes.NewWorkQueue(wctx, cl, root)
-				for err == nil && wctx.Err() == nil {
-					var name string
-					var data []byte
-					name, data, err = q.Take(wctx)
-					if err == nil {
-						env.hist.Append(Op{Kind: OpQueueTake, Client: idx, Name: name, Data: string(data)})
-					} else if errors.Is(err, recipes.ErrQueueEmpty) {
-						err = nil
-						sleepCtx(wctx, 5*time.Millisecond)
-					}
-				}
-				_ = cl.Close()
 			}
-		}(i)
+		})
 	}
 
 	err := env.runFaults(ctx)
@@ -516,52 +503,30 @@ func runRateScenario(ctx context.Context, env *runEnv) ([]string, error) {
 	wctx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup
 	// Refiller: one goroutine starts a fresh epoch every 150ms.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := env.workerRng(1000)
-		for wctx.Err() == nil {
-			cl := connectLive(env.cluster, rng)
-			if cl == nil {
-				sleepCtx(wctx, 20*time.Millisecond)
-				continue
-			}
-			b, err := recipes.NewTokenBucket(wctx, cl, path, rateCapacity)
-			for err == nil && wctx.Err() == nil {
-				sleepCtx(wctx, 150*time.Millisecond)
-				_, err = b.Refill(wctx)
-			}
-			_ = cl.Close()
+	env.worker(wctx, &wg, 1000, func(cl *client.Client) {
+		b, err := recipes.NewTokenBucket(wctx, cl, path, rateCapacity)
+		for err == nil && wctx.Err() == nil {
+			sleepCtx(wctx, 150*time.Millisecond)
+			_, err = b.Refill(wctx)
 		}
-	}()
+	})
 	// Admission workers hammer Acquire.
 	for i := 0; i < env.cfg.Workers; i++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			rng := env.workerRng(idx)
-			for wctx.Err() == nil {
-				cl := connectLive(env.cluster, rng)
-				if cl == nil {
-					sleepCtx(wctx, 20*time.Millisecond)
-					continue
-				}
-				b, err := recipes.NewTokenBucket(wctx, cl, path, rateCapacity)
-				for err == nil && wctx.Err() == nil {
-					var admitted bool
-					var epoch int64
-					admitted, epoch, err = b.Acquire(wctx)
-					if err == nil {
-						if admitted {
-							env.hist.Append(Op{Kind: OpRateAdmit, Client: idx, Epoch: epoch})
-						} else {
-							sleepCtx(wctx, 10*time.Millisecond)
-						}
+		env.worker(wctx, &wg, i, func(cl *client.Client) {
+			b, err := recipes.NewTokenBucket(wctx, cl, path, rateCapacity)
+			for err == nil && wctx.Err() == nil {
+				var admitted bool
+				var epoch int64
+				admitted, epoch, err = b.Acquire(wctx)
+				if err == nil {
+					if admitted {
+						env.hist.Append(Op{Kind: OpRateAdmit, Client: i, Epoch: epoch})
+					} else {
+						sleepCtx(wctx, 10*time.Millisecond)
 					}
 				}
-				_ = cl.Close()
 			}
-		}(i)
+		})
 	}
 
 	err := env.runFaults(ctx)
@@ -606,34 +571,22 @@ func runCacheScenario(ctx context.Context, env *runEnv) ([]string, error) {
 	// Cache workers: each keeps a watch-invalidated cache alive,
 	// rebuilding it on a fresh connection whenever the session dies.
 	for i := 0; i < env.cfg.Workers; i++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			rng := env.workerRng(idx)
-			for wctx.Err() == nil {
-				cl := connectLive(env.cluster, rng)
-				if cl == nil {
-					sleepCtx(wctx, 20*time.Millisecond)
-					continue
+		env.worker(wctx, &wg, i, func(cl *client.Client) {
+			cache, err := recipes.NewConfigCache(wctx, cl, path, func(data []byte, _ wire.Stat) {
+				if v, err := strconv.ParseInt(string(data), 10, 64); err == nil {
+					env.hist.Append(Op{Kind: OpCacheObserve, Client: i, Ver: v})
 				}
-				cache, err := recipes.NewConfigCache(wctx, cl, path, func(data []byte, _ wire.Stat) {
-					if v, err := strconv.ParseInt(string(data), 10, 64); err == nil {
-						env.hist.Append(Op{Kind: OpCacheObserve, Client: idx, Ver: v})
-					}
-				})
-				if err != nil {
-					_ = cl.Close()
-					sleepCtx(wctx, 20*time.Millisecond)
-					continue
-				}
-				select {
-				case <-wctx.Done():
-				case <-cache.Done(): // session died; rebuild
-				}
-				cache.Close()
-				_ = cl.Close()
+			})
+			if err != nil {
+				sleepCtx(wctx, 20*time.Millisecond)
+				return
 			}
-		}(i)
+			select {
+			case <-wctx.Done():
+			case <-cache.Done(): // session died; rebuild
+			}
+			cache.Close()
+		})
 	}
 
 	// Publisher: one writer bumps the version, confirming commit even

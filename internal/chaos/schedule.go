@@ -40,10 +40,6 @@ const (
 	// ActStallFsync imposes Stall on every durable replica's fsyncs
 	// (Stall=0 clears); commits keep landing, slowly.
 	ActStallFsync
-	// ActFailStorage injects a sticky persistence failure on the
-	// Target-th non-leader voter, flipping it into degraded
-	// read-only mode.
-	ActFailStorage
 )
 
 // String names the action for schedule rendering.
@@ -67,8 +63,6 @@ func (a ActionKind) String() string {
 		return "restart-all"
 	case ActStallFsync:
 		return "stall-fsync"
-	case ActFailStorage:
-		return "fail-storage"
 	default:
 		return fmt.Sprintf("action(%d)", int(a))
 	}
@@ -101,7 +95,7 @@ func (e Event) String() string {
 			}
 			fmt.Fprintf(&b, " %v", side)
 		}
-	case ActOneWayCut, ActKillFollower, ActFailStorage:
+	case ActOneWayCut, ActKillFollower:
 		fmt.Fprintf(&b, " non-leader#%d", e.Target)
 	case ActStallFsync:
 		fmt.Fprintf(&b, " %v", e.Stall)
@@ -122,7 +116,7 @@ func (s Schedule) String() string {
 }
 
 // Kinds returns the distinct action kinds in the schedule, in
-// first-occurrence order (the smoke harness asserts fault-type
+// first-occurrence order (TestPlanCoversFaultKinds asserts fault-type
 // coverage with it).
 func (s Schedule) Kinds() []ActionKind {
 	seen := make(map[ActionKind]bool)
@@ -153,10 +147,8 @@ type Profile struct {
 	LeaderChurn  bool
 	FollowerKill bool
 	// FsyncStall stretches every durable fsync by this much for the
-	// middle of the run; StorageFail injects a sticky persistence
-	// failure on one follower (degraded-mode leg).
-	FsyncStall  time.Duration
-	StorageFail bool
+	// middle of the run.
+	FsyncStall time.Duration
 }
 
 // Plan lays the profile's faults out over total as a pure function of
@@ -203,9 +195,6 @@ func Plan(seed int64, p Profile, total time.Duration) Schedule {
 	if p.FsyncStall > 0 {
 		s = append(s, Event{At: at(0.20, 10), Act: ActStallFsync, Stall: p.FsyncStall})
 		s = append(s, Event{At: at(0.70, 5), Act: ActStallFsync, Stall: 0})
-	}
-	if p.StorageFail && p.Voters >= 3 {
-		s = append(s, Event{At: at(0.40, 10), Act: ActFailStorage, Target: rng.Intn(p.Voters - 1)})
 	}
 	sort.SliceStable(s, func(i, j int) bool { return s[i].At < s[j].At })
 	return s

@@ -15,7 +15,6 @@ func fullProfile() Profile {
 		LeaderChurn:  true,
 		FollowerKill: true,
 		FsyncStall:   2 * time.Millisecond,
-		StorageFail:  true,
 	}
 }
 
@@ -59,7 +58,7 @@ func TestPlanCoversFaultKinds(t *testing.T) {
 	sched := Plan(1, fullProfile(), 5*time.Second)
 	want := []ActionKind{
 		ActDegradeLinks, ActClearLinks, ActPartition, ActOneWayCut, ActHeal,
-		ActKillLeader, ActKillFollower, ActRestartAll, ActStallFsync, ActFailStorage,
+		ActKillLeader, ActKillFollower, ActRestartAll, ActStallFsync,
 	}
 	have := make(map[ActionKind]bool)
 	for _, k := range sched.Kinds() {

@@ -1,18 +1,17 @@
 # shellcheck shell=bash
-# Shared helpers for the multi-process smoke scripts. Source this after
-# setting VARIANT and BASE (and optionally DURABLE=1); it owns the
-# scratch directories, the PID table with its kill-all EXIT trap, the
-# skserver/skclient build, and the wait/retry/digest primitives every
-# smoke flow repeats.
+# Primitives of scripts/smoke.sh, sourced after it sets VARIANT: the
+# skserver/skclient build, one address plan, the PID table with its
+# kill-all EXIT trap, and the operations every leg is made of — boot a
+# topology, kill, restart, expect a read, check that digests converge,
+# verify a ledger, run a burst, check the clean-run metrics.
 #
-# SMOKE_LOG_DIR, when set, receives the per-node logs (CI points it at
-# a workspace path and uploads it as an artifact on failure); unset, a
-# throwaway tempdir is used.
+# SMOKE_LOG_DIR, when set, receives the node logs and burst ledgers,
+# one directory per leg (CI uploads it on failure); unset, a throwaway
+# tempdir is used.
 
 BIN="$(mktemp -d)"
-LOGS="${SMOKE_LOG_DIR:-$(mktemp -d)}"
-mkdir -p "$LOGS"
-DATA="$(mktemp -d)"
+LOG_ROOT="${SMOKE_LOG_DIR:-$(mktemp -d)}"
+DATA_ROOT="$(mktemp -d)"
 
 # SecureKeeper replicas must share one storage key (the key server's
 # released key) or they would replicate mutually undecryptable state.
@@ -21,30 +20,25 @@ if [ "${VARIANT:?smoke_lib: set VARIANT before sourcing}" = securekeeper ]; then
   KEYFLAGS=(-storage-key "00112233445566778899aabbccddeeff")
 fi
 
-MESH=()
-CADDR=()
-MADDR=()
+# Node ids 1..5: mesh at BASE+i, clients at BASE+10+i, metrics at
+# BASE+20+i. Every leg uses the same ports and frees them when it ends.
+BASE=24180
+MESH=() CADDR=() MADDR=()
+for i in 1 2 3 4 5; do
+  MESH[$i]="127.0.0.1:$((BASE + i))"
+  CADDR[$i]="127.0.0.1:$((BASE + 10 + i))"
+  MADDR[$i]="127.0.0.1:$((BASE + 20 + i))"
+done
 declare -A PIDS=()
 
-# smoke_addrs N — derive mesh/client/metrics addresses for ids 1..N
-# from BASE (mesh at BASE+i, clients at BASE+10+i, metrics at
-# BASE+20+i, the layout every smoke job's port plan assumes).
-smoke_addrs() {
-  local n="$1" i
-  for ((i = 1; i <= n; i++)); do
-    MESH[$i]="127.0.0.1:$((${BASE:?smoke_lib: set BASE before sourcing} + i))"
-    CADDR[$i]="127.0.0.1:$((BASE + 10 + i))"
-    MADDR[$i]="127.0.0.1:$((BASE + 20 + i))"
-  done
-}
-
 cleanup() {
-  local pid
+  local rc=$? pid
   for pid in "${PIDS[@]}"; do kill -9 "$pid" 2>/dev/null || true; done
-  echo "--- node logs ---"
-  tail -n 20 "$LOGS"/node*.log 2>/dev/null || true
+  [ "$rc" = 0 ] || tail -n 20 "${LOGS:-$LOG_ROOT}"/node*.log 2>/dev/null || true
 }
 trap cleanup EXIT
+
+fail() { echo "FAIL: $*" >&2; exit 1; }
 
 smoke_build() {
   echo "== build"
@@ -54,43 +48,112 @@ smoke_build() {
 
 skc() { "$BIN/skclient" -variant "$VARIANT" "$@"; }
 
+# addrs IDS — the comma-separated client addresses of the node ids IDS.
+addrs() {
+  local i s=""
+  for i in $1; do s="${s:+$s,}${CADDR[$i]}"; done
+  echo "$s"
+}
+
+# without IDS ID... — IDS with the given ids left out.
+without() {
+  local i s=""
+  for i in $1; do [[ " ${*:2} " == *" $i "* ]] || s="${s:+$s }$i"; done
+  echo "$s"
+}
+
+# topo VOTERS [OBSERVER] — the topology spec of the voter ids VOTERS,
+# plus OBSERVER as a non-voting observer. Every process gets the full
+# spec: voters check an observer's claimed role against it.
+topo() {
+  local i s=""
+  for i in $1; do s="${s:+$s;}$i@${MESH[$i]}"; done
+  [ -z "${2:-}" ] || s="$s;$2@${MESH[$2]}:observer"
+  echo "$s"
+}
+
 # start_node ID [TOPO] — launch one skserver process. TOPO defaults to
-# the caller's $TOPO; pass an explicit spec for members whose view of
-# the ensemble differs (a reconfig joiner). DURABLE=1 adds -data-dir.
+# the leg's $TOPO; pass an explicit spec for members whose view of the
+# ensemble differs (a reconfig joiner). DURABLE=1 adds -data-dir.
 start_node() {
-  local i="$1"
-  local topo="${2:-$TOPO}"
-  local extra=()
-  if [ "${DURABLE:-0}" = 1 ]; then
-    extra=(-data-dir "$DATA/node$i")
-  fi
-  "$BIN/skserver" -variant "$VARIANT" -id "$i" -topology "$topo" \
-    ${KEYFLAGS[@]+"${KEYFLAGS[@]}"} \
-    ${extra[@]+"${extra[@]}"} \
-    -metrics-addr "${MADDR[$i]}" \
-    -listen "${CADDR[$i]}" >>"$LOGS/node$i.log" 2>&1 &
+  local i="$1" extra=()
+  [ "$DURABLE" = 0 ] || extra=(-data-dir "$DATA/node$i")
+  "$BIN/skserver" -variant "$VARIANT" -id "$i" -topology "${2:-$TOPO}" \
+    ${KEYFLAGS[@]+"${KEYFLAGS[@]}"} ${extra[@]+"${extra[@]}"} \
+    -metrics-addr "${MADDR[$i]}" -listen "${CADDR[$i]}" >>"$LOGS/node$i.log" 2>&1 &
   PIDS[$i]=$!
-  echo "== node $i started (pid ${PIDS[$i]}, clients ${CADDR[$i]}, durable=${DURABLE:-0})"
+  echo "== node $i started (pid ${PIDS[$i]}, clients ${CADDR[$i]}, durable=$DURABLE)"
+}
+
+# boot TOPO ID... — set the leg's topology, start the nodes, and wait
+# for a leader.
+boot() {
+  TOPO="$1"
+  shift
+  local i
+  for i in "$@"; do start_node "$i"; done
+  wait_leader
+}
+
+# kill_node ID... — SIGKILL the nodes and wait until they are gone
+# (delivery is async; a fixed settle sleep is either slow or a flake).
+kill_node() {
+  local i pids=()
+  for i in "$@"; do
+    pids+=("${PIDS[$i]}")
+    kill -9 "${PIDS[$i]}" 2>/dev/null || true
+    unset "PIDS[$i]"
+  done
+  for _ in $(seq 1 100); do
+    for i in ${pids[@]+"${pids[@]}"}; do kill -0 "$i" 2>/dev/null && { sleep 0.1; continue 2; }; done
+    return 0
+  done
+  fail "processes still alive after SIGKILL: ${pids[*]}"
+}
+
+# wait_port_free HOST:PORT... — bounded wait until nothing accepts on
+# the addresses (a killed node's listener can linger briefly; a restart
+# on the same port must not race it).
+wait_port_free() {
+  local addr
+  for _ in $(seq 1 100); do
+    for addr in "$@"; do
+      (exec 3<>"/dev/tcp/${addr%%:*}/${addr##*:}") 2>/dev/null && { sleep 0.1; continue 2; }
+    done
+    return 0
+  done
+  fail "ports still busy: $*"
+}
+
+# restart ID [TOPO] — start a killed node again once its ports are free.
+restart() {
+  wait_port_free "${MESH[$1]}" "${CADDR[$1]}" "${MADDR[$1]}"
+  start_node "$@"
+}
+
+# teardown — SIGKILL the leg's nodes and wait until every port is free
+# for the next leg.
+teardown() {
+  local i all=()
+  kill_node "${!PIDS[@]}"
+  for i in 1 2 3 4 5; do all+=("${MESH[$i]}" "${CADDR[$i]}" "${MADDR[$i]}"); done
+  wait_port_free "${all[@]}"
 }
 
 # node_role prints "role=... leader=... ... ensemble=..." from node
 # $1's machine-readable stat op (skclient info) instead of log greps.
-node_role() {
-  skc -timeout 2s -addr "${CADDR[$1]}" info 2>/dev/null
-}
+node_role() { skc -timeout 2s -addr "${CADDR[$1]}" info 2>/dev/null; }
 
-# VOTERS — the ids leader_id probes. Default seed ensemble; the
-# reconfig smoke rewrites it as membership grows and shrinks.
-VOTERS="${VOTERS:-1 2 3}"
+# has_role ID ROLE — node ID reports ROLE (OBSERVING, REMOVED, ...).
+has_role() { [[ "$(node_role "$1")" == "role=$2"* ]]; }
 
-# leader_id prints the id of the running voter currently reporting
-# LEADING through the stat op.
+# leader_id prints the id of the running voter (of $VOTERS) currently
+# reporting LEADING through the stat op.
 leader_id() {
-  local i out
+  local i
   for i in $VOTERS; do
     [ -n "${PIDS[$i]:-}" ] || continue
-    out=$(node_role "$i") || continue
-    if [[ "$out" == role=LEADING* ]]; then
+    if has_role "$i" LEADING; then
       echo "$i"
       return 0
     fi
@@ -103,8 +166,7 @@ wait_leader() {
     if leader_id >/dev/null; then return 0; fi
     sleep 0.1
   done
-  echo "FAIL: no leader elected" >&2
-  return 1
+  fail "no leader elected"
 }
 
 # retry CMD... until success (ensemble may be mid-election).
@@ -117,65 +179,106 @@ retry() {
   return 1
 }
 
-# wait_dead PID... — bounded wait on the actual condition (process
-# gone) instead of a fixed settle sleep: SIGKILL delivery is async and
-# a fixed delay is either too slow or a flake under CI load.
-wait_dead() {
-  for _ in $(seq 1 100); do
-    local alive=0 pid
-    for pid in "$@"; do
-      if kill -0 "$pid" 2>/dev/null; then alive=1; break; fi
-    done
-    [ "$alive" = 0 ] && return 0
-    sleep 0.1
+# reads ID PATH WANT — node ID serves WANT... at PATH. No sync barrier:
+# it must answer while the ensemble has no leader.
+reads() { [[ "$(skc -timeout 2s -addr "${CADDR[$1]}" get "$2")" == "$3"* ]]; }
+synced_reads() { skc -addr "${CADDR[$1]}" sync "$2" && reads "$@"; }
+
+# expect IDS PATH WANT — after a sync barrier, every node of IDS reads
+# WANT... at PATH.
+expect() {
+  local i got
+  for i in $1; do
+    retry skc -addr "${CADDR[$i]}" sync "$2"
+    got=$(skc -addr "${CADDR[$i]}" get "$2")
+    [[ "$got" == "$3"* ]] || fail "node $i read $2 = '$got', want $3"
   done
-  echo "FAIL: processes still alive after SIGKILL: $*" >&2
-  return 1
 }
 
-# wait_port_free HOST:PORT... — bounded wait until nothing accepts on
-# the addresses (a killed node's listener can linger briefly; a restart
-# on the same port must not race it).
-wait_port_free() {
-  for _ in $(seq 1 100); do
-    local busy=0 addr
-    for addr in "$@"; do
-      if (exec 3<>"/dev/tcp/${addr%%:*}/${addr##*:}") 2>/dev/null; then
-        busy=1
-        break
-      fi
-    done
-    [ "$busy" = 0 ] && return 0
-    sleep 0.1
+# converge IDS — after a sync barrier on each, every node of IDS
+# reports one deterministic recursive tree digest.
+converge() {
+  local i d first=""
+  for i in $1; do
+    retry skc -addr "${CADDR[$i]}" sync /
+    d=$(skc -addr "${CADDR[$i]}" digest / | awk '/^digest /{print $2, $3}')
+    first="${first:-$d}"
+    [ "$d" = "$first" ] || fail "node $i digest $d != $first (nodes $1)"
   done
-  echo "FAIL: ports still busy: $*" >&2
-  return 1
-}
-
-# tree_digest ADDR — the replica's deterministic recursive tree digest.
-tree_digest() {
-  skc -addr "$1" digest / | awk '/^digest /{print $2, $3}'
+  echo "== digests converged on nodes $1 ($first)"
 }
 
 # acked_paths LEDGER — the paths of acknowledged writes (may be empty).
-acked_paths() {
-  (grep '^ACK ' "$1" || true) | awk '{print $2}'
+acked_paths() { awk '/^ACK /{print $2}' "$1"; }
+
+# verify_ledger IDS — every write the burst ledger $LEDGER acknowledged
+# exists on every node of IDS.
+verify_ledger() {
+  local i
+  for i in $1; do
+    retry skc -addr "${CADDR[$i]}" sync /
+    acked_paths "$LEDGER" | skc -addr "${CADDR[$i]}" verify >/dev/null \
+      || fail "node $i lost acknowledged writes of $LEDGER"
+  done
 }
 
-# metric_sum HOST:PORT NAME — scrape the node's /metrics endpoint and
-# sum the family's samples across label sets. An absent family prints
-# 0: "never fired" and "not yet scraped" both read as zero (the metrics
-# smoke separately asserts registration). %.0f, not %d: mawk's %d
-# clamps at 2^31-1 and a zxid carries the epoch in its high bits.
-metric_sum() {
-  curl -sf --max-time 5 "http://$1/metrics" \
-    | awk -v name="$2" 'index($1, name) == 1 { s += $NF } END { printf "%.0f\n", s }'
+# burst_start NAME IDS COUNT — COUNT creates under /NAME through the
+# nodes IDS, in the background, with their ledger in $LEDGER. burst
+# redials by itself, so no retry wrapper (which would also swallow the
+# ledger). A leg that kills a node mid-burst sets MARK to the ledger's
+# length at the kill.
+burst_start() {
+  LEDGER="$LOGS/ledger-$1.txt" MARK=""
+  : >"$LEDGER"
+  skc -timeout 240s -addr "$(addrs "$2")" burst "/$1" "$3" 32 >"$LEDGER" &
+  BURST=$!
 }
 
-# metric_value HOST:PORT NAME — like metric_sum but FAILS when the
-# family is absent, for scripts that assert the registry wiring itself.
-metric_value() {
-  curl -sf --max-time 5 "http://$1/metrics" | awk -v name="$2" '
+# burst_at N — wait until the burst's ledger has N lines, or it ended:
+# a random N puts a kill at a random point inside the burst.
+burst_at() {
+  while [ "$(wc -l <"$LEDGER")" -lt "$1" ] && kill -0 "$BURST" 2>/dev/null; do sleep 0.01; done
+}
+
+# burst_end MIN [quorum] — the burst must end cleanly with at least MIN
+# acknowledged writes in $ACKED. With quorum (a quorum stayed up all
+# along) it must not have aborted, and must have acknowledged writes
+# after MARK.
+burst_end() {
+  local n
+  wait "$BURST" || fail "burst client crashed ($LEDGER)"
+  ACKED=$(acked_paths "$LEDGER" | wc -l)
+  echo "== $(tail -n 1 "$LEDGER") ($LEDGER)"
+  [ "$ACKED" -ge "$1" ] || fail "burst acked $ACKED writes, want >= $1 ($LEDGER)"
+  [ "${2:-}" = quorum ] || return 0
+  ! grep -q '^BURST aborting' "$LEDGER" || fail "burst aborted with a quorum up ($LEDGER)"
+  [ -n "$MARK" ] || return 0
+  n=$(tail -n +"$((MARK + 1))" "$LEDGER" | grep -c '^ACK ') || fail "no write acknowledged after the kill ($LEDGER)"
+  echo "== $n writes acknowledged after the kill"
+}
+
+# metric ID NAME — scrape node ID's /metrics and sum the family's
+# samples across label sets; fails, printing 0, when the family is
+# absent. %.0f, not %d: mawk's %d clamps at 2^31-1 and a zxid carries
+# the epoch in its high bits.
+metric() {
+  curl -sf --max-time 5 "http://${MADDR[$1]}/metrics" | awk -v name="$2" '
     index($1, name) == 1 { s += $NF; found = 1 }
-    END { if (!found) exit 1; printf "%.0f\n", s }'
+    END { printf "%.0f\n", s; exit !found }'
+}
+
+# clean_metrics IDS — a healthy ensemble never sheds a peer-mesh
+# message (an outbox hit capacity and silently dropped) and never counts
+# a corrupt storage record (the WAL/snapshot codecs quietly eating
+# state). Only durable nodes have the storage family.
+clean_metrics() {
+  local i n
+  for i in $1; do
+    n=$(metric "$i" zabnet_outbox_shed_total) || fail "node $i exposes no zabnet_outbox_shed_total"
+    [ "$n" = 0 ] || fail "node $i shed $n outbox messages on a clean run"
+    n=$(metric "$i" storage_corrupt_records_total) || [ "$DURABLE" = 0 ] \
+      || fail "node $i exposes no storage_corrupt_records_total"
+    [ "$n" = 0 ] || fail "node $i counted $n corrupt storage records on a clean run"
+  done
+  echo "== metrics clean on nodes $1: zero outbox sheds, zero corrupt records"
 }
