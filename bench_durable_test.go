@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -17,8 +16,8 @@ import (
 
 // newDurableBenchReplica boots a single durable replica backed by dir,
 // reporting to reg.
-func newDurableBenchReplica(b *testing.B, dir string, reg *obs.Registry) *server.Replica {
-	b.Helper()
+func newDurableBenchReplica(tb testing.TB, dir string, reg *obs.Registry) *server.Replica {
+	tb.Helper()
 	net := zab.NewNetwork()
 	r := server.NewReplica(server.Config{
 		ID:              1,
@@ -32,7 +31,7 @@ func newDurableBenchReplica(b *testing.B, dir string, reg *obs.Registry) *server
 		SnapshotEvery: 1 << 30,
 		Obs:           reg,
 	})
-	b.Cleanup(func() {
+	tb.Cleanup(func() {
 		r.Close()
 		net.Close()
 	})
@@ -41,20 +40,20 @@ func newDurableBenchReplica(b *testing.B, dir string, reg *obs.Registry) *server
 		time.Sleep(time.Millisecond)
 	}
 	if !r.IsLeader() {
-		b.Fatal("single replica did not lead")
+		tb.Fatal("single replica did not lead")
 	}
 	return r
 }
 
-func connectBench(b *testing.B, r *server.Replica) *client.Client {
-	b.Helper()
+func connectBench(tb testing.TB, r *server.Replica) *client.Client {
+	tb.Helper()
 	a, sEnd := transport.NewChanPipe()
 	go func() { _ = r.ServeConn(sEnd, nil) }()
 	cl, err := client.NewSession(a, client.Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(func() { _ = cl.Close() })
+	tb.Cleanup(func() { _ = cl.Close() })
 	return cl
 }
 
@@ -71,51 +70,33 @@ func BenchmarkDurableCommit(b *testing.B) {
 		writers := writers
 		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
 			reg := obs.NewRegistry()
-			r := newDurableBenchReplica(b, b.TempDir(), reg)
-			payload := make([]byte, 128)
-			cls := make([]*client.Client, writers)
-			for i := range cls {
-				cls[i] = connectBench(b, r)
-				if _, err := cls[i].Create(ctxbg, fmt.Sprintf("/w%02d", i), payload, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
+			ops := durableCommit(b, reg, writers)
 			fsyncs, txns := fsyncTally(b, reg)
-
-			b.ReportAllocs()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			per, extra := b.N/writers, b.N%writers
-			for w := 0; w < writers; w++ {
-				n := per
-				if w < extra {
-					n++
-				}
-				if n == 0 {
-					continue
-				}
-				wg.Add(1)
-				go func(w, n int) {
-					defer wg.Done()
-					cl := cls[w]
-					path := fmt.Sprintf("/w%02d", w)
-					for i := 0; i < n; i++ {
-						if _, err := cl.Set(ctxbg, path, payload, -1); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(w, n)
-			}
-			wg.Wait()
+			measure(b, ops)
 			b.StopTimer()
-
 			fsyncsAfter, txnsAfter := fsyncTally(b, reg)
 			if n := fsyncsAfter - fsyncs; n > 0 {
 				b.ReportMetric((txnsAfter-txns)/n, "txns/fsync")
 			}
 		})
 	}
+}
+
+// durableCommit sets up BenchmarkDurableCommit's load on a fresh
+// durable replica reporting to reg: writers sessions, each Setting its
+// own 128-byte node from its own goroutine.
+func durableCommit(tb testing.TB, reg *obs.Registry, writers int) load {
+	tb.Helper()
+	r := newDurableBenchReplica(tb, tb.TempDir(), reg)
+	payload := make([]byte, 128)
+	cls := make([]*client.Client, writers)
+	paths := make([]string, writers)
+	for i := range cls {
+		cls[i] = connectBench(tb, r)
+		paths[i] = fmt.Sprintf("/w%02d", i)
+		create(tb, cls[i], paths[i], payload)
+	}
+	return func(n int) { parallelSets(tb, cls, paths, payload, n) }
 }
 
 // fsyncTally reads storage_txns_per_fsync from reg: its count is the

@@ -1,7 +1,9 @@
 // Package securekeeper's root benchmark suite: one testing.B benchmark
 // per figure and table of the paper's evaluation (§6), expressed as
 // per-operation costs, plus ablation benchmarks for its design choices.
-// Table 3 is `go run ./cmd/sksloc`.
+// Table 3 is `go run ./cmd/sksloc`. TestEndToEndAllocations
+// (alloc_test.go) runs the loads of the Fig 7/8, Multi, mixed, observer
+// and durable benchmarks against allocation budgets.
 //
 // Run with: go test -bench=. -benchmem
 package securekeeper_test
@@ -44,8 +46,8 @@ const (
 )
 
 // newBenchCluster boots a cluster tuned for benchmarking.
-func newBenchCluster(b *testing.B, v core.Variant) *core.Cluster {
-	b.Helper()
+func newBenchCluster(tb testing.TB, v core.Variant) *core.Cluster {
+	tb.Helper()
 	c, err := core.NewCluster(core.Config{
 		Variant:         v,
 		Replicas:        3,
@@ -53,13 +55,92 @@ func newBenchCluster(b *testing.B, v core.Variant) *core.Cluster {
 		ElectionTimeout: 500 * time.Millisecond,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(c.Close)
+	tb.Cleanup(c.Close)
 	if _, err := c.WaitForLeader(10 * time.Second); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return c
+}
+
+// connect opens a session to replica i, closed when tb ends.
+func connect(tb testing.TB, c *core.Cluster, i int) *client.Client {
+	tb.Helper()
+	cl, err := c.Connect(i, client.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = cl.Close() })
+	return cl
+}
+
+// create makes the node path holding data, or fails tb.
+func create(tb testing.TB, cl *client.Client, path string, data []byte) {
+	tb.Helper()
+	if _, err := cl.Create(ctxbg, path, data, 0); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// A load is an end-to-end op stream, set up on a running ensemble: each
+// call issues n more ops and returns once all of them are answered. A
+// figure benchmark times it over b.N ops (measure), and
+// TestEndToEndAllocations counts the objects it allocates.
+type load func(n int)
+
+// measure times ops over the benchmark's b.N ops, allocations reported.
+func measure(b *testing.B, ops load) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	ops(b.N)
+}
+
+// syncOps sets up one client's synchronous stream of one operation
+// type on nodes under root.
+func syncOps(tb testing.TB, c *core.Cluster, root string, mode opMode, payloadSize int) load {
+	tb.Helper()
+	cl := connect(tb, c, 0)
+	payload := make([]byte, payloadSize)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	target := root + "/target"
+	create(tb, cl, root, nil)
+	create(tb, cl, target, payload)
+	if mode == opLs {
+		for i := 0; i < 8; i++ {
+			create(tb, cl, fmt.Sprintf("%s/c%02d", target, i), nil)
+		}
+	}
+	next := 0
+	return func(n int) {
+		for end := next + n; next < end; next++ {
+			i := next
+			var err error
+			switch mode {
+			case opGet:
+				_, _, err = cl.Get(ctxbg, target)
+			case opSet:
+				_, err = cl.Set(ctxbg, target, payload, -1)
+			case opCreate:
+				_, err = cl.Create(ctxbg, fmt.Sprintf("%s/n%09d", root, i), payload, 0)
+			case opCreateSeq:
+				_, err = cl.Create(ctxbg, root+"/s-", payload, wire.FlagSequential)
+			case opLs:
+				_, err = cl.Children(ctxbg, target)
+			case opMixed:
+				if i%10 < 7 {
+					_, _, err = cl.Get(ctxbg, target)
+				} else {
+					_, err = cl.Set(ctxbg, target, payload, -1)
+				}
+			}
+			if err != nil {
+				tb.Fatalf("op %d: %v", i, err)
+			}
+		}
+	}
 }
 
 // benchOps measures one synchronous operation type end to end. It
@@ -67,57 +148,72 @@ func newBenchCluster(b *testing.B, v core.Variant) *core.Cluster {
 func benchOps(b *testing.B, v core.Variant, mode opMode, payloadSize int) *core.Cluster {
 	b.Helper()
 	cluster := newBenchCluster(b, v)
-	cl, err := cluster.Connect(0, client.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cl.Close()
-
-	payload := make([]byte, payloadSize)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	if _, err := cl.Create(ctxbg, "/b", nil, 0); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := cl.Create(ctxbg, "/b/target", payload, 0); err != nil {
-		b.Fatal(err)
-	}
-	if mode == opLs {
-		for i := 0; i < 8; i++ {
-			if _, err := cl.Create(ctxbg, fmt.Sprintf("/b/target/c%02d", i), nil, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		switch mode {
-		case opGet:
-			_, _, err = cl.Get(ctxbg, "/b/target")
-		case opSet:
-			_, err = cl.Set(ctxbg, "/b/target", payload, -1)
-		case opCreate:
-			_, err = cl.Create(ctxbg, fmt.Sprintf("/b/n%09d", i), payload, 0)
-		case opCreateSeq:
-			_, err = cl.Create(ctxbg, "/b/s-", payload, wire.FlagSequential)
-		case opLs:
-			_, err = cl.Children(ctxbg, "/b/target")
-		case opMixed:
-			if i%10 < 7 {
-				_, _, err = cl.Get(ctxbg, "/b/target")
-			} else {
-				_, err = cl.Set(ctxbg, "/b/target", payload, -1)
-			}
-		}
-		if err != nil {
-			b.Fatalf("op %d: %v", i, err)
-		}
-	}
+	measure(b, syncOps(b, cluster, "/b", mode, payloadSize))
 	return cluster
+}
+
+// spread splits n ops over workers goroutines, worker w issuing k of
+// them, and waits for them all.
+func spread(n, workers int, worker func(w, k int)) {
+	var wg sync.WaitGroup
+	per, extra := n/workers, n%workers
+	for w := 0; w < workers; w++ {
+		k := per
+		if w < extra {
+			k++
+		}
+		if k == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(w, k int) {
+			defer wg.Done()
+			worker(w, k)
+		}(w, k)
+	}
+	wg.Wait()
+}
+
+// parallelSets issues n synchronous Sets of payload, spread over one
+// goroutine per session, session w setting paths[w].
+func parallelSets(tb testing.TB, cls []*client.Client, paths []string, payload []byte, n int) {
+	spread(n, len(cls), func(w, k int) {
+		for i := 0; i < k; i++ {
+			if _, err := cls[w].Set(ctxbg, paths[w], payload, -1); err != nil {
+				tb.Error(err)
+				return
+			}
+		}
+	})
+}
+
+// pipelined issues n ops spread over the sessions in cls, each keeping
+// up to window of them in flight: op(s, i) starts session s's i-th op.
+// It returns once every answer is in; a failed op fails tb.
+func pipelined(tb testing.TB, cls []*client.Client, n, window int, op func(s, i int) *client.Future) {
+	spread(n, len(cls), func(s, k int) {
+		futures := make(chan *client.Future, window)
+		var drain sync.WaitGroup
+		drain.Add(1)
+		go func() {
+			defer drain.Done()
+			// Keep consuming after an error: returning early would leave
+			// the producer blocked on a full channel and hang the caller
+			// instead of failing it.
+			failed := false
+			for f := range futures {
+				if res := f.Wait(); res.Err != nil && !failed {
+					failed = true
+					tb.Error(res.Err)
+				}
+			}
+		}()
+		for i := 0; i < k; i++ {
+			futures <- op(s, i)
+		}
+		close(futures)
+		drain.Wait()
+	})
 }
 
 // forEachVariant runs a sub-benchmark per system variant.
@@ -227,41 +323,17 @@ func BenchmarkFig6aSyncMixed(b *testing.B) {
 func BenchmarkFig6bAsyncMixed(b *testing.B) {
 	forEachVariant(b, func(b *testing.B, v core.Variant) {
 		cluster := newBenchCluster(b, v)
-		cl, err := cluster.Connect(0, client.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cl.Close()
+		cl := connect(b, cluster, 0)
 		payload := make([]byte, 1024)
-		if _, err := cl.Create(ctxbg, "/b", nil, 0); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := cl.Create(ctxbg, "/b/t", payload, 0); err != nil {
-			b.Fatal(err)
-		}
-		const window = 64
+		create(b, cl, "/b", nil)
+		create(b, cl, "/b/t", payload)
 		b.ResetTimer()
-		futures := make(chan *client.Future, window)
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for f := range futures {
-				if res := f.Wait(); res.Err != nil {
-					b.Errorf("async op: %v", res.Err)
-					return
-				}
-			}
-		}()
-		for i := 0; i < b.N; i++ {
+		pipelined(b, []*client.Client{cl}, b.N, 64, func(_, i int) *client.Future {
 			if i%10 < 7 {
-				futures <- cl.GetAsync("/b/t", false)
-			} else {
-				futures <- cl.SetAsync("/b/t", payload, -1)
+				return cl.GetAsync("/b/t", false)
 			}
-		}
-		close(futures)
-		wg.Wait()
+			return cl.SetAsync("/b/t", payload, -1)
+		})
 	})
 }
 
@@ -301,41 +373,12 @@ func BenchmarkFig8SetContended(b *testing.B) {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
 			forEachVariant(b, func(b *testing.B, v core.Variant) {
 				cluster := newBenchCluster(b, v)
-				leaderIdx := cluster.LeaderIndex()
-				if leaderIdx < 0 {
-					b.Fatal("no leader")
-				}
-				payload := make([]byte, 1024)
-				cls := make([]*client.Client, clients)
-				for i := range cls {
-					cl, err := cluster.Connect(0, client.Options{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer cl.Close()
-					cls[i] = cl
-					if _, err := cl.Create(ctxbg, fmt.Sprintf("/c%d", i), payload, 0); err != nil {
-						b.Fatal(err)
-					}
-				}
-				statsBefore := cluster.Replica(leaderIdx).Peer().StatsSnapshot()
-				var next atomic.Int64
-				b.ReportAllocs()
-				b.SetParallelism(clients) // clients goroutines even at GOMAXPROCS=1
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					id := int(next.Add(1)-1) % clients
-					cl := cls[id]
-					path := fmt.Sprintf("/c%d", id)
-					for pb.Next() {
-						if _, err := cl.Set(ctxbg, path, payload, -1); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				})
+				leader := cluster.Replica(cluster.LeaderIndex()).Peer()
+				ops := contendedSets(b, cluster, "/c", clients)
+				statsBefore := leader.StatsSnapshot()
+				measure(b, ops)
 				b.StopTimer()
-				stats := cluster.Replica(leaderIdx).Peer().StatsSnapshot()
+				stats := leader.StatsSnapshot()
 				txns := stats.Proposals - statsBefore.Proposals
 				frames := stats.ProposeFrames - statsBefore.ProposeFrames
 				if txns > 0 {
@@ -344,6 +387,22 @@ func BenchmarkFig8SetContended(b *testing.B) {
 			})
 		})
 	}
+}
+
+// contendedSets sets up Fig 8's contended load: clients sessions on
+// one replica, each Setting its own 1 KiB node under root, one
+// goroutine per session.
+func contendedSets(tb testing.TB, c *core.Cluster, root string, clients int) load {
+	tb.Helper()
+	payload := make([]byte, 1024)
+	cls := make([]*client.Client, clients)
+	paths := make([]string, clients)
+	for i := range cls {
+		cls[i] = connect(tb, c, 0)
+		paths[i] = fmt.Sprintf("%s%d", root, i)
+		create(tb, cls[i], paths[i], payload)
+	}
+	return func(n int) { parallelSets(tb, cls, paths, payload, n) }
 }
 
 // BenchmarkMixedReadWrite is the waiting-read workload: 8 concurrent
@@ -355,71 +414,44 @@ func BenchmarkFig8SetContended(b *testing.B) {
 // Reads/sec is the headline metric; it should scale with GOMAXPROCS
 // instead of flatlining.
 func BenchmarkMixedReadWrite(b *testing.B) {
-	const (
-		sessions = 8
-		window   = 32
-	)
 	forEachVariant(b, func(b *testing.B, v core.Variant) {
-		cluster := newBenchCluster(b, v)
-		payload := make([]byte, 1024)
-		cls := make([]*client.Client, sessions)
-		for i := range cls {
-			cl, err := cluster.Connect(i%cluster.Size(), client.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer cl.Close()
-			cls[i] = cl
-			if _, err := cl.Create(ctxbg, fmt.Sprintf("/mx%d", i), payload, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
 		var reads atomic.Int64
-		per := b.N/sessions + 1
-		b.ReportAllocs()
-		b.ResetTimer()
+		ops := mixedReadWrite(b, newBenchCluster(b, v), "/mx", &reads)
 		start := time.Now()
-		var wg sync.WaitGroup
-		for s := 0; s < sessions; s++ {
-			wg.Add(1)
-			go func(cl *client.Client, path string) {
-				defer wg.Done()
-				futures := make(chan *client.Future, window)
-				var drain sync.WaitGroup
-				drain.Add(1)
-				go func() {
-					defer drain.Done()
-					// Keep consuming after an error: returning early
-					// would leave the producer blocked on a full
-					// channel and hang the benchmark instead of
-					// failing it.
-					failed := false
-					for f := range futures {
-						if res := f.Wait(); res.Err != nil && !failed {
-							failed = true
-							b.Error(res.Err)
-						}
-					}
-				}()
-				for i := 0; i < per; i++ {
-					if i%10 == 9 {
-						futures <- cl.SetAsync(path, payload, -1)
-					} else {
-						futures <- cl.GetAsync(path, false)
-						reads.Add(1)
-					}
-				}
-				close(futures)
-				drain.Wait()
-			}(cls[s], fmt.Sprintf("/mx%d", s))
-		}
-		wg.Wait()
+		measure(b, ops)
 		elapsed := time.Since(start)
 		b.StopTimer()
 		if secs := elapsed.Seconds(); secs > 0 {
 			b.ReportMetric(float64(reads.Load())/secs, "reads/sec")
 		}
 	})
+}
+
+// mixedReadWrite sets up BenchmarkMixedReadWrite's load on nodes under
+// root, counting the reads it issues in reads.
+func mixedReadWrite(tb testing.TB, c *core.Cluster, root string, reads *atomic.Int64) load {
+	tb.Helper()
+	const (
+		sessions = 8
+		window   = 32
+	)
+	payload := make([]byte, 1024)
+	cls := make([]*client.Client, sessions)
+	paths := make([]string, sessions)
+	for i := range cls {
+		cls[i] = connect(tb, c, i%c.Size())
+		paths[i] = fmt.Sprintf("%s%d", root, i)
+		create(tb, cls[i], paths[i], payload)
+	}
+	return func(n int) {
+		pipelined(tb, cls, n, window, func(s, i int) *client.Future {
+			if i%10 == 9 {
+				return cls[s].SetAsync(paths[s], payload, -1)
+			}
+			reads.Add(1)
+			return cls[s].GetAsync(paths[s], false)
+		})
+	}
 }
 
 // BenchmarkObserverReadFanout measures what observer replicas buy on
@@ -429,6 +461,25 @@ func BenchmarkMixedReadWrite(b *testing.B) {
 // so added read throughput (the reads/sec metric) is attributable to
 // observers fanning reads out beyond the voting quorum — the ZooKeeper
 // observer pitch: scale reads without deepening the commit quorum.
+func BenchmarkObserverReadFanout(b *testing.B) {
+	for _, nObs := range []int{0, 1, 2} {
+		nObs := nObs
+		b.Run(fmt.Sprintf("observers=%d", nObs), func(b *testing.B) {
+			ops := observerFanout(b, nObs)
+			start := time.Now()
+			measure(b, ops)
+			elapsed := time.Since(start)
+			b.StopTimer()
+			if secs := elapsed.Seconds(); secs > 0 {
+				b.ReportMetric(float64(b.N)/secs, "reads/sec")
+			}
+		})
+	}
+}
+
+// observerFanout boots BenchmarkObserverReadFanout's ensemble, 3 voters
+// and observers observers, starts its write load, which stops when tb
+// ends, and returns its read load.
 //
 // Reads are served under the SecureKeeper entry-enclave cost model
 // with latency applied and the crossing fee raised into sleepable
@@ -437,7 +488,8 @@ func BenchmarkMixedReadWrite(b *testing.B) {
 // throughput in the service-time-bound regime — the one observers are
 // deployed for: each member sustains a bounded request rate, and every
 // observer added is serving capacity the voters no longer provide.
-func BenchmarkObserverReadFanout(b *testing.B) {
+func observerFanout(tb testing.TB, observers int) load {
+	tb.Helper()
 	const (
 		voters            = 3
 		sessionsPerMember = 2
@@ -449,130 +501,82 @@ func BenchmarkObserverReadFanout(b *testing.B) {
 	// spinning: the fee must not consume CPU, or read capacity would be
 	// core-bound and adding observers could never show up on 1-2 cores.
 	cost.CrossingNs = 150_000
-	for _, nObs := range []int{0, 1, 2} {
-		nObs := nObs
-		b.Run(fmt.Sprintf("observers=%d", nObs), func(b *testing.B) {
-			cluster, err := core.NewCluster(core.Config{
-				Variant:         core.SecureKeeper,
-				Replicas:        voters,
-				Observers:       nObs,
-				SGXCost:         &cost,
-				ApplySGXLatency: true,
-				TickInterval:    25 * time.Millisecond,
-				ElectionTimeout: 500 * time.Millisecond,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(cluster.Close)
-			leader, err := cluster.WaitForLeader(10 * time.Second)
-			if err != nil {
-				b.Fatal(err)
-			}
+	cluster, err := core.NewCluster(core.Config{
+		Variant:         core.SecureKeeper,
+		Replicas:        voters,
+		Observers:       observers,
+		SGXCost:         &cost,
+		ApplySGXLatency: true,
+		TickInterval:    25 * time.Millisecond,
+		ElectionTimeout: 500 * time.Millisecond,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(cluster.Close)
+	leader, err := cluster.WaitForLeader(10 * time.Second)
+	if err != nil {
+		tb.Fatal(err)
+	}
 
-			payload := make([]byte, 1024)
-			wcl, err := cluster.Connect(leader, client.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer wcl.Close()
-			if _, err := wcl.Create(ctxbg, "/fan", payload, 0); err != nil {
-				b.Fatal(err)
-			}
+	payload := make([]byte, 1024)
+	wcl := connect(tb, cluster, leader)
+	create(tb, wcl, "/fan", payload)
 
-			// A fixed quota of read sessions per member, covering voters
-			// AND observers, so serving capacity — not session count per
-			// member — is what grows with the observer count. A Sync
-			// barrier per session guarantees the serving member
-			// (observers included) has replayed /fan before the clock
-			// starts.
-			readSessions := sessionsPerMember * cluster.Size()
-			cls := make([]*client.Client, readSessions)
-			for i := range cls {
-				cl, err := cluster.Connect(i%cluster.Size(), client.Options{})
-				if err != nil {
-					b.Fatal(err)
+	// A fixed quota of read sessions per member, covering voters AND
+	// observers, so serving capacity — not session count per member — is
+	// what grows with the observer count. A Sync barrier per session
+	// guarantees the serving member (observers included) has replayed
+	// /fan before the clock starts.
+	cls := make([]*client.Client, sessionsPerMember*cluster.Size())
+	for i := range cls {
+		cl := connect(tb, cluster, i%cluster.Size())
+		// A just-started observer rejects forwarded Syncs until it adopts
+		// the leader; retry rather than measure a cold start.
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			if err = cl.Sync(ctxbg, "/fan"); err == nil {
+				if _, _, err = cl.Get(ctxbg, "/fan"); err == nil {
+					break
 				}
-				defer cl.Close()
-				// A just-started observer rejects forwarded Syncs until
-				// it adopts the leader; retry rather than measure a cold
-				// start.
-				deadline := time.Now().Add(10 * time.Second)
-				for {
-					if err = cl.Sync(ctxbg, "/fan"); err == nil {
-						if _, _, err = cl.Get(ctxbg, "/fan"); err == nil {
-							break
-						}
-					}
-					if time.Now().After(deadline) {
-						b.Fatalf("replica %d never served /fan: %v", i%cluster.Size(), err)
-					}
-					time.Sleep(5 * time.Millisecond)
-				}
-				cls[i] = cl
 			}
+			if time.Now().After(deadline) {
+				tb.Fatalf("replica %d never served /fan: %v", i%cluster.Size(), err)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		cls[i] = cl
+	}
 
-			// Fixed-rate write load, identical across observer counts
-			// (a free-running writer would self-throttle and vary the
-			// interference between runs).
-			writerStop := make(chan struct{})
-			var writerDone sync.WaitGroup
-			writerDone.Add(1)
-			go func() {
-				defer writerDone.Done()
-				tick := time.NewTicker(writeEvery)
-				defer tick.Stop()
-				for {
-					select {
-					case <-writerStop:
-						return
-					case <-tick.C:
-					}
-					if _, err := wcl.Set(ctxbg, "/fan", payload, -1); err != nil {
-						return
-					}
-				}
-			}()
+	// Fixed-rate write load, identical across observer counts (a
+	// free-running writer would self-throttle and vary the interference
+	// between runs).
+	writerStop := make(chan struct{})
+	var writerDone sync.WaitGroup
+	writerDone.Add(1)
+	go func() {
+		defer writerDone.Done()
+		tick := time.NewTicker(writeEvery)
+		defer tick.Stop()
+		for {
+			select {
+			case <-writerStop:
+				return
+			case <-tick.C:
+			}
+			if _, err := wcl.Set(ctxbg, "/fan", payload, -1); err != nil {
+				return
+			}
+		}
+	}()
+	tb.Cleanup(func() {
+		close(writerStop)
+		writerDone.Wait()
+	})
 
-			var reads atomic.Int64
-			per := b.N/readSessions + 1
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := time.Now()
-			var wg sync.WaitGroup
-			for s := 0; s < readSessions; s++ {
-				wg.Add(1)
-				go func(cl *client.Client) {
-					defer wg.Done()
-					futures := make(chan *client.Future, window)
-					var drain sync.WaitGroup
-					drain.Add(1)
-					go func() {
-						defer drain.Done()
-						failed := false
-						for f := range futures {
-							if res := f.Wait(); res.Err != nil && !failed {
-								failed = true
-								b.Error(res.Err)
-							}
-						}
-					}()
-					for i := 0; i < per; i++ {
-						futures <- cl.GetAsync("/fan", false)
-						reads.Add(1)
-					}
-					close(futures)
-					drain.Wait()
-				}(cls[s])
-			}
-			wg.Wait()
-			elapsed := time.Since(start)
-			b.StopTimer()
-			close(writerStop)
-			writerDone.Wait()
-			if secs := elapsed.Seconds(); secs > 0 {
-				b.ReportMetric(float64(reads.Load())/secs, "reads/sec")
-			}
+	return func(n int) {
+		pipelined(tb, cls, n, window, func(s, _ int) *client.Future {
+			return cls[s].GetAsync("/fan", false)
 		})
 	}
 }
@@ -583,67 +587,51 @@ func BenchmarkObserverReadFanout(b *testing.B) {
 // proposals). The pair quantifies what the multi API buys on the
 // agreement path for both the plaintext and enclave variants.
 func BenchmarkMulti(b *testing.B) {
-	const nOps = 8
 	forEachVariant(b, func(b *testing.B, v core.Variant) {
-		cluster := newBenchCluster(b, v)
-		cl, err := cluster.Connect(0, client.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cl.Close()
-		payload := make([]byte, 128)
-		if _, err := cl.Create(ctxbg, "/m", nil, 0); err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < nOps; i++ {
-			if _, err := cl.Create(ctxbg, fmt.Sprintf("/m/k%d", i), payload, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			txn := cl.Txn()
-			for j := 0; j < nOps; j++ {
-				txn.Set(fmt.Sprintf("/m/k%d", j), payload, -1)
-			}
-			if _, err := txn.Commit(ctxbg); err != nil {
-				b.Fatal(err)
-			}
-		}
+		measure(b, multiSets(b, newBenchCluster(b, v), "/m", false))
 	})
 }
 
 // BenchmarkMultiSequentialSets is the baseline for BenchmarkMulti: the
 // same N writes issued as N independent synchronous Sets.
 func BenchmarkMultiSequentialSets(b *testing.B) {
-	const nOps = 8
 	forEachVariant(b, func(b *testing.B, v core.Variant) {
-		cluster := newBenchCluster(b, v)
-		cl, err := cluster.Connect(0, client.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cl.Close()
-		payload := make([]byte, 128)
-		if _, err := cl.Create(ctxbg, "/m", nil, 0); err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < nOps; i++ {
-			if _, err := cl.Create(ctxbg, fmt.Sprintf("/m/k%d", i), payload, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < nOps; j++ {
-				if _, err := cl.Set(ctxbg, fmt.Sprintf("/m/k%d", j), payload, -1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
+		measure(b, multiSets(b, newBenchCluster(b, v), "/m", true))
 	})
+}
+
+// multiSets sets up the Multi benchmarks' load: one op Sets the 8
+// nodes under root, in one multi or, sequential, in 8 Sets.
+func multiSets(tb testing.TB, c *core.Cluster, root string, sequential bool) load {
+	tb.Helper()
+	const nOps = 8
+	cl := connect(tb, c, 0)
+	payload := make([]byte, 128)
+	create(tb, cl, root, nil)
+	paths := make([]string, nOps)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("%s/k%d", root, i)
+		create(tb, cl, paths[i], payload)
+	}
+	return func(n int) {
+		for i := 0; i < n; i++ {
+			if sequential {
+				for _, p := range paths {
+					if _, err := cl.Set(ctxbg, p, payload, -1); err != nil {
+						tb.Fatal(err)
+					}
+				}
+				continue
+			}
+			txn := cl.Txn()
+			for _, p := range paths {
+				txn.Set(p, payload, -1)
+			}
+			if _, err := txn.Commit(ctxbg); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
 }
 
 func BenchmarkFig9aCreate(b *testing.B) {
@@ -855,7 +843,7 @@ func BenchmarkAblationBufferPresizeVsTwoCall(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			buf := make([]byte, len(msg)+enclave.GrowthHeadroom(len(msg)))
 			copy(buf, msg)
-			if _, err := e.Ecall("grow", buf, len(msg)); err != nil {
+			if _, err := e.EcallBatch("grow", buf, len(msg), 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -866,10 +854,10 @@ func BenchmarkAblationBufferPresizeVsTwoCall(b *testing.B) {
 			// second call carries the enlarged buffer.
 			tight := make([]byte, len(msg))
 			copy(tight, msg)
-			_, _ = e.Ecall("grow", tight, len(msg))
+			_, _ = e.EcallBatch("grow", tight, len(msg), 1)
 			buf := make([]byte, len(msg)+128)
 			copy(buf, msg)
-			if _, err := e.Ecall("grow", buf, len(msg)); err != nil {
+			if _, err := e.EcallBatch("grow", buf, len(msg), 1); err != nil {
 				b.Fatal(err)
 			}
 		}

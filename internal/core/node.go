@@ -287,9 +287,10 @@ func (n *Node) stopped() bool {
 // ServeExternal serves an externally accepted (e.g. TCP) client
 // connection with the variant's full stack — the one place the server
 // side of each variant is put together: plaintext for Vanilla, secure
-// channel terminated in untrusted code for TLS, secure channel
-// terminated at a fresh entry enclave for SecureKeeper. Blocks until the
-// session ends.
+// channel terminated in untrusted code for TLS, and for SecureKeeper the
+// same channel with a fresh entry enclave behind it (the paper ends the
+// channel inside the enclave; README "A variant's stack"). Blocks until
+// the session ends.
 func (n *Node) ServeExternal(conn transport.Conn) error {
 	if n.stopped() {
 		return ErrReplicaStopped

@@ -535,6 +535,23 @@ func TestEntryBatchEquivalence(t *testing.T) {
 }
 
 // packSlots is the test's own encoder of the packed ecall buffer.
+// sequenceMsg is the message AppendSequence hands ec_sequence: the
+// storage-encrypted path of a sequential create and its number.
+func sequenceMsg(tb testing.TB, path string, seq int32) []byte {
+	codec, err := skcrypto.NewCodec(bytes.Repeat([]byte{7}, skcrypto.KeySize))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	encPath, err := codec.EncryptPath(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e := wire.AppendTo(nil)
+	e.WriteString(encPath)
+	e.WriteInt32(seq)
+	return e.Bytes()
+}
+
 func packSlots(msgs [][]byte, headroom int) []byte {
 	buf := binary.BigEndian.AppendUint32(nil, uint32(len(msgs)))
 	for _, m := range msgs {
@@ -546,9 +563,9 @@ func packSlots(msgs [][]byte, headroom int) []byte {
 	return buf
 }
 
-// FuzzEntryBatchUnpack hands the trusted side of both ecalls a hostile
-// packed buffer: arbitrary counts, capacities, lengths and trailing
-// bytes. The slot walk must reject what is malformed without panicking
+// FuzzEntryBatchUnpack hands the trusted side of all three ecalls — the
+// entry enclave's two and the counter enclave's — a hostile packed
+// buffer: arbitrary counts, capacities, lengths and trailing bytes. The slot walk must reject what is malformed without panicking
 // and without touching a byte at or past msgLen, must never hand the
 // transformation a slot outside the buffer or a length outside the
 // slot, and may finish no more slots than the buffer's count claims.
@@ -557,6 +574,7 @@ func FuzzEntryBatchUnpack(f *testing.F) {
 	set := wire.MarshalPair(&wire.RequestHeader{Xid: 2, Op: wire.OpSetData}, &wire.SetDataRequest{Path: "/fuzz/b", Data: []byte("payload"), Version: -1})
 	good := packSlots([][]byte{get, set}, 600)
 	f.Add(good)
+	f.Add(packSlots([][]byte{sequenceMsg(f, "/fuzz/c-", 7)}, 600))
 	f.Add(packSlots(nil, 0))
 	f.Add(packSlots([][]byte{get}, 0)) // no headroom: the rewrite overflows its slot
 	f.Add(good[:len(good)-1])          // last slot cut short
@@ -567,16 +585,31 @@ func FuzzEntryBatchUnpack(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0})             // second slot header missing
 	f.Add([]byte{0, 0})
 
-	// One enclave serves every input, its FIFO queue emptied in between
-	// so that an input behaves the same whatever ran before it.
-	entry, err := NewEntry(sgx.NewRuntime(sgx.EPCUsableBytes, sgx.DefaultCostModel(), false))
+	// One enclave of each kind serves every input, the entry's FIFO
+	// queue emptied in between so that an input behaves the same
+	// whatever ran before it.
+	rt := sgx.NewRuntime(sgx.EPCUsableBytes, sgx.DefaultCostModel(), false)
+	entry, err := NewEntry(rt)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Cleanup(entry.Close)
-	if err := entry.installKey(bytes.Repeat([]byte{7}, skcrypto.KeySize)); err != nil {
+	counter, err := NewCounter(rt)
+	if err != nil {
 		f.Fatal(err)
 	}
+	f.Cleanup(counter.Close)
+	key := bytes.Repeat([]byte{7}, skcrypto.KeySize)
+	if err := entry.installKey(key); err != nil {
+		f.Fatal(err)
+	}
+	if err := counter.installKey(key); err != nil {
+		f.Fatal(err)
+	}
+	ecalls := []struct {
+		name string
+		e    *sgx.Enclave
+	}{{EcallRequest, entry.Enclave()}, {EcallResponse, entry.Enclave()}, {EcallSequence, counter.Enclave()}}
 
 	f.Fuzz(func(t *testing.T, packed []byte) {
 		// The walk alone, over a slice whose capacity ends at msgLen: a
@@ -601,16 +634,16 @@ func FuzzEntryBatchUnpack(f *testing.F) {
 		entry.mu.Lock()
 		entry.queue = nil
 		entry.mu.Unlock()
-		for _, name := range []string{EcallRequest, EcallResponse} {
+		for _, ec := range ecalls {
 			buf := make([]byte, len(packed)+64)
 			copy(buf, packed)
-			n, err := entry.Enclave().Ecall(name, buf, len(packed))
+			n, err := ec.e.EcallBatch(ec.name, buf, len(packed), 1)
 			if n != 0 && n != len(packed) {
-				t.Fatalf("%s returned length %d for a %d-byte packed buffer", name, n, len(packed))
+				t.Fatalf("%s returned length %d for a %d-byte packed buffer", ec.name, n, len(packed))
 			}
 			if n > 0 {
 				if done := binary.BigEndian.Uint32(buf); done > binary.BigEndian.Uint32(packed) {
-					t.Fatalf("%s reports %d slots finished of %d claimed (err %v)", name, done, binary.BigEndian.Uint32(packed), err)
+					t.Fatalf("%s reports %d slots finished of %d claimed (err %v)", ec.name, done, binary.BigEndian.Uint32(packed), err)
 				}
 			}
 		}

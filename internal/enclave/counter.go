@@ -2,7 +2,6 @@ package enclave
 
 import (
 	"fmt"
-	"sync"
 
 	"securekeeper/internal/sgx"
 	"securekeeper/internal/skcrypto"
@@ -22,8 +21,12 @@ type Counter struct {
 	enclave *sgx.Enclave
 	runtime *sgx.Runtime
 
-	mu    sync.Mutex
-	codec *skcrypto.Codec
+	// Untrusted state: the packed buffer AppendSequence keeps, see
+	// ecallBuf.
+	sequences ecallBuf
+
+	// Trusted state: the storage codec.
+	keyed
 }
 
 // NewCounter instantiates a counter enclave on the runtime.
@@ -35,7 +38,7 @@ func NewCounter(rt *sgx.Runtime) (*Counter, error) {
 		HeapBytes:    counterHeapBytes,
 		Threads:      1,
 		Ecalls: map[string]sgx.EcallFunc{
-			EcallSequence: c.ecSequence,
+			EcallSequence: c.ecBatch(c.ecSequence),
 		},
 	}
 	e, err := rt.Create(spec)
@@ -64,13 +67,6 @@ func (c *Counter) installKey(key []byte) error {
 	return nil
 }
 
-// Provisioned reports whether the storage key has been installed.
-func (c *Counter) Provisioned() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.codec != nil
-}
-
 // CacheStats reports the counters of the enclave's path-chunk caches,
 // zero until the key is provisioned.
 func (c *Counter) CacheStats() (enc, dec skcrypto.CacheStats) {
@@ -86,38 +82,33 @@ func (c *Counter) CacheStats() (enc, dec skcrypto.CacheStats) {
 // AppendSequence runs the counter enclave's single ecall: given the
 // storage-encrypted path of a sequential create and the sequence number
 // assigned by the (untrusted) leader, it returns the encrypted path
-// with the number merged into the final element.
+// with the number merged into the final element. The message crosses
+// as a batch of one in the buffer the enclave keeps.
 func (c *Counter) AppendSequence(encPath string, seq int32) (string, error) {
 	e := wire.GetEncoder()
+	defer wire.PutEncoder(e)
 	e.WriteString(encPath)
 	e.WriteInt32(seq)
-	msg := e.Bytes()
-	pb := sgx.GetBuf(len(msg) + GrowthHeadroom(len(msg)))
-	copy(pb.B, msg)
-	wire.PutEncoder(e)
-	n, err := c.enclave.Ecall(EcallSequence, pb.B, len(msg))
+	var in, out [1][]byte
+	in[0] = e.Bytes()
+	c.sequences.mu.Lock()
+	defer c.sequences.mu.Unlock()
+	res, err := c.sequences.call(c.enclave, EcallSequence, in[:], out[:0])
 	if err != nil {
-		pb.Release()
 		return "", err
 	}
 	var d wire.Decoder
-	d.Reset(pb.B[:n])
-	out := d.ReadString()
-	pb.Release()
-	if d.Err() != nil {
-		return "", fmt.Errorf("enclave: sequence reply: %w", d.Err())
+	d.Reset(res[0])
+	if path := d.ReadString(); d.Err() == nil {
+		return path, nil
 	}
-	return out, nil
+	return "", fmt.Errorf("enclave: sequence reply: %w", d.Err())
 }
 
-// ecSequence is the counter enclave's trusted code.
+// ecSequence is the counter enclave's trusted code, run on each slot of
+// the packed buffer with mu held: it rewrites the (path, number) message
+// in its slot into the merged path.
 func (c *Counter) ecSequence(buf []byte, msgLen int) (int, error) {
-	c.mu.Lock()
-	codec := c.codec
-	c.mu.Unlock()
-	if codec == nil {
-		return 0, ErrKeyNotProvisioned
-	}
 	var d wire.Decoder
 	d.Reset(buf[:msgLen])
 	encPath, seq := d.ReadString(), d.ReadInt32()
@@ -129,16 +120,11 @@ func (c *Counter) ecSequence(buf []byte, msgLen int) (int, error) {
 		// break the fixed-width format convention.
 		return 0, fmt.Errorf("enclave: negative sequence %d: %w", seq, wire.ErrBadArguments.Error())
 	}
-	newPath, err := codec.AppendSequenceToPath(encPath, seq)
+	newPath, err := c.codec.AppendSequenceToPath(encPath, seq)
 	if err != nil {
 		return 0, err
 	}
-	if 4+len(newPath) > len(buf) {
-		return 0, sgx.ErrBufferOverflow
-	}
-	e := wire.GetEncoder()
+	e := wire.AppendTo(buf[:0])
 	e.WriteString(newPath)
-	n := copy(buf, e.Bytes())
-	wire.PutEncoder(e)
-	return n, nil
+	return fitted(&e, buf)
 }

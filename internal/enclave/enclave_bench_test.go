@@ -102,8 +102,9 @@ func BenchmarkEntrySetRequest(b *testing.B) {
 // with the messages crossing batch at a time: one op is one GET through
 // ec_request and its reply through ec_response. ecalls/msg is the exact
 // number of crossings per message and direction — 1 at batch=1, 1/16 at
-// batch=16 (run with a -benchtime multiple of 16x) — and batch=1 must
-// allocate no more than the single-message API.
+// batch=16 (run with a -benchtime multiple of 16x). What the calls
+// allocate, without the messages this loop makes, is
+// TestEntryRoundTripAllocations'.
 func BenchmarkEntryBatchRoundTrip(b *testing.B) {
 	for _, batch := range []int{1, 16} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {

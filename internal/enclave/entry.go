@@ -1,8 +1,9 @@
 // Package enclave implements SecureKeeper's two trusted components
-// (§4): the per-client entry enclave, which terminates the client's
-// secure channel and translates between plaintext client messages and
-// storage-encrypted replica messages, and the counter enclave on the
-// leader, which performs the one piece of genuine data processing —
+// (§4): the per-client entry enclave, which translates between
+// plaintext client messages and storage-encrypted replica messages (the
+// paper also ends the client's secure channel in it; here the channel
+// still ends in untrusted code in front of it), and the counter enclave
+// on the leader, which performs the one piece of genuine data processing —
 // merging the plaintext sequence number into the encrypted path name of
 // sequential nodes.
 //
@@ -43,9 +44,8 @@ const (
 	counterHeapBytes = 24 << 10
 )
 
-// Ecall names, mirroring Listing 1. The entry enclave's two take a
-// packed buffer of messages (see ecallBuf.call), the counter enclave's
-// one.
+// Ecall names, mirroring Listing 1. Each takes a packed buffer of
+// messages (see ecallBuf.call).
 const (
 	EcallRequest  = "ec_request"
 	EcallResponse = "ec_response"
@@ -98,10 +98,9 @@ type Entry struct {
 	oneRequest, oneResponse ecallBuf
 
 	// Trusted state (lives inside the ELRANGE conceptually): the
-	// storage codec and the FIFO request-type queue. An ecall holds mu
-	// for its whole batch.
-	mu    sync.Mutex
-	codec *skcrypto.Codec
+	// storage codec and the FIFO request-type queue, under the lock an
+	// ecall holds for its whole batch.
+	keyed
 	queue []pendingOp
 	// cacheCounters is where the codec's chunk caches count: the
 	// enclave's own unless CountCacheIn named others.
@@ -122,12 +121,8 @@ func NewEntry(rt *sgx.Runtime) (*Entry, error) {
 		HeapBytes:    entryHeapBytes,
 		Threads:      1,
 		Ecalls: map[string]sgx.EcallFunc{
-			EcallRequest: func(buf []byte, msgLen int) (int, error) {
-				return en.ecBatch(buf, msgLen, en.ecRequest)
-			},
-			EcallResponse: func(buf []byte, msgLen int) (int, error) {
-				return en.ecBatch(buf, msgLen, en.ecResponse)
-			},
+			EcallRequest:  en.ecBatch(en.ecRequest),
+			EcallResponse: en.ecBatch(en.ecResponse),
 		},
 	}
 	e, err := rt.Create(spec)
@@ -161,13 +156,6 @@ func (en *Entry) installKey(key []byte) error {
 		return append(dst, plain...), err
 	}
 	return nil
-}
-
-// Provisioned reports whether the storage key has been installed.
-func (en *Entry) Provisioned() bool {
-	en.mu.Lock()
-	defer en.mu.Unlock()
-	return en.codec != nil
 }
 
 // CountCacheIn makes the enclave's path-chunk caches count in c, which
@@ -324,21 +312,39 @@ func (eb *ecallBuf) callOne(e *sgx.Enclave, name string, msg []byte) ([]byte, er
 
 // --- trusted code (runs inside the enclave) ---
 
-// ecBatch is the trusted entry point of both ecalls: it runs transform
-// on each slot of the packed buffer in turn, holding mu for the whole
-// batch, and reports in the buffer's count how many slots it finished.
-func (en *Entry) ecBatch(buf []byte, msgLen int, transform sgx.EcallFunc) (int, error) {
-	en.mu.Lock()
-	defer en.mu.Unlock()
-	if en.codec == nil {
-		return 0, ErrKeyNotProvisioned
+// keyed is the trusted state both enclaves have: the storage codec,
+// which provisioning installs, and the lock every ecall holds for its
+// whole batch.
+type keyed struct {
+	mu    sync.Mutex
+	codec *skcrypto.Codec
+}
+
+// Provisioned reports whether the storage key has been installed.
+func (k *keyed) Provisioned() bool {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.codec != nil
+}
+
+// ecBatch returns the trusted entry point of an ecall of either
+// enclave: it runs transform on each slot of the packed buffer in turn,
+// holding mu for the whole batch, and reports in the buffer's count how
+// many slots it finished.
+func (k *keyed) ecBatch(transform sgx.EcallFunc) sgx.EcallFunc {
+	return func(buf []byte, msgLen int) (int, error) {
+		k.mu.Lock()
+		defer k.mu.Unlock()
+		if k.codec == nil {
+			return 0, ErrKeyNotProvisioned
+		}
+		if msgLen < batchHeaderLen {
+			return 0, ErrMalformedBatch
+		}
+		done, err := eachSlot(buf[:msgLen:msgLen], transform)
+		binary.BigEndian.PutUint32(buf, done)
+		return msgLen, err
 	}
-	if msgLen < batchHeaderLen {
-		return 0, ErrMalformedBatch
-	}
-	done, err := eachSlot(buf[:msgLen:msgLen], transform)
-	binary.BigEndian.PutUint32(buf, done)
-	return msgLen, err
 }
 
 // eachSlot walks a packed buffer, rewriting every slot and its length

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"securekeeper/internal/sgx"
@@ -111,7 +112,7 @@ func checkRewritten(t *testing.T, codec *skcrypto.Codec, op wire.OpCode, msg []b
 // queue (the copy a response path is decrypted from, for a CREATE) and,
 // for the one-message calls only, the caller-owned copy of the result;
 // a burst's results stay in the packed buffer the entry keeps, so a
-// batch call allocates nothing for them.
+// batch call allocates nothing for them — in objects and in bytes.
 func TestEntryRoundTripAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the ecall buffers are pooled, and the race detector empties pools at random")
@@ -180,6 +181,55 @@ func TestEntryRoundTripAllocations(t *testing.T) {
 	if want := float64(burst + bits.Len(burst-1)); got > want {
 		t.Errorf("burst of %d sets, both ways: %v allocs, want at most %v (a path copy each, the queue's doublings)", burst, got, want)
 	}
+
+	// The batch calls as BenchmarkEntryBatchRoundTrip makes them, a GET
+	// and its 1 KiB reply per message, in bursts of one and of sixteen,
+	// per message both ways: the 16-byte path copy, and in a burst of 16
+	// the queue's two doublings (1984 bytes a burst in all).
+	for _, tc := range []struct {
+		batch         int
+		allocs, bytes float64
+	}{{1, 1, 16}, {16, 18.0 / 16, 124}} {
+		reqs, rsps := make([][]byte, tc.batch), make([][]byte, tc.batch)
+		for i := range reqs {
+			reqs[i] = request(t, int32(i+1), wire.OpGetData, &wire.GetDataRequest{Path: path})
+			rsps[i] = wire.MarshalPair(&wire.ReplyHeader{Xid: int32(i + 1), Err: wire.ErrOK},
+				&wire.GetDataResponse{Data: stored, Stat: wire.Stat{DataLength: int32(len(stored))}})
+		}
+		allocs, bytes := perMessage(t, entry, reqs, rsps)
+		// The hundredth of an object and the byte over are room for a
+		// stray object of the runtime's in the 100 rounds.
+		if allocs > tc.allocs+0.01 || bytes > tc.bytes+1 {
+			t.Errorf("batch=%d round trip: %v allocs and %v B per message, want %v and %v B",
+				tc.batch, allocs, bytes, tc.allocs, tc.bytes)
+		}
+	}
+}
+
+// perMessage runs a burst through both batch calls 100 times, after a
+// first time that brings the kept buffers to size, and returns the
+// objects and bytes allocated per message.
+func perMessage(t *testing.T, entry *Entry, reqs, rsps [][]byte) (allocs, bytes float64) {
+	out := make([][]byte, 0, len(reqs))
+	round := func() {
+		if _, err := entry.ProcessRequests(reqs, out[:0]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := entry.ProcessResponses(rsps, out[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	round()
+	const rounds = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(rounds * len(reqs))
+	return float64(after.Mallocs-before.Mallocs) / n, float64(after.TotalAlloc-before.TotalAlloc) / n
 }
 
 // TestEntryBufferRetentionIsBounded: a 300-message burst gets a packed
@@ -295,9 +345,9 @@ func TestOneMessageCallKeepsBatchResults(t *testing.T) {
 
 // TestKeptBufferIsChargedLikeAPooledOne: the crossing is charged for the
 // pages of the buffer it is handed. The entry's kept buffer therefore
-// has the length the pooled one had — 16 SETs of 1 KB pack into 33 KB,
-// which the pool served from its 64 KiB class — so that keeping the
-// buffer moves nothing in the cost model.
+// has the length of a pooled one — 16 SETs of 1 KB pack into 33 KB,
+// rounded up to the 64 KiB pool class (sgx.BufSize) — so that keeping
+// the buffer moves nothing in the cost model.
 func TestKeptBufferIsChargedLikeAPooledOne(t *testing.T) {
 	rt, entry, _, _ := testSetup(t)
 	const burst = 16
@@ -307,11 +357,9 @@ func TestKeptBufferIsChargedLikeAPooledOne(t *testing.T) {
 		reqs[i] = request(t, int32(i+1), wire.OpSetData, &wire.SetDataRequest{Path: fmt.Sprintf("/bench/k%02d", i), Data: make([]byte, 1024), Version: -1})
 		total += slotHeaderLen + slotCap(len(reqs[i]))
 	}
-	pooled := sgx.GetBuf(total)
-	pages := (len(pooled.B) + sgx.PageSize - 1) / sgx.PageSize
-	pooled.Release()
+	pages := (sgx.BufSize(total) + sgx.PageSize - 1) / sgx.PageSize
 	if pages != 16 {
-		t.Fatalf("a %d-byte burst took %d pages of a pooled buffer, want 16", total, pages)
+		t.Fatalf("a %d-byte burst took %d pages of its pool class, want 16", total, pages)
 	}
 	// The first burst faults its pages in, later ones find them resident:
 	// 22800 and 5288 virtual ns, as with the pooled buffer.

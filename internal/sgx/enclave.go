@@ -192,19 +192,14 @@ func (e *Enclave) SizeBytes() int64 { return e.sizeBytes }
 // EcallCount returns the number of enclave entries so far.
 func (e *Enclave) EcallCount() int64 { return e.ecallCount.Load() }
 
-// Ecall enters the enclave, invoking the named trusted function with
-// copy-in/copy-out buffer semantics: buf's first msgLen bytes are the
-// message; the function may grow the message up to cap(buf) (the caller
-// pre-sizes the buffer for the expected expansion, per §5.1). Returns
-// the new message length.
-func (e *Enclave) Ecall(name string, buf []byte, msgLen int) (int, error) {
-	return e.EcallBatch(name, buf, msgLen, 1)
-}
-
-// EcallBatch is Ecall for a buffer into which the caller packed msgs
-// messages: still one copy-in, one entry and one exit. The layout of
-// the packing is between the caller and the trusted function; the count
-// is passed for the observer only.
+// EcallBatch enters the enclave, invoking the named trusted function
+// with copy-in/copy-out buffer semantics: buf's first msgLen bytes are
+// the message; the function may grow the message up to len(buf) (the
+// caller pre-sizes the buffer for the expected expansion, per §5.1).
+// Returns the new message length. The caller packed msgs messages into
+// the buffer, and they cross with one copy-in, one entry and one exit;
+// the layout of the packing is between the caller and the trusted
+// function, and the count is passed for the observer only.
 func (e *Enclave) EcallBatch(name string, buf []byte, msgLen, msgs int) (int, error) {
 	if ob := e.runtime.onEcall.Load(); ob != nil {
 		start := time.Now()
@@ -257,7 +252,7 @@ func (e *Enclave) ecall(name string, buf []byte, msgLen int) (int, error) {
 	// out even when it also reports an error: a batch hands back the
 	// messages it finished before the one that failed.
 	copy(buf, inside[:newLen])
-	pb.Release()
+	pb.release()
 	e.runtime.meter.Charge(cost.CrossingNs)
 	return newLen, err
 }

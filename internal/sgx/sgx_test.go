@@ -96,7 +96,7 @@ func TestEcallCopySemantics(t *testing.T) {
 	}
 	buf := make([]byte, 16)
 	copy(buf, "abcd")
-	n, err := e.Ecall("grow", buf, 4)
+	n, err := e.EcallBatch("grow", buf, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestEcallBufferOverflow(t *testing.T) {
 		},
 	})
 	buf := make([]byte, 8)
-	if _, err := e.Ecall("huge", buf, 4); !errors.Is(err, ErrBufferOverflow) {
+	if _, err := e.EcallBatch("huge", buf, 4, 1); !errors.Is(err, ErrBufferOverflow) {
 		t.Fatalf("err = %v, want ErrBufferOverflow", err)
 	}
 }
@@ -162,7 +162,7 @@ func TestEcallPartialResultWithError(t *testing.T) {
 	}
 
 	buf = []byte("abcdefgh")
-	if n, err := e.Ecall("bare", buf, 8); n != 0 || !errors.Is(err, failed) || string(buf) != "abcdefgh" {
+	if n, err := e.EcallBatch("bare", buf, 8, 1); n != 0 || !errors.Is(err, failed) || string(buf) != "abcdefgh" {
 		t.Fatalf("bare error: n=%d err=%v buf=%q, want nothing copied out", n, err, buf)
 	}
 	if seenName != "bare" || seenMsgs != 1 {
@@ -173,14 +173,14 @@ func TestEcallPartialResultWithError(t *testing.T) {
 func TestEcallErrors(t *testing.T) {
 	rt := testRuntime()
 	e, _ := rt.Create(Spec{CodeIdentity: "t", CodeBytes: 4096, Ecalls: map[string]EcallFunc{}})
-	if _, err := e.Ecall("missing", make([]byte, 4), 4); !errors.Is(err, ErrUnknownEcall) {
+	if _, err := e.EcallBatch("missing", make([]byte, 4), 4, 1); !errors.Is(err, ErrUnknownEcall) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := e.Ecall("missing", make([]byte, 4), 10); err == nil {
+	if _, err := e.EcallBatch("missing", make([]byte, 4), 10, 1); err == nil {
 		t.Fatal("msgLen > len(buf) must fail")
 	}
 	rt.Destroy(e)
-	if _, err := e.Ecall("missing", make([]byte, 4), 4); !errors.Is(err, ErrEnclaveDestroyed) {
+	if _, err := e.EcallBatch("missing", make([]byte, 4), 4, 1); !errors.Is(err, ErrEnclaveDestroyed) {
 		t.Fatalf("err after destroy = %v", err)
 	}
 }
@@ -194,7 +194,7 @@ func TestEcallChargesCrossingCost(t *testing.T) {
 		},
 	})
 	before := rt.Meter().VirtualNs()
-	if _, err := e.Ecall("noop", make([]byte, 16), 16); err != nil {
+	if _, err := e.EcallBatch("noop", make([]byte, 16), 16, 1); err != nil {
 		t.Fatal(err)
 	}
 	charged := rt.Meter().VirtualNs() - before

@@ -43,55 +43,61 @@ func BenchmarkFramedConnRoundTrip(b *testing.B) {
 	}
 }
 
+// pipelinedEcho connects a FramedConn over a real loopback socket to a
+// far side that echoes each window of inflight frames back as one
+// batch, copying the frames it holds across receive calls into buffers
+// of its own. It returns the client's round — a window of 1 KiB frames
+// sent as one batch, then its echoes received — and the client socket,
+// which counts the Read and Write calls that reach it.
+func pipelinedEcho(tb testing.TB, inflight int) (round func(), counted *countingConn) {
+	near, far := loopbackPair(tb)
+	echo := NewFramedConn(far)
+	go func() {
+		window := make([][]byte, inflight)
+		for n := 0; ; {
+			frame, err := echo.RecvFrame()
+			if err != nil {
+				return
+			}
+			window[n] = append(window[n][:0], frame...)
+			if n++; n < inflight {
+				continue
+			}
+			if err := echo.SendFrames(window); err != nil {
+				return
+			}
+			n = 0
+		}
+	}()
+	counted = &countingConn{Conn: near}
+	conn := NewFramedConn(counted)
+	window := make([][]byte, inflight)
+	for i := range window {
+		window[i] = make([]byte, 1024)
+	}
+	return func() {
+		if err := conn.SendFrames(window); err != nil {
+			tb.Fatal(err)
+		}
+		for range window {
+			if _, err := conn.RecvFrame(); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}, counted
+}
+
 // BenchmarkFramedConnPipelined measures how many system calls a frame
-// costs on a real loopback socket with a window of frames in flight:
-// the client sends the window as one batch and reads the echoes, the
-// far side echoes each window back as one batch. The Read and Write
-// calls that reach the client's socket are reported per frame. With one
-// frame in flight a frame is exactly one write and at most one read
-// (header and body come out of the same read); with sixteen, a burst
-// shares them. Neither end allocates: a connection reuses its send
-// scratch and its receive chunk, and the echo side copies the frames it
-// holds across receive calls into buffers of its own.
+// costs with a window of frames in flight (pipelinedEcho). The Read and
+// Write calls that reach the client's socket are reported per frame.
+// With one frame in flight a frame is exactly one write and at most one
+// read (header and body come out of the same read); with sixteen, a
+// burst shares them. Neither end allocates
+// (TestFramedConnPipelinedAllocations).
 func BenchmarkFramedConnPipelined(b *testing.B) {
 	for _, inflight := range []int{1, 16} {
 		b.Run(fmt.Sprintf("inflight=%d", inflight), func(b *testing.B) {
-			near, far := loopbackPair(b)
-			echo := NewFramedConn(far)
-			go func() {
-				window := make([][]byte, inflight)
-				for n := 0; ; {
-					frame, err := echo.RecvFrame()
-					if err != nil {
-						return
-					}
-					window[n] = append(window[n][:0], frame...)
-					if n++; n < inflight {
-						continue
-					}
-					if err := echo.SendFrames(window); err != nil {
-						return
-					}
-					n = 0
-				}
-			}()
-			counted := &countingConn{Conn: near}
-			conn := NewFramedConn(counted)
-			payload := make([]byte, 1024)
-			window := make([][]byte, inflight)
-			for i := range window {
-				window[i] = payload
-			}
-			round := func() {
-				if err := conn.SendFrames(window); err != nil {
-					b.Fatal(err)
-				}
-				for range window {
-					if _, err := conn.RecvFrame(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
+			round, counted := pipelinedEcho(b, inflight)
 			// The first window makes both ends' buffers; B/op is what a
 			// window costs after that.
 			round()
@@ -108,6 +114,24 @@ func BenchmarkFramedConnPipelined(b *testing.B) {
 			b.ReportMetric(float64(counted.writes.Load())/frames, "writes/frame")
 			b.ReportMetric(float64(counted.reads.Load())/frames, "reads/frame")
 		})
+	}
+}
+
+// TestFramedConnPipelinedAllocations: once the first windows have made
+// both ends' buffers, a hundred windows of one frame and of sixteen
+// allocate no object at either end — a connection reuses its send
+// scratch and its receive chunk.
+func TestFramedConnPipelinedAllocations(t *testing.T) {
+	for _, inflight := range []int{1, 16} {
+		round, _ := pipelinedEcho(t, inflight)
+		got := testing.AllocsPerRun(1, func() {
+			for i := 0; i < 100; i++ {
+				round()
+			}
+		})
+		if got != 0 {
+			t.Errorf("inflight=%d: 100 windows allocated %v objects, want 0", inflight, got)
+		}
 	}
 }
 

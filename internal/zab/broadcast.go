@@ -265,7 +265,7 @@ func (c *core) handleCommit(now int64, msg Message) {
 // handleObserverCommit applies a leader-streamed run of already-committed
 // records: buffer them like proposals, then commit to the bound. No ACK is
 // sent — observers are invisible to quorum accounting. A hole (shed frame)
-// falls through commitUpTo's resync, which re-announces via OBSERVERINFO.
+// falls through commitUpTo's resync, which re-announces via FOLLOWERINFO.
 func (c *core) handleObserverCommit(now int64, msg Message) {
 	if c.Role() != RoleObserving || msg.From != c.followTarget || len(msg.Batch) == 0 || !c.leaderSynced {
 		return

@@ -198,7 +198,7 @@ func (c *core) handle(now int64, msg Message) {
 	switch msg.Kind {
 	case KindVote:
 		c.handleVote(now, msg)
-	case KindFollowerInfo, KindObserverInfo:
+	case KindFollowerInfo:
 		c.handleInfo(now, msg)
 	case KindSyncSnap, KindSyncDiff:
 		c.handleSync(now, msg)

@@ -260,7 +260,7 @@ func (c *core) becomeLeader(now int64) {
 	// The new epoch must exceed every epoch the voters know of: those of
 	// their zxids and the one each last accepted. The rows are reset for
 	// the term: a frontier vouches for one term's proposals, and
-	// observers re-handshake with every new leader (their OBSERVERINFO
+	// observers re-handshake with every new leader (their FOLLOWERINFO
 	// answers our first ping); until then they get no stream.
 	maxEpoch := max(EpochOf(c.lastZxid), c.epoch)
 	for i := range c.members {

@@ -44,15 +44,17 @@ const (
 	// Application-level messages tunneled over the peer transport
 	// (e.g. the server layer's write-request forwarding to the leader).
 	KindApp
-	// Observer log shipping. KindObserverInfo is an observer announcing
-	// its committed frontier to the leader (the non-voting analogue of
-	// KindFollowerInfo); KindObserverCommit is the leader streaming
-	// already-committed records to synced observers — Batch carries the
-	// records, Zxid the commit bound, and no ACK is ever expected, so
-	// observers stay entirely off the write path's quorum accounting.
-	// Appended after KindApp to preserve the wire values of every
-	// pre-observer kind.
-	KindObserverInfo
+	// Wire value 13 was KindObserverInfo, an observer's announce. The
+	// leader answered it exactly as FOLLOWERINFO (what a member is comes
+	// from the leader's row for it, not from the kind it announces
+	// with), so observers announce with FOLLOWERINFO; the value stays
+	// reserved like 6.
+	_
+	// Observer log shipping: the leader streams already-committed
+	// records to synced observers — Batch carries the records, Zxid the
+	// commit bound, and no ACK is ever expected, so observers stay
+	// entirely off the write path's quorum accounting. Appended after
+	// KindApp to preserve the wire values of every pre-observer kind.
 	KindObserverCommit
 	// KindRemoved is the leader telling a peer it is no longer an
 	// ensemble member (its id appears in neither the voter nor the
@@ -65,8 +67,8 @@ const (
 var kindNames = [...]string{
 	KindVote: "VOTE", KindFollowerInfo: "FOLLOWERINFO", KindSyncSnap: "SYNCSNAP", KindSyncDiff: "SYNCDIFF",
 	KindNewLeaderAck: "NEWLEADERACK", KindProposeBatch: "PROPOSEBATCH", KindAck: "ACK", KindCommit: "COMMIT",
-	KindPing: "PING", KindPong: "PONG", KindApp: "APP", KindObserverInfo: "OBSERVERINFO",
-	KindObserverCommit: "OBSERVERCOMMIT", KindRemoved: "REMOVED",
+	KindPing: "PING", KindPong: "PONG", KindApp: "APP", KindObserverCommit: "OBSERVERCOMMIT",
+	KindRemoved: "REMOVED",
 }
 
 // String returns the mnemonic for a message kind.

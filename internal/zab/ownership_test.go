@@ -155,10 +155,11 @@ func (p *Peer) receive(tb testing.TB, frame []byte) {
 }
 
 // TestFollowerDecodeApplyAllocations pins the ownership rule on a
-// follower: of a PROPOSE frame of n sets it keeps each record's own
-// Path and Data — copied once, out of the receive chunk, by the decode —
-// and the frame's record slice; buffering, acknowledging, committing to
-// the ring and applying to the tree allocate nothing more.
+// follower, exactly: of a PROPOSE frame of n sets it keeps each record's
+// own Path and Data — copied once, out of the receive chunk, by the
+// decode — and the frame's record slice, 2n+1 objects; buffering,
+// acknowledging, committing to the ring and applying to the tree
+// allocate nothing more.
 func TestFollowerDecodeApplyAllocations(t *testing.T) {
 	const runs, batch = 100, 16
 	p, tree, frames := applyingFollower(t, 64, runs+1, batch)
@@ -167,8 +168,8 @@ func TestFollowerDecodeApplyAllocations(t *testing.T) {
 		p.receive(t, frames[next])
 		next++
 	})
-	if want := float64(2*batch + 1); got > want {
-		t.Errorf("decode + apply of a %d-record frame: %v allocs, want at most %v", batch, got, want)
+	if want := float64(2*batch + 1); got != want {
+		t.Errorf("decode + apply of a %d-record frame: %v allocs, want %v", batch, got, want)
 	}
 	if committed, want := p.LastCommitted(), int64((runs+1)*batch); committed != want {
 		t.Fatalf("committed up to %d, want %d", committed, want)
@@ -180,8 +181,8 @@ func TestFollowerDecodeApplyAllocations(t *testing.T) {
 	}
 }
 
-// BenchmarkFollowerDecodeApply is the bench-gate's view of the test
-// above, per record: frames of 16 sets of 1 KiB.
+// BenchmarkFollowerDecodeApply times what the test above counts, per
+// record: frames of 16 sets of 1 KiB.
 func BenchmarkFollowerDecodeApply(b *testing.B) {
 	const batch = 16
 	frames := (b.N + batch - 1) / batch

@@ -37,22 +37,18 @@ func (c *core) follow(now int64, leader PeerID) {
 // more snapshots. The announce advertises the COMMITTED frontier, never
 // lastZxid: buffered-but-uncommitted proposals die with the old term,
 // and claiming them would make the leader's diff start past entries
-// this peer never applied — silent state divergence. Observers ask via
-// OBSERVERINFO so the leader never mistakes them for voters.
+// this peer never applied — silent state divergence. Observers announce
+// the same way: the leader tells voters from observers by its own rows
+// (see handleInfo).
 func (c *core) askSync(now int64) {
 	c.nextSyncAsk = now + c.electN/2
-	kind := KindFollowerInfo
-	if c.Role() == RoleObserving {
-		kind = KindObserverInfo
-	}
-	c.env.send(c.followTarget, Message{Kind: kind, Zxid: c.LastCommitted()})
+	c.env.send(c.followTarget, Message{Kind: KindFollowerInfo, Zxid: c.LastCommitted()})
 }
 
-// handleInfo syncs a member that announced its committed frontier, by
-// either kind of announce: FOLLOWERINFO or OBSERVERINFO says what the
-// sender believes it is, and a voter restarted under the configuration
-// it joined with still believes it observes. What it IS is this
-// leader's row for it, which decides what its NEWLEADERACK will mean
+// handleInfo syncs a member that announced its committed frontier. The
+// announce does not say what the sender is — a voter restarted under
+// the configuration it joined with still believes it observes. What it
+// IS is this leader's row for it, which decides what its NEWLEADERACK will mean
 // (see handleNewLeaderAck), and the sync answer carries the membership
 // that tells it. A peer that is no member at all is ignored: it is
 // either removed (its next election vote gets the REMOVED reply) or a

@@ -38,7 +38,7 @@ func (m *Message) Serialize(e *wire.Encoder) {
 		e.WriteInt64(int64(m.VoteFor))
 		e.WriteInt64(m.VoteZxid)
 		e.WriteBool(m.VoteReply)
-	case KindFollowerInfo, KindNewLeaderAck, KindAck, KindCommit, KindPing, KindPong, KindObserverInfo, KindRemoved:
+	case KindFollowerInfo, KindNewLeaderAck, KindAck, KindCommit, KindPing, KindPong, KindRemoved:
 		// Header only: the zxid field carries the payload.
 	case KindProposeBatch, KindObserverCommit:
 		e.WriteInt32(int32(len(m.Batch)))
@@ -75,7 +75,7 @@ func (m *Message) Deserialize(d *wire.Decoder) error {
 		m.VoteFor = PeerID(d.ReadInt64())
 		m.VoteZxid = d.ReadInt64()
 		m.VoteReply = d.ReadBool()
-	case KindFollowerInfo, KindNewLeaderAck, KindAck, KindCommit, KindPing, KindPong, KindObserverInfo, KindRemoved:
+	case KindFollowerInfo, KindNewLeaderAck, KindAck, KindCommit, KindPing, KindPong, KindRemoved:
 		// Header only.
 	case KindProposeBatch, KindObserverCommit:
 		var err error

@@ -52,7 +52,6 @@ func sampleMessages() []Message {
 		{Kind: KindPing, Epoch: 3, Zxid: MakeZxid(3, 7)},
 		{Kind: KindPong, Zxid: MakeZxid(3, 7)},
 		{Kind: KindApp, App: []byte("tunneled request")},
-		{Kind: KindObserverInfo, Zxid: MakeZxid(2, 4)},
 		{Kind: KindObserverCommit, Epoch: 3, Zxid: MakeZxid(3, 8), Batch: []ProposalRecord{{Txn: txn, Origin: origin}}},
 		{Kind: KindRemoved, Epoch: 3},
 	}
@@ -198,14 +197,15 @@ func TestMessageWireAdversarial(t *testing.T) {
 }
 
 // TestRetiredProposeKindRejected: wire value 6 was the single-record
-// PROPOSE that batches subsume. It stays reserved — every later kind
-// keeps the number peers of earlier builds know it by — and a frame
-// that still carries it is refused like any unknown kind.
+// PROPOSE that batches subsume, and 13 an observer's announce, which
+// FOLLOWERINFO subsumes. They stay reserved — every later kind keeps
+// the number peers of earlier builds know it by — and a frame that
+// still carries one is refused like any unknown kind.
 func TestRetiredProposeKindRejected(t *testing.T) {
 	for kind, want := range map[Kind]int32{
 		KindVote: 1, KindFollowerInfo: 2, KindSyncSnap: 3, KindSyncDiff: 4, KindNewLeaderAck: 5,
 		KindProposeBatch: 7, KindAck: 8, KindCommit: 9, KindPing: 10, KindPong: 11, KindApp: 12,
-		KindObserverInfo: 13, KindObserverCommit: 14, KindRemoved: 15,
+		KindObserverCommit: 14, KindRemoved: 15,
 	} {
 		if int32(kind) != want {
 			t.Errorf("%s has wire value %d, want %d", kind, int32(kind), want)
@@ -224,6 +224,14 @@ func TestRetiredProposeKindRejected(t *testing.T) {
 	err := wire.Unmarshal(e.Bytes(), &got)
 	if err == nil || !strings.Contains(err.Error(), "unknown message kind 6") {
 		t.Fatalf("retired kind 6 decoded with err = %v, want unknown message kind", err)
+	}
+	// The header-only frame an observer announced with.
+	e = wire.NewEncoder(64)
+	e.WriteInt32(13)
+	e.WriteInt64(3)
+	e.WriteInt64(MakeZxid(3, 7))
+	if err := wire.Unmarshal(e.Bytes(), &got); err == nil || !strings.Contains(err.Error(), "unknown message kind 13") {
+		t.Fatalf("retired kind 13 decoded with err = %v, want unknown message kind", err)
 	}
 }
 

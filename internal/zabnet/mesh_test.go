@@ -151,11 +151,11 @@ func TestMeshObserverHello(t *testing.T) {
 	waitConnected(t, meshes)
 
 	// Traffic flows to and from the observer exactly like any peer.
-	if err := meshes[2].Send(1, zab.Message{Kind: zab.KindObserverInfo, Zxid: 5}); err != nil {
+	if err := meshes[2].Send(1, zab.Message{Kind: zab.KindFollowerInfo, Zxid: 5}); err != nil {
 		t.Fatal(err)
 	}
 	got := recvMsg(t, meshes[0], 2*time.Second)
-	if got.Kind != zab.KindObserverInfo || got.Zxid != 5 || got.From != 3 {
+	if got.Kind != zab.KindFollowerInfo || got.Zxid != 5 || got.From != 3 {
 		t.Fatalf("got %+v", got)
 	}
 }

@@ -235,7 +235,7 @@ func TestMeshAddRemovePeer(t *testing.T) {
 	t.Cleanup(func() { _ = m3.Close() })
 	waitConnected(t, []*Mesh{meshes[0], meshes[1], m3})
 
-	if err := m3.Send(1, zab.Message{Kind: zab.KindObserverInfo, Zxid: 3}); err != nil {
+	if err := m3.Send(1, zab.Message{Kind: zab.KindFollowerInfo, Zxid: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if got := recvMsg(t, meshes[0], 2*time.Second); got.From != 3 {

@@ -98,23 +98,22 @@ func TestNetworkSendToManyFallback(t *testing.T) {
 	}
 }
 
-// BenchmarkMeshSendPropose measures the send hop of the leader's
-// fan-out: one op is one PROPOSE of one 1 KB record handed to SendMany
-// for two followers and written to their loopback sockets by the link
-// writers. The followers are raw sockets that answer the hello and then
-// read and discard, so nothing but the send hop allocates; the sender
-// keeps at most 32 frames queued per link, as a leader whose followers
-// keep up does. In steady state the hop allocates nothing: the message
-// is serialized into a pooled encoder, appended to each link's send
-// buffer and length-prefixed into the connection's send scratch.
-func BenchmarkMeshSendPropose(b *testing.B) {
+// proposeSender is the send hop of a leader's fan-out: a mesh, as peer
+// 3, linked to two followers that are raw sockets answering the hello
+// and then reading and discarding, so nothing but the send hop
+// allocates. send(i) hands SendMany the i-th PROPOSE of one 1 KB record
+// for both followers, and waits while either link has more than 32
+// frames queued, as a leader whose followers keep up does. The first
+// 4096 sends have been made, so both buffers of both links, the
+// connections' send scratch and the encoder are at their working size.
+func proposeSender(tb testing.TB) (send func(i int), m *Mesh) {
 	peers := make(map[zab.PeerID]string)
 	for id := zab.PeerID(1); id <= 2; id++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		defer ln.Close()
+		tb.Cleanup(func() { _ = ln.Close() })
 		peers[id] = ln.Addr().String()
 		go func(id zab.PeerID) {
 			conn, err := ln.Accept()
@@ -140,21 +139,20 @@ func BenchmarkMeshSendPropose(b *testing.B) {
 	}
 	own, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	peers[3] = own.Addr().String()
-	reg := obs.NewRegistry()
-	m, err := NewMesh(Config{ID: 3, Peers: peers, Listener: own, Obs: reg})
+	m, err = NewMesh(Config{ID: 3, Peers: peers, Listener: own, Obs: obs.NewRegistry()})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer m.Close()
-	waitFor(b, 5*time.Second, "links to both followers", func() bool { return m.Connected(1) && m.Connected(2) })
+	tb.Cleanup(func() { _ = m.Close() })
+	waitFor(tb, 5*time.Second, "links to both followers", func() bool { return m.Connected(1) && m.Connected(2) })
 
 	followers := []zab.PeerID{1, 2}
 	links := []*link{m.link(1), m.link(2)}
 	batch := []zab.ProposalRecord{{Txn: ztree.Txn{Type: ztree.TxnSetData, Path: "/bench/key", Data: make([]byte, 1024), Version: -1}}}
-	send := func(i int) {
+	send = func(i int) {
 		batch[0].Txn.Zxid = int64(i + 1)
 		_ = m.SendMany(followers, zab.Message{Kind: zab.KindProposeBatch, Epoch: 1, Zxid: int64(i), Batch: batch})
 		for _, l := range links {
@@ -163,11 +161,21 @@ func BenchmarkMeshSendPropose(b *testing.B) {
 			}
 		}
 	}
-	// Both buffers of both links, the connections' send scratch and the
-	// encoder reach their working size before the clock starts.
 	for i := 0; i < 4096; i++ {
 		send(i)
 	}
+	return send, m
+}
+
+// BenchmarkMeshSendPropose measures the send hop of the leader's
+// fan-out (proposeSender): one op is one PROPOSE of one 1 KB record
+// handed to SendMany for two followers and written to their loopback
+// sockets by the link writers. In steady state the hop allocates
+// nothing (TestMeshSendProposeAllocations): the message is serialized
+// into a pooled encoder, appended to each link's send buffer and
+// length-prefixed into the connection's send scratch.
+func BenchmarkMeshSendPropose(b *testing.B) {
+	send, m := proposeSender(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -176,5 +184,27 @@ func BenchmarkMeshSendPropose(b *testing.B) {
 	b.StopTimer()
 	if shed := m.outboxShed.Value(); shed != 0 {
 		b.Fatalf("%d messages shed: the benchmark did not measure the send hop", shed)
+	}
+}
+
+// TestMeshSendProposeAllocations: 20 000 PROPOSEs fanned out to two
+// followers, after the warm-up, allocate no object.
+func TestMeshSendProposeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the encoder is pooled, and the race detector empties pools at random")
+	}
+	send, m := proposeSender(t)
+	next := 4096
+	got := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 20_000; i++ {
+			send(next)
+			next++
+		}
+	})
+	if got != 0 {
+		t.Errorf("20000 PROPOSE sends allocated %v objects, want 0", got)
+	}
+	if shed := m.outboxShed.Value(); shed != 0 {
+		t.Fatalf("%d messages shed: the test did not count the send hop", shed)
 	}
 }

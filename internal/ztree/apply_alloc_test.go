@@ -27,10 +27,11 @@ func applyFixture(tb testing.TB, keys, spares int) (tr *Tree, held, fresh []stri
 }
 
 // TestApplyAllocations pins the replicated write path's rule inside the
-// tree: applying a committed transaction allocates nothing but the node
-// a create inserts (and, amortized, its slots in the shard's and the
-// parent's maps) and a multi's slice of per-op results. Every replica
-// pays Apply once per write.
+// tree, exactly: applying a committed transaction allocates nothing but
+// the node a create inserts (its slots in the shard's and the parent's
+// maps grow them rarely enough to stay below one object per create) and
+// a multi's slice of per-op results. Every replica pays Apply once per
+// write.
 func TestApplyAllocations(t *testing.T) {
 	const runs = 200
 	tr, held, fresh := applyFixture(t, runs+1, runs+1)
@@ -39,7 +40,7 @@ func TestApplyAllocations(t *testing.T) {
 	cas := casSubs(held, payload)
 	cases := []struct {
 		name string
-		max  float64
+		want float64
 		txn  func(i int) Txn
 	}{
 		{"set", 0, func(i int) Txn { return Txn{Type: TxnSetData, Path: held[i], Data: payload, Version: -1} }},
@@ -47,7 +48,7 @@ func TestApplyAllocations(t *testing.T) {
 		{"check", 0, func(i int) Txn { return Txn{Type: TxnCheck, Path: held[i], Version: -1} }},
 		{"sync", 0, func(i int) Txn { return Txn{Type: TxnSync, Path: held[i]} }},
 		{"error", 0, func(i int) Txn { return Txn{Type: TxnError, Err: wire.ErrBadArguments} }},
-		{"create", 2, func(i int) Txn { return Txn{Type: TxnCreate, Path: fresh[i], Data: payload} }},
+		{"create", 1, func(i int) Txn { return Txn{Type: TxnCreate, Path: fresh[i], Data: payload} }},
 		{"create-exists", 0, func(i int) Txn { return Txn{Type: TxnCreate, Path: held[i], Data: payload} }},
 		{"delete-missing", 0, func(i int) Txn { return Txn{Type: TxnDelete, Path: "/a/never-there", Version: -1} }},
 		{"cas", 1, func(i int) Txn { return Txn{Type: TxnMulti, Subs: cas[i]} }},
@@ -65,8 +66,8 @@ func TestApplyAllocations(t *testing.T) {
 				failed = res.Err
 			}
 		})
-		if got > tc.max {
-			t.Errorf("Apply %s: %v allocs per transaction, want at most %v", tc.name, got, tc.max)
+		if got != tc.want {
+			t.Errorf("Apply %s: %v allocs per transaction, want %v", tc.name, got, tc.want)
 		}
 		switch tc.name {
 		case "set", "check", "sync", "create", "cas", "delete":
@@ -140,8 +141,7 @@ func TestApplyAdoptsPayload(t *testing.T) {
 	}
 }
 
-// BenchmarkTreeApply is the bench-gate's view of TestApplyAllocations:
-// allocs/op of applying a committed 1 KiB set, create and delete, and
+// BenchmarkTreeApply times what TestApplyAllocations counts: applying a committed 1 KiB set, create and delete, and
 // of a compare-and-set multi (a Check and a 1 KiB Set of one key).
 func BenchmarkTreeApply(b *testing.B) {
 	payload := make([]byte, 1024)
