@@ -30,6 +30,7 @@ func FuzzCoreAnyMessage(f *testing.F) {
 		{Kind: KindPing, Epoch: 9, Zxid: MakeZxid(9, 9)},
 		{Kind: KindPong, Epoch: 1, Zxid: MakeZxid(1, 2)},
 		{Kind: KindApp, App: []byte("x")},
+		{Kind: KindFollowerInfo}, // an observer's announce from an empty log
 		{Kind: KindObserverCommit, Epoch: 2, Zxid: MakeZxid(2, 1), Batch: []ProposalRecord{rec}},
 		{Kind: KindRemoved},
 	} {

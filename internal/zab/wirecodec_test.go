@@ -260,8 +260,18 @@ func TestMessageWireRandomBytes(t *testing.T) {
 // accepted bytes re-encode to themselves (but for a true spelled as a
 // byte other than 1: a vote's reply flag, a snapshot's presence flag).
 func FuzzMessageDecode(f *testing.F) {
+	var frames [][]byte
 	for _, msg := range sampleMessages() {
-		buf := wire.Marshal(&msg)
+		frames = append(frames, wire.Marshal(&msg))
+	}
+	// And the header-only announce of an observer of earlier builds,
+	// whose kind is retired (TestRetiredProposeKindRejected).
+	retired := wire.NewEncoder(20)
+	retired.WriteInt32(13)
+	retired.WriteInt64(3)
+	retired.WriteInt64(MakeZxid(3, 7))
+	frames = append(frames, retired.Bytes())
+	for _, buf := range frames {
 		f.Add(buf)
 		f.Add(buf[:len(buf)/2])
 		f.Add(append(buf, 0))
