@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,23 +108,34 @@ type Result struct {
 	Reconfig    wire.ReconfigResponse
 }
 
-// Future resolves to a Result when the response arrives.
+// Future resolves to a Result when the response arrives. A Future is
+// waited once: Wait hands the future back to the client together with
+// its result, and the caller must not use it afterwards — a second
+// Wait, or a Done after Wait, may meet another call's result. A future
+// whose result is read through Done instead stays with the caller and
+// is never reused.
 type Future struct {
 	ch chan Result
 }
 
-// Wait blocks for the result.
-func (f *Future) Wait() Result { return <-f.ch }
+// Wait blocks for the result and recycles the future (see Future).
+func (f *Future) Wait() Result {
+	res := <-f.ch
+	futurePool.Put(f)
+	return res
+}
 
-// Done exposes the completion channel for select loops.
+// Done exposes the completion channel for select loops. A future read
+// through it is not recycled.
 func (f *Future) Done() <-chan Result { return f.ch }
 
-// futurePool recycles Future completions. Every call allocated a
-// Future plus its 1-buffered channel — the last per-call allocation on
-// the client hot path. A future receives exactly one result; once that
-// result has been consumed (or provably never sent) the future can be
-// reused. Only the synchronous API recycles: futures returned by the
-// Async methods escape to callers who may hold Done() indefinitely.
+// futurePool recycles futures: a Future and its 1-buffered channel are
+// three objects a call would otherwise allocate. A future receives
+// exactly one result; once that result has been consumed (or provably
+// never sent) the future goes back here, so a pooled future's channel
+// is always empty. Wait recycles, and so does every synchronous call;
+// a future read through Done escapes to a caller who may hold the
+// channel indefinitely, and is left to the collector.
 var futurePool = sync.Pool{
 	New: func() any { return &Future{ch: make(chan Result, 1)} },
 }
@@ -144,7 +156,6 @@ type Client struct {
 	conn      transport.Conn
 	sessionID int64
 
-	xid atomic.Int32
 	// lastZxid is the highest zxid observed in any reply header —
 	// written only by the receive loop, read by LastZxid. It is the
 	// session's commit frontier: a client that reconnects elsewhere can
@@ -152,6 +163,7 @@ type Client struct {
 	// member's committed zxid to detect stale reads.
 	lastZxid atomic.Int64
 	mu       sync.Mutex
+	xid      int32 // the last xid handed out (see nextXid)
 	pending  map[int32]call
 	watches  map[watchKey]map[*Watch]struct{}
 	closed   bool
@@ -204,9 +216,10 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
+	xid := c.nextXid()
 	c.mu.Unlock()
 
-	hdr := wire.RequestHeader{Xid: c.xid.Add(1), Op: wire.OpCloseSession}
+	hdr := wire.RequestHeader{Xid: xid, Op: wire.OpCloseSession}
 	_ = c.conn.SendFrame(wire.MarshalPair(&hdr, nil))
 	err := c.conn.Close()
 	<-c.recvDone
@@ -343,43 +356,101 @@ func decodeResult(op wire.OpCode, hdr wire.ReplyHeader, body []byte) Result {
 	return res
 }
 
-// submit sends a request and registers its future. The returned xid
-// identifies the pending entry for context cancellation; it is 0 when
-// the future was resolved before registration (closed client, prior
-// read error), in which case a result is already buffered.
-func (c *Client) submit(op wire.OpCode, body wire.Record) (*Future, int32) {
-	return c.submitWatch(op, body, nil)
+// nextXid hands out the next request xid: 1 up to MaxInt32, then 1
+// again. Zero and the negative xids are the server's — WatcherEventXid,
+// PingXid, and the -3 under which a replica closes a dropped session —
+// and a reply under one of them would never reach its caller. Caller
+// holds c.mu.
+func (c *Client) nextXid() int32 {
+	if c.xid == math.MaxInt32 {
+		c.xid = 0
+	}
+	c.xid++
+	return c.xid
 }
 
-// submitWatch is submit with a subscription to arm on response (see
-// call.watch).
-func (c *Client) submitWatch(op wire.OpCode, body wire.Record, w *Watch) (*Future, int32) {
+// request starts the request frame of op: a pooled encoder holding the
+// header, whose xid submit fills in. The caller serializes the body, if
+// the request has one, with a concrete call — the record stays on its
+// stack — and hands the encoder to submit or do.
+func request(op wire.OpCode) *wire.Encoder {
+	hdr := wire.RequestHeader{Op: op}
+	e := wire.GetEncoder()
+	hdr.Serialize(e)
+	return e
+}
+
+// The request frames of the typed calls, one function per wire shape.
+
+func readRequest(op wire.OpCode, path string, watch bool) *wire.Encoder {
+	e := request(op)
+	req := wire.ReadRequest{Path: path, Watch: watch}
+	req.Serialize(e)
+	return e
+}
+
+func createRequest(path string, data []byte, flags wire.CreateFlags) *wire.Encoder {
+	e := request(wire.OpCreate)
+	req := wire.CreateRequest{Path: path, Data: data, Flags: flags}
+	req.Serialize(e)
+	return e
+}
+
+func setRequest(path string, data []byte, version int32) *wire.Encoder {
+	e := request(wire.OpSetData)
+	req := wire.SetDataRequest{Path: path, Data: data, Version: version}
+	req.Serialize(e)
+	return e
+}
+
+func deleteRequest(path string, version int32) *wire.Encoder {
+	e := request(wire.OpDelete)
+	req := wire.DeleteRequest{Path: path, Version: version}
+	req.Serialize(e)
+	return e
+}
+
+func syncRequest(path string) *wire.Encoder {
+	e := request(wire.OpSync)
+	req := wire.SyncRequest{Path: path}
+	req.Serialize(e)
+	return e
+}
+
+func multiRequest(ops []wire.MultiOp) *wire.Encoder {
+	e := request(wire.OpMulti)
+	req := wire.MultiRequest{Ops: ops}
+	req.Serialize(e)
+	return e
+}
+
+// submit is the one way a request leaves the client. It gives the frame
+// e (see request) its xid, registers the call — with w, the
+// subscription the response arms, if any (see call.watch) — sends the
+// frame and puts e back. The returned xid identifies the pending entry
+// for context cancellation; it is 0 when the future was resolved before
+// registration (closed client, prior read error), in which case a
+// result is already buffered.
+func (c *Client) submit(op wire.OpCode, e *wire.Encoder, w *Watch) (*Future, int32) {
 	future := futurePool.Get().(*Future)
 	c.mu.Lock()
+	err := c.readErr
 	if c.closed {
-		c.mu.Unlock()
-		future.ch <- Result{Op: op, Err: ErrClosed}
-		return future, 0
+		err = ErrClosed
 	}
-	if c.readErr != nil {
-		err := c.readErr
+	if err != nil {
 		c.mu.Unlock()
+		wire.PutEncoder(e)
 		future.ch <- Result{Op: op, Err: err}
 		return future, 0
 	}
-	xid := c.xid.Add(1)
+	xid := c.nextXid()
 	c.pending[xid] = call{op: op, future: future, watch: w}
 	c.mu.Unlock()
 
-	// Serialize through a pooled encoder straight into SendFrame, which
-	// does not retain the payload (transport.Conn contract).
-	hdr := wire.RequestHeader{Xid: xid, Op: op}
-	e := wire.GetEncoder()
-	hdr.Serialize(e)
-	if body != nil {
-		body.Serialize(e)
-	}
-	err := c.conn.SendFrame(e.Bytes())
+	// SendFrame does not retain the payload (transport.Conn contract).
+	wire.SetRequestXid(e.Bytes(), xid)
+	err = c.conn.SendFrame(e.Bytes())
 	wire.PutEncoder(e)
 	if err != nil {
 		// Resolve the future only if it is still ours: failAll (the
@@ -397,16 +468,8 @@ func (c *Client) submitWatch(op wire.OpCode, body wire.Record, w *Watch) (*Futur
 	return future, xid
 }
 
-// waitRecycle consumes the future's single result and returns the
-// future to the pool. Callers must own the future exclusively (the
-// synchronous wrappers do: the future never escapes them).
-func waitRecycle(f *Future) Result {
-	res := <-f.ch
-	futurePool.Put(f)
-	return res
-}
-
-// do runs one synchronous operation under ctx: submit, wait, recycle.
+// do runs one synchronous operation under ctx: submit the request frame
+// e (arming w on response, if set), wait, recycle the future.
 //
 // Cancellation must not leak the pooled future: the pool invariant is
 // an EMPTY 1-buffered channel. On ctx expiry the call withdraws its
@@ -415,21 +478,17 @@ func waitRecycle(f *Future) Result {
 // recycled immediately. If it loses, a sender is already committed —
 // the 1-buffered send never blocks, so the result is consumed (and the
 // call succeeds with it: the response did arrive) before recycling.
-func (c *Client) do(ctx context.Context, op wire.OpCode, body wire.Record) Result {
-	return c.doWatch(ctx, op, body, nil)
-}
-
-// doWatch is do with a subscription to arm on response.
-func (c *Client) doWatch(ctx context.Context, op wire.OpCode, body wire.Record, w *Watch) Result {
+func (c *Client) do(ctx context.Context, op wire.OpCode, e *wire.Encoder, w *Watch) Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
+		wire.PutEncoder(e)
 		return Result{Op: op, Err: err}
 	}
-	future, xid := c.submitWatch(op, body, w)
+	future, xid := c.submit(op, e, w)
 	if ctx.Done() == nil {
-		return waitRecycle(future)
+		return future.Wait()
 	}
 	select {
 	case res := <-future.ch:
@@ -446,59 +505,59 @@ func (c *Client) doWatch(ctx context.Context, op wire.OpCode, body wire.Record, 
 			futurePool.Put(future)
 			return Result{Op: op, Err: ctx.Err()}
 		}
-		res := <-future.ch
-		futurePool.Put(future)
-		return res
+		return future.Wait()
 	}
 }
 
 // --- asynchronous API ---
+//
+// Each call returns a Future, waited once (see Future).
 
 // CreateAsync creates a znode without waiting.
 func (c *Client) CreateAsync(path string, data []byte, flags wire.CreateFlags) *Future {
-	f, _ := c.submit(wire.OpCreate, &wire.CreateRequest{Path: path, Data: data, Flags: flags})
+	f, _ := c.submit(wire.OpCreate, createRequest(path, data, flags), nil)
 	return f
 }
 
 // DeleteAsync deletes a znode without waiting.
 func (c *Client) DeleteAsync(path string, version int32) *Future {
-	f, _ := c.submit(wire.OpDelete, &wire.DeleteRequest{Path: path, Version: version})
+	f, _ := c.submit(wire.OpDelete, deleteRequest(path, version), nil)
 	return f
 }
 
 // GetAsync reads a znode without waiting.
 func (c *Client) GetAsync(path string, watch bool) *Future {
-	f, _ := c.submit(wire.OpGetData, &wire.GetDataRequest{Path: path, Watch: watch})
+	f, _ := c.submit(wire.OpGetData, readRequest(wire.OpGetData, path, watch), nil)
 	return f
 }
 
 // SetAsync writes a znode without waiting.
 func (c *Client) SetAsync(path string, data []byte, version int32) *Future {
-	f, _ := c.submit(wire.OpSetData, &wire.SetDataRequest{Path: path, Data: data, Version: version})
+	f, _ := c.submit(wire.OpSetData, setRequest(path, data, version), nil)
 	return f
 }
 
 // ExistsAsync checks a znode without waiting.
 func (c *Client) ExistsAsync(path string, watch bool) *Future {
-	f, _ := c.submit(wire.OpExists, &wire.ExistsRequest{Path: path, Watch: watch})
+	f, _ := c.submit(wire.OpExists, readRequest(wire.OpExists, path, watch), nil)
 	return f
 }
 
 // ChildrenAsync lists children without waiting.
 func (c *Client) ChildrenAsync(path string, watch bool) *Future {
-	f, _ := c.submit(wire.OpGetChildren, &wire.GetChildrenRequest{Path: path, Watch: watch})
+	f, _ := c.submit(wire.OpGetChildren, readRequest(wire.OpGetChildren, path, watch), nil)
 	return f
 }
 
 // SyncAsync flushes the leader channel without waiting.
 func (c *Client) SyncAsync(path string) *Future {
-	f, _ := c.submit(wire.OpSync, &wire.SyncRequest{Path: path})
+	f, _ := c.submit(wire.OpSync, syncRequest(path), nil)
 	return f
 }
 
 // MultiAsync submits an atomic multi-op transaction without waiting.
 func (c *Client) MultiAsync(ops []wire.MultiOp) *Future {
-	f, _ := c.submit(wire.OpMulti, &wire.MultiRequest{Ops: ops})
+	f, _ := c.submit(wire.OpMulti, multiRequest(ops), nil)
 	return f
 }
 
@@ -522,17 +581,17 @@ func (c *Client) Create(ctx context.Context, path string, data []byte, flags wir
 // (sequence-suffixed) node path and Zxid the creating transaction —
 // the node's Czxid, usable as a fencing token without a second read.
 func (c *Client) CreateR(ctx context.Context, path string, data []byte, flags wire.CreateFlags) Result {
-	return c.do(ctx, wire.OpCreate, &wire.CreateRequest{Path: path, Data: data, Flags: flags})
+	return c.do(ctx, wire.OpCreate, createRequest(path, data, flags), nil)
 }
 
 // Delete removes a znode; version -1 matches any version.
 func (c *Client) Delete(ctx context.Context, path string, version int32) error {
-	return c.do(ctx, wire.OpDelete, &wire.DeleteRequest{Path: path, Version: version}).Err
+	return c.do(ctx, wire.OpDelete, deleteRequest(path, version), nil).Err
 }
 
 // Get reads a znode's payload and Stat.
 func (c *Client) Get(ctx context.Context, path string) ([]byte, wire.Stat, error) {
-	res := c.do(ctx, wire.OpGetData, &wire.GetDataRequest{Path: path})
+	res := c.do(ctx, wire.OpGetData, readRequest(wire.OpGetData, path, false), nil)
 	return res.Data, res.Stat, res.Err
 }
 
@@ -543,7 +602,7 @@ func (c *Client) Get(ctx context.Context, path string) ([]byte, wire.Stat, error
 // returned already closed.
 func (c *Client) GetW(ctx context.Context, path string) ([]byte, wire.Stat, *Watch, error) {
 	w := c.addWatch(path, wire.WatchData)
-	res := c.doWatch(ctx, wire.OpGetData, &wire.GetDataRequest{Path: path, Watch: true}, w)
+	res := c.do(ctx, wire.OpGetData, readRequest(wire.OpGetData, path, true), w)
 	if res.Err != nil && !isProtocolErr(res.Err) {
 		w.Cancel() // request never reached the server: no watch exists
 	}
@@ -552,13 +611,13 @@ func (c *Client) GetW(ctx context.Context, path string) ([]byte, wire.Stat, *Wat
 
 // Set replaces a znode's payload; version -1 matches any version.
 func (c *Client) Set(ctx context.Context, path string, data []byte, version int32) (wire.Stat, error) {
-	res := c.do(ctx, wire.OpSetData, &wire.SetDataRequest{Path: path, Data: data, Version: version})
+	res := c.do(ctx, wire.OpSetData, setRequest(path, data, version), nil)
 	return res.Stat, res.Err
 }
 
 // Exists returns the znode's Stat or a NoNode error.
 func (c *Client) Exists(ctx context.Context, path string) (wire.Stat, error) {
-	res := c.do(ctx, wire.OpExists, &wire.ExistsRequest{Path: path})
+	res := c.do(ctx, wire.OpExists, readRequest(wire.OpExists, path, false), nil)
 	return res.Stat, res.Err
 }
 
@@ -566,7 +625,7 @@ func (c *Client) Exists(ctx context.Context, path string) (wire.Stat, error) {
 // exists, creation watch otherwise), returning the subscription handle.
 func (c *Client) ExistsW(ctx context.Context, path string) (wire.Stat, *Watch, error) {
 	w := c.addWatch(path, wire.WatchData)
-	res := c.doWatch(ctx, wire.OpExists, &wire.ExistsRequest{Path: path, Watch: true}, w)
+	res := c.do(ctx, wire.OpExists, readRequest(wire.OpExists, path, true), w)
 	if res.Err != nil && !isProtocolErr(res.Err) {
 		w.Cancel()
 	}
@@ -575,7 +634,7 @@ func (c *Client) ExistsW(ctx context.Context, path string) (wire.Stat, *Watch, e
 
 // Children lists a znode's children, sorted.
 func (c *Client) Children(ctx context.Context, path string) ([]string, error) {
-	res := c.do(ctx, wire.OpGetChildren, &wire.GetChildrenRequest{Path: path})
+	res := c.do(ctx, wire.OpGetChildren, readRequest(wire.OpGetChildren, path, false), nil)
 	return res.Children, res.Err
 }
 
@@ -584,7 +643,7 @@ func (c *Client) Children(ctx context.Context, path string) ([]string, error) {
 // a failed listing, so any error closes the handle.
 func (c *Client) ChildrenW(ctx context.Context, path string) ([]string, *Watch, error) {
 	w := c.addWatch(path, wire.WatchChild)
-	res := c.doWatch(ctx, wire.OpGetChildren, &wire.GetChildrenRequest{Path: path, Watch: true}, w)
+	res := c.do(ctx, wire.OpGetChildren, readRequest(wire.OpGetChildren, path, true), w)
 	if res.Err != nil {
 		w.Cancel()
 	}
@@ -593,14 +652,14 @@ func (c *Client) ChildrenW(ctx context.Context, path string) ([]string, *Watch, 
 
 // Sync flushes the leader-replica channel for a path.
 func (c *Client) Sync(ctx context.Context, path string) error {
-	return c.do(ctx, wire.OpSync, &wire.SyncRequest{Path: path}).Err
+	return c.do(ctx, wire.OpSync, syncRequest(path), nil).Err
 }
 
 // Multi atomically applies the given sub-operations: either every op
 // commits under one zxid, or none does and the per-op results report
 // which op failed. Most callers should use the Txn builder instead.
 func (c *Client) Multi(ctx context.Context, ops []wire.MultiOp) ([]wire.MultiOpResult, error) {
-	res := c.do(ctx, wire.OpMulti, &wire.MultiRequest{Ops: ops})
+	res := c.do(ctx, wire.OpMulti, multiRequest(ops), nil)
 	return res.Multi, res.Err
 }
 
@@ -611,7 +670,7 @@ func (c *Client) Multi(ctx context.Context, ops []wire.MultiOp) ([]wire.MultiOpR
 // a whole — that is the point: orchestration asks each member directly
 // instead of grepping process logs.
 func (c *Client) ServerStats(ctx context.Context) (wire.ServerStatsResponse, error) {
-	res := c.do(ctx, wire.OpServerStats, nil)
+	res := c.do(ctx, wire.OpServerStats, request(wire.OpServerStats), nil)
 	return res.ServerStats, res.Err
 }
 
@@ -623,7 +682,10 @@ func (c *Client) ServerStats(ctx context.Context) (wire.ServerStatsResponse, err
 // unsynced joiner, the leader itself, the last voter) are refused with
 // BADARGUMENTS.
 func (c *Client) Reconfig(ctx context.Context, action string, id int64, addr string) (wire.ReconfigResponse, error) {
-	res := c.do(ctx, wire.OpReconfig, &wire.ReconfigRequest{Action: action, ID: id, Addr: addr})
+	e := request(wire.OpReconfig)
+	req := wire.ReconfigRequest{Action: action, ID: id, Addr: addr}
+	req.Serialize(e)
+	res := c.do(ctx, wire.OpReconfig, e, nil)
 	return res.Reconfig, res.Err
 }
 

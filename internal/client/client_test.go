@@ -3,7 +3,11 @@ package client
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -26,6 +30,7 @@ type fakeServer struct {
 
 	mu   sync.Mutex
 	held []wire.ReplyHeader // responses parked for paths under /slow
+	xids []int32            // every request's xid, in arrival order
 }
 
 func newFakePair(t *testing.T) (*Client, *fakeServer) {
@@ -80,6 +85,9 @@ func (f *fakeServer) serve() {
 		if err := hdr.Deserialize(d); err != nil {
 			return
 		}
+		f.mu.Lock()
+		f.xids = append(f.xids, hdr.Xid)
+		f.mu.Unlock()
 		switch hdr.Op {
 		case wire.OpGetData:
 			var req wire.GetDataRequest
@@ -314,5 +322,144 @@ func TestDecodeResultAllocations(t *testing.T) {
 	}
 	if res := decodeResult(wire.OpSetData, wire.ReplyHeader{}, append(cases[2].body, 0)); !errors.Is(res.Err, ErrShortReply) {
 		t.Fatalf("trailing byte behind a SET reply: err = %v, want ErrShortReply", res.Err)
+	}
+}
+
+// TestXidWrapsToOne starts the xid counter just below MaxInt32. The
+// counter must go on at 1, never through 0 and the negative xids the
+// server uses (a reply under WatcherEventXid would be dispatched as a
+// watch event and its caller would hang), and every reply must still
+// reach its caller.
+func TestXidWrapsToOne(t *testing.T) {
+	cl, srv := newFakePair(t)
+	cl.mu.Lock()
+	cl.xid = math.MaxInt32 - 1
+	cl.mu.Unlock()
+	ctx, cancel := context.WithTimeout(ctxbg, 5*time.Second)
+	defer cancel()
+	for i := 0; i < 3; i++ {
+		path := fmt.Sprintf("/wrap/%d", i)
+		data, _, err := cl.Get(ctx, path)
+		if err != nil || string(data) != path {
+			t.Fatalf("get %s across the wrap = %q, %v", path, data, err)
+		}
+	}
+	if res := cl.SetAsync("/wrap", nil, -1).Wait(); res.Err != nil || res.Stat.Version != 7 {
+		t.Fatalf("async set after the wrap = %+v", res)
+	}
+	srv.mu.Lock()
+	got := slices.Clone(srv.xids[len(srv.xids)-4:])
+	srv.mu.Unlock()
+	if want := []int32{math.MaxInt32, 1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("xids across the wrap = %v, want %v", got, want)
+	}
+}
+
+// replyConn is a transport.Conn whose far end answers each request at
+// once with a canned reply under the request's xid, and allocates
+// nothing doing so: what a call allocates is then the client's alone.
+// It serves one request at a time.
+type replyConn struct {
+	replies map[wire.OpCode][]byte // reply frames, header first
+	ready   chan []byte
+	closed  chan struct{}
+	once    sync.Once
+}
+
+func newReplyConn() *replyConn {
+	c := &replyConn{
+		replies: make(map[wire.OpCode][]byte),
+		ready:   make(chan []byte, 1),
+		closed:  make(chan struct{}),
+	}
+	c.ready <- wire.Marshal(&wire.ConnectResponse{SessionID: 1}) // the handshake
+	reply := func(op wire.OpCode, body wire.Record) {
+		c.replies[op] = wire.MarshalPair(&wire.ReplyHeader{Zxid: 5}, body)
+	}
+	reply(wire.OpGetData, &wire.GetDataResponse{Data: make([]byte, 1024), Stat: wire.Stat{Version: 3}})
+	reply(wire.OpSetData, &wire.SetDataResponse{Stat: wire.Stat{Version: 7}})
+	return c
+}
+
+func (c *replyConn) SendFrame(req []byte) error {
+	var hdr wire.RequestHeader
+	var d wire.Decoder
+	d.Reset(req)
+	if hdr.Deserialize(&d) != nil {
+		return nil // the connect request
+	}
+	if reply, ok := c.replies[hdr.Op]; ok {
+		binary.BigEndian.PutUint32(reply, uint32(hdr.Xid)) // the reply header's xid
+		c.ready <- reply
+	}
+	return nil
+}
+
+func (c *replyConn) SendFrames(frames [][]byte) error {
+	for _, f := range frames {
+		_ = c.SendFrame(f)
+	}
+	return nil
+}
+
+func (c *replyConn) RecvFrame() ([]byte, error) {
+	select {
+	case f := <-c.ready:
+		return f, nil
+	case <-c.closed:
+		return nil, transport.ErrClosed
+	}
+}
+
+func (c *replyConn) RecvFrames(dst [][]byte) ([][]byte, error) {
+	f, err := c.RecvFrame()
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, f), nil
+}
+
+func (c *replyConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return nil
+}
+
+// TestClientRequestAllocations pins what a call costs the client: a
+// synchronous Get allocates its reply's Data and nothing else; Set, and
+// SetAsync followed by Wait, allocate nothing. The request record is
+// serialized by a concrete call into a pooled encoder, and the future
+// comes from the pool and goes back to it.
+func TestClientRequestAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties sync.Pools at random, so allocation counts mean nothing")
+	}
+	cl, err := NewSession(newReplyConn(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	payload := make([]byte, 1024)
+	cases := []struct {
+		name string
+		call func() error
+		want float64
+	}{
+		{"Get", func() error { _, _, err := cl.Get(ctxbg, "/app/key"); return err }, 1},
+		{"Set", func() error { _, err := cl.Set(ctxbg, "/app/key", payload, -1); return err }, 0},
+		{"SetAsync+Wait", func() error { return cl.SetAsync("/app/key", payload, -1).Wait().Err }, 0},
+	}
+	for _, tc := range cases {
+		var err error
+		got := testing.AllocsPerRun(1000, func() {
+			if e := tc.call(); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: %v allocs per call, want %v", tc.name, got, tc.want)
+		}
 	}
 }

@@ -538,28 +538,30 @@ func TestWatermarkOutOfOrderAbort(t *testing.T) {
 	conn, _ := transport.NewChanPipe()
 	s := newSession(r, 4242, conn, NopInterceptor{})
 
-	w1 := &inflightReq{xid: 1, op: wire.OpSetData}
-	w2 := &inflightReq{xid: 2, op: wire.OpSetData}
-	r1 := &inflightReq{xid: 3, op: wire.OpGetData, body: readBodyOf(t, "/wm")}
-	r2 := &inflightReq{xid: 4, op: wire.OpGetData, body: readBodyOf(t, "/wm")}
-	for _, e := range []*inflightReq{w1, r1, w2, r2} {
-		if runNow, ok := s.admit(e); runNow || !ok {
-			t.Fatalf("xid %d: admit = (runNow %v, ok %v), want queued", e.xid, runNow, ok)
+	admit := func(xid int32, op wire.OpCode, body []byte) *inflightReq {
+		e, runNow, ok := s.admit(xid, op, body)
+		if runNow || !ok {
+			t.Fatalf("xid %d: admit = (runNow %v, ok %v), want queued", xid, runNow, ok)
 		}
+		return e
 	}
+	admit(1, wire.OpSetData, nil)
+	r1 := admit(3, wire.OpGetData, readBodyOf(t, "/wm"))
+	admit(2, wire.OpSetData, nil)
+	r2 := admit(4, wire.OpGetData, readBodyOf(t, "/wm"))
 
 	// W2 aborts out of order while W1 is still pending.
-	s.writeDone(w2, errorReply(w2.xid, 0, wire.ErrConnectionLoss), true)
+	s.abort(2)
 	if due, _ := s.gatherDue(nil); len(due) != 0 {
 		t.Fatalf("released %d responses past still-pending write 1", len(due))
 	}
 	s.mu.Lock()
-	r1resp, r2resp, waiting := r1.resp, r2.resp, s.waiting
+	r1answered, r2answered, waiting := r1.answered, r2.answered, s.waiting
 	s.mu.Unlock()
-	if r1resp != nil {
+	if r1answered {
 		t.Fatal("read behind pending write 1 answered on write 2's abort")
 	}
-	if r2resp == nil {
+	if !r2answered {
 		t.Fatal("read behind aborted write 2 not failed")
 	}
 	if waiting != 2 {
@@ -567,7 +569,7 @@ func TestWatermarkOutOfOrderAbort(t *testing.T) {
 	}
 
 	// W1 commits: one pass executes r1 and releases all four in order.
-	s.writeDone(w1, errorReply(w1.xid, 0, wire.ErrOK), false)
+	s.writeDone(1, errorReply(nil, 1, 0, wire.ErrOK))
 	due, closing := s.gatherDue(nil)
 	if closing {
 		t.Fatal("pass reported CloseSession")
@@ -613,7 +615,8 @@ func TestSessionQueueSeededSchedules(t *testing.T) {
 		t.Fatal(err)
 	}
 	type req struct {
-		entry     *inflightReq
+		entry     *inflightReq // valid until released: entries are recycled
+		xid       int32
 		write     bool
 		submitted int32 // step of submission
 		resolved  int32 // writes: step of writeDone, 0 while pending
@@ -631,27 +634,31 @@ func TestSessionQueueSeededSchedules(t *testing.T) {
 		resolve := func() {
 			// Any write in flight, not the oldest: commits come in order,
 			// rejects and aborts need not. pending is in submission order.
-			xid := pending[rng.Intn(len(pending))].entry.xid
+			xid := pending[rng.Intn(len(pending))].xid
 			i := 0
-			for pending[i].entry.xid != xid {
+			for pending[i].xid != xid {
 				i++
 			}
 			w := pending[i]
-			if got := s.inflight(xid); got != w.entry {
-				t.Fatalf("seed %d: inflight(%d) = %p, want the oldest unanswered write with that xid, %p", seed, xid, got, w.entry)
+			s.mu.Lock()
+			got := s.find(xid, 0)
+			s.mu.Unlock()
+			if got != w.entry {
+				t.Fatalf("seed %d: find(%d) = %p, want the oldest unanswered write with that xid, %p", seed, xid, got, w.entry)
 			}
 			pending = append(pending[:i], pending[i+1:]...)
 			w.resolved = step
-			code := wire.ErrOK
 			if w.aborted = rng.Intn(3) == 0; w.aborted {
-				code = wire.ErrConnectionLoss
+				s.abort(xid)
+			} else {
+				s.writeDone(xid, errorReply(nil, xid, 0, wire.ErrOK))
 			}
-			s.writeDone(w.entry, errorReply(w.entry.xid, 0, code), w.aborted)
 		}
 		drain := func() int {
 			due, _ := s.gatherDue(nil)
 			base := len(released)
 			released = append(released, decodeReleased(t, due, func(i int, _ int32) bool { return !reqs[base+i].write })...)
+			s.recycle() // as the writer does once the pass is sent
 			return len(due)
 		}
 		nextStep := func() {
@@ -666,18 +673,23 @@ func TestSessionQueueSeededSchedules(t *testing.T) {
 			switch action := rng.Intn(10); {
 			case action < 6: // submit, as session.submit does
 				q := &req{write: rng.Intn(2) == 0, submitted: step}
-				q.entry = &inflightReq{xid: int32(len(reqs) + 1), op: wire.OpGetData, body: readBodyOf(t, "/wm")}
+				xid, op := int32(len(reqs)+1), wire.OpGetData
 				if q.write {
-					q.entry.op = wire.OpSetData
+					op = wire.OpSetData
 					if len(pending) > 0 && rng.Intn(4) == 0 {
-						q.entry.xid = pending[rng.Intn(len(pending))].entry.xid
+						xid = pending[rng.Intn(len(pending))].xid
 					}
+				}
+				entry, runNow, ok := s.admit(xid, op, readBodyOf(t, "/wm"))
+				if !ok {
+					t.Fatalf("seed %d: open session refused xid %d", seed, xid)
+				}
+				q.entry, q.xid = entry, xid
+				if q.write {
 					pending = append(pending, q)
 				}
 				reqs = append(reqs, q)
-				if runNow, ok := s.admit(q.entry); !ok {
-					t.Fatalf("seed %d: open session refused xid %d", seed, q.entry.xid)
-				} else if runNow {
+				if runNow {
 					s.push(q.entry, r.handleRead(s, q.entry))
 				}
 			case action < 8 && len(pending) > 0:
@@ -699,8 +711,8 @@ func TestSessionQueueSeededSchedules(t *testing.T) {
 		}
 		for i, rel := range released {
 			q := reqs[i]
-			if rel.xid != q.entry.xid {
-				t.Fatalf("seed %d: release %d has xid %d, want %d (submission order)", seed, i, rel.xid, q.entry.xid)
+			if rel.xid != q.xid {
+				t.Fatalf("seed %d: release %d has xid %d, want %d (submission order)", seed, i, rel.xid, q.xid)
 			}
 			if q.write {
 				continue
@@ -718,7 +730,7 @@ func TestSessionQueueSeededSchedules(t *testing.T) {
 				}
 				if rel.err == wire.ErrOK && rel.version <= w.resolved {
 					t.Fatalf("seed %d: read xid %d executed at step %d, write xid %d ahead of it was resolved at step %d",
-						seed, rel.xid, rel.version, w.entry.xid, w.resolved)
+						seed, rel.xid, rel.version, w.xid, w.resolved)
 				}
 			}
 			if wantFail != (rel.err == wire.ErrConnectionLoss) || (!wantFail && rel.err != wire.ErrOK) {
@@ -730,8 +742,8 @@ func TestSessionQueueSeededSchedules(t *testing.T) {
 			t.Fatalf("seed %d: waiting = %d, queue = %d at the end", seed, s.waiting, len(s.queue))
 		}
 		s.mu.Unlock()
-		if got := s.inflight(1); got != nil {
-			t.Fatalf("seed %d: inflight finds xid %d with everything answered", seed, got.xid)
+		if _, ok := s.inflight(1); ok {
+			t.Fatalf("seed %d: inflight finds xid 1 with everything answered", seed)
 		}
 	}
 }

@@ -141,6 +141,10 @@ type Replica struct {
 	wg        sync.WaitGroup
 	forwarded chan forwardMsg
 
+	// reply is the zab loop's scratch for the reply deliver builds; the
+	// session copies it into the write's entry.
+	reply []byte
+
 	// server_reads_total and server_writes_total.
 	readOps  atomic.Int64
 	writeOps atomic.Int64
@@ -438,14 +442,14 @@ func (r *Replica) closeDelivered(session int64) {
 
 // handleWrite routes a client write, which admit has already queued:
 // that entry is all this replica keeps of it. A degraded or removed
-// replica refuses up front, and the reply still flows through writeDone
+// replica refuses up front, and the reply still flows through the queue
 // so the session FIFO (and the reads waiting behind it) stay ordered.
 // Called from session reader goroutines.
 func (r *Replica) handleWrite(s *session, entry *inflightReq) {
 	r.writeOps.Add(1)
 	if r.degraded.Load() || r.removed.Load() ||
 		r.submitOrForward(entry.op, entry.body, zab.Origin{Peer: r.cfg.ID, Session: s.id, Xid: entry.xid}) != nil {
-		s.abort(entry)
+		s.refuse(entry)
 	}
 }
 
@@ -465,23 +469,18 @@ func (r *Replica) submitOrForward(op wire.OpCode, body []byte, origin zab.Origin
 	return r.peer.SendApp(zab.PeerID(leader), forwardMsg{kind: fwdRequest, origin: origin, op: op, body: body}.encode())
 }
 
-// inflight finds the write an Origin of this replica names (see
-// session.inflight). nil: there is nothing left to answer — an abort
-// overtook the commit, or the session is gone.
-func (r *Replica) inflight(origin zab.Origin) (*session, *inflightReq) {
+// session returns the live session with this id, or nil: it is gone,
+// and whatever it had in flight has nobody left to answer.
+func (r *Replica) session(id int64) *session {
 	r.mu.Lock()
-	s := r.sessions[origin.Session]
-	r.mu.Unlock()
-	if s == nil {
-		return nil, nil
-	}
-	return s, s.inflight(origin.Xid)
+	defer r.mu.Unlock()
+	return r.sessions[id]
 }
 
 // abortWrite aborts the one write origin names: the leader rejected it.
 func (r *Replica) abortWrite(origin zab.Origin) {
-	if s, entry := r.inflight(origin); entry != nil {
-		s.abort(entry)
+	if s := r.session(origin.Session); s != nil {
+		s.abort(origin.Xid)
 	}
 }
 
@@ -498,49 +497,50 @@ func (r *Replica) abortWrites() {
 
 // deliver applies a committed transaction (zab loop goroutine) and, if
 // one of this replica's sessions sent it, completes that request: the
-// reply is built here, once, and answers the write in its session's
-// FIFO, whose writer releases it in order and then executes the reads
-// that waited behind it.
+// reply is built here, once, into r.reply and copied into the write's
+// entry in its session's FIFO, whose writer releases it in order and
+// then executes the reads that waited behind it. The write is named by
+// its Origin's xid and looked up again under the session's lock each
+// time (see session.find), so a commit that an abort overtook answers
+// nothing.
 //
 // On a durable replica the transaction first goes to the persister's
 // commit-log goroutine (this loop never blocks on disk, so consecutive
 // deliveries pile into one shared fsync) and the same reply is released
 // when the fsync covering it returns: the client sees "committed" only
-// once it means "on disk". Only a record a local client waits on carries
-// a callback, which is how the persister's flush rule tells awaited
-// records from the rest. A persistence failure aborts the write instead;
-// the replica has dropped into degraded mode already (OnFail).
+// once it means "on disk" — the reply waits in the entry (session.stage)
+// until then. Only a record a local client waits on carries a callback,
+// which is how the persister's flush rule tells awaited records from the
+// rest. A persistence failure aborts the write instead; the replica has
+// dropped into degraded mode already (OnFail).
 func (r *Replica) deliver(c zab.Committed) {
 	applyStart := obs.Now()
 	res := r.tree.Apply(&c.Txn)
 	r.applyHist.Observe(obs.Now() - applyStart)
 	var s *session
-	var entry *inflightReq
-	var resp []byte
+	var reply []byte
+	xid, zxid := c.Origin.Xid, c.Txn.Zxid
 	if c.Origin.Peer == r.cfg.ID {
 		if c.Txn.Type == ztree.TxnCloseSession {
 			r.closeDelivered(c.Origin.Session)
 		}
-		if s, entry = r.inflight(c.Origin); entry != nil {
-			// Reads c.Txn and res, both owned by this goroutine.
-			resp = r.buildWriteResponse(&c.Txn, entry.op, entry.xid, &res)
+		if s = r.session(c.Origin.Session); s != nil {
+			if op, ok := s.inflight(xid); ok {
+				// Reads c.Txn and res, both owned by this goroutine.
+				r.reply = r.buildWriteResponse(r.reply[:0], &c.Txn, op, xid, &res)
+				reply = r.reply
+			}
 		}
 	}
 	switch {
 	case r.persister == nil:
-		if entry != nil {
-			s.writeDone(entry, resp, false)
+		if reply != nil {
+			s.writeDone(xid, reply)
 		}
-	case entry == nil:
-		r.persister.Record(&c.Txn, nil)
+	case reply != nil && s.stage(xid, zxid, reply):
+		r.persister.Record(&c.Txn, func(err error) { s.flushed(xid, zxid, err) })
 	default:
-		r.persister.Record(&c.Txn, func(err error) {
-			if err != nil {
-				s.abort(entry)
-			} else {
-				s.writeDone(entry, resp, false)
-			}
-		})
+		r.persister.Record(&c.Txn, nil)
 	}
 }
 

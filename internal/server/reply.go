@@ -19,37 +19,41 @@ import (
 // parallel; same-session execution stays ordered (see session). The
 // tree's GetDataRef contract holds under this concurrency: payload
 // slices are immutable once stored, and the serialization below is the
-// copy at the session boundary.
+// copy at the session boundary. The reply is appended to the entry's
+// own buffer, which nobody else touches while the read executes: it is
+// not yet queued, or it is at the head of the queue, where nothing can
+// answer it (see gatherDue).
 func (r *Replica) handleRead(s *session, entry *inflightReq) []byte {
 	r.readOps.Add(1)
 	zxid := r.peer.LastCommitted()
+	dst := entry.resp[:0]
 	var d wire.Decoder
 	d.Reset(entry.body)
 	switch entry.op {
 	case wire.OpGetData:
 		var req wire.GetDataRequest
 		if d.Finish(req.Deserialize(&d)) != nil {
-			return errorReply(entry.xid, zxid, wire.ErrMarshallingError)
+			return errorReply(dst, entry.xid, zxid, wire.ErrMarshallingError)
 		}
 		data, stat, err := r.tree.GetDataRef(req.Path)
 		if err != nil {
 			if req.Watch {
 				r.tree.Watches().Add(req.Path, wire.WatchExist, s)
 			}
-			return errorReply(entry.xid, zxid, errCodeOf(err))
+			return errorReply(dst, entry.xid, zxid, errCodeOf(err))
 		}
 		if req.Watch {
 			r.tree.Watches().Add(req.Path, wire.WatchData, s)
 		}
-		e := beginReply(entry.xid, zxid, wire.ErrOK)
+		e := beginReply(dst, entry.xid, zxid, wire.ErrOK)
 		resp := wire.GetDataResponse{Data: data, Stat: stat}
-		resp.Serialize(e)
-		return wire.Detach(e)
+		resp.Serialize(&e)
+		return e.Bytes()
 
 	case wire.OpExists:
 		var req wire.ExistsRequest
 		if d.Finish(req.Deserialize(&d)) != nil {
-			return errorReply(entry.xid, zxid, wire.ErrMarshallingError)
+			return errorReply(dst, entry.xid, zxid, wire.ErrMarshallingError)
 		}
 		stat, err := r.tree.Exists(req.Path)
 		if req.Watch {
@@ -60,32 +64,32 @@ func (r *Replica) handleRead(s *session, entry *inflightReq) []byte {
 			r.tree.Watches().Add(req.Path, kind, s)
 		}
 		if err != nil {
-			return errorReply(entry.xid, zxid, errCodeOf(err))
+			return errorReply(dst, entry.xid, zxid, errCodeOf(err))
 		}
-		e := beginReply(entry.xid, zxid, wire.ErrOK)
+		e := beginReply(dst, entry.xid, zxid, wire.ErrOK)
 		resp := wire.ExistsResponse{Stat: *stat}
-		resp.Serialize(e)
-		return wire.Detach(e)
+		resp.Serialize(&e)
+		return e.Bytes()
 
 	case wire.OpGetChildren:
 		var req wire.GetChildrenRequest
 		if d.Finish(req.Deserialize(&d)) != nil {
-			return errorReply(entry.xid, zxid, wire.ErrMarshallingError)
+			return errorReply(dst, entry.xid, zxid, wire.ErrMarshallingError)
 		}
 		children, err := r.tree.GetChildren(req.Path)
 		if err != nil {
-			return errorReply(entry.xid, zxid, errCodeOf(err))
+			return errorReply(dst, entry.xid, zxid, errCodeOf(err))
 		}
 		if req.Watch {
 			r.tree.Watches().Add(req.Path, wire.WatchChild, s)
 		}
-		e := beginReply(entry.xid, zxid, wire.ErrOK)
+		e := beginReply(dst, entry.xid, zxid, wire.ErrOK)
 		resp := wire.GetChildrenResponse{Children: children}
-		resp.Serialize(e)
-		return wire.Detach(e)
+		resp.Serialize(&e)
+		return e.Bytes()
 
 	case wire.OpPing:
-		return errorReply(wire.PingXid, zxid, wire.ErrOK)
+		return errorReply(dst, wire.PingXid, zxid, wire.ErrOK)
 
 	case wire.OpServerStats:
 		r.mu.Lock()
@@ -107,7 +111,7 @@ func (r *Replica) handleRead(s *session, entry *inflightReq) []byte {
 				kvs[i] = wire.KV{Key: kv.Key, Value: kv.Value}
 			}
 		}
-		e := beginReply(entry.xid, zxid, wire.ErrOK)
+		e := beginReply(dst, entry.xid, zxid, wire.ErrOK)
 		resp := wire.ServerStatsResponse{
 			Role:          r.peer.Role().String(),
 			Leader:        int64(r.peer.Leader()),
@@ -120,55 +124,55 @@ func (r *Replica) handleRead(s *session, entry *inflightReq) []byte {
 			Ensemble:      r.ensembleString(),
 			Metrics:       kvs,
 		}
-		resp.Serialize(e)
-		return wire.Detach(e)
+		resp.Serialize(&e)
+		return e.Bytes()
 
 	default:
-		return errorReply(entry.xid, zxid, wire.ErrUnimplemented)
+		return errorReply(dst, entry.xid, zxid, wire.ErrUnimplemented)
 	}
 }
 
-// buildWriteResponse renders the reply message for a completed write.
-// The committed transaction is consulted for multi responses, whose
+// buildWriteResponse appends the reply message for a completed write to
+// dst. The committed transaction is consulted for multi responses, whose
 // per-op results must echo each sub-op's code even when the whole
 // transaction aborted.
-func (r *Replica) buildWriteResponse(txn *ztree.Txn, op wire.OpCode, xid int32, res *ztree.TxnResult) []byte {
-	e := beginReply(xid, res.Zxid, res.Err)
+func (r *Replica) buildWriteResponse(dst []byte, txn *ztree.Txn, op wire.OpCode, xid int32, res *ztree.TxnResult) []byte {
+	e := beginReply(dst, xid, res.Zxid, res.Err)
 	switch {
 	case op == wire.OpMulti:
 		// Multi replies carry their per-op result body even on abort:
 		// the header's error is the failing sub-op's code and the body
 		// tells the client which sub-op failed.
-		buildMultiResponse(txn, res).Serialize(e)
+		buildMultiResponse(txn, res).Serialize(&e)
 	case res.Err != wire.ErrOK:
 		// Error replies carry no body.
 	case op == wire.OpCreate:
 		resp := wire.CreateResponse{Path: res.Path}
-		resp.Serialize(e)
+		resp.Serialize(&e)
 	case op == wire.OpSetData:
 		resp := wire.SetDataResponse{Stat: res.Stat}
-		resp.Serialize(e)
+		resp.Serialize(&e)
 	case op == wire.OpSync:
 		resp := wire.SyncResponse{Path: res.Path}
-		resp.Serialize(e)
+		resp.Serialize(&e)
 	case op == wire.OpReconfig:
 		// The zab layer applied the membership change before handing the
 		// commit down, so this reads the post-change ensemble.
 		resp := wire.ReconfigResponse{Zxid: res.Zxid, Ensemble: r.ensembleString()}
-		resp.Serialize(e)
+		resp.Serialize(&e)
 	}
 	// DELETE and CLOSE replies are the header alone.
-	return wire.Detach(e)
+	return e.Bytes()
 }
 
-// beginReply starts a reply message: a pooled encoder holding the
+// beginReply starts a reply message behind dst: an encoder holding the
 // header. The caller serializes the body, if the reply has one, with a
-// concrete call — header and body records then stay on the stack — and
-// ends with wire.Detach.
-func beginReply(xid int32, zxid int64, code wire.ErrCode) *wire.Encoder {
+// concrete call — encoder, header and body records then stay on the
+// stack — and ends with e.Bytes().
+func beginReply(dst []byte, xid int32, zxid int64, code wire.ErrCode) wire.Encoder {
 	hdr := wire.ReplyHeader{Xid: xid, Zxid: zxid, Err: code}
-	e := wire.GetEncoder()
-	hdr.Serialize(e)
+	e := wire.AppendTo(dst)
+	hdr.Serialize(&e)
 	return e
 }
 
@@ -226,9 +230,10 @@ func buildMultiResponse(txn *ztree.Txn, res *ztree.TxnResult) *wire.MultiRespons
 	return out
 }
 
-// errorReply renders a reply that is its header alone.
-func errorReply(xid int32, zxid int64, code wire.ErrCode) []byte {
-	return wire.Detach(beginReply(xid, zxid, code))
+// errorReply appends a reply that is its header alone to dst.
+func errorReply(dst []byte, xid int32, zxid int64, code wire.ErrCode) []byte {
+	e := beginReply(dst, xid, zxid, code)
+	return e.Bytes()
 }
 
 func errCodeOf(err error) wire.ErrCode {

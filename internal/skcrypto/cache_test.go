@@ -236,3 +236,39 @@ func TestDecryptChunkCachePoisoningRejected(t *testing.T) {
 		t.Fatal("failed decryption entered the cache")
 	}
 }
+
+// TestSequenceChunkNotAdmitted: the counter enclave's merged path is the
+// ciphertext EncryptPath gives for the suffixed path, and the final
+// chunk it mints stays out of both caches — nothing looks it up again —
+// while the parent's chunks are served from them.
+func TestSequenceChunkNotAdmitted(t *testing.T) {
+	c := cacheTestCodec(t, 0x5e)
+	ref := cacheTestCodec(t, 0x5e)
+	for _, base := range []string{"/app/locks/lock-", "/lock-"} {
+		enc, err := c.EncryptPath(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encLen, decLen := c.ChunkCacheLen()
+		hits, _ := c.CacheStats()
+		for seq := int32(0); seq < 50; seq++ {
+			got, err := c.AppendSequenceToPath(enc, seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.EncryptPath(fmt.Sprintf("%s%010d", base, seq))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s seq %d: merged path %q, want %q", base, seq, got, want)
+			}
+		}
+		if e, d := c.ChunkCacheLen(); e != encLen || d != decLen {
+			t.Fatalf("%s: caches grew from (%d, %d) to (%d, %d) entries: minted chunks were admitted", base, encLen, decLen, e, d)
+		}
+		if after, _ := c.CacheStats(); base != "/lock-" && after.Hits == hits.Hits {
+			t.Fatalf("%s: the parent's chunks were not served from the cache", base)
+		}
+	}
+}

@@ -310,12 +310,28 @@ func (c *Codec) AppendDecryptedPath(dst []byte, enc string) ([]byte, error) {
 // sequence number to its final element, and re-encrypt the whole path
 // (the final chunk's new name changes its IV, and only the enclave can
 // compute it).
+//
+// The parent's chunks go through the cache like any path's; the final
+// chunk does not. Its name is minted once, with this number: the codec
+// never looks it up again, and admitting it would only push out chunks
+// it does look up.
 func (c *Codec) AppendSequenceToPath(encPath string, seq int32) (string, error) {
 	plain, err := c.DecryptPath(encPath)
 	if err != nil {
 		return "", err
 	}
-	return c.EncryptPath(wire.AppendSequence(plain, seq))
+	plain = wire.AppendSequence(plain, seq)
+	last := strings.LastIndexByte(plain, '/')
+	var scratch [pathScratch]byte
+	enc := scratch[:0]
+	if last > 0 {
+		if enc, err = c.AppendEncryptedPath(enc, plain[:last]); err != nil {
+			return "", err
+		}
+	}
+	enc = append(enc, '/')
+	enc = append(enc, c.encryptChunk(plain, plain[last+1:])...)
+	return string(enc), nil
 }
 
 // StripSequence removes a trailing sequence suffix from a plaintext

@@ -1,5 +1,7 @@
 package wire
 
+import "encoding/binary"
+
 // Stat carries znode metadata, mirroring ZooKeeper's Stat record.
 type Stat struct {
 	Czxid          int64 // zxid of the transaction that created the node
@@ -64,6 +66,10 @@ func (h *RequestHeader) Deserialize(d *Decoder) error {
 	h.Op = OpCode(d.ReadInt32())
 	return d.Err()
 }
+
+// SetRequestXid sets the xid of the request msg, which starts with its
+// RequestHeader: a client serializes a request before it knows the xid.
+func SetRequestXid(msg []byte, xid int32) { binary.BigEndian.PutUint32(msg, uint32(xid)) }
 
 // ReplyHeader precedes every server response.
 type ReplyHeader struct {
