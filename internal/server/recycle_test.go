@@ -227,3 +227,74 @@ func TestLateFlushAfterReuse(t *testing.T) {
 }
 
 var errFlush = errors.New("fsync failed")
+
+// TestRefuseAfterReuse: a write's submit fails (no leader) while a role
+// change aborts it, and the writer releases the entry and reuses it for
+// a watch event before the reader's refuse runs. The refuse must answer
+// nothing: the count of unanswered requests stays put, so a later read
+// still waits behind a later write, and the event's bytes stay as they
+// were serialized. The first part plays that interleaving step by step;
+// the second runs refuse against abort-release-reuse for real, for the
+// race detector.
+func TestRefuseAfterReuse(t *testing.T) {
+	tc := newTestCluster(t, 1)
+	r := tc.replicas[0]
+	s := unstartedSession(r, 7003)
+	ev := wire.WatcherEvent{Type: wire.EventNodeDataChanged, State: 3, Path: "/watched"}
+	want := wire.MarshalPair(&wire.ReplyHeader{Xid: wire.WatcherEventXid}, &ev)
+	waiting := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.waiting
+	}
+
+	w, _, _ := s.admit(1, wire.OpSetData, nil)
+	s.abortWrites() // the role change, while the submit is under way
+	if got := release(t, s); len(got) != 1 || got[0].Err != wire.ErrConnectionLoss {
+		t.Fatalf("released %+v, want the abort of xid 1", got)
+	}
+	s.Notify(ev)
+	due, _ := s.gatherDue(nil)
+	if len(due) != 1 || len(s.sent) != 1 || s.sent[0] != w {
+		t.Fatal("the watch event did not reuse the released entry")
+	}
+	s.refuse(w) // the failed submit
+	if n := waiting(); n != 0 {
+		t.Fatalf("waiting = %d after the late refuse, want 0", n)
+	}
+	if string(due[0]) != string(want) {
+		t.Fatalf("the late refuse rewrote the watch event in flight: % x, want % x", due[0], want)
+	}
+	s.recycle()
+	s.admit(2, wire.OpSetData, nil)
+	if _, runNow, _ := s.admit(3, wire.OpGetData, readBodyOf(t, "/")); runNow {
+		t.Fatal("a read behind an unanswered write runs at once")
+	}
+	s.abortWrites()
+	release(t, s)
+
+	for i := int32(0); i < 300; i++ {
+		xid := 100 + i
+		w, _, _ := s.admit(xid, wire.OpSetData, nil)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() { // the reader, its submit failed
+			defer wg.Done()
+			s.refuse(w)
+		}()
+		s.abortWrites()
+		release(t, s)
+		s.Notify(ev)
+		due, _ := s.gatherDue(nil)
+		wg.Wait()
+		if n := waiting(); n != 0 {
+			t.Fatalf("round %d: waiting = %d, want 0", i, n)
+		}
+		for _, msg := range due {
+			if string(msg) != string(want) {
+				t.Fatalf("round %d: released % x, want the watch event", i, msg)
+			}
+		}
+		s.recycle()
+	}
+}

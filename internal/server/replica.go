@@ -440,15 +440,17 @@ func (r *Replica) closeDelivered(session int64) {
 	r.mu.Unlock()
 }
 
-// handleWrite routes a client write, which admit has already queued:
-// that entry is all this replica keeps of it. A degraded or removed
-// replica refuses up front, and the reply still flows through the queue
-// so the session FIFO (and the reads waiting behind it) stay ordered.
-// Called from session reader goroutines.
-func (r *Replica) handleWrite(s *session, entry *inflightReq) {
+// handleWrite routes a client write, which admit has already queued as
+// entry: that entry is all this replica keeps of it. A degraded or
+// removed replica refuses up front, and the reply still flows through
+// the queue so the session FIFO (and the reads waiting behind it) stay
+// ordered. The write is read from hdr and body, not from entry, which an
+// abort may answer and the writer release while the submit is under
+// way. Called from session reader goroutines.
+func (r *Replica) handleWrite(s *session, entry *inflightReq, hdr wire.RequestHeader, body []byte) {
 	r.writeOps.Add(1)
 	if r.degraded.Load() || r.removed.Load() ||
-		r.submitOrForward(entry.op, entry.body, zab.Origin{Peer: r.cfg.ID, Session: s.id, Xid: entry.xid}) != nil {
+		r.submitOrForward(hdr.Op, body, zab.Origin{Peer: r.cfg.ID, Session: s.id, Xid: hdr.Xid}) != nil {
 		s.refuse(entry)
 	}
 }

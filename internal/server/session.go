@@ -41,9 +41,6 @@ type inflightReq struct {
 	own []byte
 }
 
-// isWrite reports whether the request goes through agreement.
-func (e *inflightReq) isWrite() bool { return agreed(e.op) }
-
 // agreed reports whether op goes through agreement. SYNC is agreed like
 // a write: its commit is the flush point.
 func agreed(op wire.OpCode) bool { return op.IsWrite() || op == wire.OpSync }
@@ -194,14 +191,15 @@ func (s *session) submit(msg []byte) (stop bool, err error) {
 	if err := hdr.Deserialize(&d); err != nil {
 		return false, fmt.Errorf("server: session %d header: %w", s.id, err)
 	}
-	entry, runNow, ok := s.admit(hdr.Xid, hdr.Op, msg[d.Offset():])
+	body := msg[d.Offset():]
+	entry, runNow, ok := s.admit(hdr.Xid, hdr.Op, body)
 	switch {
 	case !ok:
 		return true, nil
 	case runNow:
 		s.push(entry, s.rep.handleRead(s, entry))
-	case entry.isWrite():
-		s.rep.handleWrite(s, entry)
+	case agreed(hdr.Op):
+		s.rep.handleWrite(s, entry, hdr, body)
 	case s.rep.persister != nil:
 		// Queued behind an unanswered write, the read is answered by the
 		// flush that makes that write durable: the flush rule counts it.
@@ -299,7 +297,7 @@ func (s *session) push(entry *inflightReq, resp []byte) {
 // The scan is as long as the session's window. Caller holds s.mu.
 func (s *session) find(xid int32, zxid int64) *inflightReq {
 	for _, e := range s.queue {
-		if !e.answered && e.xid == xid && e.staged == zxid && e.isWrite() {
+		if !e.answered && e.xid == xid && e.staged == zxid && agreed(e.op) {
 			return e
 		}
 	}
@@ -366,12 +364,16 @@ func (s *session) stage(xid int32, zxid int64, resp []byte) bool {
 	return e != nil
 }
 
-// refuse aborts a write the reader has just admitted and cannot submit.
-// The reader holds the entry: it is the only goroutine that reuses
-// entries, so until it moves on the entry is this write's.
+// refuse aborts e, a write the reader has just admitted and cannot
+// submit — unless e was answered meanwhile (an abort overtook the
+// submit), in which case the writer may already have released e and
+// reused it for a watch event. The reader is the only goroutine that
+// appends to the queue, so until it moves on, e is this write's exactly
+// while it is the queue's tail.
 func (s *session) refuse(e *inflightReq) {
 	s.mu.Lock()
-	if !e.answered {
+	n := len(s.queue)
+	if n > 0 && s.queue[n-1] == e && !e.answered {
 		s.answer(e, true)
 	}
 	s.mu.Unlock()
@@ -383,7 +385,7 @@ func (s *session) abortWrites() {
 	s.mu.Lock()
 	aborted := false
 	for _, e := range s.queue {
-		if !e.answered && e.isWrite() {
+		if !e.answered && agreed(e.op) {
 			s.answer(e, true)
 			aborted = true
 		}
@@ -428,7 +430,7 @@ func (s *session) failReadsBehind(aborted *inflightReq) {
 		switch {
 		case e == aborted:
 			behind = true
-		case behind && !e.answered && !e.isWrite():
+		case behind && !e.answered && !agreed(e.op):
 			e.resp = errorReply(e.resp[:0], e.xid, 0, wire.ErrConnectionLoss)
 			e.answered = true
 			s.waiting--
@@ -499,7 +501,7 @@ func (s *session) gatherDue(due [][]byte) (_ [][]byte, closing bool) {
 	for size < transport.BatchBytes && n < len(s.queue) {
 		head := s.queue[n]
 		if !head.answered {
-			if head.isWrite() {
+			if agreed(head.op) {
 				break // fate unknown; its completion kicks
 			}
 			s.mu.Unlock()
