@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -500,17 +501,17 @@ type releasedReply struct {
 	version int32 // GetData replies only
 }
 
-func decodeReleased(t *testing.T, due [][]byte, isRead func(i int, xid int32) bool) []releasedReply {
+func decodeReleased(t *testing.T, due [][]byte, isRead func(xid int32) bool) []releasedReply {
 	t.Helper()
 	out := make([]releasedReply, 0, len(due))
-	for i, msg := range due {
+	for _, msg := range due {
 		var hdr wire.ReplyHeader
 		d := wire.NewDecoder(msg)
 		if err := hdr.Deserialize(d); err != nil {
 			t.Fatal(err)
 		}
 		rel := releasedReply{xid: hdr.Xid, err: hdr.Err}
-		if hdr.Err == wire.ErrOK && isRead(i, hdr.Xid) {
+		if hdr.Err == wire.ErrOK && isRead(hdr.Xid) {
 			var resp wire.GetDataResponse
 			if err := resp.Deserialize(d); err != nil {
 				t.Fatal(err)
@@ -535,15 +536,14 @@ func TestWatermarkOutOfOrderAbort(t *testing.T) {
 	if _, err := r.tree.Create("/wm", []byte("v"), 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	conn, _ := transport.NewChanPipe()
-	s := newSession(r, 4242, conn, NopInterceptor{})
+	s := unstartedSession(r, 4242)
 
-	admit := func(xid int32, op wire.OpCode, body []byte) *inflightReq {
-		e, runNow, ok := s.admit(xid, op, body)
+	admit := func(xid int32, op wire.OpCode, body []byte) uint64 {
+		seq, _, runNow, ok := s.admit(xid, op, body)
 		if runNow || !ok {
 			t.Fatalf("xid %d: admit = (runNow %v, ok %v), want queued", xid, runNow, ok)
 		}
-		return e
+		return seq
 	}
 	admit(1, wire.OpSetData, nil)
 	r1 := admit(3, wire.OpGetData, readBodyOf(t, "/wm"))
@@ -552,29 +552,29 @@ func TestWatermarkOutOfOrderAbort(t *testing.T) {
 
 	// W2 aborts out of order while W1 is still pending.
 	s.abort(2)
-	if due, _ := s.gatherDue(nil); len(due) != 0 {
+	if due, _, _ := s.gatherDue(nil); len(due) != 0 {
 		t.Fatalf("released %d responses past still-pending write 1", len(due))
 	}
-	s.mu.Lock()
-	r1answered, r2answered, waiting := r1.answered, r2.answered, s.waiting
-	s.mu.Unlock()
-	if r1answered {
+	if isAnswered(s, r1) {
 		t.Fatal("read behind pending write 1 answered on write 2's abort")
 	}
-	if !r2answered {
+	if !isAnswered(s, r2) {
 		t.Fatal("read behind aborted write 2 not failed")
 	}
+	s.mu.Lock()
+	waiting := s.waiting
+	s.mu.Unlock()
 	if waiting != 2 {
-		t.Fatalf("waiting = %d with write 1 and its read unanswered, want 2", waiting)
+		t.Fatalf("waiting = %d with write 1 and its read pending, want 2", waiting)
 	}
 
 	// W1 commits: one pass executes r1 and releases all four in order.
-	s.writeDone(1, errorReply(nil, 1, 0, wire.ErrOK))
-	due, closing := s.gatherDue(nil)
+	commitSet(s, 1, 9, false)
+	due, n, closing := s.gatherDue(nil)
 	if closing {
 		t.Fatal("pass reported CloseSession")
 	}
-	got := decodeReleased(t, due, func(_ int, xid int32) bool { return xid >= 3 })
+	got := decodeReleased(t, due, func(xid int32) bool { return xid >= 3 })
 	want := []releasedReply{
 		{xid: 1, err: wire.ErrOK},
 		{xid: 3, err: wire.ErrOK},
@@ -589,163 +589,347 @@ func TestWatermarkOutOfOrderAbort(t *testing.T) {
 			t.Fatalf("release %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
+	s.release(n)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.waiting != 0 || len(s.queue) != 0 {
-		t.Fatalf("waiting = %d, queue = %d after everything was released", s.waiting, len(s.queue))
+	if s.waiting != 0 || s.head != s.tail {
+		t.Fatalf("waiting = %d, %d requests unreleased after everything was released", s.waiting, s.tail-s.head)
 	}
 }
 
-// TestSessionQueueSeededSchedules drives an unstarted session through
-// random schedules — reads and writes submitted, commits and aborts
-// arriving in any order, drain passes at random points — and checks the
-// one-queue rule from outside: responses leave in submission order; a
-// read executes only after every write ahead of it was resolved;
-// exactly the reads that were waiting behind a write when it aborted
-// fail; nothing is left waiting. A write is resolved the way deliver, a
-// reject and a role change find it — the first unanswered write with the
-// xid — and a quarter of the writes reuse the xid of one still in
-// flight, so that lookup has to pick the oldest. The znode's version is
-// bumped before every step, so a read's reply says at which step it
-// executed.
+// TestSessionQueueSeededSchedules is the session's model. An unstarted
+// session is driven through seeded random schedules of every operation
+// its reader, its writer and its completions perform, and checked after
+// every step against a reference that keeps each request's fate by seq:
+//   - the reader admits a read or a write (a quarter of the writes reuse
+//     an earlier write's xid), and finishes, later, a read it was given
+//     to run at once — drain passes run in between;
+//   - a commit on the plain and on the durable path, a flush that
+//     succeeded or failed, a reject (abort), a failed submit (refuse), a
+//     role change (abortWrites), each also after the write it names was
+//     answered, released and its slot reused;
+//   - a watch event fires.
+//
+// The checks: waiting is the count of pending slots, and the ring holds
+// each unreleased request in the reference's state; each request is
+// answered and released once, in admission order, and a pass's watch
+// events follow its replies intact; a read never executes before an
+// earlier write was answered, and exactly the reads queued behind an
+// aborted write fail. The znode's version is bumped before every step
+// that can answer a write, so a read's reply says when it executed.
 func TestSessionQueueSeededSchedules(t *testing.T) {
+	const seeds, steps = 2000, 120
 	tc := newTestCluster(t, 1)
 	r := tc.replicas[0]
 	if _, err := r.tree.Create("/wm", nil, 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	type req struct {
-		entry     *inflightReq // valid until released: entries are recycled
-		xid       int32
-		write     bool
-		submitted int32 // step of submission
-		resolved  int32 // writes: step of writeDone, 0 while pending
-		aborted   bool
+	body := readBodyOf(t, "/wm")
+	var version int32 // of /wm
+	bump := func() {
+		stat, err := r.tree.SetData("/wm", nil, -1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		version = stat.Version
 	}
-	for seed := int64(1); seed <= 40; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		conn, _ := transport.NewChanPipe()
-		s := newSession(r, 5000+seed, conn, NopInterceptor{})
-		var reqs []*req
-		var pending []*req // unresolved writes
-		var released []releasedReply
-		var step int32
+	event := func(n int) wire.WatcherEvent {
+		return wire.WatcherEvent{Type: wire.EventNodeDataChanged, State: 3, Path: "/e" + strconv.Itoa(n)}
+	}
+	// req is the reference's record of one request, by seq.
+	type req struct {
+		xid      int32
+		write    bool
+		state    slotState
+		staged   int64
+		zxid     int64 // a committed write's reply carries it
+		failed   bool  // answered with CONNECTIONLOSS
+		resolved int32 // a write: the version when it was answered
+		version  int32 // a read that executed: the version it saw
+	}
+	type flush struct {
+		xid  int32
+		zxid int64
+	}
+	// Coverage: a schedule set that never reaches these would not test
+	// what the model is for.
+	var grows, wrappedRefuses, runningDrains, lateFlushes int
 
-		resolve := func() {
-			// Any write in flight, not the oldest: commits come in order,
-			// rejects and aborts need not. pending is in submission order.
-			xid := pending[rng.Intn(len(pending))].xid
-			i := 0
-			for pending[i].xid != xid {
-				i++
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := unstartedSession(r, 5000+seed)
+		var reqs []*req
+		var writes []int    // seqs of the writes
+		var flushes []flush // staged commits whose flush has not run
+		head, runSeq := 0, -1
+		var runDst []byte
+		var zxid int64
+		var lastResolved int32 // of the released writes
+		events, eventsReleased := 0, 0
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("seed %d: "+format, append([]any{seed}, args...)...)
+		}
+
+		pendingCount := func() int {
+			n := 0
+			for _, q := range reqs[head:] {
+				if q.state == pending {
+					n++
+				}
 			}
-			w := pending[i]
-			s.mu.Lock()
-			got := s.find(xid, 0)
-			s.mu.Unlock()
-			if got != w.entry {
-				t.Fatalf("seed %d: find(%d) = %p, want the oldest unanswered write with that xid, %p", seed, xid, got, w.entry)
+			return n
+		}
+		// find is the reference's lookup of the write a completion names.
+		find := func(xid int32, staged int64) int {
+			for i := head; i < len(reqs); i++ {
+				if q := reqs[i]; q.write && q.state == pending && q.xid == xid && q.staged == staged {
+					return i
+				}
 			}
-			pending = append(pending[:i], pending[i+1:]...)
-			w.resolved = step
-			if w.aborted = rng.Intn(3) == 0; w.aborted {
-				s.abort(xid)
-			} else {
-				s.writeDone(xid, errorReply(nil, xid, 0, wire.ErrOK))
+			return -1
+		}
+		answer := func(i int, aborted bool) {
+			w := reqs[i]
+			w.state, w.staged, w.failed, w.resolved = answered, 0, aborted, version
+			for _, q := range reqs[i+1:] {
+				if aborted && !q.write && q.state == pending {
+					q.state, q.failed = answered, true
+				}
 			}
+		}
+		drawXid := func() (int32, bool) {
+			if len(writes) == 0 {
+				return 0, false
+			}
+			if i := head + rng.Intn(len(reqs)-head+1); i < len(reqs) && rng.Intn(5) > 0 && reqs[i].write {
+				return reqs[i].xid, true
+			}
+			return reqs[writes[rng.Intn(len(writes))]].xid, true
 		}
 		drain := func() int {
-			due, _ := s.gatherDue(nil)
-			base := len(released)
-			released = append(released, decodeReleased(t, due, func(i int, _ int32) bool { return !reqs[base+i].write })...)
-			s.recycle() // as the writer does once the pass is sent
-			return len(due)
-		}
-		nextStep := func() {
-			stat, err := r.tree.SetData("/wm", nil, -1, 0)
-			if err != nil {
-				t.Fatal(err)
+			if runSeq >= 0 {
+				runningDrains++
 			}
-			step = stat.Version
-		}
-		for i := 0; i < 300; i++ {
-			nextStep()
-			switch action := rng.Intn(10); {
-			case action < 6: // submit, as session.submit does
-				q := &req{write: rng.Intn(2) == 0, submitted: step}
-				xid, op := int32(len(reqs)+1), wire.OpGetData
-				if q.write {
-					op = wire.OpSetData
-					if len(pending) > 0 && rng.Intn(4) == 0 {
-						xid = pending[rng.Intn(len(pending))].xid
+			due, n, closing := s.gatherDue(nil)
+			want := 0
+			for _, q := range reqs[head:] {
+				if q.state == running || q.write && q.state == pending {
+					break
+				}
+				if q.state == pending { // a queued read, executed by this pass
+					q.state, q.version = answered, version
+				}
+				want++
+			}
+			if int(n) != want || len(due) != want+events-eventsReleased || closing {
+				fail("a pass released %d requests and %d messages (closing %v), want %d requests and %d watch events",
+					n, len(due), closing, want, events-eventsReleased)
+			}
+			for k, msg := range due {
+				if k >= want {
+					eventsReleased++
+					ev := event(eventsReleased)
+					if string(msg) != string(wire.MarshalPair(&wire.ReplyHeader{Xid: wire.WatcherEventXid}, &ev)) {
+						fail("watch event %d released as % x", eventsReleased, msg)
+					}
+					continue
+				}
+				q := reqs[head+k]
+				var hdr wire.ReplyHeader
+				d := wire.NewDecoder(msg)
+				if err := hdr.Deserialize(d); err != nil {
+					fail("seq %d: released % x: %v", head+k, msg, err)
+				}
+				if hdr.Xid != q.xid {
+					fail("seq %d released with xid %d, want %d (admission order)", head+k, hdr.Xid, q.xid)
+				}
+				if q.failed != (hdr.Err == wire.ErrConnectionLoss) || !q.failed && hdr.Err != wire.ErrOK {
+					fail("seq %d (xid %d) answered %v, want failed = %v", head+k, q.xid, hdr.Err, q.failed)
+				}
+				switch {
+				case q.write:
+					if !q.failed && hdr.Zxid != q.zxid {
+						fail("write seq %d released the reply of zxid %d, want %d", head+k, hdr.Zxid, q.zxid)
+					}
+					lastResolved = max(lastResolved, q.resolved)
+				case !q.failed:
+					var resp wire.GetDataResponse
+					if err := resp.Deserialize(d); err != nil {
+						fail("read seq %d: %v", head+k, err)
+					}
+					if v := resp.Stat.Version; v < lastResolved || v != q.version {
+						fail("read seq %d executed at version %d, want %d, after the writes ahead of it were answered (by %d)",
+							head+k, v, q.version, lastResolved)
 					}
 				}
-				entry, runNow, ok := s.admit(xid, op, readBodyOf(t, "/wm"))
-				if !ok {
-					t.Fatalf("seed %d: open session refused xid %d", seed, xid)
+			}
+			s.release(n)
+			head += want
+			return len(due)
+		}
+		check := func(step int) {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if s.head != uint64(head) || s.tail != uint64(len(reqs)) {
+				fail("step %d: ring holds seqs [%d, %d), want [%d, %d)", step, s.head, s.tail, head, len(reqs))
+			}
+			n := 0
+			for seq := s.head; seq < s.tail; seq++ {
+				e, q := s.at(seq), reqs[seq]
+				if e.xid != q.xid || e.state != q.state || e.staged != q.staged {
+					fail("step %d: seq %d holds xid %d in state %d staged at %d, want xid %d in state %d staged at %d",
+						step, seq, e.xid, e.state, e.staged, q.xid, q.state, q.staged)
 				}
-				q.entry, q.xid = entry, xid
-				if q.write {
-					pending = append(pending, q)
+				if e.state == pending {
+					n++
+				}
+			}
+			if s.waiting != n || n != pendingCount() {
+				fail("step %d: waiting = %d with %d pending slots, want %d", step, s.waiting, n, pendingCount())
+			}
+		}
+
+		for step := 0; step < steps; step++ {
+			switch op := rng.Intn(100); {
+			case op < 40 && runSeq < 0: // the reader admits
+				write := rng.Intn(2) == 0
+				xid, opc := int32(len(reqs)+1), wire.OpGetData
+				if write {
+					opc = wire.OpSetData
+					if len(writes) > 0 && rng.Intn(4) == 0 {
+						xid = reqs[writes[rng.Intn(len(writes))]].xid
+					}
+					writes = append(writes, len(reqs))
+				}
+				s.mu.Lock()
+				full := s.tail-s.head == uint64(len(s.ring)) && s.head > 0
+				s.mu.Unlock()
+				if full {
+					grows++
+				}
+				wantRun := !write && pendingCount() == 0
+				seq, dst, runNow, ok := s.admit(xid, opc, body)
+				if !ok || seq != uint64(len(reqs)) || runNow != wantRun {
+					fail("admit of xid %d = (seq %d, runNow %v, ok %v), want (%d, %v, true)", xid, seq, runNow, ok, len(reqs), wantRun)
+				}
+				q := &req{xid: xid, write: write}
+				if runNow {
+					q.state, runSeq, runDst = running, len(reqs), dst
 				}
 				reqs = append(reqs, q)
-				if runNow {
-					s.push(q.entry, r.handleRead(s, q.entry))
+			case op < 40: // the reader finishes the read it runs
+				q := reqs[runSeq]
+				s.ran(uint64(runSeq), r.handleRead(s, runDst, q.xid, wire.OpGetData, body))
+				q.state, q.version, runSeq = answered, version, -1
+			case op < 60: // a commit
+				xid, ok := drawXid()
+				if !ok {
+					break
 				}
-			case action < 8 && len(pending) > 0:
-				resolve()
+				durable := rng.Intn(2) == 0
+				if !durable {
+					bump()
+				}
+				zxid++
+				i := find(xid, 0)
+				if staged := commitSet(s, xid, zxid, durable); staged != (durable && i >= 0) {
+					fail("commit of xid %d at zxid %d staged = %v, want %v", xid, zxid, staged, durable && i >= 0)
+				}
+				switch {
+				case i < 0:
+				case durable:
+					reqs[i].staged, reqs[i].zxid = zxid, zxid
+					flushes = append(flushes, flush{xid, zxid})
+				default:
+					reqs[i].zxid = zxid
+					answer(i, false)
+				}
+			case op < 68 && len(flushes) > 0: // a flush returns
+				k := rng.Intn(len(flushes))
+				f := flushes[k]
+				flushes = append(flushes[:k], flushes[k+1:]...)
+				bump()
+				var err error
+				if rng.Intn(4) == 0 {
+					err = errFlush
+				}
+				i := find(f.xid, f.zxid)
+				s.flushed(f.xid, f.zxid, err)
+				if i < 0 {
+					lateFlushes++
+				} else {
+					answer(i, err != nil)
+				}
+			case op < 74: // a reject
+				xid, ok := drawXid()
+				if !ok {
+					break
+				}
+				bump()
+				i := find(xid, 0)
+				s.abort(xid)
+				if i >= 0 {
+					answer(i, true)
+				}
+			case op < 78 && runSeq < 0 && len(writes) > 0: // a failed submit
+				seq := writes[rng.Intn(len(writes))]
+				s.mu.Lock()
+				size := len(s.ring)
+				s.mu.Unlock()
+				for i := max(head, seq+size); i < len(reqs); i += size {
+					if reqs[i].state == pending {
+						wrappedRefuses++
+					}
+				}
+				bump()
+				s.refuse(uint64(seq))
+				if reqs[seq].state == pending {
+					answer(seq, true)
+				}
+			case op < 80: // a role change
+				bump()
+				s.abortWrites()
+				for i := head; i < len(reqs); i++ {
+					if reqs[i].write && reqs[i].state == pending {
+						answer(i, true)
+					}
+				}
+			case op < 84:
+				events++
+				s.Notify(event(events))
 			default:
 				drain()
 			}
+			check(step)
 		}
-		for len(pending) > 0 {
-			nextStep()
-			resolve()
+		// The reader finishes, a role change answers every write, and the
+		// writer releases the rest.
+		if runSeq >= 0 {
+			q := reqs[runSeq]
+			s.ran(uint64(runSeq), r.handleRead(s, runDst, q.xid, wire.OpGetData, body))
+			q.state, q.version, runSeq = answered, version, -1
 		}
-		nextStep()
+		bump()
+		s.abortWrites()
+		for i := head; i < len(reqs); i++ {
+			if reqs[i].write && reqs[i].state == pending {
+				answer(i, true)
+			}
+		}
 		for drain() > 0 {
 		}
-
-		if len(released) != len(reqs) {
-			t.Fatalf("seed %d: released %d of %d requests", seed, len(released), len(reqs))
-		}
-		for i, rel := range released {
-			q := reqs[i]
-			if rel.xid != q.xid {
-				t.Fatalf("seed %d: release %d has xid %d, want %d (submission order)", seed, i, rel.xid, q.xid)
-			}
-			if q.write {
-				continue
-			}
-			// The reads a write's abort fails are those submitted after
-			// the write and before the abort: none of them can have
-			// executed, the write ahead of them was unresolved.
-			wantFail := false
-			for _, w := range reqs[:i] {
-				if !w.write {
-					continue
-				}
-				if w.aborted && q.submitted < w.resolved {
-					wantFail = true
-				}
-				if rel.err == wire.ErrOK && rel.version <= w.resolved {
-					t.Fatalf("seed %d: read xid %d executed at step %d, write xid %d ahead of it was resolved at step %d",
-						seed, rel.xid, rel.version, w.xid, w.resolved)
-				}
-			}
-			if wantFail != (rel.err == wire.ErrConnectionLoss) || (!wantFail && rel.err != wire.ErrOK) {
-				t.Fatalf("seed %d: read xid %d answered %v, want failed = %v", seed, rel.xid, rel.err, wantFail)
-			}
-		}
-		s.mu.Lock()
-		if s.waiting != 0 || len(s.queue) != 0 {
-			t.Fatalf("seed %d: waiting = %d, queue = %d at the end", seed, s.waiting, len(s.queue))
-		}
-		s.mu.Unlock()
-		if _, ok := s.inflight(1); ok {
-			t.Fatalf("seed %d: inflight finds xid 1 with everything answered", seed)
+		check(steps)
+		if head != len(reqs) || eventsReleased != events {
+			fail("released %d of %d requests and %d of %d watch events", head, len(reqs), eventsReleased, events)
 		}
 	}
+	if grows == 0 || wrappedRefuses == 0 || runningDrains == 0 || lateFlushes == 0 {
+		t.Fatalf("schedules grew a used ring %d times, refused a seq whose slot held a pending request %d times, drained during a running read %d times and flushed late %d times; each must happen",
+			grows, wrappedRefuses, runningDrains, lateFlushes)
+	}
+	t.Logf("%d seeds: %d ring growths, %d refuses of a reused slot, %d drains during a running read, %d late flushes",
+		seeds, grows, wrappedRefuses, runningDrains, lateFlushes)
 }
 
 // TestParkedReadsResumeOnCommit asserts the wakeup path: reads parked

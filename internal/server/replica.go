@@ -119,8 +119,8 @@ type Replica struct {
 	persister *storage.Persister // nil when DataDir is unset
 
 	// mu guards the session table, the replica's one record of what its
-	// clients have in flight — a write is its entry in its session's FIFO
-	// queue, found again from the Origin{Session, Xid} a commit, reject
+	// clients have in flight — a write is its slot in its session's ring,
+	// found again from the Origin{Session, Xid} a commit, reject
 	// or abort carries — and closing, the sessions that left the table
 	// with their connection and await their CloseSession's delivery.
 	mu       sync.Mutex
@@ -140,10 +140,6 @@ type Replica struct {
 	stop      chan struct{}
 	wg        sync.WaitGroup
 	forwarded chan forwardMsg
-
-	// reply is the zab loop's scratch for the reply deliver builds; the
-	// session copies it into the write's entry.
-	reply []byte
 
 	// server_reads_total and server_writes_total.
 	readOps  atomic.Int64
@@ -440,19 +436,16 @@ func (r *Replica) closeDelivered(session int64) {
 	r.mu.Unlock()
 }
 
-// handleWrite routes a client write, which admit has already queued as
-// entry: that entry is all this replica keeps of it. A degraded or
-// removed replica refuses up front, and the reply still flows through
-// the queue so the session FIFO (and the reads waiting behind it) stay
-// ordered. The write is read from hdr and body, not from entry, which an
-// abort may answer and the writer release while the submit is under
-// way. Called from session reader goroutines.
-func (r *Replica) handleWrite(s *session, entry *inflightReq, hdr wire.RequestHeader, body []byte) {
+// handleWrite hands a client write, which admit has already queued, to
+// agreement, and reports whether it did; the session refuses a write
+// that was not submitted. A degraded or removed replica refuses up
+// front, and the reply still flows through the ring so the session FIFO
+// (and the reads waiting behind it) stay ordered. Called from session
+// reader goroutines.
+func (r *Replica) handleWrite(s *session, hdr wire.RequestHeader, body []byte) bool {
 	r.writeOps.Add(1)
-	if r.degraded.Load() || r.removed.Load() ||
-		r.submitOrForward(hdr.Op, body, zab.Origin{Peer: r.cfg.ID, Session: s.id, Xid: hdr.Xid}) != nil {
-		s.refuse(entry)
-	}
+	return !r.degraded.Load() && !r.removed.Load() &&
+		r.submitOrForward(hdr.Op, body, zab.Origin{Peer: r.cfg.ID, Session: s.id, Xid: hdr.Xid}) == nil
 }
 
 // submitOrForward preps-and-proposes on the leader, or tunnels the raw
@@ -499,50 +492,37 @@ func (r *Replica) abortWrites() {
 
 // deliver applies a committed transaction (zab loop goroutine) and, if
 // one of this replica's sessions sent it, completes that request: the
-// reply is built here, once, into r.reply and copied into the write's
-// entry in its session's FIFO, whose writer releases it in order and
-// then executes the reads that waited behind it. The write is named by
-// its Origin's xid and looked up again under the session's lock each
-// time (see session.find), so a commit that an abort overtook answers
-// nothing.
+// session builds the reply into the write's slot (session.commit), and
+// its writer releases it in order and then executes the reads that
+// waited behind it. The write is named by its Origin's xid and looked up
+// under the session's lock (see session.find), so a commit that an
+// abort overtook answers nothing.
 //
 // On a durable replica the transaction first goes to the persister's
 // commit-log goroutine (this loop never blocks on disk, so consecutive
-// deliveries pile into one shared fsync) and the same reply is released
-// when the fsync covering it returns: the client sees "committed" only
-// once it means "on disk" — the reply waits in the entry (session.stage)
-// until then. Only a record a local client waits on carries a callback,
-// which is how the persister's flush rule tells awaited records from the
-// rest. A persistence failure aborts the write instead; the replica has
-// dropped into degraded mode already (OnFail).
+// deliveries pile into one shared fsync) and the reply is released when
+// the fsync covering it returns: the client sees "committed" only once
+// it means "on disk" — the reply waits, staged, in the slot until then.
+// Only a record a local client waits on carries a callback, which is how
+// the persister's flush rule tells awaited records from the rest. A
+// persistence failure aborts the write instead; the replica has dropped
+// into degraded mode already (OnFail).
 func (r *Replica) deliver(c zab.Committed) {
 	applyStart := obs.Now()
 	res := r.tree.Apply(&c.Txn)
 	r.applyHist.Observe(obs.Now() - applyStart)
-	var s *session
-	var reply []byte
+	var flushed func(error) // set when a session staged the reply
 	xid, zxid := c.Origin.Xid, c.Txn.Zxid
 	if c.Origin.Peer == r.cfg.ID {
 		if c.Txn.Type == ztree.TxnCloseSession {
 			r.closeDelivered(c.Origin.Session)
 		}
-		if s = r.session(c.Origin.Session); s != nil {
-			if op, ok := s.inflight(xid); ok {
-				// Reads c.Txn and res, both owned by this goroutine.
-				r.reply = r.buildWriteResponse(r.reply[:0], &c.Txn, op, xid, &res)
-				reply = r.reply
-			}
+		if s := r.session(c.Origin.Session); s != nil && s.commit(xid, zxid, &c.Txn, &res, r.persister != nil) {
+			flushed = func(err error) { s.flushed(xid, zxid, err) }
 		}
 	}
-	switch {
-	case r.persister == nil:
-		if reply != nil {
-			s.writeDone(xid, reply)
-		}
-	case reply != nil && s.stage(xid, zxid, reply):
-		r.persister.Record(&c.Txn, func(err error) { s.flushed(xid, zxid, err) })
-	default:
-		r.persister.Record(&c.Txn, nil)
+	if r.persister != nil {
+		r.persister.Record(&c.Txn, flushed)
 	}
 }
 

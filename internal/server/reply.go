@@ -19,33 +19,32 @@ import (
 // parallel; same-session execution stays ordered (see session). The
 // tree's GetDataRef contract holds under this concurrency: payload
 // slices are immutable once stored, and the serialization below is the
-// copy at the session boundary. The reply is appended to the entry's
-// own buffer, which nobody else touches while the read executes: it is
-// not yet queued, or it is at the head of the queue, where nothing can
-// answer it (see gatherDue).
-func (r *Replica) handleRead(s *session, entry *inflightReq) []byte {
+// copy at the session boundary. The reply is appended to dst, the
+// read's slot's buffer, which nobody else touches while the read
+// executes: the slot is running, or at the head of the ring, where
+// nothing can answer it (see gatherDue).
+func (r *Replica) handleRead(s *session, dst []byte, xid int32, op wire.OpCode, body []byte) []byte {
 	r.readOps.Add(1)
 	zxid := r.peer.LastCommitted()
-	dst := entry.resp[:0]
 	var d wire.Decoder
-	d.Reset(entry.body)
-	switch entry.op {
+	d.Reset(body)
+	switch op {
 	case wire.OpGetData:
 		var req wire.GetDataRequest
 		if d.Finish(req.Deserialize(&d)) != nil {
-			return errorReply(dst, entry.xid, zxid, wire.ErrMarshallingError)
+			return errorReply(dst, xid, zxid, wire.ErrMarshallingError)
 		}
 		data, stat, err := r.tree.GetDataRef(req.Path)
 		if err != nil {
 			if req.Watch {
 				r.tree.Watches().Add(req.Path, wire.WatchExist, s)
 			}
-			return errorReply(dst, entry.xid, zxid, errCodeOf(err))
+			return errorReply(dst, xid, zxid, errCodeOf(err))
 		}
 		if req.Watch {
 			r.tree.Watches().Add(req.Path, wire.WatchData, s)
 		}
-		e := beginReply(dst, entry.xid, zxid, wire.ErrOK)
+		e := beginReply(dst, xid, zxid, wire.ErrOK)
 		resp := wire.GetDataResponse{Data: data, Stat: stat}
 		resp.Serialize(&e)
 		return e.Bytes()
@@ -53,7 +52,7 @@ func (r *Replica) handleRead(s *session, entry *inflightReq) []byte {
 	case wire.OpExists:
 		var req wire.ExistsRequest
 		if d.Finish(req.Deserialize(&d)) != nil {
-			return errorReply(dst, entry.xid, zxid, wire.ErrMarshallingError)
+			return errorReply(dst, xid, zxid, wire.ErrMarshallingError)
 		}
 		stat, err := r.tree.Exists(req.Path)
 		if req.Watch {
@@ -64,9 +63,9 @@ func (r *Replica) handleRead(s *session, entry *inflightReq) []byte {
 			r.tree.Watches().Add(req.Path, kind, s)
 		}
 		if err != nil {
-			return errorReply(dst, entry.xid, zxid, errCodeOf(err))
+			return errorReply(dst, xid, zxid, errCodeOf(err))
 		}
-		e := beginReply(dst, entry.xid, zxid, wire.ErrOK)
+		e := beginReply(dst, xid, zxid, wire.ErrOK)
 		resp := wire.ExistsResponse{Stat: *stat}
 		resp.Serialize(&e)
 		return e.Bytes()
@@ -74,16 +73,16 @@ func (r *Replica) handleRead(s *session, entry *inflightReq) []byte {
 	case wire.OpGetChildren:
 		var req wire.GetChildrenRequest
 		if d.Finish(req.Deserialize(&d)) != nil {
-			return errorReply(dst, entry.xid, zxid, wire.ErrMarshallingError)
+			return errorReply(dst, xid, zxid, wire.ErrMarshallingError)
 		}
 		children, err := r.tree.GetChildren(req.Path)
 		if err != nil {
-			return errorReply(dst, entry.xid, zxid, errCodeOf(err))
+			return errorReply(dst, xid, zxid, errCodeOf(err))
 		}
 		if req.Watch {
 			r.tree.Watches().Add(req.Path, wire.WatchChild, s)
 		}
-		e := beginReply(dst, entry.xid, zxid, wire.ErrOK)
+		e := beginReply(dst, xid, zxid, wire.ErrOK)
 		resp := wire.GetChildrenResponse{Children: children}
 		resp.Serialize(&e)
 		return e.Bytes()
@@ -111,7 +110,7 @@ func (r *Replica) handleRead(s *session, entry *inflightReq) []byte {
 				kvs[i] = wire.KV{Key: kv.Key, Value: kv.Value}
 			}
 		}
-		e := beginReply(dst, entry.xid, zxid, wire.ErrOK)
+		e := beginReply(dst, xid, zxid, wire.ErrOK)
 		resp := wire.ServerStatsResponse{
 			Role:          r.peer.Role().String(),
 			Leader:        int64(r.peer.Leader()),
@@ -128,7 +127,7 @@ func (r *Replica) handleRead(s *session, entry *inflightReq) []byte {
 		return e.Bytes()
 
 	default:
-		return errorReply(dst, entry.xid, zxid, wire.ErrUnimplemented)
+		return errorReply(dst, xid, zxid, wire.ErrUnimplemented)
 	}
 }
 

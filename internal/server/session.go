@@ -9,84 +9,92 @@ import (
 	"securekeeper/internal/obs"
 	"securekeeper/internal/transport"
 	"securekeeper/internal/wire"
+	"securekeeper/internal/ztree"
 )
 
-// inflightReq is one request in a session's FIFO queue. Its position in
-// the queue is its whole ordering state: an unanswered request is either
-// a write awaiting its fate or a read the writer goroutine will execute
-// when it reaches the head. Entries are the session's bookkeeping and
-// are recycled (see session.free): answered, staged and resp are guarded
-// by the session's mu.
-type inflightReq struct {
-	xid  int32
-	op   wire.OpCode
-	body []byte
+// slot is one request in a session's ring, from its admission until the
+// writer has sent its reply. Guarded by the session's mu.
+type slot struct {
+	xid   int32
+	op    wire.OpCode
+	state slotState
+	// staged is the zxid of the commit whose reply waits in resp, pending,
+	// for the flush covering it on a durable replica; 0 otherwise.
+	staged int64
 
-	// Pipeline-stage timestamps (obs.Now ns), stamped for writes only.
-	// submitNs is set by admit; commitNs is written when the write is
-	// answered and read by the writer after it saw the answer, so mu
-	// orders the two.
+	// Pipeline-stage timestamps (obs.Now ns), stamped for writes only:
+	// submitNs by admit, commitNs when the write is answered.
 	submitNs int64
 	commitNs int64
 
-	// answered reports that resp holds the reply. On a durable replica a
-	// committed write's reply waits in resp, unanswered, until the flush
-	// covering it returns; staged is that commit's zxid, 0 otherwise.
-	answered bool
-	staged   int64
-	resp     []byte
-
-	// own is a queued read's copy of its body (see admit). resp and own
-	// keep their arrays when the entry is recycled.
-	own []byte
+	// resp is the reply once the slot is answered, and a staged write's
+	// reply before that. own is a queued read's copy of its body (see
+	// admit). Both keep their arrays when the slot is reused.
+	resp []byte
+	own  []byte
 }
+
+type slotState uint8
+
+const (
+	// pending: a write awaiting its fate, or a read queued unexecuted.
+	pending slotState = iota
+	// running: a read the reader goroutine is executing (see admit).
+	running
+	// answered: resp holds the reply.
+	answered
+)
 
 // agreed reports whether op goes through agreement. SYNC is agreed like
 // a write: its commit is the flush point.
 func agreed(op wire.OpCode) bool { return op.IsWrite() || op == wire.OpSync }
 
-// watchEventBuffer bounds the out-of-band watch notification queue per
-// session; beyond it, events are dropped (watches are one-shot hints,
-// and an unresponsive client must not stall the commit path).
+// watchEventBuffer bounds the watch events a session has fired and not
+// yet released. A client that lets more pile up has stopped reading, and
+// its session ends (see Notify): the zab loop that fires events must not
+// block on it, and a dropped event would leave its watch hanging.
 const watchEventBuffer = 1024
 
-// session serializes one client connection. One FIFO queue, in
-// submission order, is the only per-request ordering state; release
-// order (ZooKeeper's per-session FIFO guarantee, which the entry
-// enclave's response-matching queue relies on, §4.2) is queue order.
+// session serializes one client connection. Its requests, in submission
+// order, are one ring of slots, and a request's sequence number (seq,
+// counted from 0 for the session's life) is its whole ordering state:
+// request seq lies at ring[seq & (len(ring)-1)] from its admission
+// (tail++) until the writer's SendFrames has returned with its reply
+// (head moves past it). A seq below head names nothing, so a seq never
+// names a second request. Release order (ZooKeeper's per-session FIFO
+// guarantee, which the entry enclave's response-matching queue relies
+// on, §4.2) is seq order.
 //
-// The one-queue rule: waiting counts the unanswered requests in the
-// queue. A read submitted while waiting is zero has nothing ahead of it
-// whose outcome it could depend on, so the reader goroutine executes it
-// on the spot. Any other read is left unexecuted in the queue, and the
-// writer goroutine executes it when it reaches the head — at that point
-// everything ahead of it is answered, so the fate of every earlier
-// write of the session is known (read-after-own-write) and same-session
-// reads execute in submission order. A write is answered by its commit
-// (writeDone, or stage and flushed on a durable replica) or its abort;
-// an aborted write fails the unexecuted reads behind it.
+// The one-queue rule: waiting counts the pending slots. A read admitted
+// while waiting is zero has nothing ahead of it whose outcome it could
+// depend on, so it is running: the reader goroutine executes it on the
+// spot. Any other read is pending, unexecuted, and the writer goroutine
+// executes it when it reaches the head — at that point everything ahead
+// of it is answered, so the fate of every earlier write of the session
+// is known (read-after-own-write) and same-session reads execute in
+// submission order. A write is answered by its commit (commit, or
+// commit and flushed on a durable replica) or its abort; an aborted
+// write fails the queued reads behind it.
 //
-// The bookkeeping is recycled. Entries come from the session's free list
-// and go back to it once the writer's SendFrames has returned, with the
-// reply buffer they kept; the queue keeps its backing array. A
-// completion therefore never holds an entry: it names its write by xid
-// (see find) and resolves it under mu, so one that lost a race to an
-// abort finds nothing to answer instead of a recycled entry.
+// Only the reader admits, so only the reader grows the ring. A
+// completion never holds a slot: it names its write by xid (see find),
+// or the reader by seq (refuse), and resolves it under mu, so one that
+// lost a race to an abort finds nothing to answer.
 type session struct {
 	id    int64
 	rep   *Replica
 	conn  transport.Conn
 	icept Interceptor
 
-	mu      sync.Mutex
-	queue   []*inflightReq // every unreleased request, submission order
-	waiting int            // requests in queue not answered
-	free    []*inflightReq // released entries, for admit to reuse
-	closed  bool
+	mu         sync.Mutex
+	ring       []slot // len a power of two, or 0 before the first request
+	head, tail uint64 // the oldest unreleased seq, the next seq to admit
+	waiting    int    // pending slots
+	closed     bool
 
-	// sent holds the entries the writer's current pass released, until
-	// their replies have been sent (writer goroutine only).
-	sent []*inflightReq
+	// evs holds the watch events of the writer's current pass (writer
+	// goroutine only).
+	evs []byte
 
 	kickCh  chan struct{}
 	events  chan wire.WatcherEvent
@@ -107,13 +115,15 @@ func newSession(r *Replica, id int64, conn transport.Conn, icept Interceptor) *s
 	}
 }
 
-// Notify implements ztree.Watcher: enqueue without blocking.
+// Notify implements ztree.Watcher: enqueue without blocking. A full
+// queue ends the session rather than drop an event a watch waits for:
+// the client's watch handles close, as at any session end.
 func (s *session) Notify(ev wire.WatcherEvent) {
 	select {
 	case s.events <- ev:
 		s.kick()
 	default:
-		// Drop: the client's event queue is full.
+		s.shutdown()
 	}
 }
 
@@ -181,7 +191,7 @@ func (s *session) reader() error {
 }
 
 // submit enters one intercepted request into the pipeline: a write is
-// handed to agreement, a read executes here or waits in the queue for
+// handed to agreement, a read executes here or waits in the ring for
 // the writer. stop reports that the session takes no further requests
 // (it closed, or this was its CloseSession).
 func (s *session) submit(msg []byte) (stop bool, err error) {
@@ -192,14 +202,16 @@ func (s *session) submit(msg []byte) (stop bool, err error) {
 		return false, fmt.Errorf("server: session %d header: %w", s.id, err)
 	}
 	body := msg[d.Offset():]
-	entry, runNow, ok := s.admit(hdr.Xid, hdr.Op, body)
+	seq, dst, runNow, ok := s.admit(hdr.Xid, hdr.Op, body)
 	switch {
 	case !ok:
 		return true, nil
 	case runNow:
-		s.push(entry, s.rep.handleRead(s, entry))
+		s.ran(seq, s.rep.handleRead(s, dst, hdr.Xid, hdr.Op, body))
 	case agreed(hdr.Op):
-		s.rep.handleWrite(s, entry, hdr, body)
+		if !s.rep.handleWrite(s, hdr, body) {
+			s.refuse(seq)
+		}
 	case s.rep.persister != nil:
 		// Queued behind an unanswered write, the read is answered by the
 		// flush that makes that write durable: the flush rule counts it.
@@ -209,14 +221,16 @@ func (s *session) submit(msg []byte) (stop bool, err error) {
 	return hdr.Op == wire.OpCloseSession, nil
 }
 
-// admit takes an entry for a request off the free list and decides who
-// executes it. A read with nothing unanswered ahead of it (runNow)
-// belongs to the caller — the reader goroutine, the only one that
-// admits — which executes it and then appends it with push, already
-// answered, so the writer never meets a request someone else is
-// executing. Every other request is appended here, unanswered. ok is
-// false once the session closed.
-func (s *session) admit(xid int32, op wire.OpCode, body []byte) (entry *inflightReq, runNow, ok bool) {
+// at returns the slot of request seq, head <= seq < tail. Caller holds
+// s.mu.
+func (s *session) at(seq uint64) *slot { return &s.ring[seq&uint64(len(s.ring)-1)] }
+
+// admit gives a request the next seq and decides who executes it. A read
+// with no pending slot ahead of it is running: the caller — the reader —
+// executes it into dst, the slot's buffer, and records the reply with
+// ran, and the writer stops at the slot until then. Every other request
+// is pending. ok is false once the session closed.
+func (s *session) admit(xid int32, op wire.OpCode, body []byte) (seq uint64, dst []byte, runNow, ok bool) {
 	var now int64
 	if agreed(op) {
 		now = obs.Now()
@@ -224,224 +238,165 @@ func (s *session) admit(xid int32, op wire.OpCode, body []byte) (entry *inflight
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, false, false
+		return 0, nil, false, false
 	}
-	entry = s.entry(xid, op, body)
-	entry.submitNs = now
+	if s.tail-s.head == uint64(len(s.ring)) {
+		s.grow()
+	}
+	seq = s.tail
+	s.tail++
+	e := s.at(seq)
+	*e = slot{xid: xid, op: op, submitNs: now, resp: e.resp[:0], own: e.own[:0]}
 	if !agreed(op) {
 		if s.waiting == 0 {
-			return entry, true, true
+			e.state = running
+			return seq, e.resp, true, true
 		}
 		// Queued unexecuted, the read outlives the burst it came in: its
 		// body lies in the connection's receive chunk (or the entry
 		// enclave's request buffer), which the reader's next receive
 		// reuses, so this one request keeps a copy. A write's body is read
 		// only by handleWrite, before the reader moves on.
-		entry.own = append(entry.own[:0], body...)
-		entry.body = entry.own
+		e.own = append(e.own, body...)
 	}
-	s.queue = append(s.queue, entry)
 	s.waiting++
-	return entry, false, true
+	return seq, nil, false, true
 }
 
-// entry returns a reset entry, recycled if the free list has one.
-// Caller holds s.mu.
-func (s *session) entry(xid int32, op wire.OpCode, body []byte) *inflightReq {
-	n := len(s.free)
-	if n == 0 {
-		return &inflightReq{xid: xid, op: op, body: body}
+// grow doubles the ring, which is full, moving each slot to where its
+// seq lies in the new one. Caller holds s.mu.
+func (s *session) grow() {
+	ring := make([]slot, max(2*len(s.ring), 8))
+	for seq := s.head; seq < s.tail; seq++ {
+		ring[seq&uint64(len(ring)-1)] = *s.at(seq)
 	}
-	e := s.free[n-1]
-	s.free[n-1] = nil
-	s.free = s.free[:n-1]
-	*e = inflightReq{xid: xid, op: op, body: body, resp: e.resp[:0], own: e.own[:0]}
-	return e
+	s.ring = ring
 }
 
-// recycle hands the entries of the pass the writer has just sent back to
-// the free list. A buffer that grew past transport.MaxScratchRetain for
-// one big reply or body is dropped rather than kept for the session's
-// lifetime.
-func (s *session) recycle() {
+// ran records the reply of the read the reader executed as seq.
+func (s *session) ran(seq uint64, resp []byte) {
 	s.mu.Lock()
-	for _, e := range s.sent {
-		if cap(e.resp) > transport.MaxScratchRetain {
-			e.resp = nil
-		}
-		if cap(e.own) > transport.MaxScratchRetain {
-			e.own = nil
-		}
-		e.body = nil
-		s.free = append(s.free, e)
-	}
-	s.mu.Unlock()
-	clear(s.sent)
-	s.sent = s.sent[:0]
-}
-
-// push appends a read the reader goroutine executed itself.
-func (s *session) push(entry *inflightReq, resp []byte) {
-	s.mu.Lock()
-	entry.resp, entry.answered = resp, true
-	s.queue = append(s.queue, entry)
+	e := s.at(seq)
+	e.resp, e.state = resp, answered
 	s.mu.Unlock()
 	s.kick()
 }
 
-// find returns the first unanswered write with this xid whose reply is
+// find returns the first pending write with this xid whose reply is
 // staged at zxid (0: not staged) — the one a commit, reject, abort or
-// flush with the xid in its Origin is about — or nil. A session's writes
-// are proposed, and so committed, in queue order: of two writes in
-// flight under one xid the first is the one the ensemble answers first.
-// The scan is as long as the session's window. Caller holds s.mu.
-func (s *session) find(xid int32, zxid int64) *inflightReq {
-	for _, e := range s.queue {
-		if !e.answered && e.xid == xid && e.staged == zxid && agreed(e.op) {
-			return e
+// flush with the xid in its Origin is about. A session's writes are
+// proposed, and so committed, in seq order: of two writes in flight
+// under one xid the first is the one the ensemble answers first. The
+// scan is as long as the session's window. Caller holds s.mu.
+func (s *session) find(xid int32, zxid int64) (seq uint64, ok bool) {
+	for seq = s.head; seq < s.tail; seq++ {
+		if e := s.at(seq); e.state == pending && e.xid == xid && e.staged == zxid && agreed(e.op) {
+			return seq, true
 		}
-	}
-	return nil
-}
-
-// inflight returns the op of the write a commit with xid answers (see
-// find); ok is false when there is none left to answer — an abort
-// overtook the commit.
-func (s *session) inflight(xid int32) (op wire.OpCode, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e := s.find(xid, 0); e != nil {
-		return e.op, true
 	}
 	return 0, false
 }
 
-// writeDone answers the write xid names (see find) as committed: resp,
-// the agreed reply (possibly an application-level error like
-// BADVERSION), is copied into the entry.
-func (s *session) writeDone(xid int32, resp []byte) { s.complete(xid, 0, resp, false) }
-
-// abort answers the write xid names as aborted: the leader rejected it.
-func (s *session) abort(xid int32) { s.complete(xid, 0, nil, true) }
-
-// flushed answers the write whose reply stage put aside for zxid: with
-// that reply once the flush made the commit durable, or aborted if the
-// flush failed.
-func (s *session) flushed(xid int32, zxid int64, err error) { s.complete(xid, zxid, nil, err != nil) }
-
-// complete answers the write find(xid, staged) names: committed, with
-// resp copied into the entry (or, when resp is nil, the reply staged
-// there), or aborted. A write is answered once: when an abort or another
-// completion got there first, there is no such write and nothing
-// changes.
-func (s *session) complete(xid int32, staged int64, resp []byte, aborted bool) {
+// commit builds the reply of the write a commit at zxid with xid
+// answers (see find) into its slot — the agreed reply, possibly an
+// application-level error like BADVERSION. It answers the write, or, on
+// a durable replica, stages the reply at zxid for flushed and reports
+// that it did. A commit an abort overtook finds no write.
+func (s *session) commit(xid int32, zxid int64, txn *ztree.Txn, res *ztree.TxnResult, durable bool) (staged bool) {
 	s.mu.Lock()
-	e := s.find(xid, staged)
-	if e != nil {
-		if resp != nil {
-			e.resp = append(e.resp[:0], resp...)
+	seq, ok := s.find(xid, 0)
+	if ok {
+		e := s.at(seq)
+		e.resp = s.rep.buildWriteResponse(e.resp[:0], txn, e.op, xid, res)
+		if durable {
+			e.staged = zxid
+		} else {
+			s.answer(seq, false)
 		}
-		s.answer(e, aborted)
 	}
 	s.mu.Unlock()
-	if e != nil {
+	if ok && !durable {
 		s.kick()
 	}
+	return ok && durable
 }
 
-// stage copies the reply of a write committed at zxid into the entry xid
-// names, unanswered: a durable replica releases it when the flush
-// covering zxid returns (flushed). It reports whether there was such a
-// write.
-func (s *session) stage(xid int32, zxid int64, resp []byte) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.find(xid, 0)
-	if e != nil {
-		e.resp = append(e.resp[:0], resp...)
-		e.staged = zxid
-	}
-	return e != nil
-}
+// abort answers the write xid names as aborted: the leader rejected it.
+func (s *session) abort(xid int32) { s.complete(xid, 0, true) }
 
-// refuse aborts e, a write the reader has just admitted and cannot
-// submit — unless e was answered meanwhile (an abort overtook the
-// submit), in which case the writer may already have released e and
-// reused it for a watch event. The reader is the only goroutine that
-// appends to the queue, so until it moves on, e is this write's exactly
-// while it is the queue's tail.
-func (s *session) refuse(e *inflightReq) {
+// flushed answers the write whose reply commit staged at zxid: with
+// that reply once the flush made the commit durable, or aborted if the
+// flush failed.
+func (s *session) flushed(xid int32, zxid int64, err error) { s.complete(xid, zxid, err != nil) }
+
+// complete answers the write find(xid, staged) names. A write is
+// answered once: when an abort or another completion got there first,
+// there is no such write and nothing changes.
+func (s *session) complete(xid int32, staged int64, aborted bool) {
 	s.mu.Lock()
-	n := len(s.queue)
-	if n > 0 && s.queue[n-1] == e && !e.answered {
-		s.answer(e, true)
+	if seq, ok := s.find(xid, staged); ok {
+		s.answer(seq, aborted)
 	}
 	s.mu.Unlock()
 	s.kick()
 }
 
-// abortWrites aborts every unanswered write of the session.
+// refuse aborts the write the reader admitted as seq and could not
+// submit, unless an abort answered it meanwhile — then the writer may
+// have released it, and its slot may hold a later request.
+func (s *session) refuse(seq uint64) {
+	s.mu.Lock()
+	if seq >= s.head && s.at(seq).state == pending {
+		s.answer(seq, true)
+	}
+	s.mu.Unlock()
+	s.kick()
+}
+
+// abortWrites aborts every pending write of the session.
 func (s *session) abortWrites() {
 	s.mu.Lock()
-	aborted := false
-	for _, e := range s.queue {
-		if !e.answered && agreed(e.op) {
-			s.answer(e, true)
-			aborted = true
+	for seq := s.head; seq < s.tail; seq++ {
+		if e := s.at(seq); e.state == pending && agreed(e.op) {
+			s.answer(seq, true)
 		}
 	}
 	s.mu.Unlock()
-	if aborted {
-		s.kick()
-	}
+	s.kick()
 }
 
-// answer records the fate of a write: committed, with the reply already
-// in resp, or aborted (the write will never commit here — leader change,
-// forward rejection, failed flush, shutdown), with CONNECTIONLOSS. An
-// abort fails the unexecuted reads behind the write in the queue with
-// CONNECTIONLOSS: their read-after-own-write baseline is gone (the
+// answer records the fate of the pending write seq: committed, with the
+// reply already in resp, or aborted (the write will never commit here —
+// leader change, forward rejection, failed flush, shutdown), with
+// CONNECTIONLOSS. An abort fails the queued reads behind the write with
+// CONNECTIONLOSS too: their read-after-own-write baseline is gone (the
 // write's fate is unknown), so completing them with data could silently
 // violate the session guarantee. Reads ahead of the aborted write keep
 // waiting for the fate of whatever earlier write they are behind.
 // Caller holds s.mu.
-func (s *session) answer(e *inflightReq, aborted bool) {
-	if aborted {
-		e.resp = errorReply(e.resp[:0], e.xid, 0, wire.ErrConnectionLoss)
+func (s *session) answer(seq uint64, aborted bool) {
+	w := s.at(seq)
+	w.commitNs = obs.Now()
+	if !aborted {
+		s.rep.submitToCommit.Observe(w.commitNs - w.submitNs)
 	}
-	e.answered, e.staged = true, 0
+	w.state, w.staged = answered, 0
 	s.waiting--
-	if e.submitNs > 0 {
-		e.commitNs = obs.Now()
-		if !aborted {
-			s.rep.submitToCommit.Observe(e.commitNs - e.submitNs)
-		}
-	}
-	if aborted {
-		s.failReadsBehind(e)
-	}
-}
-
-// failReadsBehind answers every unexecuted read queued after the
-// aborted write with CONNECTIONLOSS. Caller holds s.mu.
-func (s *session) failReadsBehind(aborted *inflightReq) {
-	behind := false
-	for _, e := range s.queue {
-		switch {
-		case e == aborted:
-			behind = true
-		case behind && !e.answered && !agreed(e.op):
+	for ; aborted && seq < s.tail; seq++ {
+		if e := s.at(seq); e == w || e.state == pending && !agreed(e.op) {
 			e.resp = errorReply(e.resp[:0], e.xid, 0, wire.ErrConnectionLoss)
-			e.answered = true
-			s.waiting--
+			if e.state == pending {
+				e.state = answered
+				s.waiting--
+			}
 		}
 	}
 }
 
-// writer is the in-order releaser: it pops answered responses off the
-// head of the FIFO queue and sends them, interleaving watch events. The
-// only thing it executes is a read that had to wait for requests ahead
-// of it (see gatherDue), so release order — which the entry enclave's
+// writer is the in-order releaser: it sends the answered replies at the
+// head of the ring, interleaving watch events. The only thing it
+// executes is a read that had to wait for requests ahead of it (see
+// gatherDue), so release order — which the entry enclave's
 // response-matching FIFO depends on — never depends on who executed.
 //
 // Flush rule: each drain pass gathers every response and then every
@@ -453,14 +408,15 @@ func (s *session) failReadsBehind(aborted *inflightReq) {
 // does a pass the interceptor refuses (the entry enclave would not
 // release a message, e.g. the response FIFO was violated): the session
 // must die rather than leak anything, and nothing of the pass is sent.
-// Once the write returned, the pass's entries are recycled.
+// Once the write returned, the pass's slots are released.
 func (s *session) writer() {
 	defer close(s.writerD)
 	var due [][]byte // reused across passes; the frames themselves are not
 	for {
 		for {
+			var n uint64
 			var closing bool
-			due, closing = s.gatherDue(due[:0])
+			due, n, closing = s.gatherDue(due[:0])
 			if len(due) == 0 {
 				break
 			}
@@ -477,7 +433,7 @@ func (s *session) writer() {
 				s.shutdown()
 				return
 			}
-			s.recycle()
+			s.release(n)
 		}
 		select {
 		case <-s.kickCh:
@@ -488,59 +444,77 @@ func (s *session) writer() {
 }
 
 // gatherDue appends to due the raw messages of one drain pass: the
-// responses answered at the head of the FIFO queue, then the queued
-// watch events, up to transport.BatchBytes; the entries they lie in go
-// to s.sent. An unexecuted read that reaches the head is executed here —
-// everything ahead of it is answered, and nothing can answer it in the
-// meantime: an abort only fails reads behind the aborted write, and no
-// write is ahead of the head. closing reports that the pass ends with
-// the CloseSession reply, after which nothing more may be sent.
-func (s *session) gatherDue(due [][]byte) (_ [][]byte, closing bool) {
-	size, n := 0, 0
+// replies of the n answered slots at the head of the ring, then the
+// queued watch events, serialized into s.evs, up to
+// transport.BatchBytes. A queued read that reaches the head is executed
+// here — everything ahead of it is answered, and nothing can answer it
+// in the meantime: an abort only fails reads behind the aborted write,
+// and no write is ahead of the head. The pass stops at a running read,
+// as at a pending write, until its reply is recorded. closing reports
+// that the pass ends with the CloseSession reply, after which nothing
+// more may be sent.
+func (s *session) gatherDue(due [][]byte) (_ [][]byte, n uint64, closing bool) {
+	size := 0
 	s.mu.Lock()
-	for size < transport.BatchBytes && n < len(s.queue) {
-		head := s.queue[n]
-		if !head.answered {
-			if agreed(head.op) {
-				break // fate unknown; its completion kicks
-			}
+	for ; size < transport.BatchBytes && s.head+n < s.tail && !closing; n++ {
+		seq := s.head + n
+		e := s.at(seq)
+		if e.state == running || e.state == pending && agreed(e.op) {
+			break // its reader, or its fate's completion, kicks
+		}
+		if e.state == pending {
+			xid, op, body, dst := e.xid, e.op, e.own, e.resp[:0]
 			s.mu.Unlock()
-			resp := s.rep.handleRead(s, head)
+			resp := s.rep.handleRead(s, dst, xid, op, body)
 			s.mu.Lock()
-			head.resp, head.answered = resp, true
+			e = s.at(seq) // admit may have grown the ring
+			e.resp, e.state = resp, answered
 			s.waiting--
 		}
-		n++
-		if head.commitNs > 0 {
-			s.rep.commitToRelease.Observe(obs.Now() - head.commitNs)
+		if e.commitNs > 0 {
+			s.rep.commitToRelease.Observe(obs.Now() - e.commitNs)
 		}
-		s.sent = append(s.sent, head)
-		due = append(due, head.resp)
-		size += len(head.resp)
-		if closing = head.op == wire.OpCloseSession; closing {
-			break
-		}
+		due = append(due, e.resp)
+		size += len(e.resp)
+		closing = e.op == wire.OpCloseSession
 	}
-	// Pop the released entries; the queue keeps its array.
-	left := copy(s.queue, s.queue[n:])
-	clear(s.queue[left:])
-	s.queue = s.queue[:left]
+	s.mu.Unlock()
+	s.evs = s.evs[:0]
 	for size < transport.BatchBytes && !closing {
 		var ev wire.WatcherEvent
 		select {
 		case ev = <-s.events:
 		default:
-			s.mu.Unlock()
-			return due, false
+			return due, n, false
 		}
-		e := s.entry(wire.WatcherEventXid, 0, nil)
-		enc := beginReply(e.resp, wire.WatcherEventXid, 0, wire.ErrOK)
+		start := len(s.evs)
+		enc := beginReply(s.evs, wire.WatcherEventXid, 0, wire.ErrOK)
 		ev.Serialize(&enc)
-		e.resp = enc.Bytes()
-		s.sent = append(s.sent, e)
-		due = append(due, e.resp)
-		size += len(e.resp)
+		s.evs = enc.Bytes()
+		due = append(due, s.evs[start:])
+		size += len(s.evs) - start
 	}
+	return due, n, closing
+}
+
+// release frees the n slots of a pass the writer has sent for admit to
+// reuse. A buffer that grew past transport.MaxScratchRetain for one big
+// reply, body or burst of events is dropped rather than kept for the
+// session's lifetime.
+func (s *session) release(n uint64) {
+	s.mu.Lock()
+	for seq := s.head; seq < s.head+n; seq++ {
+		e := s.at(seq)
+		if cap(e.resp) > transport.MaxScratchRetain {
+			e.resp = nil
+		}
+		if cap(e.own) > transport.MaxScratchRetain {
+			e.own = nil
+		}
+	}
+	s.head += n
 	s.mu.Unlock()
-	return due, closing
+	if cap(s.evs) > transport.MaxScratchRetain {
+		s.evs = nil
+	}
 }
