@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"securekeeper/internal/client"
 	"securekeeper/internal/core"
 	"securekeeper/internal/obs"
 )
@@ -62,6 +63,9 @@ func TestEndToEndAllocations(t *testing.T) {
 		{"MixedReadWrite", [3]float64{2.9, 2.9, 4.0}, func(tb testing.TB, c *core.Cluster) load {
 			return mixedReadWrite(tb, c, "/mx", new(atomic.Int64))
 		}},
+		{"FollowerPipelinedSets/window=16", [3]float64{3.1, 3.1, 4.2}, func(tb testing.TB, c *core.Cluster) load {
+			return followerPipelinedSets(tb, c, "/fw")
+		}},
 	}
 	for i, v := range variants {
 		t.Run(v.String(), func(t *testing.T) {
@@ -109,5 +113,19 @@ func checkAllocs(t *testing.T, ops load, max float64) {
 		t.Errorf("%.2f allocs/op (counts %.2f), budget %.1f", counts[1], counts, max)
 	} else {
 		t.Logf("%.2f allocs/op (counts %.2f), budget %.1f", counts[1], counts, max)
+	}
+}
+
+// followerPipelinedSets is one session on a follower keeping 16 SETs of
+// its own znode in flight: its bursts are forwarded to the leader, one
+// APP message per burst, and prepped there a burst at a time.
+func followerPipelinedSets(tb testing.TB, c *core.Cluster, path string) load {
+	tb.Helper()
+	cl := connect(tb, c, (c.LeaderIndex()+1)%c.Voters())
+	payload := make([]byte, 128)
+	create(tb, cl, path, payload)
+	cls := []*client.Client{cl}
+	return func(n int) {
+		pipelined(tb, cls, n, 16, func(_, _ int) *client.Future { return cl.SetAsync(path, payload, -1) })
 	}
 }

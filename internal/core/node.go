@@ -147,7 +147,7 @@ func newNode(cfg NodeConfig, ks *enclave.KeyServer, reg *obs.Registry, tr zab.Tr
 		}
 		n.counter = counter
 		registerCacheMetrics(reg, "counter", counter.CacheStats)
-		scfg.SeqAppend = counter.AppendSequence
+		scfg.SeqAppend = counter.AppendSequences
 	}
 	n.replica = server.NewReplica(scfg)
 	return n, nil

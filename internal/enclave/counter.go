@@ -21,9 +21,12 @@ type Counter struct {
 	enclave *sgx.Enclave
 	runtime *sgx.Runtime
 
-	// Untrusted state: the packed buffer AppendSequence keeps, see
-	// ecallBuf.
+	// Untrusted state: the packed buffer AppendSequences keeps, see
+	// ecallBuf, and, under its mu, the batch's messages, their ends in
+	// the encoder and the replies of one crossing.
 	sequences ecallBuf
+	in, out   [][]byte
+	ends      []int
 
 	// Trusted state: the storage codec.
 	keyed
@@ -79,30 +82,61 @@ func (c *Counter) CacheStats() (enc, dec skcrypto.CacheStats) {
 	return codec.CacheStats()
 }
 
-// AppendSequence runs the counter enclave's single ecall: given the
-// storage-encrypted path of a sequential create and the sequence number
-// assigned by the (untrusted) leader, it returns the encrypted path
-// with the number merged into the final element. The message crosses
-// as a batch of one in the buffer the enclave keeps.
-func (c *Counter) AppendSequence(encPath string, seq int32) (string, error) {
+// AppendSequences runs the counter enclave's single ecall over a batch
+// of sequential names: paths[i] is the storage-encrypted path of a
+// sequential create and seqs[i] the number the (untrusted) leader
+// assigned it. For every i it replaces paths[i] with the encrypted path
+// with the number merged into its final element, or sets errs[i] to why
+// the enclave would not (paths[i] then stays as it was). The three
+// slices have one length. The batch crosses once, packed into the
+// buffer the enclave keeps; a slot the enclave refuses ends that
+// crossing, and the slots after it cross again, so exactly the refused
+// names fail.
+func (c *Counter) AppendSequences(paths []string, seqs []int32, errs []error) {
 	e := wire.GetEncoder()
 	defer wire.PutEncoder(e)
-	e.WriteString(encPath)
-	e.WriteInt32(seq)
-	var in, out [1][]byte
-	in[0] = e.Bytes()
 	c.sequences.mu.Lock()
 	defer c.sequences.mu.Unlock()
-	res, err := c.sequences.call(c.enclave, EcallSequence, in[:], out[:0])
-	if err != nil {
-		return "", err
+	ends := c.ends[:0]
+	for i, p := range paths {
+		e.WriteString(p)
+		e.WriteInt32(seqs[i])
+		ends = append(ends, e.Len())
 	}
-	var d wire.Decoder
-	d.Reset(res[0])
-	if path := d.ReadString(); d.Err() == nil {
-		return path, nil
+	in, start := c.in[:0], 0
+	for _, end := range ends {
+		in = append(in, e.Bytes()[start:end:end])
+		start = end
 	}
-	return "", fmt.Errorf("enclave: sequence reply: %w", d.Err())
+	for done := 0; done < len(paths); {
+		out, err := c.sequences.call(c.enclave, EcallSequence, in[done:], c.out[:0])
+		for _, res := range out {
+			var d wire.Decoder
+			d.Reset(res)
+			path := d.ReadString()
+			if err := d.Finish(nil); err != nil {
+				errs[done] = fmt.Errorf("enclave: sequence reply: %w", err)
+			} else {
+				paths[done], errs[done] = path, nil
+			}
+			done++
+		}
+		clear(out)
+		c.out = out[:0]
+		if err != nil && done < len(paths) {
+			errs[done] = err
+			done++
+		}
+	}
+	clear(in)
+	c.in, c.ends = in[:0], ends[:0]
+}
+
+// AppendSequence is AppendSequences on a batch of one.
+func (c *Counter) AppendSequence(encPath string, seq int32) (string, error) {
+	paths, seqs, errs := [1]string{encPath}, [1]int32{seq}, [1]error{}
+	c.AppendSequences(paths[:], seqs[:], errs[:])
+	return paths[0], errs[0]
 }
 
 // ecSequence is the counter enclave's trusted code, run on each slot of

@@ -3,6 +3,7 @@ package enclave
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -307,6 +308,84 @@ func TestCounterAppendSequence(t *testing.T) {
 	plain, err := codec.DecryptPath(newEnc)
 	if err != nil || plain != "/locks/cand-0000000012" {
 		t.Fatalf("plain = %q, %v", plain, err)
+	}
+}
+
+// counterBatch is a batch of sequential names under a few parents, and
+// the name a batch of one gives each.
+func counterBatch(t *testing.T, counter *Counter, codec *skcrypto.Codec) (paths []string, seqs []int32, want []string) {
+	t.Helper()
+	for i := 0; i < 8; i++ {
+		enc, err := codec.EncryptPath(fmt.Sprintf("/locks/p%d/c-", i%3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := int32(3*i + 1)
+		one, err := counter.AppendSequence(enc, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths, seqs, want = append(paths, enc), append(seqs, seq), append(want, one)
+	}
+	return paths, seqs, want
+}
+
+// TestCounterBatchMatchesSingleCalls: one crossing names a whole batch,
+// and every name is byte-identical to what a batch of one returns.
+func TestCounterBatchMatchesSingleCalls(t *testing.T) {
+	_, _, counter, codec := testSetup(t)
+	paths, seqs, want := counterBatch(t, counter, codec)
+	errs := make([]error, len(paths))
+	before := counter.Enclave().EcallCount()
+	counter.AppendSequences(paths, seqs, errs)
+	if n := counter.Enclave().EcallCount() - before; n != 1 {
+		t.Fatalf("a batch of %d names took %d crossings, want 1", len(paths), n)
+	}
+	for i := range paths {
+		if errs[i] != nil || paths[i] != want[i] {
+			t.Fatalf("name %d = %q, %v; a batch of one gave %q", i, paths[i], errs[i], want[i])
+		}
+	}
+}
+
+// TestCounterBatchRejectsOneSlot: when the enclave refuses slot k of a
+// batch — a negative number or a path it cannot decrypt — exactly name k
+// gets the error and keeps its path, and every other name is still
+// merged: the slots after k cross again.
+func TestCounterBatchRejectsOneSlot(t *testing.T) {
+	_, _, counter, codec := testSetup(t)
+	for _, k := range []int{0, 3, 7} {
+		for _, bad := range []struct {
+			name  string
+			spoil func(paths []string, seqs []int32)
+		}{
+			{"negative", func(_ []string, seqs []int32) { seqs[k] = -1 }},
+			{"garbage", func(paths []string, _ []int32) { paths[k] = "/not-encrypted" }},
+		} {
+			t.Run(fmt.Sprintf("%s/slot=%d", bad.name, k), func(t *testing.T) {
+				paths, seqs, want := counterBatch(t, counter, codec)
+				bad.spoil(paths, seqs)
+				input := paths[k]
+				errs := make([]error, len(paths))
+				before := counter.Enclave().EcallCount()
+				counter.AppendSequences(paths, seqs, errs)
+				crossings := int64(1)
+				if k < len(paths)-1 {
+					crossings = 2
+				}
+				if n := counter.Enclave().EcallCount() - before; n != crossings {
+					t.Fatalf("took %d crossings, want %d", n, crossings)
+				}
+				for i := range paths {
+					switch {
+					case i == k && (errs[i] == nil || paths[i] != input):
+						t.Fatalf("refused name %d = %q, %v; want its input %q and an error", i, paths[i], errs[i], input)
+					case i != k && (errs[i] != nil || paths[i] != want[i]):
+						t.Fatalf("name %d = %q, %v; a batch of one gave %q", i, paths[i], errs[i], want[i])
+					}
+				}
+			})
+		}
 	}
 }
 

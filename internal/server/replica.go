@@ -15,6 +15,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"log"
 	"slices"
 	"sync"
@@ -57,15 +58,20 @@ func (NopInterceptor) OnRequests(msgs [][]byte) ([][]byte, error) { return msgs,
 // OnResponses implements Interceptor.
 func (NopInterceptor) OnResponses(msgs [][]byte) ([][]byte, error) { return msgs, nil }
 
-// SequenceAppender merges a sequence number into a (possibly encrypted)
-// path during sequential-node creation. The default appends the
-// ZooKeeper "%010d" suffix to the plaintext path; SecureKeeper installs
-// the counter enclave here.
-type SequenceAppender func(path string, seq int32) (string, error)
+// SequenceAppender merges sequence numbers into (possibly encrypted)
+// paths during sequential-node creation, a burst's names at a time:
+// for every i it replaces paths[i] with the path named seqs[i], or sets
+// errs[i] to why it cannot (paths[i] then stays as it was). The three
+// slices have one length. The default appends the ZooKeeper "%010d"
+// suffix to the plaintext path; SecureKeeper installs the counter
+// enclave here, which resolves the batch in one crossing.
+type SequenceAppender func(paths []string, seqs []int32, errs []error)
 
 // PlainSequenceAppender is the vanilla behaviour.
-func PlainSequenceAppender(path string, seq int32) (string, error) {
-	return wire.AppendSequence(path, seq), nil
+func PlainSequenceAppender(paths []string, seqs []int32, errs []error) {
+	for i := range paths {
+		paths[i], errs[i] = wire.AppendSequence(paths[i], seqs[i]), nil
+	}
 }
 
 // sessionTimeoutMillis is what every ConnectResponse grants; nothing
@@ -136,10 +142,18 @@ type Replica struct {
 	// would both read the applied cversion and collide.
 	seqMu   sync.Mutex
 	seqHint map[string]int32
+	// seqOrder keeps, per parent, sequential creates proposed in the
+	// order of their numbers (see nameSequential); a parent's stripe is
+	// maphash(seqSeed, parent) mod seqStripes.
+	seqOrder [seqStripes]sync.Mutex
+	seqSeed  maphash.Seed
 
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	forwarded chan forwardMsg
+	stop chan struct{}
+	wg   sync.WaitGroup
+	// forwarded queues forwarded bursts, undecoded, for the forward
+	// worker; fwdQueued counts their writes against maxForwardWrites.
+	forwarded chan []byte
+	fwdQueued atomic.Int64
 
 	// server_reads_total and server_writes_total.
 	readOps  atomic.Int64
@@ -181,11 +195,12 @@ func NewReplica(cfg Config) *Replica {
 		tree:     ztree.New(),
 		sessions: make(map[int64]*session),
 		seqHint:  make(map[string]int32),
+		seqSeed:  maphash.MakeSeed(),
 		stop:     make(chan struct{}),
 		// Forwarded writes must be proposed in arrival order to keep
 		// each client session's writes ordered; a single worker drains
 		// the queue (buffered: the zab loop must never block).
-		forwarded: make(chan forwardMsg, 4096),
+		forwarded: make(chan []byte, maxForwardWrites),
 	}
 	var recoveredZxid int64
 	if cfg.DataDir != "" {
@@ -263,7 +278,7 @@ func (r *Replica) registerMetrics(reg *obs.Registry) {
 		return int64(r.tree.Watches().Count())
 	})
 	reg.GaugeFunc("server_forward_queue_depth", "", "Forwarded writes queued for leader prep.", func() int64 {
-		return int64(len(r.forwarded))
+		return r.fwdQueued.Load()
 	})
 	reg.GaugeFunc("server_uptime_seconds", "", "Process uptime.", obs.Uptime)
 	r.tree.Watches().SetDispatchObserver(func(fired int) {
@@ -403,13 +418,18 @@ func (r *Replica) dropSession(s *session) {
 	}
 	r.closing = append(r.closing, s.id)
 	r.mu.Unlock()
-	r.submitClose(s.id)
+	r.submitCloses([]int64{s.id})
 }
 
-// submitClose proposes a closing session's CloseSession, under an xid
-// no client uses. A failure is retryCloses' business.
-func (r *Replica) submitClose(session int64) {
-	_ = r.submitOrForward(wire.OpCloseSession, nil, zab.Origin{Peer: r.cfg.ID, Session: session, Xid: -3})
+// submitCloses hands on the CloseSession of each of the closing
+// sessions, as one burst, under an xid no client uses. A failure is
+// retryCloses' business.
+func (r *Replica) submitCloses(sessions []int64) {
+	b := burst{writes: make([]write, len(sessions))}
+	for i, id := range sessions {
+		b.writes[i] = write{op: wire.OpCloseSession, origin: zab.Origin{Peer: r.cfg.ID, Session: id, Xid: -3}}
+	}
+	r.handOn(&b)
 }
 
 // closeRetryInterval is short against an election, so a session that
@@ -418,14 +438,14 @@ func (r *Replica) submitClose(session int64) {
 // twice (which is harmless: the second removes nothing).
 const closeRetryInterval = 200 * time.Millisecond
 
-// retryCloses is the forward worker's ticker: submitClose, again, for
+// retryCloses is the forward worker's ticker: submitCloses, again, for
 // every closing session.
 func (r *Replica) retryCloses() {
 	r.mu.Lock()
 	closing := slices.Clone(r.closing)
 	r.mu.Unlock()
-	for _, session := range closing {
-		r.submitClose(session)
+	if len(closing) > 0 {
+		r.submitCloses(closing)
 	}
 }
 
@@ -434,34 +454,6 @@ func (r *Replica) closeDelivered(session int64) {
 	r.mu.Lock()
 	r.closing = slices.DeleteFunc(r.closing, func(id int64) bool { return id == session })
 	r.mu.Unlock()
-}
-
-// handleWrite hands a client write, which admit has already queued, to
-// agreement, and reports whether it did; the session refuses a write
-// that was not submitted. A degraded or removed replica refuses up
-// front, and the reply still flows through the ring so the session FIFO
-// (and the reads waiting behind it) stay ordered. Called from session
-// reader goroutines.
-func (r *Replica) handleWrite(s *session, hdr wire.RequestHeader, body []byte) bool {
-	r.writeOps.Add(1)
-	return !r.degraded.Load() && !r.removed.Load() &&
-		r.submitOrForward(hdr.Op, body, zab.Origin{Peer: r.cfg.ID, Session: s.id, Xid: hdr.Xid}) == nil
-}
-
-// submitOrForward preps-and-proposes on the leader, or tunnels the raw
-// request to it from a follower (sequential-node resolution and version
-// checks must happen against the leader's outstanding state, exactly as
-// ZooKeeper's PrepRequestProcessor runs on the leader). Not for the zab
-// loop goroutine: Submit round-trips through that loop.
-func (r *Replica) submitOrForward(op wire.OpCode, body []byte, origin zab.Origin) error {
-	if r.peer.Role() == zab.RoleLeading {
-		return r.peer.Submit(r.prepTxn(op, body, origin.Session), origin)
-	}
-	leader := r.peer.Leader()
-	if leader < 0 {
-		return zab.ErrNotLeader
-	}
-	return r.peer.SendApp(zab.PeerID(leader), forwardMsg{kind: fwdRequest, origin: origin, op: op, body: body}.encode())
 }
 
 // session returns the live session with this id, or nil: it is gone,

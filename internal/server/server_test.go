@@ -27,6 +27,13 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, n int) *testCluster {
 	t.Helper()
+	return newWrappedCluster(t, n, func(tr zab.Transport) zab.Transport { return tr })
+}
+
+// newWrappedCluster is newTestCluster with each replica's transport
+// endpoint passed through wrap.
+func newWrappedCluster(t *testing.T, n int, wrap func(zab.Transport) zab.Transport) *testCluster {
+	t.Helper()
 	tc := &testCluster{t: t, net: zab.NewNetwork()}
 	ids := make([]zab.PeerID, n)
 	for i := range ids {
@@ -38,7 +45,7 @@ func newTestCluster(t *testing.T, n int) *testCluster {
 		tc.replicas = append(tc.replicas, NewReplica(Config{
 			ID:              ids[i],
 			Peers:           ids,
-			Transport:       tc.net.Endpoint(ids[i]),
+			Transport:       wrap(tc.net.Endpoint(ids[i])),
 			TickInterval:    5 * time.Millisecond,
 			ElectionTimeout: 80 * time.Millisecond,
 			Obs:             reg,
@@ -472,9 +479,10 @@ func TestOpsCounters(t *testing.T) {
 }
 
 func TestPlainSequenceAppender(t *testing.T) {
-	p, err := PlainSequenceAppender("/a/b-", 7)
-	if err != nil || p != "/a/b-0000000007" {
-		t.Fatalf("got %q, %v", p, err)
+	paths, errs := []string{"/a/b-", "/c-"}, []error{nil, nil}
+	PlainSequenceAppender(paths, []int32{7, 12}, errs)
+	if paths[0] != "/a/b-0000000007" || paths[1] != "/c-0000000012" || errs[0] != nil || errs[1] != nil {
+		t.Fatalf("got %q, %v", paths, errs)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"securekeeper/internal/obs"
 	"securekeeper/internal/transport"
 	"securekeeper/internal/wire"
+	"securekeeper/internal/zab"
 	"securekeeper/internal/ztree"
 )
 
@@ -95,6 +96,9 @@ type session struct {
 	// evs holds the watch events of the writer's current pass (writer
 	// goroutine only).
 	evs []byte
+	// burst collects the writes of the reader's current burst (reader
+	// goroutine only).
+	burst burst
 
 	kickCh  chan struct{}
 	events  chan wire.WatcherEvent
@@ -159,8 +163,10 @@ func (s *session) run() error {
 
 // reader takes requests off the connection a burst at a time — whatever
 // one wake-up found already received, never waiting for more — passes
-// the burst through the interceptor in one call, then classifies and
-// submits each request in order.
+// the burst through the interceptor in one call, admits each request in
+// order, and then hands the burst's writes on to agreement together
+// (handOn). The writes go even when the session stops after them: at
+// its CloseSession, a malformed header or a rejected request.
 func (s *session) reader() error {
 	var frames [][]byte // reused across bursts, as the connection reuses the frames' storage
 	for {
@@ -176,10 +182,15 @@ func (s *session) reader() error {
 		// entry enclave) drops the client, after the requests ahead of
 		// the rejected one went in as they would have one by one.
 		msgs, rejected := s.icept.OnRequests(frames)
+		var stop bool
 		for _, msg := range msgs {
-			if stop, err := s.submit(msg); stop || err != nil {
-				return err
+			if stop, err = s.submit(msg); stop || err != nil {
+				break
 			}
+		}
+		s.handOn()
+		if stop || err != nil {
+			return err
 		}
 		if rejected != nil {
 			return fmt.Errorf("server: session %d intercept: %w", s.id, rejected)
@@ -190,10 +201,10 @@ func (s *session) reader() error {
 	}
 }
 
-// submit enters one intercepted request into the pipeline: a write is
-// handed to agreement, a read executes here or waits in the ring for
-// the writer. stop reports that the session takes no further requests
-// (it closed, or this was its CloseSession).
+// submit enters one intercepted request into the pipeline: a write
+// joins the reader's burst, a read executes here or waits in the ring
+// for the writer. stop reports that the session takes no further
+// requests (it closed, or this was its CloseSession).
 func (s *session) submit(msg []byte) (stop bool, err error) {
 	var hdr wire.RequestHeader
 	var d wire.Decoder
@@ -209,9 +220,13 @@ func (s *session) submit(msg []byte) (stop bool, err error) {
 	case runNow:
 		s.ran(seq, s.rep.handleRead(s, dst, hdr.Xid, hdr.Op, body))
 	case agreed(hdr.Op):
-		if !s.rep.handleWrite(s, hdr, body) {
-			s.refuse(seq)
-		}
+		s.rep.writeOps.Add(1)
+		s.burst.writes = append(s.burst.writes, write{
+			op:     hdr.Op,
+			origin: zab.Origin{Peer: s.rep.cfg.ID, Session: s.id, Xid: hdr.Xid},
+			body:   body,
+			seq:    seq,
+		})
 	case s.rep.persister != nil:
 		// Queued behind an unanswered write, the read is answered by the
 		// flush that makes that write durable: the flush rule counts it.
@@ -219,6 +234,29 @@ func (s *session) submit(msg []byte) (stop bool, err error) {
 	}
 	// After CloseSession stop reading; the writer drains its response.
 	return hdr.Op == wire.OpCloseSession, nil
+}
+
+// handOn hands the writes of the reader's burst on to agreement
+// (Replica.handOn) and refuses those it could not: all of them on a
+// degraded or removed replica, which takes no client write. A refused
+// write is answered, and the reads queued behind it fail, as for an
+// abort.
+func (s *session) handOn() {
+	b := &s.burst
+	if len(b.writes) == 0 {
+		return
+	}
+	if s.rep.degraded.Load() || s.rep.removed.Load() {
+		refuseAll(b.writes)
+	} else {
+		s.rep.handOn(b)
+	}
+	for _, w := range b.writes {
+		if w.refused {
+			s.refuse(w.seq)
+		}
+	}
+	b.reset()
 }
 
 // at returns the slot of request seq, head <= seq < tail. Caller holds
@@ -256,7 +294,7 @@ func (s *session) admit(xid int32, op wire.OpCode, body []byte) (seq uint64, dst
 		// body lies in the connection's receive chunk (or the entry
 		// enclave's request buffer), which the reader's next receive
 		// reuses, so this one request keeps a copy. A write's body is read
-		// only by handleWrite, before the reader moves on.
+		// only by the burst's hand-on, before the reader moves on.
 		e.own = append(e.own, body...)
 	}
 	s.waiting++
