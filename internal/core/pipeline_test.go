@@ -244,17 +244,24 @@ func TestPathCacheCountersInMntr(t *testing.T) {
 	for key, least := range map[string]int64{
 		"skcrypto_path_cache_misses_total_entry_enc": 2, // "cache", "seq-"
 		"skcrypto_path_cache_hits_total_entry_enc":   6, // "cache" again with every later op
-		"skcrypto_path_cache_hits_total_counter_enc": 2, // "cache", the parent of every later one
-		"skcrypto_path_cache_hits_total_counter_dec": 2, // "seq-", to be suffixed again
+		"skcrypto_path_cache_hits_total_counter_dec": 4, // "cache" and "seq-" with every later name
 	} {
 		if live[key] < least {
 			t.Errorf("%s = %d with the session open, want at least %d", key, live[key], least)
 		}
 	}
-	// The counter enclave looks up only the parent's chunk: a suffixed
-	// chunk is minted once and encrypted without being admitted.
-	if v := live["skcrypto_path_cache_misses_total_counter_enc"]; v != 1 {
-		t.Errorf("skcrypto_path_cache_misses_total_counter_enc = %d, want 1 (\"cache\")", v)
+	// The counter enclave decrypts the name it is given through its
+	// cache and keeps the parent's ciphertext as it is; the suffixed
+	// chunk, the one it encrypts, is minted once and never admitted, so
+	// its encrypt-direction cache is never consulted.
+	for key, want := range map[string]int64{
+		"skcrypto_path_cache_misses_total_counter_dec": 2, // "cache", "seq-"
+		"skcrypto_path_cache_misses_total_counter_enc": 0,
+		"skcrypto_path_cache_hits_total_counter_enc":   0,
+	} {
+		if v := live[key]; v != want {
+			t.Errorf("%s = %d, want %d", key, v, want)
+		}
 	}
 	for _, key := range []string{"skcrypto_path_cache_evictions_total_entry_enc", "skcrypto_path_cache_evictions_total_counter_dec"} {
 		if v, ok := live[key]; !ok || v != 0 {

@@ -52,21 +52,31 @@ func getReply(t *testing.T, codec *skcrypto.Codec, xid int32, path, value string
 		&wire.GetDataResponse{Data: stored, Stat: wire.Stat{DataLength: int32(len(stored))}})
 }
 
-// TestEntryDrainedQueueHoldsNoPaths: an answered request's plaintext
-// path and sub-op list must not stay reachable in the trusted FIFO
-// queue's backing array, the last one's included when the queue empties.
+// TestEntryDrainedQueueHoldsNoPaths: the trusted FIFO queue keeps the
+// plaintext paths of its pending GETs, in queue order, and no other
+// path; an answered request's sub-op list does not stay reachable in
+// the queue's array; a drained queue keeps nothing.
 func TestEntryDrainedQueueHoldsNoPaths(t *testing.T) {
 	_, entry, _, _ := testSetup(t)
 	reqs := [][]byte{
 		request(t, 1, wire.OpGetData, &wire.GetDataRequest{Path: "/secret/one"}),
 		request(t, 2, wire.OpMulti, &wire.MultiRequest{Ops: []wire.MultiOp{{Op: wire.OpDelete, Path: "/secret/two", Version: -1}}}),
 		request(t, 3, wire.OpDelete, &wire.DeleteRequest{Path: "/secret/three", Version: -1}),
+		request(t, 4, wire.OpGetData, &wire.GetDataRequest{Path: "/secret/four"}),
 	}
 	if _, err := entry.ProcessRequests(reqs, nil); err != nil {
 		t.Fatal(err)
 	}
+	kept := func() string {
+		entry.mu.Lock()
+		defer entry.mu.Unlock()
+		return string(entry.paths.buf[entry.paths.head:entry.paths.tail])
+	}
+	if got := kept(); got != "/secret/one/secret/four" {
+		t.Fatalf("pending requests keep paths %q, want the two GETs'", got)
+	}
 	entry.mu.Lock()
-	backing := entry.queue[:len(reqs):len(reqs)] // shares the queue's array
+	backing := entry.queue.buf // pops do not move the array
 	entry.mu.Unlock()
 
 	answer := func(xid int32) {
@@ -77,25 +87,28 @@ func TestEntryDrainedQueueHoldsNoPaths(t *testing.T) {
 	}
 	answer(1)
 	answer(2)
+	if got := kept(); got != "/secret/four" {
+		t.Errorf("after two answers the queue keeps %q, want the pending GET's path", got)
+	}
 	entry.mu.Lock()
 	for i, p := range backing[:2] {
-		if p.plainPath != "" || p.subs != nil {
-			t.Errorf("answered request %d still in the queue's array: path %q, subs %v", i+1, p.plainPath, p.subs)
+		if p.subs != nil || p.xid != 0 {
+			t.Errorf("answered request %d still in the queue's array: %+v", i+1, p)
 		}
-	}
-	if backing[2].plainPath != "/secret/three" {
-		t.Errorf("pending request lost its path: %+v", backing[2])
 	}
 	entry.mu.Unlock()
 
 	answer(3)
+	answer(4)
 	entry.mu.Lock()
 	defer entry.mu.Unlock()
-	if len(entry.queue) != 0 {
-		t.Fatalf("drained queue still holds %d requests", len(entry.queue))
+	if n, m := entry.queue.len(), entry.paths.len(); n != 0 || m != 0 {
+		t.Fatalf("drained queue still holds %d requests and %d path bytes", n, m)
 	}
-	if backing[2].plainPath != "" {
-		t.Fatalf("last answered request still holds %q", backing[2].plainPath)
+	for i, p := range backing {
+		if p.subs != nil || p.pathLen != 0 {
+			t.Errorf("the queue's array still holds answered request %d: %+v", i+1, p)
+		}
 	}
 }
 
@@ -104,22 +117,25 @@ func TestEntryDrainedQueueHoldsNoPaths(t *testing.T) {
 // session that takes turns empties the queue every time and stays on
 // one slot; a session that always has requests outstanding never
 // empties it, and an array a larger window made is left behind once the
-// window is smaller.
+// window is smaller. The path slab, which a GET's path is kept in,
+// follows the same rule.
 func TestEntryQueueStaysWithinItsWindow(t *testing.T) {
 	_, entry, _, _ := testSetup(t)
 	const pairs = 10000
+	const path = "/window/key"
 	xid, answered := int32(0), int32(0)
 	ask := func() {
 		t.Helper()
 		xid++
-		if _, err := entry.ProcessRequest(request(t, xid, wire.OpDelete, &wire.DeleteRequest{Path: "/window/key", Version: -1})); err != nil {
+		op := &wire.GetDataRequest{Path: path}
+		if _, err := entry.ProcessRequest(request(t, xid, wire.OpGetData, op)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	answer := func() {
 		t.Helper()
 		answered++
-		if _, err := entry.ProcessResponse(wire.MarshalPair(&wire.ReplyHeader{Xid: answered, Err: wire.ErrOK}, nil)); err != nil {
+		if _, err := entry.ProcessResponse(wire.MarshalPair(&wire.ReplyHeader{Xid: answered, Err: wire.ErrNoNode}, nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,19 +146,23 @@ func TestEntryQueueStaysWithinItsWindow(t *testing.T) {
 		for entry.PendingDepth() > standing {
 			answer()
 		}
-		largest := 0
+		largest, largestPaths := 0, 0
 		for i := 0; i < pairs; i++ {
 			ask()
 			if i >= pairs/2 {
 				entry.mu.Lock()
-				largest = max(largest, cap(entry.queue))
+				largest = max(largest, len(entry.queue.buf))
+				largestPaths = max(largestPaths, len(entry.paths.buf))
 				entry.mu.Unlock()
 			}
 			answer()
 		}
-		// Twice the window when append made the array, and its rounding.
-		if limit := 3 * (standing + 1); largest > limit {
+		// Twice the window when the array was made.
+		if limit := 2 * (standing + 1); largest > limit {
 			t.Errorf("%d requests standing, %d more served one at a time: the queue has room for %d, want at most %d", standing, pairs, largest, limit)
+		}
+		if limit := 2 * (standing + 1) * len(path); largestPaths > limit {
+			t.Errorf("%d requests standing, %d more served one at a time: the path slab has room for %d bytes, want at most %d", standing, pairs, largestPaths, limit)
 		}
 	}
 }
@@ -632,7 +652,7 @@ func FuzzEntryBatchUnpack(f *testing.F) {
 
 		// The real ecalls, through the enclave boundary.
 		entry.mu.Lock()
-		entry.queue = nil
+		entry.queue, entry.paths = slab[pendingOp]{}, slab[byte]{}
 		entry.mu.Unlock()
 		for _, ec := range ecalls {
 			buf := make([]byte, len(packed)+64)

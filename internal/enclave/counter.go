@@ -1,7 +1,9 @@
 package enclave
 
 import (
+	"encoding/binary"
 	"fmt"
+	"unsafe"
 
 	"securekeeper/internal/sgx"
 	"securekeeper/internal/skcrypto"
@@ -141,11 +143,15 @@ func (c *Counter) AppendSequence(encPath string, seq int32) (string, error) {
 
 // ecSequence is the counter enclave's trusted code, run on each slot of
 // the packed buffer with mu held: it rewrites the (path, number) message
-// in its slot into the merged path.
+// in its slot into the merged path. The name is merged where it lies
+// (skcrypto.AppendSequencedPath): the parent's ciphertext stays in
+// place behind the length, and only the final element is rewritten.
 func (c *Counter) ecSequence(buf []byte, msgLen int) (int, error) {
 	var d wire.Decoder
 	d.Reset(buf[:msgLen])
-	encPath, seq := d.ReadString(), d.ReadInt32()
+	d.SetZeroCopy(true)
+	encPath := d.ReadRaw(int(d.ReadInt32()))
+	seq := d.ReadInt32()
 	if d.Err() != nil {
 		return 0, fmt.Errorf("enclave: sequence input: %w", d.Err())
 	}
@@ -154,11 +160,15 @@ func (c *Counter) ecSequence(buf []byte, msgLen int) (int, error) {
 		// break the fixed-width format convention.
 		return 0, fmt.Errorf("enclave: negative sequence %d: %w", seq, wire.ErrBadArguments.Error())
 	}
-	newPath, err := c.codec.AppendSequenceToPath(encPath, seq)
+	const lenPrefix = 4
+	merged, err := c.codec.AppendSequencedPath(buf[:lenPrefix], unsafe.String(unsafe.SliceData(encPath), len(encPath)), seq)
 	if err != nil {
 		return 0, err
 	}
-	e := wire.AppendTo(buf[:0])
-	e.WriteString(newPath)
-	return fitted(&e, buf)
+	if len(merged) > len(buf) {
+		// The append left the slot.
+		return 0, sgx.ErrBufferOverflow
+	}
+	binary.BigEndian.PutUint32(buf, uint32(len(merged)-lenPrefix))
+	return len(merged), nil
 }

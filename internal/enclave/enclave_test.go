@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -386,6 +388,99 @@ func TestCounterBatchRejectsOneSlot(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCounterNamesInSlot: the name the counter enclave merges inside
+// its slot — the parent's ciphertext kept where it lies, the final
+// element decrypted, suffixed and encrypted again — is byte-identical
+// to re-encrypting the whole suffixed plaintext path, which is what the
+// codec's AppendSequenceToPath did before, over seeded paths and
+// numbers: under the root, the root itself, deep parents and long
+// elements. A negative number is still refused and leaves its name.
+func TestCounterNamesInSlot(t *testing.T) {
+	_, _, counter, codec := testSetup(t)
+	rng := rand.New(rand.NewSource(39))
+	element := func() string {
+		const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789-_.é世"
+		var b strings.Builder
+		for n := 1 + rng.Intn(40); b.Len() < n; {
+			b.WriteString(string([]rune(alphabet)[rng.Intn(len([]rune(alphabet)))]))
+		}
+		return b.String()
+	}
+	plains := []string{"/", "/lock-", "/a/b/c/d/e/f/g/h/seq-"}
+	for i := 0; i < 60; i++ {
+		var b strings.Builder
+		for depth := 1 + rng.Intn(6); depth > 0; depth-- {
+			b.WriteString("/" + element())
+		}
+		plains = append(plains, b.String())
+	}
+	var paths, want []string
+	var seqs []int32
+	for i, plain := range plains {
+		enc, err := codec.EncryptPath(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := rng.Int31()
+		switch i % 7 {
+		case 0:
+			seq = 0
+		case 1:
+			seq = math.MaxInt32
+		}
+		ref, err := codec.EncryptPath(wire.AppendSequence(plain, seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := counter.AppendSequence(enc, seq)
+		if err != nil || got != ref {
+			t.Fatalf("%q + %d: merged %q, %v; want %q", plain, seq, got, err, ref)
+		}
+		paths, seqs, want = append(paths, enc), append(seqs, seq), append(want, ref)
+	}
+	errs := make([]error, len(paths))
+	counter.AppendSequences(paths, seqs, errs)
+	for i := range paths {
+		if errs[i] != nil || paths[i] != want[i] {
+			t.Fatalf("batch name %d = %q, %v; want %q", i, paths[i], errs[i], want[i])
+		}
+	}
+
+	enc, err := codec.EncryptPath("/l/c-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, negative := []string{enc}, []int32{-5}
+	counter.AppendSequences(names, negative, errs[:1])
+	if errs[0] == nil || names[0] != enc {
+		t.Fatalf("negative number: name %q, %v; want it refused and left as it was", names[0], errs[0])
+	}
+	// The codec itself formats a negative number as wire does.
+	got, err := codec.AppendSequenceToPath(enc, -5)
+	if ref, _ := codec.EncryptPath(wire.AppendSequence("/l/c-", -5)); err != nil || got != ref {
+		t.Fatalf("codec, negative number: %q, %v; want %q", got, err, ref)
+	}
+}
+
+// TestCounterAllocations: a batch of sequential names costs one object
+// per name, the Txn.Path string AppendSequences hands back; the merge
+// itself happens inside the slot.
+func TestCounterAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the ecall buffer's encoder is pooled, and the race detector empties pools at random")
+	}
+	_, _, counter, codec := testSetup(t)
+	inputs, seqs, _ := counterBatch(t, counter, codec)
+	paths, errs := make([]string, len(inputs)), make([]error, len(inputs))
+	got := testing.AllocsPerRun(100, func() {
+		copy(paths, inputs)
+		counter.AppendSequences(paths, seqs, errs)
+	})
+	if want := float64(len(inputs)); got != want {
+		t.Errorf("a batch of %d names: %v allocs, want %v (one per name)", len(inputs), got, want)
 	}
 }
 

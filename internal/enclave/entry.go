@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"securekeeper/internal/sgx"
 	"securekeeper/internal/skcrypto"
@@ -62,7 +63,8 @@ var (
 // pendingOp records one in-flight request in the entry enclave's FIFO
 // queue (§4.2): responses carry no operation type, but the per-client
 // FIFO ordering guarantees responses arrive in request order, so a
-// queue of (xid, op, plaintext path) suffices to interpret them.
+// queue of (xid, op) — and a GET's plaintext path — suffices to
+// interpret them.
 //
 // The server's commit-processor split executes reads concurrently with
 // pending writes, but it deliberately preserves this enclave's two
@@ -74,10 +76,12 @@ var (
 // TestEnclaveResponseMatchingUnderPipelinedMixedOps and
 // TestResponseXidOrder pin this contract.
 type pendingOp struct {
-	xid        int32
-	op         wire.OpCode
-	plainPath  string
-	sequential bool
+	xid int32
+	op  wire.OpCode
+	// pathLen is the length of the plaintext path the request keeps in
+	// the entry's path slab for its response: a GET's, which the
+	// payload's binding is checked against; 0 for every other op.
+	pathLen int
 	// subs records a multi's sub-op codes, in order: the response
 	// transformation trusts ONLY this enclave-recorded sequence (never
 	// the replica's claimed result ops) to decide which results carry a
@@ -98,10 +102,13 @@ type Entry struct {
 	oneRequest, oneResponse ecallBuf
 
 	// Trusted state (lives inside the ELRANGE conceptually): the
-	// storage codec and the FIFO request-type queue, under the lock an
-	// ecall holds for its whole batch.
+	// storage codec and the FIFO request queue, under the lock an ecall
+	// holds for its whole batch. paths holds the paths the queued GETs
+	// keep, in queue order, and behind them the path of the message
+	// being rewritten (stagePath).
 	keyed
-	queue []pendingOp
+	queue slab[pendingOp]
+	paths slab[byte]
 	// cacheCounters is where the codec's chunk caches count: the
 	// enclave's own unless CountCacheIn named others.
 	cacheCounters *skcrypto.CacheCounters
@@ -151,10 +158,7 @@ func (en *Entry) installKey(key []byte) error {
 	en.codec = codec
 	en.encryptPath, en.decryptPath = codec.AppendEncryptedPath, codec.AppendDecryptedPath
 	// Children are single path elements, not paths.
-	en.decryptChild = func(dst []byte, child string) ([]byte, error) {
-		plain, err := codec.DecryptChunk(child)
-		return append(dst, plain...), err
-	}
+	en.decryptChild = codec.AppendDecryptedChunk
 	return nil
 }
 
@@ -386,17 +390,18 @@ func eachSlot(packed []byte, transform sgx.EcallFunc) (uint32, error) {
 //
 // The message is rewritten inside its slot, without an allocator
 // (§5.1): header and request record are decoded onto this stack — the
-// path as a copy, the payload of a CREATE or SET as an alias of the
-// slot — and the same record is then serialized over the original from
-// the slot's start, its path encrypted on the way in (AppendToMapping).
-// The payload is first moved out of the growing front's way, see
-// sealInHeadroom.
+// path into the enclave's path slab (stagePath), the payload of a
+// CREATE or SET as an alias of the slot — and the same record is then
+// serialized over the original from the slot's start, its path
+// encrypted on the way in (AppendToMapping). The payload is first moved
+// out of the growing front's way, see sealInHeadroom.
 func (en *Entry) ecRequest(buf []byte, msgLen int) (int, error) {
 	codec := en.codec
+	msg := buf[:msgLen]
 
 	var hdr wire.RequestHeader
 	var d wire.Decoder
-	d.Reset(buf[:msgLen])
+	d.Reset(msg)
 	d.SetZeroCopy(true)
 	if err := hdr.Deserialize(&d); err != nil {
 		return 0, fmt.Errorf("enclave: request header: %w", err)
@@ -408,12 +413,13 @@ func (en *Entry) ecRequest(buf []byte, msgLen int) (int, error) {
 	switch hdr.Op {
 	case wire.OpCreate:
 		var req wire.CreateRequest
+		path := en.stagePath(&d, msg)
 		if err := req.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: create body: %w", err)
 		}
-		pend.plainPath, pend.sequential = req.Path, req.Flags&wire.FlagSequential != 0
+		req.Path = path
 		var err error
-		if req.Data, err = sealInHeadroom(codec, buf, req.Path, req.Data, pend.sequential); err != nil {
+		if req.Data, err = sealInHeadroom(codec, buf, path, req.Data, req.Flags&wire.FlagSequential != 0); err != nil {
 			return 0, err
 		}
 		hdr.Serialize(&e)
@@ -421,14 +427,15 @@ func (en *Entry) ecRequest(buf []byte, msgLen int) (int, error) {
 
 	case wire.OpSetData:
 		var req wire.SetDataRequest
+		path := en.stagePath(&d, msg)
 		if err := req.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: set body: %w", err)
 		}
-		pend.plainPath = req.Path
+		req.Path = path
 		// A SET rebinds the payload to the full plaintext path the
 		// client addressed (including any sequence suffix).
 		var err error
-		if req.Data, err = sealInHeadroom(codec, buf, req.Path, req.Data, false); err != nil {
+		if req.Data, err = sealInHeadroom(codec, buf, path, req.Data, false); err != nil {
 			return 0, err
 		}
 		hdr.Serialize(&e)
@@ -436,28 +443,34 @@ func (en *Entry) ecRequest(buf []byte, msgLen int) (int, error) {
 
 	case wire.OpGetData, wire.OpExists, wire.OpGetChildren:
 		var req wire.ReadRequest
+		path := en.stagePath(&d, msg)
 		if err := req.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: %s body: %w", hdr.Op, err)
 		}
-		pend.plainPath = req.Path
+		req.Path = path
+		if hdr.Op == wire.OpGetData {
+			pend.pathLen = len(path)
+		}
 		hdr.Serialize(&e)
 		req.Serialize(&e)
 
 	case wire.OpDelete:
 		var req wire.DeleteRequest
+		path := en.stagePath(&d, msg)
 		if err := req.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: delete body: %w", err)
 		}
-		pend.plainPath = req.Path
+		req.Path = path
 		hdr.Serialize(&e)
 		req.Serialize(&e)
 
 	case wire.OpSync:
 		var req wire.SyncRequest
+		path := en.stagePath(&d, msg)
 		if err := req.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: sync body: %w", err)
 		}
-		pend.plainPath = req.Path
+		req.Path = path
 		hdr.Serialize(&e)
 		req.Serialize(&e)
 
@@ -497,7 +510,7 @@ func (en *Entry) ecRequest(buf []byte, msgLen int) (int, error) {
 		// ecResponse's FIFO and must be queued here; pings use the
 		// reserved xid and skip it.
 		if hdr.Op != wire.OpPing {
-			en.queue = append(en.queue, pend)
+			en.enqueue(pend)
 		}
 		return msgLen, nil
 
@@ -512,9 +525,90 @@ func (en *Entry) ecRequest(buf []byte, msgLen int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	en.queue = append(en.queue, pend)
+	en.enqueue(pend)
 	return n, nil
 }
+
+// enqueue puts a rewritten request on the FIFO queue, and with it the
+// path stagePath left behind the kept ones if the request keeps it.
+func (en *Entry) enqueue(pend pendingOp) {
+	en.paths.push(pend.pathLen)
+	en.queue.room(1)[0] = pend
+	en.queue.push(1)
+}
+
+// stagePath copies the path that leads the record at d's position out
+// of msg into the path slab, behind the paths kept there, and returns
+// it; it is valid until the next stagePath. d is then re-aimed so that
+// the record's Deserialize finds an empty path in its place — msg's
+// four bytes in front of the record's next field are set to an empty
+// string's length — and takes no string of its own. msg is the
+// message being rewritten: its path has been read once it is staged.
+// A path that does not decode leaves the error in d, for Deserialize.
+func (en *Entry) stagePath(d *wire.Decoder, msg []byte) string {
+	at := d.Offset()
+	raw := d.ReadRaw(int(d.ReadInt32()))
+	if d.Err() != nil {
+		return ""
+	}
+	staged := en.paths.room(len(raw))
+	copy(staged, raw)
+	next := at + len(raw)
+	binary.BigEndian.PutUint32(msg[next:], 0)
+	d.Reset(msg[next:])
+	d.SetZeroCopy(true)
+	return unsafe.String(unsafe.SliceData(staged), len(staged))
+}
+
+// slab is a FIFO queue of Ts in one array that the enclave owns and
+// reuses: the live Ts are buf[head:tail], a queue that empties starts
+// again at the array's front, and the array is replaced only when the
+// live Ts and a push together need more than half of it or less than a
+// quarter of it. Its length therefore follows the Ts outstanding —
+// twice what the last replacement needed — and never the Ts served.
+// An array longer than transport.MaxScratchRetain serves only until the
+// queue next empties.
+type slab[T any] struct {
+	buf        []T
+	head, tail int
+}
+
+// room returns the n Ts behind the live ones, where a push of n puts
+// them.
+func (s *slab[T]) room(n int) []T {
+	if s.head == s.tail && len(s.buf) > transport.MaxScratchRetain {
+		s.buf = nil
+	}
+	if s.tail+n > len(s.buf) {
+		live := s.buf[s.head:s.tail]
+		if need := len(live) + n; 2*need > len(s.buf) || 4*need < len(s.buf) {
+			buf := make([]T, 2*need)
+			copy(buf, live)
+			s.buf = buf
+		} else {
+			copy(s.buf, live)
+			clear(s.buf[len(live):s.tail])
+		}
+		s.head, s.tail = 0, len(live)
+	}
+	return s.buf[s.tail : s.tail+n : s.tail+n]
+}
+
+// push makes the n Ts behind the live ones live.
+func (s *slab[T]) push(n int) { s.tail += n }
+
+// pop takes the n Ts at the front. They stay where they are until the
+// next room.
+func (s *slab[T]) pop(n int) []T {
+	ts := s.buf[s.head : s.head+n : s.head+n]
+	if s.head += n; s.head == s.tail {
+		s.head, s.tail = 0, 0
+	}
+	return ts
+}
+
+// len reports the number of live Ts.
+func (s *slab[T]) len() int { return s.tail - s.head }
 
 // sealInHeadroom encrypts a request's payload, bound to plainPath, and
 // returns the ciphertext. payload aliases the slot (zero-copy decode)
@@ -569,24 +663,16 @@ func (en *Entry) ecResponse(buf []byte, msgLen int) (int, error) {
 		return msgLen, nil
 	}
 
-	if len(en.queue) == 0 {
+	if en.queue.len() == 0 {
 		return 0, ErrNoPending
 	}
-	// The popped slot is zeroed, so the plaintext path of an answered
-	// request is not kept reachable in trusted memory. The queue moves up
-	// its array, and the append that finds the array used up takes only
-	// the live entries to a new one, twice their number long: the array
-	// is bounded by the requests outstanding, never by the requests
-	// served. A queue that empties stays on its last slot, so a session
-	// with one request at a time reuses that slot instead of making an
-	// array per request.
-	pend := en.queue[0]
-	en.queue[0] = pendingOp{}
-	if len(en.queue) > 1 {
-		en.queue = en.queue[1:]
-	} else {
-		en.queue = en.queue[:0]
-	}
+	// The popped slot is zeroed, so a multi's sub-op list is not kept
+	// reachable in trusted memory. A GET's path stays in the slab until
+	// the next request's is staged over it.
+	popped := en.queue.pop(1)
+	pend := popped[0]
+	popped[0] = pendingOp{}
+	path := en.paths.pop(pend.pathLen)
 
 	if pend.xid != hdr.Xid {
 		return 0, fmt.Errorf("enclave: FIFO violation: response xid %d, expected %d: %w",
@@ -605,7 +691,7 @@ func (en *Entry) ecResponse(buf []byte, msgLen int) (int, error) {
 		// resp.Data zero-copy aliases buf, which is this ecall's private
 		// scratch: decrypt it in place, no intermediate ciphertext copy.
 		// Serializing moves the plaintext down behind the header.
-		plain, err := codec.DecryptPayloadInPlace(pend.plainPath, resp.Data)
+		plain, err := codec.DecryptPayloadInPlace(unsafe.String(unsafe.SliceData(path), len(path)), resp.Data)
 		if err != nil {
 			// Binding or HMAC failure: report integrity violation to
 			// the client instead of tampered data (§7.1).
@@ -619,10 +705,14 @@ func (en *Entry) ecResponse(buf []byte, msgLen int) (int, error) {
 		resp.Serialize(&e)
 
 	case wire.OpCreate, wire.OpSync:
+		// The path is staged as a request's is: its plaintext is written
+		// over where its ciphertext lies.
 		var resp wire.PathRecord
+		path := en.stagePath(&d, buf[:msgLen])
 		if err := resp.Deserialize(&d); err != nil {
 			return 0, fmt.Errorf("enclave: %s response: %w", pend.op, err)
 		}
+		resp.Path = path
 		hdr.Serialize(&e)
 		resp.Serialize(&e)
 
@@ -730,5 +820,5 @@ func integrityReply(buf []byte, hdr wire.ReplyHeader) (int, error) {
 func (en *Entry) PendingDepth() int {
 	en.mu.Lock()
 	defer en.mu.Unlock()
-	return len(en.queue)
+	return en.queue.len()
 }

@@ -1,9 +1,9 @@
 package skcrypto
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // The path codec is deterministic by design (§4.3): a chunk's IV is the
@@ -21,12 +21,20 @@ import (
 // bounded memory, not unbounded growth.
 const DefaultChunkCacheSize = 4096
 
-// chunkCache is a mutex-guarded LRU map from string to string,
-// allocation-free on hits. Entries form a doubly-linked recency list
-// (hand-rolled rather than container/list to avoid boxing values).
+// chunkCache is a mutex-guarded LRU map from a key to a value, both
+// bytes that the cache owns: every entry keeps its pair in one array of
+// its own, and the entry an insertion evicts hands that array on to the
+// new pair, so a cache at capacity allocates nothing for an insertion
+// unless the new pair is longer than any its entry held before. A
+// lookup appends the value to the caller's buffer under the lock, so no
+// byte the cache owns leaves it for an eviction to overwrite later.
+// Entries form a doubly-linked recency list (hand-rolled rather than
+// container/list to avoid boxing values).
 type chunkCache struct {
-	mu         sync.Mutex
-	max        int
+	mu  sync.Mutex
+	max int
+	// m is keyed by each entry's own key bytes (chunkEntry.key): an
+	// entry's array is written only while its key is out of m.
 	m          map[string]*chunkEntry
 	head, tail *chunkEntry // head = most recent
 	counts     *cacheCounts
@@ -62,9 +70,16 @@ func (c *cacheCounts) stats() CacheStats {
 }
 
 type chunkEntry struct {
-	key, val   string
+	pair       []byte // the key, then the value
+	keyLen     int
 	prev, next *chunkEntry
 }
+
+// key is the entry's key over the entry's own bytes.
+func (e *chunkEntry) key() string { return unsafe.String(unsafe.SliceData(e.pair), e.keyLen) }
+
+// bytesOrString is a key or a value the way a caller holds it.
+type bytesOrString interface{ ~string | ~[]byte }
 
 // newChunkCache returns a cache of at most max (at least one) entries
 // that counts in counts.
@@ -72,46 +87,46 @@ func newChunkCache(max int, counts *cacheCounts) *chunkCache {
 	return &chunkCache{max: max, m: make(map[string]*chunkEntry, min(max, 256)), counts: counts}
 }
 
-// get returns the cached value and refreshes its recency.
-func (c *chunkCache) get(key string) (string, bool) {
+// get appends key's value to dst and refreshes its recency.
+func (c *chunkCache) get(dst []byte, key string) ([]byte, bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e, ok := c.m[key]
 	if !ok {
 		c.counts.misses.Add(1)
-		c.mu.Unlock()
-		return "", false
+		return dst, false
 	}
 	c.counts.hits.Add(1)
 	c.moveToFront(e)
-	v := e.val
-	c.mu.Unlock()
-	return v, true
+	return append(dst, e.pair[e.keyLen:]...), true
 }
 
-// add inserts key → val. A full cache gives the new pair the entry of
-// the least-recently-used one, so a cache at capacity — under churn,
-// every insertion — allocates the key's clone and nothing else. The key
-// is cloned so cache entries never pin a caller's larger backing string
-// (lookups pass sub-slices of request paths).
-func (c *chunkCache) add(key, val string) {
+// add inserts key → val into c, copying both. A full cache gives the
+// new pair the entry, and the array, of the least-recently-used one.
+func add[K, V bytesOrString](c *chunkCache, key K, val V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.m[key]; ok {
-		e.val = val
+	e, ok := c.m[string(key)]
+	switch {
+	case ok:
+		// The key's bytes stay where m has them; only the value changes.
+		e.pair = append(e.pair[:e.keyLen], val...)
 		c.moveToFront(e)
 		return
-	}
-	var e *chunkEntry
-	if len(c.m) >= c.max {
+	case len(c.m) >= c.max:
 		e = c.tail
 		c.unlink(e)
-		delete(c.m, e.key)
+		delete(c.m, e.key())
 		c.counts.evictions.Add(1)
-	} else {
+	default:
 		e = new(chunkEntry)
 	}
-	e.key, e.val = strings.Clone(key), val
-	c.m[e.key] = e
+	if cap(e.pair) < len(key)+len(val) {
+		e.pair = make([]byte, 0, len(key)+len(val))
+	}
+	e.pair = append(append(e.pair[:0], key...), val...)
+	e.keyLen = len(key)
+	c.m[e.key()] = e
 	c.pushFront(e)
 }
 

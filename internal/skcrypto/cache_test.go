@@ -1,7 +1,11 @@
 package skcrypto
 
 import (
+	"bytes"
+	"container/list"
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -156,17 +160,17 @@ func TestChunkCacheBoundedUnderChurn(t *testing.T) {
 // evicted.
 func TestChunkCacheLRUOrder(t *testing.T) {
 	cc := newChunkCache(2, new(cacheCounts))
-	cc.add("a", "1")
-	cc.add("b", "2")
-	if _, ok := cc.get("a"); !ok { // refresh a; b becomes LRU
+	add(cc, "a", "1")
+	add(cc, "b", "2")
+	if _, ok := cc.get(nil, "a"); !ok { // refresh a; b becomes LRU
 		t.Fatal("a missing")
 	}
-	cc.add("c", "3") // evicts b
-	if _, ok := cc.get("b"); ok {
+	add(cc, "c", "3") // evicts b
+	if _, ok := cc.get(nil, "b"); ok {
 		t.Fatal("b should have been evicted")
 	}
 	for _, k := range []string{"a", "c"} {
-		if _, ok := cc.get(k); !ok {
+		if _, ok := cc.get(nil, k); !ok {
 			t.Fatalf("%s should have survived", k)
 		}
 	}
@@ -177,7 +181,7 @@ func TestChunkCacheLRUOrder(t *testing.T) {
 
 // TestChunkCacheCountsAndRecycles: lookups and evictions are counted per
 // direction, and an insertion into a full cache reuses the entry it
-// pushes out — it allocates the clone of its key and nothing else.
+// pushes out and that entry's array: it allocates nothing.
 func TestChunkCacheCountsAndRecycles(t *testing.T) {
 	c := cacheTestCodec(t, 1)
 	c.enc, c.dec = newChunkCache(4, &c.counters.enc), newChunkCache(4, &c.counters.dec)
@@ -204,10 +208,10 @@ func TestChunkCacheCountsAndRecycles(t *testing.T) {
 	keys := []string{"/churn/a", "/churn/b", "/churn/c"}
 	i := 0
 	if got := testing.AllocsPerRun(100, func() {
-		cc.add(keys[i%len(keys)], "v")
+		add(cc, keys[i%len(keys)], "v")
 		i++
-	}); got != 1 {
-		t.Fatalf("insertion into a full cache: %v allocs, want 1 (the key's clone)", got)
+	}); got != 0 {
+		t.Fatalf("insertion into a full cache: %v allocs, want 0", got)
 	}
 }
 
@@ -240,7 +244,7 @@ func TestDecryptChunkCachePoisoningRejected(t *testing.T) {
 // TestSequenceChunkNotAdmitted: the counter enclave's merged path is the
 // ciphertext EncryptPath gives for the suffixed path, and the final
 // chunk it mints stays out of both caches — nothing looks it up again —
-// while the parent's chunks are served from them.
+// while the chunks of the name it was given are decrypted from them.
 func TestSequenceChunkNotAdmitted(t *testing.T) {
 	c := cacheTestCodec(t, 0x5e)
 	ref := cacheTestCodec(t, 0x5e)
@@ -250,7 +254,7 @@ func TestSequenceChunkNotAdmitted(t *testing.T) {
 			t.Fatal(err)
 		}
 		encLen, decLen := c.ChunkCacheLen()
-		hits, _ := c.CacheStats()
+		_, hits := c.CacheStats()
 		for seq := int32(0); seq < 50; seq++ {
 			got, err := c.AppendSequenceToPath(enc, seq)
 			if err != nil {
@@ -267,8 +271,133 @@ func TestSequenceChunkNotAdmitted(t *testing.T) {
 		if e, d := c.ChunkCacheLen(); e != encLen || d != decLen {
 			t.Fatalf("%s: caches grew from (%d, %d) to (%d, %d) entries: minted chunks were admitted", base, encLen, decLen, e, d)
 		}
-		if after, _ := c.CacheStats(); base != "/lock-" && after.Hits == hits.Hits {
-			t.Fatalf("%s: the parent's chunks were not served from the cache", base)
+		if _, after := c.CacheStats(); after.Hits-hits.Hits != 50*int64(strings.Count(base, "/")) {
+			t.Fatalf("%s: %d of its chunks decrypted from the cache in 50 names, want all", base, after.Hits-hits.Hits)
 		}
 	}
+}
+
+// TestChunkCacheLookupOutlivesEviction: the bytes a lookup appended are
+// the caller's. The entry they came from is evicted and its array
+// reused for a pair longer and shorter than it, and they do not change.
+func TestChunkCacheLookupOutlivesEviction(t *testing.T) {
+	cc := newChunkCache(1, new(cacheCounts))
+	add(cc, "/a", []byte("first value"))
+	got, ok := cc.get([]byte("dst:"), "/a")
+	if !ok {
+		t.Fatal("/a missing")
+	}
+	for _, pair := range [][2]string{{"/b", "x"}, {"/c", "a much longer value than the first"}, {"/a", "other"}} {
+		add(cc, pair[0], pair[1])
+		if string(got) != "dst:first value" {
+			t.Fatalf("after %q took the entry's array, the lookup's bytes read %q", pair[0], got)
+		}
+	}
+}
+
+// refCache is the chunk cache as it was before its entries owned their
+// bytes — a map of strings and a recency list — and the model
+// FuzzChunkCache holds the cache to.
+type refCache struct {
+	max     int
+	m       map[string]*list.Element // of *[2]string{key, value}
+	recency *list.List               // front = most recent
+	stats   CacheStats
+}
+
+func newRefCache(max int) *refCache {
+	return &refCache{max: max, m: map[string]*list.Element{}, recency: list.New()}
+}
+
+func (r *refCache) get(key string) (string, bool) {
+	el, ok := r.m[key]
+	if !ok {
+		r.stats.Misses++
+		return "", false
+	}
+	r.stats.Hits++
+	r.recency.MoveToFront(el)
+	return el.Value.(*[2]string)[1], true
+}
+
+func (r *refCache) add(key, val string) {
+	if el, ok := r.m[key]; ok {
+		el.Value.(*[2]string)[1] = val
+		r.recency.MoveToFront(el)
+		return
+	}
+	if len(r.m) >= r.max {
+		oldest := r.recency.Back()
+		r.recency.Remove(oldest)
+		delete(r.m, oldest.Value.(*[2]string)[0])
+		r.stats.Evictions++
+	}
+	r.m[key] = r.recency.PushFront(&[2]string{key, val})
+}
+
+// FuzzChunkCache drives the chunk cache and the reference model with
+// one sequence of lookups and insertions and compares them after every
+// step: the bytes a lookup appends, the entry count, and the hits,
+// misses and evictions. Keys and values have fuzzed lengths (up to
+// 300 bytes, against a few-byte first pair), so recycled arrays are
+// both too short and long enough; the caller's key and value buffers
+// are overwritten after every insertion.
+func FuzzChunkCache(f *testing.F) {
+	f.Add(uint8(1), []byte{0, 1, 2, 3, 1, 5, 8, 2, 1, 9, 0, 1, 2, 3})
+	f.Add(uint8(3), []byte("insert, look up, evict and insert again: a longer value every time"))
+	f.Add(uint8(0), bytes.Repeat([]byte{0xff, 0x10, 0x00, 0x81, 0x7f}, 20))
+	stream := make([]byte, 8000)
+	rand.New(rand.NewSource(39)).Read(stream)
+	f.Add(uint8(5), stream)
+	f.Fuzz(func(t *testing.T, size uint8, ops []byte) {
+		max := 1 + int(size%8)
+		counts := new(cacheCounts)
+		cc, ref := newChunkCache(max, counts), newRefCache(max)
+		next := func() byte {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return b
+		}
+		// sized is n bytes of b: n is 0 to 39, or 40 to 300 when the
+		// length byte's top bit is set.
+		sized := func(b, lenByte byte) []byte {
+			n := int(lenByte % 40)
+			if lenByte&0x80 != 0 {
+				n = 40 + int(lenByte)*260/255
+			}
+			return bytes.Repeat([]byte{b}, n)
+		}
+		for step := 0; len(ops) > 0; step++ {
+			op, id := next(), next()
+			key := sized('a'+id%12, id*7) // twelve keys, each one length
+			switch op % 3 {
+			case 0:
+				dst := []byte("dst")
+				got, ok := cc.get(dst, string(key))
+				want, wantOK := ref.get(string(key))
+				if ok != wantOK || string(got) != "dst"+want {
+					t.Fatalf("step %d: get %q = %q, %v; the model has %q, %v", step, key, got, ok, want, wantOK)
+				}
+			case 1:
+				val := sized(next(), next())
+				add(cc, string(key), val)
+				ref.add(string(key), string(val))
+				clear(val)
+			case 2:
+				val := string(sized(next(), next()))
+				add(cc, key, val)
+				ref.add(string(key), val)
+				clear(key)
+			}
+			if n := cc.len(); n != len(ref.m) {
+				t.Fatalf("step %d: %d entries, the model %d", step, n, len(ref.m))
+			}
+			if got := counts.stats(); got != ref.stats {
+				t.Fatalf("step %d: counts %+v, the model %+v", step, got, ref.stats)
+			}
+		}
+	})
 }

@@ -21,6 +21,7 @@
 package skcrypto
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
@@ -28,6 +29,7 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -146,7 +148,7 @@ func putScratch(s *scratchBuf) {
 // path prefix up to and including the chunk (§4.3: the chunk's own
 // plaintext must participate, otherwise all children of one parent
 // would share an IV).
-func chunkIV(dst *[ivSize]byte, prefix string) {
+func chunkIV[T bytesOrString](dst *[ivSize]byte, prefix T) {
 	s := hashScratch.Get().(*scratchBuf)
 	s.b = append(s.b[:0], "skpath:"...)
 	s.b = append(s.b, prefix...)
@@ -156,70 +158,73 @@ func chunkIV(dst *[ivSize]byte, prefix string) {
 }
 
 // encryptChunk encrypts one path element with the IV for prefix and
-// returns its Base64url encoding, sized exactly.
-func (c *Codec) encryptChunk(prefix, chunk string) string {
+// appends its Base64url encoding to dst.
+func encryptChunk[T bytesOrString](c *Codec, dst []byte, prefix, chunk T) []byte {
 	var iv [ivSize]byte
 	chunkIV(&iv, prefix)
-	rawLen := ivSize + len(chunk) + tagSize
 	s := hashScratch.Get().(*scratchBuf)
 	s.b = append(s.b[:0], iv[:]...)
 	s.b = append(s.b, chunk...)
-	raw := c.aead.Seal(s.b[:ivSize], iv[:], s.b[ivSize:ivSize+len(chunk)], pathAAD)
-	out := make([]byte, b64.EncodedLen(rawLen))
-	b64.Encode(out, raw)
+	nonce := s.b[:ivSize]
+	raw := c.aead.Seal(nonce, nonce, s.b[ivSize:ivSize+len(chunk)], pathAAD)
+	dst = b64.AppendEncode(dst, raw)
 	putScratch(s)
-	return string(out)
+	return dst
 }
 
 // DecryptChunk decrypts a single encrypted path element (used for the
 // children names returned by LS, where the request gives no prefix IV —
-// which is why the IV is appended to every chunk, §4.3). Successful
-// decryptions are cached: GCM authentication guarantees byte-identical
-// chunks decrypt identically under one key.
+// which is why the IV is appended to every chunk, §4.3).
 func (c *Codec) DecryptChunk(enc string) (string, error) {
-	if plain, ok := c.dec.get(enc); ok {
-		return plain, nil
-	}
-	rawLen := b64.DecodedLen(len(enc))
-	if rawLen < ivSize+tagSize {
-		return "", ErrMalformedPath
-	}
-	s := hashScratch.Get().(*scratchBuf)
-	if cap(s.b) < rawLen {
-		s.b = make([]byte, 0, rawLen)
-	}
-	raw := s.b[:rawLen]
-	n, err := b64.Decode(raw, []byte(enc))
+	var scratch [pathScratch]byte
+	plain, err := c.AppendDecryptedChunk(scratch[:0], enc)
 	if err != nil {
-		putScratch(s)
-		return "", fmt.Errorf("%w: %v", ErrMalformedPath, err)
+		return "", err
 	}
-	raw = raw[:n]
-	if len(raw) < ivSize+tagSize {
-		putScratch(s)
-		return "", ErrMalformedPath
-	}
-	plainBytes, err := c.aead.Open(raw[ivSize:ivSize], raw[:ivSize], raw[ivSize:], pathAAD)
-	if err != nil {
-		putScratch(s)
-		return "", ErrDecrypt
-	}
-	plain := string(plainBytes)
-	putScratch(s)
-	c.dec.add(enc, plain)
-	return plain, nil
+	return string(plain), nil
 }
 
-// encryptChunkCached returns the encrypted chunk for the prefix ending
-// in chunk, consulting both cache directions.
-func (c *Codec) encryptChunkCached(prefix, chunk string) string {
-	if enc, ok := c.enc.get(prefix); ok {
-		return enc
+// AppendDecryptedChunk appends DecryptChunk(enc) to dst. Successful
+// decryptions are cached: GCM authentication guarantees byte-identical
+// chunks decrypt identically under one key.
+func (c *Codec) AppendDecryptedChunk(dst []byte, enc string) ([]byte, error) {
+	if out, ok := c.dec.get(dst, enc); ok {
+		return out, nil
 	}
-	enc := c.encryptChunk(prefix, chunk)
-	c.enc.add(prefix, enc)
-	c.dec.add(enc, strings.Clone(chunk))
-	return enc
+	if b64.DecodedLen(len(enc)) < ivSize+tagSize {
+		return dst, ErrMalformedPath
+	}
+	s := hashScratch.Get().(*scratchBuf)
+	defer putScratch(s)
+	// The chunk is decoded from the scratch's copy of it, to behind it.
+	s.b = append(s.b[:0], enc...)
+	var err error
+	if s.b, err = b64.AppendDecode(s.b, s.b[:len(enc)]); err != nil {
+		return dst, fmt.Errorf("%w: %v", ErrMalformedPath, err)
+	}
+	raw := s.b[len(enc):]
+	if len(raw) < ivSize+tagSize {
+		return dst, ErrMalformedPath
+	}
+	plain, err := c.aead.Open(raw[ivSize:ivSize], raw[:ivSize], raw[ivSize:], pathAAD)
+	if err != nil {
+		return dst, ErrDecrypt
+	}
+	add(c.dec, enc, plain)
+	return append(dst, plain...), nil
+}
+
+// appendEncryptedChunk appends the encrypted chunk for the prefix ending
+// in chunk to dst, consulting both cache directions.
+func (c *Codec) appendEncryptedChunk(dst []byte, prefix, chunk string) []byte {
+	if out, ok := c.enc.get(dst, prefix); ok {
+		return out
+	}
+	start := len(dst)
+	dst = encryptChunk(c, dst, prefix, chunk)
+	add(c.enc, prefix, dst[start:])
+	add(c.dec, dst[start:], chunk)
+	return dst
 }
 
 // pathScratch sizes the stack buffer EncryptPath and DecryptPath
@@ -260,9 +265,8 @@ func (c *Codec) AppendEncryptedPath(dst []byte, plain string) ([]byte, error) {
 			return dst, fmt.Errorf("%w: empty element in %q", ErrMalformedPath, plain)
 		}
 		// The prefix is a sub-slice of the input — no per-chunk string
-		// concatenation; the cache clones keys it keeps.
-		dst = append(dst, '/')
-		dst = append(dst, c.encryptChunkCached(plain[:end], plain[start:end])...)
+		// concatenation; the cache copies what it keeps.
+		dst = c.appendEncryptedChunk(append(dst, '/'), plain[:end], plain[start:end])
 		start = end + 1
 	}
 	return dst, nil
@@ -294,12 +298,10 @@ func (c *Codec) AppendDecryptedPath(dst []byte, enc string) ([]byte, error) {
 		} else {
 			end += start
 		}
-		plain, err := c.DecryptChunk(enc[start:end])
-		if err != nil {
+		var err error
+		if dst, err = c.AppendDecryptedChunk(append(dst, '/'), enc[start:end]); err != nil {
 			return dst, err
 		}
-		dst = append(dst, '/')
-		dst = append(dst, plain...)
 		start = end + 1
 	}
 	return dst, nil
@@ -307,31 +309,52 @@ func (c *Codec) AppendDecryptedPath(dst []byte, enc string) ([]byte, error) {
 
 // AppendSequenceToPath implements the counter enclave's data processing
 // (§4.4): decrypt the encrypted path, append the ZooKeeper-formatted
-// sequence number to its final element, and re-encrypt the whole path
-// (the final chunk's new name changes its IV, and only the enclave can
-// compute it).
-//
-// The parent's chunks go through the cache like any path's; the final
-// chunk does not. Its name is minted once, with this number: the codec
-// never looks it up again, and admitting it would only push out chunks
-// it does look up.
+// sequence number to its final element, and re-encrypt that element
+// (its new name changes its IV, and only the enclave can compute it).
 func (c *Codec) AppendSequenceToPath(encPath string, seq int32) (string, error) {
-	plain, err := c.DecryptPath(encPath)
+	var scratch [pathScratch]byte
+	enc, err := c.AppendSequencedPath(scratch[:0], encPath, seq)
 	if err != nil {
 		return "", err
 	}
-	plain = wire.AppendSequence(plain, seq)
-	last := strings.LastIndexByte(plain, '/')
-	var scratch [pathScratch]byte
-	enc := scratch[:0]
-	if last > 0 {
-		if enc, err = c.AppendEncryptedPath(enc, plain[:last]); err != nil {
-			return "", err
-		}
-	}
-	enc = append(enc, '/')
-	enc = append(enc, c.encryptChunk(plain, plain[last+1:])...)
 	return string(enc), nil
+}
+
+// AppendSequencedPath appends AppendSequenceToPath(encPath, seq) to dst.
+// The parent's chunks are appended as they are — a parent's ciphertext
+// does not depend on its children — and the final element is the only
+// one encrypted. encPath is read in full before dst is written, so dst
+// may be the memory encPath lies in, its end at or before encPath's
+// start (the counter enclave rewriting a name inside its slot).
+//
+// Every chunk is decrypted through the cache like any path's, but the
+// final one is encrypted past it: its name is minted once, with this
+// number, the codec never looks it up again, and admitting it would
+// only push out chunks it does look up.
+func (c *Codec) AppendSequencedPath(dst []byte, encPath string, seq int32) ([]byte, error) {
+	var scratch [pathScratch]byte
+	plain, err := c.AppendDecryptedPath(scratch[:0], encPath)
+	if err != nil {
+		return dst, err
+	}
+	plain = appendSequence(plain, seq)
+	dst = append(dst, encPath[:strings.LastIndexByte(encPath, '/')+1]...)
+	return encryptChunk(c, dst, plain, plain[bytes.LastIndexByte(plain, '/')+1:]), nil
+}
+
+// appendSequence appends seq to dst as wire.AppendSequence formats it:
+// SeqDigits characters, zero-padded after the sign.
+func appendSequence(dst []byte, seq int32) []byte {
+	var buf [SeqDigits + 1]byte
+	digits := strconv.AppendInt(buf[:0], int64(seq), 10)
+	pad := SeqDigits - len(digits)
+	if seq < 0 {
+		dst, digits = append(dst, '-'), digits[1:]
+	}
+	for ; pad > 0; pad-- {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
 }
 
 // StripSequence removes a trailing sequence suffix from a plaintext
