@@ -696,3 +696,26 @@ func isProtocolErr(err error) bool {
 	var pe *wire.ProtocolError
 	return errors.As(err, &pe)
 }
+
+// Reissue runs op until it returns anything but CONNECTIONLOSS, pausing
+// between tries, or until ctx ends. CONNECTIONLOSS is a replica's answer
+// to a request it could not hand to a leader: a fresh session's first
+// requests while its replica is not yet following a synced leader (right
+// after the ensemble starts, or mid-election), or any request across a
+// failover. ZooKeeper clients re-issue on it, and so may callers here,
+// but only with an op that is safe to run twice: a write lost after it
+// was submitted may have committed.
+func Reissue(ctx context.Context, op func() error) error {
+	for {
+		err := op()
+		var pe *wire.ProtocolError
+		if !errors.As(err, &pe) || pe.Code != wire.ErrConnectionLoss {
+			return err
+		}
+		select {
+		case <-ctx.Done():
+			return err
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+}

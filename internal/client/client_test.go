@@ -463,3 +463,30 @@ func TestClientRequestAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestReissueRetriesConnectionLossOnly: Reissue runs an op again after
+// CONNECTIONLOSS, wrapped or not, and hands back any other outcome, or
+// the last CONNECTIONLOSS once its context ends.
+func TestReissueRetriesConnectionLossOnly(t *testing.T) {
+	loss := &wire.ProtocolError{Code: wire.ErrConnectionLoss}
+	calls := 0
+	err := Reissue(context.Background(), func() error {
+		if calls++; calls < 3 {
+			return fmt.Errorf("op: %w", loss)
+		}
+		return nil
+	})
+	if err != nil || calls != 3 {
+		t.Fatalf("after two losses: err %v in %d calls, want nil in 3", err, calls)
+	}
+	noNode := &wire.ProtocolError{Code: wire.ErrNoNode}
+	calls = 0
+	if err := Reissue(context.Background(), func() error { calls++; return noNode }); err != noNode || calls != 1 {
+		t.Fatalf("NONODE: err %v in %d calls, want it back from 1", err, calls)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := Reissue(ctx, func() error { return loss }); err != loss {
+		t.Fatalf("ended context: err %v, want the loss", err)
+	}
+}

@@ -231,7 +231,15 @@ func TestMultiOverTCPEnsemble(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				data, err := syncGet(ncl, "/m")
+				// A fresh session on a follower: its replica may still be
+				// syncing with the leader, and refuses with CONNECTIONLOSS.
+				var data []byte
+				ctx, cancel := context.WithTimeout(ctxbg, 15*time.Second)
+				err = client.Reissue(ctx, func() (err error) {
+					data, err = syncGet(ncl, "/m")
+					return err
+				})
+				cancel()
 				if err != nil || !bytes.Equal(data, []byte("v1")) {
 					t.Fatalf("node %d: /m = %q, %v", i+1, data, err)
 				}

@@ -533,10 +533,12 @@ func (s *sim) nemesis() {
 	}
 }
 
-// runSeed plays one random schedule and returns its trace hash, or the
-// first violated invariant.
-func runSeed(seed int64, nVoters, nObservers int) (s *sim, err error) {
+// runSeed plays one random schedule, in link mode if linked, and returns
+// its trace hash, or the first violated invariant.
+func runSeed(seed int64, nVoters, nObservers int, linked bool) (s *sim, err error) {
 	s = newSim(seed, nVoters, nObservers)
+	s.linked = linked
+	settle := simSettle
 	defer func() {
 		if r := recover(); r != nil {
 			f, ok := r.(simFailure)
@@ -558,7 +560,7 @@ func runSeed(seed int64, nVoters, nObservers int) (s *sim, err error) {
 	}
 	var traffic func()
 	traffic = func() {
-		if s.now < simChaos+simSettle+20*simTick {
+		if s.now < simChaos+settle+20*simTick {
 			s.client()
 			s.after(simTick/8+s.rng.Int63n(simTick), traffic)
 		}
@@ -586,13 +588,18 @@ func runSeed(seed int64, nVoters, nObservers int) (s *sim, err error) {
 		}
 		s.unstall(p)
 	}
-	s.run(simChaos + simSettle)
+	if linked {
+		// A link comes back at its dialer's next attempt, which may be a
+		// backoff away; the ensemble settles from then.
+		settle = max(settle, s.relinked()-simChaos+simSettle)
+	}
+	s.run(simChaos + settle)
 	l := s.leaderNow()
 	if l == nil {
-		s.failf("no leader activated within %d ticks of the faults stopping", simSettle/simTick)
+		s.failf("no leader activated within %d ticks of the faults stopping", settle/simTick)
 	}
 	before := s.nextID
-	s.run(simChaos + simSettle + 40*simTick)
+	s.run(simChaos + settle + 40*simTick)
 	if s.leaderNow() != l {
 		s.failf("leader %d did not hold once the faults had stopped", l.id)
 	}
@@ -623,7 +630,13 @@ var simShapes = [][2]int{{3, 0}, {5, 0}, {3, 1}, {5, 2}}
 // TestSimSweep runs random schedules over 3- and 5-voter ensembles with
 // and without observers. -zabsim.seed=N replays seed N (on every shape)
 // and prints its trace; -zabsim.seeds=N widens the sweep.
-func TestSimSweep(t *testing.T) {
+func TestSimSweep(t *testing.T) { sweep(t, false) }
+
+// sweep runs the random schedules in the lossy mode or, linked, in link
+// mode (simlink_test.go), which runs an eighth of the seeds: a seed
+// costs it about 1.5 times what it costs the lossy mode, and tier-1 has
+// room for that many.
+func sweep(t *testing.T, linked bool) {
 	n := *simSeeds
 	if n == 0 {
 		n = 2400
@@ -631,48 +644,69 @@ func TestSimSweep(t *testing.T) {
 			n = 240
 		}
 	}
+	if linked {
+		n = max(1, n/8)
+	}
 	first := int64(1)
 	if *simSeed != 0 {
 		first, n = *simSeed, 1
 	}
+	name := "TestSimSweep"
+	if linked {
+		name = "TestSimLinkSweep"
+	}
 	events := 0
 	var disk diskStats
+	var links linkStats
 	var failed []int64
 	for seed := first; seed < first+int64(n); seed++ {
 		shape := simShapes[seed%int64(len(simShapes))]
-		s, err := runSeed(seed, shape[0], shape[1])
+		s, err := runSeed(seed, shape[0], shape[1], linked)
 		events += s.events
 		disk.add(s.stats)
+		links.add(s.links)
 		if err != nil || *simSeed != 0 {
 			t.Logf("last %d events of seed %d (%d voters, %d observers):\n%s", *simTrace, seed, shape[0], shape[1], s.dump())
 		}
 		if err != nil {
 			failed = append(failed, seed)
-			t.Errorf("seed %d, %d voters + %d observers, after %d events: %v\nreplay: go test ./internal/zab -run 'TestSimSweep$' -zabsim.seed=%d",
-				seed, shape[0], shape[1], s.events, err, seed)
+			t.Errorf("seed %d, %d voters + %d observers, after %d events: %v\nreplay: go test ./internal/zab -run '%s$' -zabsim.seed=%d",
+				seed, shape[0], shape[1], s.events, err, name, seed)
 		}
 	}
 	t.Logf("%d seeds, %d events; the disks saw %d torn tails, %d crashes that lost unsynced writes, %d that reverted names, %d mid-publish; "+
 		"the flush rules' holds ended %d times by requests and %d by the bound, and %d crashes came inside one",
 		n, events, disk.torn, disk.lost, disk.reverted, disk.midPublish, disk.byRequests, disk.byBound, disk.inHold)
+	if linked {
+		t.Logf("the links shed %d messages on a full queue and lost %d on a down link, reconnected %d times and fragmented %d messages",
+			links.shed, links.down, links.reconnects, links.fragmented)
+	}
 	if len(failed) > 0 {
 		t.Errorf("%d of %d seeds failed: %v", len(failed), n, failed)
 	}
-	// Neither the disk nemesis nor the flush rule may go quiet unnoticed.
+	// Neither the disk nemesis nor the flush rule may go quiet unnoticed,
+	// nor, in link mode, the links' sheds, reconnects and fragments.
 	if *simSeed == 0 && (disk.torn == 0 || disk.lost == 0 || disk.reverted == 0 || disk.midPublish == 0 ||
 		disk.byRequests == 0 || disk.byBound == 0 || disk.inHold == 0) {
 		t.Errorf("a kind of disk fault or hold never happened over %d seeds: %+v", n, disk)
 	}
+	if *simSeed == 0 && linked && (links.shed == 0 || links.reconnects == 0 || links.fragmented == 0) {
+		t.Errorf("the links never shed, reconnected or fragmented over %d seeds: %+v", n, links)
+	}
 }
 
 // TestSimSameSeedSameTrace: a seed is a schedule — two runs of one seed
-// produce the same events, in the same order, with the same effects.
+// produce the same events, in the same order, with the same effects, in
+// either mode.
 func TestSimSameSeedSameTrace(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		a, errA := runSeed(seed, 5, 2)
-		b, errB := runSeed(seed, 5, 2)
-		if a.hash != b.hash || a.events != b.events || fmt.Sprint(errA) != fmt.Sprint(errB) {
-			t.Fatalf("seed %d: trace hash %#x after %d events (%v), then %#x after %d (%v)", seed, a.hash, a.events, errA, b.hash, b.events, errB)
+	for _, linked := range []bool{false, true} {
+		for seed := int64(1); seed <= 8; seed++ {
+			a, errA := runSeed(seed, 5, 2, linked)
+			b, errB := runSeed(seed, 5, 2, linked)
+			if a.hash != b.hash || a.events != b.events || fmt.Sprint(errA) != fmt.Sprint(errB) {
+				t.Fatalf("seed %d, linked %v: trace hash %#x after %d events (%v), then %#x after %d (%v)",
+					seed, linked, a.hash, a.events, errA, b.hash, b.events, errB)
+			}
 		}
 	}
 }

@@ -63,6 +63,7 @@ type simPeer struct {
 	bootVoters, bootObservers []PeerID
 	stalled                   bool
 	inbox                     []Message // arrivals while stalled
+	parked                    []func()  // in link mode, what a stalled process does once it runs
 	tickEvery                 int64     // per-peer tick skew
 	activated                 bool      // leading with a synced quorum, as last observed
 	lastRole                  Role      // as last reported by OnRoleChange
@@ -175,6 +176,12 @@ type sim struct {
 	// die inside a snapshot publish; stats counts what crashes did.
 	diskPct int
 	stats   diskStats
+
+	// linked runs the link mode (simlink_test.go): wires join the peers
+	// in place of the weather, and links counts what they did.
+	linked bool
+	wires  map[[2]PeerID]*simWire
+	links  linkStats
 }
 
 type simFailure struct{ error }
@@ -188,6 +195,7 @@ func newSim(seed int64, voters, observers int) *sim {
 		voteSent: make(map[[4]int64]bool),
 		ackSent:  make(map[[2]PeerID]int64),
 		ledBy:    make(map[int64][2]int),
+		wires:    make(map[[2]PeerID]*simWire),
 		hash:     14695981039346656037,
 		trace:    make([]traceRec, *simTrace),
 	}
@@ -282,7 +290,7 @@ func (s *sim) boot(p *simPeer) {
 		s.failf("peer %d cannot recover its disk: %v", p.id, err)
 	}
 	p.log = log
-	p.stalled, p.inbox, p.activated = false, nil, false
+	p.stalled, p.inbox, p.parked, p.activated = false, nil, nil, false
 	p.tickEvery = simTick * int64(90+s.rng.Intn(21)) / 100
 	p.core = newCore(Config{
 		ID:              p.id,
@@ -301,6 +309,9 @@ func (s *sim) boot(p *simPeer) {
 	s.record("boot", p.id, Message{}, p.lastApplied(), int64(p.inc))
 	s.enter(p).start(s.now)
 	s.schedule(s.now+int64(s.rng.Int63n(p.tickEvery)), event{peer: p.id, inc: p.inc, tick: true})
+	if s.linked {
+		s.plug(p)
+	}
 }
 
 // recoverDisk runs storage's recovery over p's disk, rebuilding p.applied
@@ -341,6 +352,9 @@ func (s *sim) crash(p *simPeer) {
 	p.core, p.log, p.rule, p.flight = nil, nil, storage.GroupCommit[simRecord]{}, nil
 	s.record("crash", p.id, Message{}, int64(len(p.applied)), 0)
 	p.disk.crash()
+	if s.linked {
+		s.unplug(p)
+	}
 }
 
 func isPrefix(a, b []entry) bool { return len(a) <= len(b) && slices.Equal(a, b[:len(a)]) }
@@ -401,10 +415,14 @@ func (s *sim) cut(a, b PeerID, down bool) {
 		a, b = b, a
 	}
 	s.cuts[[2]PeerID{a, b}] = down
+	if down && s.linked {
+		s.sever(a, b)
+	}
 }
 
 // send is the network: bookkeeping of what left, then loss, delay
-// (which reorders) and duplication, each decided by the one rng.
+// (which reorders) and duplication, each decided by the one rng — or, in
+// link mode, the link between the two.
 func (s *sim) send(from, to PeerID, msg Message) {
 	msg.From = from
 	switch msg.Kind {
@@ -414,6 +432,10 @@ func (s *sim) send(from, to PeerID, msg Message) {
 		if k := [2]PeerID{from, to}; msg.Zxid > s.ackSent[k] {
 			s.ackSent[k] = msg.Zxid
 		}
+	}
+	if s.linked {
+		s.sendLinked(from, to, msg)
+		return
 	}
 	dst := s.peer(to)
 	if dst == nil || !dst.up() || s.peer(from).disk.died != "" || s.linkDown(from, to) || s.rng.Intn(100) < s.dropPct {
@@ -503,6 +525,11 @@ func (s *sim) unstall(p *simPeer) {
 		s.enter(p).handle(s.now, msg)
 	}
 	p.inbox = nil
+	parked := p.parked
+	p.parked = nil
+	for _, fn := range parked {
+		fn()
+	}
 	if !s.tickFirst {
 		s.enter(p).tick(s.now)
 	}

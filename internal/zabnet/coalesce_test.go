@@ -20,11 +20,12 @@ import (
 	"securekeeper/internal/transport"
 	"securekeeper/internal/wire"
 	"securekeeper/internal/zab"
+	"securekeeper/internal/zabnet/link"
 	"securekeeper/internal/ztree"
 )
 
-// TestCoalescedSnapshotRacesLiveTraffic streams chunked snapshots down
-// a link while two other goroutines push PROPOSE and COMMIT frames at
+// TestCoalescedSnapshotRacesLiveTraffic streams snapshots of three
+// chunks each down a link while two other goroutines push PROPOSE and COMMIT frames at
 // it, on the plaintext and the attested mesh, and on a link whose
 // receiving end overwrites every frame at its next receive (the
 // reassembly buffer and the decoded messages must be copies). Every
@@ -37,10 +38,9 @@ func TestCoalescedSnapshotRacesLiveTraffic(t *testing.T) {
 			reg := obs.NewRegistry()
 			var sender, receiver *Mesh
 			if kind == "poisoned" {
-				sender, receiver = poisonedPair(t, 512, reg)
+				sender, receiver = poisonedPair(t, reg)
 			} else {
 				meshes := newTestMeshes(t, 2, func(c *Config) {
-					c.chunkBytes = 512
 					if kind == "secure=true" {
 						c.Secure = testSecureConfig(t)
 					}
@@ -57,8 +57,8 @@ func TestCoalescedSnapshotRacesLiveTraffic(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				snap.Nodes = append(snap.Nodes, ztree.SnapshotNode{
 					Path: fmt.Sprintf("/chunky/node-%04d", i),
-					Data: bytes.Repeat([]byte{byte(i)}, 256),
-					Stat: wire.Stat{Czxid: int64(i), DataLength: 256},
+					Data: bytes.Repeat([]byte{byte(i)}, 24<<10),
+					Stat: wire.Stat{Czxid: int64(i), DataLength: 24 << 10},
 				})
 			}
 			propose := func(zxid int64) zab.Message {
@@ -133,7 +133,7 @@ func TestCoalescedSnapshotRacesLiveTraffic(t *testing.T) {
 // poisonedPair joins a sending mesh (id 2) and a receiving mesh (id 1)
 // by one loopback link, installed without listeners or hellos, whose
 // receiving end is a transport.PoisonConn.
-func poisonedPair(t *testing.T, chunkBytes int, reg *obs.Registry) (sender, receiver *Mesh) {
+func poisonedPair(t *testing.T, reg *obs.Registry) (sender, receiver *Mesh) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -149,19 +149,19 @@ func poisonedPair(t *testing.T, chunkBytes int, reg *obs.Registry) (sender, rece
 		t.Fatal(err)
 	}
 	bare := func(id zab.PeerID) *Mesh {
-		cfg := (&Config{ID: id, chunkBytes: chunkBytes}).withDefaults()
-		return &Mesh{cfg: cfg, inbox: make(chan zab.Message, inboxFrames),
-			peers: map[zab.PeerID]*peer{1: {member: true}, 2: {member: true}}, closed: make(chan struct{})}
+		m := &Mesh{cfg: Config{ID: id}, inbox: make(chan zab.Message, inboxFrames),
+			peers: map[zab.PeerID]*peer{}, closed: make(chan struct{})}
+		m.addMember(1, "", false) // no address: the mesh dials no one
+		m.addMember(2, "", false)
+		return m
 	}
 	sender, receiver = bare(2), bare(1)
 	sender.framesPerWrite = reg.CountHistogram("zabnet_frames_per_write", "", "")
-	out := newLink(1, transport.NewFramedConn(dialed))
-	in := newLink(2, transport.NewPoisonConn(transport.NewFramedConn(accepted)))
-	sender.installLink(out)
-	receiver.installLink(in)
+	sender.install(1, transport.NewFramedConn(dialed))
+	receiver.install(2, transport.NewPoisonConn(transport.NewFramedConn(accepted)))
 	t.Cleanup(func() {
-		out.close()
-		in.close()
+		sender.KillLink(1)
+		receiver.KillLink(2)
 		sender.wg.Wait()
 		receiver.wg.Wait()
 	})
@@ -190,36 +190,44 @@ func (c *failingConn) Close() error {
 }
 
 // TestFailedBatchedWriteClosesLinkOnce: the frames of a failed batch
-// are lost together, the writer stops, and the link is closed exactly
-// once however many parties then close it again (the reader's exit, a
-// redial replacing the link, mesh shutdown).
+// are lost together, the writer stops, the link is down from then on,
+// and the connection is closed exactly once however many parties then
+// close it again (the reader's exit, a redial replacing the link, mesh
+// shutdown).
 func TestFailedBatchedWriteClosesLinkOnce(t *testing.T) {
 	m := &Mesh{}
 	fc := &failingConn{batches: make(chan int, 4)}
-	l := newLink(2, fc)
+	p := &peer{id: 2, core: link.New(8, 512)}
+	c := &conn{fc: fc, wake: make(chan struct{}, 1), done: make(chan struct{})}
+	p.conn = c
+	p.core.Up()
 	for i := byte(1); i <= 3; i++ {
-		if err := l.enqueue([]byte{i}, 512, 8); err != nil {
-			t.Fatal(err)
+		if st := p.core.Enqueue([]byte{i}); st != link.Queued {
+			t.Fatalf("enqueue %d: status %d", i, st)
 		}
 	}
+	c.wake <- struct{}{}
 	m.wg.Add(1)
-	go m.writeLoop(l)
+	go m.writeLoop(p, c)
 	m.wg.Wait() // the writer exits on the failed write
 
 	if n := <-fc.batches; n != 3 {
 		t.Fatalf("writer sent %d frames in its first write, want the 3 that were queued", n)
 	}
 	select {
-	case <-l.done:
+	case <-c.done:
 	default:
-		t.Fatal("failed write left the link open")
+		t.Fatal("failed write left the connection open")
+	}
+	if p.current() != nil || p.core.Enqueue([]byte{4}) != link.Down {
+		t.Fatal("failed write left the link up")
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l.close()
+			c.close()
 		}()
 	}
 	wg.Wait()
@@ -231,107 +239,4 @@ func TestFailedBatchedWriteClosesLinkOnce(t *testing.T) {
 		t.Fatalf("writer sent another batch of %d after the failure", n)
 	default:
 	}
-}
-
-// blockedConn is a link transport whose writes wait to be released.
-type blockedConn struct {
-	transport.Conn // nil: the link under test never reads
-	entered        chan int
-	release        chan struct{}
-}
-
-func (c *blockedConn) SendFrames(frames [][]byte) error {
-	c.entered <- len(frames)
-	<-c.release
-	return nil
-}
-
-func (c *blockedConn) Close() error { return nil }
-
-// TestOutboxBoundCountsFramesBeingWritten: the frames the writer took
-// out of the send buffer occupy the queue until they are written, so a
-// link to a peer that stopped reading holds outboxFrames frames, not
-// that many behind the write and as many again inside it.
-func TestOutboxBoundCountsFramesBeingWritten(t *testing.T) {
-	const maxFrames = 4
-	m := &Mesh{}
-	fc := &blockedConn{entered: make(chan int, 4), release: make(chan struct{})}
-	l := newLink(2, fc)
-	for i := byte(1); i <= 3; i++ {
-		if err := l.enqueue([]byte{i}, 512, maxFrames); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m.wg.Add(1)
-	go m.writeLoop(l)
-	if n := <-fc.entered; n != 3 {
-		t.Fatalf("writer took %d frames, want the 3 queued", n)
-	}
-	if d := l.depth(); d != 3 {
-		t.Fatalf("depth %d while 3 frames are being written, want 3", d)
-	}
-	if err := l.enqueue([]byte{4}, 512, maxFrames); err != nil {
-		t.Fatalf("4th frame of %d: %v", maxFrames, err)
-	}
-	if err := l.enqueue([]byte{5}, 512, maxFrames); !errors.Is(err, errOutboxFull) {
-		t.Fatalf("5th frame behind a blocked write of 3: err %v, want errOutboxFull", err)
-	}
-	if d := l.depth(); d != 4 {
-		t.Fatalf("depth %d, want 4", d)
-	}
-	fc.release <- struct{}{}       // the write of 3 completes,
-	if n := <-fc.entered; n != 1 { // the 4th frame follows
-		t.Fatalf("second write carries %d frames, want 1", n)
-	}
-	for i := byte(6); i <= 8; i++ {
-		if err := l.enqueue([]byte{i}, 512, maxFrames); err != nil {
-			t.Fatalf("frame %d after the first write completed: %v", i, err)
-		}
-	}
-	l.close()
-	close(fc.release)
-	m.wg.Wait()
-}
-
-// TestLinkSendBufferRetentionIsBounded: a message of 1 MiB fragments
-// gets send buffers for the write cycle that carries it and must not pin
-// their size on the link; ordinary traffic keeps its buffers.
-func TestLinkSendBufferRetentionIsBounded(t *testing.T) {
-	meshes := newTestMeshes(t, 2, nil)
-	waitConnected(t, meshes)
-	sender, receiver := meshes[1], meshes[0]
-	l := sender.link(1)
-	caps := func() (pending, spare int) {
-		l.sendMu.Lock()
-		defer l.sendMu.Unlock()
-		return cap(l.pending), cap(l.spare)
-	}
-	// A message received means the write cycle before its own is over.
-	small := func() {
-		t.Helper()
-		if err := sender.Send(1, zab.Message{Kind: zab.KindCommit}); err != nil {
-			t.Fatal(err)
-		}
-		recvMsg(t, receiver, 5*time.Second)
-	}
-
-	big := zab.Message{Kind: zab.KindApp, App: bytes.Repeat([]byte{0xab}, 3<<20)}
-	for round := 0; round < 2; round++ { // once through each of the two buffers
-		if err := sender.Send(1, big); err != nil {
-			t.Fatal(err)
-		}
-		if got := recvMsg(t, receiver, 10*time.Second); !bytes.Equal(got.App, big.App) {
-			t.Fatalf("3 MiB message arrived as %d bytes, or content differs", len(got.App))
-		}
-		small()
-		if pending, spare := caps(); pending > transport.MaxScratchRetain || spare > transport.MaxScratchRetain {
-			t.Fatalf("link retains send buffers of %d and %d bytes after a 3 MiB message", pending, spare)
-		}
-	}
-	small()
-	small()
-	waitFor(t, 5*time.Second, "ordinary traffic to keep both send buffers", func() bool {
-		pending, spare := caps()
-		return pending > 0 && spare > 0
-	})
 }

@@ -144,8 +144,6 @@ func runRejections(t *testing.T, attested bool) {
 			log = append(log, fmt.Sprintf(format, args...))
 			logMu.Unlock()
 		},
-		reconnectMin: time.Millisecond,
-		reconnectMax: 5 * time.Millisecond,
 	}
 	im := impostor{}
 	if attested {
@@ -207,9 +205,9 @@ func runRejections(t *testing.T, attested bool) {
 			}
 		}
 	}
-	// The mesh redials peer 1 every few milliseconds; the cases it dials
-	// into come first and back to back, so that none finds a connection
-	// the mesh has given up on.
+	// The mesh redials peer 1 after each rejection, out a backoff from
+	// 20 ms doubling to 1 s; the cases it dials into come first and back
+	// to back, so that none finds a connection the mesh has given up on.
 	for _, c := range rejections {
 		if c.dial && (attested && c.attested || !attested && c.plain) {
 			t.Run("dial/"+c.name, func(t *testing.T) {

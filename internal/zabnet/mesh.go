@@ -8,18 +8,25 @@
 // with the HIGHER id dials the lower one, so each pair shares exactly
 // one TCP connection used bidirectionally (ZooKeeper's election
 // transport uses the same deterministic dial-direction rule to avoid
-// duplicate links). Dialers reconnect automatically with exponential
-// backoff; the accept side simply waits to be redialed.
+// duplicate links).
 //
-// Framing reuses transport.FramedConn — the same length-prefixed
-// framing clients speak, each direction of a connection working in one
-// buffer it keeps — with a 1-byte frame type in front. Messages that
-// exceed the chunk size (snapshot transfers) are
-// fragmented across frames and reassembled on the receive side, so one
-// giant snapshot cannot monopolize a frame or trip MaxFrameSize.
+// Links: what a link promises is one clockless core per peer,
+// link.Core, which the zab simulator's link mode runs too — FIFO order,
+// a send queue of at most 4096 frames that sheds a message whole,
+// messages larger than a 1 MiB chunk (snapshot transfers) fragmented
+// across frames and reassembled on the receive side, so one giant
+// snapshot cannot monopolize a frame or trip MaxFrameSize, and when to
+// redial: at once after a live link dies, and after a failed attempt
+// out a backoff from 20 ms doubling to 1 s. The accept side simply
+// waits to be redialed. The Mesh is the core's TCP driver: the sockets,
+// the accept and dial goroutines, the hello and attestation, a writer
+// and a reader goroutine per connection, and the peer table. Framing
+// reuses transport.FramedConn — the same length-prefixed framing
+// clients speak, each direction of a connection working in one buffer
+// it keeps — with a 1-byte frame type in front.
 //
 // Loss model: Send is best-effort, exactly like the in-process
-// zab.Network — a disconnected peer or a full outbox sheds the frame
+// zab.Network — a disconnected peer or a full outbox sheds the message
 // and the protocol recovers by re-election or follower resync. Links
 // are identified by the handshaken peer id and Message.From is stamped
 // from the link identity, never trusted from the wire.
@@ -53,9 +60,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"securekeeper/internal/obs"
@@ -63,16 +68,14 @@ import (
 	"securekeeper/internal/transport"
 	"securekeeper/internal/wire"
 	"securekeeper/internal/zab"
+	"securekeeper/internal/zabnet/link"
 )
 
-// Frame types carried in the first payload byte of every mesh frame.
+// Frame types carried in the first payload byte of a hello; a link's
+// message frames carry link's (link.FrameMsg and the fragment frames).
 const (
-	frameHello     byte = 0x01 // hello: magic, version, peer id, role
-	frameMsg       byte = 0x02 // one complete encoded zab.Message
-	frameFragBegin byte = 0x03 // fragment start: total length + first chunk
-	frameFragCont  byte = 0x04 // fragment continuation chunk
-	frameFragEnd   byte = 0x05 // final fragment chunk
-	frameHelloSec  byte = 0x06 // hello with the attested tail: + channel key + sgx quote
+	frameHello    byte = 0x01 // hello: magic, version, peer id, role
+	frameHelloSec byte = 0x06 // hello with the attested tail: + channel key + sgx quote
 )
 
 // helloMagic identifies the mesh protocol in the handshake frame.
@@ -99,26 +102,25 @@ func roleByte(observer bool) byte {
 	return roleVoter
 }
 
-// maxReassembledBytes bounds a fragmented message (snapshot transfer)
-// on the receive side; the claimed total is peer-controlled.
-const maxReassembledBytes = 256 << 20
-
 // Mesh errors.
 var (
 	ErrMeshClosed = errors.New("zabnet: mesh closed")
 	errBadHello   = errors.New("zabnet: bad handshake")
-	// errOutboxFull is enqueue's internal capacity-shed signal; callers
-	// surface it as zab.ErrPeerUnreachable after counting the shed.
-	errOutboxFull = errors.New("zabnet: outbox full")
 )
 
 // Connection set-up bounds: one dial attempt, the hello exchange (and
 // channel handshake) on a new link, and the shared receive queue, which
-// sheds when full.
+// sheds when full. Each link queues at most outboxFrames frames not yet
+// written (a full queue sheds: the protocol tolerates loss, and blocking
+// would stall the zab loop), and fragments messages larger than
+// chunkBytes (snapshot transfers), well under the transport's frame
+// ceiling.
 const (
 	dialTimeout      = time.Second
 	handshakeTimeout = 2 * time.Second
 	inboxFrames      = 16384
+	outboxFrames     = 4096
+	chunkBytes       = 1 << 20
 )
 
 // Config parameterizes a Mesh.
@@ -145,17 +147,6 @@ type Config struct {
 	// plus channel encryption (the SecureKeeper mesh). Nil keeps the
 	// plaintext hello — the Vanilla baseline.
 	Secure *SecureConfig
-
-	// What follows no deployment sets; the package's tests shrink them.
-	// reconnectMin/Max bound the dialer's exponential backoff.
-	reconnectMin, reconnectMax time.Duration
-	// outboxFrames bounds each peer's send queue; a full outbox sheds
-	// (the protocol tolerates loss, and blocking would stall the zab
-	// loop).
-	outboxFrames int
-	// chunkBytes is the fragmentation threshold and fragment size for
-	// oversized messages (snapshot transfers).
-	chunkBytes int
 }
 
 // SecureConfig holds the material for attested, encrypted peer links.
@@ -171,28 +162,6 @@ type SecureConfig struct {
 	Identity *transport.Identity
 }
 
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.reconnectMin <= 0 {
-		out.reconnectMin = 20 * time.Millisecond
-	}
-	if out.reconnectMax <= 0 {
-		out.reconnectMax = time.Second
-	}
-	if out.outboxFrames <= 0 {
-		out.outboxFrames = 4096
-	}
-	if out.chunkBytes <= 0 {
-		out.chunkBytes = 1 << 20
-	}
-	// A fragment frame is type byte + 8-byte total + chunk; keep it
-	// comfortably under the transport's frame ceiling.
-	if out.chunkBytes > transport.MaxFrameSize/2 {
-		out.chunkBytes = transport.MaxFrameSize / 2
-	}
-	return out
-}
-
 // Mesh connects one replica to its ensemble over TCP.
 type Mesh struct {
 	cfg   Config
@@ -201,7 +170,7 @@ type Mesh struct {
 
 	// peers is everything the mesh knows per peer id, itself included,
 	// under mu: the LIVE membership — seeded from Config, mutated by
-	// Add/RemovePeer as reconfig txns commit — and the current link.
+	// Add/RemovePeer as reconfig txns commit — and each peer's link.
 	mu    sync.Mutex
 	peers map[zab.PeerID]*peer
 
@@ -229,61 +198,78 @@ var (
 	_ zab.MembershipUpdater = (*Mesh)(nil)
 )
 
-// peer is one row of the mesh's peer table. A removed member keeps its
-// row (member false) and with it its outbox-depth gauge, so that a
-// remove/re-add cycle registers no second one.
+// peer is one row of the mesh's peer table, and the driver of the
+// peer's link core. A removed member keeps its row (member false) and
+// with it its core and outbox-depth gauge, so that a remove/re-add cycle
+// registers no second one. Mesh.mu guards the membership fields; mu
+// guards the core and conn, the connection carrying the link now: non-nil
+// exactly while the core is up. The core outlives its connections: each
+// new one brings it up, and the dial side's backoff runs across attempts.
 type peer struct {
+	id       zab.PeerID
 	member   bool   // in the live membership
 	observer bool   // its role there
 	addr     string // "" when unknown: the accept side needs none
-	link     *link  // current connection, nil while there is none
 	// dialStop cancels the dial loop toward this (lower-id) peer; nil
 	// while none runs.
 	dialStop chan struct{}
+
+	mu   sync.Mutex
+	core *link.Core
+	conn *conn
 }
 
-// link is one live TCP connection to a peer. fc is the framed TCP
-// stream on a plaintext mesh and a transport.SecureConn on an attested
-// one — the pump loops are identical either way.
-//
-// A link owns its send buffer: senders append encoded frames to pending
-// (ends[i] is where the i-th of them ends) and the writer swaps pending
-// with the spare it emptied last, so in steady state a send copies a
-// message's bytes into memory the link already has and allocates
-// nothing. sendMu guards all four buffers; holding it for a whole message is
-// also what keeps a fragmented message's frames contiguous (the
-// receiver's reassembly depends on it) and the capacity check atomic.
-// A buffer grown past transport.MaxScratchRetain (a snapshot's
-// fragments) serves the one write cycle that carries it.
-type link struct {
-	peer zab.PeerID
+// conn is one TCP connection carrying a link: the framed stream on a
+// plaintext mesh, a transport.SecureConn on an attested one. wake tells
+// its writer the core has frames queued; done closes when it goes down.
+type conn struct {
 	fc   transport.Conn
-
-	sendMu         sync.Mutex
-	pending, spare []byte
-	ends, spareEnd []int
-	// writing counts the frames the writer took and has not written yet:
-	// they still occupy the queue (capacity check, depth). The writer
-	// sets it under sendMu when it swaps and lowers it after each write.
-	writing atomic.Int64
-	// wake tells the writer that pending is not empty.
 	wake chan struct{}
-
 	done chan struct{}
 	once sync.Once
 }
 
-func (l *link) close() {
-	l.once.Do(func() {
-		close(l.done)
-		_ = l.fc.Close()
+func (c *conn) close() {
+	c.once.Do(func() {
+		close(c.done)
+		_ = c.fc.Close()
 	})
+}
+
+// current returns the connection carrying the link, nil while it is down.
+func (p *peer) current() *conn {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.conn
+}
+
+// depth is the number of frames queued and not yet written.
+func (p *peer) depth() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.core.Depth()
+}
+
+// down takes the link down if c carries it — whatever connection does,
+// with c nil — and closes that connection.
+func (p *peer) down(c *conn) {
+	p.mu.Lock()
+	if c == nil {
+		c = p.conn
+	}
+	if c != nil && c == p.conn {
+		p.conn = nil
+		p.core.Down(now())
+	}
+	p.mu.Unlock()
+	if c != nil {
+		c.close()
+	}
 }
 
 // NewMesh starts the mesh: it listens for higher-id peers dialing in, and
 // dials every lower-id peer itself.
-func NewMesh(cfg Config) (*Mesh, error) {
-	c := cfg.withDefaults()
+func NewMesh(c Config) (*Mesh, error) {
 	if c.Secure != nil && (c.Secure.Signer == nil || c.Secure.Identity == nil) {
 		return nil, errors.New("zabnet: Secure requires both Signer and Identity")
 	}
@@ -321,25 +307,20 @@ func NewMesh(cfg Config) (*Mesh, error) {
 
 // addMember puts id into the live membership, or re-classifies it; an
 // empty addr keeps the address already known. A peer other than
-// ourselves gets its outbox-depth gauge with its row, so once per id for
-// the mesh's lifetime, and a lower-id one whose address is known its dial
-// loop, unless one runs. Returns the address now on record.
+// ourselves gets its link and outbox-depth gauge with its row, so once
+// per id for the mesh's lifetime, and a lower-id one whose address is
+// known its dial loop, unless one runs. Returns the address now on
+// record.
 func (m *Mesh) addMember(id zab.PeerID, addr string, observer bool) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	p := m.peers[id]
 	if p == nil {
-		p = &peer{}
+		p = &peer{id: id, core: link.New(outboxFrames, chunkBytes)}
 		m.peers[id] = p
 		if id != m.cfg.ID {
-			// Under mu, which the gauge takes: the registry reads a gauge
-			// outside its own lock.
-			m.cfg.Obs.GaugeFunc("zabnet_outbox_depth", fmt.Sprintf(`peer="%d"`, id), "frames queued toward this peer", func() int64 {
-				if l := m.link(id); l != nil {
-					return int64(l.depth())
-				}
-				return 0
-			})
+			m.cfg.Obs.GaugeFunc("zabnet_outbox_depth", fmt.Sprintf(`peer="%d"`, id), "frames queued toward this peer",
+				func() int64 { return int64(p.depth()) })
 		}
 	}
 	if addr != "" {
@@ -349,7 +330,7 @@ func (m *Mesh) addMember(id zab.PeerID, addr string, observer bool) string {
 	if id < m.cfg.ID && p.addr != "" && p.dialStop == nil {
 		p.dialStop = make(chan struct{})
 		m.wg.Add(1)
-		go m.dialLoop(id, p.addr, p.dialStop)
+		go m.dialLoop(p, p.addr, p.dialStop)
 	}
 	return p.addr
 }
@@ -359,10 +340,8 @@ func (m *Mesh) addMember(id zab.PeerID, addr string, observer bool) string {
 // the promote case, where only the role flips. Must not block: it is
 // called from the zab loop goroutine.
 func (m *Mesh) AddPeer(id zab.PeerID, addr string, observer bool) {
-	select {
-	case <-m.closed:
+	if m.isClosed() {
 		return
-	default:
 	}
 	addr = m.addMember(id, addr, observer)
 	if id == m.cfg.ID {
@@ -373,23 +352,19 @@ func (m *Mesh) AddPeer(id zab.PeerID, addr string, observer bool) {
 }
 
 // RemovePeer implements zab.MembershipUpdater: a committed reconfig
-// dropped a member. Its dial loop stops, its link closes, and future
+// dropped a member. Its dial loop stops, its link goes down, and future
 // hellos claiming its id are rejected as unknown.
 func (m *Mesh) RemovePeer(id zab.PeerID) {
 	m.mu.Lock()
-	var l *link
 	if p := m.peers[id]; p != nil {
 		p.member, p.addr = false, ""
 		if p.dialStop != nil {
 			close(p.dialStop)
 			p.dialStop = nil
 		}
-		l = p.link
+		p.down(nil)
 	}
 	m.mu.Unlock()
-	if l != nil {
-		l.close()
-	}
 	m.logf("zabnet %d: membership removes peer %d; link torn down", m.cfg.ID, id)
 }
 
@@ -411,40 +386,7 @@ func (m *Mesh) ID() zab.PeerID { return m.cfg.ID }
 // peer's current link. An unconnected peer or a full outbox sheds the
 // message (the protocol recovers via resync/re-election).
 func (m *Mesh) Send(to zab.PeerID, msg zab.Message) error {
-	if to == m.cfg.ID {
-		return zab.ErrPeerUnreachable
-	}
-	select {
-	case <-m.closed:
-		return ErrMeshClosed
-	default:
-	}
-	l := m.link(to)
-	if l == nil {
-		m.unreachable.Inc()
-		return zab.ErrPeerUnreachable
-	}
-	msg.From = m.cfg.ID
-	e := wire.GetEncoder()
-	msg.Serialize(e)
-	err := m.countEnqueue(l.enqueue(e.Bytes(), m.cfg.chunkBytes, m.cfg.outboxFrames))
-	wire.PutEncoder(e)
-	return err
-}
-
-// countEnqueue attributes an enqueue failure to the right counter and
-// maps the internal capacity signal onto the transport's loss error.
-func (m *Mesh) countEnqueue(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, errOutboxFull):
-		m.outboxShed.Inc()
-		return zab.ErrPeerUnreachable
-	default:
-		m.unreachable.Inc()
-		return err
-	}
+	return m.send([]zab.PeerID{to}, msg)
 }
 
 // SendMany implements zab.MultiSender: the message is serialized ONCE
@@ -453,73 +395,56 @@ func (m *Mesh) countEnqueue(err error) error {
 // removes n-1 redundant encodings of the same payload. Per-peer
 // delivery stays best-effort and independent, exactly like Send.
 func (m *Mesh) SendMany(to []zab.PeerID, msg zab.Message) error {
-	select {
-	case <-m.closed:
+	if err := m.send(to, msg); err == ErrMeshClosed {
+		return err
+	}
+	return nil
+}
+
+// send serializes msg once and hands it to the link core of each peer
+// in to, waking the writer of the connection carrying the link. It
+// reports ErrMeshClosed, or zab.ErrPeerUnreachable when some peer is
+// ourselves or unknown, or its core shed the message or found the link
+// down; those losses are counted.
+func (m *Mesh) send(to []zab.PeerID, msg zab.Message) (err error) {
+	if m.isClosed() {
 		return ErrMeshClosed
-	default:
 	}
 	msg.From = m.cfg.ID
-	var e *wire.Encoder // encoded lazily: the peer list may hold no live link
+	var e *wire.Encoder // encoded lazily: the list may hold no known peer
 	for _, id := range to {
 		if id == m.cfg.ID {
+			err = zab.ErrPeerUnreachable
 			continue
 		}
-		l := m.link(id)
-		if l == nil {
+		st := link.Down
+		if p := m.peer(id); p != nil {
+			if e == nil {
+				e = wire.GetEncoder()
+				msg.Serialize(e)
+			}
+			p.mu.Lock()
+			if st = p.core.Enqueue(e.Bytes()); st == link.Queued {
+				select {
+				case p.conn.wake <- struct{}{}:
+				default:
+				}
+			}
+			p.mu.Unlock()
+		}
+		if st == link.Shed {
+			m.outboxShed.Inc()
+		} else if st == link.Down {
 			m.unreachable.Inc()
-			continue
 		}
-		if e == nil {
-			e = wire.GetEncoder()
-			msg.Serialize(e)
+		if st != link.Queued {
+			err = zab.ErrPeerUnreachable
 		}
-		_ = m.countEnqueue(l.enqueue(e.Bytes(), m.cfg.chunkBytes, m.cfg.outboxFrames))
 	}
 	if e != nil {
 		wire.PutEncoder(e)
 	}
-	return nil
-}
-
-// enqueue appends one encoded message to the link's send buffer as a
-// frameMsg frame, or as a fragment sequence when it exceeds chunkBytes
-// (snapshot transfers), and wakes the writer. Either every frame is
-// queued or none is: maxFrames bounds the frames not yet written — those
-// waiting for the writer and those it took and is still writing — and a
-// message that would exceed it is shed whole.
-func (l *link) enqueue(body []byte, chunkBytes, maxFrames int) error {
-	frames := 1
-	if len(body) > chunkBytes {
-		frames = (len(body) + chunkBytes - 1) / chunkBytes
-	}
-	l.sendMu.Lock()
-	defer l.sendMu.Unlock()
-	select {
-	case <-l.done:
-		return zab.ErrPeerUnreachable
-	default:
-	}
-	if len(l.ends)+int(l.writing.Load())+frames > maxFrames {
-		return errOutboxFull
-	}
-	if frames == 1 {
-		l.pending = append(append(l.pending, frameMsg), body...)
-		l.ends = append(l.ends, len(l.pending))
-	} else {
-		l.pending, l.ends = appendFragments(l.pending, l.ends, body, chunkBytes)
-	}
-	select {
-	case l.wake <- struct{}{}:
-	default:
-	}
-	return nil
-}
-
-// depth is the number of frames queued and not yet written.
-func (l *link) depth() int {
-	l.sendMu.Lock()
-	defer l.sendMu.Unlock()
-	return len(l.ends) + int(l.writing.Load())
+	return err
 }
 
 // Receive implements zab.Transport.
@@ -533,9 +458,7 @@ func (m *Mesh) Close() error {
 		_ = m.ln.Close()
 		m.mu.Lock()
 		for _, p := range m.peers {
-			if p.link != nil {
-				p.link.close()
-			}
+			p.down(nil)
 		}
 		m.mu.Unlock()
 	})
@@ -543,25 +466,40 @@ func (m *Mesh) Close() error {
 	return nil
 }
 
-// Connected reports whether a live link to the peer exists.
-func (m *Mesh) Connected(id zab.PeerID) bool { return m.link(id) != nil }
+// Connected reports whether the link to the peer is up: false from the
+// moment KillLink, RemovePeer, Close or a failed write takes it down.
+func (m *Mesh) Connected(id zab.PeerID) bool {
+	p := m.peer(id)
+	return p != nil && p.current() != nil
+}
 
 // KillLink drops the current TCP connection to a peer (fault
-// injection: the dial side re-establishes it with backoff).
+// injection: the dial side redials at once).
 func (m *Mesh) KillLink(id zab.PeerID) {
-	if l := m.link(id); l != nil {
-		l.close()
+	if p := m.peer(id); p != nil {
+		p.down(nil)
 	}
 }
 
-func (m *Mesh) link(id zab.PeerID) *link {
+func (m *Mesh) isClosed() bool {
+	select {
+	case <-m.closed:
+		return true
+	default:
+		return false
+	}
+}
+
+func (m *Mesh) peer(id zab.PeerID) *peer {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if p := m.peers[id]; p != nil {
-		return p.link
-	}
-	return nil
+	return m.peers[id]
 }
+
+// epoch is where the link cores' clock, now, starts.
+var epoch = time.Now()
+
+func now() int64 { return int64(time.Since(epoch)) }
 
 func (m *Mesh) logf(format string, args ...any) {
 	if m.cfg.Logf != nil {
@@ -574,60 +512,60 @@ func (m *Mesh) logf(format string, args ...any) {
 func (m *Mesh) acceptLoop() {
 	defer m.wg.Done()
 	for {
-		conn, err := m.ln.Accept()
+		nc, err := m.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
 		m.wg.Add(1)
 		go func() {
 			defer m.wg.Done()
-			l, err := m.handshake(conn, 0)
-			if err != nil {
-				m.logf("zabnet %d: reject inbound %s: %v", m.cfg.ID, conn.RemoteAddr(), err)
-				return
+			if _, err := m.handshake(nc, 0); err != nil {
+				m.logf("zabnet %d: reject inbound %s: %v", m.cfg.ID, nc.RemoteAddr(), err)
 			}
-			m.installLink(l)
 		}()
 	}
 }
 
 // dialLoop keeps a link to a lower-id peer up: one attempt, then it waits
-// for the link to die or, after a failure, out the backoff.
-func (m *Mesh) dialLoop(peer zab.PeerID, addr string, stop chan struct{}) {
+// for the link to die, and then until the core's Next — at once after a
+// live link died, out the backoff after a failed attempt.
+func (m *Mesh) dialLoop(p *peer, addr string, stop chan struct{}) {
 	defer m.wg.Done()
-	backoff := m.cfg.reconnectMin
 	for {
-		var (
-			l     *link
-			died  <-chan struct{}
-			retry <-chan time.Time
-		)
-		conn, err := net.DialTimeout("tcp", addr, dialTimeout)
+		nc, err := net.DialTimeout("tcp", addr, dialTimeout)
+		var c *conn
 		if err == nil {
-			l, err = m.handshake(conn, peer)
+			c, err = m.handshake(nc, p.id)
 		}
-		if err != nil {
-			m.logf("zabnet %d: dial peer %d (%s): %v (retry in %v)", m.cfg.ID, peer, addr, err, backoff)
-			retry = time.After(backoff)
-			backoff = min(2*backoff, m.cfg.reconnectMax)
-		} else {
-			backoff = m.cfg.reconnectMin
-			m.logf("zabnet %d: connected to peer %d (%s)", m.cfg.ID, peer, addr)
-			m.installLink(l)
-			died = l.done
+		switch {
+		case err != nil:
+			m.logf("zabnet %d: dial peer %d (%s): %v", m.cfg.ID, p.id, addr, err)
+			p.mu.Lock()
+			p.core.Down(now()) // a failed attempt: the link was down
+			p.mu.Unlock()
+		case c == nil:
+			return // closing, or the peer was removed
+		default:
+			m.logf("zabnet %d: connected to peer %d (%s)", m.cfg.ID, p.id, addr)
+			select {
+			case <-c.done:
+			case <-stop:
+				return
+			case <-m.closed:
+				return
+			}
 		}
+		p.mu.Lock()
+		t := now()
+		wait := time.Duration(p.core.Next(t) - t)
+		p.mu.Unlock()
 		select {
-		case <-died:
-			continue
-		case <-retry:
-			continue
+		case <-time.After(wait):
 		case <-stop:
+			return
 		case <-m.closed:
+			return
 		}
-		if l != nil {
-			l.close()
-		}
-		return
 	}
 }
 
@@ -639,14 +577,15 @@ func (m *Mesh) dialLoop(peer zab.PeerID, addr string, stop chan struct{}) {
 // member, in the role the live membership gives it. On a secured mesh the
 // hello was attested (parseHello) and the link is wrapped in a SecureConn
 // pinned to the quoted channel key. All of that precedes the first
-// protocol frame; a connection that fails any of it is closed.
-func (m *Mesh) handshake(conn net.Conn, dialed zab.PeerID) (_ *link, err error) {
+// protocol frame; a connection that fails any of it is closed. One that
+// passes is installed (see install).
+func (m *Mesh) handshake(nc net.Conn, dialed zab.PeerID) (_ *conn, err error) {
 	defer func() {
 		if err != nil {
-			_ = conn.Close()
+			_ = nc.Close()
 		}
 	}()
-	fc := transport.NewFramedConn(conn)
+	fc := transport.NewFramedConn(nc)
 	_ = fc.SetDeadline(time.Now().Add(handshakeTimeout))
 	dialing := dialed != 0
 	_, selfObserver := m.memberRole(m.cfg.ID)
@@ -690,178 +629,121 @@ func (m *Mesh) handshake(conn net.Conn, dialed zab.PeerID) (_ *link, err error) 
 		}
 	}
 	_ = fc.SetDeadline(time.Time{})
-	return newLink(h.id, c), nil
+	return m.install(h.id, c), nil
 }
 
-func newLink(peer zab.PeerID, fc transport.Conn) *link {
-	return &link{peer: peer, fc: fc, wake: make(chan struct{}, 1), done: make(chan struct{})}
-}
-
-// installLink makes l the current link for its peer, retiring any
-// previous one, and starts its writer and reader goroutines.
-func (m *Mesh) installLink(l *link) {
+// install makes fc the connection carrying id's link, taking down the
+// one it replaces (whose queue is lost with it), and starts its writer
+// and reader. It returns nil, and closes fc, when the mesh is closing or
+// id was removed since the handshake.
+func (m *Mesh) install(id zab.PeerID, fc transport.Conn) *conn {
+	c := &conn{fc: fc, wake: make(chan struct{}, 1), done: make(chan struct{})}
 	m.mu.Lock()
-	p := m.peers[l.peer]
-	select {
-	case <-m.closed:
-		p = nil
-	default:
+	defer m.mu.Unlock()
+	p := m.peers[id]
+	if p == nil || !p.member || m.isClosed() {
+		c.close()
+		return nil
 	}
-	if p == nil || !p.member { // closing, or removed since the handshake
-		m.mu.Unlock()
-		l.close()
-		return
-	}
-	if p.link != nil {
-		p.link.close()
-	}
-	p.link = l
-	m.mu.Unlock()
+	p.down(nil)
+	p.mu.Lock()
+	p.conn = c
+	p.core.Up()
+	p.mu.Unlock()
 	m.wg.Add(2)
-	go m.writeLoop(l)
-	go m.readLoop(l)
-}
-
-func (m *Mesh) removeLink(l *link) {
-	m.mu.Lock()
-	if p := m.peers[l.peer]; p != nil && p.link == l {
-		p.link = nil
-	}
-	m.mu.Unlock()
+	go m.writeLoop(p, c)
+	go m.readLoop(p, c)
+	return c
 }
 
 // --- frame pump ---
 
-// writeLoop sends whatever is ALREADY in the link's send buffer: it
-// takes all of it by swapping the buffer with its spare, so senders
-// carry on appending while it writes, and sends the frames in order in
-// portions of transport.BatchBytes, one write each (a snapshot chunk
-// goes alone). It sleeps only when nothing is queued and never waits
-// for more, so a lone frame leaves as soon as it is queued. A failed
-// write loses everything taken — the loss model of a dropped link — and
-// closes the link.
-func (m *Mesh) writeLoop(l *link) {
+// writeLoop sends whatever c's link has ALREADY queued: it takes all of
+// it from the core, so senders carry on queuing while it writes, and
+// sends the frames in order in portions of transport.BatchBytes, one
+// write each (a snapshot chunk goes alone), reporting each portion
+// written. It sleeps only when nothing is queued and never waits for
+// more, so a lone frame leaves as soon as it is queued. A failed write
+// takes the link down, which loses everything taken — the loss model of
+// a dropped link.
+func (m *Mesh) writeLoop(p *peer, c *conn) {
 	defer m.wg.Done()
-	var batch [][]byte
 	for {
 		select {
-		case <-l.done:
+		case <-c.done:
 			return
-		case <-l.wake:
+		case <-c.wake:
 		}
-		l.sendMu.Lock()
-		buf, ends := l.pending, l.ends
-		l.pending, l.ends = l.spare, l.spareEnd
-		l.spare, l.spareEnd = nil, nil
-		l.writing.Store(int64(len(ends)))
-		l.sendMu.Unlock()
-
-		start, size := 0, 0
-		for i, end := range ends {
-			batch = append(batch, buf[start:end])
-			size += end - start
-			start = end
-			if size < transport.BatchBytes && i < len(ends)-1 {
-				continue
+		var frames [][]byte
+		p.mu.Lock()
+		if p.conn == c {
+			frames = p.core.Take()
+		}
+		p.mu.Unlock()
+		for len(frames) > 0 {
+			n, size := 0, 0
+			for n < len(frames) && size < transport.BatchBytes {
+				size += len(frames[n])
+				n++
 			}
-			err := l.fc.SendFrames(batch)
-			l.writing.Add(-int64(len(batch)))
-			m.framesPerWrite.Observe(int64(len(batch)))
-			clear(batch)
-			batch, size = batch[:0], 0
+			err := c.fc.SendFrames(frames[:n])
+			p.mu.Lock()
+			if p.conn == c {
+				p.core.Wrote(n)
+			}
+			p.mu.Unlock()
+			m.framesPerWrite.Observe(int64(n))
 			if err != nil {
-				l.close()
+				p.down(c)
 				return
 			}
+			frames = frames[n:]
 		}
-
-		if cap(buf) > transport.MaxScratchRetain {
-			buf = nil
-		}
-		l.sendMu.Lock()
-		l.spare, l.spareEnd = buf[:0], ends[:0]
-		l.sendMu.Unlock()
 	}
 }
 
-func (m *Mesh) readLoop(l *link) {
+// readLoop hands each frame c receives to the link's core, and each
+// message that completes to the protocol loop. A read error, or a frame
+// that breaks the framing, takes the link down.
+func (m *Mesh) readLoop(p *peer, c *conn) {
 	defer m.wg.Done()
-	defer m.removeLink(l)
-	defer l.close()
-	// Fragment reassembly state: one in-flight fragmented message per
-	// link (the sender enqueues fragments contiguously).
-	var asm []byte
-	asmTotal := -1
+	defer p.down(c)
 	for {
-		payload, err := l.fc.RecvFrame()
+		frame, err := c.fc.RecvFrame()
 		if err != nil {
 			return
 		}
-		if len(payload) < 1 {
-			m.logf("zabnet %d: empty frame from peer %d", m.cfg.ID, l.peer)
+		var body []byte
+		p.mu.Lock()
+		if p.conn == c {
+			body, err = p.core.Received(frame)
+		}
+		p.mu.Unlock()
+		if err != nil {
+			m.logf("zabnet %d: peer %d broke the framing: %v", m.cfg.ID, p.id, err)
 			return
 		}
-		switch payload[0] {
-		case frameMsg:
-			if asmTotal >= 0 {
-				m.logf("zabnet %d: message frame from %d interleaved with fragments", m.cfg.ID, l.peer)
-				return
-			}
-			m.deliverEncoded(l, payload[1:])
-		case frameFragBegin:
-			var d wire.Decoder
-			d.Reset(payload[1:])
-			d.SetZeroCopy(true) // the chunk is copied into asm below
-			total := d.ReadInt64()
-			chunk := d.ReadRaw(d.Remaining())
-			if asmTotal >= 0 || d.Err() != nil {
-				m.logf("zabnet %d: bad fragment start from peer %d", m.cfg.ID, l.peer)
-				return
-			}
-			if total <= 0 || total > maxReassembledBytes {
-				m.logf("zabnet %d: fragment total %d from peer %d out of range", m.cfg.ID, total, l.peer)
-				return
-			}
-			// total is only the peer's claim: memory is taken as the
-			// bytes arrive, not reserved on its word.
-			asmTotal = int(total)
-			asm = append([]byte(nil), chunk...)
-		case frameFragCont, frameFragEnd:
-			if asmTotal < 0 || len(asm)+len(payload)-1 > asmTotal {
-				m.logf("zabnet %d: fragment overflow from peer %d", m.cfg.ID, l.peer)
-				return
-			}
-			asm = append(asm, payload[1:]...)
-			if payload[0] == frameFragEnd {
-				if len(asm) != asmTotal {
-					m.logf("zabnet %d: fragment underrun from peer %d (%d/%d)", m.cfg.ID, l.peer, len(asm), asmTotal)
-					return
-				}
-				m.deliverEncoded(l, asm)
-				asm, asmTotal = nil, -1
-			}
-		default:
-			m.logf("zabnet %d: unknown frame type %#x from peer %d", m.cfg.ID, payload[0], l.peer)
-			return
+		if body != nil {
+			m.deliver(p.id, body)
 		}
 	}
 }
 
-// deliverEncoded decodes one message and queues it for the protocol
-// loop. Decode failures drop the message (framing is intact, so the
-// stream remains usable); a full inbox sheds exactly like the
-// in-process transport's mailbox.
-func (m *Mesh) deliverEncoded(l *link, body []byte) {
+// deliver decodes one message and queues it for the protocol loop.
+// Decode failures drop the message (framing is intact, so the stream
+// remains usable); a full inbox sheds exactly like the in-process
+// transport's mailbox.
+func (m *Mesh) deliver(from zab.PeerID, body []byte) {
 	var msg zab.Message
 	var d wire.Decoder
 	d.Reset(body)
 	if err := d.Finish(msg.Deserialize(&d)); err != nil {
-		m.logf("zabnet %d: drop undecodable %d-byte message from peer %d: %v", m.cfg.ID, len(body), l.peer, err)
+		m.logf("zabnet %d: drop undecodable %d-byte message from peer %d: %v", m.cfg.ID, len(body), from, err)
 		return
 	}
 	// The link's handshaken identity is authoritative; never trust a
 	// From field claimed on the wire.
-	msg.From = l.peer
+	msg.From = from
 	select {
 	case m.inbox <- msg:
 	default:
@@ -986,28 +868,4 @@ func parseHello(payload []byte, sec *SecureConfig) (hello, error) {
 		}
 	}
 	return h, nil
-}
-
-// appendFragments appends to a send buffer the fragment sequence of an
-// encoded message larger than chunkBytes: a frameFragBegin frame that
-// announces the total, frameFragCont frames, and a frameFragEnd frame,
-// each carrying chunkBytes of the body (the last what is left).
-func appendFragments(dst []byte, ends []int, body []byte, chunkBytes int) ([]byte, []int) {
-	frames := (len(body) + chunkBytes - 1) / chunkBytes
-	dst = slices.Grow(dst, len(body)+frames+8)
-	for off := 0; off < len(body); off += chunkBytes {
-		end := min(off+chunkBytes, len(body))
-		switch {
-		case off == 0:
-			dst = append(dst, frameFragBegin)
-			dst = binary.BigEndian.AppendUint64(dst, uint64(len(body)))
-		case end == len(body):
-			dst = append(dst, frameFragEnd)
-		default:
-			dst = append(dst, frameFragCont)
-		}
-		dst = append(dst, body[off:end]...)
-		ends = append(ends, len(dst))
-	}
-	return dst, ends
 }

@@ -14,7 +14,16 @@ import (
 	"securekeeper/internal/transport"
 	"securekeeper/internal/wire"
 	"securekeeper/internal/zab"
+	"securekeeper/internal/zabnet/link"
 	"securekeeper/internal/ztree"
+)
+
+// The link core's frame types and bound, as this package's tests name
+// them.
+const (
+	frameMsg            = link.FrameMsg
+	frameFragBegin      = link.FrameFragBegin
+	maxReassembledBytes = link.MaxMessage
 )
 
 // newTestMeshes builds n connected meshes on ephemeral ports.
@@ -33,11 +42,9 @@ func newTestMeshes(t *testing.T, n int, tweak func(*Config)) []*Mesh {
 	meshes := make([]*Mesh, n)
 	for i := 0; i < n; i++ {
 		cfg := Config{
-			ID:           zab.PeerID(i + 1),
-			Peers:        peers,
-			Listener:     listeners[i],
-			reconnectMin: 5 * time.Millisecond,
-			reconnectMax: 50 * time.Millisecond,
+			ID:       zab.PeerID(i + 1),
+			Peers:    peers,
+			Listener: listeners[i],
 		}
 		if tweak != nil {
 			tweak(&cfg)
@@ -184,14 +191,15 @@ func TestMeshReconnectAfterLinkLoss(t *testing.T) {
 	})
 }
 
-// TestMeshChunkedSnapshotTransfer sends a snapshot far larger than the
-// chunk size and verifies the fragmented frames reassemble exactly.
+// TestMeshChunkedSnapshotTransfer sends a snapshot of more than two
+// chunks and verifies the fragmented frames — a start, a continuation
+// and an end — reassemble exactly.
 func TestMeshChunkedSnapshotTransfer(t *testing.T) {
-	meshes := newTestMeshes(t, 2, func(c *Config) { c.chunkBytes = 512 })
+	meshes := newTestMeshes(t, 2, nil)
 	waitConnected(t, meshes)
 
 	snap := &ztree.Snapshot{}
-	payload := bytes.Repeat([]byte("0123456789abcdef"), 16) // 256 B/node
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 2<<10) // 32 KiB/node
 	for i := 0; i < 100; i++ {
 		snap.Nodes = append(snap.Nodes, ztree.SnapshotNode{
 			Path: fmt.Sprintf("/chunky/node-%04d", i),
@@ -376,19 +384,17 @@ func TestZabEnsembleOverTCP(t *testing.T) {
 	}
 }
 
-// TestZabTCPResyncAfterGap severs the leader->follower TCP link long
-// enough for proposals to be shed, then lets the mesh reconnect: the
-// follower must detect the zxid gap from the leader's commit bound and
-// recover the missed transactions via a sync (FOLLOWERINFO/DIFF), not
-// stay silently behind.
+// TestZabTCPResyncAfterGap severs the leader->follower TCP link while
+// the leader commits a burst, and asserts what zab promises across a
+// gap: the follower converges on the leader's commits and is still
+// FOLLOWING it. Whether it gets there by a resync is not this test's to
+// say: the dial side redials at once after a live link dies (about a
+// millisecond on loopback), so whether any of the burst is shed while
+// the link is down is a race. The case where proposals are shed and the
+// follower resyncs is pinned as a deterministic schedule on the link
+// core instead (zab's TestScheduleLinkResyncAfterGap).
 func TestZabTCPResyncAfterGap(t *testing.T) {
-	ensemble := newTCPEnsemble(t, 3, func(c *Config) {
-		// Hold reconnects off long enough for a burst to be shed while
-		// the link is down, but well under the election timeout so the
-		// follower does not simply re-elect.
-		c.reconnectMin = 100 * time.Millisecond
-		c.reconnectMax = 100 * time.Millisecond
-	})
+	ensemble := newTCPEnsemble(t, 3, nil)
 	leader := leaderOf(t, ensemble)
 
 	// Wait for BOTH followers to sync and replicate a warm-up commit:
@@ -413,7 +419,6 @@ func TestZabTCPResyncAfterGap(t *testing.T) {
 	if follower == nil {
 		t.Fatal("no follower")
 	}
-	resyncsBefore := follower.peer.StatsSnapshot().Resyncs
 
 	// Sever both ends of the shared link so sends shed immediately.
 	leader.mesh.KillLink(follower.peer.ID())
@@ -431,74 +436,80 @@ func TestZabTCPResyncAfterGap(t *testing.T) {
 		return leader.peer.LastCommitted() >= 0 && len(leader.committed()) == 1+burst
 	})
 
-	// After reconnect the follower must resync and converge.
-	waitFor(t, 10*time.Second, "follower to resync after gap", func() bool {
+	// After reconnect the follower must converge.
+	waitFor(t, 10*time.Second, "follower to converge after the gap", func() bool {
 		return follower.peer.LastCommitted() == leader.peer.LastCommitted() &&
 			len(follower.committed()) >= 1 // snapshot sync may compact the log
 	})
-	if got := follower.peer.StatsSnapshot().Resyncs; got <= resyncsBefore {
-		t.Fatalf("expected a resync after the gap (before=%d after=%d)", resyncsBefore, got)
-	}
 	if follower.peer.Role() != zab.RoleFollowing {
-		t.Fatalf("follower role = %v after resync", follower.peer.Role())
+		t.Fatalf("follower role = %v after the gap", follower.peer.Role())
 	}
 }
 
-// TestMeshOutboxOverflowSheds fills a link's outbox and checks Send
-// degrades to an error rather than blocking. The peer is a raw socket
-// that completes the hello and then never reads, so the socket buffers
-// fill, the link writer blocks in its write, and the outbox behind it
-// overflows however fast or slow this box runs (a real mesh peer keeps
-// reading, which made the overflow a race the sender lost under -race).
-func TestMeshOutboxOverflowSheds(t *testing.T) {
-	deaf, err := net.Listen("tcp", "127.0.0.1:0")
+// rawPeer dials m as peer id, answers with a plaintext hello and reads
+// until the mesh hangs up. It never redials.
+func rawPeer(t *testing.T, m *Mesh, id zab.PeerID) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", m.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer deaf.Close()
-	release := make(chan struct{})
-	defer close(release)
+	t.Cleanup(func() { _ = conn.Close() })
+	fc := transport.NewFramedConn(conn)
+	if err := fc.SendFrame(helloFrame(newHello(id, false, nil))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fc.RecvFrame(); err != nil {
+		t.Fatalf("the mesh's hello: %v", err)
+	}
 	go func() {
-		conn, err := deaf.Accept()
-		if err != nil {
-			return
+		for {
+			if _, err := fc.RecvFrame(); err != nil {
+				return
+			}
 		}
-		defer conn.Close()
-		fc := transport.NewFramedConn(conn)
-		if _, err := fc.RecvFrame(); err != nil {
-			return
-		}
-		h := newHello(1, false, nil)
-		if err := sendHello(fc, &h); err != nil {
-			return
-		}
-		<-release
 	}()
+	return conn
+}
+
+// TestConnectedIsExact: a link that KillLink or RemovePeer took down is
+// not Connected from the moment the call returns, not once its reader
+// has noticed. The peer is a raw socket that never redials, so nothing
+// brings the link back.
+func TestConnectedIsExact(t *testing.T) {
 	own, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMesh(Config{
-		ID:           2,
-		Peers:        map[zab.PeerID]string{1: deaf.Addr().String(), 2: own.Addr().String()},
-		Listener:     own,
-		outboxFrames: 4,
-	})
+	m, err := NewMesh(Config{ID: 1, Peers: map[zab.PeerID]string{1: own.Addr().String(), 2: ""}, Listener: own})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-	waitFor(t, 5*time.Second, "link to the deaf peer", func() bool { return m.Connected(1) })
-
-	var sawShed bool
-	payload := bytes.Repeat([]byte{0xee}, 512<<10)
-	for i := 0; i < 64; i++ { // 32 MiB: more than loopback socket buffers hold
-		if err := m.Send(1, zab.Message{Kind: zab.KindApp, App: payload}); err != nil {
-			sawShed = true
-			break
+	t.Cleanup(func() { _ = m.Close() })
+	for round := 0; round < 20; round++ {
+		rawPeer(t, m, 2)
+		waitFor(t, 3*time.Second, "the link", func() bool { return m.Connected(2) })
+		m.KillLink(2)
+		if m.Connected(2) {
+			t.Fatalf("round %d: Connected right after KillLink", round)
+		}
+		if err := m.Send(2, zab.Message{Kind: zab.KindPing}); err == nil {
+			t.Fatalf("round %d: a send right after KillLink was queued", round)
 		}
 	}
-	if !sawShed {
-		t.Fatal("outbox overflow must shed, not queue unboundedly")
+	rawPeer(t, m, 2)
+	waitFor(t, 3*time.Second, "the link", func() bool { return m.Connected(2) })
+	m.RemovePeer(2)
+	if m.Connected(2) {
+		t.Fatal("Connected right after RemovePeer")
+	}
+}
+
+// TestOutboxHoldsTheLargestMessage: every message a receiving core
+// would reassemble fits an empty link's queue, so none is shed for its
+// size alone.
+func TestOutboxHoldsTheLargestMessage(t *testing.T) {
+	if frames := (link.MaxMessage + chunkBytes - 1) / chunkBytes; frames > outboxFrames {
+		t.Fatalf("a %d-byte message takes %d frames; a link queues %d", link.MaxMessage, frames, outboxFrames)
 	}
 }

@@ -60,13 +60,10 @@ func TestSecureMeshDelivery(t *testing.T) {
 // TestSecureMeshFragmentedTransfer: oversized messages still fragment
 // and reassemble through the encrypted framing.
 func TestSecureMeshFragmentedTransfer(t *testing.T) {
-	meshes := newTestMeshes(t, 2, func(cfg *Config) {
-		cfg.chunkBytes = 512
-		cfg.Secure = testSecureConfig(t)
-	})
+	meshes := newTestMeshes(t, 2, secureTweak(t))
 	waitConnected(t, meshes)
 
-	payload := bytes.Repeat([]byte("fragmented-over-ciphertext"), 1024)
+	payload := bytes.Repeat([]byte("fragmented-over-ciphertext"), 100<<10) // 2.6 MB: three chunks
 	if err := meshes[1].Send(1, zab.Message{Kind: zab.KindApp, App: payload}); err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +160,8 @@ func sniffedPair(t *testing.T, secure bool, marker []byte) *captureWriter {
 		cfg := Config{
 			ID: id,
 			// Mesh 2 reaches mesh 1 only through the sniffer.
-			Peers:        map[zab.PeerID]string{1: proxyAddr, 2: ln2.Addr().String()},
-			Listener:     ln,
-			reconnectMin: 5 * time.Millisecond,
-			reconnectMax: 50 * time.Millisecond,
+			Peers:    map[zab.PeerID]string{1: proxyAddr, 2: ln2.Addr().String()},
+			Listener: ln,
 		}
 		if secure {
 			cfg.Secure = testSecureConfig(t)
@@ -224,10 +219,8 @@ func TestMeshAddRemovePeer(t *testing.T) {
 		Peers: map[zab.PeerID]string{
 			1: meshes[0].Addr(), 2: meshes[1].Addr(), 3: addr3,
 		},
-		Observers:    map[zab.PeerID]bool{3: true},
-		Listener:     ln3,
-		reconnectMin: 5 * time.Millisecond,
-		reconnectMax: 50 * time.Millisecond,
+		Observers: map[zab.PeerID]bool{3: true},
+		Listener:  ln3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,9 @@ import (
 
 	"securekeeper/internal/obs"
 	"securekeeper/internal/transport"
+	"securekeeper/internal/wire"
 	"securekeeper/internal/zab"
+	"securekeeper/internal/zabnet/link"
 	"securekeeper/internal/ztree"
 )
 
@@ -102,10 +104,21 @@ func TestNetworkSendToManyFallback(t *testing.T) {
 // 3, linked to two followers that are raw sockets answering the hello
 // and then reading and discarding, so nothing but the send hop
 // allocates. send(i) hands SendMany the i-th PROPOSE of one 1 KB record
-// for both followers, and waits while either link has more than 32
-// frames queued, as a leader whose followers keep up does. The first
-// 4096 sends have been made, so both buffers of both links, the
-// connections' send scratch and the encoder are at their working size.
+// for both followers, and waits while either link has more than
+// maxDepth frames queued, as a leader whose followers keep up does. So a
+// link never holds more than maxDepth+1 frames, queued and being
+// written together.
+//
+// Before it returns, both send buffers of both links, the cores' frame
+// lists, the connections' send scratch and the encoder are at the size
+// that bound allows: twice, maxDepth+1 PROPOSEs are queued on each link
+// while its writer is held off, and then written in one batch, and 4096
+// sends are made. Without the held-off batches, a counted window in
+// which a loaded box let the writers fall further behind than they had
+// in the warm-up grew those buffers to a new peak: 16 to 19 objects
+// (each link's send buffer and its frame ends, the frame list the
+// writer takes and the connection's send scratch, doubling on two
+// links).
 func proposeSender(tb testing.TB) (send func(i int), m *Mesh) {
 	peers := make(map[zab.PeerID]string)
 	for id := zab.PeerID(1); id <= 2; id++ {
@@ -149,14 +162,46 @@ func proposeSender(tb testing.TB) (send func(i int), m *Mesh) {
 	tb.Cleanup(func() { _ = m.Close() })
 	waitFor(tb, 5*time.Second, "links to both followers", func() bool { return m.Connected(1) && m.Connected(2) })
 
+	const maxDepth = 32
 	followers := []zab.PeerID{1, 2}
-	links := []*link{m.link(1), m.link(2)}
+	links := []*peer{m.peer(1), m.peer(2)}
 	batch := []zab.ProposalRecord{{Txn: ztree.Txn{Type: ztree.TxnSetData, Path: "/bench/key", Data: make([]byte, 1024), Version: -1}}}
-	send = func(i int) {
+	propose := func(i int) zab.Message {
 		batch[0].Txn.Zxid = int64(i + 1)
-		_ = m.SendMany(followers, zab.Message{Kind: zab.KindProposeBatch, Epoch: 1, Zxid: int64(i), Batch: batch})
+		return zab.Message{Kind: zab.KindProposeBatch, Epoch: 1, Zxid: int64(i), Batch: batch}
+	}
+	drained := func() {
 		for _, l := range links {
-			for l.depth() > 32 {
+			for l.depth() > maxDepth {
+				runtime.Gosched()
+			}
+		}
+	}
+	send = func(i int) {
+		_ = m.SendMany(followers, propose(i))
+		drained()
+	}
+	e := wire.NewEncoder(2048)
+	for round := 0; round < 2; round++ {
+		e.Reset()
+		msg := propose(0)
+		msg.From = 3
+		msg.Serialize(e)
+		for _, l := range links {
+			l.mu.Lock() // the writer cannot take what is queued
+			for k := 0; k <= maxDepth; k++ {
+				if st := l.core.Enqueue(e.Bytes()); st != link.Queued {
+					tb.Fatalf("warm-up batch: status %d", st)
+				}
+			}
+			select {
+			case l.conn.wake <- struct{}{}:
+			default:
+			}
+			l.mu.Unlock()
+		}
+		for _, l := range links {
+			for l.depth() > 0 {
 				runtime.Gosched()
 			}
 		}

@@ -305,11 +305,20 @@ func TestBarrier(t *testing.T) {
 func TestBarrierContextExpiry(t *testing.T) {
 	c := newCluster(t)
 	cl := connect(t, c, 0)
-	b, err := NewBarrier(bg, cl, "/barrier/short", 2)
+	// The barrier's first write is a fresh session's first request, which
+	// a replica not yet following a synced leader refuses with
+	// CONNECTIONLOSS; creating the barrier is safe to re-issue.
+	var b *Barrier
+	ctx, cancel := context.WithTimeout(bg, 15*time.Second)
+	err := client.Reissue(ctx, func() (err error) {
+		b, err = NewBarrier(bg, cl, "/barrier/short", 2)
+		return err
+	})
+	cancel()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(bg, 50*time.Millisecond)
+	ctx, cancel = context.WithTimeout(bg, 50*time.Millisecond)
 	defer cancel()
 	if err := b.Enter(ctx, "lonely"); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
