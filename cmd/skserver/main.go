@@ -62,7 +62,7 @@ func run() error {
 	topologyFlag := flag.String("topology", "", "ensemble spec, id@host:port[:observer] semicolon-separated (required)")
 	storageKey := flag.String("storage-key", "", "shared storage key, hex (securekeeper ensembles of more than one replica)")
 	dataDir := flag.String("data-dir", "", "durable state directory; empty = in-memory only")
-	snapshotEvery := flag.Int("snapshot-every", 0, "commits between durable snapshots (0 = storage default)")
+	snapshotEvery := flag.Int("snapshot-every", 100000, "commits between durable snapshots, ZooKeeper's snapCount; a snapshot purges the log segments it covers (0 = never)")
 	logSegmentBytes := flag.Int64("log-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = storage default)")
 	metricsAddr := flag.String("metrics-addr", "", "admin HTTP address serving /metrics (Prometheus text), /metrics.json and /debug/pprof/; empty disables")
 	flag.Parse()

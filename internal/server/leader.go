@@ -8,8 +8,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
-	"math/bits"
 	"time"
 
 	"securekeeper/internal/wire"
@@ -20,19 +18,13 @@ import (
 // burst is the writes a session reader took from one receive — or the
 // writes of one forwarded APP message, on the leader — on their way to
 // agreement. A follower forwards a burst as one message; the leader
-// preps it in one pass, with one counter-enclave crossing for every
-// sequential name it needs, and then submits its writes one at a time,
-// in order. Its slices keep their arrays from one burst to the next, so
-// a burst belongs to one goroutine.
+// preps it in one pass and then submits its writes one at a time, in
+// order, back to back, so that they can share a PROPOSE batch. Its
+// slices keep their arrays from one burst to the next, so a burst
+// belongs to one goroutine.
 type burst struct {
 	writes []write
 	txns   []ztree.Txn // the writes' transactions, while propose runs
-
-	// The sequential names of the burst, while nameSequential runs: the
-	// paths to merge a number into and the numbers, in burst order.
-	paths []string
-	nums  []int32
-	errs  []error
 }
 
 // write is one write of a burst. body aliases the bytes it came in —
@@ -88,112 +80,72 @@ func (r *Replica) handOn(b *burst) {
 	}
 }
 
-// propose preps every write of the burst, names its sequential creates
-// (nameSequential) and submits the writes one at a time, in order,
-// marking refused those Submit turns down. The sequence stripes the
-// naming took stay held until the last Submit has returned, so that
-// under one parent numbers are proposed in the order they were handed
-// out. Runs on the leader.
+// propose preps every write of the burst and submits the writes one at
+// a time, in order, marking refused those Submit turns down. The zab
+// loop names the sequential creates among them (nameSequential). Runs
+// on the leader.
 func (r *Replica) propose(b *burst) {
 	for i := range b.writes {
 		w := &b.writes[i]
 		b.txns = append(b.txns, r.prepTxn(w.op, w.body, w.origin.Session))
 	}
-	held := r.nameSequential(b)
 	for i := range b.writes {
 		if r.peer.Submit(b.txns[i], b.writes[i].origin) != nil {
 			b.writes[i].refused = true
 		}
 	}
-	r.unlockStripes(held)
 	clear(b.txns)
 	b.txns = b.txns[:0]
 }
 
-// seqStripes is how many locks order the leader's sequential creates,
-// striped by parent path (see nameSequential).
-const seqStripes = 64
-
-// nameSequential gives every sequential create in the burst's
-// transactions — a create of its own or a multi's sub-op — its number
-// and its name, with one call of the SequenceAppender for the whole
-// burst: one counter-enclave crossing on SecureKeeper. A name the
-// appender refuses turns its create into an error transaction, as
-// prepMulti's error sub-ops are: its ReqOp keeps the CREATE.
-//
-// ZooKeeper hands out numbers and proposes in one ordered
-// PrepRequestProcessor; here every session reader on the leader and the
-// forward worker prep and submit their own bursts, so a number handed
-// out earlier could be proposed later and a lock recipe, which grants
-// the lowest number, would see a second holder. The stripe of each
-// parent the burst names under is locked from before its first number
-// to after its last Submit (propose unlocks held), in index order, so
-// under one parent numbers are proposed in the order they were handed
-// out. This cannot deadlock: stripes are always taken in index order,
-// the zab loop — which every Submit waits on — never takes one, and
-// Peer.Stop releases a Submit that waits.
-func (r *Replica) nameSequential(b *burst) (held uint64) {
-	eachSequential(b.txns, func(t *ztree.Txn) {
-		parent, _ := ztree.SplitPath(t.Path)
-		held |= 1 << r.seqStripe(parent)
-	})
-	if held == 0 {
-		return 0
+// nameSequential gives every sequential create in a batch of the
+// leader's proposals — a create of its own or a multi's sub-op — its
+// number and its name, with one call of the SequenceAppender for the
+// whole batch: one counter-enclave crossing on SecureKeeper. It is the
+// zab loop's Prepare, called on each batch in zxid order, before the
+// batch goes anywhere: numbers are handed out where zxids are, so under
+// one parent they rise with zxid, as from ZooKeeper's one ordered
+// PrepRequestProcessor — a lock recipe, which grants the lowest number,
+// sees one holder. A name the appender refuses turns its create into an
+// error transaction, as prepMulti's error sub-ops are: its ReqOp keeps
+// the CREATE.
+func (r *Replica) nameSequential(batch []zab.ProposalRecord) {
+	for i := range batch {
+		eachSequential(&batch[i].Txn, func(t *ztree.Txn) {
+			parent, _ := ztree.SplitPath(t.Path)
+			r.seqPaths = append(r.seqPaths, t.Path)
+			r.seqNums = append(r.seqNums, r.nextSeq(parent))
+		})
 	}
-	for m := held; m != 0; m &= m - 1 {
-		r.seqOrder[bits.TrailingZeros64(m)].Lock()
+	if len(r.seqPaths) == 0 {
+		return
 	}
-	eachSequential(b.txns, func(t *ztree.Txn) {
-		parent, _ := ztree.SplitPath(t.Path)
-		b.paths = append(b.paths, t.Path)
-		b.nums = append(b.nums, r.nextSeq(parent))
-	})
-	b.errs = append(b.errs[:0], make([]error, len(b.paths))...)
-	r.cfg.SeqAppend(b.paths, b.nums, b.errs)
+	r.seqErrs = append(r.seqErrs[:0], make([]error, len(r.seqPaths))...)
+	r.cfg.SeqAppend(r.seqPaths, r.seqNums, r.seqErrs)
 	k := 0
-	eachSequential(b.txns, func(t *ztree.Txn) {
-		if b.errs[k] == nil {
-			t.Path = b.paths[k]
-		} else {
-			*t = ztree.Txn{Type: ztree.TxnError, Err: wire.ErrMarshallingError, ReqOp: wire.OpCreate, Session: t.Session}
-		}
-		k++
-	})
-	clear(b.paths)
-	clear(b.errs)
-	b.paths, b.nums, b.errs = b.paths[:0], b.nums[:0], b.errs[:0]
-	return held
-}
-
-// eachSequential calls fn, in burst order, on every sequential create
-// prep left unnamed: a transaction of its own, or a multi's sub-op.
-func eachSequential(txns []ztree.Txn, fn func(t *ztree.Txn)) {
-	for i := range txns {
-		t := &txns[i]
-		if sequential(t) {
-			fn(t)
-		}
-		for j := range t.Subs {
-			if sequential(&t.Subs[j]) {
-				fn(&t.Subs[j])
+	for i := range batch {
+		eachSequential(&batch[i].Txn, func(t *ztree.Txn) {
+			if r.seqErrs[k] == nil {
+				t.Path = r.seqPaths[k]
+			} else {
+				*t = ztree.Txn{Type: ztree.TxnError, Err: wire.ErrMarshallingError, ReqOp: wire.OpCreate, Zxid: t.Zxid, Session: t.Session}
 			}
-		}
+			k++
+		})
 	}
+	clear(r.seqPaths)
+	clear(r.seqErrs)
+	r.seqPaths, r.seqNums, r.seqErrs = r.seqPaths[:0], r.seqNums[:0], r.seqErrs[:0]
 }
 
-func sequential(t *ztree.Txn) bool {
-	return t.Type == ztree.TxnCreate && t.Flags&wire.FlagSequential != 0
-}
-
-// seqStripe is the index of parent's sequence stripe.
-func (r *Replica) seqStripe(parent string) uint {
-	return uint(maphash.String(r.seqSeed, parent) % seqStripes)
-}
-
-// unlockStripes releases the sequence stripes nameSequential took.
-func (r *Replica) unlockStripes(held uint64) {
-	for m := held; m != 0; m &= m - 1 {
-		r.seqOrder[bits.TrailingZeros64(m)].Unlock()
+// eachSequential calls fn, in order, on every sequential create prep
+// left unnamed in t: t itself, or a sub-op of its multi.
+func eachSequential(t *ztree.Txn, fn func(t *ztree.Txn)) {
+	if t.Type == ztree.TxnCreate && t.Flags&wire.FlagSequential != 0 {
+		fn(t)
+	}
+	for i := range t.Subs {
+		eachSequential(&t.Subs[i], fn)
 	}
 }
 
@@ -500,21 +452,37 @@ func (r *Replica) prepMulti(req *wire.MultiRequest, sessionID int64) (ztree.Txn,
 	return ztree.Txn{Type: ztree.TxnMulti, Session: sessionID, Subs: subs}, wire.ErrOK
 }
 
-// nextSeq allocates the next sequence number for a parent: the maximum
-// of the applied child version and the leader's outstanding hint, so
-// concurrent sequential creates never collide and numbers stay
-// monotonic across leadership changes.
+// nextSeq hands out the next sequence number under parent: the higher
+// of the applied tree's and the leader's hint, which counts the numbers
+// handed out and not yet applied (ZooKeeper's outstanding changes), so
+// sequential creates never collide and numbers stay monotonic across
+// leadership changes. Runs on the zab loop, which owns seqHint.
 func (r *Replica) nextSeq(parent string) int32 {
-	applied, err := r.tree.NextSequence(parent)
+	next, err := r.tree.NextSequence(parent)
 	if err != nil {
-		applied = 0 // apply will fail deterministically with NoNode
+		next = 0 // apply will fail deterministically with NoNode
 	}
-	r.seqMu.Lock()
-	defer r.seqMu.Unlock()
-	next := r.seqHint[parent]
-	if applied > next {
-		next = applied
-	}
+	next = max(next, r.seqHint[parent])
 	r.seqHint[parent] = next + 1
 	return next
+}
+
+// dropHints forgets the hint of each parent whose child txn created or
+// deleted, once the applied tree's next number under it has reached the
+// hint: every number handed out there lies below it, and the tree alone
+// numbers what comes next. Runs on the zab loop, after apply.
+func (r *Replica) dropHints(t *ztree.Txn) {
+	switch t.Type {
+	case ztree.TxnCreate, ztree.TxnDelete:
+		parent, _ := ztree.SplitPath(t.Path)
+		if hint, ok := r.seqHint[parent]; ok {
+			if next, err := r.tree.NextSequence(parent); err == nil && next >= hint {
+				delete(r.seqHint, parent)
+			}
+		}
+	case ztree.TxnMulti:
+		for i := range t.Subs {
+			r.dropHints(&t.Subs[i])
+		}
+	}
 }

@@ -3,10 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
+	"reflect"
 	"testing"
 
 	"securekeeper/internal/wire"
 	"securekeeper/internal/zab"
+	"securekeeper/internal/ztree"
 )
 
 // checkForwardDecode is the fuzz property of an APP payload: decoding
@@ -147,5 +150,92 @@ func TestForwardHopAllocations(t *testing.T) {
 	scratch := make([]write, 0, len(writes))
 	if n := testing.AllocsPerRun(100, func() { _, _, _ = decodeForward(payload, scratch[:0]) }); n != 0 {
 		t.Errorf("decoding a burst of %d writes allocates %v objects, want 0", len(writes), n)
+	}
+}
+
+// seqReplica is a replica with a tree and nothing running, holding the
+// node /q: enough to play the zab loop's naming (nameSequential) and
+// apply (deliver) by hand, one batch at a time.
+func seqReplica(appender SequenceAppender) *Replica {
+	r := &Replica{cfg: Config{ID: 1, SeqAppend: appender}, tree: ztree.New(), sessions: map[int64]*session{}, seqHint: map[string]int32{}}
+	r.deliver(committed(1, ztree.Txn{Type: ztree.TxnCreate, Path: "/q"}))
+	return r
+}
+
+// committed is txn at zxid from another replica's session, so deliver
+// only applies it.
+func committed(zxid int64, txn ztree.Txn) zab.Committed {
+	txn.Zxid = zxid
+	return zab.Committed{Txn: txn, Origin: zab.Origin{Peer: 2, Session: 2<<48 | 1}}
+}
+
+// seqCreate is a sequential create of /q/n-, unnamed, at zxid.
+func seqCreate(zxid int64) zab.ProposalRecord {
+	return committed(zxid, ztree.Txn{Type: ztree.TxnCreate, Path: "/q/n-", Flags: wire.FlagSequential, Session: 2<<48 | 1})
+}
+
+// TestNameSequentialPerBatch plays the zab loop's Prepare on batches of
+// the leader's proposals.
+func TestNameSequentialPerBatch(t *testing.T) {
+	t.Run("batches before any apply take consecutive numbers", func(t *testing.T) {
+		r := seqReplica(PlainSequenceAppender)
+		first, second := []zab.ProposalRecord{seqCreate(2)}, []zab.ProposalRecord{seqCreate(3), seqCreate(4)}
+		r.nameSequential(first)
+		r.nameSequential(second) // /q's applied next number is still 0: only the hint gives 1 and 2
+		for i, rec := range append(first, second...) {
+			if want := wire.AppendSequence("/q/n-", int32(i)); rec.Txn.Path != want {
+				t.Errorf("zxid %d named %q, want %q", rec.Txn.Zxid, rec.Txn.Path, want)
+			}
+		}
+	})
+	t.Run("a refused name is an error txn at its zxid", func(t *testing.T) {
+		r := seqReplica(func(paths []string, seqs []int32, errs []error) {
+			PlainSequenceAppender(paths, seqs, errs)
+			paths[1], errs[1] = "/q/n-", errors.New("refused")
+		})
+		batch := []zab.ProposalRecord{seqCreate(2), seqCreate(3), seqCreate(4)}
+		r.nameSequential(batch)
+		want := ztree.Txn{Type: ztree.TxnError, Err: wire.ErrMarshallingError, ReqOp: wire.OpCreate, Zxid: 3, Session: 2<<48 | 1}
+		if got := batch[1].Txn; !reflect.DeepEqual(got, want) {
+			t.Errorf("refused create became %+v, want %+v", got, want)
+		}
+		if batch[0].Txn.Path != "/q/n-0000000000" || batch[2].Txn.Path != "/q/n-0000000002" {
+			t.Errorf("its neighbours were named %q and %q", batch[0].Txn.Path, batch[2].Txn.Path)
+		}
+	})
+	t.Run("a multi's sequential sub-op is named", func(t *testing.T) {
+		r := seqReplica(PlainSequenceAppender)
+		multi := committed(3, ztree.Txn{Type: ztree.TxnMulti, Subs: []ztree.Txn{
+			{Type: ztree.TxnSetData, Path: "/q", Version: -1},
+			{Type: ztree.TxnCreate, Path: "/q/m-", Flags: wire.FlagSequential},
+			{Type: ztree.TxnCreate, Path: "/q/plain"},
+		}})
+		batch := []zab.ProposalRecord{seqCreate(2), multi}
+		r.nameSequential(batch)
+		if subs := batch[1].Txn.Subs; subs[1].Path != "/q/m-0000000001" || subs[0].Path != "/q" || subs[2].Path != "/q/plain" {
+			t.Errorf("multi's sub-ops are %q, %q, %q; want only the sequential one named, /q/m-0000000001", subs[0].Path, subs[1].Path, subs[2].Path)
+		}
+	})
+}
+
+// TestSequenceHintsDropOnceApplied: the leader's hint under a parent
+// lives while a number it handed out there is not yet applied, and no
+// longer — a long-lived leader does not keep one for every lock or
+// queue root it ever named under.
+func TestSequenceHintsDropOnceApplied(t *testing.T) {
+	r := seqReplica(PlainSequenceAppender)
+	first, second := []zab.ProposalRecord{seqCreate(2)}, []zab.ProposalRecord{seqCreate(3)}
+	r.nameSequential(first)
+	r.nameSequential(second)
+	r.deliver(first[0])
+	if len(r.seqHint) != 1 {
+		t.Fatalf("hints %v with /q/n-0000000001 named and not applied, want /q's", r.seqHint)
+	}
+	r.deliver(second[0])
+	if len(r.seqHint) != 0 {
+		t.Fatalf("hints %v after every named create applied, want none", r.seqHint)
+	}
+	if kids, err := r.tree.GetChildren("/q"); err != nil || len(kids) != 2 {
+		t.Fatalf("/q has children %v (%v), want the two named", kids, err)
 	}
 }

@@ -15,7 +15,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"log"
 	"slices"
 	"sync"
@@ -135,18 +134,14 @@ type Replica struct {
 	nextSess int64
 	closed   bool
 
-	// seqMu guards seqHint: the leader's view of the next sequence
-	// number per parent, covering transactions that are proposed but
-	// not yet applied (ZooKeeper's outstanding-changes tracking).
-	// Without it, two concurrent sequential creates under one parent
-	// would both read the applied cversion and collide.
-	seqMu   sync.Mutex
-	seqHint map[string]int32
-	// seqOrder keeps, per parent, sequential creates proposed in the
-	// order of their numbers (see nameSequential); a parent's stripe is
-	// maphash(seqSeed, parent) mod seqStripes.
-	seqOrder [seqStripes]sync.Mutex
-	seqSeed  maphash.Seed
+	// Owned by the zab loop: seqHint is the leader's next sequence
+	// number per parent, covering creates that are named but not yet
+	// applied (see nextSeq and dropHints); seqPaths, seqNums and seqErrs
+	// are nameSequential's batch for the SequenceAppender.
+	seqHint  map[string]int32
+	seqPaths []string
+	seqNums  []int32
+	seqErrs  []error
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -195,7 +190,6 @@ func NewReplica(cfg Config) *Replica {
 		tree:     ztree.New(),
 		sessions: make(map[int64]*session),
 		seqHint:  make(map[string]int32),
-		seqSeed:  maphash.MakeSeed(),
 		stop:     make(chan struct{}),
 		// Forwarded writes must be proposed in arrival order to keep
 		// each client session's writes ordered; a single worker drains
@@ -227,6 +221,7 @@ func NewReplica(cfg Config) *Replica {
 		Observers:       cfg.Observers,
 		Transport:       cfg.Transport,
 		Deliver:         r.deliver,
+		Prepare:         r.nameSequential,
 		Snapshot:        r.tree.Snapshot,
 		Restore:         r.restoreFromSync,
 		OnApp:           r.onForwarded,
@@ -503,6 +498,9 @@ func (r *Replica) deliver(c zab.Committed) {
 	applyStart := obs.Now()
 	res := r.tree.Apply(&c.Txn)
 	r.applyHist.Observe(obs.Now() - applyStart)
+	if len(r.seqHint) > 0 {
+		r.dropHints(&c.Txn)
+	}
 	var flushed func(error) // set when a session staged the reply
 	xid, zxid := c.Origin.Xid, c.Txn.Zxid
 	if c.Origin.Peer == r.cfg.ID {
@@ -573,9 +571,7 @@ func (r *Replica) onRoleChange(role zab.Role, leader zab.PeerID) {
 	if role == zab.RoleLooking || role == zab.RoleRemoved || (role == zab.RoleObserving && leader < 0) {
 		// Drop the sequence hints: a future leadership term re-derives
 		// them from the applied tree.
-		r.seqMu.Lock()
 		r.seqHint = make(map[string]int32)
-		r.seqMu.Unlock()
 		// Aborted, not committed: reads waiting behind the writes get
 		// CONNECTIONLOSS instead of hanging across the failover.
 		r.abortWrites()

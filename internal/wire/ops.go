@@ -49,42 +49,19 @@ const (
 	OpError        OpCode = -1
 )
 
+var opNames = map[OpCode]string{
+	OpNotify: "NOTIFY", OpCreate: "CREATE", OpDelete: "DELETE", OpExists: "EXISTS",
+	OpGetData: "GET", OpSetData: "SET", OpGetChildren: "LS", OpSync: "SYNC",
+	OpPing: "PING", OpCheck: "CHECK", OpMulti: "MULTI", OpServerStats: "STAT",
+	OpReconfig: "RECONFIG", OpCloseSession: "CLOSE", OpError: "ERROR",
+}
+
 // String returns the mnemonic used in logs and the benchmark tables.
 func (op OpCode) String() string {
-	switch op {
-	case OpNotify:
-		return "NOTIFY"
-	case OpCreate:
-		return "CREATE"
-	case OpDelete:
-		return "DELETE"
-	case OpExists:
-		return "EXISTS"
-	case OpGetData:
-		return "GET"
-	case OpSetData:
-		return "SET"
-	case OpGetChildren:
-		return "LS"
-	case OpSync:
-		return "SYNC"
-	case OpPing:
-		return "PING"
-	case OpCheck:
-		return "CHECK"
-	case OpMulti:
-		return "MULTI"
-	case OpServerStats:
-		return "STAT"
-	case OpReconfig:
-		return "RECONFIG"
-	case OpCloseSession:
-		return "CLOSE"
-	case OpError:
-		return "ERROR"
-	default:
-		return fmt.Sprintf("OP(%d)", int32(op))
+	if name, ok := opNames[op]; ok {
+		return name
 	}
+	return fmt.Sprintf("OP(%d)", int32(op))
 }
 
 // IsWrite reports whether the operation mutates the data tree and must
@@ -150,52 +127,23 @@ const (
 	ErrIntegrity               ErrCode = -200 // SecureKeeper: binding/HMAC verification failed
 )
 
+var errNames = map[ErrCode]string{
+	ErrOK: "OK", ErrSystemError: "SYSTEMERROR", ErrRuntimeInconsistency: "RUNTIMEINCONSISTENCY",
+	ErrDataInconsistency: "DATAINCONSISTENCY", ErrConnectionLoss: "CONNECTIONLOSS",
+	ErrMarshallingError: "MARSHALLINGERROR", ErrUnimplemented: "UNIMPLEMENTED",
+	ErrOperationTimeout: "OPERATIONTIMEOUT", ErrBadArguments: "BADARGUMENTS", ErrNoNode: "NONODE",
+	ErrNoAuth: "NOAUTH", ErrBadVersion: "BADVERSION", ErrNoChildrenForEphemerals: "NOCHILDRENFOREPHEMERALS",
+	ErrNodeExists: "NODEEXISTS", ErrNotEmpty: "NOTEMPTY", ErrSessionExpired: "SESSIONEXPIRED",
+	ErrInvalidCallback: "INVALIDCALLBACK", ErrAuthFailed: "AUTHFAILED", ErrSessionMoved: "SESSIONMOVED",
+	ErrIntegrity: "INTEGRITY",
+}
+
 // String returns the mnemonic for the error code.
 func (e ErrCode) String() string {
-	switch e {
-	case ErrOK:
-		return "OK"
-	case ErrSystemError:
-		return "SYSTEMERROR"
-	case ErrRuntimeInconsistency:
-		return "RUNTIMEINCONSISTENCY"
-	case ErrDataInconsistency:
-		return "DATAINCONSISTENCY"
-	case ErrConnectionLoss:
-		return "CONNECTIONLOSS"
-	case ErrMarshallingError:
-		return "MARSHALLINGERROR"
-	case ErrUnimplemented:
-		return "UNIMPLEMENTED"
-	case ErrOperationTimeout:
-		return "OPERATIONTIMEOUT"
-	case ErrBadArguments:
-		return "BADARGUMENTS"
-	case ErrNoNode:
-		return "NONODE"
-	case ErrNoAuth:
-		return "NOAUTH"
-	case ErrBadVersion:
-		return "BADVERSION"
-	case ErrNoChildrenForEphemerals:
-		return "NOCHILDRENFOREPHEMERALS"
-	case ErrNodeExists:
-		return "NODEEXISTS"
-	case ErrNotEmpty:
-		return "NOTEMPTY"
-	case ErrSessionExpired:
-		return "SESSIONEXPIRED"
-	case ErrInvalidCallback:
-		return "INVALIDCALLBACK"
-	case ErrAuthFailed:
-		return "AUTHFAILED"
-	case ErrSessionMoved:
-		return "SESSIONMOVED"
-	case ErrIntegrity:
-		return "INTEGRITY"
-	default:
-		return fmt.Sprintf("ERR(%d)", int32(e))
+	if name, ok := errNames[e]; ok {
+		return name
 	}
+	return fmt.Sprintf("ERR(%d)", int32(e))
 }
 
 // Error converts a non-OK code into a Go error; ErrOK yields nil.
@@ -228,20 +176,17 @@ const (
 	EventNodeChildrenChanged EventType = 4
 )
 
+var eventNames = [...]string{
+	EventNodeCreated: "NodeCreated", EventNodeDeleted: "NodeDeleted",
+	EventNodeDataChanged: "NodeDataChanged", EventNodeChildrenChanged: "NodeChildrenChanged",
+}
+
 // String returns the mnemonic for the event type.
 func (t EventType) String() string {
-	switch t {
-	case EventNodeCreated:
-		return "NodeCreated"
-	case EventNodeDeleted:
-		return "NodeDeleted"
-	case EventNodeDataChanged:
-		return "NodeDataChanged"
-	case EventNodeChildrenChanged:
-		return "NodeChildrenChanged"
-	default:
-		return fmt.Sprintf("Event(%d)", int32(t))
+	if t > 0 && int(t) < len(eventNames) {
+		return eventNames[t]
 	}
+	return fmt.Sprintf("Event(%d)", int32(t))
 }
 
 // WatchKind distinguishes the watch registration tables.

@@ -55,9 +55,19 @@ func (c *core) flush(now int64) {
 // flushProposals sends the accumulated batch as one PROPOSE frame per
 // synced follower, piggybacking the leader's commit bound so followers
 // can apply previously committed transactions without a COMMIT frame.
+// Prepare sees the batch first.
 func (c *core) flushProposals() {
 	if len(c.batch) == 0 {
 		return
+	}
+	if c.env.Prepare != nil {
+		c.env.Prepare(c.batch)
+		// The batch is the tail of outstanding: a proposal joins both at
+		// once, and none is acknowledged before its frame is sent.
+		own := c.outstanding[len(c.outstanding)-len(c.batch):]
+		for i := range own {
+			own[i].rec.Txn = c.batch[i].Txn
+		}
 	}
 	// One shared copy per flush: the in-process transport passes the
 	// slice by reference and receivers treat frames as read-only, so

@@ -67,6 +67,15 @@ type Config struct {
 	// Deliver is invoked from the peer's loop goroutine for every
 	// committed transaction, in zxid order. It must not block.
 	Deliver func(Committed)
+	// Prepare, when set, is invoked from the loop goroutine on the
+	// leader with each batch of its proposals, in zxid order, once they
+	// have their zxids and before they go anywhere: the PROPOSE frame
+	// and the leader's own copy, which it delivers on commit, carry
+	// whatever Prepare left in each record's Txn. It may rewrite a
+	// Txn's contents but not its Zxid. The server names sequential
+	// creates here, so that their numbers rise with zxid. Optional; must
+	// not block.
+	Prepare func(batch []ProposalRecord)
 	// Snapshot and Restore let the protocol transfer database state
 	// during follower recovery.
 	Snapshot func() *ztree.Snapshot

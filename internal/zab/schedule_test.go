@@ -2,6 +2,7 @@ package zab
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -519,4 +520,69 @@ func TestScheduleCrashAtEachPublishStep(t *testing.T) {
 		}
 	}
 	t.Logf("crashed at each of %d steps: %v", len(steps), steps)
+}
+
+// TestSchedulePrepareReachesEveryCopy: the leader's Prepare rewrites each
+// batch of its proposals once they have zxids (the server names
+// sequential creates there). Bursts of 3, then 2, then one past the
+// frame cap, which goes as a full frame from propose and a second from
+// flush, each get a name that rises with zxid. The PROPOSE frames, the
+// followers' deliveries and the leader's own — made from its
+// outstanding copy, not from the frame — must all carry the rewritten
+// txn, in zxid order.
+func TestSchedulePrepareReachesEveryCopy(t *testing.T) {
+	schedule(t, 3, 0, func(s *sim) {
+		l := s.elect(10)
+		s.await("the leader to count both followers synced", 4, func() bool {
+			synced, _ := l.core.syncedQuorum()
+			return synced == 3
+		})
+		named := map[int64]string{} // zxid → the path Prepare gave it
+		last := int64(0)
+		l.core.env.Prepare = func(batch []ProposalRecord) {
+			for i := range batch {
+				rec := &batch[i]
+				if rec.Txn.Zxid <= last || rec.Txn.Path != "/k" {
+					s.failf("Prepare saw %#x %q after %#x: not a fresh proposal in zxid order", rec.Txn.Zxid, rec.Txn.Path, last)
+				}
+				last = rec.Txn.Zxid
+				named[last] = fmt.Sprintf("/k-%010d", len(named))
+				rec.Txn.Path = named[last]
+			}
+		}
+		carries := func(where string, txn *ztree.Txn) {
+			if want, ok := named[txn.Zxid]; !ok || txn.Path != want {
+				s.failf("%s carries %#x as %q, want %q", where, txn.Zxid, txn.Path, want)
+			}
+		}
+		frames := 0
+		s.route = func(from, to PeerID, msg Message) int64 {
+			if msg.Kind == KindProposeBatch {
+				frames++
+				for i := range msg.Batch {
+					carries(fmt.Sprintf("the PROPOSE frame to %d", to), &msg.Batch[i].Txn)
+				}
+			}
+			return 50_000
+		}
+		delivered := map[PeerID][]int64{}
+		s.onDeliver = func(p *simPeer, c Committed) {
+			carries(fmt.Sprintf("peer %d's delivery", p.id), &c.Txn)
+			delivered[p.id] = append(delivered[p.id], c.Txn.Zxid)
+		}
+		n := 0
+		for _, burst := range []int{3, 2, maxBatchRecords + 1} {
+			s.write(l, burst)
+			n += burst
+		}
+		s.awaitDelivered(n, 10, s.ids()...)
+		if len(named) != n || frames != 2*4 {
+			s.failf("Prepare named %d of %d txns in %d frames, want 4 frames to each follower", len(named), n, frames)
+		}
+		for _, id := range s.ids() {
+			if got := delivered[id]; len(got) != n || !slices.IsSorted(got) {
+				s.failf("peer %d delivered %d named txns, want %d in zxid order", id, len(got), n)
+			}
+		}
+	})
 }

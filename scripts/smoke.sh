@@ -11,10 +11,12 @@
 #             a leader SIGKILL, a rolling restart of every voter and a
 #             SIGSTOP partition of a follower
 #   durable   the failover flow on data dirs, then the whole voting
-#             ensemble SIGKILLed and restarted from disk
+#             ensemble SIGKILLed and restarted from disk: from the
+#             latest snapshot and the log after it
 #   crash     three times each: (A) one random voter SIGKILLed at a
-#             random point of a write burst, (B) the whole ensemble;
-#             no acknowledged write may be lost
+#             random point of a write burst, (B) the whole ensemble,
+#             once every node holds a snapshot; no acknowledged write
+#             may be lost
 #   metrics   /metrics, /metrics.json, mntr and /debug/pprof/ after a
 #             write burst on 3 durable voters and an observer
 #   reconfig  3→5→3 voters through `skclient reconfig`, with a leader
@@ -118,6 +120,7 @@ leg_durable() {
   # No live voter is left to sync from: what the restarted ensemble
   # serves can only have come from disk. The observer stays up and must
   # re-adopt the recovered leader.
+  snapshotted "1 2 3 4"
   kill_node 1 2 3
   for i in 1 2 3; do restart "$i"; done
   wait_leader
@@ -151,6 +154,7 @@ leg_crash() {
   for k in 1 2 3; do
     burst_start "crashB$k" "1 2 3" 800
     burst_at $((RANDOM % 600 + 100))
+    snapshotted "1 2 3"
     echo "== [B$k] SIGKILL the whole ensemble mid-burst"
     kill_node 1 2 3
     burst_end 0

@@ -74,10 +74,12 @@ topo() {
 
 # start_node ID [TOPO] — launch one skserver process. TOPO defaults to
 # the leg's $TOPO; pass an explicit spec for members whose view of the
-# ensemble differs (a reconfig joiner). DURABLE=1 adds -data-dir.
+# ensemble differs (a reconfig joiner). DURABLE=1 adds -data-dir and a
+# snapshot every 10 commits, so that a durable leg's restarts recover
+# from snapshots and the log behind them, not from the log alone.
 start_node() {
   local i="$1" extra=()
-  [ "$DURABLE" = 0 ] || extra=(-data-dir "$DATA/node$i")
+  [ "$DURABLE" = 0 ] || extra=(-data-dir "$DATA/node$i" -snapshot-every 10)
   "$BIN/skserver" -variant "$VARIANT" -id "$i" -topology "${2:-$TOPO}" \
     ${KEYFLAGS[@]+"${KEYFLAGS[@]}"} ${extra[@]+"${extra[@]}"} \
     -metrics-addr "${MADDR[$i]}" -listen "${CADDR[$i]}" >>"$LOGS/node$i.log" 2>&1 &
@@ -255,6 +257,15 @@ burst_end() {
   [ -n "$MARK" ] || return 0
   n=$(tail -n +"$((MARK + 1))" "$LEDGER" | grep -c '^ACK ') || fail "no write acknowledged after the kill ($LEDGER)"
   echo "== $n writes acknowledged after the kill"
+}
+
+# snapshotted IDS — every node of IDS has a snapshot in its data dir.
+snapshotted() {
+  local i
+  for i in $1; do
+    compgen -G "$DATA/node$i/snapshot.*" >/dev/null || fail "node $i has no snapshot in $DATA/node$i"
+  done
+  echo "== nodes $1 each hold a snapshot"
 }
 
 # metric ID NAME — scrape node ID's /metrics and sum the family's
