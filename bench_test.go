@@ -363,7 +363,7 @@ func BenchmarkFig8Set(b *testing.B) {
 
 // BenchmarkFig8SetContended is the multi-client variant of Fig 8: n
 // concurrent clients hammer Set on distinct nodes, exercising the
-// sharded ztree across paths and the leader's proposal batching under
+// ztree's write lock across paths and the leader's proposal batching under
 // write bursts. It reports propose-frames/txn measured at the leader:
 // without batching the ratio equals the follower count (2 in a
 // 3-replica ensemble); batching must push it below that.

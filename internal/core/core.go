@@ -233,32 +233,31 @@ func (c *Cluster) LeaderIndex() int {
 	return -1
 }
 
-// standing returns the index of a live replica that leads with a quorum
-// of live voters following it, or -1: a replica is LEADING the moment its
-// tally is unanimous, but refuses writes until a quorum has synced with
-// it. With everyone set, every other member must be behind it as well,
-// voters following and observers observing.
+// standing returns the index of a live replica that leads and takes
+// writes — a quorum of voters has synced with it (zab's Activated) — or
+// -1. With everyone set, every other live member must be behind it as
+// well, voters following and observers observing.
 func (c *Cluster) standing(everyone bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for l, leader := range c.nodes {
-		if leader.stopped() || !leader.IsLeader() {
+		if leader.stopped() || !leader.replica.Peer().Activated() {
 			continue
 		}
-		voters, members := 1, 1
+		if !everyone {
+			return l
+		}
+		behind := true
 		for i, n := range c.nodes {
-			if n.stopped() || n.Leader() != leader.id {
-				continue
+			want := zab.RoleFollowing
+			if c.IsObserver(i) {
+				want = zab.RoleObserving
 			}
-			switch role := n.Role(); {
-			case role == zab.RoleFollowing && !c.IsObserver(i):
-				voters++
-				members++
-			case role == zab.RoleObserving && c.IsObserver(i):
-				members++
+			if i != l && (n.stopped() || n.Leader() != leader.id || n.Role() != want) {
+				behind = false
 			}
 		}
-		if voters > c.cfg.Replicas/2 && (!everyone || members == len(c.nodes)) {
+		if behind {
 			return l
 		}
 	}
@@ -276,9 +275,9 @@ func (c *Cluster) waitStanding(timeout time.Duration, everyone bool) (int, error
 	return -1, ErrNoLeader
 }
 
-// WaitForLeader blocks until a leader stands with a quorum of the live
-// voters following it — the ensemble accepts writes — or the timeout
-// expires. Replicas that a fault holds back are not waited for.
+// WaitForLeader blocks until a live leader takes writes — a quorum of
+// voters has synced with it — or the timeout expires. Replicas that a
+// fault holds back are not waited for.
 func (c *Cluster) WaitForLeader(timeout time.Duration) (int, error) {
 	return c.waitStanding(timeout, false)
 }

@@ -185,7 +185,7 @@ func TestForwardQueueFullRejectsBurst(t *testing.T) {
 		t.Fatalf("a rejected burst left the queue at %d writes, want %d", got, maxForwardWrites)
 	}
 	for _, path := range []string{"/q1", "/q2"} {
-		if _, err := leader.Tree().Exists(path); err == nil {
+		if _, err := leader.Tree().Exists(path, nil); err == nil {
 			t.Fatalf("%s was rejected but reached the tree", path)
 		}
 	}
@@ -213,7 +213,7 @@ func TestBurstEndingInCloseSessionForwardsWrites(t *testing.T) {
 	}
 	for _, path := range []string{"/c1", "/c2"} {
 		waitFor(t, path+" on the leader", func() bool {
-			_, err := leader.Tree().Exists(path)
+			_, err := leader.Tree().Exists(path, nil)
 			return err == nil
 		})
 	}
@@ -246,7 +246,7 @@ func TestLeaderLossBetweenAdmitAndFlushRefusesBurst(t *testing.T) {
 		}
 	}
 	for _, path := range []string{"/lost1", "/lost2"} {
-		if _, err := leader.Tree().Exists(path); err == nil {
+		if _, err := leader.Tree().Exists(path, nil); err == nil {
 			t.Fatalf("%s was refused but reached the tree", path)
 		}
 	}
@@ -271,7 +271,7 @@ func TestDegradedFollowerClosesDroppedSession(t *testing.T) {
 	}
 	_ = owner.Close()
 	waitFor(t, "the ephemeral to leave the leader", func() bool {
-		_, err := leader.Tree().Exists("/eph-degraded")
+		_, err := leader.Tree().Exists("/eph-degraded", nil)
 		return err != nil
 	})
 }

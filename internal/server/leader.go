@@ -55,12 +55,12 @@ func refuseAll(writes []write) {
 }
 
 // handOn takes a burst's writes toward agreement: on the leader it
-// proposes them (propose), anywhere else it forwards them to the leader
-// — sequential names and version checks must resolve against the
-// leader's outstanding state, exactly as ZooKeeper's PrepRequestProcessor
-// runs on the leader — in one APP message, or in messages of
+// proposes them (propose), anywhere else it forwards them to the leader,
+// which alone submits to zab, in one APP message, or in messages of
 // maxForwardWrites records, the most the leader's forward queue ever
-// takes, if the burst is longer. It marks refused the writes it could
+// takes, if the burst is longer. (Sequential names are resolved on the
+// leader's zab loop, per PROPOSE batch, and versions are checked when
+// each replica applies the write.) It marks refused the writes it could
 // not hand on: when there is no leader, or from the first message that
 // cannot be sent on. Not for the zab loop goroutine: Submit round-trips
 // through that loop.

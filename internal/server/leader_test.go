@@ -235,7 +235,7 @@ func TestSequenceHintsDropOnceApplied(t *testing.T) {
 	if len(r.seqHint) != 0 {
 		t.Fatalf("hints %v after every named create applied, want none", r.seqHint)
 	}
-	if kids, err := r.tree.GetChildren("/q"); err != nil || len(kids) != 2 {
+	if kids, err := r.tree.GetChildren("/q", nil); err != nil || len(kids) != 2 {
 		t.Fatalf("/q has children %v (%v), want the two named", kids, err)
 	}
 }

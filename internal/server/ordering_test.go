@@ -230,7 +230,7 @@ func TestRepeatedXidInFlight(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("reply %d never came", i)
 		}
-		if _, err := leader.Tree().Exists(p); err != nil {
+		if _, err := leader.Tree().Exists(p, nil); err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
 	}

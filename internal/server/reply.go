@@ -34,15 +34,9 @@ func (r *Replica) handleRead(s *session, dst []byte, xid int32, op wire.OpCode, 
 		if d.Finish(req.Deserialize(&d)) != nil {
 			return errorReply(dst, xid, zxid, wire.ErrMarshallingError)
 		}
-		data, stat, err := r.tree.GetDataRef(req.Path)
+		data, stat, err := r.tree.GetDataRefW(req.Path, watcher(req.Watch, s))
 		if err != nil {
-			if req.Watch {
-				r.tree.Watches().Add(req.Path, wire.WatchExist, s)
-			}
 			return errorReply(dst, xid, zxid, errCodeOf(err))
-		}
-		if req.Watch {
-			r.tree.Watches().Add(req.Path, wire.WatchData, s)
 		}
 		e := beginReply(dst, xid, zxid, wire.ErrOK)
 		resp := wire.GetDataResponse{Data: data, Stat: stat}
@@ -54,14 +48,7 @@ func (r *Replica) handleRead(s *session, dst []byte, xid int32, op wire.OpCode, 
 		if d.Finish(req.Deserialize(&d)) != nil {
 			return errorReply(dst, xid, zxid, wire.ErrMarshallingError)
 		}
-		stat, err := r.tree.Exists(req.Path)
-		if req.Watch {
-			kind := wire.WatchData
-			if err != nil {
-				kind = wire.WatchExist
-			}
-			r.tree.Watches().Add(req.Path, kind, s)
-		}
+		stat, err := r.tree.Exists(req.Path, watcher(req.Watch, s))
 		if err != nil {
 			return errorReply(dst, xid, zxid, errCodeOf(err))
 		}
@@ -75,12 +62,9 @@ func (r *Replica) handleRead(s *session, dst []byte, xid int32, op wire.OpCode, 
 		if d.Finish(req.Deserialize(&d)) != nil {
 			return errorReply(dst, xid, zxid, wire.ErrMarshallingError)
 		}
-		children, err := r.tree.GetChildren(req.Path)
+		children, err := r.tree.GetChildren(req.Path, watcher(req.Watch, s))
 		if err != nil {
 			return errorReply(dst, xid, zxid, errCodeOf(err))
-		}
-		if req.Watch {
-			r.tree.Watches().Add(req.Path, wire.WatchChild, s)
 		}
 		e := beginReply(dst, xid, zxid, wire.ErrOK)
 		resp := wire.GetChildrenResponse{Children: children}
@@ -129,6 +113,16 @@ func (r *Replica) handleRead(s *session, dst []byte, xid int32, op wire.OpCode, 
 	default:
 		return errorReply(dst, xid, zxid, wire.ErrUnimplemented)
 	}
+}
+
+// watcher is the watcher a read hands the tree: the session when the
+// request asks for a watch, none otherwise. The tree sets the watch
+// under the same lock as the read, so no change falls between them.
+func watcher(watch bool, s *session) ztree.Watcher {
+	if watch {
+		return s
+	}
+	return nil
 }
 
 // buildWriteResponse appends the reply message for a completed write to

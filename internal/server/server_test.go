@@ -62,13 +62,8 @@ func newWrappedCluster(t *testing.T, n int, wrap func(zab.Transport) zab.Transpo
 	return tc
 }
 
-// waitSettled blocks until one replica leads and every other follows
-// it. Waiting for the leader's role alone is not enough: a replica
-// reports LEADING the moment its election tally is unanimous, while the
-// others still sit out their finalize wait, and until a quorum of them
-// has synced it refuses writes — legally (zab's
-// TestScheduleFreshEnsembleFirstWrite), but the first write of a test
-// that started that early failed about once in 300 starts.
+// waitSettled blocks until one replica leads and takes writes and every
+// other follows it.
 func (tc *testCluster) waitSettled(timeout time.Duration) {
 	tc.t.Helper()
 	leader := tc.waitLeader(timeout)
@@ -83,12 +78,18 @@ func (tc *testCluster) waitSettled(timeout time.Duration) {
 	}
 }
 
+// waitLeader returns the replica that leads and takes writes. Its role
+// alone is not enough: a replica reports LEADING the moment its
+// election tally is unanimous, and refuses writes until a quorum has
+// synced with it (zab's Activated) — legally (zab's
+// TestScheduleFreshEnsembleFirstWrite), but a test's first write in
+// that window fails.
 func (tc *testCluster) waitLeader(timeout time.Duration) *Replica {
 	tc.t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		for _, r := range tc.replicas {
-			if r.IsLeader() {
+			if r.Peer().Activated() {
 				return r
 			}
 		}
@@ -355,7 +356,7 @@ func TestEphemeralCleanupWhenSessionDiesDuringElection(t *testing.T) {
 	deadline = time.Now().Add(10 * time.Second)
 	for _, r := range []*Replica{home, other} {
 		for {
-			if _, err := r.Tree().Exists("/eph-election"); err != nil {
+			if _, err := r.Tree().Exists("/eph-election", nil); err != nil {
 				break // gone
 			}
 			if time.Now().After(deadline) {
@@ -641,7 +642,7 @@ func TestInterceptorBatchFailure(t *testing.T) {
 			deadline := time.Now().Add(5 * time.Second)
 			for i := 1; i <= tc.wantCreated; i++ {
 				for {
-					if _, err := r.Tree().Exists(fmt.Sprintf("/b%d", i)); err == nil {
+					if _, err := r.Tree().Exists(fmt.Sprintf("/b%d", i), nil); err == nil {
 						break
 					}
 					if time.Now().After(deadline) {
@@ -651,7 +652,7 @@ func TestInterceptorBatchFailure(t *testing.T) {
 				}
 			}
 			for i := tc.wantCreated + 1; tc.wantErr && i <= 4; i++ {
-				if _, err := r.Tree().Exists(fmt.Sprintf("/b%d", i)); err == nil {
+				if _, err := r.Tree().Exists(fmt.Sprintf("/b%d", i), nil); err == nil {
 					t.Fatalf("/b%d was at or behind the rejected request but reached the tree", i)
 				}
 			}

@@ -177,7 +177,6 @@ type Enclave struct {
 	destroyed   atomic.Bool
 
 	ecallCount atomic.Int64
-	ocallCount atomic.Int64
 }
 
 // ID returns the enclave's runtime identifier.
@@ -255,13 +254,6 @@ func (e *Enclave) ecall(name string, buf []byte, msgLen int) (int, error) {
 	pb.release()
 	e.runtime.meter.Charge(cost.CrossingNs)
 	return newLen, err
-}
-
-// Ocall accounts an enclave exit and re-entry (e.g. the trusted code
-// calling out for a syscall-like service).
-func (e *Enclave) Ocall() {
-	e.ocallCount.Add(1)
-	e.runtime.meter.Charge(2 * e.runtime.cost.CrossingNs)
 }
 
 // touchPages simulates enclave-memory accesses spanning n bytes,

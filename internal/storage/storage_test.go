@@ -339,7 +339,7 @@ func TestLoadLatestPicksNewest(t *testing.T) {
 	if err != nil || zxid != 2 {
 		t.Fatalf("zxid = %d, %v", zxid, err)
 	}
-	if _, err := restored.Exists("/new"); err != nil {
+	if _, err := restored.Exists("/new", nil); err != nil {
 		t.Fatal("newest snapshot not selected")
 	}
 }
@@ -357,7 +357,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	if err != nil || zxid != 1 {
 		t.Fatalf("fallback failed: zxid %d, %v", zxid, err)
 	}
-	if _, err := restored.Exists("/good"); err != nil {
+	if _, err := restored.Exists("/good", nil); err != nil {
 		t.Fatal("fallback snapshot wrong")
 	}
 }

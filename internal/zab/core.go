@@ -28,6 +28,7 @@ type core struct {
 	lastCommit  atomic.Int64 // highest zxid delivered; what votes and FOLLOWERINFO claim
 	leaderBound atomic.Int64 // highest committed bound the leader announced to us
 	outDepth    atomic.Int32 // len(outstanding)
+	activated   atomic.Bool  // see Activated
 	stats       counters
 	view        atomic.Pointer[memberView]
 
@@ -149,6 +150,19 @@ func (c *core) ID() PeerID { return c.id }
 // LastCommitted returns the highest delivered zxid.
 func (c *core) LastCommitted() int64 { return c.lastCommit.Load() }
 
+// Activated reports whether this peer leads and a quorum of voters has
+// synced with it in its term: whether propose accepts writes. A peer is
+// LEADING from its tally on, but refuses writes until then. The driver
+// sets and clears it on its goroutine wherever one of its inputs
+// changes: the role (setRole), a voter's sync (handleNewLeaderAck) and
+// the voter set (publish).
+func (c *core) Activated() bool { return c.activated.Load() }
+
+func (c *core) refreshActivated() {
+	synced, quorum := c.syncedQuorum()
+	c.activated.Store(c.Role() == RoleLeading && synced >= quorum)
+}
+
 // OutstandingDepth returns the number of proposals awaiting quorum on
 // this peer. Non-zero only while leading; exposed for the stats API.
 func (c *core) OutstandingDepth() int { return int(c.outDepth.Load()) }
@@ -178,6 +192,7 @@ func (c *core) StatsSnapshot() Stats {
 func (c *core) setRole(role Role, leader PeerID) {
 	prevRole := Role(c.role.Swap(int32(role)))
 	prevLeader := PeerID(c.leader.Swap(int64(leader)))
+	c.refreshActivated()
 	if c.env.OnRoleChange != nil && (prevRole != role || prevLeader != leader) {
 		c.env.OnRoleChange(role, leader)
 	}

@@ -147,6 +147,7 @@ func (c *core) publish() {
 		}
 	}
 	c.view.Store(v)
+	c.refreshActivated()
 }
 
 // Membership returns sorted copies of the current voter and observer

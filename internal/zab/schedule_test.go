@@ -378,9 +378,16 @@ func TestScheduleFreshEnsembleFirstWrite(t *testing.T) {
 		if err := s.propose(three, ztree.Txn{Type: ztree.TxnSetData, Path: "/k"}); err == nil {
 			s.failf("a leader without a synced quorum accepted a write")
 		}
+		if three.core.Activated() {
+			s.failf("3 reports Activated before a quorum synced with it")
+		}
 		// The finalize wait, then the first ping: no half election
 		// timeout in it.
-		s.write(s.elect(2+3), 1)
+		l := s.elect(2 + 3)
+		if !l.core.Activated() {
+			s.failf("leader %d takes writes but does not report Activated", l.id)
+		}
+		s.write(l, 1)
 		s.awaitDelivered(1, 4, s.ids()...)
 	})
 }

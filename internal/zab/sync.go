@@ -193,6 +193,7 @@ func (c *core) handleNewLeaderAck(now int64, msg Message) {
 	m.lastHeard = now
 	if m.voter {
 		m.synced = true
+		c.refreshActivated()
 		c.replayOutstanding(msg.From)
 		if synced, quorum := c.syncedQuorum(); c.leaving && synced >= quorum {
 			c.becomeRemoved("a quorum has synced the reconfig txn that removed this id")

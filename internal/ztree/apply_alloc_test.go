@@ -28,7 +28,7 @@ func applyFixture(tb testing.TB, keys, spares int) (tr *Tree, held, fresh []stri
 
 // TestApplyAllocations pins the replicated write path's rule inside the
 // tree, exactly: applying a committed transaction allocates nothing but
-// the node a create inserts (its slots in the shard's and the parent's
+// the node a create inserts (its slots in the tree's and the parent's
 // maps grow them rarely enough to stay below one object per create) and
 // a multi's slice of per-op results. Every replica pays Apply once per
 // write.

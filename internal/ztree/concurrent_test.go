@@ -10,8 +10,8 @@ import (
 )
 
 // TestConcurrentReadersWriters hammers the tree from parallel readers
-// and writers spread across many shards. Run under -race it exercises
-// the per-shard locking; the assertions check nothing is lost.
+// and writers spread across many parents. Run under -race it exercises
+// the tree's lock; the assertions check nothing is lost.
 func TestConcurrentReadersWriters(t *testing.T) {
 	tr := New()
 	const parents = 8
@@ -43,7 +43,7 @@ func TestConcurrentReadersWriters(t *testing.T) {
 						errs <- fmt.Errorf("get %s: %w", path, err)
 						return
 					}
-					if _, err := tr.GetChildren(fmt.Sprintf("/p%d", i%parents)); err != nil {
+					if _, err := tr.GetChildren(fmt.Sprintf("/p%d", i%parents), nil); err != nil {
 						errs <- err
 						return
 					}
@@ -66,10 +66,10 @@ func TestConcurrentReadersWriters(t *testing.T) {
 	}
 }
 
-// TestConcurrentCrossShardCreateDelete creates and deletes nodes whose
-// parent and child live in different shards, concurrently with sibling
-// churn, verifying parent bookkeeping stays exact.
-func TestConcurrentCrossShardCreateDelete(t *testing.T) {
+// TestConcurrentSiblingCreateDelete creates and deletes children of one
+// parent from concurrent writers, verifying the parent's bookkeeping
+// stays exact.
+func TestConcurrentSiblingCreateDelete(t *testing.T) {
 	tr := New()
 	if _, err := tr.Create("/dir", nil, 0, 0, 1); err != nil {
 		t.Fatal(err)
@@ -101,14 +101,14 @@ func TestConcurrentCrossShardCreateDelete(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	kids, err := tr.GetChildren("/dir")
+	kids, err := tr.GetChildren("/dir", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(kids) != 0 {
 		t.Fatalf("leftover children after churn: %v", kids)
 	}
-	stat, err := tr.Exists("/dir")
+	stat, err := tr.Exists("/dir", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestConcurrentCrossShardCreateDelete(t *testing.T) {
 // TestWatchDeliveryUnderConcurrentMutation re-registers data watches
 // while writers mutate the watched nodes, asserting every registered
 // watch eventually fires exactly once (one-shot semantics) and no
-// delivery happens while a shard lock is held (deadlock-free by
+// delivery happens while the tree's lock is held (deadlock-free by
 // construction: Notify re-enters the tree).
 func TestWatchDeliveryUnderConcurrentMutation(t *testing.T) {
 	tr := New()
@@ -135,8 +135,8 @@ func TestWatchDeliveryUnderConcurrentMutation(t *testing.T) {
 	}
 
 	var fired atomic.Int64
-	// The watcher re-enters the tree from Notify: if trigger ran inside
-	// a shard critical section this would deadlock.
+	// The watcher re-enters the tree from Notify: if notify ran inside
+	// the tree's critical section this would deadlock.
 	reentrant := FuncWatcher(func(ev wire.WatcherEvent) {
 		fired.Add(1)
 		_, _, _ = tr.GetDataRef(ev.Path)
@@ -151,7 +151,7 @@ func TestWatchDeliveryUnderConcurrentMutation(t *testing.T) {
 		defer close(registered)
 		for i := 0; i < rounds; i++ {
 			path := fmt.Sprintf("/n%d", i%nodes)
-			tr.Watches().Add(path, wire.WatchData, reentrant)
+			tr.Watches().add(path, wire.WatchData, reentrant)
 			registered <- path
 		}
 	}()
@@ -177,10 +177,10 @@ func TestWatchDeliveryUnderConcurrentMutation(t *testing.T) {
 	}
 }
 
-// TestShardedSnapshotRestoreRoundTrip checks whole-tree operations that
-// lock all shards stay consistent with concurrent writers running.
-func TestShardedSnapshotRestoreRoundTrip(t *testing.T) {
-	tr := New(WithShards(4))
+// TestSnapshotRestoreUnderConcurrentWrites checks that snapshots taken
+// while a writer runs are consistent: each restores whole.
+func TestSnapshotRestoreUnderConcurrentWrites(t *testing.T) {
+	tr := New()
 	for i := 0; i < 64; i++ {
 		if _, err := tr.Create(fmt.Sprintf("/s%d", i), []byte("d"), 0, 0, int64(i+1)); err != nil {
 			t.Fatal(err)
@@ -208,16 +208,15 @@ func TestShardedSnapshotRestoreRoundTrip(t *testing.T) {
 	wg.Wait()
 
 	for _, snap := range snaps {
-		restored := New(WithShards(8))
+		restored := New()
 		restored.Restore(snap)
 		if restored.Count() != 65 {
 			t.Fatalf("restored count = %d, want 65", restored.Count())
 		}
 	}
-	// A snapshot taken at rest must restore to an identical digest even
-	// across different shard counts.
+	// A snapshot taken at rest must restore to an identical digest.
 	final := tr.Snapshot()
-	restored := New(WithShards(1))
+	restored := New()
 	restored.Restore(final)
 	if restored.Digest() != tr.Digest() {
 		t.Fatal("digest mismatch after restore")

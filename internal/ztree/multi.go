@@ -1,22 +1,17 @@
 package ztree
 
-import (
-	"slices"
-
-	"securekeeper/internal/wire"
-)
+import "securekeeper/internal/wire"
 
 // This file is the tree's one write engine. Every write is a
 // transaction of ops: a lone create, delete, set or check is a
 // transaction of one op, a TxnMulti one of its subs, a session's close
-// one delete per ephemeral node. apply write-locks exactly the shards
-// the ops touch — each op's path, and its parent's for create and
-// delete — in ascending index order, the order lockAll takes too; it
+// one delete per ephemeral node. apply takes the tree's write lock; it
 // checks every op with the one rule function, validate, against an
 // overlay of what the transaction's earlier ops did; then it applies
-// every op under the transaction's zxid, or none. No reader or writer
-// sees a transaction half applied, and watches fire after every lock is
-// released.
+// every op under the transaction's zxid, or none, and takes the
+// watchers its changes fire before it unlocks. No reader sees a
+// transaction half applied, no read sets a watch between a change and
+// the taking, and the watchers are notified after the lock is released.
 
 // Check verifies a znode exists and, when version >= 0, that its data
 // version matches. It never mutates the tree; inside a multi it is the
@@ -35,9 +30,8 @@ type ovNode struct {
 }
 
 // overlay is the tree as the ops validated so far would leave it, read
-// through from the real tree on a path's first use. The caller holds
-// the lock of every shard the ops touch, so the direct map reads are
-// safe. Only later ops read what an op records, so a lone op's overlay
+// through from the real tree on a path's first use, under apply's write
+// lock. Only later ops read what an op records, so a lone op's overlay
 // has no map; values live in the map, not behind pointers, so a small
 // transaction's map stays on the stack.
 type overlay struct {
@@ -49,7 +43,7 @@ func (o *overlay) get(path string) ovNode {
 	if n, ok := o.nodes[path]; ok {
 		return n
 	}
-	real, ok := o.t.shardFor(path).nodes[path]
+	real, ok := o.t.nodes[path]
 	if !ok {
 		return ovNode{}
 	}
@@ -145,12 +139,6 @@ func (o *overlay) put(path string, n ovNode) {
 	}
 }
 
-// watchFire is a deferred watch trigger, dispatched after unlock.
-type watchFire struct {
-	path string
-	typ  wire.EventType
-}
-
 // apply is the tree's one write engine (see the top of this file). It
 // validates and applies ops as one transaction under zxid. On the first
 // failing op the tree is left untouched and apply returns that op's
@@ -159,36 +147,16 @@ type watchFire struct {
 // keeps each payload slice itself, so the caller must own it and never
 // write to it again.
 //
-// A lone op's bookkeeping — its two shard indexes and two watch fires —
-// stays on the stack.
+// A lone op's two watch fires stay on the stack.
 func (t *Tree) apply(ops []Txn, zxid int64, out []TxnResult) (failed int, code wire.ErrCode) {
-	var shardBuf [4]uint64
-	shards := shardBuf[:0]
-	for i := range ops {
-		op := &ops[i]
-		switch op.Type {
-		case TxnCreate, TxnDelete:
-			if op.Path == "" {
-				continue // no parent: fails validation untouched
-			}
-			parentPath, _ := SplitPath(op.Path)
-			shards = addShard(shards, t.shardIndex(parentPath))
-			fallthrough
-		case TxnSetData, TxnCheck:
-			shards = addShard(shards, t.shardIndex(op.Path))
-		}
-	}
-	for _, s := range shards {
-		t.shards[s].mu.Lock()
-	}
-
+	t.mu.Lock()
 	ov := overlay{t: t}
 	if len(ops) > 1 {
 		ov.nodes = make(map[string]ovNode, len(ops))
 	}
 	for i := range ops {
 		if code = ov.validate(&ops[i]); code != wire.ErrOK {
-			t.unlockShards(shards)
+			t.mu.Unlock()
 			return i, code
 		}
 	}
@@ -201,48 +169,30 @@ func (t *Tree) apply(ops []Txn, zxid int64, out []TxnResult) (failed int, code w
 		res := TxnResult{Zxid: zxid, Path: op.Path}
 		switch op.Type {
 		case TxnCheck:
-			res.Stat = t.shardFor(op.Path).nodes[op.Path].stat
+			res.Stat = t.nodes[op.Path].stat
 		case TxnCreate:
 			parentPath, _ := SplitPath(op.Path)
-			parent := t.shardFor(parentPath).nodes[parentPath]
-			res.Stat = t.createNodeLocked(parent, op.Path, op.Data, op.Flags, op.Session, zxid)
+			res.Stat = t.createNodeLocked(t.nodes[parentPath], op.Path, op.Data, op.Flags, op.Session, zxid)
 			fires = append(fires,
-				watchFire{op.Path, wire.EventNodeCreated},
-				watchFire{parentPath, wire.EventNodeChildrenChanged})
+				watchFire{path: op.Path, typ: wire.EventNodeCreated},
+				watchFire{path: parentPath, typ: wire.EventNodeChildrenChanged})
 		case TxnDelete:
-			t.deleteNodeLocked(t.shardFor(op.Path).nodes[op.Path], op.Path, zxid)
+			t.deleteNodeLocked(t.nodes[op.Path], op.Path, zxid)
 			parentPath, _ := SplitPath(op.Path)
 			fires = append(fires,
-				watchFire{op.Path, wire.EventNodeDeleted},
-				watchFire{parentPath, wire.EventNodeChildrenChanged})
+				watchFire{path: op.Path, typ: wire.EventNodeDeleted},
+				watchFire{path: parentPath, typ: wire.EventNodeChildrenChanged})
 		case TxnSetData:
-			res.Stat = t.setNodeLocked(t.shardFor(op.Path).nodes[op.Path], op.Data, zxid)
-			fires = append(fires, watchFire{op.Path, wire.EventNodeDataChanged})
+			res.Stat = t.setNodeLocked(t.nodes[op.Path], op.Data, zxid)
+			fires = append(fires, watchFire{path: op.Path, typ: wire.EventNodeDataChanged})
 		}
 		if out != nil {
 			out[i] = res
 		}
 	}
-	t.unlockShards(shards)
+	fired := t.watches.take(fires)
+	t.mu.Unlock()
 
-	for _, f := range fires {
-		t.watches.trigger(f.path, f.typ)
-	}
+	t.watches.notify(fires, fired)
 	return -1, wire.ErrOK
-}
-
-// addShard adds shard index s to the ascending, duplicate-free list
-// shards.
-func addShard(shards []uint64, s uint64) []uint64 {
-	if i, found := slices.BinarySearch(shards, s); !found {
-		shards = slices.Insert(shards, i, s)
-	}
-	return shards
-}
-
-// unlockShards releases what apply locked, in reverse order.
-func (t *Tree) unlockShards(shards []uint64) {
-	for i := len(shards) - 1; i >= 0; i-- {
-		t.shards[shards[i]].mu.Unlock()
-	}
 }

@@ -48,7 +48,7 @@ func TestMultiAppliesAllUnderOneZxid(t *testing.T) {
 	}
 	// ...and both creates share the multi's zxid, including the child
 	// whose parent was created by the SAME transaction.
-	st, err := tree.Exists("/b/c")
+	st, err := tree.Exists("/b/c", nil)
 	if err != nil || st.Czxid != 2 {
 		t.Fatalf("/b/c stat = %+v, %v", st, err)
 	}
@@ -85,7 +85,7 @@ func TestMultiFailingCheckLeavesTreeUntouched(t *testing.T) {
 	if got := tree.Count(); got != beforeCount {
 		t.Fatalf("count changed: %d -> %d", beforeCount, got)
 	}
-	if _, err := tree.Exists("/new"); err == nil {
+	if _, err := tree.Exists("/new", nil); err == nil {
 		t.Fatal("aborted create leaked into the tree")
 	}
 }
@@ -127,7 +127,7 @@ func TestMultiValidatesAgainstInTxnState(t *testing.T) {
 	if res.Err != wire.ErrNoNode {
 		t.Fatalf("create under in-txn-deleted parent: %v", res.Err)
 	}
-	if _, err := tree.Exists("/a"); err != nil {
+	if _, err := tree.Exists("/a", nil); err != nil {
 		t.Fatal("aborted multi deleted /a")
 	}
 
@@ -167,10 +167,10 @@ func TestMultiWatchDispatch(t *testing.T) {
 	reentrant := FuncWatcher(func(ev wire.WatcherEvent) {
 		events = append(events, ev)
 		// Reentrant: a watcher that reads the tree during dispatch
-		// deadlocks unless dispatch happens outside all shard locks.
-		_, _ = tree.Exists("/w")
+		// deadlocks unless dispatch happens outside the tree's lock.
+		_, _ = tree.Exists("/w", nil)
 	})
-	tree.Watches().Add("/w", wire.WatchData, reentrant)
+	tree.Watches().add("/w", wire.WatchData, reentrant)
 
 	// Aborted multi: no watch fires.
 	tree.Apply(&Txn{Zxid: 2, Type: TxnMulti, Subs: []Txn{
@@ -194,9 +194,9 @@ func TestMultiWatchDispatch(t *testing.T) {
 }
 
 // TestMultiConcurrentWithSingles hammers multis against standalone
-// ops on overlapping and disjoint shards: the targeted shard locking
-// must keep every multi atomic (the Check+Set pair never observes a
-// torn state) while disjoint traffic proceeds. Run with -race.
+// ops on the same node and on another one: the tree's lock must keep
+// every multi atomic (the Check+Set pair never observes a torn state)
+// while the other traffic proceeds. Run with -race.
 func TestMultiConcurrentWithSingles(t *testing.T) {
 	tree := New()
 	applyOK(t, tree, Txn{Zxid: 1, Type: TxnCreate, Path: "/cas", Data: []byte("0")})
@@ -238,7 +238,7 @@ func TestMultiConcurrentWithSingles(t *testing.T) {
 			}
 		}()
 	}
-	// Disjoint single-op traffic on other shards, concurrently.
+	// Single-op traffic on another node, concurrently.
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func(g int) {

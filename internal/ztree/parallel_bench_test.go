@@ -9,12 +9,11 @@ import (
 	"testing"
 )
 
-// parallelTree is BenchmarkZTreeParallel's tree, in shards shards: 16
-// parents of 64 children each, holding 256 bytes. It returns the
-// children's paths.
-func parallelTree(tb testing.TB, shards int) (*Tree, []string) {
+// parallelTree is BenchmarkZTreeParallel's tree: 16 parents of 64
+// children each, holding 256 bytes. It returns the children's paths.
+func parallelTree(tb testing.TB) (*Tree, []string) {
 	tb.Helper()
-	tr := New(WithShards(shards))
+	tr := New()
 	paths := make([]string, 0, 16*64)
 	for p := 0; p < 16; p++ {
 		if _, err := tr.Create(fmt.Sprintf("/p%d", p), nil, 0, 0, 1); err != nil {
@@ -32,10 +31,10 @@ func parallelTree(tb testing.TB, shards int) (*Tree, []string) {
 }
 
 // writeHeavyTree is BenchmarkZTreeParallelWriteHeavy's tree: 512 nodes
-// of 256 bytes under the root, in shards shards.
-func writeHeavyTree(tb testing.TB, shards int) (*Tree, []string) {
+// of 256 bytes under the root.
+func writeHeavyTree(tb testing.TB) (*Tree, []string) {
 	tb.Helper()
-	tr := New(WithShards(shards))
+	tr := New()
 	paths := make([]string, 512)
 	for c := range paths {
 		paths[c] = fmt.Sprintf("/c%d", c)
@@ -66,7 +65,7 @@ func readMostly(tb testing.TB, tr *Tree, paths []string, payload []byte, rng *ra
 	return false
 }
 
-// allWrites takes a shard write lock every op: a SetData of a random
+// allWrites takes the write lock every op: a SetData of a random
 // node.
 func allWrites(tb testing.TB, tr *Tree, paths []string, payload []byte, rng *rand.Rand) bool {
 	if _, err := tr.SetData(paths[rng.Intn(len(paths))], payload, -1, 2); err != nil {
@@ -76,8 +75,8 @@ func allWrites(tb testing.TB, tr *Tree, paths []string, payload []byte, rng *ran
 }
 
 // benchParallel runs op GOMAXPROCS-parallel on the tree setup makes.
-func benchParallel(b *testing.B, setup func(testing.TB, int) (*Tree, []string), op treeOp, shards int) {
-	tr, paths := setup(b, shards)
+func benchParallel(b *testing.B, setup func(testing.TB) (*Tree, []string), op treeOp) {
+	tr, paths := setup(b)
 	payload := make([]byte, 256)
 	var seed atomic.Int64
 	b.ReportAllocs()
@@ -91,54 +90,40 @@ func benchParallel(b *testing.B, setup func(testing.TB, int) (*Tree, []string), 
 }
 
 // BenchmarkZTreeParallel measures GOMAXPROCS-parallel mixed Get/Set
-// throughput (90% reads / 10% writes, the paper's read-mostly profile)
-// against trees with different shard counts. shards=1 reproduces the
-// pre-shard single-RWMutex behaviour; the default must beat it by ≥2×
-// on multi-core hosts.
+// throughput (90% reads / 10% writes, the paper's read-mostly profile).
 func BenchmarkZTreeParallel(b *testing.B) {
-	for _, shards := range []int{1, 8, DefaultShards} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchParallel(b, parallelTree, readMostly, shards)
-		})
-	}
+	benchParallel(b, parallelTree, readMostly)
 }
 
 // BenchmarkZTreeParallelWriteHeavy is the contended all-write variant:
-// every operation takes a shard write lock, so it isolates pure lock
+// every operation takes the write lock, so it isolates pure lock
 // contention rather than RWMutex read scaling.
 func BenchmarkZTreeParallelWriteHeavy(b *testing.B) {
-	for _, shards := range []int{1, DefaultShards} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			benchParallel(b, writeHeavyTree, allWrites, shards)
-		})
-	}
+	benchParallel(b, writeHeavyTree, allWrites)
 }
 
 // TestParallelAllocations pins what the parallel benchmarks' ops
-// allocate while four goroutines run them at once on trees of 1, 8 and
-// 32 shards: a read nothing, a SetData two objects — its copy of the
-// caller's payload and the Stat it returns. Taking a shard's lock, read
-// or write, allocates nothing. The runtime may add a few objects of its
+// allocate while four goroutines run them at once: a read nothing, a
+// SetData two objects — its copy of the caller's payload and the Stat
+// it returns. Taking the tree's lock, read or write, allocates nothing. The runtime may add a few objects of its
 // own to a round of 8000 ops (a goroutine that blocks on a contended
 // lock can need a wait record), far fewer than one per op.
 func TestParallelAllocations(t *testing.T) {
 	const runtimeSlack = 16
 	cases := []struct {
 		name  string
-		setup func(testing.TB, int) (*Tree, []string)
+		setup func(testing.TB) (*Tree, []string)
 		op    treeOp
 	}{{"read-mostly", parallelTree, readMostly}, {"write-heavy", writeHeavyTree, allWrites}}
 	for _, tc := range cases {
-		for _, shards := range []int{1, 8, DefaultShards} {
-			tr, paths := tc.setup(t, shards)
-			// The first round leaves the runtime's own caches (blocked
-			// goroutines' wait records) warm, so the second counts the ops.
-			parallelRound(t, tr, paths, tc.op)
-			allocs, writes := parallelRound(t, tr, paths, tc.op)
-			if allocs < 2*writes || allocs > 2*writes+runtimeSlack {
-				t.Errorf("%s, shards=%d: 8000 ops with %d writes made %d allocations, want %d (two per write) and at most %d of the runtime's",
-					tc.name, shards, writes, allocs, 2*writes, runtimeSlack)
-			}
+		tr, paths := tc.setup(t)
+		// The first round leaves the runtime's own caches (blocked
+		// goroutines' wait records) warm, so the second counts the ops.
+		parallelRound(t, tr, paths, tc.op)
+		allocs, writes := parallelRound(t, tr, paths, tc.op)
+		if allocs < 2*writes || allocs > 2*writes+runtimeSlack {
+			t.Errorf("%s: 8000 ops with %d writes made %d allocations, want %d (two per write) and at most %d of the runtime's",
+				tc.name, writes, allocs, 2*writes, runtimeSlack)
 		}
 	}
 }

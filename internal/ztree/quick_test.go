@@ -143,7 +143,7 @@ func TestQuickTreeVsModel(t *testing.T) {
 		}
 		// Final structural comparison.
 		for _, p := range append(paths, "/") {
-			kidsT, errT := tr.GetChildren(p)
+			kidsT, errT := tr.GetChildren(p, nil)
 			kidsM, errM := m.children(p)
 			if !sameErr(errT, errM) {
 				t.Logf("children %s err diverged", p)

@@ -16,24 +16,20 @@
 // set or check is a transaction of one op, a multi one of its subs, and
 // a session's close one delete per ephemeral node it owned.
 //
-// Concurrency: the node map is split into path-hash-addressed shards,
-// each guarded by its own RWMutex, so readers and writers touching
-// different subtree regions do not contend on a single lock. A
-// transaction write-locks exactly the shards its ops touch (each op's
-// node, and its parent for create and delete) in ascending shard-index
-// order, which makes deadlock impossible: a lone set locks one shard, a
-// lone create or delete at most two, a session's close every shard its
-// ephemerals and their parents live in. Watch dispatch always happens
-// after every shard lock is released.
+// Concurrency: one RWMutex guards the node map, the ephemeral index
+// and the logical clock. apply holds it for writing, every read for
+// reading. A read given a watcher sets the watch before it releases the
+// lock, and apply takes the watchers its changes fire before it
+// releases its own, so a change either shows in what the read returned
+// or fires the watch the read set. Watchers are notified after the lock
+// is released.
 package ztree
 
 import (
 	"fmt"
-	"hash/maphash"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"securekeeper/internal/wire"
 )
@@ -49,40 +45,16 @@ type node struct {
 	children map[string]struct{}
 }
 
-// shard is one slice of the node map with its own lock.
-type shard struct {
-	mu    sync.RWMutex // 24 bytes
-	nodes map[string]*node
-	// Pad the 32 bytes of fields to a multiple of the cache line so
-	// neighbouring shards' locks do not false-share under contention
-	// (two lines, to also clear the adjacent-line prefetcher).
-	_ [128 - 32]byte //nolint:unused
-}
-
-// DefaultShards is the shard count used by New unless WithShards
-// overrides it. Sized so that a machine's worth of goroutines rarely
-// collide on one lock while keeping whole-tree operations (snapshot,
-// digest) cheap.
-const DefaultShards = 32
-
 // Tree is the znode database. All methods are safe for concurrent use.
 type Tree struct {
-	shards []shard
-	mask   uint64 // len(shards)-1; len is a power of two
-	// seed keys the shard hash. It is per tree: shard placement is
-	// private to a replica (Digest, which replicas compare, hashes with
-	// FNV instead).
-	seed maphash.Seed
-
-	// ephemeral indexes session id -> owned paths. It has its own lock;
-	// the ordering discipline is that ephMu may be acquired while shard
-	// locks are held, never the reverse.
-	ephMu     sync.Mutex
+	mu    sync.RWMutex
+	nodes map[string]*node
+	// ephemeral indexes session id -> owned paths.
 	ephemeral map[int64]map[string]struct{}
+	clock     int64 // fallback logical clock when now is nil; only apply moves it
 
 	watches *WatchManager
 	now     func() int64 // wall clock in ms, injectable for tests
-	clock   atomic.Int64 // fallback logical clock when now is nil
 }
 
 // Option configures a Tree.
@@ -94,84 +66,30 @@ func WithClock(now func() int64) Option {
 	return func(t *Tree) { t.now = now }
 }
 
-// WithShards sets the shard count, rounded up to a power of two.
-// Benchmarks use WithShards(1) to measure the pre-shard behaviour.
-func WithShards(n int) Option {
-	return func(t *Tree) {
-		if n < 1 {
-			n = 1
-		}
-		size := 1
-		for size < n {
-			size <<= 1
-		}
-		t.shards = make([]shard, size)
-		t.mask = uint64(size - 1)
-	}
-}
-
 // New returns a tree containing only the root znode "/".
 func New(opts ...Option) *Tree {
 	t := &Tree{
-		seed:      maphash.MakeSeed(),
+		nodes:     map[string]*node{"/": {}},
 		ephemeral: make(map[int64]map[string]struct{}),
 		watches:   NewWatchManager(),
 	}
-	WithShards(DefaultShards)(t)
 	for _, opt := range opts {
 		opt(t)
 	}
-	for i := range t.shards {
-		t.shards[i].nodes = make(map[string]*node, 8)
-	}
-	t.shardFor("/").nodes["/"] = &node{}
 	return t
 }
 
-// shardIndex maps a path to its shard slot.
-func (t *Tree) shardIndex(path string) uint64 {
-	return maphash.String(t.seed, path) & t.mask
-}
-
-func (t *Tree) shardFor(path string) *shard {
-	return &t.shards[t.shardIndex(path)]
-}
-
-// lockAll write-locks every shard in index order; unlockAll reverses it.
-func (t *Tree) lockAll() {
-	for i := range t.shards {
-		t.shards[i].mu.Lock()
-	}
-}
-
-func (t *Tree) unlockAll() {
-	for i := len(t.shards) - 1; i >= 0; i-- {
-		t.shards[i].mu.Unlock()
-	}
-}
-
-// rlockAll read-locks every shard in index order for consistent
-// whole-tree reads (snapshot).
-func (t *Tree) rlockAll() {
-	for i := range t.shards {
-		t.shards[i].mu.RLock()
-	}
-}
-
-func (t *Tree) runlockAll() {
-	for i := len(t.shards) - 1; i >= 0; i-- {
-		t.shards[i].mu.RUnlock()
-	}
-}
-
-// Watches exposes the tree's watch manager for registration.
+// Watches exposes the tree's watch manager: its count, its dispatch
+// observer and the removal of a closed session's watches. Reads set
+// watches (GetDataRefW, Exists, GetChildren).
 func (t *Tree) Watches() *WatchManager { return t.watches }
 
 func (t *Tree) timestamp() int64 {
 	if t.now != nil {
 		return t.now()
 	}
-	return t.clock.Add(1)
+	t.clock++
+	return t.clock
 }
 
 // ValidatePath checks structural path validity: absolute, no empty or
@@ -228,8 +146,7 @@ func statOrErr(res TxnResult) (*wire.Stat, error) {
 }
 
 // createNodeLocked performs the mutation core of a create: apply has
-// validated the op and holds write locks covering both the path's and
-// the parent's shards. The node adopts data.
+// validated the op and holds the write lock. The node adopts data.
 func (t *Tree) createNodeLocked(parent *node, path string, data []byte, flags wire.CreateFlags, owner, zxid int64) wire.Stat {
 	_, name := SplitPath(path)
 	now := t.timestamp()
@@ -246,21 +163,24 @@ func (t *Tree) createNodeLocked(parent *node, path string, data []byte, flags wi
 	}
 	if flags&wire.FlagEphemeral != 0 {
 		n.stat.EphemeralOwner = owner
-		t.ephMu.Lock()
-		set, ok := t.ephemeral[owner]
-		if !ok {
-			set = make(map[string]struct{})
-			t.ephemeral[owner] = set
-		}
-		set[path] = struct{}{}
-		t.ephMu.Unlock()
+		t.addEphemeral(owner, path)
 	}
-	t.shardFor(path).nodes[path] = n
+	t.nodes[path] = n
 	parent.addChild(name)
 	parent.stat.Cversion++
 	parent.stat.Pzxid = zxid
 	parent.stat.NumChildren = int32(len(parent.children))
 	return n.stat
+}
+
+// addEphemeral records that owner's session owns path.
+func (t *Tree) addEphemeral(owner int64, path string) {
+	set, ok := t.ephemeral[owner]
+	if !ok {
+		set = make(map[string]struct{})
+		t.ephemeral[owner] = set
+	}
+	set[path] = struct{}{}
 }
 
 func (n *node) addChild(name string) {
@@ -277,22 +197,19 @@ func (t *Tree) Delete(path string, version int32, zxid int64) error {
 }
 
 // deleteNodeLocked performs the mutation core of a delete: apply has
-// validated the op and holds write locks covering both the path's and
-// the parent's shards.
+// validated the op and holds the write lock.
 func (t *Tree) deleteNodeLocked(n *node, path string, zxid int64) {
 	parentPath, name := SplitPath(path)
-	delete(t.shardFor(path).nodes, path)
-	if n.stat.EphemeralOwner != 0 {
-		t.ephMu.Lock()
-		if set, ok := t.ephemeral[n.stat.EphemeralOwner]; ok {
+	delete(t.nodes, path)
+	if owner := n.stat.EphemeralOwner; owner != 0 {
+		if set, ok := t.ephemeral[owner]; ok {
 			delete(set, path)
 			if len(set) == 0 {
-				delete(t.ephemeral, n.stat.EphemeralOwner)
+				delete(t.ephemeral, owner)
 			}
 		}
-		t.ephMu.Unlock()
 	}
-	if parent, ok := t.shardFor(parentPath).nodes[parentPath]; ok {
+	if parent, ok := t.nodes[parentPath]; ok {
 		delete(parent.children, name)
 		parent.stat.Cversion++
 		parent.stat.Pzxid = zxid
@@ -307,8 +224,7 @@ func (t *Tree) SetData(path string, data []byte, version int32, zxid int64) (*wi
 }
 
 // setNodeLocked performs the mutation core of a set: apply has
-// validated the op and holds the node's shard write lock. The node
-// adopts data.
+// validated the op and holds the write lock. The node adopts data.
 func (t *Tree) setNodeLocked(n *node, data []byte, zxid int64) wire.Stat {
 	n.data = data
 	n.stat.Version++
@@ -335,54 +251,65 @@ func (t *Tree) GetData(path string) ([]byte, *wire.Stat, error) {
 // into the response message immediately, and that serialization is the
 // copy at the session boundary.
 func (t *Tree) GetDataRef(path string) ([]byte, wire.Stat, error) {
+	return t.GetDataRefW(path, nil)
+}
+
+// GetDataRefW is GetDataRef that, when w is not nil, also registers w
+// before the read lock is released: a data watch on a node that exists,
+// an exist watch on one that does not.
+func (t *Tree) GetDataRefW(path string, w Watcher) ([]byte, wire.Stat, error) {
 	if err := ValidatePath(path); err != nil {
 		return nil, wire.Stat{}, err
 	}
-	s := t.shardFor(path)
-	s.mu.RLock()
-	n, ok := s.nodes[path]
-	if !ok {
-		s.mu.RUnlock()
+	t.mu.RLock()
+	n := t.nodes[path]
+	if w != nil {
+		kind := wire.WatchData
+		if n == nil {
+			kind = wire.WatchExist
+		}
+		t.watches.add(path, kind, w)
+	}
+	if n == nil {
+		t.mu.RUnlock()
 		return nil, wire.Stat{}, wire.ErrNoNode.Error()
 	}
 	data, stat := n.data, n.stat
-	s.mu.RUnlock()
+	t.mu.RUnlock()
 	return data, stat, nil
 }
 
-// Exists returns the Stat of a znode, or ErrNoNode.
-func (t *Tree) Exists(path string) (*wire.Stat, error) {
-	if err := ValidatePath(path); err != nil {
+// Exists returns the Stat of a znode, or ErrNoNode. A watcher w is
+// registered as GetDataRefW registers it.
+func (t *Tree) Exists(path string, w Watcher) (*wire.Stat, error) {
+	_, stat, err := t.GetDataRefW(path, w)
+	if err != nil {
 		return nil, err
 	}
-	s := t.shardFor(path)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n, ok := s.nodes[path]
-	if !ok {
-		return nil, wire.ErrNoNode.Error()
-	}
-	stat := n.stat
 	return &stat, nil
 }
 
-// GetChildren returns a sorted list of child names.
-func (t *Tree) GetChildren(path string) ([]string, error) {
+// GetChildren returns a sorted list of child names. When w is not nil
+// and the node exists, w gets a child watch on it, set under the same
+// read lock; a listing that fails sets no watch.
+func (t *Tree) GetChildren(path string, w Watcher) ([]string, error) {
 	if err := ValidatePath(path); err != nil {
 		return nil, err
 	}
-	s := t.shardFor(path)
-	s.mu.RLock()
-	n, ok := s.nodes[path]
+	t.mu.RLock()
+	n, ok := t.nodes[path]
 	if !ok {
-		s.mu.RUnlock()
+		t.mu.RUnlock()
 		return nil, wire.ErrNoNode.Error()
+	}
+	if w != nil {
+		t.watches.add(path, wire.WatchChild, w)
 	}
 	out := make([]string, 0, len(n.children))
 	for name := range n.children {
 		out = append(out, name)
 	}
-	s.mu.RUnlock()
+	t.mu.RUnlock()
 	sort.Strings(out)
 	return out, nil
 }
@@ -390,10 +317,9 @@ func (t *Tree) GetChildren(path string) ([]string, error) {
 // NextSequence returns the sequence number for the next sequential child
 // of parentPath. ZooKeeper uses the parent's Cversion for this purpose.
 func (t *Tree) NextSequence(parentPath string) (int32, error) {
-	s := t.shardFor(parentPath)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n, ok := s.nodes[parentPath]
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	n, ok := t.nodes[parentPath]
 	if !ok {
 		return 0, wire.ErrNoNode.Error()
 	}
@@ -410,12 +336,12 @@ func (t *Tree) NextSequence(parentPath string) (int32, error) {
 // one of the nodes racing the close, which a replica never runs: it
 // applies every write from one goroutine, in commit order.)
 func (t *Tree) KillSession(sessionID int64, zxid int64) []string {
-	t.ephMu.Lock()
+	t.mu.RLock()
 	paths := make([]string, 0, len(t.ephemeral[sessionID]))
 	for p := range t.ephemeral[sessionID] {
 		paths = append(paths, p)
 	}
-	t.ephMu.Unlock()
+	t.mu.RUnlock()
 	sort.Slice(paths, func(i, j int) bool { return len(paths[i]) > len(paths[j]) })
 	ops := make([]Txn, len(paths))
 	for i, p := range paths {
@@ -429,27 +355,19 @@ func (t *Tree) KillSession(sessionID int64, zxid int64) []string {
 
 // Count returns the number of znodes including the root.
 func (t *Tree) Count() int {
-	total := 0
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		total += len(s.nodes)
-		s.mu.RUnlock()
-	}
-	return total
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.nodes)
 }
 
 // ApproxBytes estimates the memory held by payloads and paths, used by
 // the Fig 2 memory-timeline experiment.
 func (t *Tree) ApproxBytes() int64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	var total int64
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		for p, n := range s.nodes {
-			total += int64(len(p)) + int64(len(n.data)) + 96 // stat + map overhead estimate
-		}
-		s.mu.RUnlock()
+	for p, n := range t.nodes {
+		total += int64(len(p)) + int64(len(n.data)) + 96 // stat + map overhead estimate
 	}
 	return total
 }
@@ -457,81 +375,58 @@ func (t *Tree) ApproxBytes() int64 {
 // Digest computes an order-independent checksum over paths, data and
 // versions. Replicas compare digests in tests to assert convergence.
 func (t *Tree) Digest() uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	var digest uint64
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		for p, n := range s.nodes {
-			h := fnv64a(p)
-			h = fnv64aBytes(h, n.data)
-			h ^= uint64(uint32(n.stat.Version))<<32 | uint64(uint32(n.stat.Cversion))
-			digest += h // commutative combine: iteration order independent
-		}
-		s.mu.RUnlock()
+	for p, n := range t.nodes {
+		h := fnv64a(p)
+		h = fnv64aBytes(h, n.data)
+		h ^= uint64(uint32(n.stat.Version))<<32 | uint64(uint32(n.stat.Cversion))
+		digest += h // commutative combine: iteration order independent
 	}
 	return digest
 }
 
-// Snapshot captures the full tree state for recovery transfer. All
-// shards are read-locked together so the snapshot is a consistent
-// point-in-time view.
+// Snapshot captures the full tree state for recovery transfer, a
+// consistent point-in-time view taken under the read lock.
 func (t *Tree) Snapshot() *Snapshot {
-	t.rlockAll()
-	total := 0
-	for i := range t.shards {
-		total += len(t.shards[i].nodes)
+	t.mu.RLock()
+	snap := &Snapshot{Nodes: make([]SnapshotNode, 0, len(t.nodes))}
+	for p, n := range t.nodes {
+		snap.Nodes = append(snap.Nodes, SnapshotNode{
+			Path: p,
+			Data: cloneBytes(n.data),
+			Stat: n.stat,
+		})
 	}
-	snap := &Snapshot{Nodes: make([]SnapshotNode, 0, total)}
-	for i := range t.shards {
-		for p, n := range t.shards[i].nodes {
-			snap.Nodes = append(snap.Nodes, SnapshotNode{
-				Path: p,
-				Data: cloneBytes(n.data),
-				Stat: n.stat,
-			})
-		}
-	}
-	t.runlockAll()
+	t.mu.RUnlock()
 	sort.Slice(snap.Nodes, func(i, j int) bool { return snap.Nodes[i].Path < snap.Nodes[j].Path })
 	return snap
 }
 
 // Restore replaces the tree contents with a snapshot.
 func (t *Tree) Restore(snap *Snapshot) {
-	t.lockAll()
-	defer t.unlockAll()
-	for i := range t.shards {
-		t.shards[i].nodes = make(map[string]*node, 8)
-	}
-	t.ephMu.Lock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.nodes = make(map[string]*node, len(snap.Nodes)+1)
 	t.ephemeral = make(map[int64]map[string]struct{})
 	for _, sn := range snap.Nodes {
-		n := &node{data: cloneBytes(sn.Data), stat: sn.Stat}
-		t.shardFor(sn.Path).nodes[sn.Path] = n
+		t.nodes[sn.Path] = &node{data: cloneBytes(sn.Data), stat: sn.Stat}
 		if owner := sn.Stat.EphemeralOwner; owner != 0 {
-			set, ok := t.ephemeral[owner]
-			if !ok {
-				set = make(map[string]struct{})
-				t.ephemeral[owner] = set
-			}
-			set[sn.Path] = struct{}{}
+			t.addEphemeral(owner, sn.Path)
 		}
 	}
-	t.ephMu.Unlock()
-	rootShard := t.shardFor("/")
-	if _, ok := rootShard.nodes["/"]; !ok {
-		rootShard.nodes["/"] = &node{}
+	if _, ok := t.nodes["/"]; !ok {
+		t.nodes["/"] = &node{}
 	}
 	// Rebuild child links.
-	for i := range t.shards {
-		for p := range t.shards[i].nodes {
-			if p == "/" {
-				continue
-			}
-			parentPath, name := SplitPath(p)
-			if parent, ok := t.shardFor(parentPath).nodes[parentPath]; ok {
-				parent.addChild(name)
-			}
+	for p := range t.nodes {
+		if p == "/" {
+			continue
+		}
+		parentPath, name := SplitPath(p)
+		if parent, ok := t.nodes[parentPath]; ok {
+			parent.addChild(name)
 		}
 	}
 }

@@ -148,7 +148,7 @@ func TestGetChildrenSorted(t *testing.T) {
 	for _, name := range []string{"zeta", "alpha", "mid"} {
 		mustCreate(t, tr, "/p/"+name, nil)
 	}
-	kids, err := tr.GetChildren("/p")
+	kids, err := tr.GetChildren("/p", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestGetChildrenSorted(t *testing.T) {
 			t.Fatalf("children = %v, want %v", kids, want)
 		}
 	}
-	stat, _ := tr.Exists("/p")
+	stat, _ := tr.Exists("/p", nil)
 	if stat.NumChildren != 3 || stat.Cversion != 3 {
 		t.Fatalf("parent stat = %+v", stat)
 	}
@@ -203,10 +203,10 @@ func TestKillSession(t *testing.T) {
 	if len(deleted) != 2 {
 		t.Fatalf("deleted = %v", deleted)
 	}
-	if _, err := tr.Exists("/app/keep"); err != nil {
+	if _, err := tr.Exists("/app/keep", nil); err != nil {
 		t.Fatal("other session's node must survive")
 	}
-	if _, err := tr.Exists("/app/e1"); err == nil {
+	if _, err := tr.Exists("/app/e1", nil); err == nil {
 		t.Fatal("session 42's node must be gone")
 	}
 }
@@ -229,7 +229,7 @@ func TestSnapshotRestoreAndDigest(t *testing.T) {
 	if b.Count() != a.Count() {
 		t.Fatalf("counts differ: %d vs %d", b.Count(), a.Count())
 	}
-	kids, err := b.GetChildren("/x")
+	kids, err := b.GetChildren("/x", nil)
 	if err != nil || len(kids) != 1 || kids[0] != "y" {
 		t.Fatalf("children after restore = %v, %v", kids, err)
 	}
@@ -327,8 +327,7 @@ func TestApplyTxns(t *testing.T) {
 
 // TestApplyDeterministic: two trees fed the same transactions end in
 // the same state — same Digest (the checksum replicas compare), same
-// sorted Snapshot — although each places its nodes by a shard hash
-// seeded for that tree alone.
+// sorted Snapshot.
 func TestApplyDeterministic(t *testing.T) {
 	txns := []Txn{
 		{Zxid: 1, Type: TxnCreate, Path: "/d"},
@@ -338,10 +337,8 @@ func TestApplyDeterministic(t *testing.T) {
 		{Zxid: 5, Type: TxnDelete, Path: "/d/1", Version: -1},
 		{Zxid: 6, Type: TxnCloseSession, Session: 5},
 	}
-	var paths []string
 	for i := 0; i < 200; i++ {
 		p := fmt.Sprintf("/d/k%03d", i)
-		paths = append(paths, p)
 		txns = append(txns, Txn{Zxid: int64(len(txns) + 1), Type: TxnCreate, Path: p, Data: []byte(p)})
 		if i%3 == 0 {
 			txns = append(txns, Txn{Zxid: int64(len(txns) + 1), Type: TxnSetData, Path: p, Data: []byte("set"), Version: -1})
@@ -362,15 +359,6 @@ func TestApplyDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
 		t.Fatal("same txn sequence must produce identical snapshots")
-	}
-	moved := 0
-	for _, p := range paths {
-		if a.shardIndex(p) != b.shardIndex(p) {
-			moved++
-		}
-	}
-	if moved == 0 {
-		t.Fatalf("two trees place all %d paths in the same shards: the shard hash is not seeded per tree", len(paths))
 	}
 }
 
@@ -414,7 +402,7 @@ func TestManyNodes(t *testing.T) {
 	for i := 0; i < n; i++ {
 		mustCreate(t, tr, fmt.Sprintf("/n/c%04d", i), []byte("x"))
 	}
-	kids, err := tr.GetChildren("/n")
+	kids, err := tr.GetChildren("/n", nil)
 	if err != nil || len(kids) != n {
 		t.Fatalf("children = %d, %v", len(kids), err)
 	}

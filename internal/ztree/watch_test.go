@@ -2,10 +2,24 @@ package ztree
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"securekeeper/internal/wire"
 )
+
+// FuncWatcher adapts a function to the Watcher interface. The returned
+// value is a pointer so it is usable as a registration key (watcher
+// identities must be comparable).
+func FuncWatcher(f func(ev wire.WatcherEvent)) Watcher {
+	return &funcWatcher{f: f}
+}
+
+type funcWatcher struct {
+	f func(ev wire.WatcherEvent)
+}
+
+func (w *funcWatcher) Notify(ev wire.WatcherEvent) { w.f(ev) }
 
 // recorder collects events safely across goroutines.
 type recorder struct {
@@ -29,7 +43,7 @@ func TestDataWatchFiresOnce(t *testing.T) {
 	tr := New()
 	mustCreate(t, tr, "/w", []byte("a"))
 	rec := &recorder{}
-	tr.Watches().Add("/w", wire.WatchData, rec)
+	tr.Watches().add("/w", wire.WatchData, rec)
 
 	if _, err := tr.SetData("/w", []byte("b"), -1, 2); err != nil {
 		t.Fatal(err)
@@ -50,7 +64,7 @@ func TestDataWatchFiresOnDelete(t *testing.T) {
 	tr := New()
 	mustCreate(t, tr, "/w", nil)
 	rec := &recorder{}
-	tr.Watches().Add("/w", wire.WatchData, rec)
+	tr.Watches().add("/w", wire.WatchData, rec)
 	if err := tr.Delete("/w", -1, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +77,7 @@ func TestDataWatchFiresOnDelete(t *testing.T) {
 func TestExistWatchFiresOnCreate(t *testing.T) {
 	tr := New()
 	rec := &recorder{}
-	tr.Watches().Add("/future", wire.WatchExist, rec)
+	tr.Watches().add("/future", wire.WatchExist, rec)
 	mustCreate(t, tr, "/future", nil)
 	evs := rec.list()
 	if len(evs) != 1 || evs[0].Type != wire.EventNodeCreated {
@@ -75,7 +89,7 @@ func TestChildWatch(t *testing.T) {
 	tr := New()
 	mustCreate(t, tr, "/p", nil)
 	rec := &recorder{}
-	tr.Watches().Add("/p", wire.WatchChild, rec)
+	tr.Watches().add("/p", wire.WatchChild, rec)
 	mustCreate(t, tr, "/p/c", nil)
 	evs := rec.list()
 	if len(evs) != 1 || evs[0].Type != wire.EventNodeChildrenChanged || evs[0].Path != "/p" {
@@ -83,7 +97,7 @@ func TestChildWatch(t *testing.T) {
 	}
 
 	// Re-register; child delete also triggers.
-	tr.Watches().Add("/p", wire.WatchChild, rec)
+	tr.Watches().add("/p", wire.WatchChild, rec)
 	if err := tr.Delete("/p/c", -1, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +110,7 @@ func TestChildWatchFiresOnNodeDeletion(t *testing.T) {
 	tr := New()
 	mustCreate(t, tr, "/p", nil)
 	rec := &recorder{}
-	tr.Watches().Add("/p", wire.WatchChild, rec)
+	tr.Watches().add("/p", wire.WatchChild, rec)
 	if err := tr.Delete("/p", -1, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +124,7 @@ func TestSetDataDoesNotFireChildWatch(t *testing.T) {
 	tr := New()
 	mustCreate(t, tr, "/p", nil)
 	rec := &recorder{}
-	tr.Watches().Add("/p", wire.WatchChild, rec)
+	tr.Watches().add("/p", wire.WatchChild, rec)
 	if _, err := tr.SetData("/p", []byte("x"), -1, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +138,9 @@ func TestRemoveWatcher(t *testing.T) {
 	mustCreate(t, tr, "/w", nil)
 	rec := &recorder{}
 	wm := tr.Watches()
-	wm.Add("/w", wire.WatchData, rec)
-	wm.Add("/w", wire.WatchChild, rec)
-	wm.Add("/other", wire.WatchExist, rec)
+	wm.add("/w", wire.WatchData, rec)
+	wm.add("/w", wire.WatchChild, rec)
+	wm.add("/other", wire.WatchExist, rec)
 	if wm.Count() != 3 {
 		t.Fatalf("count = %d", wm.Count())
 	}
@@ -147,7 +161,7 @@ func TestMultipleWatchersAllFire(t *testing.T) {
 	mustCreate(t, tr, "/m", nil)
 	recs := []*recorder{{}, {}, {}}
 	for _, r := range recs {
-		tr.Watches().Add("/m", wire.WatchData, r)
+		tr.Watches().add("/m", wire.WatchData, r)
 	}
 	if _, err := tr.SetData("/m", []byte("x"), -1, 2); err != nil {
 		t.Fatal(err)
@@ -174,9 +188,9 @@ func TestKillSessionIsOneTransaction(t *testing.T) {
 	fired := 0
 	for i, p := range paths {
 		other := paths[1-i]
-		tr.Watches().Add(p, wire.WatchData, FuncWatcher(func(ev wire.WatcherEvent) {
+		tr.Watches().add(p, wire.WatchData, FuncWatcher(func(ev wire.WatcherEvent) {
 			fired++
-			if _, err := tr.Exists(other); err == nil {
+			if _, err := tr.Exists(other, nil); err == nil {
 				t.Errorf("the watch on %s fired with %s still present: the session was half closed", ev.Path, other)
 			}
 		}))
@@ -191,7 +205,7 @@ func TestKillSessionIsOneTransaction(t *testing.T) {
 
 func TestNilWatcherIgnored(t *testing.T) {
 	wm := NewWatchManager()
-	wm.Add("/x", wire.WatchData, nil)
+	wm.add("/x", wire.WatchData, nil)
 	if wm.Count() != 0 {
 		t.Fatal("nil watcher must not register")
 	}
@@ -201,11 +215,93 @@ func TestFuncWatcher(t *testing.T) {
 	tr := New()
 	mustCreate(t, tr, "/f", nil)
 	fired := 0
-	tr.Watches().Add("/f", wire.WatchData, FuncWatcher(func(wire.WatcherEvent) { fired++ }))
+	tr.Watches().add("/f", wire.WatchData, FuncWatcher(func(wire.WatcherEvent) { fired++ }))
 	if _, err := tr.SetData("/f", []byte("x"), -1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if fired != 1 {
 		t.Fatalf("fired = %d", fired)
 	}
+}
+
+// flag is a watcher that records whether it fired.
+type flag struct{ fired atomic.Bool }
+
+func (f *flag) Notify(wire.WatcherEvent) { f.fired.Store(true) }
+
+// raceReadAndWrite runs iters rounds in which another goroutine makes
+// one write while this one reads with a fresh watcher. read returns
+// whether the read saw the tree from before the write; such a read's
+// watch must have fired by the time the write returned, because the
+// tree sets the watch under the read's lock and takes the watchers
+// under the write's. undo runs before each round, on this goroutine.
+func raceReadAndWrite(t *testing.T, iters int, undo, write func(), read func(Watcher) bool) {
+	t.Helper()
+	start, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		for range start {
+			write()
+			done <- struct{}{}
+		}
+	}()
+	defer close(start)
+	lost, before := 0, 0
+	for i := 0; i < iters; i++ {
+		undo()
+		w := &flag{}
+		start <- struct{}{}
+		sawBefore := read(w)
+		<-done
+		if sawBefore {
+			before++
+			if !w.fired.Load() {
+				lost++
+			}
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("%d of %d reads that preceded the write lost their watch", lost, before)
+	}
+	t.Logf("%d of %d reads preceded the write; every one's watch fired", before, iters)
+}
+
+// TestExistsWatchSeesRacingDelete is recipes' lock waiter: an exists
+// with a watch on its predecessor while the predecessor is deleted. A
+// read that found the node must be told of the delete.
+func TestExistsWatchSeesRacingDelete(t *testing.T) {
+	tr := New()
+	raceReadAndWrite(t, 100_000,
+		func() { mustCreate(t, tr, "/pred", nil) },
+		func() {
+			if err := tr.Delete("/pred", -1, 2); err != nil {
+				t.Error(err)
+			}
+		},
+		func(w Watcher) bool {
+			_, err := tr.Exists("/pred", w)
+			return err == nil
+		})
+}
+
+// TestGetDataWatchSeesRacingSet: a data read with a watch while the
+// node is set. A read that returned the old version must be told of the
+// set.
+func TestGetDataWatchSeesRacingSet(t *testing.T) {
+	tr := New()
+	mustCreate(t, tr, "/cfg", nil)
+	old := int32(-1) // the version before this round's set
+	raceReadAndWrite(t, 100_000,
+		func() { old++ },
+		func() {
+			if _, err := tr.SetData("/cfg", nil, -1, 2); err != nil {
+				t.Error(err)
+			}
+		},
+		func(w Watcher) bool {
+			_, stat, err := tr.GetDataRefW("/cfg", w)
+			if err != nil {
+				t.Error(err)
+			}
+			return stat.Version == old
+		})
 }

@@ -371,8 +371,8 @@ func (b *Barrier) Leave(ctx context.Context) error {
 
 // Counter is a distributed counter using versioned compare-and-swap on
 // a single znode. A version-guarded Set is already an atomic CAS (one
-// proposal, one shard lock) — a Check+Set multi would be semantically
-// identical but write-lock every tree shard per increment.
+// proposal of one op) — a Check+Set multi would be semantically
+// identical but carry and validate two ops per increment.
 type Counter struct {
 	cl   *client.Client
 	path string
