@@ -63,7 +63,6 @@ func run() error {
 	storageKey := flag.String("storage-key", "", "shared storage key, hex (securekeeper ensembles of more than one replica)")
 	dataDir := flag.String("data-dir", "", "durable state directory; empty = in-memory only")
 	snapshotEvery := flag.Int("snapshot-every", 100000, "commits between durable snapshots, ZooKeeper's snapCount; a snapshot purges the log segments it covers (0 = never)")
-	logSegmentBytes := flag.Int64("log-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = storage default)")
 	metricsAddr := flag.String("metrics-addr", "", "admin HTTP address serving /metrics (Prometheus text), /metrics.json and /debug/pprof/; empty disables")
 	flag.Parse()
 
@@ -86,13 +85,12 @@ func run() error {
 		}
 	}
 	node, err := core.NewNode(core.NodeConfig{
-		Variant:         v,
-		ID:              zab.PeerID(*id),
-		Topology:        topo,
-		StorageKey:      key,
-		DataDir:         *dataDir,
-		SnapshotEvery:   *snapshotEvery,
-		LogSegmentBytes: *logSegmentBytes,
+		Variant:       v,
+		ID:            zab.PeerID(*id),
+		Topology:      topo,
+		StorageKey:    key,
+		DataDir:       *dataDir,
+		SnapshotEvery: *snapshotEvery,
 		// Mesh and membership lifecycle lines (reconfig applications,
 		// link attestation failures, removal notices) go to stderr where
 		// the smoke harnesses collect per-node logs.

@@ -56,14 +56,10 @@ type Injector struct {
 	// cuts severs individual directed links (asymmetric partitions).
 	cuts map[linkKey]bool
 
-	// Aggregate fault accounting, readable from any registry via
-	// Register (CounterFunc/GaugeFunc snapshots).
-	dropped    atomic.Int64 // messages eaten by Drop probability
-	cut        atomic.Int64 // messages eaten by partitions/cuts
-	delayed    atomic.Int64 // messages that incurred injected latency
-	injected   atomic.Int64 // fault-state changes applied
-	sides      atomic.Int64 // current partition side count (0 = healed)
-	activeCuts atomic.Int64 // current one-way cuts
+	// Aggregate fault accounting (Stats).
+	dropped atomic.Int64 // messages eaten by Drop probability
+	cut     atomic.Int64 // messages eaten by partitions/cuts
+	delayed atomic.Int64 // messages that incurred injected latency
 }
 
 // NewInjector returns an injector with no active faults. seed drives
@@ -81,7 +77,6 @@ func (inj *Injector) SetDefaults(f LinkFault) {
 	inj.mu.Lock()
 	inj.fault = f
 	inj.mu.Unlock()
-	inj.injected.Add(1)
 }
 
 // ClearLinks removes the link fault; partitions and cuts are untouched.
@@ -101,8 +96,6 @@ func (inj *Injector) Partition(sides ...[]zab.PeerID) {
 		}
 	}
 	inj.mu.Unlock()
-	inj.sides.Store(int64(len(sides)))
-	inj.injected.Add(1)
 }
 
 // CutOneWay severs the DIRECTED link from→to until the next Heal,
@@ -111,10 +104,7 @@ func (inj *Injector) Partition(sides ...[]zab.PeerID) {
 func (inj *Injector) CutOneWay(from, to zab.PeerID) {
 	inj.mu.Lock()
 	inj.cuts[linkKey{from, to}] = true
-	n := len(inj.cuts)
 	inj.mu.Unlock()
-	inj.activeCuts.Store(int64(n))
-	inj.injected.Add(1)
 }
 
 // Heal removes every partition and one-way cut (link-quality faults
@@ -124,9 +114,6 @@ func (inj *Injector) Heal() {
 	inj.side = make(map[zab.PeerID]int)
 	inj.cuts = make(map[linkKey]bool)
 	inj.mu.Unlock()
-	inj.sides.Store(0)
-	inj.activeCuts.Store(0)
-	inj.injected.Add(1)
 }
 
 // decide returns the fate of one message on the directed link from→to:
@@ -172,48 +159,24 @@ func (inj *Injector) severed(from, to zab.PeerID) bool {
 
 // Stats is a snapshot of the injector's aggregate fault accounting.
 type Stats struct {
-	Dropped, Cut, Delayed, Injected int64
-	PartitionSides, OneWayCuts      int64
+	Dropped, Cut, Delayed int64
 }
 
 // Stats snapshots the counters.
 func (inj *Injector) Stats() Stats {
 	return Stats{
-		Dropped:        inj.dropped.Load(),
-		Cut:            inj.cut.Load(),
-		Delayed:        inj.delayed.Load(),
-		Injected:       inj.injected.Load(),
-		PartitionSides: inj.sides.Load(),
-		OneWayCuts:     inj.activeCuts.Load(),
+		Dropped: inj.dropped.Load(),
+		Cut:     inj.cut.Load(),
+		Delayed: inj.delayed.Load(),
 	}
-}
-
-// Register exposes the injector's aggregate fault state on a metrics
-// registry, so a /metrics scrape during a run shows the faults live.
-func (inj *Injector) Register(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.CounterFunc("chaos_faults_injected_total", "", "fault-state changes applied by the injector", func() int64 { return inj.injected.Load() })
-	reg.CounterFunc("chaos_net_dropped_total", "", "messages eaten by injected drop probability", func() int64 { return inj.dropped.Load() })
-	reg.CounterFunc("chaos_net_cut_total", "", "messages eaten by partitions and one-way cuts", func() int64 { return inj.cut.Load() })
-	reg.CounterFunc("chaos_net_delayed_total", "", "messages that incurred injected latency", func() int64 { return inj.delayed.Load() })
-	reg.GaugeFunc("chaos_active_partition_sides", "", "explicit partition sides currently in force (0 = healed)", func() int64 { return inj.sides.Load() })
-	reg.GaugeFunc("chaos_active_oneway_cuts", "", "directed link cuts currently in force", func() int64 { return inj.activeCuts.Load() })
 }
 
 // Wrap returns a core.Config-compatible transport wrapper: each
-// replica's peer transport is shimmed through this injector, and the
-// shim's per-host fault counters are registered on that replica's
-// registry (the satellite view every /metrics scrape shows).
-func (inj *Injector) Wrap(id zab.PeerID, inner zab.Transport, reg *obs.Registry) zab.Transport {
-	t := &shim{id: id, inner: inner, inj: inj}
-	if reg != nil {
-		t.dropped = reg.Counter("chaos_host_dropped_total", "", "outbound messages dropped by the chaos injector on this host")
-		t.delayed = reg.Counter("chaos_host_delayed_total", "", "outbound messages delayed by the chaos injector on this host")
-		reg.GaugeFunc("chaos_active_partition_sides", "", "explicit partition sides currently in force (0 = healed)", func() int64 { return inj.sides.Load() })
-	}
-	return t
+// replica's peer transport is shimmed through this injector. The
+// registry, which core.Config.WrapTransport's signature passes, is not
+// used: the injector's counts are the run's, in Stats.
+func (inj *Injector) Wrap(id zab.PeerID, inner zab.Transport, _ *obs.Registry) zab.Transport {
+	return &shim{id: id, inner: inner, inj: inj}
 }
 
 // shim is the fault-wrapping zab.Transport for one replica. It
@@ -224,9 +187,6 @@ type shim struct {
 	id    zab.PeerID
 	inner zab.Transport
 	inj   *Injector
-
-	dropped *obs.Counter
-	delayed *obs.Counter
 }
 
 var _ zab.Transport = (*shim)(nil)
@@ -237,7 +197,6 @@ var _ zab.Transport = (*shim)(nil)
 func (t *shim) Send(to zab.PeerID, msg zab.Message) error {
 	drop, wait := t.inj.decide(t.id, to)
 	if drop {
-		t.dropped.Inc()
 		// Indistinguishable from network loss for the sender, exactly
 		// like the underlying transports' shed paths.
 		return zab.ErrPeerUnreachable
@@ -245,7 +204,6 @@ func (t *shim) Send(to zab.PeerID, msg zab.Message) error {
 	if wait <= 0 {
 		return t.inner.Send(to, msg)
 	}
-	t.delayed.Inc()
 	time.AfterFunc(wait, func() {
 		// The link may have partitioned while the message was "in
 		// flight"; best-effort loss is the contract either way. Only the

@@ -11,7 +11,6 @@ import (
 
 	"securekeeper/internal/client"
 	"securekeeper/internal/core"
-	"securekeeper/internal/obs"
 	"securekeeper/internal/wire"
 	"securekeeper/recipes"
 )
@@ -29,10 +28,6 @@ type ScenarioConfig struct {
 	// DataDir, when set, makes replicas durable and adds fsync stalls
 	// to the lock and queue schedules.
 	DataDir string
-	// Registry, when set, receives the injector's fault metrics and
-	// the checker verdict counters (for a /metrics endpoint during the
-	// run). A nil registry is fine.
-	Registry *obs.Registry
 	// Logf, when set, receives controller action lines as they fire.
 	Logf func(format string, args ...any)
 }
@@ -145,7 +140,6 @@ func RunScenario(ctx context.Context, cfg ScenarioConfig) (*Report, error) {
 		return nil, err
 	}
 	inj := NewInjector(c.Seed)
-	inj.Register(c.Registry)
 	sched := Plan(c.Seed, s.profile(c), c.Duration)
 
 	cluster, err := core.NewCluster(core.Config{
@@ -183,13 +177,6 @@ func RunScenario(ctx context.Context, cfg ScenarioConfig) (*Report, error) {
 		Stats:      inj.Stats(),
 		Violations: violations,
 	}
-	verdict := "pass"
-	if !rep.Passed() {
-		verdict = "fail"
-	}
-	c.Registry.Counter("chaos_checker_verdicts_total",
-		fmt.Sprintf(`recipe=%q,verdict=%q`, c.Scenario, verdict),
-		"safety-checker verdicts per recipe scenario").Inc()
 	return rep, nil
 }
 

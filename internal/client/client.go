@@ -68,8 +68,6 @@ func (p ReadPreference) String() string {
 
 // Options configure a client session.
 type Options struct {
-	// SessionTimeoutMillis is requested from the server.
-	SessionTimeoutMillis int32
 	// ReadPreference steers Dial's choice of ensemble member (see the
 	// constants). Ignored by NewSession, which serves whatever single
 	// connection it is handed.
@@ -81,15 +79,6 @@ type Options struct {
 	// accepts any peer (demo mode — production clients pin the
 	// enclave key received out of band, §4.1).
 	VerifyPeer transport.PeerVerifier
-	// DialTimeout bounds each single address attempt inside Dial
-	// (default 5s); the ctx bounds the whole call.
-	DialTimeout time.Duration
-	// MaxCommitLag, when positive, makes a Nearest Dial probe each
-	// candidate's stats and skip members whose applied state trails the
-	// leader's commit bound by more than this many transactions — a
-	// badly-lagged observer would serve arbitrarily stale reads. Zero
-	// keeps the zero-round-trip Nearest behaviour (any member will do).
-	MaxCommitLag int64
 }
 
 // Result is the outcome of an asynchronous call.
@@ -175,10 +164,7 @@ type Client struct {
 // NewSession establishes a session over an already-connected transport.
 // Callers who hold addresses rather than a connection should use Dial.
 func NewSession(conn transport.Conn, opts Options) (*Client, error) {
-	if opts.SessionTimeoutMillis <= 0 {
-		opts.SessionTimeoutMillis = 10000
-	}
-	req := wire.ConnectRequest{TimeoutMillis: opts.SessionTimeoutMillis}
+	req := wire.ConnectRequest{TimeoutMillis: wire.SessionTimeoutMillis}
 	if err := conn.SendFrame(wire.Marshal(&req)); err != nil {
 		return nil, fmt.Errorf("client: send connect: %w", err)
 	}

@@ -58,7 +58,7 @@ func Dial(ctx context.Context, addrs []string, opts Options) (*Client, error) {
 			errs = append(errs, err)
 			continue
 		}
-		ok, err := matchesPreference(ctx, cl, opts.ReadPreference, opts.MaxCommitLag)
+		ok, err := matchesPreference(ctx, cl, opts.ReadPreference)
 		if err != nil {
 			_ = cl.Close()
 			errs = append(errs, fmt.Errorf("probe %s: %w", addr, err))
@@ -77,14 +77,14 @@ func Dial(ctx context.Context, addrs []string, opts Options) (*Client, error) {
 	return nil, fmt.Errorf("client: dial %s: %w", strings.Join(candidates, ","), errors.Join(errs...))
 }
 
+// dialTimeout bounds each single address attempt inside Dial; the ctx
+// bounds the whole call.
+const dialTimeout = 5 * time.Second
+
 // dialOne connects, optionally handshakes, and opens a session against
 // a single address.
 func dialOne(ctx context.Context, addr string, opts Options) (*Client, error) {
-	timeout := opts.DialTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	d := net.Dialer{Timeout: timeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	tcp, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("dial %s: %w", addr, err)
@@ -114,27 +114,18 @@ func dialOne(ctx context.Context, addr string, opts Options) (*Client, error) {
 	return cl, nil
 }
 
-// matchesPreference reports whether the connected member's role (and
-// commit lag, when a bound is set) satisfies pref. Nearest without a
-// lag bound skips the probe entirely: any member will do, and an extra
-// round-trip per dial would be pure overhead.
-func matchesPreference(ctx context.Context, cl *Client, pref ReadPreference, maxLag int64) (bool, error) {
-	if pref == Nearest && maxLag <= 0 {
+// matchesPreference reports whether the connected member's role
+// satisfies pref. Nearest skips the probe entirely: any member will do,
+// and an extra round-trip per dial would be pure overhead.
+func matchesPreference(ctx context.Context, cl *Client, pref ReadPreference) (bool, error) {
+	if pref == Nearest {
 		return true, nil
 	}
 	stats, err := cl.ServerStats(ctx)
 	if err != nil {
 		return false, err
 	}
-	if maxLag > 0 && stats.CommitLag > maxLag {
-		// The member is alive but its applied state trails the leader's
-		// commit bound too far (a stalled or resyncing observer): reads
-		// here would be arbitrarily stale, so keep looking.
-		return false, nil
-	}
 	switch pref {
-	case Nearest:
-		return true, nil
 	case Leader:
 		return stats.Role == zab.RoleLeading.String(), nil
 	case ObserverOnly:

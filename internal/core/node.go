@@ -44,8 +44,6 @@ type NodeConfig struct {
 	// DataDir, when set, makes the replica durable (see server.Config).
 	DataDir       string
 	SnapshotEvery int
-	// LogSegmentBytes is the WAL rotation threshold (0 = default).
-	LogSegmentBytes int64
 	// ApplySGXLatency and SGXCost mirror the Cluster knobs.
 	ApplySGXLatency bool
 	SGXCost         *sgx.CostModel
@@ -123,7 +121,6 @@ func newNode(cfg NodeConfig, ks *enclave.KeyServer, reg *obs.Registry, tr zab.Tr
 		ElectionTimeout: cfg.ElectionTimeout,
 		DataDir:         cfg.DataDir,
 		SnapshotEvery:   cfg.SnapshotEvery,
-		LogSegmentBytes: cfg.LogSegmentBytes,
 		Logf:            cfg.Logf,
 		Obs:             reg,
 	}

@@ -218,15 +218,15 @@ func TestSequentialNamingAttackSurface(t *testing.T) {
 	// same "sequence number" and produce the same final path.
 	leader := c.LeaderIndex()
 	_ = leader
-	a, err := codec.AppendSequenceToPath(encPath, 5)
+	a, err := codec.AppendSequencedPath(nil, encPath, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := codec.AppendSequenceToPath(encPath, 5)
+	b, err := codec.AppendSequencedPath(nil, encPath, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
+	if !bytes.Equal(a, b) {
 		t.Fatal("deterministic encryption expected")
 	}
 	// But payload forging is still impossible: an attacker cannot craft

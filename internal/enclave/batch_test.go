@@ -366,11 +366,11 @@ func genExchanges(t *testing.T, rng *rand.Rand, codec *skcrypto.Codec, n int) []
 			respBody = &wire.SetDataResponse{Stat: wire.Stat{DataLength: ctLen, Version: int32(i)}}
 		case 2:
 			reqHdr.Op, reqBody = wire.OpCreate, &wire.CreateRequest{Path: path + "-", Data: payload, Flags: wire.FlagSequential}
-			created, err := codec.AppendSequenceToPath(enc(path+"-"), int32(i))
+			created, err := codec.AppendSequencedPath(nil, enc(path+"-"), int32(i))
 			if err != nil {
 				t.Fatal(err)
 			}
-			respBody = &wire.CreateResponse{Path: created}
+			respBody = &wire.CreateResponse{Path: string(created)}
 		case 3:
 			reqHdr.Op, reqBody = wire.OpDelete, &wire.DeleteRequest{Path: path, Version: -1}
 		case 4:

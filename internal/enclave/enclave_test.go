@@ -395,7 +395,7 @@ func TestCounterBatchRejectsOneSlot(t *testing.T) {
 // its slot — the parent's ciphertext kept where it lies, the final
 // element decrypted, suffixed and encrypted again — is byte-identical
 // to re-encrypting the whole suffixed plaintext path, which is what the
-// codec's AppendSequenceToPath did before, over seeded paths and
+// counter enclave did before it merged in place, over seeded paths and
 // numbers: under the root, the root itself, deep parents and long
 // elements. A negative number is still refused and leaves its name.
 func TestCounterNamesInSlot(t *testing.T) {
@@ -459,8 +459,8 @@ func TestCounterNamesInSlot(t *testing.T) {
 		t.Fatalf("negative number: name %q, %v; want it refused and left as it was", names[0], errs[0])
 	}
 	// The codec itself formats a negative number as wire does.
-	got, err := codec.AppendSequenceToPath(enc, -5)
-	if ref, _ := codec.EncryptPath(wire.AppendSequence("/l/c-", -5)); err != nil || got != ref {
+	got, err := codec.AppendSequencedPath(nil, enc, -5)
+	if ref, _ := codec.EncryptPath(wire.AppendSequence("/l/c-", -5)); err != nil || string(got) != ref {
 		t.Fatalf("codec, negative number: %q, %v; want %q", got, err, ref)
 	}
 }
@@ -535,8 +535,9 @@ func TestProvisioningRejectsUntrustedMeasurement(t *testing.T) {
 	if err := ProvisionEntry(entry, ks, nil); !errors.Is(err, ErrAttestationRejected) {
 		t.Fatalf("err = %v, want ErrAttestationRejected", err)
 	}
-	if entry.Provisioned() {
-		t.Fatal("key must not be installed")
+	msg := request(t, 1, wire.OpGetData, &wire.GetDataRequest{Path: "/a"})
+	if _, err := entry.ProcessRequest(msg); !errors.Is(err, ErrKeyNotProvisioned) {
+		t.Fatalf("request after a rejected provisioning: err = %v, want ErrKeyNotProvisioned", err)
 	}
 }
 
@@ -585,8 +586,9 @@ func TestSealedKeyFlow(t *testing.T) {
 	if err := UnsealEntry(second, store); err != nil {
 		t.Fatal(err)
 	}
-	if !second.Provisioned() {
-		t.Fatal("sibling not provisioned")
+	msg := request(t, 1, wire.OpGetData, &wire.GetDataRequest{Path: "/a"})
+	if _, err := second.ProcessRequest(msg); err != nil {
+		t.Fatalf("sibling not provisioned: %v", err)
 	}
 
 	// A different machine cannot use the sealed blob.

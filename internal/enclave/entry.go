@@ -324,13 +324,6 @@ type keyed struct {
 	codec *skcrypto.Codec
 }
 
-// Provisioned reports whether the storage key has been installed.
-func (k *keyed) Provisioned() bool {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.codec != nil
-}
-
 // ecBatch returns the trusted entry point of an ecall of either
 // enclave: it runs transform on each slot of the packed buffer in turn,
 // holding mu for the whole batch, and reports in the buffer's count how

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"securekeeper/internal/client"
+	"securekeeper/internal/obs"
 	"securekeeper/internal/wire"
 	"securekeeper/internal/zab"
 )
@@ -252,6 +253,43 @@ func TestLeaderLossBetweenAdmitAndFlushRefusesBurst(t *testing.T) {
 	}
 }
 
+// TestCloseProposesOneCloseSession: a client's Close is one CloseSession
+// on every replica — the one the session's reader hands on — not that
+// and a second one submitted when the connection ends. One session on
+// each replica closes, the cluster is otherwise idle, and every replica
+// applies three transactions, then nothing for longer than the
+// closing-session retry takes to fire.
+func TestCloseProposesOneCloseSession(t *testing.T) {
+	tc := newTestCluster(t, 3)
+	var sessions []*client.Client
+	for i := range tc.replicas {
+		sessions = append(sessions, tc.connect(i, client.Options{}))
+	}
+	applied := func(r *Replica) int64 { return r.applyHist.Snapshot().Count }
+	before := make([]int64, len(tc.replicas))
+	for i, r := range tc.replicas {
+		before[i] = applied(r)
+	}
+	for _, cl := range sessions {
+		if err := cl.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, r := range tc.replicas {
+		waitFor(t, fmt.Sprintf("replica %d to apply the closes", r.ID()), func() bool {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			return applied(r)-before[i] >= 3 && len(r.sessions) == 0 && len(r.closing) == 0
+		})
+	}
+	time.Sleep(3 * closeRetryInterval)
+	for i, r := range tc.replicas {
+		if n := applied(r) - before[i]; n != 3 {
+			t.Errorf("replica %d applied %d transactions for 3 closed sessions, want 3", r.ID(), n)
+		}
+	}
+}
+
 // TestDegradedFollowerClosesDroppedSession: a degraded replica refuses
 // client writes, but the CloseSession of a session that drops from it
 // still reaches the leader, so the session's ephemeral node goes away
@@ -290,7 +328,9 @@ func TestManyClosingSessionsOnFollower(t *testing.T) {
 		ids[i] = int64(1_000_000 + i)
 	}
 	follower.mu.Lock()
-	follower.closing = append(follower.closing, ids...)
+	for _, id := range ids {
+		follower.closing[id] = obs.Now()
+	}
 	follower.mu.Unlock()
 	follower.submitCloses(ids)
 	deadline := time.Now().Add(20 * time.Second)

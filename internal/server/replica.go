@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,10 +72,6 @@ func PlainSequenceAppender(paths []string, seqs []int32, errs []error) {
 	}
 }
 
-// sessionTimeoutMillis is what every ConnectResponse grants; nothing
-// expires a session on it (informational).
-const sessionTimeoutMillis = 10000
-
 // Config parameterizes a replica.
 type Config struct {
 	// ID identifies the replica; Peers lists the ensemble's VOTING
@@ -102,8 +97,6 @@ type Config struct {
 	DataDir string
 	// SnapshotEvery tunes how many commits separate snapshots.
 	SnapshotEvery int
-	// LogSegmentBytes is the WAL rotation threshold (0 = default).
-	LogSegmentBytes int64
 	// Logf, when set, receives replica diagnostics (defaults to the
 	// standard logger). Persistence failures are reported here.
 	Logf func(format string, args ...any)
@@ -127,10 +120,11 @@ type Replica struct {
 	// clients have in flight — a write is its slot in its session's ring,
 	// found again from the Origin{Session, Xid} a commit, reject
 	// or abort carries — and closing, the sessions that left the table
-	// with their connection and await their CloseSession's delivery.
+	// with their connection and await their CloseSession's delivery,
+	// each with the obs.Now at which it joined.
 	mu       sync.Mutex
 	sessions map[int64]*session
-	closing  []int64
+	closing  map[int64]int64
 	nextSess int64
 	closed   bool
 
@@ -189,6 +183,7 @@ func NewReplica(cfg Config) *Replica {
 		cfg:      cfg,
 		tree:     ztree.New(),
 		sessions: make(map[int64]*session),
+		closing:  make(map[int64]int64),
 		seqHint:  make(map[string]int32),
 		stop:     make(chan struct{}),
 		// Forwarded writes must be proposed in arrival order to keep
@@ -202,7 +197,6 @@ func NewReplica(cfg Config) *Replica {
 			Dir:           cfg.DataDir,
 			Tree:          r.tree,
 			SnapshotEvery: cfg.SnapshotEvery,
-			SegmentBytes:  cfg.LogSegmentBytes,
 			Obs:           cfg.Obs,
 			OnFail:        r.enterDegraded,
 		})
@@ -378,7 +372,7 @@ func (r *Replica) ServeConn(conn transport.Conn, icept Interceptor) error {
 	r.mu.Unlock()
 
 	resp := wire.ConnectResponse{
-		TimeoutMillis: sessionTimeoutMillis,
+		TimeoutMillis: wire.SessionTimeoutMillis,
 		SessionID:     sessionID,
 		Passwd:        connReq.Passwd,
 	}
@@ -395,10 +389,13 @@ func (r *Replica) ServeConn(conn transport.Conn, icept Interceptor) error {
 // dropSession takes a session whose connection ended from live to
 // closing: it leaves the table — what it still has in flight will find
 // nobody to answer — and its ephemeral nodes go through the agreed log,
-// so that all replicas converge. No client waits for that CloseSession
-// or would retry it when a missing leader, a reject or a role change
-// swallows it: the session stays listed as closing until deliver sees
-// the transaction, and retryCloses submits it again.
+// so that all replicas converge. The CloseSession is the client's own
+// when the session's reader handed it on; otherwise dropSession submits
+// one. No client waits for that CloseSession or would retry it when a
+// missing leader, a reject or a role change swallows it: the session
+// stays listed as closing until deliver sees the transaction, and
+// retryCloses submits it again. A session whose CloseSession was
+// delivered before it left the table is gone already.
 func (r *Replica) dropSession(s *session) {
 	// run has joined the reader and the writer, the only goroutines that
 	// execute this session's reads, so no read can re-register a watch
@@ -407,13 +404,15 @@ func (r *Replica) dropSession(s *session) {
 	r.tree.Watches().RemoveWatcher(s)
 	r.mu.Lock()
 	delete(r.sessions, s.id)
-	if r.closed {
+	if r.closed || s.closeDelivered {
 		r.mu.Unlock()
-		return // no ensemble to tell any more
+		return // no ensemble to tell any more, or nothing left to tell it
 	}
-	r.closing = append(r.closing, s.id)
+	r.closing[s.id] = obs.Now()
 	r.mu.Unlock()
-	r.submitCloses([]int64{s.id})
+	if !s.closeHandedOn {
+		r.submitCloses([]int64{s.id})
+	}
 }
 
 // submitCloses hands on the CloseSession of each of the closing
@@ -434,20 +433,32 @@ func (r *Replica) submitCloses(sessions []int64) {
 const closeRetryInterval = 200 * time.Millisecond
 
 // retryCloses is the forward worker's ticker: submitCloses, again, for
-// every closing session.
+// every session that has been closing for a whole interval. One that
+// joined since is left to the CloseSession it just handed on.
 func (r *Replica) retryCloses() {
+	now := obs.Now()
+	var due []int64
 	r.mu.Lock()
-	closing := slices.Clone(r.closing)
+	for id, since := range r.closing {
+		if now-since >= int64(closeRetryInterval) {
+			due = append(due, id)
+		}
+	}
 	r.mu.Unlock()
-	if len(closing) > 0 {
-		r.submitCloses(closing)
+	if len(due) > 0 {
+		r.submitCloses(due)
 	}
 }
 
-// closeDelivered takes a closing session off the list: gone.
+// closeDelivered records that a session's CloseSession was delivered: a
+// closing session is gone, and a live one is gone when it leaves the
+// table.
 func (r *Replica) closeDelivered(session int64) {
 	r.mu.Lock()
-	r.closing = slices.DeleteFunc(r.closing, func(id int64) bool { return id == session })
+	delete(r.closing, session)
+	if s := r.sessions[session]; s != nil {
+		s.closeDelivered = true
+	}
 	r.mu.Unlock()
 }
 

@@ -93,6 +93,14 @@ type session struct {
 	waiting    int    // pending slots
 	closed     bool
 
+	// closeHandedOn records that the reader handed on the client's own
+	// CloseSession and it was not refused (reader goroutine only; the
+	// replica reads it once run has returned). closeDelivered records
+	// that the CloseSession was delivered while the session was still in
+	// the replica's table (guarded by the replica's mu).
+	closeHandedOn  bool
+	closeDelivered bool
+
 	// evs holds the watch events of the writer's current pass (writer
 	// goroutine only).
 	evs []byte
@@ -254,6 +262,8 @@ func (s *session) handOn() {
 	for _, w := range b.writes {
 		if w.refused {
 			s.refuse(w.seq)
+		} else if w.op == wire.OpCloseSession {
+			s.closeHandedOn = true
 		}
 	}
 	b.reset()

@@ -71,10 +71,6 @@ func (s *QuoteSigner) Quote(reportData []byte) *Quote {
 	}
 }
 
-// VerificationKey returns the deployment attestation root every replica
-// derives for itself.
-func (s *QuoteSigner) VerificationKey() ed25519.PublicKey { return s.key.pub }
-
 // Measurement returns the code measurement quotes from this signer
 // claim (and the one its Verify expects).
 func (s *QuoteSigner) Measurement() Measurement { return s.measurement }

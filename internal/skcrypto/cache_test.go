@@ -193,7 +193,7 @@ func TestChunkCacheCountsAndRecycles(t *testing.T) {
 	if _, err := c.EncryptPath("/n5"); err != nil { // still cached
 		t.Fatal(err)
 	}
-	if _, err := c.DecryptChunk("not-a-chunk"); err == nil { // a miss that inserts nothing
+	if _, err := c.AppendDecryptedChunk(nil, "not-a-chunk"); err == nil { // a miss that inserts nothing
 		t.Fatal("garbage chunk decrypted")
 	}
 	enc, dec := c.CacheStats()
@@ -233,7 +233,7 @@ func TestDecryptChunkCachePoisoningRejected(t *testing.T) {
 		tampered[0] = 'B'
 	}
 	_, decBefore := c.ChunkCacheLen()
-	if _, err := c.DecryptChunk(string(tampered)); err == nil {
+	if _, err := c.AppendDecryptedChunk(nil, string(tampered)); err == nil {
 		t.Fatal("tampered chunk decrypted")
 	}
 	if _, decAfter := c.ChunkCacheLen(); decAfter != decBefore {
@@ -256,7 +256,7 @@ func TestSequenceChunkNotAdmitted(t *testing.T) {
 		encLen, decLen := c.ChunkCacheLen()
 		_, hits := c.CacheStats()
 		for seq := int32(0); seq < 50; seq++ {
-			got, err := c.AppendSequenceToPath(enc, seq)
+			got, err := c.AppendSequencedPath(nil, enc, seq)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +264,7 @@ func TestSequenceChunkNotAdmitted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
+			if string(got) != want {
 				t.Fatalf("%s seq %d: merged path %q, want %q", base, seq, got, want)
 			}
 		}

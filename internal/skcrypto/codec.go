@@ -172,19 +172,10 @@ func encryptChunk[T bytesOrString](c *Codec, dst []byte, prefix, chunk T) []byte
 	return dst
 }
 
-// DecryptChunk decrypts a single encrypted path element (used for the
-// children names returned by LS, where the request gives no prefix IV —
-// which is why the IV is appended to every chunk, §4.3).
-func (c *Codec) DecryptChunk(enc string) (string, error) {
-	var scratch [pathScratch]byte
-	plain, err := c.AppendDecryptedChunk(scratch[:0], enc)
-	if err != nil {
-		return "", err
-	}
-	return string(plain), nil
-}
-
-// AppendDecryptedChunk appends DecryptChunk(enc) to dst. Successful
+// AppendDecryptedChunk appends the decryption of a single encrypted
+// path element to dst (used for the children names returned by LS,
+// where the request gives no prefix IV — which is why the IV is
+// appended to every chunk, §4.3). Successful
 // decryptions are cached: GCM authentication guarantees byte-identical
 // chunks decrypt identically under one key.
 func (c *Codec) AppendDecryptedChunk(dst []byte, enc string) ([]byte, error) {
@@ -307,21 +298,11 @@ func (c *Codec) AppendDecryptedPath(dst []byte, enc string) ([]byte, error) {
 	return dst, nil
 }
 
-// AppendSequenceToPath implements the counter enclave's data processing
-// (§4.4): decrypt the encrypted path, append the ZooKeeper-formatted
-// sequence number to its final element, and re-encrypt that element
-// (its new name changes its IV, and only the enclave can compute it).
-func (c *Codec) AppendSequenceToPath(encPath string, seq int32) (string, error) {
-	var scratch [pathScratch]byte
-	enc, err := c.AppendSequencedPath(scratch[:0], encPath, seq)
-	if err != nil {
-		return "", err
-	}
-	return string(enc), nil
-}
-
-// AppendSequencedPath appends AppendSequenceToPath(encPath, seq) to dst.
-// The parent's chunks are appended as they are — a parent's ciphertext
+// AppendSequencedPath implements the counter enclave's data processing
+// (§4.4): it decrypts the encrypted path, appends the ZooKeeper-formatted
+// sequence number to its final element, re-encrypts that element (its
+// new name changes its IV, and only the enclave can compute it), and
+// appends the result to dst. The parent's chunks are appended as they are — a parent's ciphertext
 // does not depend on its children — and the final element is the only
 // one encrypted. encPath is read in full before dst is written, so dst
 // may be the memory encPath lies in, its end at or before encPath's

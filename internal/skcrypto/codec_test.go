@@ -122,7 +122,7 @@ func TestDecryptChunkTamperDetection(t *testing.T) {
 	} else {
 		tampered[20] = 'A'
 	}
-	if _, err := c.DecryptChunk(string(tampered)); err == nil {
+	if _, err := c.AppendDecryptedChunk(nil, string(tampered)); err == nil {
 		t.Fatal("tampered chunk must fail authentication")
 	}
 }
@@ -249,16 +249,17 @@ func TestSequenceHelpers(t *testing.T) {
 	}
 }
 
-func TestAppendSequenceToPath(t *testing.T) {
+func TestAppendSequencedPath(t *testing.T) {
 	c := testCodec(t)
 	enc, err := c.EncryptPath("/locks/cand-")
 	if err != nil {
 		t.Fatal(err)
 	}
-	newEnc, err := c.AppendSequenceToPath(enc, 42)
+	merged, err := c.AppendSequencedPath(nil, enc, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
+	newEnc := string(merged)
 	plain, err := c.DecryptPath(newEnc)
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +271,7 @@ func TestAppendSequenceToPath(t *testing.T) {
 	if strings.Split(enc[1:], "/")[0] != strings.Split(newEnc[1:], "/")[0] {
 		t.Fatal("parent chunk changed")
 	}
-	if _, err := c.AppendSequenceToPath("/garbage", 1); err == nil {
+	if _, err := c.AppendSequencedPath(nil, "/garbage", 1); err == nil {
 		t.Fatal("garbage path must fail")
 	}
 }

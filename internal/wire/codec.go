@@ -173,18 +173,6 @@ func (e *Encoder) WritePath(v string) {
 	binary.BigEndian.PutUint32(e.buf[at:], uint32(len(e.buf)-at-4))
 }
 
-// WriteStringVector appends a length-prefixed vector of strings.
-func (e *Encoder) WriteStringVector(v []string) {
-	if v == nil {
-		e.WriteInt32(-1)
-		return
-	}
-	e.WriteInt32(int32(len(v)))
-	for _, s := range v {
-		e.WriteString(s)
-	}
-}
-
 // Decoder deserializes primitive values from a byte slice. Like the
 // Encoder it keeps its first error: a read that fails records why, and
 // from then on every read returns the zero value, consumes nothing and

@@ -19,8 +19,11 @@ func TestEncoderDecoderPrimitives(t *testing.T) {
 	e.WriteBuffer(nil)
 	e.WriteBuffer([]byte{})
 	e.WriteString("héllo/wörld")
-	e.WriteStringVector([]string{"a", "", "c"})
-	e.WriteStringVector(nil)
+	e.WriteInt32(3) // a vector of strings: its length, then each one
+	for _, s := range []string{"a", "", "c"} {
+		e.WriteString(s)
+	}
+	e.WriteInt32(-1) // a nil vector
 
 	d := NewDecoder(e.Bytes())
 	if v := d.ReadBool(); d.Err() != nil || v != true {

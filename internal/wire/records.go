@@ -2,12 +2,15 @@ package wire
 
 import "encoding/binary"
 
-// Stat carries znode metadata, mirroring ZooKeeper's Stat record.
+// Stat carries znode metadata, mirroring ZooKeeper's Stat record. Ctime
+// and Mtime are logical, not ZooKeeper's wall-clock milliseconds: that
+// needs a time field in every transaction, and the transactions carry
+// none. So every replica reports the same Stat for the same version.
 type Stat struct {
 	Czxid          int64 // zxid of the transaction that created the node
 	Mzxid          int64 // zxid of the last modification
-	Ctime          int64 // creation time, ms since epoch
-	Mtime          int64 // last-modification time, ms since epoch
+	Ctime          int64 // creation "time": the creating zxid, as Czxid
+	Mtime          int64 // modification "time": the modifying zxid, as Mzxid
 	Version        int32 // data version
 	Cversion       int32 // child version (bumped on child create/delete)
 	Aversion       int32 // ACL version (kept for wire compatibility)
@@ -92,6 +95,11 @@ func (h *ReplyHeader) Deserialize(d *Decoder) error {
 	h.Err = ErrCode(d.ReadInt32())
 	return d.Err()
 }
+
+// SessionTimeoutMillis is the session timeout every client requests and
+// every replica grants. Nothing expires a session on it: a session ends
+// with its connection.
+const SessionTimeoutMillis = 10000
 
 // ConnectRequest opens a session.
 type ConnectRequest struct {

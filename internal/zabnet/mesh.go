@@ -259,7 +259,7 @@ func (p *peer) down(c *conn) {
 	}
 	if c != nil && c == p.conn {
 		p.conn = nil
-		p.core.Down(now())
+		p.core.Down(obs.Now())
 	}
 	p.mu.Unlock()
 	if c != nil {
@@ -496,11 +496,6 @@ func (m *Mesh) peer(id zab.PeerID) *peer {
 	return m.peers[id]
 }
 
-// epoch is where the link cores' clock, now, starts.
-var epoch = time.Now()
-
-func now() int64 { return int64(time.Since(epoch)) }
-
 func (m *Mesh) logf(format string, args ...any) {
 	if m.cfg.Logf != nil {
 		m.cfg.Logf(format, args...)
@@ -541,7 +536,7 @@ func (m *Mesh) dialLoop(p *peer, addr string, stop chan struct{}) {
 		case err != nil:
 			m.logf("zabnet %d: dial peer %d (%s): %v", m.cfg.ID, p.id, addr, err)
 			p.mu.Lock()
-			p.core.Down(now()) // a failed attempt: the link was down
+			p.core.Down(obs.Now()) // a failed attempt: the link was down
 			p.mu.Unlock()
 		case c == nil:
 			return // closing, or the peer was removed
@@ -556,7 +551,7 @@ func (m *Mesh) dialLoop(p *peer, addr string, stop chan struct{}) {
 			}
 		}
 		p.mu.Lock()
-		t := now()
+		t := obs.Now()
 		wait := time.Duration(p.core.Next(t) - t)
 		p.mu.Unlock()
 		select {

@@ -13,14 +13,6 @@ import "securekeeper/internal/wire"
 // transaction half applied, no read sets a watch between a change and
 // the taking, and the watchers are notified after the lock is released.
 
-// Check verifies a znode exists and, when version >= 0, that its data
-// version matches. It never mutates the tree; inside a multi it is the
-// guard that turns racy read-modify-write sequences into atomic
-// compare-and-commit transactions.
-func (t *Tree) Check(path string, version int32) (*wire.Stat, error) {
-	return statOrErr(t.Apply(&Txn{Type: TxnCheck, Path: path, Version: version}))
-}
-
 // ovNode is one path's state as the transaction's earlier ops left it.
 type ovNode struct {
 	exists   bool

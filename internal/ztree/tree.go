@@ -16,13 +16,16 @@
 // set or check is a transaction of one op, a multi one of its subs, and
 // a session's close one delete per ephemeral node it owned.
 //
-// Concurrency: one RWMutex guards the node map, the ephemeral index
-// and the logical clock. apply holds it for writing, every read for
-// reading. A read given a watcher sets the watch before it releases the
-// lock, and apply takes the watchers its changes fire before it
-// releases its own, so a change either shows in what the read returned
-// or fires the watch the read set. Watchers are notified after the lock
-// is released.
+// Concurrency: one RWMutex guards the node map and the ephemeral
+// index. apply holds it for writing, every read for reading. A read
+// given a watcher sets the watch before it releases the lock, and apply
+// takes the watchers its changes fire before it releases its own, so a
+// change either shows in what the read returned or fires the watch the
+// read set. Watchers are notified after the lock is released.
+//
+// A node's Ctime and Mtime are the zxids of the transactions that
+// created and last modified it (see wire.Stat), so a tree restored from
+// a snapshot reports the same Stat as the tree the snapshot came from.
 package ztree
 
 import (
@@ -51,46 +54,23 @@ type Tree struct {
 	nodes map[string]*node
 	// ephemeral indexes session id -> owned paths.
 	ephemeral map[int64]map[string]struct{}
-	clock     int64 // fallback logical clock when now is nil; only apply moves it
 
 	watches *WatchManager
-	now     func() int64 // wall clock in ms, injectable for tests
-}
-
-// Option configures a Tree.
-type Option func(*Tree)
-
-// WithClock injects the millisecond wall-clock source used for Stat
-// timestamps. Tests use this to make Ctime/Mtime deterministic.
-func WithClock(now func() int64) Option {
-	return func(t *Tree) { t.now = now }
 }
 
 // New returns a tree containing only the root znode "/".
-func New(opts ...Option) *Tree {
-	t := &Tree{
+func New() *Tree {
+	return &Tree{
 		nodes:     map[string]*node{"/": {}},
 		ephemeral: make(map[int64]map[string]struct{}),
 		watches:   NewWatchManager(),
 	}
-	for _, opt := range opts {
-		opt(t)
-	}
-	return t
 }
 
 // Watches exposes the tree's watch manager: its count, its dispatch
 // observer and the removal of a closed session's watches. Reads set
 // watches (GetDataRefW, Exists, GetChildren).
 func (t *Tree) Watches() *WatchManager { return t.watches }
-
-func (t *Tree) timestamp() int64 {
-	if t.now != nil {
-		return t.now()
-	}
-	t.clock++
-	return t.clock
-}
 
 // ValidatePath checks structural path validity: absolute, no empty or
 // dot segments, no trailing slash (except root).
@@ -149,15 +129,14 @@ func statOrErr(res TxnResult) (*wire.Stat, error) {
 // validated the op and holds the write lock. The node adopts data.
 func (t *Tree) createNodeLocked(parent *node, path string, data []byte, flags wire.CreateFlags, owner, zxid int64) wire.Stat {
 	_, name := SplitPath(path)
-	now := t.timestamp()
 	n := &node{
 		data: data,
 		stat: wire.Stat{
 			Czxid:      zxid,
 			Mzxid:      zxid,
 			Pzxid:      zxid,
-			Ctime:      now,
-			Mtime:      now,
+			Ctime:      zxid,
+			Mtime:      zxid,
 			DataLength: int32(len(data)),
 		},
 	}
@@ -229,7 +208,7 @@ func (t *Tree) setNodeLocked(n *node, data []byte, zxid int64) wire.Stat {
 	n.data = data
 	n.stat.Version++
 	n.stat.Mzxid = zxid
-	n.stat.Mtime = t.timestamp()
+	n.stat.Mtime = zxid
 	n.stat.DataLength = int32(len(data))
 	return n.stat
 }
@@ -373,15 +352,19 @@ func (t *Tree) ApproxBytes() int64 {
 }
 
 // Digest computes an order-independent checksum over paths, data and
-// versions. Replicas compare digests in tests to assert convergence.
+// every Stat field. Replicas compare digests in tests to assert
+// convergence.
 func (t *Tree) Digest() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var digest uint64
 	for p, n := range t.nodes {
-		h := fnv64a(p)
-		h = fnv64aBytes(h, n.data)
-		h ^= uint64(uint32(n.stat.Version))<<32 | uint64(uint32(n.stat.Cversion))
+		h := fnv64aBytes(fnv64a(p), n.data)
+		st := &n.stat
+		for _, v := range [...]int64{st.Czxid, st.Mzxid, st.Ctime, st.Mtime, int64(st.Version), int64(st.Cversion),
+			int64(st.Aversion), st.EphemeralOwner, int64(st.DataLength), int64(st.NumChildren), st.Pzxid} {
+			h = fnv64aUint64(h, uint64(v))
+		}
 		digest += h // commutative combine: iteration order independent
 	}
 	return digest
@@ -499,6 +482,14 @@ func fnv64a(s string) uint64 {
 func fnv64aBytes(h uint64, b []byte) uint64 {
 	for _, c := range b {
 		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
+}
+
+func fnv64aUint64(h, v uint64) uint64 {
+	for i := 0; i < 64; i += 8 {
+		h ^= v >> i & 0xff
 		h *= 1099511628211
 	}
 	return h

@@ -381,17 +381,47 @@ func TestTxnSerialization(t *testing.T) {
 	}
 }
 
-func TestWithClock(t *testing.T) {
-	now := int64(1000)
-	tr := New(WithClock(func() int64 { return now }))
-	stat, err := tr.Create("/c", nil, 0, 0, 1)
-	if err != nil || stat.Ctime != 1000 {
-		t.Fatalf("Ctime = %d, %v", stat.Ctime, err)
+// TestRestoredTreeStatsMatch: a tree restored from another tree's
+// snapshot reports, after both apply the same later transactions, the
+// same Stat for every node as the tree it was restored from — Ctime and
+// Mtime included, which are the zxids of the creating and modifying
+// transactions and so carry nothing the snapshot does not.
+func TestRestoredTreeStatsMatch(t *testing.T) {
+	a := New()
+	for i := 1; i <= 10; i++ {
+		if _, err := a.Create(fmt.Sprintf("/n%d", i), []byte("v"), 0, 0, int64(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	now = 2000
-	stat, err = tr.SetData("/c", []byte("x"), -1, 2)
-	if err != nil || stat.Mtime != 2000 || stat.Ctime != 1000 {
-		t.Fatalf("stat = %+v, %v", stat, err)
+	b := New()
+	b.Restore(a.Snapshot())
+	for _, tr := range []*Tree{a, b} {
+		for i := 1; i <= 10; i++ {
+			if _, err := tr.SetData(fmt.Sprintf("/n%d", i), []byte("w"), -1, int64(10+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := tr.Create("/n1/c", nil, 0, 0, 21); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Delete("/n2", -1, 22); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sa, sb := a.Snapshot(), b.Snapshot()
+	if !reflect.DeepEqual(sa, sb) {
+		for i := range sa.Nodes {
+			if i < len(sb.Nodes) && sa.Nodes[i].Stat != sb.Nodes[i].Stat {
+				t.Errorf("%s: stat %+v on the original, %+v on the restored tree", sa.Nodes[i].Path, sa.Nodes[i].Stat, sb.Nodes[i].Stat)
+			}
+		}
+		t.Fatal("the restored tree's nodes differ from the original's")
+	}
+	if _, st, err := b.GetData("/n10"); err != nil || st.Ctime != 10 || st.Mtime != 20 {
+		t.Fatalf("/n10: stat %+v, %v; want Ctime 10 and Mtime 20", st, err)
+	}
+	if a.Digest() != b.Digest() {
+		t.Fatal("digests differ")
 	}
 }
 
